@@ -4,7 +4,7 @@ CARGO ?= cargo
 JOBS ?= 4
 
 .PHONY: build test bench bench-repro bench-slots bench-check bench-dist \
-	clippy determinism golden smoke-faults smoke-trace smoke-crash \
+	benchmark-check clippy determinism golden smoke-faults smoke-trace smoke-crash \
 	smoke-dist fmt verify repro
 
 # --workspace matters: the root Cargo.toml is a package, so a bare
@@ -86,8 +86,16 @@ bench-check: build
 		--out target/BENCH_slots.fresh.json
 	scripts/bench_check BENCH_slots.json target/BENCH_slots.fresh.json
 
+# The BENCHMARK.json gate builds `benchmark/` (a standalone package
+# with path dependencies on crates/*, outside this workspace) from the
+# checkout and runs it; a crate API change that stops it compiling, or
+# breaks one of its smoke-size workloads, must fail here first.
+benchmark-check:
+	$(CARGO) build --release --offline --manifest-path benchmark/Cargo.toml
+	$(CARGO) test --offline --manifest-path benchmark/Cargo.toml
+
 repro:
 	$(CARGO) run -p spotdc-bench --bin repro --release -- --quick \
 		--out repro-results --telemetry repro-results/telemetry.jsonl
 
-verify: build test golden determinism clippy smoke-faults smoke-trace smoke-crash smoke-dist fmt
+verify: build test golden determinism clippy benchmark-check smoke-faults smoke-trace smoke-crash smoke-dist fmt

@@ -1111,9 +1111,37 @@ impl MarketClearing {
         constraints: &ConstraintSet,
     ) -> Vec<MarketOutcome> {
         let _span = spotdc_telemetry::span!("clear_per_pdu", slot = slot);
-        self.per_pdu_submarkets(bids, constraints)
+        self.clear_shares(
+            slot,
+            &self.per_pdu_submarket_shares(bids, constraints),
+            constraints,
+        )
+    }
+
+    /// Clears a run of [`Self::per_pdu_submarket_shares`] pairs in
+    /// order against **one** retained copy of `constraints`, re-pointed
+    /// at each sub-market's UPS share with
+    /// [`ConstraintSet::set_ups_spot`] — the same clamp
+    /// [`Self::per_pdu_submarkets`] applies through `with_ups_spot`, so
+    /// every clear reads bit-for-bit the values a per-sub-market clone
+    /// would hold while memory stays O(racks + bids) instead of
+    /// O(sub-markets × racks). Callers fanning out across threads hand
+    /// each worker a contiguous run of shares and concatenate the
+    /// results in run order.
+    #[must_use]
+    pub fn clear_shares(
+        &self,
+        slot: Slot,
+        shares: &[(Vec<RackBid>, Watts)],
+        constraints: &ConstraintSet,
+    ) -> Vec<MarketOutcome> {
+        let mut local = constraints.clone();
+        shares
             .iter()
-            .map(|(group, local)| self.clear(slot, group, local))
+            .map(|(group, share)| {
+                local.set_ups_spot(*share);
+                self.clear(slot, group, &local)
+            })
             .collect()
     }
 
@@ -1124,6 +1152,11 @@ impl MarketClearing {
     /// state, so callers may clear them in any order — or concurrently
     /// — and merge outcomes back in this order to reproduce
     /// [`Self::clear_per_pdu`] exactly.
+    ///
+    /// Every pair owns a full clone of `constraints`, so this is
+    /// O(sub-markets × racks) in memory. No product path calls it;
+    /// it is the reference the tests (and the benchmark's split row)
+    /// hold [`Self::clear_shares`] against.
     #[must_use]
     pub fn per_pdu_submarkets(
         &self,
@@ -1142,9 +1175,9 @@ impl MarketClearing {
     /// `per_pdu_submarkets` passes to [`ConstraintSet::with_ups_spot`],
     /// so `constraints.clone().with_ups_spot(share)` — or a retained
     /// set updated via [`ConstraintSet::set_ups_spot`] — reproduces the
-    /// sub-market constraints bit for bit. The distributed controller
-    /// uses this to ship one share per task instead of ~120KB of cloned
-    /// statics.
+    /// sub-market constraints bit for bit. [`Self::clear_shares`] walks
+    /// these against one retained set, and the distributed controller
+    /// ships one share per task instead of ~120KB of cloned statics.
     #[must_use]
     pub fn per_pdu_submarket_shares(
         &self,

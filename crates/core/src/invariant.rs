@@ -19,7 +19,6 @@
 //! cheap enough to run every slot in debug builds and behind a
 //! `--validate` flag in release.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::allocation::SpotAllocation;
@@ -128,6 +127,56 @@ pub fn check_allocation(
     bids: &[RackBid],
     check_demand: bool,
 ) -> Vec<MarketInvariant> {
+    let index = check_demand.then(|| BidIndex::new(bids));
+    check_allocation_indexed(constraints, allocation, index.as_ref())
+}
+
+/// One slot's admitted bids grouped by rack, for checking **many**
+/// allocations cleared over the same bid set — the per-PDU sub-markets
+/// — without re-walking every bid per allocation. Built once per slot
+/// in O(bids log bids); each [`check_allocation_indexed`] call then
+/// touches only the bids of the racks it granted, so a slot's
+/// validation is O(bids + grants) however many sub-markets it has.
+#[derive(Debug)]
+pub struct BidIndex<'a> {
+    /// Stable-sorted by rack, so one rack's bids stay in slice order and
+    /// their demands sum in the order the whole-slice scan adds them.
+    by_rack: Vec<&'a RackBid>,
+}
+
+impl<'a> BidIndex<'a> {
+    /// Indexes `bids` by rack.
+    #[must_use]
+    pub fn new(bids: &'a [RackBid]) -> Self {
+        let mut by_rack: Vec<&RackBid> = bids.iter().collect();
+        by_rack.sort_by_key(|b| b.rack());
+        BidIndex { by_rack }
+    }
+
+    /// The total demand `rack`'s bids ask for at `price`, or `None`
+    /// when the rack placed no bid.
+    fn demand_at(&self, rack: RackId, price: Price) -> Option<Watts> {
+        let from = &self.by_rack[self.by_rack.partition_point(|b| b.rack() < rack)..];
+        let own = &from[..from.partition_point(|b| b.rack() == rack)];
+        if own.is_empty() {
+            return None;
+        }
+        Some(
+            own.iter()
+                .fold(Watts::ZERO, |sum, b| sum + b.demand_at(price)),
+        )
+    }
+}
+
+/// [`check_allocation`] against a prebuilt [`BidIndex`] (`None` skips
+/// Eq. 1, like `check_demand = false`). Reports exactly the list
+/// `check_allocation` reports for the indexed bids, in the same order.
+#[must_use]
+pub fn check_allocation_indexed(
+    constraints: &ConstraintSet,
+    allocation: &SpotAllocation,
+    bids: Option<&BidIndex<'_>>,
+) -> Vec<MarketInvariant> {
     let mut violations = Vec::new();
     let price = allocation.price();
     if !price.per_kw_hour_value().is_finite() || price.per_kw_hour_value() < 0.0 {
@@ -136,15 +185,10 @@ pub fn check_allocation(
     if let Err(v) = constraints.check(allocation.grants()) {
         violations.push(MarketInvariant::Capacity(v));
     }
-    if check_demand {
-        let mut demand_at_price: BTreeMap<RackId, Watts> = BTreeMap::new();
-        for bid in bids {
-            let entry = demand_at_price.entry(bid.rack()).or_insert(Watts::ZERO);
-            *entry += bid.demand().demand_at(price);
-        }
+    if let Some(bids) = bids {
         for (rack, grant) in allocation.iter() {
-            match demand_at_price.get(&rack) {
-                Some(&demand) if grant.value() > demand.value() + DEMAND_TOL => {
+            match bids.demand_at(rack, price) {
+                Some(demand) if grant.value() > demand.value() + DEMAND_TOL => {
                     violations.push(MarketInvariant::GrantExceedsDemand {
                         rack,
                         grant,
@@ -241,6 +285,85 @@ mod tests {
         let found = check_allocation(&constraints(), &a, &[], true);
         assert!(matches!(found[0], MarketInvariant::GrantWithoutBid { .. }));
         assert!(check_allocation(&constraints(), &a, &[], false).is_empty());
+    }
+
+    /// The pre-index Eq. 1 check: one rack → demand map over *every*
+    /// bid, rebuilt per allocation. Kept as the reference the indexed
+    /// check must reproduce violation for violation.
+    fn whole_slot_scan(
+        constraints: &ConstraintSet,
+        allocation: &SpotAllocation,
+        bids: &[RackBid],
+    ) -> Vec<MarketInvariant> {
+        use std::collections::BTreeMap;
+        let mut violations = check_allocation(constraints, allocation, &[], false);
+        let price = allocation.price();
+        let mut demand_at_price: BTreeMap<RackId, Watts> = BTreeMap::new();
+        for bid in bids {
+            *demand_at_price.entry(bid.rack()).or_insert(Watts::ZERO) += bid.demand_at(price);
+        }
+        for (rack, grant) in allocation.iter() {
+            match demand_at_price.get(&rack) {
+                Some(&demand) if grant.value() > demand.value() + DEMAND_TOL => {
+                    violations.push(MarketInvariant::GrantExceedsDemand {
+                        rack,
+                        grant,
+                        demand,
+                    });
+                }
+                None if grant > Watts::ZERO => {
+                    violations.push(MarketInvariant::GrantWithoutBid { rack, grant });
+                }
+                _ => {}
+            }
+        }
+        violations
+    }
+
+    #[test]
+    fn over_granted_per_pdu_allocations_report_the_same_list_through_the_index() {
+        // Three PDUs of two racks; racks 0–3 bid (rack 1 twice, so its
+        // demands must sum in bid order), PDU#2 gets no bids.
+        let mut b = TopologyBuilder::new(Watts::new(900.0));
+        for r in 0..6 {
+            if r % 2 == 0 {
+                b = b.pdu(Watts::new(300.0));
+            }
+            b = b.rack(TenantId::new(r), Watts::new(100.0), Watts::new(50.0));
+        }
+        let cs = ConstraintSet::new(
+            &b.build().unwrap(),
+            vec![Watts::new(60.0); 3],
+            Watts::new(120.0),
+        );
+        let bids = vec![
+            bid(1, 10.0, 0.30),
+            bid(0, 30.0, 0.30),
+            bid(3, 25.0, 0.05),
+            bid(1, 15.0, 0.20),
+            bid(2, 20.0, 0.30),
+        ];
+        let index = BidIndex::new(&bids);
+        // One allocation per sub-market, each broken differently: PDU#0
+        // over-grants rack 0 past its demand *and* the PDU spot; PDU#1
+        // grants rack 3 above its price cap; PDU#2 grants racks that
+        // never bid (rack 9 is not even in the topology).
+        let broken = [
+            alloc(0.1, &[(0, 45.0), (1, 25.0)]),
+            alloc(0.1, &[(2, 20.0), (3, 25.0)]),
+            alloc(-0.1, &[(4, 5.0), (5, 0.0), (9, 1.0)]),
+        ];
+        let mut kinds = Vec::new();
+        for a in &broken {
+            let indexed = check_allocation_indexed(&cs, a, Some(&index));
+            assert_eq!(indexed, whole_slot_scan(&cs, a, &bids));
+            assert_eq!(indexed, check_allocation(&cs, a, &bids, true));
+            kinds.push(indexed.len());
+        }
+        // Capacity + rack 0 | rack 3 | bad price + capacity + racks 4, 9.
+        assert_eq!(kinds, [2, 1, 4]);
+        // Rack 1's two bids still add up (10 + 15 = its 25 W grant).
+        assert!(check_allocation_indexed(&cs, &alloc(0.1, &[(1, 25.0)]), Some(&index)).is_empty());
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use clearing::{
 };
 pub use constraints::{ConstraintSet, HeatZone, PhasePlan};
 pub use demand::{DemandBid, FullBid, LinearBid, StepBid};
-pub use invariant::{check_allocation, MarketInvariant};
+pub use invariant::{check_allocation, check_allocation_indexed, BidIndex, MarketInvariant};
 pub use maxperf::{max_perf_allocate, ConcaveGain};
 pub use operator::{DegradedInfo, Operator, OperatorConfig};
 pub use prediction::{

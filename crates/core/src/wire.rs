@@ -1,7 +1,7 @@
 //! Typed wire messages for the distributed controller ↔ agent split.
 //!
 //! The market distributes along its natural seam: per-PDU sub-markets
-//! ([`MarketClearing::per_pdu_submarkets`]) become shard-owned tasks,
+//! ([`MarketClearing::per_pdu_submarket_shares`]) become shard-owned tasks,
 //! while the controller keeps everything stateful at the market level —
 //! bid collection, UPS-level constraint construction, the serial
 //! in-order merge, settlement and reporting. Below the market level the

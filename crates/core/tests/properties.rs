@@ -221,6 +221,63 @@ proptest! {
     }
 
     #[test]
+    fn retained_set_walk_matches_cloned_submarkets_on_cold_engines(
+        slots in prop::collection::vec(prop::option::of(any_bid_shape()), 1..16),
+        pdus in 1..6usize,
+        orphans in 0..3usize,
+        spots in prop::collection::vec(0.0..200.0f64, 6),
+        spot_scale in prop_oneof![Just(0.0), Just(1.0), Just(1.0)],
+        ups in 0.0..350.0f64,
+        zoned in prop_oneof![Just(false), Just(true)],
+    ) {
+        // `clear_per_pdu` walks the shares against one retained
+        // constraint set; the oracle clears every cloned
+        // `per_pdu_submarkets` pair on its own cold engine. The market
+        // shapes cover what the walk could get wrong: PDUs with no bids
+        // (`None` slots), bids on racks no PDU feeds (the last
+        // `orphans` racks are outside the topology), every share zero
+        // (`spot_scale` 0), a single PDU, and a never-binding heat zone
+        // that routes each clear through the legacy scan.
+        let racks = slots.len().saturating_sub(orphans).max(1);
+        let mut b = TopologyBuilder::new(Watts::new(1e6));
+        for p in 0..pdus {
+            b = b.pdu(Watts::new(1e5));
+            for i in (0..racks).filter(|i| i * pdus / racks == p) {
+                b = b.rack(TenantId::new(i), Watts::new(100.0), Watts::new(60.0));
+            }
+        }
+        let topo = b.build().expect("valid topology");
+        let pdu_spot = spots[..pdus].iter().map(|&w| Watts::new(w * spot_scale)).collect();
+        let mut cs = ConstraintSet::new(&topo, pdu_spot, Watts::new(ups));
+        if zoned {
+            cs = cs.with_zone("non-binding", (0..racks).map(RackId::new).collect(), Watts::new(1e18));
+        }
+        let rack_bids: Vec<RackBid> = slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, b)| Some(RackBid::new(RackId::new(i), b.clone()?)))
+            .collect();
+        for config in [ClearingConfig::grid(Price::cents_per_kw_hour(0.5)), ClearingConfig::kink_search()] {
+            let engine = MarketClearing::new(config);
+            let walked = engine.clear_per_pdu(Slot::ZERO, &rack_bids, &cs);
+            let subs = engine.per_pdu_submarkets(&rack_bids, &cs);
+            prop_assert_eq!(walked.len(), subs.len(), "{:?}", config);
+            for (got, (group, local)) in walked.iter().zip(&subs) {
+                let want = MarketClearing::new(config).clear(Slot::ZERO, group, local);
+                prop_assert_eq!(
+                    got.price().per_kw_hour_value().to_bits(),
+                    want.price().per_kw_hour_value().to_bits()
+                );
+                prop_assert_eq!(got.revenue_rate().to_bits(), want.revenue_rate().to_bits());
+                let bits = |o: &spotdc_core::MarketOutcome| -> Vec<(RackId, u64)> {
+                    o.allocation().iter().map(|(r, w)| (r, w.value().to_bits())).collect()
+                };
+                prop_assert_eq!(bits(got), bits(&want), "{:?}", config);
+            }
+        }
+    }
+
+    #[test]
     fn columnar_sweep_matches_legacy_scan(
         bids in prop::collection::vec(any_bid_shape(), 1..12),
         p0 in 0.0..200.0f64,

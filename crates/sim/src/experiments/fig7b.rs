@@ -36,13 +36,27 @@ pub struct ClearingTiming {
 /// random linear bid.
 #[must_use]
 pub fn synthetic_market(racks: usize, seed: u64) -> (PowerTopology, Vec<RackBid>, ConstraintSet) {
+    synthetic_market_shaped(racks, RACKS_PER_PDU, seed)
+}
+
+/// [`synthetic_market`] with `racks_per_pdu` racks under each PDU —
+/// small values give the many-tiny-sub-markets shape of per-PDU
+/// pricing on [`crate::Scenario::hyperscale`] (four racks per PDU).
+/// Capacities stay those of a 64-rack PDU, so only the rack → PDU map
+/// differs between shapes.
+#[must_use]
+pub fn synthetic_market_shaped(
+    racks: usize,
+    racks_per_pdu: usize,
+    seed: u64,
+) -> (PowerTopology, Vec<RackBid>, ConstraintSet) {
     let mut rng = Sampler::seeded(seed);
-    let pdus = racks.div_ceil(RACKS_PER_PDU);
+    let pdus = racks.div_ceil(racks_per_pdu);
     let mut builder = TopologyBuilder::new(Watts::new(1e9));
     for p in 0..pdus {
         builder = builder.pdu(Watts::new(64.0 * 8000.0));
-        for r in 0..RACKS_PER_PDU.min(racks - p * RACKS_PER_PDU) {
-            let i = p * RACKS_PER_PDU + r;
+        for r in 0..racks_per_pdu.min(racks - p * racks_per_pdu) {
+            let i = p * racks_per_pdu + r;
             builder = builder.rack(TenantId::new(i), Watts::new(5000.0), Watts::new(2500.0));
         }
     }
@@ -176,6 +190,27 @@ mod tests {
         assert!(
             warm_elapsed < elapsed,
             "cache hit ({warm_elapsed:?}) not faster than cold clear ({elapsed:?})"
+        );
+    }
+
+    #[test]
+    fn per_pdu_pricing_handles_hyperscale_markets() {
+        // The same 100k racks priced per PDU, in the hyperscale
+        // scenario's shape: four racks per PDU, so 25 000 sub-markets.
+        // The walk holds one constraint set (~1.6 MB here); a clone per
+        // sub-market would need ~40 GB alive at once.
+        let (_, bids, cs) = synthetic_market_shaped(100_000, 4, 42);
+        let engine = MarketClearing::new(ClearingConfig::grid(Price::cents_per_kw_hour(1.0)));
+        let start = std::time::Instant::now();
+        let outcomes = engine.clear_per_pdu(Slot::ZERO, &bids, &cs);
+        let elapsed = start.elapsed();
+        assert_eq!(outcomes.len(), 25_000);
+        let sold: Watts = outcomes.iter().map(spotdc_core::MarketOutcome::sold).sum();
+        assert!(sold > Watts::ZERO, "hyperscale per-PDU market sold nothing");
+        assert!(sold <= cs.ups_spot() + Watts::new(1e-3));
+        assert!(
+            elapsed.as_secs() < 60,
+            "100k-rack per-PDU clear took {elapsed:?} (debug build bound)"
         );
     }
 

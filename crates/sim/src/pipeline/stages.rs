@@ -11,8 +11,8 @@
 use std::collections::BTreeMap;
 
 use spotdc_core::{
-    check_allocation, max_perf_allocate, ClearResult, ConcaveGain, ConstraintSet, MarketClearing,
-    MarketInvariant, MarketOutcome, RackBid, TenantBid,
+    check_allocation, check_allocation_indexed, max_perf_allocate, BidIndex, ClearResult,
+    ConcaveGain, ConstraintSet, MarketClearing, MarketInvariant, MarketOutcome, RackBid, TenantBid,
 };
 use spotdc_faults::{BidFault, FaultPlan, MeterFault};
 use spotdc_power::PowerMeter;
@@ -551,20 +551,27 @@ impl SlotStage for ClearPerPdu {
                 .collect()
         } else if state.inner_parallel() {
             // Each PDU sub-market clears independently against its own
-            // constraint share; `par_map` returns outcomes in sub-market
-            // (PDU) order, so the merge below — payments, validation,
-            // revenue-weighted price — is identical to the serial path.
+            // UPS share. One contiguous run of shares per worker, each
+            // walked against that worker's single retained constraint
+            // set (clones = workers, not sub-markets); `par_map`
+            // returns the runs in order, so the flattened outcomes are
+            // in sub-market (PDU) order and the merge below — payments,
+            // validation, revenue-weighted price — is identical to the
+            // serial path.
             let _span = spotdc_telemetry::span!("par.clear_per_pdu", slot = slot);
-            let submarkets = self
+            let shares = self
                 .clearing
-                .per_pdu_submarkets(&ctx.rack_bids, &constraints);
+                .per_pdu_submarket_shares(&ctx.rack_bids, &constraints);
+            let runs: Vec<_> = shares
+                .chunks(shares.len().div_ceil(state.inner.threads()).max(1))
+                .collect();
             let run = spotdc_telemetry::current_run();
             let clearing = &self.clearing;
-            let outcomes = state.inner.par_map(&submarkets, |(group, local)| {
+            let outcomes = state.inner.par_map(&runs, |part| {
                 let _scope = run.as_deref().map(spotdc_telemetry::run_scope);
-                clearing.clear(slot, group, local)
+                clearing.clear_shares(slot, part, &constraints)
             });
-            outcomes.into_iter().map(Some).collect()
+            outcomes.into_iter().flatten().map(Some).collect()
         } else {
             self.clearing
                 .clear_per_pdu(slot, &ctx.rack_bids, &constraints)
@@ -572,6 +579,9 @@ impl SlotStage for ClearPerPdu {
                 .map(Some)
                 .collect()
         };
+        // One rack → bids index for the whole slot: every sub-market's
+        // Eq. 1 check then costs its own grants, not the slot's bids.
+        let admitted = state.validate.then(|| BidIndex::new(&ctx.rack_bids));
         for outcome in outcomes {
             let Some(outcome) = outcome else {
                 // A degraded sub-market sells nothing this slot.
@@ -587,7 +597,7 @@ impl SlotStage for ClearPerPdu {
             if state.validate {
                 note_violations(
                     slot,
-                    &check_allocation(&constraints, &alloc, &ctx.rack_bids, true),
+                    &check_allocation_indexed(&constraints, &alloc, admitted.as_ref()),
                     &mut state.invariant_violations,
                 );
                 for (rack, grant) in alloc.iter() {

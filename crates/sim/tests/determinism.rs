@@ -94,6 +94,32 @@ fn sharded_runs_match_the_serial_report_across_the_grid() {
     }
 }
 
+/// The {jobs} × {inner_jobs} grid above reaches per-PDU pricing only on
+/// the two-PDU testbed, where the parallel `ClearPerPdu` branch hands
+/// each worker at most one sub-market. At hyperscale every worker walks
+/// a long contiguous run of shares against its own retained constraint
+/// set; the flattened outcomes must still merge in PDU order into the
+/// report the serial walk produces, with the invariant checker armed.
+#[test]
+fn hyperscale_per_pdu_report_is_identical_across_inner_jobs() {
+    let run = |inner_jobs: usize| {
+        let config = EngineConfig {
+            per_pdu_pricing: true,
+            validate: true,
+            inner_jobs,
+            ..EngineConfig::new(Mode::SpotDc)
+        };
+        Simulation::new(Scenario::hyperscale(11, 1_600), config).run(6)
+    };
+    let serial = run(1);
+    assert!(
+        serial.records.iter().any(|r| r.spot_sold > 0.0),
+        "the run must actually clear sub-markets"
+    );
+    assert_eq!(serial.invariant_violations, 0);
+    assert_eq!(serial, run(4), "inner_jobs=4 diverged from the serial walk");
+}
+
 fn faulted_engine(fault_seed: u64) -> EngineConfig {
     EngineConfig {
         faults: FaultConfig::uniform(0.1, fault_seed),

@@ -159,7 +159,15 @@ fn metrics_endpoint_serves_span_histograms_from_a_parallel_run() {
         metrics.contains("# TYPE spotdc_span_duration_seconds histogram"),
         "{metrics}"
     );
-    for span in ["engine.slot", "stage.clear_market", "par.collect_bids"] {
+    // Only spans this run itself closes: the registry is process-global,
+    // so a name the sibling test registers (the uniform market's
+    // `stage.clear_market`) would make this depend on test order.
+    for span in [
+        "engine.slot",
+        "stage.clear_per_pdu",
+        "par.collect_bids",
+        "par.clear_per_pdu",
+    ] {
         assert!(
             metrics.contains(&format!("span=\"{span}\"")),
             "missing span {span} in:\n{metrics}"
