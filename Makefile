@@ -13,8 +13,10 @@ JOBS ?= 4
 build:
 	$(CARGO) build --release --workspace
 
+# --workspace here too: a bare `cargo test` runs only the root
+# package's tests, skipping every crate's unit and property suites.
 test:
-	$(CARGO) test -q
+	$(CARGO) test -q --workspace
 
 # One workspace-wide gate over every target (libs, bins, tests,
 # benches): nothing per-crate to forget, nothing --lib-only misses.

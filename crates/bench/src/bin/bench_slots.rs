@@ -23,8 +23,8 @@
 //!
 //! A separate *hyperscale clearing* section measures the pure clearing
 //! engine (no pipeline around it) on fig7b synthetic markets at 15k
-//! and 100k racks, one row per cache-resolution mode: cold full
-//! sweeps, cache-hit re-clears, and single-bid delta re-clears.
+//! and 100k racks, one column per columnar resolution mode: full
+//! sweeps and cache-hit re-clears.
 //!
 //! A *distributed clearing* section runs the sharded pipeline on a
 //! 15k-participant hyperscale scenario (per-PDU SpotDC, so the PDU
@@ -42,13 +42,12 @@ use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use spotdc_core::demand::{DemandBid, LinearBid};
-use spotdc_core::{ClearingConfig, MarketClearing, RackBid};
+use spotdc_core::{ClearingConfig, MarketClearing};
 use spotdc_dist::TransportKind;
 use spotdc_sim::engine::{DurabilityConfig, EngineConfig, Simulation};
 use spotdc_sim::experiments::fig7b;
 use spotdc_sim::{Mode, Scenario};
-use spotdc_units::{Price, Slot, Watts};
+use spotdc_units::{Price, Slot};
 
 const SEED: u64 = 42;
 const TENANTS: usize = 304;
@@ -133,7 +132,6 @@ struct ClearingRow {
     racks: usize,
     full_per_sec: f64,
     hit_per_sec: f64,
-    delta_per_sec: f64,
 }
 
 /// Clearing throughput at `racks` on the paper-default 0.1¢ grid, one
@@ -144,8 +142,8 @@ fn measure_clearing(racks: usize, iters: usize) -> ClearingRow {
     let (_, other, _) = fig7b::synthetic_market(racks, SEED + 1);
     let config = ClearingConfig::grid(Price::cents_per_kw_hour(0.1));
 
-    // Full sweeps: alternating two unrelated bid books defeats both
-    // the candidate cache and the delta path on every clear.
+    // Full sweeps: alternating two unrelated bid books changes the
+    // cache key on every clear.
     let engine = MarketClearing::new(config);
     std::hint::black_box(engine.clear(Slot::ZERO, &bids, &cs));
     let started = Instant::now();
@@ -169,34 +167,10 @@ fn measure_clearing(racks: usize, iters: usize) -> ClearingRow {
         "hit loop must resolve every slot from the cache"
     );
 
-    // Delta re-clears: one bid's d_max drifts per slot (prices, and so
-    // the candidate grid, stay fixed).
-    let engine = MarketClearing::new(config);
-    let mut drifting = bids.clone();
-    std::hint::black_box(engine.clear(Slot::ZERO, &drifting, &cs));
-    let started = Instant::now();
-    for i in 0..iters {
-        let v = (i * 7919) % drifting.len();
-        let DemandBid::Linear(b) = drifting[v].demand() else {
-            unreachable!("synthetic_market emits linear bids");
-        };
-        let nudged = LinearBid::new(b.d_max() + Watts::new(0.5), b.q_min(), b.d_min(), b.q_max())
-            .expect("growing d_max keeps ordering");
-        drifting[v] = RackBid::new(drifting[v].rack(), nudged.into());
-        std::hint::black_box(engine.clear(Slot::new(i as u64 + 1), &drifting, &cs));
-    }
-    let delta_per_sec = iters as f64 / started.elapsed().as_secs_f64();
-    assert_eq!(
-        engine.cache_stats().delta_sweeps,
-        iters as u64,
-        "delta loop must patch every slot incrementally"
-    );
-
     ClearingRow {
         racks,
         full_per_sec,
         hit_per_sec,
-        delta_per_sec,
     }
 }
 
@@ -435,7 +409,7 @@ fn main() -> ExitCode {
 
     // Pure-clearing hyperscale section, telemetry still hard-off. The
     // iteration counts keep the 100k-rack full-sweep loop to a few
-    // seconds while the cheap cached modes get steadier medians.
+    // seconds while the cheap cache-hit loop gets a steadier median.
     let clearing_rows: Vec<ClearingRow> = CLEARING_RACKS
         .iter()
         .map(|&racks| measure_clearing(racks, if racks > 50_000 { 8 } else { 24 }))
@@ -478,14 +452,11 @@ fn main() -> ExitCode {
          ({durable_overhead_percent:+.1}% overhead)"
     );
     println!("\n# pure clearing — fig7b synthetic market, 0.1¢ grid");
-    println!(
-        "{:>8}  {:>10}  {:>10}  {:>11}",
-        "racks", "full/sec", "hit/sec", "delta/sec"
-    );
+    println!("{:>8}  {:>10}  {:>10}", "racks", "full/sec", "hit/sec");
     for r in &clearing_rows {
         println!(
-            "{:>8}  {:>10.2}  {:>10.2}  {:>11.2}",
-            r.racks, r.full_per_sec, r.hit_per_sec, r.delta_per_sec
+            "{:>8}  {:>10.2}  {:>10.2}",
+            r.racks, r.full_per_sec, r.hit_per_sec
         );
     }
     print_dist_table(&dist_rows);
@@ -557,8 +528,8 @@ fn write_json(
         .map(|r| {
             format!(
                 "    {{ \"racks\": {}, \"full_clears_per_sec\": {:.2}, \
-                 \"hit_clears_per_sec\": {:.2}, \"delta_clears_per_sec\": {:.2} }}",
-                r.racks, r.full_per_sec, r.hit_per_sec, r.delta_per_sec
+                 \"hit_clears_per_sec\": {:.2} }}",
+                r.racks, r.full_per_sec, r.hit_per_sec
             )
         })
         .collect();

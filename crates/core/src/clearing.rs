@@ -25,13 +25,14 @@
 //! flat arrays of headroom, PDU slot, and demand segments, candidate
 //! prices are swept in ascending order with one monotone segment cursor
 //! per bid (O(1) amortized per bid per sweep), and per-PDU/UPS sums are
-//! accumulated in recycled SoA buffers. When only `k` bids changed
-//! since the previous slot (per-bid fingerprints), only the price rows
-//! those bids perturbed are re-summed — and when nothing changed, the
-//! cached sums are reused outright. Every mode produces bit-identical
-//! outcomes to the straightforward per-candidate scan (DESIGN.md §13),
-//! which remains in the code as the fallback for heat-zone/phase
-//! constrained markets.
+//! accumulated in recycled SoA buffers. Building the book also writes
+//! one flat bitwise fingerprint of the live bids; when it equals the
+//! key retained from the previous clearing, the candidate list and the
+//! cached sums are reused outright (a *hit*), otherwise candidates are
+//! regenerated and every row is re-summed (a *full* sweep). Both modes
+//! produce bit-identical outcomes to the straightforward per-candidate
+//! scan (DESIGN.md §13), which remains in the code as the *legacy*
+//! fallback for heat-zone/phase constrained markets.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -200,19 +201,12 @@ pub struct MarketClearing {
 /// once fall back to a fresh stack-local buffer.
 const SCRATCH_SLOTS: usize = 8;
 
-/// A delta re-clear is attempted only while the number of changed bids
-/// stays at or below `live / DELTA_CHURN_DIVISOR` (at least one): past
-/// that, marking affected price rows costs about as much as re-summing
-/// everything, so the full sweep wins.
-const DELTA_CHURN_DIVISOR: usize = 8;
-
 /// Internal sweep-mode counters (relaxed atomics so concurrent per-PDU
 /// clears never contend). Snapshot via [`MarketClearing::cache_stats`].
 #[derive(Debug, Default)]
 struct CacheStats {
     full_sweeps: AtomicU64,
     cache_hits: AtomicU64,
-    delta_sweeps: AtomicU64,
     legacy_scans: AtomicU64,
     candidates_total: AtomicU64,
     candidates_swept: AtomicU64,
@@ -220,18 +214,19 @@ struct CacheStats {
 
 /// A snapshot of one engine's clearing-cache effectiveness counters.
 ///
-/// `full_sweeps + cache_hits + delta_sweeps + legacy_scans` equals the
-/// number of non-empty markets cleared; `candidates_swept` out of
+/// `full_sweeps + cache_hits + legacy_scans` equals the number of
+/// non-empty markets cleared; `candidates_swept` out of
 /// `candidates_total` measures how much per-candidate work the cache
-/// actually avoided (a hit sweeps zero rows, a delta only the rows the
-/// changed bids perturbed).
+/// actually avoided (a hit sweeps zero rows, every other mode all of
+/// them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClearingCacheStats {
-    /// Markets swept from scratch (cold cache or over-threshold churn).
+    /// Markets swept from scratch (cold cache or any changed bid).
     pub full_sweeps: u64,
     /// Markets served entirely from cached per-candidate sums.
     pub cache_hits: u64,
-    /// Markets where only the changed bids' price rows were re-summed.
+    /// Always 0 (no delta mode exists); kept, with its wire word, only
+    /// until the external `benchmark/` package stops reading it.
     pub delta_sweeps: u64,
     /// Markets routed through the legacy per-candidate scan (heat-zone
     /// or phase-balance constraints, or a bid on an unknown PDU).
@@ -243,15 +238,14 @@ pub struct ClearingCacheStats {
 }
 
 /// One worker's reusable clearing state: the candidate-price buffer,
-/// the market fingerprint it was generated for (the cross-slot cache),
-/// and the columnar bid book plus per-candidate sum buffers the sweep
-/// recycles between slots.
+/// the bid-book fingerprint it was generated for (the cross-slot cache
+/// key), and the columnar bid book plus per-candidate sum buffers the
+/// sweep recycles between slots.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Fingerprint of the market `candidates` was generated for.
+    /// [`BidBook::fp`] of the market `candidates` was generated for and
+    /// — while `sums_valid` — `totals`/`pdu_used` were summed over.
     key: Vec<u64>,
-    /// Staging buffer for the current market's fingerprint.
-    next_key: Vec<u64>,
     /// Cached candidate prices.
     candidates: Vec<Price>,
     /// Indices into the caller's bid slice for live (non-null) bids —
@@ -262,28 +256,16 @@ struct Scratch {
     order: Vec<u32>,
     /// The current slot's columnar bid book.
     book: BidBook,
-    /// The previous slot's book — the baseline delta detection and the
-    /// cached sums refer to.
-    prev_book: BidBook,
     /// Per-candidate clipped-demand totals (indexed by stored candidate
     /// position, like `candidates`).
     totals: Vec<f64>,
     /// Per-candidate per-touched-PDU sums, candidate-major:
     /// `pdu_used[c * touched + s]`.
     pdu_used: Vec<f64>,
-    /// Whether `totals`/`pdu_used` describe (`prev_book`, `candidates`).
+    /// Whether `totals`/`pdu_used` describe (`key`, `candidates`).
     sums_valid: bool,
     /// Segment cursors for the sweep (one per live bid).
     cursors: Vec<u32>,
-    /// Segment cursors over the previous book's changed bids (marking).
-    old_cursors: Vec<u32>,
-    /// Segment cursors over the current book's changed bids (marking).
-    new_cursors: Vec<u32>,
-    /// Positions of bids whose fingerprint chunk changed since the
-    /// previous slot.
-    changed: Vec<u32>,
-    /// Per-candidate "this price row must be re-summed" marks.
-    affected: Vec<bool>,
 }
 
 /// One linear-or-constant piece of a bid's demand curve, valid up to
@@ -432,16 +414,8 @@ fn push_segments(d: &DemandBid, out: &mut Vec<Segment>) {
 /// PDUs are remapped to compact *slots* in first-appearance order
 /// (`touched`/`slot_lookup`), so per-candidate PDU sums live in a dense
 /// `candidates × touched` matrix however sparse the global PDU space.
-/// `fp`/`fp_start` hold per-bid fingerprint chunks (rack, headroom, PDU
-/// index, demand parameters — deliberately *not* the spot capacities,
-/// which only feasibility reads) used for delta detection between
-/// consecutive slots.
 #[derive(Debug, Default)]
 struct BidBook {
-    /// Rack index of each live bid.
-    rack: Vec<u32>,
-    /// Global PDU index per bid (`u32::MAX` for an unknown rack).
-    pdu: Vec<u32>,
     /// Compact accumulator slot per bid (index into `touched`).
     pdu_slot: Vec<u32>,
     /// Rack headroom (watts) per bid.
@@ -450,10 +424,12 @@ struct BidBook {
     seg_start: Vec<u32>,
     /// All bids' segment chains, concatenated.
     segs: Vec<Segment>,
-    /// Per-bid fingerprint chunks, concatenated.
+    /// The market's cache key — a flat fingerprint of the live bids as
+    /// exact bit patterns, in bid order: rack, headroom, PDU index and
+    /// every demand parameter (self-delimiting per bid, so distinct
+    /// books never encode alike). With `with_capacities` the UPS and
+    /// touched-PDU spot capacities follow.
     fp: Vec<u64>,
-    /// Chunk boundaries: bid `i` owns `fp[fp_start[i]..fp_start[i+1]]`.
-    fp_start: Vec<u32>,
     /// Global indices of PDUs with at least one bid, in first-appearance
     /// order.
     touched: Vec<u32>,
@@ -462,43 +438,40 @@ struct BidBook {
     /// Global PDU index → compact slot (`u32::MAX` = untouched).
     /// Persists across builds; reset via the previous `touched` list.
     slot_lookup: Vec<u32>,
-    /// Highest bid price ceiling — determines the grid candidate list.
-    ceiling: f64,
     /// Whether any live bid's rack has no known PDU (forces the legacy
     /// fallback: such markets are wholly infeasible).
     any_unknown_pdu: bool,
 }
 
 impl BidBook {
-    fn len(&self) -> usize {
-        self.rack.len()
-    }
-
     /// Rebuilds the book for one slot's live bids. Reuses every buffer;
     /// `slot_lookup` is un-marked via the *old* `touched` list first so
-    /// it never needs a full clear.
-    fn build(&mut self, bids: &[RackBid], live: &[u32], constraints: &ConstraintSet) {
+    /// it never needs a full clear. `with_capacities` adds the spot
+    /// capacities to `fp` — for [`ClearingAlgorithm::KinkSearch`], whose
+    /// candidate list reads them; grid candidates and the demand sums
+    /// never do (only selection does, and that runs on every clear).
+    fn build(
+        &mut self,
+        bids: &[RackBid],
+        live: &[u32],
+        constraints: &ConstraintSet,
+        with_capacities: bool,
+    ) {
         for &p in &self.touched {
             self.slot_lookup[p as usize] = u32::MAX;
         }
-        self.rack.clear();
-        self.pdu.clear();
         self.pdu_slot.clear();
         self.headroom.clear();
         self.seg_start.clear();
         self.segs.clear();
         self.fp.clear();
-        self.fp_start.clear();
         self.touched.clear();
         self.touched_spot.clear();
-        self.ceiling = 0.0;
         self.any_unknown_pdu = false;
-        self.fp_start.push(0);
         for &i in live {
             let b = &bids[i as usize];
             let rack = b.rack();
             let headroom = constraints.rack_headroom(rack).value();
-            self.rack.push(rack.index() as u32);
             self.headroom.push(headroom);
             self.fp.push(rack.index() as u64);
             self.fp.push(headroom.to_bits());
@@ -516,23 +489,22 @@ impl BidBook {
                         self.touched.push(pi as u32);
                         self.touched_spot.push(constraints.pdu_spot(p).value());
                     }
-                    self.pdu.push(pi as u32);
                     self.pdu_slot.push(slot);
                 }
                 None => {
                     self.fp.push(u64::MAX);
                     self.any_unknown_pdu = true;
-                    self.pdu.push(u32::MAX);
                     self.pdu_slot.push(0);
                 }
             }
             self.seg_start.push(self.segs.len() as u32);
             push_segments(b.demand(), &mut self.segs);
-            self.ceiling = self
-                .ceiling
-                .max(b.demand().price_ceiling().per_kw_hour_value());
             fingerprint_demand(b.demand(), &mut self.fp);
-            self.fp_start.push(self.fp.len() as u32);
+        }
+        if with_capacities {
+            self.fp.push(constraints.ups_spot().value().to_bits());
+            self.fp
+                .extend(self.touched_spot.iter().map(|s| s.to_bits()));
         }
     }
 }
@@ -568,14 +540,14 @@ impl MarketClearing {
     }
 
     /// A snapshot of this engine's sweep-mode counters: how many
-    /// clearings were served from cache, patched incrementally, swept
-    /// in full, or routed through the legacy scan.
+    /// clearings were served from cache, swept in full, or routed
+    /// through the legacy scan.
     #[must_use]
     pub fn cache_stats(&self) -> ClearingCacheStats {
         ClearingCacheStats {
             full_sweeps: self.stats.full_sweeps.load(Ordering::Relaxed),
             cache_hits: self.stats.cache_hits.load(Ordering::Relaxed),
-            delta_sweeps: self.stats.delta_sweeps.load(Ordering::Relaxed),
+            delta_sweeps: 0,
             legacy_scans: self.stats.legacy_scans.load(Ordering::Relaxed),
             candidates_total: self.stats.candidates_total.load(Ordering::Relaxed),
             candidates_swept: self.stats.candidates_swept.load(Ordering::Relaxed),
@@ -589,23 +561,18 @@ impl MarketClearing {
     /// present (or no positive-revenue feasible price exists) the
     /// returned outcome carries an empty allocation.
     ///
-    /// Candidate prices are cached across calls: when the live-bid set
-    /// (bid parameters, headrooms, spot capacities) is bit-identical to
-    /// the market a scratch buffer last cleared, candidate generation
-    /// is skipped and the cached prices are re-evaluated against the
-    /// current constraints. The cache key is the *full* fingerprint of
-    /// every input candidate generation reads — compared by equality,
-    /// not by hash — so a hit provably regenerates the same candidate
-    /// list and the outcome is byte-identical either way.
-    ///
-    /// On top of the candidate cache, per-candidate demand sums are
-    /// cached too: when the live-bid set is unchanged since the scratch
-    /// buffer's previous clearing, no demand function is re-evaluated
-    /// at all (a *cache hit* — only feasibility is re-checked against
-    /// the current capacities); when only a few bids changed under grid
-    /// scanning, only the candidate rows those bids perturbed are
-    /// re-summed (a *delta sweep*). Both are bit-identical to the full
-    /// sweep by construction — see DESIGN.md §13 for the invariants.
+    /// One cache key serves the whole clearing: [`BidBook::build`]
+    /// fingerprints the live bids (rack, headroom, PDU and every demand
+    /// parameter — plus the spot capacities under `KinkSearch`, whose
+    /// candidate list reads them) and the result is compared — by
+    /// equality, not by hash — with the key the scratch buffer's
+    /// previous clearing retained. Equal keys reuse the candidate list
+    /// and the per-candidate demand sums as they are (a *cache hit*: no
+    /// demand function is re-evaluated, only feasibility is re-checked
+    /// against the current capacities); any difference regenerates the
+    /// candidates and re-sums every row (a *full sweep*). Everything
+    /// cached is a pure function of the key, so a hit is bit-identical
+    /// to a cold engine — see DESIGN.md §13.
     #[must_use]
     pub fn clear(
         &self,
@@ -640,177 +607,83 @@ impl MarketClearing {
             }
             return outcome;
         }
-        scratch.next_key.clear();
-        self.fingerprint(bids, &scratch.live, constraints, &mut scratch.next_key);
-        let mut regenerated = false;
-        if scratch.candidates.is_empty() || scratch.next_key != scratch.key {
-            regenerated = true;
+        let is_kink = self.config.algorithm == ClearingAlgorithm::KinkSearch;
+        scratch
+            .book
+            .build(bids, &scratch.live, constraints, is_kink);
+        if scratch.book.fp != scratch.key {
             scratch.candidates.clear();
-            match self.config.algorithm {
-                ClearingAlgorithm::GridScan => {
-                    self.grid_candidates(bids, &scratch.live, &mut scratch.candidates);
-                }
-                ClearingAlgorithm::KinkSearch => {
-                    self.kink_candidates(bids, &scratch.live, constraints, &mut scratch.candidates);
-                }
+            if is_kink {
+                self.kink_candidates(bids, &scratch.live, constraints, &mut scratch.candidates);
+            } else {
+                self.grid_candidates(bids, &scratch.live, &mut scratch.candidates);
             }
-            std::mem::swap(&mut scratch.key, &mut scratch.next_key);
+            // The displaced key lands in `book.fp`, which the next
+            // build clears — no allocation either way.
+            std::mem::swap(&mut scratch.key, &mut scratch.book.fp);
             build_order(&scratch.candidates, &mut scratch.order);
+            scratch.sums_valid = false;
         }
         let evaluated = scratch.candidates.len();
-
-        // Heat zones and phase plans need the BTreeMap-ordered extra
-        // checks of `feasible_total`; keep those markets on the legacy
-        // per-candidate scan (their accumulation order is part of the
-        // byte-identity contract).
-        if !constraints.zones().is_empty() || constraints.phases().is_some() {
-            scratch.sums_valid = false;
-            let mut best: Option<(Price, f64)> = None;
-            for &q in &scratch.candidates {
-                let demands = scratch.live.iter().map(|&i| {
-                    let b = &bids[i as usize];
-                    (b.rack(), b.demand_at(q))
-                });
-                let Some(total) = constraints.feasible_total(demands) else {
-                    continue;
-                };
-                let rate = q.per_kw_hour_value() * total.kilowatts();
-                match best {
-                    Some((_, best_rate)) if rate <= best_rate + 1e-12 => {}
-                    _ => best = Some((q, rate)),
-                }
-            }
-            return self.finish(
-                slot,
-                bids,
-                &scratch.live,
-                constraints,
-                best,
-                evaluated,
-                "legacy",
-                evaluated,
-            );
-        }
-
-        std::mem::swap(&mut scratch.book, &mut scratch.prev_book);
-        scratch.book.build(bids, &scratch.live, constraints);
-        if scratch.book.any_unknown_pdu {
+        let zoned = !constraints.zones().is_empty() || constraints.phases().is_some();
+        let (best, mode) = if zoned {
+            let best = legacy_scan(bids, &scratch.live, constraints, &scratch.candidates);
+            (best, "legacy")
+        } else if scratch.book.any_unknown_pdu {
             // `feasible_total` rejects every candidate when any live
             // bid's rack has no PDU, so the market clears empty.
-            scratch.sums_valid = false;
-            return self.finish(
-                slot,
-                bids,
-                &scratch.live,
-                constraints,
-                None,
-                evaluated,
-                "legacy",
-                evaluated,
-            );
-        }
-        let nc = evaluated;
-        let ns = scratch.book.touched.len();
-        let sums_usable =
-            scratch.sums_valid && scratch.totals.len() == nc && scratch.pdu_used.len() == nc * ns;
-        let same_bids = sums_usable
-            && scratch.book.fp == scratch.prev_book.fp
-            && scratch.book.fp_start == scratch.prev_book.fp_start
-            && scratch.book.touched == scratch.prev_book.touched;
-        let is_grid = self.config.algorithm == ClearingAlgorithm::GridScan;
-        // A grid candidate list is a pure function of the step and the
-        // bid ceiling, so equal bids imply an identical (even if just
-        // regenerated) list and the cached sums still line up. Kink
-        // candidates also read the capacities, so a kink hit requires
-        // the whole fingerprint to have matched (no regeneration).
-        let (mode, swept): (&'static str, usize) = if same_bids && (is_grid || !regenerated) {
-            ("hit", 0)
-        } else if sums_usable
-            && is_grid
-            && delta_changed(&scratch.prev_book, &scratch.book, &mut scratch.changed)
-        {
-            let marked = mark_affected(
-                &scratch.prev_book,
-                &scratch.book,
-                &scratch.changed,
-                &scratch.candidates,
-                &scratch.order,
-                &mut scratch.old_cursors,
-                &mut scratch.new_cursors,
-                &mut scratch.affected,
-            );
-            for (c, &aff) in scratch.affected.iter().enumerate() {
-                if aff {
-                    scratch.totals[c] = 0.0;
-                    for v in &mut scratch.pdu_used[c * ns..(c + 1) * ns] {
-                        *v = 0.0;
-                    }
-                }
-            }
-            sweep(
-                &scratch.book,
-                &scratch.candidates,
-                &scratch.order,
-                Some(&scratch.affected),
-                &mut scratch.cursors,
-                &mut scratch.totals,
-                &mut scratch.pdu_used,
-            );
-            ("delta", marked)
+            (None, "legacy")
         } else {
-            scratch.totals.clear();
-            scratch.totals.resize(nc, 0.0);
-            scratch.pdu_used.clear();
-            scratch.pdu_used.resize(nc * ns, 0.0);
-            sweep(
-                &scratch.book,
+            let mode = if scratch.sums_valid {
+                "hit"
+            } else {
+                let ns = scratch.book.touched.len();
+                scratch.totals.clear();
+                scratch.totals.resize(evaluated, 0.0);
+                scratch.pdu_used.clear();
+                scratch.pdu_used.resize(evaluated * ns, 0.0);
+                sweep(
+                    &scratch.book,
+                    &scratch.candidates,
+                    &scratch.order,
+                    &mut scratch.cursors,
+                    &mut scratch.totals,
+                    &mut scratch.pdu_used,
+                );
+                scratch.sums_valid = true;
+                "full"
+            };
+            let best = select_best(
                 &scratch.candidates,
-                &scratch.order,
-                None,
-                &mut scratch.cursors,
-                &mut scratch.totals,
-                &mut scratch.pdu_used,
+                &scratch.totals,
+                &scratch.pdu_used,
+                &scratch.book.touched_spot,
+                constraints.ups_spot().value(),
             );
-            scratch.sums_valid = true;
-            ("full", nc)
+            (best, mode)
         };
-        let best = select_best(
-            &scratch.candidates,
-            &scratch.totals,
-            &scratch.pdu_used,
-            &scratch.book.touched_spot,
-            constraints.ups_spot().value(),
-        );
-        self.finish(
-            slot,
-            bids,
-            &scratch.live,
-            constraints,
-            best,
-            evaluated,
-            mode,
-            swept,
-        )
+        self.finish(slot, bids, scratch, constraints, best, mode)
     }
 
     /// Builds the outcome for the chosen price, updates the sweep-mode
     /// counters, and records telemetry. Grants re-evaluate each live
-    /// bid at the winning price exactly like the legacy scan did.
-    #[allow(clippy::too_many_arguments)]
+    /// bid at the winning price exactly like the legacy scan did. Only
+    /// a `"hit"` re-sums no candidate row; every other mode sums all.
     fn finish(
         &self,
         slot: Slot,
         bids: &[RackBid],
-        live: &[u32],
+        scratch: &Scratch,
         constraints: &ConstraintSet,
         best: Option<(Price, f64)>,
-        evaluated: usize,
         mode: &'static str,
-        swept: usize,
     ) -> MarketOutcome {
+        let evaluated = scratch.candidates.len();
+        let swept = if mode == "hit" { 0 } else { evaluated };
         let outcome = match best {
             Some((price, rate)) if rate > 0.0 => {
-                let grants = live
+                let grants = scratch
+                    .live
                     .iter()
                     .map(|&i| {
                         let b = &bids[i as usize];
@@ -832,7 +705,6 @@ impl MarketClearing {
         };
         let counter = match mode {
             "hit" => &self.stats.cache_hits,
-            "delta" => &self.stats.delta_sweeps,
             "full" => &self.stats.full_sweeps,
             _ => &self.stats.legacy_scans,
         };
@@ -847,45 +719,6 @@ impl MarketClearing {
             self.record_outcome(slot, &outcome, constraints, Some((mode, evaluated, swept)));
         }
         outcome
-    }
-
-    /// Writes the full fingerprint of everything candidate generation
-    /// reads into `out`: algorithm, grid step, UPS spot, and per live
-    /// bid its rack, headroom, PDU (with that PDU's spot capacity), and
-    /// every demand-curve parameter, all as exact `f64` bit patterns.
-    /// Heat zones and phase bounds are deliberately absent — candidate
-    /// generation never reads them (only per-candidate feasibility
-    /// does, and that is re-evaluated on every call).
-    fn fingerprint(
-        &self,
-        bids: &[RackBid],
-        live: &[u32],
-        constraints: &ConstraintSet,
-        out: &mut Vec<u64>,
-    ) {
-        out.push(match self.config.algorithm {
-            ClearingAlgorithm::GridScan => 0,
-            ClearingAlgorithm::KinkSearch => 1,
-        });
-        out.push(self.config.price_step.per_kw_hour_value().to_bits());
-        out.push(constraints.ups_spot().value().to_bits());
-        out.push(live.len() as u64);
-        for &i in live {
-            let b = &bids[i as usize];
-            out.push(b.rack().index() as u64);
-            out.push(constraints.rack_headroom(b.rack()).value().to_bits());
-            match constraints.pdu_of(b.rack()) {
-                Some(p) => {
-                    out.push(p.index() as u64);
-                    out.push(constraints.pdu_spot(p).value().to_bits());
-                }
-                None => {
-                    out.push(u64::MAX);
-                    out.push(0);
-                }
-            }
-            fingerprint_demand(b.demand(), out);
-        }
     }
 
     /// Telemetry for one clearing: counters, the `SlotCleared` and
@@ -920,10 +753,10 @@ impl MarketClearing {
         });
         if let Some((mode, evaluated, swept)) = cache {
             registry.inc_counter(
-                match mode {
-                    "hit" => "spotdc_clearing_cache_hits_total",
-                    "delta" => "spotdc_clearing_cache_delta_total",
-                    _ => "spotdc_clearing_cache_misses_total",
+                if mode == "hit" {
+                    "spotdc_clearing_cache_hits_total"
+                } else {
+                    "spotdc_clearing_cache_misses_total"
                 },
                 1,
             );
@@ -1210,6 +1043,34 @@ impl MarketClearing {
     }
 }
 
+/// The legacy per-candidate scan for heat-zone and phase-plan markets:
+/// they need the BTreeMap-ordered extra checks of `feasible_total`,
+/// whose accumulation order is part of the byte-identity contract. It
+/// neither reads nor writes the cached sums.
+fn legacy_scan(
+    bids: &[RackBid],
+    live: &[u32],
+    constraints: &ConstraintSet,
+    candidates: &[Price],
+) -> Option<(Price, f64)> {
+    let mut best: Option<(Price, f64)> = None;
+    for &q in candidates {
+        let demands = live.iter().map(|&i| {
+            let b = &bids[i as usize];
+            (b.rack(), b.demand_at(q))
+        });
+        let Some(total) = constraints.feasible_total(demands) else {
+            continue;
+        };
+        let rate = q.per_kw_hour_value() * total.kilowatts();
+        match best {
+            Some((_, best_rate)) if rate <= best_rate + 1e-12 => {}
+            _ => best = Some((q, rate)),
+        }
+    }
+    best
+}
+
 /// Rebuilds the ascending-price visiting order for a candidate list.
 /// Grid lists are already ascending (the common case, detected with one
 /// linear scan); kink lists interleave vertices and crossings and need
@@ -1237,14 +1098,11 @@ fn build_order(candidates: &[Price], order: &mut Vec<u32>) {
 /// accumulates each candidate's clipped-demand total and per-PDU sums
 /// in bid order — the exact addend sequence `feasible_total` would
 /// produce, so the resulting floats are bit-identical to the legacy
-/// scan's. With `only`, rows not marked are skipped (their cached sums
-/// are already correct); skipping is safe because cursors advance
-/// lazily to whatever price comes next.
+/// scan's.
 fn sweep(
     book: &BidBook,
     candidates: &[Price],
     order: &[u32],
-    only: Option<&[bool]>,
     cursors: &mut Vec<u32>,
     totals: &mut [f64],
     pdu_used: &mut [f64],
@@ -1254,9 +1112,6 @@ fn sweep(
     cursors.extend_from_slice(&book.seg_start);
     for &ci in order {
         let c = ci as usize;
-        if only.is_some_and(|m| !m[c]) {
-            continue;
-        }
         let q = candidates[c].per_kw_hour_value();
         let row = &mut pdu_used[c * ns..(c + 1) * ns];
         let mut total = 0.0;
@@ -1306,91 +1161,6 @@ fn select_best(
         }
     }
     best
-}
-
-/// Whether `new` differs from `old` by a small, delta-sweepable set of
-/// bids. Fills `changed` with the positions whose fingerprint chunks
-/// differ and returns `true` only when a delta re-clear is sound:
-/// same bid count (positions align), same grid ceiling (the regenerated
-/// candidate list is bit-identical to the one the cached sums were
-/// built for), same touched-PDU list (accumulator slots align), every
-/// changed bid still on its old PDU, and churn at or below the
-/// threshold. Capacities may differ freely — they are not part of the
-/// sums, only of selection.
-fn delta_changed(old: &BidBook, new: &BidBook, changed: &mut Vec<u32>) -> bool {
-    changed.clear();
-    let n = new.len();
-    if old.len() != n
-        || old.ceiling.to_bits() != new.ceiling.to_bits()
-        || old.touched != new.touched
-    {
-        return false;
-    }
-    let limit = (n / DELTA_CHURN_DIVISOR).max(1);
-    for i in 0..n {
-        let old_chunk = &old.fp[old.fp_start[i] as usize..old.fp_start[i + 1] as usize];
-        let new_chunk = &new.fp[new.fp_start[i] as usize..new.fp_start[i + 1] as usize];
-        if old_chunk == new_chunk {
-            continue;
-        }
-        if new.pdu[i] != old.pdu[i] || changed.len() == limit {
-            changed.clear();
-            return false;
-        }
-        changed.push(i as u32);
-    }
-    !changed.is_empty()
-}
-
-/// Marks the candidate rows whose cached sums the changed bids
-/// perturbed: a row is affected iff any changed bid's clipped demand
-/// at that price differs *in bits* between the old and new book.
-/// Unaffected rows are sums of bit-identical addend sequences and stay
-/// valid as-is. Returns the number of rows marked.
-#[allow(clippy::too_many_arguments)]
-fn mark_affected(
-    old: &BidBook,
-    new: &BidBook,
-    changed: &[u32],
-    candidates: &[Price],
-    order: &[u32],
-    old_cursors: &mut Vec<u32>,
-    new_cursors: &mut Vec<u32>,
-    affected: &mut Vec<bool>,
-) -> usize {
-    old_cursors.clear();
-    new_cursors.clear();
-    for &p in changed {
-        old_cursors.push(old.seg_start[p as usize]);
-        new_cursors.push(new.seg_start[p as usize]);
-    }
-    affected.clear();
-    affected.resize(candidates.len(), false);
-    let mut marked = 0;
-    for &ci in order {
-        let c = ci as usize;
-        let q = candidates[c].per_kw_hour_value();
-        for (k, &p) in changed.iter().enumerate() {
-            let p = p as usize;
-            let od = advance_cursor(&old.segs, &mut old_cursors[k], q);
-            let nd = advance_cursor(&new.segs, &mut new_cursors[k], q);
-            let mut old_clip = od.min(old.headroom[p]);
-            if old_clip < 0.0 {
-                old_clip = 0.0;
-            }
-            let mut new_clip = nd.min(new.headroom[p]);
-            if new_clip < 0.0 {
-                new_clip = 0.0;
-            }
-            if old_clip.to_bits() != new_clip.to_bits() {
-                affected[c] = true;
-            }
-        }
-        if affected[c] {
-            marked += 1;
-        }
-    }
-    marked
 }
 
 /// Appends the exact parameters of one demand curve to a fingerprint:
@@ -1470,6 +1240,40 @@ mod tests {
         ConstraintSet::new(&topo, vec![Watts::new(pdu_spot)], Watts::new(pdu_spot))
     }
 
+    /// [`constraints`]`(100.0)` plus a 30 W hot-aisle budget the two
+    /// racks share.
+    fn aisle_zoned() -> ConstraintSet {
+        constraints(100.0).with_zone(
+            "aisle",
+            vec![RackId::new(0), RackId::new(1)],
+            Watts::new(30.0),
+        )
+    }
+
+    /// The paper's grid scan at 0.1 ¢ and the exact kink search.
+    fn both_algorithms() -> [ClearingConfig; 2] {
+        [
+            ClearingConfig::grid(Price::cents_per_kw_hour(0.1)),
+            ClearingConfig::kink_search(),
+        ]
+    }
+
+    /// Two PDUs with one 60 W-headroom rack each.
+    fn two_pdu_constraints(spot0: f64, spot1: f64, ups_spot: f64) -> ConstraintSet {
+        let topo = TopologyBuilder::new(Watts::new(1000.0))
+            .pdu(Watts::new(500.0))
+            .rack(TenantId::new(0), Watts::new(100.0), Watts::new(60.0))
+            .pdu(Watts::new(500.0))
+            .rack(TenantId::new(1), Watts::new(100.0), Watts::new(60.0))
+            .build()
+            .unwrap();
+        ConstraintSet::new(
+            &topo,
+            vec![Watts::new(spot0), Watts::new(spot1)],
+            Watts::new(ups_spot),
+        )
+    }
+
     fn linear(rack: usize, d_max: f64, q_min: f64, d_min: f64, q_max: f64) -> RackBid {
         RackBid::new(
             RackId::new(rack),
@@ -1482,6 +1286,11 @@ mod tests {
             .unwrap()
             .into(),
         )
+    }
+
+    fn step(rack: usize, demand: f64, price_cap: f64) -> RackBid {
+        let bid = StepBid::new(Watts::new(demand), Price::per_kw_hour(price_cap)).unwrap();
+        RackBid::new(RackId::new(rack), bid.into())
     }
 
     fn clear_with(algo: ClearingAlgorithm, bids: &[RackBid], cs: &ConstraintSet) -> MarketOutcome {
@@ -1503,12 +1312,7 @@ mod tests {
     #[test]
     fn single_step_bid_clears_at_its_cap() {
         let cs = constraints(100.0);
-        let bids = vec![RackBid::new(
-            RackId::new(0),
-            StepBid::new(Watts::new(40.0), Price::per_kw_hour(0.25))
-                .unwrap()
-                .into(),
-        )];
+        let bids = vec![step(0, 40.0, 0.25)];
         for algo in [ClearingAlgorithm::GridScan, ClearingAlgorithm::KinkSearch] {
             let out = clear_with(algo, &bids, &cs);
             assert!(
@@ -1548,20 +1352,7 @@ mod tests {
         // infeasible at any price ≤ 0.2 (both demand), so the market
         // must price out the cheap bidder.
         let cs = constraints(50.0);
-        let bids = vec![
-            RackBid::new(
-                RackId::new(0),
-                StepBid::new(Watts::new(40.0), Price::per_kw_hour(0.2))
-                    .unwrap()
-                    .into(),
-            ),
-            RackBid::new(
-                RackId::new(1),
-                StepBid::new(Watts::new(40.0), Price::per_kw_hour(0.5))
-                    .unwrap()
-                    .into(),
-            ),
-        ];
+        let bids = vec![step(0, 40.0, 0.2), step(1, 40.0, 0.5)];
         for algo in [ClearingAlgorithm::GridScan, ClearingAlgorithm::KinkSearch] {
             let out = clear_with(algo, &bids, &cs);
             assert!(out.price() > Price::per_kw_hour(0.2), "{algo:?}");
@@ -1675,12 +1466,7 @@ mod tests {
     #[test]
     fn null_bids_are_ignored() {
         let cs = constraints(100.0);
-        let bids = vec![RackBid::new(
-            RackId::new(0),
-            StepBid::new(Watts::ZERO, Price::per_kw_hour(0.2))
-                .unwrap()
-                .into(),
-        )];
+        let bids = vec![step(0, 0.0, 0.2)];
         let out = MarketClearing::default().clear(Slot::ZERO, &bids, &cs);
         assert!(out.allocation().is_empty());
         assert_eq!(out.candidates_evaluated(), 0);
@@ -1699,18 +1485,7 @@ mod tests {
     #[test]
     fn per_pdu_pricing_localizes_prices() {
         // PDU#0 scarce and contested; a second PDU plentiful and cheap.
-        let topo = TopologyBuilder::new(Watts::new(1000.0))
-            .pdu(Watts::new(500.0))
-            .rack(TenantId::new(0), Watts::new(100.0), Watts::new(60.0))
-            .pdu(Watts::new(500.0))
-            .rack(TenantId::new(1), Watts::new(100.0), Watts::new(60.0))
-            .build()
-            .unwrap();
-        let cs = ConstraintSet::new(
-            &topo,
-            vec![Watts::new(20.0), Watts::new(200.0)],
-            Watts::new(220.0),
-        );
+        let cs = two_pdu_constraints(20.0, 200.0, 220.0);
         let bids = vec![
             linear(0, 60.0, 0.10, 10.0, 0.50), // hungry on the scarce PDU
             linear(1, 60.0, 0.02, 10.0, 0.20), // cheap on the plentiful PDU
@@ -1733,18 +1508,7 @@ mod tests {
     #[test]
     fn per_pdu_outcomes_respect_ups_apportionment() {
         // UPS tighter than the PDU sum: shares must cap the sub-markets.
-        let topo = TopologyBuilder::new(Watts::new(1000.0))
-            .pdu(Watts::new(500.0))
-            .rack(TenantId::new(0), Watts::new(100.0), Watts::new(60.0))
-            .pdu(Watts::new(500.0))
-            .rack(TenantId::new(1), Watts::new(100.0), Watts::new(60.0))
-            .build()
-            .unwrap();
-        let cs = ConstraintSet::new(
-            &topo,
-            vec![Watts::new(60.0), Watts::new(60.0)],
-            Watts::new(50.0),
-        );
+        let cs = two_pdu_constraints(60.0, 60.0, 50.0);
         let bids = vec![
             linear(0, 60.0, 0.0, 0.0, 0.4),
             linear(1, 60.0, 0.0, 0.0, 0.4),
@@ -1759,11 +1523,7 @@ mod tests {
     fn clearing_respects_heat_zones() {
         // Two racks share a 30 W hot-aisle budget despite 100 W of PDU
         // spot; the market must keep their joint grant under it.
-        let cs = constraints(100.0).with_zone(
-            "aisle",
-            vec![RackId::new(0), RackId::new(1)],
-            Watts::new(30.0),
-        );
+        let cs = aisle_zoned();
         let bids = vec![
             linear(0, 50.0, 0.0, 0.0, 0.4),
             linear(1, 50.0, 0.0, 0.0, 0.4),
@@ -1798,22 +1558,9 @@ mod tests {
         // A reused engine (warm candidate buffer) must clear exactly
         // like a fresh engine for every subsequent market, including a
         // smaller one that leaves stale capacity behind.
-        let markets: Vec<(Vec<RackBid>, ConstraintSet)> = vec![
-            (
-                vec![
-                    linear(0, 55.0, 0.02, 5.0, 0.35),
-                    linear(1, 70.0, 0.05, 15.0, 0.45),
-                ],
-                constraints(80.0),
-            ),
-            (vec![linear(0, 40.0, 0.05, 10.0, 0.4)], constraints(30.0)),
-            (vec![], constraints(100.0)),
-            (vec![linear(1, 30.0, 0.15, 10.0, 0.5)], constraints(200.0)),
-        ];
-        for config in [
-            ClearingConfig::grid(Price::cents_per_kw_hour(0.1)),
-            ClearingConfig::kink_search(),
-        ] {
+        let mut markets = distinct_markets();
+        markets.insert(2, (vec![], constraints(100.0)));
+        for config in both_algorithms() {
             let reused = MarketClearing::new(config);
             let cloned = reused.clone();
             for (slot, (bids, cs)) in markets.iter().enumerate() {
@@ -1862,10 +1609,7 @@ mod tests {
         // Many threads hammering one shared engine must produce the
         // same outcomes as clearing the same markets one at a time.
         let markets = distinct_markets();
-        for config in [
-            ClearingConfig::grid(Price::cents_per_kw_hour(0.1)),
-            ClearingConfig::kink_search(),
-        ] {
+        for config in both_algorithms() {
             let engine = MarketClearing::new(config);
             let serial: Vec<MarketOutcome> = markets
                 .iter()
@@ -1913,18 +1657,7 @@ mod tests {
 
     #[test]
     fn submarkets_compose_to_clear_per_pdu() {
-        let topo = TopologyBuilder::new(Watts::new(1000.0))
-            .pdu(Watts::new(500.0))
-            .rack(TenantId::new(0), Watts::new(100.0), Watts::new(60.0))
-            .pdu(Watts::new(500.0))
-            .rack(TenantId::new(1), Watts::new(100.0), Watts::new(60.0))
-            .build()
-            .unwrap();
-        let cs = ConstraintSet::new(
-            &topo,
-            vec![Watts::new(40.0), Watts::new(90.0)],
-            Watts::new(100.0),
-        );
+        let cs = two_pdu_constraints(40.0, 90.0, 100.0);
         let bids = vec![
             linear(0, 60.0, 0.10, 10.0, 0.50),
             linear(1, 60.0, 0.02, 10.0, 0.20),
@@ -1946,109 +1679,120 @@ mod tests {
     }
 
     #[test]
-    fn ups_only_change_reuses_cached_sums_as_a_hit() {
-        // The per-candidate demand sums depend only on the bids; a new
-        // UPS bound changes the feasibility filter, not the sums, so
-        // the second clear must resolve as a cache hit (zero rows
-        // swept) and still match a cold engine under the new bound.
-        let config = ClearingConfig::grid(Price::cents_per_kw_hour(0.1));
-        let engine = MarketClearing::new(config);
+    fn capacity_only_change_reuses_cached_sums_unless_candidates_read_it() {
+        // Same bids, only the UPS bound or one PDU's spot capacity
+        // tightened. Grid candidates and the per-candidate demand sums
+        // depend on the bids alone — capacities only filter feasibility
+        // — so the second clear is a hit (zero rows swept). Kink
+        // candidates include the capacity-crossing prices, so there the
+        // key must cover the capacities and the list is regenerated (a
+        // full sweep). Either way the outcome is a cold engine's.
         let bids = vec![
             linear(0, 40.0, 0.05, 10.0, 0.4),
             linear(1, 30.0, 0.10, 5.0, 0.3),
         ];
+        let roomy = constraints(100.0);
+        let tight_ups = constraints(100.0).with_ups_spot(Watts::new(35.0));
+        let mut tight_pdu = constraints(100.0);
+        tight_pdu.set_pdu_spot(&[Watts::new(30.0)]);
+        for (config, hits) in [
+            (ClearingConfig::grid(Price::cents_per_kw_hour(0.1)), 1),
+            (ClearingConfig::kink_search(), 0),
+        ] {
+            for (tight, cap) in [(&tight_ups, 35.0), (&tight_pdu, 30.0)] {
+                let engine = MarketClearing::new(config);
+                let _ = engine.clear(Slot::ZERO, &bids, &roomy);
+                assert_eq!(engine.cache_stats().full_sweeps, 1);
+                let warm = engine.clear(Slot::new(1), &bids, tight);
+                let stats = engine.cache_stats();
+                assert_eq!(
+                    (stats.cache_hits, stats.full_sweeps),
+                    (hits, 2 - hits),
+                    "{config:?} cap {cap}: {stats:?}"
+                );
+                assert_eq!(
+                    stats.candidates_swept,
+                    stats.candidates_total / (1 + hits),
+                    "a hit sweeps no candidate rows: {stats:?}"
+                );
+                let fresh = MarketClearing::new(config).clear(Slot::new(1), &bids, tight);
+                assert_eq!(warm, fresh, "{config:?} cap {cap}");
+                assert!(
+                    warm.sold() <= Watts::new(cap + 1e-6),
+                    "{config:?} cap {cap}"
+                );
+                assert!(
+                    warm.sold() < engine.clear(Slot::new(1), &bids, &roomy).sold(),
+                    "{config:?}: the tightened capacity must bind"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn any_bid_change_resweeps_in_full() {
+        // Whether one bid or every bid changes between slots, the key
+        // differs, so the engine regenerates and re-sums every row —
+        // and matches a cold engine.
         let cs = constraints(100.0);
-        let _ = engine.clear(Slot::ZERO, &bids, &cs);
-        assert_eq!(engine.cache_stats().full_sweeps, 1);
-
-        let tighter = constraints(100.0).with_ups_spot(Watts::new(35.0));
-        let warm = engine.clear(Slot::new(1), &bids, &tighter);
-        let stats = engine.cache_stats();
-        assert_eq!(stats.cache_hits, 1, "{stats:?}");
-        assert_eq!(
-            stats.candidates_swept,
-            stats.candidates_total / 2,
-            "a hit sweeps no candidate rows: {stats:?}"
-        );
-        let fresh = MarketClearing::new(config).clear(Slot::new(1), &bids, &tighter);
-        assert_eq!(warm, fresh);
-        assert!(warm.sold() <= Watts::new(35.0 + 1e-6));
-    }
-
-    #[test]
-    fn single_bid_change_triggers_a_delta_resweep() {
-        // Ten bids, one d_max nudged between slots: prices (and thus
-        // the grid candidate list) are unchanged, so the engine patches
-        // the cached sums instead of re-sweeping from scratch.
-        let mut b = TopologyBuilder::new(Watts::new(1e5)).pdu(Watts::new(1e4));
-        for i in 0..10 {
-            b = b.rack(TenantId::new(i), Watts::new(100.0), Watts::new(60.0));
-        }
-        let topo = b.build().unwrap();
-        let cs = ConstraintSet::new(&topo, vec![Watts::new(400.0)], Watts::new(400.0));
-        let bids: Vec<RackBid> = (0..10)
-            .map(|i| linear(i, 40.0 + i as f64, 0.05, 10.0, 0.4))
-            .collect();
+        let bids = vec![
+            linear(0, 40.0, 0.05, 10.0, 0.4),
+            linear(1, 30.0, 0.10, 5.0, 0.3),
+        ];
         let config = ClearingConfig::grid(Price::cents_per_kw_hour(0.1));
-        let engine = MarketClearing::new(config);
-        let _ = engine.clear(Slot::ZERO, &bids, &cs);
-
-        let mut changed = bids.clone();
-        changed[3] = linear(3, 55.0, 0.05, 10.0, 0.4);
-        let warm = engine.clear(Slot::new(1), &changed, &cs);
-        let stats = engine.cache_stats();
-        assert_eq!(stats.delta_sweeps, 1, "{stats:?}");
-        assert!(
-            stats.candidates_swept < stats.candidates_total,
-            "the delta pass must skip unaffected rows: {stats:?}"
-        );
-        let fresh = MarketClearing::new(config).clear(Slot::new(1), &changed, &cs);
-        assert_eq!(warm, fresh);
+        for churn in [1, 2] {
+            let engine = MarketClearing::new(config);
+            let _ = engine.clear(Slot::ZERO, &bids, &cs);
+            let mut changed = bids.clone();
+            for (i, bid) in changed.iter_mut().enumerate().take(churn) {
+                *bid = linear(i, 50.0 + i as f64, 0.05, 10.0, 0.4);
+            }
+            let warm = engine.clear(Slot::new(1), &changed, &cs);
+            let stats = engine.cache_stats();
+            assert_eq!(stats.full_sweeps, 2, "churn {churn}: {stats:?}");
+            assert_eq!(stats.delta_sweeps, 0, "churn {churn}: {stats:?}");
+            assert_eq!(stats.candidates_swept, stats.candidates_total);
+            let fresh = MarketClearing::new(config).clear(Slot::new(1), &changed, &cs);
+            assert_eq!(warm, fresh, "churn {churn}");
+        }
     }
 
     #[test]
-    fn bulk_churn_falls_back_to_a_full_sweep() {
-        // Changing more than n/8 bids exceeds the delta threshold; the
-        // engine must fall back to a full re-sweep, not a patch.
-        let mut b = TopologyBuilder::new(Watts::new(1e5)).pdu(Watts::new(1e4));
-        for i in 0..10 {
-            b = b.rack(TenantId::new(i), Watts::new(100.0), Watts::new(60.0));
+    fn zoned_clear_between_identical_clears_leaves_no_stale_sums() {
+        // Zones route a clear through the legacy scan (the stats must
+        // say so), which shares the scratch buffer's key and candidates
+        // with the columnar clears around it but never touches the
+        // sums. When it brings new bids the key is replaced, so an
+        // unzoned clear of those same bids right after matches the key
+        // while the sums still describe the older book: it must re-sum.
+        let plain = constraints(100.0);
+        let zoned = aisle_zoned();
+        let bids = vec![
+            linear(0, 40.0, 0.05, 10.0, 0.4),
+            linear(1, 30.0, 0.10, 5.0, 0.3),
+        ];
+        let other = vec![linear(0, 55.0, 0.02, 5.0, 0.35)];
+        for config in both_algorithms() {
+            for (between, hits) in [(&bids, 2), (&other, 0)] {
+                let engine = MarketClearing::new(config);
+                let sequence = [
+                    (&bids, &plain),
+                    (between, &zoned),
+                    (between, &plain),
+                    (&bids, &plain),
+                ];
+                for (s, (bids, cs)) in sequence.into_iter().enumerate() {
+                    let slot = Slot::new(s as u64);
+                    let cold = MarketClearing::new(config).clear(slot, bids, cs);
+                    assert_eq!(engine.clear(slot, bids, cs), cold, "{config:?} slot {s}");
+                }
+                let stats = engine.cache_stats();
+                assert_eq!(
+                    (stats.legacy_scans, stats.cache_hits, stats.full_sweeps),
+                    (1, hits, 3 - hits),
+                    "{config:?}: {stats:?}"
+                );
+            }
         }
-        let topo = b.build().unwrap();
-        let cs = ConstraintSet::new(&topo, vec![Watts::new(400.0)], Watts::new(400.0));
-        let bids: Vec<RackBid> = (0..10)
-            .map(|i| linear(i, 40.0 + i as f64, 0.05, 10.0, 0.4))
-            .collect();
-        let config = ClearingConfig::grid(Price::cents_per_kw_hour(0.1));
-        let engine = MarketClearing::new(config);
-        let _ = engine.clear(Slot::ZERO, &bids, &cs);
-
-        let mut changed = bids.clone();
-        for (i, bid) in changed.iter_mut().enumerate().take(5) {
-            *bid = linear(i, 50.0 + i as f64, 0.05, 10.0, 0.4);
-        }
-        let warm = engine.clear(Slot::new(1), &changed, &cs);
-        let stats = engine.cache_stats();
-        assert_eq!(stats.full_sweeps, 2, "{stats:?}");
-        assert_eq!(stats.delta_sweeps, 0, "{stats:?}");
-        let fresh = MarketClearing::new(config).clear(Slot::new(1), &changed, &cs);
-        assert_eq!(warm, fresh);
-    }
-
-    #[test]
-    fn zone_markets_use_the_legacy_scan() {
-        // Extra constraints (zones/phases) route through the scalar
-        // per-candidate scan; the stats must say so.
-        let cs = constraints(100.0).with_zone(
-            "aisle",
-            vec![RackId::new(0), RackId::new(1)],
-            Watts::new(30.0),
-        );
-        let engine = MarketClearing::default();
-        let bids = vec![linear(0, 50.0, 0.0, 0.0, 0.4)];
-        let _ = engine.clear(Slot::ZERO, &bids, &cs);
-        let stats = engine.cache_stats();
-        assert_eq!(stats.legacy_scans, 1, "{stats:?}");
-        assert_eq!(stats.full_sweeps, 0, "{stats:?}");
     }
 }

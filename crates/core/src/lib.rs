@@ -71,4 +71,4 @@ pub use prediction::{
     StalenessPolicy,
 };
 pub use protocol::{CommsModel, ProtocolEvent};
-pub use wire::{ClearResult, ClearTask, TaskShip, WireError, WireMsg};
+pub use wire::{ClearResult, TaskShip, WireError, WireMsg};

@@ -293,7 +293,7 @@ impl Operator {
     }
 
     /// How this operator's clearing engine has resolved its slots so
-    /// far (full sweeps vs cache hits vs incremental delta re-sweeps).
+    /// far (full sweeps vs cache hits vs legacy scans).
     #[must_use]
     pub fn clearing_cache_stats(&self) -> crate::clearing::ClearingCacheStats {
         self.clearing.cache_stats()
@@ -361,7 +361,7 @@ mod tests {
         assert_eq!(first.outcome.price(), second.outcome.price());
         let stats = op.clearing_cache_stats();
         assert_eq!(
-            stats.full_sweeps + stats.cache_hits + stats.delta_sweeps + stats.legacy_scans,
+            stats.full_sweeps + stats.cache_hits + stats.legacy_scans,
             2,
             "{stats:?}"
         );

@@ -9,11 +9,8 @@
 //! layers, its per-task bid books, and its warm `MarketClearing`
 //! engines across slots, so the controller only ships what changed.
 //!
-//! Three shipping granularities per task, coarsest to finest:
+//! Two shipping granularities per task:
 //!
-//! - [`TaskShip::Standalone`] wraps a self-contained [`ClearTask`]
-//!   carrying its own constraints — no session state involved. This is
-//!   the generic escape hatch for heterogeneous-constraint callers.
 //! - `*Full` variants ship the task's complete bids/gains plus its UPS
 //!   spot share, against the session's shared statics. Used on resync.
 //! - `*Delta` variants ship only the bids that changed since the
@@ -103,43 +100,14 @@ impl From<DecodeError> for WireError {
     }
 }
 
-/// One self-contained unit of clearing work. Tasks are pure: everything
-/// the clear needs travels inside the task, and the result depends on
-/// nothing but the task (plus the slot). Session shipping wraps these
-/// only in the [`TaskShip::Standalone`] escape hatch; the hot path uses
-/// the session-typed `TaskShip` variants instead.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ClearTask {
-    /// Clear a (sub-)market of rack bids under its constraint set —
-    /// one per PDU sub-market in per-PDU pricing, or the whole market
-    /// as a single task under uniform pricing.
-    Market {
-        /// The bids in this sub-market, in controller order.
-        bids: Vec<RackBid>,
-        /// The sub-market's constraint set (UPS share already applied).
-        constraints: ConstraintSet,
-    },
-    /// Run the MaxPerf water-filling allocator over gain envelopes.
-    MaxPerf {
-        /// Concave gain envelope per requesting rack.
-        gains: BTreeMap<RackId, ConcaveGain>,
-        /// The slot's constraint set.
-        constraints: ConstraintSet,
-    },
-}
-
-/// One task inside a [`WireMsg::SlotFrame`], at one of three shipping
-/// granularities (see the module docs). Session-typed variants carry no
-/// constraint set: the agent rebuilds each task's constraints from its
-/// held statics, the frame's `pdu_spot` vector, and the variant's
+/// One task inside a [`WireMsg::SlotFrame`], at one of two shipping
+/// granularities (see the module docs). No variant carries a constraint
+/// set: the agent rebuilds each task's constraints from its held
+/// statics, the frame's `pdu_spot` vector, and the variant's
 /// `ups_spot` share — bit-identical to the controller-side
 /// `constraints.clone().with_ups_spot(share)`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TaskShip {
-    /// A self-contained [`ClearTask`] with its own constraints, outside
-    /// the session state. Frames containing only standalone tasks need
-    /// no held statics and no epoch continuity.
-    Standalone(ClearTask),
     /// Full shipment of a market task: every bid, in controller order.
     MarketFull {
         /// This task's UPS spot share (already clamped to the global).
@@ -401,10 +369,6 @@ impl Persist for WireMsg {
 impl Persist for TaskShip {
     fn persist(&self, enc: &mut Encoder) {
         match self {
-            TaskShip::Standalone(task) => {
-                enc.put_u8(0);
-                task.persist(enc);
-            }
             TaskShip::MarketFull { ups_spot, bids } => {
                 enc.put_u8(1);
                 enc.put_f64(ups_spot.value());
@@ -444,7 +408,6 @@ impl Persist for TaskShip {
 
     fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         match dec.get_u8()? {
-            0 => Ok(TaskShip::Standalone(ClearTask::restore(dec)?)),
             1 => Ok(TaskShip::MarketFull {
                 ups_spot: Watts::new(dec.get_f64()?),
                 bids: Vec::restore(dec)?,
@@ -510,54 +473,6 @@ impl Persist for ClearingCacheStats {
             candidates_total: dec.get_u64()?,
             candidates_swept: dec.get_u64()?,
         })
-    }
-}
-
-impl Persist for ClearTask {
-    fn persist(&self, enc: &mut Encoder) {
-        match self {
-            ClearTask::Market { bids, constraints } => {
-                enc.put_u8(0);
-                bids.persist(enc);
-                constraints.persist(enc);
-            }
-            ClearTask::MaxPerf { gains, constraints } => {
-                enc.put_u8(1);
-                enc.put_usize(gains.len());
-                for (rack, gain) in gains {
-                    enc.put_usize(rack.index());
-                    gain.persist(enc);
-                }
-                constraints.persist(enc);
-            }
-        }
-    }
-
-    fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.get_u8()? {
-            0 => Ok(ClearTask::Market {
-                bids: Vec::restore(dec)?,
-                constraints: ConstraintSet::restore(dec)?,
-            }),
-            1 => {
-                let n = dec.get_usize()?;
-                if n > dec.remaining() {
-                    return Err(DecodeError::BadLength(n as u64));
-                }
-                let mut gains = BTreeMap::new();
-                for _ in 0..n {
-                    let rack = RackId::new(dec.get_usize()?);
-                    gains.insert(rack, ConcaveGain::restore(dec)?);
-                }
-                Ok(ClearTask::MaxPerf {
-                    gains,
-                    constraints: ConstraintSet::restore(dec)?,
-                })
-            }
-            tag => Err(DecodeError::Invalid(format!(
-                "unknown clear-task tag {tag:#04x}"
-            ))),
-        }
     }
 }
 
@@ -818,7 +733,7 @@ mod tests {
             WireMsg::SlotFrame {
                 slot: Slot::new(7),
                 epoch: 1,
-                statics: Some(constraints.clone()),
+                statics: Some(constraints),
                 pdu_spot: vec![Watts::new(60.0), Watts::new(30.0)],
                 tasks: vec![
                     TaskShip::MarketFull {
@@ -846,14 +761,6 @@ mod tests {
                     TaskShip::MaxPerfDelta {
                         ups_spot: Watts::new(28.0),
                     },
-                    TaskShip::Standalone(ClearTask::Market {
-                        bids: sample_bids(),
-                        constraints: constraints.clone(),
-                    }),
-                    TaskShip::Standalone(ClearTask::MaxPerf {
-                        gains: sample_gains(),
-                        constraints,
-                    }),
                 ],
             },
             WireMsg::ShardCleared {

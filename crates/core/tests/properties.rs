@@ -315,10 +315,9 @@ proptest! {
         ups in 0.0..350.0f64,
     ) {
         // Clear a slot sequence on one warm engine, mutating one bid
-        // per slot (the delta re-clear's common case). Every slot must
-        // match a cold engine, whichever of the hit/delta/full paths
-        // the warm engine took, and the cache stats must account for
-        // every non-empty clear.
+        // per slot. Every slot must match a cold engine, whichever of
+        // the hit/full paths the warm engine took, and the cache stats
+        // must account for every non-empty clear.
         let topo = topology(bids.len());
         let cs = ConstraintSet::new(&topo, vec![Watts::new(p0), Watts::new(p1)], Watts::new(ups));
         let mut current: Vec<RackBid> = bids
@@ -358,8 +357,9 @@ proptest! {
                 }
             }
             let stats = warm.cache_stats();
-            let accounted = stats.full_sweeps + stats.cache_hits + stats.delta_sweeps + stats.legacy_scans;
+            let accounted = stats.full_sweeps + stats.cache_hits + stats.legacy_scans;
             prop_assert_eq!(accounted, slots, "stats must cover every non-empty clear: {:?}", stats);
+            prop_assert_eq!(stats.delta_sweeps, 0, "no delta mode exists: {:?}", stats);
             prop_assert!(
                 stats.candidates_swept <= stats.candidates_total,
                 "swept {} > total {}",

@@ -9,8 +9,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use spotdc_core::{
-    ClearResult, ClearTask, ClearingCacheStats, ClearingConfig, ConcaveGain, ConstraintSet,
-    DemandBid, RackBid, TaskShip, WireMsg,
+    ClearResult, ClearingCacheStats, ClearingConfig, ConcaveGain, ConstraintSet, DemandBid,
+    RackBid, TaskShip, WireMsg,
 };
 use spotdc_telemetry::Event;
 use spotdc_units::{MonotonicNanos, RackId, Slot, Watts};
@@ -57,7 +57,7 @@ pub struct WireStats {
     pub setup_bytes: u64,
     /// Session tasks shipped as deltas.
     pub delta_tasks: u64,
-    /// Session tasks shipped in full (standalone tasks included).
+    /// Session tasks shipped in full.
     pub full_tasks: u64,
 }
 
@@ -77,7 +77,7 @@ pub fn wire_totals() -> WireStats {
     }
 }
 
-/// One session-typed unit of work for [`ShardRuntime::clear_session`]:
+/// One unit of work for [`ShardRuntime::clear_session`]:
 /// the task's bids/gains plus its UPS spot share, cleared against the
 /// slot's shared constraint set (statics + per-PDU spot vector). The
 /// runtime decides per task whether to ship it whole or as a delta
@@ -115,9 +115,6 @@ enum MirrorTask {
         ups_bits: u64,
         gains: BTreeMap<RackId, ConcaveGain>,
     },
-    /// A standalone [`ClearTask`] traveled here; nothing is mirrored
-    /// and the position cannot be resynced from controller state.
-    Opaque,
 }
 
 /// Per-slot wire tally, reset every dispatch; feeds the one aggregated
@@ -140,14 +137,12 @@ struct FrameTally {
 /// merge, which is what keeps reports byte-identical regardless of how
 /// many shards run or how fast each one answers.
 ///
-/// [`Self::clear_session`] is the hot path: the runtime mirrors every
-/// shard's held state, ships statics once per resync and per-task bid
-/// deltas afterwards, and falls back to full shipping whenever a shard
-/// answers `ResyncNeeded` (fresh restart, epoch gap) — by construction
-/// the replayed state is bit-identical to full shipping, so the merge
-/// bytes never depend on which path ran. [`Self::clear_tasks`] remains
-/// the generic escape hatch for self-contained tasks with heterogeneous
-/// constraints.
+/// [`Self::clear_session`] is the one dispatch path: the runtime
+/// mirrors every shard's held state, ships statics once per resync and
+/// per-task bid deltas afterwards, and falls back to full shipping
+/// whenever a shard answers `ResyncNeeded` (fresh restart, epoch gap) —
+/// by construction the replayed state is bit-identical to full
+/// shipping, so the merge bytes never depend on which path ran.
 ///
 /// A shard whose transport fails — send error, torn or corrupt frame,
 /// short or mismatched reply, dead process — is marked dead; its tasks
@@ -257,8 +252,8 @@ impl ShardRuntime {
     }
 
     /// Each shard's last reported clearing-cache counters, in shard
-    /// order. Warm sessions show `cache_hits`/`delta_sweeps` climbing
-    /// exactly like a local engine's.
+    /// order. Warm sessions show `cache_hits` climbing exactly like a
+    /// local engine's.
     #[must_use]
     pub fn shard_cache_stats(&self) -> Vec<ClearingCacheStats> {
         self.shards.iter().map(|s| s.cache).collect()
@@ -332,50 +327,6 @@ impl ShardRuntime {
         out
     }
 
-    /// Dispatches one slot of self-contained [`ClearTask`]s across the
-    /// shards — the generic escape hatch for callers whose tasks carry
-    /// heterogeneous constraint sets. Ships everything standalone (no
-    /// session state, no deltas); returns one entry per task, in task
-    /// order, `None` for tasks owned by dead shards.
-    pub fn clear_tasks(&mut self, slot: Slot, tasks: Vec<ClearTask>) -> Vec<Option<ClearResult>> {
-        let _span = spotdc_telemetry::span!("dist.clear", slot = slot);
-        self.respawn_dead(slot);
-        let count = self.shards.len();
-        let total = tasks.len();
-        let mut per_shard: Vec<Vec<ClearTask>> = (0..count).map(|_| Vec::new()).collect();
-        for (i, task) in tasks.into_iter().enumerate() {
-            per_shard[i % count].push(task);
-        }
-        let expected: Vec<usize> = per_shard.iter().map(Vec::len).collect();
-        let started = Instant::now();
-        let mut tally = FrameTally::default();
-        for (idx, batch) in per_shard.into_iter().enumerate() {
-            let conn = &mut self.shards[idx];
-            conn.epoch += 1;
-            conn.mirror = batch.iter().map(|_| MirrorTask::Opaque).collect();
-            tally.full_tasks += batch.len() as u64;
-            FULL_TASKS.fetch_add(batch.len() as u64, Ordering::Relaxed);
-            let frame = WireMsg::SlotFrame {
-                slot,
-                epoch: conn.epoch,
-                statics: None,
-                pdu_spot: Vec::new(),
-                tasks: batch.into_iter().map(TaskShip::Standalone).collect(),
-            };
-            self.send_slot(idx, &frame, &mut tally);
-        }
-        let mut replies: Vec<Option<std::vec::IntoIter<ClearResult>>> = Vec::with_capacity(count);
-        for (idx, &expected) in expected.iter().enumerate() {
-            replies.push(self.recv_cleared(slot, idx, expected, &[], started, &mut tally));
-        }
-        self.finish_slot(slot, tally);
-        let mut out = Vec::with_capacity(total);
-        for i in 0..total {
-            out.push(replies[i % count].as_mut().and_then(Iterator::next));
-        }
-        out
-    }
-
     /// Builds shard `idx`'s frame for the slot, updating its mirror to
     /// the post-frame state. Synced shards get deltas where the churn
     /// pays for itself; unsynced shards get a statics-bearing full
@@ -433,17 +384,14 @@ impl ShardRuntime {
 
     /// Rebuilds shard `idx`'s slot as a full statics-bearing frame from
     /// its mirror — the resync path after a `ResyncNeeded` reply.
-    /// Returns `None` if the mirror holds standalone (opaque) tasks or
-    /// no session statics exist, in which case the shard cannot be
-    /// resynced mid-slot and is degraded instead.
     fn resync_frame(
         &mut self,
         idx: usize,
         slot: Slot,
         pdu_spot: &[Watts],
         tally: &mut FrameTally,
-    ) -> Option<WireMsg> {
-        let statics = self.statics.clone()?;
+    ) -> WireMsg {
+        let statics = self.statics.clone().expect("set by clear_session");
         let conn = &mut self.shards[idx];
         let mut ships = Vec::with_capacity(conn.mirror.len());
         for entry in &conn.mirror {
@@ -456,7 +404,6 @@ impl ShardRuntime {
                     ups_spot: Watts::new(f64::from_bits(*ups_bits)),
                     gains: gains.clone(),
                 },
-                MirrorTask::Opaque => return None,
             });
         }
         conn.epoch += 1;
@@ -464,13 +411,13 @@ impl ShardRuntime {
         for ship in &ships {
             tally_ship(ship, tally);
         }
-        Some(WireMsg::SlotFrame {
+        WireMsg::SlotFrame {
             slot,
             epoch: conn.epoch,
             statics: Some(statics),
             pdu_spot: pdu_spot.to_vec(),
             tasks: ships,
-        })
+        }
     }
 
     /// Respawns dead shards that still have respawn budget. Called at
@@ -590,10 +537,7 @@ impl ShardRuntime {
         }
         let reply = self.recv_reply(idx, tally)?;
         let reply = if matches!(reply, WireMsg::ResyncNeeded { .. }) {
-            let Some(frame) = self.resync_frame(idx, slot, pdu_spot, tally) else {
-                self.kill(idx);
-                return None;
-            };
+            let frame = self.resync_frame(idx, slot, pdu_spot, tally);
             if !self.send_slot(idx, &frame, tally) {
                 return None;
             }
@@ -673,16 +617,14 @@ fn spawn_transport(
 fn tally_ship(ship: &TaskShip, tally: &mut FrameTally) {
     match ship {
         TaskShip::MarketDelta { .. } | TaskShip::MaxPerfDelta { .. } => tally.delta_tasks += 1,
-        TaskShip::Standalone(_) | TaskShip::MarketFull { .. } | TaskShip::MaxPerfFull { .. } => {
-            tally.full_tasks += 1;
-        }
+        TaskShip::MarketFull { .. } | TaskShip::MaxPerfFull { .. } => tally.full_tasks += 1,
     }
 }
 
 /// Picks the cheapest correct shipment for a market task: a delta
 /// against the shard's held book when strictly fewer bids travel than a
-/// full shipment would carry, full otherwise (kind mismatch, opaque
-/// position, or churn that makes the delta pointless).
+/// full shipment would carry, full otherwise (kind mismatch or churn
+/// that makes the delta pointless).
 fn market_ship(old: Option<&MirrorTask>, bids: &[RackBid], ups_spot: Watts) -> TaskShip {
     if let Some(MirrorTask::Market { bids: held, .. }) = old {
         let truncate_to = bids.len().min(held.len());
@@ -792,10 +734,11 @@ mod tests {
         ConstraintSet::new(&topo, vec![Watts::new(60.0)], Watts::new(60.0))
     }
 
-    fn tasks() -> Vec<ClearTask> {
-        let constraints = constraints();
+    /// Two single-bid market tasks with different UPS shares of the
+    /// shared [`constraints`].
+    fn tasks() -> Vec<SessionTask> {
         vec![
-            ClearTask::Market {
+            SessionTask::Market {
                 bids: vec![RackBid::new(
                     RackId::new(0),
                     LinearBid::new(
@@ -807,16 +750,16 @@ mod tests {
                     .unwrap()
                     .into(),
                 )],
-                constraints: constraints.clone(),
+                ups_spot: Watts::new(35.0),
             },
-            ClearTask::Market {
+            SessionTask::Market {
                 bids: vec![RackBid::new(
                     RackId::new(1),
                     StepBid::new(Watts::new(25.0), Price::per_kw_hour(0.2))
                         .unwrap()
                         .into(),
                 )],
-                constraints,
+                ups_spot: Watts::new(20.0),
             },
         ]
     }
@@ -825,13 +768,15 @@ mod tests {
     fn inproc_runtime_matches_direct_clearing_for_any_width() {
         let slot = Slot::new(11);
         let direct = MarketClearing::new(ClearingConfig::default());
+        let shared = constraints();
         let want: Vec<ClearResult> = tasks()
             .iter()
             .map(|t| {
-                let ClearTask::Market { bids, constraints } = t else {
+                let SessionTask::Market { bids, ups_spot } = t else {
                     unreachable!()
                 };
-                ClearResult::Market(direct.clear(slot, bids, constraints))
+                let local = shared.clone().with_ups_spot(*ups_spot);
+                ClearResult::Market(direct.clear(slot, bids, &local))
             })
             .collect();
         for width in [1, 2, 3] {
@@ -840,7 +785,7 @@ mod tests {
             assert_eq!(runtime.shard_count(), width);
             assert_eq!(runtime.live_shards(), width);
             let got: Vec<ClearResult> = runtime
-                .clear_tasks(slot, tasks())
+                .clear_session(slot, &shared, tasks())
                 .into_iter()
                 .map(|r| r.expect("healthy shards answer every task"))
                 .collect();
@@ -929,52 +874,11 @@ mod tests {
     fn empty_task_lists_are_fine() {
         let mut runtime =
             ShardRuntime::new(2, TransportKind::InProc, ClearingConfig::default()).unwrap();
-        assert!(runtime.clear_tasks(Slot::new(0), Vec::new()).is_empty());
-        assert!(runtime
-            .clear_session(Slot::new(1), &constraints(), Vec::new())
-            .is_empty());
-        assert_eq!(runtime.live_shards(), 2);
-    }
-
-    #[test]
-    fn delta_shipping_kicks_in_on_warm_slots() {
-        let before = wire_totals();
-        let mut runtime =
-            ShardRuntime::new(1, TransportKind::InProc, ClearingConfig::default()).unwrap();
-        let c = constraints();
-        let bids = vec![
-            RackBid::new(
-                RackId::new(0),
-                StepBid::new(Watts::new(20.0), Price::per_kw_hour(0.2))
-                    .unwrap()
-                    .into(),
-            ),
-            RackBid::new(
-                RackId::new(1),
-                StepBid::new(Watts::new(15.0), Price::per_kw_hour(0.15))
-                    .unwrap()
-                    .into(),
-            ),
-        ];
-        for s in 0..3_u64 {
-            let task = SessionTask::Market {
-                bids: bids.clone(),
-                ups_spot: Watts::new(50.0),
-            };
-            let out = runtime.clear_session(Slot::new(s), &c, vec![task]);
-            assert!(out[0].is_some());
+        for s in 0..2 {
+            assert!(runtime
+                .clear_session(Slot::new(s), &constraints(), Vec::new())
+                .is_empty());
         }
-        let after = wire_totals();
-        // Slot 0 resyncs in full; the two identical warm slots ship as
-        // (empty) deltas.
-        assert_eq!(after.delta_tasks - before.delta_tasks, 2);
-        assert!(after.full_tasks > before.full_tasks);
-        assert_eq!(after.setup_frames - before.setup_frames, 1);
-        let cache = runtime.shard_cache_stats();
-        assert_eq!(cache.len(), 1);
-        assert!(
-            cache[0].cache_hits + cache[0].delta_sweeps > 0,
-            "warm identical slots must hit the shard-side cache: {cache:?}"
-        );
+        assert_eq!(runtime.live_shards(), 2);
     }
 }

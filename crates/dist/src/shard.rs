@@ -4,8 +4,8 @@
 use std::collections::BTreeMap;
 
 use spotdc_core::{
-    max_perf_allocate, ClearResult, ClearTask, ClearingCacheStats, ClearingConfig, ConcaveGain,
-    ConstraintSet, MarketClearing, RackBid, TaskShip, WireMsg,
+    max_perf_allocate, ClearResult, ClearingCacheStats, ClearingConfig, ConcaveGain, ConstraintSet,
+    MarketClearing, RackBid, TaskShip, WireMsg,
 };
 use spotdc_units::{RackId, Slot, Watts};
 
@@ -14,9 +14,6 @@ use spotdc_units::{RackId, Slot, Watts};
 /// mutate in place.
 #[derive(Debug)]
 enum HeldTask {
-    /// The position last carried a self-contained [`TaskShip::Standalone`]
-    /// task; nothing is retained (the task travels whole every slot).
-    Standalone,
     /// A market sub-task's full bid book.
     Market { bids: Vec<RackBid> },
     /// A MaxPerf task's gain envelopes.
@@ -58,7 +55,7 @@ pub struct MarketShard {
 impl MarketShard {
     /// Builds shard `id` of `count` with the controller's clearing
     /// configuration. The session starts cold: the first frame must
-    /// carry statics (or only standalone tasks) to be accepted.
+    /// carry statics to be accepted.
     #[must_use]
     pub fn new(id: u64, count: u64, config: ClearingConfig) -> Self {
         MarketShard {
@@ -98,7 +95,6 @@ impl MarketShard {
             let s = engine.cache_stats();
             sum.full_sweeps += s.full_sweeps;
             sum.cache_hits += s.cache_hits;
-            sum.delta_sweeps += s.delta_sweeps;
             sum.legacy_scans += s.legacy_scans;
             sum.candidates_total += s.candidates_total;
             sum.candidates_swept += s.candidates_swept;
@@ -135,26 +131,16 @@ impl MarketShard {
         if let Some(session) = &mut self.session {
             session.set_pdu_spot(pdu_spot);
         }
-        while self.held.len() < tasks.len() {
-            self.held
-                .push((HeldTask::Standalone, MarketClearing::new(self.config)));
-        }
-        self.held.truncate(tasks.len());
+        // A new position is always overwritten by a `*Full` ship below:
+        // validation rejected any delta aimed past the held positions.
+        self.held.resize_with(tasks.len(), || {
+            let placeholder = HeldTask::Market { bids: Vec::new() };
+            (placeholder, MarketClearing::new(self.config))
+        });
         let mut results = Vec::with_capacity(tasks.len());
         for (j, ship) in tasks.into_iter().enumerate() {
             let (held, engine) = &mut self.held[j];
             results.push(match ship {
-                TaskShip::Standalone(task) => {
-                    *held = HeldTask::Standalone;
-                    match task {
-                        ClearTask::Market { bids, constraints } => {
-                            ClearResult::Market(engine.clear(slot, &bids, &constraints))
-                        }
-                        ClearTask::MaxPerf { gains, constraints } => {
-                            ClearResult::MaxPerf(max_perf_allocate(&gains, &constraints))
-                        }
-                    }
-                }
                 TaskShip::MarketFull { ups_spot, bids } => {
                     *held = HeldTask::Market { bids };
                     let session = self.session.as_mut().expect("validated");
@@ -210,20 +196,16 @@ impl MarketShard {
     }
 
     /// The validate half of validate-then-apply: whether every task in
-    /// the frame can land on the current session state. Session-typed
-    /// tasks need statics (carried or held, with exact epoch continuity
-    /// when held); delta tasks additionally need a kind-matched held
-    /// position and in-range edit positions. Frames with only
-    /// standalone tasks are always absorbable.
+    /// the frame can land on the current session state. Every frame
+    /// needs statics (carried or held, with exact epoch continuity when
+    /// held); delta tasks additionally need a kind-matched held
+    /// position and in-range edit positions.
     fn frame_is_absorbable(&self, epoch: u64, has_statics: bool, tasks: &[TaskShip]) -> bool {
-        let session_typed = tasks.iter().any(|t| !matches!(t, TaskShip::Standalone(_)));
-        if session_typed && !has_statics && (self.session.is_none() || epoch != self.epoch + 1) {
+        if !has_statics && (self.session.is_none() || epoch != self.epoch + 1) {
             return false;
         }
         tasks.iter().enumerate().all(|(j, ship)| match ship {
-            TaskShip::Standalone(_)
-            | TaskShip::MarketFull { .. }
-            | TaskShip::MaxPerfFull { .. } => true,
+            TaskShip::MarketFull { .. } | TaskShip::MaxPerfFull { .. } => true,
             TaskShip::MarketDelta {
                 truncate_to,
                 changed,
@@ -562,10 +544,10 @@ mod tests {
             epoch: 1,
             statics: None,
             pdu_spot: Vec::new(),
-            tasks: vec![TaskShip::Standalone(ClearTask::Market {
+            tasks: vec![TaskShip::MarketFull {
+                ups_spot: Watts::new(50.0),
                 bids: vec![bid(0)],
-                constraints: constraints(),
-            })],
+            }],
         });
         assert_eq!(
             reply,

@@ -280,8 +280,9 @@ pub fn agent_binary() -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spotdc_core::ClearingConfig;
-    use spotdc_units::Slot;
+    use spotdc_core::{ClearingConfig, ConstraintSet};
+    use spotdc_power::topology::TopologyBuilder;
+    use spotdc_units::{Slot, TenantId, Watts};
 
     #[test]
     fn inproc_transport_round_trips_a_slot() {
@@ -293,12 +294,18 @@ mod tests {
         })
         .unwrap();
         assert_eq!(t.pid(), None);
+        let topo = TopologyBuilder::new(Watts::new(400.0))
+            .pdu(Watts::new(200.0))
+            .rack(TenantId::new(0), Watts::new(100.0), Watts::new(50.0))
+            .build()
+            .unwrap();
+        let statics = ConstraintSet::new(&topo, vec![Watts::new(60.0)], Watts::new(60.0));
         let sent = t
             .send(&WireMsg::SlotFrame {
                 slot: Slot::new(9),
                 epoch: 1,
-                statics: None,
-                pdu_spot: Vec::new(),
+                pdu_spot: statics.pdu_spots().to_vec(),
+                statics: Some(statics),
                 tasks: Vec::new(),
             })
             .unwrap();

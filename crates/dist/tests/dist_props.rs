@@ -18,9 +18,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 use spotdc_core::{
-    frame, max_perf_allocate, ClearResult, ClearTask, ClearingCacheStats, ClearingConfig,
-    ConcaveGain, ConstraintSet, DemandBid, LinearBid, MarketClearing, RackBid, StepBid, TaskShip,
-    WireMsg,
+    frame, max_perf_allocate, ClearResult, ClearingCacheStats, ClearingConfig, ConcaveGain,
+    ConstraintSet, DemandBid, LinearBid, MarketClearing, RackBid, StepBid, TaskShip, WireMsg,
 };
 use spotdc_dist::{SessionTask, ShardRuntime, TransportKind};
 use spotdc_power::topology::TopologyBuilder;
@@ -75,17 +74,25 @@ fn constraints_for(n: usize, p0: f64, p1: f64, ups: f64) -> ConstraintSet {
     )
 }
 
-/// One market sub-market as the standalone escape hatch ships it.
-fn market_task() -> impl Strategy<Value = ClearTask> {
+/// Racks every generated task's bids/gains fit in: tasks of one slot
+/// clear against one shared [`shared_constraints`] set.
+const TASK_RACKS: usize = 6;
+
+/// The slot's shared constraint set over [`TASK_RACKS`] racks.
+fn shared_constraints() -> impl Strategy<Value = ConstraintSet> {
+    (0.0..150.0f64, 0.0..150.0f64, 0.0..250.0f64)
+        .prop_map(|(p0, p1, ups)| constraints_for(TASK_RACKS, p0, p1, ups))
+}
+
+/// One market sub-market with its own UPS share.
+fn market_task() -> impl Strategy<Value = SessionTask> {
     (
-        prop::collection::vec(any_bid(), 1..6),
-        0.0..150.0f64,
-        0.0..150.0f64,
+        prop::collection::vec(any_bid(), 1..TASK_RACKS),
         0.0..250.0f64,
     )
-        .prop_map(|(bids, p0, p1, ups)| ClearTask::Market {
-            constraints: constraints_for(bids.len(), p0, p1, ups),
+        .prop_map(|(bids, ups)| SessionTask::Market {
             bids: positioned(bids),
+            ups_spot: Watts::new(ups),
         })
 }
 
@@ -107,27 +114,24 @@ fn gains_for(segs: &[(f64, f64)]) -> BTreeMap<RackId, ConcaveGain> {
 }
 
 /// One water-filling task with strictly concave per-rack gain curves.
-fn maxperf_task() -> impl Strategy<Value = ClearTask> {
+fn maxperf_task() -> impl Strategy<Value = SessionTask> {
     (
-        prop::collection::vec((5.0..50.0f64, 0.1..3.0f64), 1..6),
-        0.0..150.0f64,
-        0.0..150.0f64,
+        prop::collection::vec((5.0..50.0f64, 0.1..3.0f64), 1..TASK_RACKS),
         0.0..250.0f64,
     )
-        .prop_map(|(segs, p0, p1, ups)| ClearTask::MaxPerf {
+        .prop_map(|(segs, ups)| SessionTask::MaxPerf {
             gains: gains_for(&segs),
-            constraints: constraints_for(segs.len(), p0, p1, ups),
+            ups_spot: Watts::new(ups),
         })
 }
 
-fn any_task() -> impl Strategy<Value = ClearTask> {
+fn any_task() -> impl Strategy<Value = SessionTask> {
     prop_oneof![market_task(), maxperf_task()]
 }
 
 /// Any session-task shipping granularity a slot frame can carry.
 fn task_ship() -> impl Strategy<Value = TaskShip> {
     prop_oneof![
-        any_task().prop_map(TaskShip::Standalone),
         (prop::collection::vec(any_bid(), 1..6), 0.0..250.0f64).prop_map(|(bids, ups)| {
             TaskShip::MarketFull {
                 ups_spot: Watts::new(ups),
@@ -197,12 +201,18 @@ fn any_message() -> impl Strategy<Value = WireMsg> {
         (
             0..10_000u64,
             0..100u64,
+            shared_constraints(),
             prop::collection::vec(any_task(), 0..3)
         )
-            .prop_map(|(s, epoch, tasks)| WireMsg::ShardCleared {
+            .prop_map(|(s, epoch, constraints, tasks)| WireMsg::ShardCleared {
                 slot: Slot::new(s),
                 epoch,
-                results: serial_clear(Slot::new(s), ClearingConfig::default(), &tasks),
+                results: serial_clear(
+                    Slot::new(s),
+                    ClearingConfig::default(),
+                    &constraints,
+                    &tasks
+                ),
                 cache: ClearingCacheStats {
                     full_sweeps: s % 7,
                     cache_hits: epoch % 5,
@@ -220,18 +230,27 @@ fn any_message() -> impl Strategy<Value = WireMsg> {
     ]
 }
 
-/// The single-process reference: clear each task directly, in order.
-fn serial_clear(slot: Slot, clearing: ClearingConfig, tasks: &[ClearTask]) -> Vec<ClearResult> {
+/// The single-process reference: clear each task directly, in order,
+/// against a clone of the shared set re-pointed at the task's share.
+fn serial_clear(
+    slot: Slot,
+    clearing: ClearingConfig,
+    constraints: &ConstraintSet,
+    tasks: &[SessionTask],
+) -> Vec<ClearResult> {
     let engine = MarketClearing::new(clearing);
     tasks
         .iter()
         .map(|task| match task {
-            ClearTask::Market { bids, constraints } => {
-                ClearResult::Market(engine.clear(slot, bids, constraints))
-            }
-            ClearTask::MaxPerf { gains, constraints } => {
-                ClearResult::MaxPerf(max_perf_allocate(gains, constraints))
-            }
+            SessionTask::Market { bids, ups_spot } => ClearResult::Market(engine.clear(
+                slot,
+                bids,
+                &constraints.clone().with_ups_spot(*ups_spot),
+            )),
+            SessionTask::MaxPerf { gains, ups_spot } => ClearResult::MaxPerf(max_perf_allocate(
+                gains,
+                &constraints.clone().with_ups_spot(*ups_spot),
+            )),
         })
         .collect()
 }
@@ -287,6 +306,7 @@ proptest! {
 
     #[test]
     fn controller_merge_matches_the_serial_clear(
+        constraints in shared_constraints(),
         mut tasks in prop::collection::vec(any_task(), 1..7),
         width in 1..5usize,
         shuffle_seed in 0..u64::MAX,
@@ -301,12 +321,17 @@ proptest! {
         }
         let slot = Slot::new(17);
         let clearing = ClearingConfig::default();
-        let want: Vec<Option<ClearResult>> = serial_clear(slot, clearing, &tasks)
+        let want: Vec<Option<ClearResult>> = serial_clear(slot, clearing, &constraints, &tasks)
             .into_iter()
             .map(Some)
             .collect();
         let mut runtime = ShardRuntime::new(width, TransportKind::InProc, clearing).unwrap();
-        prop_assert_eq!(runtime.clear_tasks(slot, tasks), want, "width {}", width);
+        prop_assert_eq!(
+            runtime.clear_session(slot, &constraints, tasks),
+            want,
+            "width {}",
+            width
+        );
     }
 }
 

@@ -189,7 +189,7 @@ pub struct DistributedStats {
     pub slots: u64,
     /// Session tasks shipped as deltas against a warm shard.
     pub delta_tasks: u64,
-    /// Session tasks shipped in full (cold shard, resync, standalone).
+    /// Session tasks shipped in full (cold shard, resync).
     pub full_tasks: u64,
     /// Per-shard clearing latency, keyed by shard index.
     pub clears: BTreeMap<u64, ShardClearStats>,
@@ -253,7 +253,7 @@ pub struct Analysis {
     /// Sold / predicted UPS spot capacity, for slots carrying both a
     /// clearing and a prediction (within the same run).
     pub utilization: SeriesStats,
-    /// Clearing resolutions by mode ("full", "hit", "delta", "legacy"),
+    /// Clearing resolutions by mode ("full", "hit", "legacy"),
     /// from `ClearingCache` events.
     pub clearing_modes: BTreeMap<String, u64>,
     /// Candidate prices considered across all clearings.
@@ -1197,26 +1197,26 @@ mod tests {
         let body = [
             line(Some("r"), &cache(1, "full", 100, 100)),
             line(Some("r"), &cache(2, "hit", 100, 0)),
-            line(Some("r"), &cache(3, "delta", 100, 7)),
+            line(Some("r"), &cache(3, "legacy", 100, 100)),
             line(Some("r"), &cache(4, "hit", 100, 0)),
         ]
         .join("\n");
         let a = Analysis::from_jsonl(&body, None);
         assert_eq!(a.clearing_modes["full"], 1);
         assert_eq!(a.clearing_modes["hit"], 2);
-        assert_eq!(a.clearing_modes["delta"], 1);
+        assert_eq!(a.clearing_modes["legacy"], 1);
         assert_eq!(a.clearing_candidates_total, 400);
-        assert_eq!(a.clearing_candidates_swept, 107);
+        assert_eq!(a.clearing_candidates_swept, 200);
         let text = a.render_text();
         assert!(
-            text.contains("clearing:     delta 1, full 1, hit 2  candidates 400 total, 107 swept"),
+            text.contains("clearing:     full 1, hit 2, legacy 1  candidates 400 total, 200 swept"),
             "{text}"
         );
         let json = a.render_json();
         assert!(
             json.contains(
-                "\"clearing_cache\":{\"modes\":{\"delta\":1,\"full\":1,\"hit\":2},\
-                 \"candidates_total\":400,\"candidates_swept\":107}"
+                "\"clearing_cache\":{\"modes\":{\"full\":1,\"hit\":2,\"legacy\":1},\
+                 \"candidates_total\":400,\"candidates_swept\":200}"
             ),
             "{json}"
         );

@@ -414,7 +414,7 @@ impl SlotStage for Predict {
 /// and grant programming into the rack PDUs.
 ///
 /// Clearing runs on the operator's columnar engine (bid book + bucketed
-/// price sweep, incremental across slots); its full/hit/delta
+/// price sweep, cached across slots); its full/hit/legacy
 /// resolution counts are readable via `Operator::clearing_cache_stats`.
 #[derive(Debug)]
 pub struct ClearUniform;

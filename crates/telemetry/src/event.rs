@@ -154,15 +154,15 @@ pub enum Event {
         nanos: u64,
     },
     /// How the clearing engine resolved a slot: a full price sweep, a
-    /// fingerprint cache hit, or an incremental delta re-sweep over only
-    /// the price rows affected by changed bids. Lets `spotdc-trace`
-    /// report incremental-clearing effectiveness per run.
+    /// fingerprint cache hit reusing every cached sum, or the legacy
+    /// per-candidate scan (zone/phase markets). Lets `spotdc-trace`
+    /// report clearing-cache effectiveness per run.
     ClearingCache {
         /// The slot that was cleared.
         slot: Slot,
         /// Monotonic timestamp.
         at: MonotonicNanos,
-        /// Resolution mode ("full", "hit", "delta", "legacy").
+        /// Resolution mode ("full", "hit", "legacy").
         mode: String,
         /// Candidate prices considered by the search.
         candidates_total: u64,
@@ -959,9 +959,9 @@ mod tests {
             Event::ClearingCache {
                 slot: Slot::new(21),
                 at: MonotonicNanos::from_raw(100_401),
-                mode: "delta".to_owned(),
+                mode: "hit".to_owned(),
                 candidates_total: 101,
-                candidates_swept: 7,
+                candidates_swept: 0,
             },
             Event::CheckpointWritten {
                 slot: Slot::new(50),
