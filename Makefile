@@ -77,7 +77,7 @@ bench-slots: build
 		--out BENCH_slots.json
 
 # Just the distributed grid — cold/warm throughput, frames and bytes
-# per slot, delta-shipping share — without the serial/clearing rows.
+# per slot — without the serial/clearing rows.
 bench-dist: build
 	$(CARGO) run -p spotdc-bench --bin bench_slots --release -- --dist-only
 

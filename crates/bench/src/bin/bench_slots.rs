@@ -34,8 +34,8 @@
 //! rows isolate the cost of the wire protocol and process boundary.
 //! Each point is measured twice (a short cold run and a long one);
 //! the subtraction isolates *warm* throughput, where shard sessions
-//! hold the statics and bid books and only deltas travel, and wire
-//! counters report frames, bytes and the delta share per slot.
+//! hold the statics and only the slot's bids travel, and wire counters
+//! report frames and bytes per slot.
 //! `--dist-only` runs just this section (the `make bench-dist` path).
 
 use std::io::Write as _;
@@ -63,7 +63,7 @@ const DIST_TENANTS: usize = 15_000;
 /// on top of [`DIST_COLD_SLOTS`], all riding warm shard sessions.
 const DIST_SLOTS: u64 = 4;
 /// Slots in the short "cold" run — engine setup, the statics-bearing
-/// full sync, and the first delta slot. Subtracting its wall-clock
+/// sync slot, and the first warm slot. Subtracting its wall-clock
 /// from the long run's isolates steady-state throughput.
 const DIST_COLD_SLOTS: u64 = 2;
 
@@ -190,8 +190,6 @@ struct DistRow {
     frames_per_slot: f64,
     /// Wire bytes per slot (both directions), over the long run.
     bytes_per_slot: f64,
-    /// Share of session tasks that shipped as deltas.
-    delta_task_share: f64,
 }
 
 /// Runs one shard/transport grid point for `slots` slots and returns
@@ -219,11 +217,10 @@ fn dist_run(scenario: &Scenario, shards: usize, transport: TransportKind, slots:
 }
 
 /// One grid point, warm-aware: a short cold run (setup plus the
-/// full-sync slots) and a long run (`DIST_COLD_SLOTS + DIST_SLOTS`);
-/// the difference isolates the steady state, where sessions are warm
-/// and only bid churn travels. Wire counters are snapshotted around
-/// the long run so the row also reports frames, bytes and the
-/// delta-shipping share per slot.
+/// sync slots) and a long run (`DIST_COLD_SLOTS + DIST_SLOTS`); the
+/// difference isolates the steady state, where sessions are warm and
+/// only the slot's bids travel. Wire counters are snapshotted around
+/// the long run so the row also reports frames and bytes per slot.
 fn measure_dist(scenario: &Scenario, shards: usize, transport: TransportKind) -> DistRow {
     let t_cold = dist_run(scenario, shards, transport, DIST_COLD_SLOTS);
     let before = spotdc_dist::wire_totals();
@@ -233,9 +230,6 @@ fn measure_dist(scenario: &Scenario, shards: usize, transport: TransportKind) ->
     let frames =
         (after.frames_sent + after.frames_recv) - (before.frames_sent + before.frames_recv);
     let bytes = (after.bytes_sent + after.bytes_recv) - (before.bytes_sent + before.bytes_recv);
-    let delta = after.delta_tasks - before.delta_tasks;
-    let full = after.full_tasks - before.full_tasks;
-    let shipped = delta + full;
     DistRow {
         shards,
         transport: if shards == 1 {
@@ -247,11 +241,6 @@ fn measure_dist(scenario: &Scenario, shards: usize, transport: TransportKind) ->
         warm_slots_per_sec: DIST_SLOTS as f64 / (t_long - t_cold).max(1e-9),
         frames_per_slot: frames as f64 / long_slots as f64,
         bytes_per_slot: bytes as f64 / long_slots as f64,
-        delta_task_share: if shipped == 0 {
-            0.0
-        } else {
-            delta as f64 / shipped as f64
-        },
     }
 }
 
@@ -301,28 +290,20 @@ fn print_dist_table(dist_rows: &[DistRow]) {
          {DIST_COLD_SLOTS}+{DIST_SLOTS} slots (cold+warm)"
     );
     println!(
-        "{:>6}  {:>10}  {:>9}  {:>9}  {:>9}  {:>11}  {:>10}  {:>7}",
-        "shards",
-        "transport",
-        "slots/sec",
-        "warm/sec",
-        "vs serial",
-        "frames/slot",
-        "kB/slot",
-        "delta"
+        "{:>6}  {:>10}  {:>9}  {:>9}  {:>9}  {:>11}  {:>10}",
+        "shards", "transport", "slots/sec", "warm/sec", "vs serial", "frames/slot", "kB/slot"
     );
     let dist_serial = dist_rows[0].warm_slots_per_sec;
     for r in dist_rows {
         println!(
-            "{:>6}  {:>10}  {:>9.2}  {:>9.2}  {:>8.2}x  {:>11.1}  {:>10.1}  {:>6.0}%",
+            "{:>6}  {:>10}  {:>9.2}  {:>9.2}  {:>8.2}x  {:>11.1}  {:>10.1}",
             r.shards,
             r.transport,
             r.slots_per_sec,
             r.warm_slots_per_sec,
             r.warm_slots_per_sec / dist_serial,
             r.frames_per_slot,
-            r.bytes_per_slot / 1024.0,
-            r.delta_task_share * 100.0
+            r.bytes_per_slot / 1024.0
         );
     }
 }
@@ -542,14 +523,13 @@ fn write_json(
             format!(
                 "    {{ \"shards\": {}, \"transport\": \"{}\", \"slots_per_sec\": {:.2}, \
                  \"warm_slots_per_sec\": {:.2}, \"frames_per_slot\": {:.1}, \
-                 \"bytes_per_slot\": {:.0}, \"delta_task_share\": {:.2} }}",
+                 \"bytes_per_slot\": {:.0} }}",
                 r.shards,
                 r.transport,
                 r.slots_per_sec,
                 r.warm_slots_per_sec,
                 r.frames_per_slot,
-                r.bytes_per_slot,
-                r.delta_task_share
+                r.bytes_per_slot
             )
         })
         .collect();

@@ -5,28 +5,23 @@
 //! while the controller keeps everything stateful at the market level —
 //! bid collection, UPS-level constraint construction, the serial
 //! in-order merge, settlement and reporting. Below the market level the
-//! protocol is a *session*: each agent retains the static constraint
-//! layers, its per-task bid books, and its warm `MarketClearing`
-//! engines across slots, so the controller only ships what changed.
-//!
-//! Two shipping granularities per task:
-//!
-//! - `*Full` variants ship the task's complete bids/gains plus its UPS
-//!   spot share, against the session's shared statics. Used on resync.
-//! - `*Delta` variants ship only the bids that changed since the
-//!   previous slot, plus the share. The warm agent replays the delta
-//!   onto its held book, producing bytes identical to full shipping.
+//! protocol is a *session* that holds exactly one thing: the static
+//! constraint layers (headrooms, rack→PDU map, zones, phases), shipped
+//! once per (re)sync. Bids and gains churn nearly every slot, so every
+//! task travels whole every slot — one shipping granularity, no
+//! per-task state on either side of the wire.
 //!
 //! The whole slot travels as **one frame per shard per direction**: a
 //! [`WireMsg::SlotFrame`] down (epoch, optional statics, the slot's
 //! per-PDU spot vector, every task) and a [`WireMsg::ShardCleared`] up
 //! (every result plus the shard's [`ClearingCacheStats`]). An agent
-//! whose session state cannot absorb a delta frame — fresh restart,
-//! epoch gap, task-kind mismatch — answers [`WireMsg::ResyncNeeded`]
-//! *without mutating anything*, and the controller re-sends the slot as
-//! a full frame. That validate-then-apply rule is what keeps reports
-//! byte-identical across shard counts, transports, and crash/recovery:
-//! a delta either lands exactly or not at all.
+//! that holds no statics for a statics-less frame — fresh restart,
+//! epoch gap — answers [`WireMsg::ResyncNeeded`] *without mutating
+//! anything*, and the controller re-sends the same frame with the
+//! statics attached. A frame either lands on exactly the statics the
+//! controller built it against or not at all, which is what keeps
+//! reports byte-identical across shard counts, transports, and
+//! crash/recovery.
 //!
 //! Messages travel as [`spotdc_durable::Persist`] payloads inside the
 //! shared length-prefix + CRC-32 [`frame`](crate::frame) codec — the
@@ -43,7 +38,7 @@
 //! controller → agent: SlotFrame     (every slot: one coalesced frame)
 //! agent → controller: ShardCleared  (results + cache stats)
 //!               — or: ResyncNeeded  (session can't absorb the frame)
-//! controller → agent: SlotFrame     (full resync re-send, epoch bump)
+//! controller → agent: SlotFrame     (same frame + statics, epoch bump)
 //! agent → controller: ShardCleared
 //! controller → agent: Shutdown      (once, at teardown)
 //! ```
@@ -100,47 +95,27 @@ impl From<DecodeError> for WireError {
     }
 }
 
-/// One task inside a [`WireMsg::SlotFrame`], at one of two shipping
-/// granularities (see the module docs). No variant carries a constraint
+/// One task of a slot: what [`WireMsg::SlotFrame`] carries and what the
+/// controller's `clear_session` takes. No variant carries a constraint
 /// set: the agent rebuilds each task's constraints from its held
 /// statics, the frame's `pdu_spot` vector, and the variant's
 /// `ups_spot` share — bit-identical to the controller-side
 /// `constraints.clone().with_ups_spot(share)`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TaskShip {
-    /// Full shipment of a market task: every bid, in controller order.
-    MarketFull {
+    /// A (sub-)market of rack bids.
+    Market {
         /// This task's UPS spot share (already clamped to the global).
         ups_spot: Watts,
-        /// The complete bid list, replacing the held book.
+        /// The complete bid list, in controller order.
         bids: Vec<RackBid>,
     },
-    /// Delta shipment of a market task against the held book from the
-    /// previous accepted frame. Applied as: truncate the held book to
-    /// `truncate_to` entries, overwrite the listed positions, then
-    /// append. Positions in `changed` are strictly below `truncate_to`.
-    MarketDelta {
-        /// This task's UPS spot share (already clamped to the global).
-        ups_spot: Watts,
-        /// New book length before appends (drops trailing entries).
-        truncate_to: u64,
-        /// `(position, bid)` overwrites, in ascending position order.
-        changed: Vec<(u64, RackBid)>,
-        /// Bids appended after position `truncate_to - 1`.
-        appended: Vec<RackBid>,
-    },
-    /// Full shipment of a MaxPerf task: every gain envelope.
-    MaxPerfFull {
+    /// A MaxPerf water-filling allocation.
+    MaxPerf {
         /// This task's UPS spot share (already clamped to the global).
         ups_spot: Watts,
         /// Concave gain envelope per requesting rack.
         gains: BTreeMap<RackId, ConcaveGain>,
-    },
-    /// MaxPerf task whose gain envelopes are unchanged from the held
-    /// state; only the share travels.
-    MaxPerfDelta {
-        /// This task's UPS spot share (already clamped to the global).
-        ups_spot: Watts,
     },
 }
 
@@ -160,7 +135,7 @@ pub enum ClearResult {
 pub enum WireMsg {
     /// Controller → agent, once at setup: which shard this agent is, of
     /// how many, and the clearing configuration to build its market
-    /// engines with. Resets any session state.
+    /// engine with. Resets any session state.
     AssignShard {
         /// This agent's shard index (`0..shard_count`).
         shard: u64,
@@ -177,14 +152,14 @@ pub enum WireMsg {
         /// The slot to clear.
         slot: Slot,
         /// Session epoch. An agent accepts a statics-bearing frame at
-        /// any epoch (adopting it), and a session-typed statics-less
-        /// frame only at exactly `held_epoch + 1`.
+        /// any epoch (adopting it), and a statics-less frame only at
+        /// exactly `held_epoch + 1`.
         epoch: u64,
         /// Static constraint layers (headrooms, rack→PDU map, zones,
         /// phases). Present on resync frames; absent in steady state.
         statics: Option<ConstraintSet>,
         /// The slot's per-PDU spot capacities, replacing the held
-        /// vector (applies to session-typed tasks only).
+        /// vector.
         pdu_spot: Vec<Watts>,
         /// The shard's tasks, in controller order.
         tasks: Vec<TaskShip>,
@@ -198,13 +173,13 @@ pub enum WireMsg {
         epoch: u64,
         /// One result per task, in the order the tasks arrived.
         results: Vec<ClearResult>,
-        /// Cumulative cache counters summed over the shard's engines.
+        /// The cumulative cache counters of the shard's engine.
         cache: ClearingCacheStats,
     },
-    /// Agent → controller, instead of `ShardCleared`: the agent's
-    /// session state cannot absorb the frame (restart, epoch gap, task
-    /// kind mismatch). Nothing was mutated; the controller must re-send
-    /// the slot as a full statics-bearing frame.
+    /// Agent → controller, instead of `ShardCleared`: the agent holds
+    /// no statics the frame could clear against (restart, epoch gap).
+    /// Nothing was mutated; the controller must re-send the frame with
+    /// the statics attached.
     ResyncNeeded {
         /// The slot of the rejected frame.
         slot: Slot,
@@ -366,31 +341,17 @@ impl Persist for WireMsg {
     }
 }
 
+// Tags 2 and 4 were the per-task delta variants; they stay retired so
+// an old peer's delta frame is a clean decode error, not a misread.
 impl Persist for TaskShip {
     fn persist(&self, enc: &mut Encoder) {
         match self {
-            TaskShip::MarketFull { ups_spot, bids } => {
+            TaskShip::Market { ups_spot, bids } => {
                 enc.put_u8(1);
                 enc.put_f64(ups_spot.value());
                 bids.persist(enc);
             }
-            TaskShip::MarketDelta {
-                ups_spot,
-                truncate_to,
-                changed,
-                appended,
-            } => {
-                enc.put_u8(2);
-                enc.put_f64(ups_spot.value());
-                enc.put_u64(*truncate_to);
-                enc.put_usize(changed.len());
-                for (pos, bid) in changed {
-                    enc.put_u64(*pos);
-                    bid.persist(enc);
-                }
-                appended.persist(enc);
-            }
-            TaskShip::MaxPerfFull { ups_spot, gains } => {
+            TaskShip::MaxPerf { ups_spot, gains } => {
                 enc.put_u8(3);
                 enc.put_f64(ups_spot.value());
                 enc.put_usize(gains.len());
@@ -399,38 +360,15 @@ impl Persist for TaskShip {
                     gain.persist(enc);
                 }
             }
-            TaskShip::MaxPerfDelta { ups_spot } => {
-                enc.put_u8(4);
-                enc.put_f64(ups_spot.value());
-            }
         }
     }
 
     fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         match dec.get_u8()? {
-            1 => Ok(TaskShip::MarketFull {
+            1 => Ok(TaskShip::Market {
                 ups_spot: Watts::new(dec.get_f64()?),
                 bids: Vec::restore(dec)?,
             }),
-            2 => {
-                let ups_spot = Watts::new(dec.get_f64()?);
-                let truncate_to = dec.get_u64()?;
-                let n = dec.get_usize()?;
-                if n > dec.remaining() {
-                    return Err(DecodeError::BadLength(n as u64));
-                }
-                let mut changed = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let pos = dec.get_u64()?;
-                    changed.push((pos, RackBid::restore(dec)?));
-                }
-                Ok(TaskShip::MarketDelta {
-                    ups_spot,
-                    truncate_to,
-                    changed,
-                    appended: Vec::restore(dec)?,
-                })
-            }
             3 => {
                 let ups_spot = Watts::new(dec.get_f64()?);
                 let n = dec.get_usize()?;
@@ -442,11 +380,8 @@ impl Persist for TaskShip {
                     let rack = RackId::new(dec.get_usize()?);
                     gains.insert(rack, ConcaveGain::restore(dec)?);
                 }
-                Ok(TaskShip::MaxPerfFull { ups_spot, gains })
+                Ok(TaskShip::MaxPerf { ups_spot, gains })
             }
-            4 => Ok(TaskShip::MaxPerfDelta {
-                ups_spot: Watts::new(dec.get_f64()?),
-            }),
             tag => Err(DecodeError::Invalid(format!(
                 "unknown task-ship tag {tag:#04x}"
             ))),
@@ -736,11 +671,11 @@ mod tests {
                 statics: Some(constraints),
                 pdu_spot: vec![Watts::new(60.0), Watts::new(30.0)],
                 tasks: vec![
-                    TaskShip::MarketFull {
+                    TaskShip::Market {
                         ups_spot: Watts::new(40.0),
                         bids: sample_bids(),
                     },
-                    TaskShip::MaxPerfFull {
+                    TaskShip::MaxPerf {
                         ups_spot: Watts::new(30.0),
                         gains: sample_gains(),
                     },
@@ -752,14 +687,13 @@ mod tests {
                 statics: None,
                 pdu_spot: vec![Watts::new(55.0), Watts::new(35.0)],
                 tasks: vec![
-                    TaskShip::MarketDelta {
-                        ups_spot: Watts::new(42.0),
-                        truncate_to: 2,
-                        changed: vec![(1, sample_bids().remove(2))],
-                        appended: vec![sample_bids().remove(0)],
-                    },
-                    TaskShip::MaxPerfDelta {
+                    TaskShip::MaxPerf {
                         ups_spot: Watts::new(28.0),
+                        gains: sample_gains(),
+                    },
+                    TaskShip::Market {
+                        ups_spot: Watts::new(42.0),
+                        bids: sample_bids().split_off(1),
                     },
                 ],
             },
@@ -775,7 +709,7 @@ mod tests {
                 cache: ClearingCacheStats {
                     full_sweeps: 3,
                     cache_hits: 11,
-                    delta_sweeps: 2,
+                    delta_sweeps: 0,
                     legacy_scans: 1,
                     candidates_total: 900,
                     candidates_swept: 41,
@@ -825,6 +759,31 @@ mod tests {
             WireMsg::decode(&[]),
             Err(WireError::Decode(DecodeError::UnexpectedEnd { .. }))
         ));
+        // The retired delta task tags (2, 4) and the retired stateless
+        // tag (0) fail the whole frame — no partially built `SlotFrame`.
+        let frame = |tasks| WireMsg::SlotFrame {
+            slot: Slot::new(8),
+            epoch: 2,
+            statics: None,
+            pdu_spot: vec![Watts::new(55.0)],
+            tasks,
+        };
+        let head = frame(Vec::new()).encode().len();
+        let good = frame(vec![TaskShip::MaxPerf {
+            ups_spot: Watts::new(28.0),
+            gains: sample_gains(),
+        }])
+        .encode();
+        assert_eq!(good[head], 3, "the first task's tag follows the count");
+        for tag in [0, 2, 4, 5, 0xff] {
+            let mut bytes = good.clone();
+            bytes[head] = tag;
+            let err = WireMsg::decode(&bytes).unwrap_err();
+            assert!(
+                matches!(&err, WireError::Decode(DecodeError::Invalid(m)) if m.contains("task-ship tag")),
+                "tag {tag}: {err}"
+            );
+        }
     }
 
     #[test]

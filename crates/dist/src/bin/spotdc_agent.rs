@@ -3,10 +3,10 @@
 //! Speaks the framed wire protocol on stdin/stdout — length-prefixed,
 //! CRC-32-checked payloads carrying [`spotdc_core::WireMsg`] — and
 //! clears whatever slot frames the controller sends. The agent holds a
-//! *session* (static constraint layers, held bid books, warm clearing
-//! engines) so the controller can ship deltas between slots, but all
-//! cross-slot market state — balances, meters, emergencies — lives at
-//! the controller; losing this process loses nothing but a cache.
+//! *session* (the static constraint layers and one clearing engine) so
+//! the controller ships the statics once, but all cross-slot market
+//! state — balances, meters, emergencies — lives at the controller;
+//! losing this process loses nothing but a cache.
 //!
 //! Exit status: 0 after a clean `Shutdown`, 1 on a damaged stream,
 //! an undecodable payload, or end of input without `Shutdown`.

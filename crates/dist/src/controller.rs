@@ -1,19 +1,17 @@
-//! The controller's side of the split: session bookkeeping, delta
-//! shipping, dispatching slot frames across shard agents and merging
-//! replies deterministically.
+//! The controller's side of the split: session bookkeeping,
+//! dispatching slot frames across shard agents and merging replies
+//! deterministically.
 
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use spotdc_core::{
-    ClearResult, ClearingCacheStats, ClearingConfig, ConcaveGain, ConstraintSet, DemandBid,
-    RackBid, TaskShip, WireMsg,
+    ClearResult, ClearingCacheStats, ClearingConfig, ConstraintSet, TaskShip, WireMsg,
 };
 use spotdc_telemetry::Event;
-use spotdc_units::{MonotonicNanos, RackId, Slot, Watts};
+use spotdc_units::{MonotonicNanos, Slot, Watts};
 
 use crate::transport::{agent_binary, InProcTransport, ShardTransport, SubprocessTransport};
 use crate::TransportKind;
@@ -21,7 +19,7 @@ use crate::TransportKind;
 /// How many times a dead shard may be respawned before its tasks
 /// degrade permanently. Respawns happen at the next dispatch, never
 /// mid-slot: the slot that observed the death still degrades (the
-/// paper's comms-loss rule), and the replacement resyncs in full.
+/// paper's comms-loss rule), and the replacement is sent the statics.
 const RESPAWN_BUDGET: u32 = 3;
 
 // Process-wide wire accounting, relaxed-atomic like the PR 1 telemetry
@@ -35,7 +33,6 @@ static BYTES_SENT: AtomicU64 = AtomicU64::new(0);
 static BYTES_RECV: AtomicU64 = AtomicU64::new(0);
 static SETUP_FRAMES: AtomicU64 = AtomicU64::new(0);
 static SETUP_BYTES: AtomicU64 = AtomicU64::new(0);
-static DELTA_TASKS: AtomicU64 = AtomicU64::new(0);
 static FULL_TASKS: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot of the process-wide wire counters (see [`wire_totals`]).
@@ -55,9 +52,10 @@ pub struct WireStats {
     pub setup_frames: u64,
     /// Handshake bytes sent at setup/respawn.
     pub setup_bytes: u64,
-    /// Session tasks shipped as deltas.
+    /// Always 0: tasks only ever ship whole. Kept because `benchmark/`
+    /// reads the field.
     pub delta_tasks: u64,
-    /// Session tasks shipped in full.
+    /// Tasks shipped (every task ships whole).
     pub full_tasks: u64,
 }
 
@@ -72,49 +70,9 @@ pub fn wire_totals() -> WireStats {
         bytes_recv: BYTES_RECV.load(Ordering::Relaxed),
         setup_frames: SETUP_FRAMES.load(Ordering::Relaxed),
         setup_bytes: SETUP_BYTES.load(Ordering::Relaxed),
-        delta_tasks: DELTA_TASKS.load(Ordering::Relaxed),
+        delta_tasks: 0,
         full_tasks: FULL_TASKS.load(Ordering::Relaxed),
     }
-}
-
-/// One unit of work for [`ShardRuntime::clear_session`]:
-/// the task's bids/gains plus its UPS spot share, cleared against the
-/// slot's shared constraint set (statics + per-PDU spot vector). The
-/// runtime decides per task whether to ship it whole or as a delta
-/// against what the owning shard already holds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SessionTask {
-    /// A (sub-)market of rack bids.
-    Market {
-        /// The bids, in controller order.
-        bids: Vec<RackBid>,
-        /// The task's UPS spot share (already clamped to the global).
-        ups_spot: Watts,
-    },
-    /// A MaxPerf water-filling allocation.
-    MaxPerf {
-        /// Concave gain envelope per requesting rack.
-        gains: BTreeMap<RackId, ConcaveGain>,
-        /// The task's UPS spot share (already clamped to the global).
-        ups_spot: Watts,
-    },
-}
-
-/// The controller's mirror of what a shard holds per task position —
-/// exactly the state the shard would have after applying every accepted
-/// frame, which is what deltas are diffed against and what a full
-/// resync frame is rebuilt from. UPS shares are kept as raw `f64` bits:
-/// all diffing is bitwise (`-0.0 != 0.0`), matching the wire codec's
-/// exact round-trip.
-#[derive(Debug)]
-enum MirrorTask {
-    /// A market task's full bid book plus its last UPS share.
-    Market { ups_bits: u64, bids: Vec<RackBid> },
-    /// A MaxPerf task's gain envelopes plus its last UPS share.
-    MaxPerf {
-        ups_bits: u64,
-        gains: BTreeMap<RackId, ConcaveGain>,
-    },
 }
 
 /// Per-slot wire tally, reset every dispatch; feeds the one aggregated
@@ -125,8 +83,7 @@ struct FrameTally {
     frames_recv: u64,
     bytes_sent: u64,
     bytes_recv: u64,
-    delta_tasks: u64,
-    full_tasks: u64,
+    tasks: u64,
 }
 
 /// The controller's handle on a fleet of shard agents.
@@ -137,19 +94,19 @@ struct FrameTally {
 /// merge, which is what keeps reports byte-identical regardless of how
 /// many shards run or how fast each one answers.
 ///
-/// [`Self::clear_session`] is the one dispatch path: the runtime
-/// mirrors every shard's held state, ships statics once per resync and
-/// per-task bid deltas afterwards, and falls back to full shipping
-/// whenever a shard answers `ResyncNeeded` (fresh restart, epoch gap) —
-/// by construction the replayed state is bit-identical to full
-/// shipping, so the merge bytes never depend on which path ran.
+/// [`Self::clear_session`] is the one dispatch path: the runtime ships
+/// the static constraint layers once per (re)sync and every task whole
+/// every slot, and re-sends a frame with statics attached whenever a
+/// shard answers `ResyncNeeded` (fresh restart, epoch gap) — a shard
+/// clears against exactly the statics the controller holds or not at
+/// all, so the merge bytes never depend on which path ran.
 ///
 /// A shard whose transport fails — send error, torn or corrupt frame,
 /// short or mismatched reply, dead process — is marked dead; its tasks
 /// come back as `None` for that slot and the caller degrades those
 /// sub-markets to "no spot capacity" (the paper's comms-loss rule). At
 /// the *next* dispatch the runtime respawns the shard (bounded by a
-/// small budget) and resyncs it in full, so a transient agent crash
+/// small budget) and sends it the statics, so a transient agent crash
 /// costs exactly the slots it was dead for.
 #[derive(Debug)]
 pub struct ShardRuntime {
@@ -160,7 +117,7 @@ pub struct ShardRuntime {
     /// executable even if `SPOTDC_AGENT_BIN` changes mid-run.
     binary: Option<PathBuf>,
     /// The static constraint layers the current shard sessions were
-    /// synced with; a bitwise mismatch forces a full resync everywhere.
+    /// synced with; a bitwise mismatch forces a resync everywhere.
     statics: Option<ConstraintSet>,
 }
 
@@ -169,13 +126,12 @@ struct ShardConn {
     transport: Box<dyn ShardTransport>,
     alive: bool,
     /// Whether the shard's session holds the current statics — cleared
-    /// on death, respawn, and statics change; set when a full frame is
-    /// shipped.
+    /// on death, respawn, and statics change; set when a
+    /// statics-bearing frame is shipped.
     synced: bool,
     /// Epoch of the last frame sent to this shard.
     epoch: u64,
     respawns_left: u32,
-    mirror: Vec<MirrorTask>,
     /// The shard's last reported clearing-cache counters.
     cache: ClearingCacheStats,
 }
@@ -214,7 +170,6 @@ impl ShardRuntime {
                 synced: false,
                 epoch: 0,
                 respawns_left: RESPAWN_BUDGET,
-                mirror: Vec::new(),
                 cache: ClearingCacheStats::default(),
             });
         }
@@ -252,8 +207,7 @@ impl ShardRuntime {
     }
 
     /// Each shard's last reported clearing-cache counters, in shard
-    /// order. Warm sessions show `cache_hits` climbing exactly like a
-    /// local engine's.
+    /// order: one engine per shard, counting exactly like a local one.
     #[must_use]
     pub fn shard_cache_stats(&self) -> Vec<ClearingCacheStats> {
         self.shards.iter().map(|s| s.cache).collect()
@@ -267,22 +221,21 @@ impl ShardRuntime {
         self.shards.iter().map(|s| s.transport.pid()).collect()
     }
 
-    /// Dispatches one slot of session tasks across the shards and
-    /// returns one entry per task, in task order: `Some(result)` from a
-    /// healthy shard, `None` for every task owned by a dead one.
+    /// Dispatches one slot of tasks across the shards and returns one
+    /// entry per task, in task order: `Some(result)` from a healthy
+    /// shard, `None` for every task owned by a dead one.
     ///
     /// `constraints` is the slot's global constraint set; each task's
     /// `ups_spot` replaces its UPS capacity shard-side, exactly like
-    /// `constraints.clone().with_ups_spot(share)` locally. The runtime
-    /// ships the static layers only when a shard needs a (re)sync and
-    /// diffs each task against its mirror of the shard's held state to
-    /// ship deltas, so steady-state wire volume is proportional to bid
-    /// churn, not book size.
+    /// `constraints.clone().with_ups_spot(share)` locally. The static
+    /// layers travel only when a shard needs a (re)sync, so steady-state
+    /// wire volume is proportional to the slot's bids, not to the
+    /// facility.
     pub fn clear_session(
         &mut self,
         slot: Slot,
         constraints: &ConstraintSet,
-        tasks: Vec<SessionTask>,
+        tasks: Vec<TaskShip>,
     ) -> Vec<Option<ClearResult>> {
         let _span = spotdc_telemetry::span!("dist.clear", slot = slot);
         let statics_changed = match &self.statics {
@@ -299,7 +252,7 @@ impl ShardRuntime {
         let count = self.shards.len();
         let total = tasks.len();
         let pdu_spot: Vec<Watts> = constraints.pdu_spots().to_vec();
-        let mut per_shard: Vec<Vec<SessionTask>> = (0..count).map(|_| Vec::new()).collect();
+        let mut per_shard: Vec<Vec<TaskShip>> = (0..count).map(|_| Vec::new()).collect();
         for (i, task) in tasks.into_iter().enumerate() {
             per_shard[i % count].push(task);
         }
@@ -307,16 +260,19 @@ impl ShardRuntime {
         let started = Instant::now();
         let mut tally = FrameTally::default();
         // Send phase: one coalesced frame per live shard, so the shards
-        // compute concurrently.
+        // compute concurrently. Each frame is kept until its reply is
+        // in, because a `ResyncNeeded` reply gets the same frame again.
+        let mut frames = Vec::with_capacity(count);
         for (idx, batch) in per_shard.into_iter().enumerate() {
-            let frame = self.build_frame(idx, slot, &pdu_spot, batch, &mut tally);
+            let frame = self.build_frame(idx, slot, &pdu_spot, batch);
             self.send_slot(idx, &frame, &mut tally);
+            frames.push(frame);
         }
         // Receive phase: strictly in shard order, so the merge below is
         // serial and deterministic no matter who finished first.
         let mut replies: Vec<Option<std::vec::IntoIter<ClearResult>>> = Vec::with_capacity(count);
-        for (idx, &expected) in expected.iter().enumerate() {
-            replies.push(self.recv_cleared(slot, idx, expected, &pdu_spot, started, &mut tally));
+        for (idx, (frame, expected)) in frames.into_iter().zip(expected).enumerate() {
+            replies.push(self.recv_cleared(slot, idx, expected, frame, started, &mut tally));
         }
         self.finish_slot(slot, tally);
         // Stitch per-shard replies back into task order.
@@ -327,96 +283,30 @@ impl ShardRuntime {
         out
     }
 
-    /// Builds shard `idx`'s frame for the slot, updating its mirror to
-    /// the post-frame state. Synced shards get deltas where the churn
-    /// pays for itself; unsynced shards get a statics-bearing full
-    /// frame (and are considered synced once it ships).
+    /// Builds shard `idx`'s frame for the slot: every task whole, plus
+    /// the statics if the shard is not synced (it is considered synced
+    /// once they ship).
     fn build_frame(
         &mut self,
         idx: usize,
         slot: Slot,
         pdu_spot: &[Watts],
-        batch: Vec<SessionTask>,
-        tally: &mut FrameTally,
+        tasks: Vec<TaskShip>,
     ) -> WireMsg {
         let conn = &mut self.shards[idx];
         conn.epoch += 1;
-        let full = !conn.synced;
-        let mut ships = Vec::with_capacity(batch.len());
-        let mut mirror = Vec::with_capacity(batch.len());
-        for (j, task) in batch.into_iter().enumerate() {
-            let old = if full { None } else { conn.mirror.get(j) };
-            match task {
-                SessionTask::Market { bids, ups_spot } => {
-                    ships.push(market_ship(old, &bids, ups_spot));
-                    mirror.push(MirrorTask::Market {
-                        ups_bits: ups_spot.value().to_bits(),
-                        bids,
-                    });
-                }
-                SessionTask::MaxPerf { gains, ups_spot } => {
-                    ships.push(maxperf_ship(old, &gains, ups_spot));
-                    mirror.push(MirrorTask::MaxPerf {
-                        ups_bits: ups_spot.value().to_bits(),
-                        gains,
-                    });
-                }
-            }
-        }
-        conn.mirror = mirror;
-        for ship in &ships {
-            tally_ship(ship, tally);
-        }
-        let statics = if full {
-            conn.synced = true;
-            Some(self.statics.clone().expect("set by clear_session"))
-        } else {
+        let statics = if conn.synced {
             None
+        } else {
+            self.statics.clone()
         };
+        conn.synced = true;
         WireMsg::SlotFrame {
             slot,
             epoch: conn.epoch,
             statics,
             pdu_spot: pdu_spot.to_vec(),
-            tasks: ships,
-        }
-    }
-
-    /// Rebuilds shard `idx`'s slot as a full statics-bearing frame from
-    /// its mirror — the resync path after a `ResyncNeeded` reply.
-    fn resync_frame(
-        &mut self,
-        idx: usize,
-        slot: Slot,
-        pdu_spot: &[Watts],
-        tally: &mut FrameTally,
-    ) -> WireMsg {
-        let statics = self.statics.clone().expect("set by clear_session");
-        let conn = &mut self.shards[idx];
-        let mut ships = Vec::with_capacity(conn.mirror.len());
-        for entry in &conn.mirror {
-            ships.push(match entry {
-                MirrorTask::Market { ups_bits, bids } => TaskShip::MarketFull {
-                    ups_spot: Watts::new(f64::from_bits(*ups_bits)),
-                    bids: bids.clone(),
-                },
-                MirrorTask::MaxPerf { ups_bits, gains } => TaskShip::MaxPerfFull {
-                    ups_spot: Watts::new(f64::from_bits(*ups_bits)),
-                    gains: gains.clone(),
-                },
-            });
-        }
-        conn.epoch += 1;
-        conn.synced = true;
-        for ship in &ships {
-            tally_ship(ship, tally);
-        }
-        WireMsg::SlotFrame {
-            slot,
-            epoch: conn.epoch,
-            statics: Some(statics),
-            pdu_spot: pdu_spot.to_vec(),
-            tasks: ships,
+            tasks,
         }
     }
 
@@ -438,7 +328,6 @@ impl ShardRuntime {
             conn.alive = true;
             conn.synced = false;
             conn.epoch = 0;
-            conn.mirror = Vec::new();
             self.assign(slot, idx);
         }
     }
@@ -466,8 +355,7 @@ impl ShardRuntime {
                         frames_recv: 0,
                         bytes_sent: bytes,
                         bytes_recv: 0,
-                        delta_tasks: 0,
-                        full_tasks: 0,
+                        tasks: 0,
                     });
                 }
             }
@@ -489,6 +377,9 @@ impl ShardRuntime {
             Ok(bytes) => {
                 tally.frames_sent += 1;
                 tally.bytes_sent += bytes;
+                if let WireMsg::SlotFrame { tasks, .. } = msg {
+                    tally.tasks += tasks.len() as u64;
+                }
                 FRAMES_SENT.fetch_add(1, Ordering::Relaxed);
                 BYTES_SENT.fetch_add(bytes, Ordering::Relaxed);
                 true
@@ -519,32 +410,35 @@ impl ShardRuntime {
         }
     }
 
-    /// Receives shard `idx`'s reply for `slot`. A `ResyncNeeded` reply
-    /// gets one full-frame retry; anything else but a well-formed
-    /// `ShardCleared` for the right slot and epoch with one result per
-    /// task kills the shard.
+    /// Receives shard `idx`'s reply to `frame`. A `ResyncNeeded` reply
+    /// gets one retry — the same frame with statics attached and the
+    /// epoch bumped; anything else but a well-formed `ShardCleared` for
+    /// the right slot and epoch with one result per task kills the
+    /// shard.
     fn recv_cleared(
         &mut self,
         slot: Slot,
         idx: usize,
         expected: usize,
-        pdu_spot: &[Watts],
+        mut frame: WireMsg,
         started: Instant,
         tally: &mut FrameTally,
     ) -> Option<std::vec::IntoIter<ClearResult>> {
         if !self.shards[idx].alive {
             return None;
         }
-        let reply = self.recv_reply(idx, tally)?;
-        let reply = if matches!(reply, WireMsg::ResyncNeeded { .. }) {
-            let frame = self.resync_frame(idx, slot, pdu_spot, tally);
+        let mut reply = self.recv_reply(idx, tally)?;
+        if matches!(reply, WireMsg::ResyncNeeded { .. }) {
+            self.shards[idx].epoch += 1;
+            if let WireMsg::SlotFrame { epoch, statics, .. } = &mut frame {
+                *epoch = self.shards[idx].epoch;
+                statics.clone_from(&self.statics);
+            }
             if !self.send_slot(idx, &frame, tally) {
                 return None;
             }
-            self.recv_reply(idx, tally)?
-        } else {
-            reply
-        };
+            reply = self.recv_reply(idx, tally)?;
+        }
         match reply {
             WireMsg::ShardCleared {
                 slot: reply_slot,
@@ -581,8 +475,7 @@ impl ShardRuntime {
 
     /// Emits the slot's one aggregated `ShardRpc` event.
     fn finish_slot(&mut self, slot: Slot, tally: FrameTally) {
-        DELTA_TASKS.fetch_add(tally.delta_tasks, Ordering::Relaxed);
-        FULL_TASKS.fetch_add(tally.full_tasks, Ordering::Relaxed);
+        FULL_TASKS.fetch_add(tally.tasks, Ordering::Relaxed);
         if spotdc_telemetry::is_enabled() {
             spotdc_telemetry::emit(Event::ShardRpc {
                 slot,
@@ -592,8 +485,7 @@ impl ShardRuntime {
                 frames_recv: tally.frames_recv,
                 bytes_sent: tally.bytes_sent,
                 bytes_recv: tally.bytes_recv,
-                delta_tasks: tally.delta_tasks,
-                full_tasks: tally.full_tasks,
+                tasks: tally.tasks,
             });
         }
     }
@@ -612,109 +504,6 @@ fn spawn_transport(
             Box::new(SubprocessTransport::spawn(binary)?)
         }
     })
-}
-
-fn tally_ship(ship: &TaskShip, tally: &mut FrameTally) {
-    match ship {
-        TaskShip::MarketDelta { .. } | TaskShip::MaxPerfDelta { .. } => tally.delta_tasks += 1,
-        TaskShip::MarketFull { .. } | TaskShip::MaxPerfFull { .. } => tally.full_tasks += 1,
-    }
-}
-
-/// Picks the cheapest correct shipment for a market task: a delta
-/// against the shard's held book when strictly fewer bids travel than a
-/// full shipment would carry, full otherwise (kind mismatch or churn
-/// that makes the delta pointless).
-fn market_ship(old: Option<&MirrorTask>, bids: &[RackBid], ups_spot: Watts) -> TaskShip {
-    if let Some(MirrorTask::Market { bids: held, .. }) = old {
-        let truncate_to = bids.len().min(held.len());
-        let mut changed = Vec::new();
-        for pos in 0..truncate_to {
-            if !same_bid(&held[pos], &bids[pos]) {
-                changed.push((pos as u64, bids[pos].clone()));
-            }
-        }
-        let appended = &bids[truncate_to..];
-        let removed = held.len().saturating_sub(bids.len());
-        if changed.len() + appended.len() + removed < bids.len() {
-            return TaskShip::MarketDelta {
-                ups_spot,
-                truncate_to: truncate_to as u64,
-                changed,
-                appended: appended.to_vec(),
-            };
-        }
-    }
-    TaskShip::MarketFull {
-        ups_spot,
-        bids: bids.to_vec(),
-    }
-}
-
-/// Like [`market_ship`] for MaxPerf tasks: gains unchanged → only the
-/// share travels; anything else → full shipment.
-fn maxperf_ship(
-    old: Option<&MirrorTask>,
-    gains: &BTreeMap<RackId, ConcaveGain>,
-    ups_spot: Watts,
-) -> TaskShip {
-    if let Some(MirrorTask::MaxPerf { gains: held, .. }) = old {
-        if same_gains(held, gains) {
-            return TaskShip::MaxPerfDelta { ups_spot };
-        }
-    }
-    TaskShip::MaxPerfFull {
-        ups_spot,
-        gains: gains.clone(),
-    }
-}
-
-// Bitwise equality for everything diffed against the mirror. `f64` bits
-// (never `PartialEq`): `-0.0 != 0.0` here, exactly as on the wire, so a
-// "same" verdict always means the shard-held bytes already match.
-fn bits(v: f64) -> u64 {
-    v.to_bits()
-}
-
-fn same_bid(a: &RackBid, b: &RackBid) -> bool {
-    a.rack() == b.rack() && same_demand(a.demand(), b.demand())
-}
-
-fn same_demand(a: &DemandBid, b: &DemandBid) -> bool {
-    match (a, b) {
-        (DemandBid::Linear(x), DemandBid::Linear(y)) => {
-            bits(x.d_max().value()) == bits(y.d_max().value())
-                && bits(x.q_min().per_kw_hour_value()) == bits(y.q_min().per_kw_hour_value())
-                && bits(x.d_min().value()) == bits(y.d_min().value())
-                && bits(x.q_max().per_kw_hour_value()) == bits(y.q_max().per_kw_hour_value())
-        }
-        (DemandBid::Step(x), DemandBid::Step(y)) => {
-            bits(x.demand().value()) == bits(y.demand().value())
-                && bits(x.price_cap().per_kw_hour_value())
-                    == bits(y.price_cap().per_kw_hour_value())
-        }
-        (DemandBid::Full(x), DemandBid::Full(y)) => {
-            x.points().len() == y.points().len()
-                && x.points().iter().zip(y.points()).all(|(p, q)| {
-                    bits(p.0.per_kw_hour_value()) == bits(q.0.per_kw_hour_value())
-                        && bits(p.1.value()) == bits(q.1.value())
-                })
-        }
-        _ => false,
-    }
-}
-
-fn same_gains(a: &BTreeMap<RackId, ConcaveGain>, b: &BTreeMap<RackId, ConcaveGain>) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|((ra, ga), (rb, gb))| {
-            ra == rb
-                && ga.segments().len() == gb.segments().len()
-                && ga
-                    .segments()
-                    .iter()
-                    .zip(gb.segments())
-                    .all(|(x, y)| bits(x.0) == bits(y.0) && bits(x.1) == bits(y.1))
-        })
 }
 
 #[cfg(test)]
@@ -736,9 +525,9 @@ mod tests {
 
     /// Two single-bid market tasks with different UPS shares of the
     /// shared [`constraints`].
-    fn tasks() -> Vec<SessionTask> {
+    fn tasks() -> Vec<TaskShip> {
         vec![
-            SessionTask::Market {
+            TaskShip::Market {
                 bids: vec![RackBid::new(
                     RackId::new(0),
                     LinearBid::new(
@@ -752,7 +541,7 @@ mod tests {
                 )],
                 ups_spot: Watts::new(35.0),
             },
-            SessionTask::Market {
+            TaskShip::Market {
                 bids: vec![RackBid::new(
                     RackId::new(1),
                     StepBid::new(Watts::new(25.0), Price::per_kw_hour(0.2))
@@ -772,7 +561,7 @@ mod tests {
         let want: Vec<ClearResult> = tasks()
             .iter()
             .map(|t| {
-                let SessionTask::Market { bids, ups_spot } = t else {
+                let TaskShip::Market { bids, ups_spot } = t else {
                     unreachable!()
                 };
                 let local = shared.clone().with_ups_spot(*ups_spot);
@@ -797,8 +586,8 @@ mod tests {
     fn session_clearing_matches_direct_clearing_over_warm_slots() {
         // Per-PDU sub-markets, cleared as a session across several
         // slots with varying bids and capacities, must match the serial
-        // engine bit for bit at every width — the resync (slot 0) and
-        // delta (later slots) paths produce identical merges.
+        // engine bit for bit at every width — the statics-bearing
+        // (slot 0) and statics-less (later slots) frames merge alike.
         let topo = TopologyBuilder::new(Watts::new(400.0))
             .pdu(Watts::new(200.0))
             .rack(TenantId::new(0), Watts::new(100.0), Watts::new(50.0))
@@ -820,7 +609,7 @@ mod tests {
                     Watts::new(70.0 - v),
                 );
                 // Rack 0's bid churns every slot; the others hold
-                // still, so warm slots genuinely exercise deltas.
+                // still, so one shard engine sees hits and full sweeps.
                 let bids = vec![
                     RackBid::new(
                         RackId::new(0),
@@ -852,9 +641,9 @@ mod tests {
                         ))
                     })
                     .collect();
-                let session_tasks: Vec<SessionTask> = shares
+                let session_tasks: Vec<TaskShip> = shares
                     .into_iter()
-                    .map(|(group, share)| SessionTask::Market {
+                    .map(|(group, share)| TaskShip::Market {
                         bids: group,
                         ups_spot: share,
                     })

@@ -6,15 +6,14 @@
 //! bid collection, UPS-level constraint construction, the serial
 //! in-order merge, settlement and reporting. Below the market level the
 //! wire protocol is a *session* ([`spotdc_core::wire`]): each shard
-//! retains the static constraint layers, its held bid books, and a warm
-//! clearing engine per task position across slots, so the controller
-//! ships statics once per resync and per-task bid **deltas** afterwards
-//! — the whole slot travels as one coalesced [`WireMsg::SlotFrame`] per
-//! shard per direction. A shard that cannot absorb a frame (restart,
-//! epoch gap) answers `ResyncNeeded` without mutating and is re-sent
-//! the slot in full, so a delta either replays to exactly the bytes
-//! full shipping would produce or not at all. Because the merge is in
-//! shard order and the session replay is bit-exact, reports stay
+//! retains the static constraint layers and one clearing engine across
+//! slots, so the controller ships statics once per (re)sync and every
+//! task whole every slot — the whole slot travels as one coalesced
+//! [`WireMsg::SlotFrame`] per shard per direction. A shard that holds
+//! no statics for a frame (restart, epoch gap) answers `ResyncNeeded`
+//! without mutating and is re-sent the same frame with statics
+//! attached. Because the merge is in shard order and a shard clears
+//! against exactly the controller's statics or not at all, reports stay
 //! byte-identical across shard counts and transports — the same
 //! discipline the golden-report guard enforces for every other axis of
 //! the system.
@@ -34,7 +33,7 @@
 //! or damaged frame degrades that shard's sub-markets to "no spot
 //! capacity" at the controller ([`ShardRuntime::clear_session`] returns
 //! `None` for its tasks) for the slots it is down; at the next dispatch
-//! the controller respawns it (bounded budget) and resyncs it in full.
+//! the controller respawns it (bounded budget) and resyncs it.
 //! The market never invents capacity and never crashes. See DESIGN.md
 //! §15–§16 for the topology, the session protocol and the resync rules.
 
@@ -48,7 +47,7 @@ mod transport;
 #[cfg(doc)]
 use spotdc_core::WireMsg;
 
-pub use controller::{wire_totals, SessionTask, ShardRuntime, WireStats};
+pub use controller::{wire_totals, ShardRuntime, WireStats};
 pub use shard::{AgentLoop, MarketShard};
 pub use transport::{agent_binary, InProcTransport, ShardTransport, SubprocessTransport};
 

@@ -1,55 +1,36 @@
-//! The agent side of the split: a stateful per-shard clearing session
-//! plus the message loop that drives it, shared by every transport.
-
-use std::collections::BTreeMap;
+//! The agent side of the split: a per-shard clearing session plus the
+//! message loop that drives it, shared by every transport.
 
 use spotdc_core::{
-    max_perf_allocate, ClearResult, ClearingCacheStats, ClearingConfig, ConcaveGain, ConstraintSet,
-    MarketClearing, RackBid, TaskShip, WireMsg,
+    max_perf_allocate, ClearResult, ClearingCacheStats, ClearingConfig, ConstraintSet,
+    MarketClearing, TaskShip, WireMsg,
 };
-use spotdc_units::{RackId, Slot, Watts};
-
-/// What a shard holds for one task position between slots: the previous
-/// accepted frame's bids/gains, which the next frame's delta variants
-/// mutate in place.
-#[derive(Debug)]
-enum HeldTask {
-    /// A market sub-task's full bid book.
-    Market { bids: Vec<RackBid> },
-    /// A MaxPerf task's gain envelopes.
-    MaxPerf {
-        gains: BTreeMap<RackId, ConcaveGain>,
-    },
-}
+use spotdc_units::{Slot, Watts};
 
 /// One shard's clearing *session*: the static constraint layers adopted
-/// at the last resync, a held bid book and a warm [`MarketClearing`]
-/// engine per task position, and the session epoch that guards delta
-/// application.
+/// at the last (re)sync, the session epoch that guards them, and one
+/// [`MarketClearing`] engine.
 ///
-/// A shard still computes nothing but pure task→result clears — all
+/// A shard computes nothing but pure task→result clears — all
 /// cross-slot *market* state (bank balances, meters, emergencies) lives
-/// at the controller. What the session retains is purely a transmission
-/// and caching optimization: held books let the controller ship deltas,
-/// and per-position engines keep the columnar bid-book fingerprint
-/// cache warm so a remote re-clear hits exactly like a local one. Every
-/// frame is **validated before anything mutates**: a frame the session
-/// cannot absorb (epoch gap, kind mismatch, out-of-range delta) is
-/// answered with [`WireMsg::ResyncNeeded`] and leaves the session
-/// untouched, which is what keeps reports byte-identical across shard
-/// counts, transports, and resync storms.
+/// at the controller, and no per-task state lives here either: every
+/// task arrives whole every slot. What the session retains is the one
+/// thing that is both large and slow-moving, the statics. Every frame
+/// is **validated before anything mutates**: a statics-less frame the
+/// session cannot vouch for (nothing held, epoch gap) is answered with
+/// [`WireMsg::ResyncNeeded`] and leaves the session untouched, which is
+/// what keeps reports byte-identical across shard counts, transports,
+/// and resync storms.
 #[derive(Debug)]
 pub struct MarketShard {
     id: u64,
     count: u64,
-    config: ClearingConfig,
     epoch: u64,
     /// The session constraint set: static layers from the last
     /// statics-bearing frame, per-PDU spot overwritten each frame, UPS
     /// spot overwritten per task. `None` until the first resync frame.
     session: Option<ConstraintSet>,
-    /// Held state and a warm engine per task position.
-    held: Vec<(HeldTask, MarketClearing)>,
+    engine: MarketClearing,
 }
 
 impl MarketShard {
@@ -61,10 +42,9 @@ impl MarketShard {
         MarketShard {
             id,
             count,
-            config,
             epoch: 0,
             session: None,
-            held: Vec::new(),
+            engine: MarketClearing::new(config),
         }
     }
 
@@ -86,28 +66,20 @@ impl MarketShard {
         self.epoch
     }
 
-    /// Cumulative clearing-cache counters summed across this shard's
-    /// per-position engines.
+    /// The cumulative clearing-cache counters of this shard's engine.
     #[must_use]
     pub fn cache_stats(&self) -> ClearingCacheStats {
-        let mut sum = ClearingCacheStats::default();
-        for (_, engine) in &self.held {
-            let s = engine.cache_stats();
-            sum.full_sweeps += s.full_sweeps;
-            sum.cache_hits += s.cache_hits;
-            sum.legacy_scans += s.legacy_scans;
-            sum.candidates_total += s.candidates_total;
-            sum.candidates_swept += s.candidates_swept;
-        }
-        sum
+        self.engine.cache_stats()
     }
 
     /// Applies one slot frame and returns the reply: a
     /// [`WireMsg::ShardCleared`] with one result per task in task
-    /// order, or [`WireMsg::ResyncNeeded`] if the session cannot absorb
-    /// the frame — in which case *nothing* was mutated and the
-    /// controller must re-send the slot as a full statics-bearing
-    /// frame.
+    /// order, or [`WireMsg::ResyncNeeded`] if the frame carries no
+    /// statics and the session cannot supply them (nothing held, or the
+    /// epoch is not exactly the held one plus one) — in which case
+    /// *nothing* was mutated and the controller must re-send the frame
+    /// with statics attached. A statics-bearing frame is adopted at any
+    /// epoch.
     pub fn handle_frame(
         &mut self,
         slot: Slot,
@@ -116,111 +88,40 @@ impl MarketShard {
         pdu_spot: &[Watts],
         tasks: Vec<TaskShip>,
     ) -> WireMsg {
-        if !self.frame_is_absorbable(epoch, statics.is_some(), &tasks) {
+        let held = self.session.is_some() && self.epoch.checked_add(1) == Some(epoch);
+        if statics.is_none() && !held {
             return WireMsg::ResyncNeeded {
                 slot,
                 epoch: self.epoch,
             };
         }
-        // Validated: apply. Adopt statics, advance the epoch, refresh
-        // the per-slot PDU spot vector, then clear task by task.
+        // Validated: adopt statics, advance the epoch, refresh the
+        // per-slot PDU spot vector, then clear task by task.
         if let Some(s) = statics {
             self.session = Some(s);
         }
+        let session = self.session.as_mut().expect("carried or held");
         self.epoch = epoch;
-        if let Some(session) = &mut self.session {
-            session.set_pdu_spot(pdu_spot);
-        }
-        // A new position is always overwritten by a `*Full` ship below:
-        // validation rejected any delta aimed past the held positions.
-        self.held.resize_with(tasks.len(), || {
-            let placeholder = HeldTask::Market { bids: Vec::new() };
-            (placeholder, MarketClearing::new(self.config))
-        });
+        session.set_pdu_spot(pdu_spot);
         let mut results = Vec::with_capacity(tasks.len());
-        for (j, ship) in tasks.into_iter().enumerate() {
-            let (held, engine) = &mut self.held[j];
-            results.push(match ship {
-                TaskShip::MarketFull { ups_spot, bids } => {
-                    *held = HeldTask::Market { bids };
-                    let session = self.session.as_mut().expect("validated");
+        for task in tasks {
+            results.push(match task {
+                TaskShip::Market { ups_spot, bids } => {
                     session.set_ups_spot(ups_spot);
-                    let HeldTask::Market { bids } = held else {
-                        unreachable!()
-                    };
-                    ClearResult::Market(engine.clear(slot, bids, session))
+                    ClearResult::Market(self.engine.clear(slot, &bids, session))
                 }
-                TaskShip::MarketDelta {
-                    ups_spot,
-                    truncate_to,
-                    changed,
-                    appended,
-                } => {
-                    let HeldTask::Market { bids } = held else {
-                        unreachable!("validated")
-                    };
-                    bids.truncate(truncate_to as usize);
-                    for (pos, bid) in changed {
-                        bids[pos as usize] = bid;
-                    }
-                    bids.extend(appended);
-                    let session = self.session.as_mut().expect("validated");
+                TaskShip::MaxPerf { ups_spot, gains } => {
                     session.set_ups_spot(ups_spot);
-                    ClearResult::Market(engine.clear(slot, bids, session))
-                }
-                TaskShip::MaxPerfFull { ups_spot, gains } => {
-                    *held = HeldTask::MaxPerf { gains };
-                    let session = self.session.as_mut().expect("validated");
-                    session.set_ups_spot(ups_spot);
-                    let HeldTask::MaxPerf { gains } = held else {
-                        unreachable!()
-                    };
-                    ClearResult::MaxPerf(max_perf_allocate(gains, session))
-                }
-                TaskShip::MaxPerfDelta { ups_spot } => {
-                    let HeldTask::MaxPerf { gains } = held else {
-                        unreachable!("validated")
-                    };
-                    let session = self.session.as_mut().expect("validated");
-                    session.set_ups_spot(ups_spot);
-                    ClearResult::MaxPerf(max_perf_allocate(gains, session))
+                    ClearResult::MaxPerf(max_perf_allocate(&gains, session))
                 }
             });
         }
         WireMsg::ShardCleared {
             slot,
-            epoch: self.epoch,
+            epoch,
             results,
             cache: self.cache_stats(),
         }
-    }
-
-    /// The validate half of validate-then-apply: whether every task in
-    /// the frame can land on the current session state. Every frame
-    /// needs statics (carried or held, with exact epoch continuity when
-    /// held); delta tasks additionally need a kind-matched held
-    /// position and in-range edit positions.
-    fn frame_is_absorbable(&self, epoch: u64, has_statics: bool, tasks: &[TaskShip]) -> bool {
-        if !has_statics && (self.session.is_none() || epoch != self.epoch + 1) {
-            return false;
-        }
-        tasks.iter().enumerate().all(|(j, ship)| match ship {
-            TaskShip::MarketFull { .. } | TaskShip::MaxPerfFull { .. } => true,
-            TaskShip::MarketDelta {
-                truncate_to,
-                changed,
-                ..
-            } => match self.held.get(j) {
-                Some((HeldTask::Market { bids }, _)) => {
-                    *truncate_to <= bids.len() as u64
-                        && changed.iter().all(|(pos, _)| pos < truncate_to)
-                }
-                _ => false,
-            },
-            TaskShip::MaxPerfDelta { .. } => {
-                matches!(self.held.get(j), Some((HeldTask::MaxPerf { .. }, _)))
-            }
-        })
     }
 }
 
@@ -232,8 +133,8 @@ impl MarketShard {
 /// rather than fatal, and a [`SlotFrame`](WireMsg::SlotFrame) arriving
 /// before [`AssignShard`](WireMsg::AssignShard) is answered with
 /// [`ResyncNeeded`](WireMsg::ResyncNeeded) at epoch 0 — the controller
-/// re-sends in full or, if that fails too, degrades the shard instead
-/// of hanging.
+/// re-sends with statics or, if that fails too, degrades the shard
+/// instead of hanging.
 #[derive(Debug, Default)]
 pub struct AgentLoop {
     shard: Option<MarketShard>,
@@ -281,9 +182,11 @@ impl AgentLoop {
 mod tests {
     use super::*;
 
-    use spotdc_core::{LinearBid, StepBid};
+    use std::collections::BTreeMap;
+
+    use spotdc_core::{ConcaveGain, LinearBid, RackBid, StepBid};
     use spotdc_power::topology::TopologyBuilder;
-    use spotdc_units::{Price, TenantId};
+    use spotdc_units::{Price, RackId, TenantId};
 
     fn constraints() -> ConstraintSet {
         let topo = TopologyBuilder::new(Watts::new(400.0))
@@ -318,23 +221,27 @@ mod tests {
         )
     }
 
+    fn market(ups: f64, bids: Vec<RackBid>) -> TaskShip {
+        TaskShip::Market {
+            ups_spot: Watts::new(ups),
+            bids,
+        }
+    }
+
     #[test]
-    fn full_then_delta_matches_a_direct_clearing_engine() {
+    fn warm_frames_match_a_direct_clearing_engine() {
         let mut shard = MarketShard::new(0, 2, ClearingConfig::default());
         let direct = MarketClearing::new(ClearingConfig::default());
         let c = constraints();
         let spot: Vec<Watts> = c.pdu_spots().to_vec();
 
-        // Resync frame: statics + full bids.
+        // Sync frame: statics + the task.
         let reply = shard.handle_frame(
             Slot::new(3),
             1,
             Some(c.clone()),
             &spot,
-            vec![TaskShip::MarketFull {
-                ups_spot: Watts::new(50.0),
-                bids: vec![bid(0)],
-            }],
+            vec![market(50.0, vec![bid(0)])],
         );
         let want = direct.clear(
             Slot::new(3),
@@ -347,18 +254,13 @@ mod tests {
         assert_eq!(epoch, 1);
         assert_eq!(results, vec![ClearResult::Market(want)]);
 
-        // Delta frame: swap the bid, keep the statics held.
+        // Warm frame: a different book against the held statics.
         let reply = shard.handle_frame(
             Slot::new(4),
             2,
             None,
             &spot,
-            vec![TaskShip::MarketDelta {
-                ups_spot: Watts::new(45.0),
-                truncate_to: 1,
-                changed: vec![(0, step_bid(1))],
-                appended: vec![bid(0)],
-            }],
+            vec![market(45.0, vec![step_bid(1), bid(0)])],
         );
         let want = direct.clear(
             Slot::new(4),
@@ -377,6 +279,7 @@ mod tests {
         assert_eq!(epoch, 2);
         assert_eq!(results, vec![ClearResult::Market(want)]);
         assert_eq!(cache, shard.cache_stats());
+        assert_eq!(cache.full_sweeps, 2);
         assert_eq!(shard.id(), 0);
         assert_eq!(shard.shard_count(), 2);
     }
@@ -386,111 +289,57 @@ mod tests {
         let mut shard = MarketShard::new(0, 1, ClearingConfig::default());
         let c = constraints();
         let spot: Vec<Watts> = c.pdu_spots().to_vec();
+        let resync = |slot, epoch| WireMsg::ResyncNeeded {
+            slot: Slot::new(slot),
+            epoch,
+        };
 
-        // Cold session: a statics-less session frame is rejected.
+        // Cold session: a statics-less frame is rejected.
         let reply = shard.handle_frame(
             Slot::new(1),
             1,
             None,
             &spot,
-            vec![TaskShip::MarketFull {
-                ups_spot: Watts::new(50.0),
-                bids: vec![bid(0)],
-            }],
+            vec![market(50.0, vec![bid(0)])],
         );
-        assert_eq!(
-            reply,
-            WireMsg::ResyncNeeded {
-                slot: Slot::new(1),
-                epoch: 0,
-            }
-        );
+        assert_eq!(reply, resync(1, 0));
 
-        // Warm it up, then present an epoch gap: rejected, epoch held.
+        // Warm it up, then present an epoch gap and a duplicate:
+        // rejected, epoch and engine untouched.
         shard.handle_frame(
             Slot::new(1),
             1,
             Some(c.clone()),
             &spot,
-            vec![TaskShip::MarketFull {
-                ups_spot: Watts::new(50.0),
-                bids: vec![bid(0)],
-            }],
+            vec![market(50.0, vec![bid(0)])],
         );
-        let reply = shard.handle_frame(
-            Slot::new(2),
-            7,
-            None,
-            &spot,
-            vec![TaskShip::MarketDelta {
-                ups_spot: Watts::new(50.0),
-                truncate_to: 1,
-                changed: Vec::new(),
-                appended: Vec::new(),
-            }],
-        );
-        assert_eq!(
-            reply,
-            WireMsg::ResyncNeeded {
-                slot: Slot::new(2),
-                epoch: 1,
-            }
-        );
+        let before = shard.cache_stats();
+        for epoch in [7, 1, 0] {
+            let reply = shard.handle_frame(
+                Slot::new(2),
+                epoch,
+                None,
+                &spot,
+                vec![market(50.0, vec![step_bid(1)])],
+            );
+            assert_eq!(reply, resync(2, 1), "epoch {epoch}");
+        }
         assert_eq!(shard.epoch(), 1);
+        assert_eq!(shard.cache_stats(), before);
 
-        // A delta against a kind-mismatched position is rejected too.
+        // The session is intact: the in-sequence frame still lands, and
+        // a statics-bearing one is adopted at any epoch.
         let reply = shard.handle_frame(
             Slot::new(2),
             2,
             None,
             &spot,
-            vec![TaskShip::MaxPerfDelta {
-                ups_spot: Watts::new(50.0),
-            }],
-        );
-        assert_eq!(
-            reply,
-            WireMsg::ResyncNeeded {
-                slot: Slot::new(2),
-                epoch: 1,
-            }
-        );
-
-        // An out-of-range delta edit is rejected without mutating.
-        let reply = shard.handle_frame(
-            Slot::new(2),
-            2,
-            None,
-            &spot,
-            vec![TaskShip::MarketDelta {
-                ups_spot: Watts::new(50.0),
-                truncate_to: 5,
-                changed: Vec::new(),
-                appended: Vec::new(),
-            }],
-        );
-        assert_eq!(
-            reply,
-            WireMsg::ResyncNeeded {
-                slot: Slot::new(2),
-                epoch: 1,
-            }
-        );
-
-        // The session is intact: the in-sequence delta still lands.
-        let reply = shard.handle_frame(
-            Slot::new(2),
-            2,
-            None,
-            &spot,
-            vec![TaskShip::MarketDelta {
-                ups_spot: Watts::new(45.0),
-                truncate_to: 1,
-                changed: Vec::new(),
-                appended: Vec::new(),
-            }],
+            vec![market(45.0, vec![bid(0)])],
         );
         assert!(matches!(reply, WireMsg::ShardCleared { epoch: 2, .. }));
+        let reply = shard.handle_frame(Slot::new(3), 9, Some(c), &spot, Vec::new());
+        assert!(matches!(reply, WireMsg::ShardCleared { epoch: 9, .. }));
+        assert_eq!(shard.epoch(), 9);
     }
 
     #[test]
@@ -516,11 +365,8 @@ mod tests {
                 statics: Some(c.clone()),
                 pdu_spot: c.pdu_spots().to_vec(),
                 tasks: vec![
-                    TaskShip::MarketFull {
-                        ups_spot: Watts::new(50.0),
-                        bids: vec![bid(0)],
-                    },
-                    TaskShip::MaxPerfFull {
+                    market(50.0, vec![bid(0)]),
+                    TaskShip::MaxPerf {
                         ups_spot: Watts::new(30.0),
                         gains,
                     },
@@ -544,10 +390,7 @@ mod tests {
             epoch: 1,
             statics: None,
             pdu_spot: Vec::new(),
-            tasks: vec![TaskShip::MarketFull {
-                ups_spot: Watts::new(50.0),
-                bids: vec![bid(0)],
-            }],
+            tasks: vec![market(50.0, vec![bid(0)])],
         });
         assert_eq!(
             reply,

@@ -5,11 +5,12 @@
 //! tails, flipped bits) failing cleanly instead of panicking or
 //! yielding a bogus message; the controller's serial in-order merge
 //! reproduces the serial clear bit-for-bit for any shard width and any
-//! task arrival order; and a warm session — delta bid shipping, epoch
-//! bookkeeping, forced resyncs — replays to exactly the results a cold
-//! full-shipped clear produces under arbitrary bid churn. A trio of
-//! plain tests then drives the real `spotdc-agent` subprocess
-//! end-to-end: healthy, dead, and SIGKILLed mid-session.
+//! task arrival order; and a warm session — held statics, epoch
+//! bookkeeping, forced resyncs, agents SIGKILLed mid-sequence — returns
+//! exactly the results of cold clears under arbitrary bid churn,
+//! degrading only the killed shard's tasks. A trio of plain tests then
+//! drives the real `spotdc-agent` subprocess end-to-end: healthy, dead,
+//! and SIGKILLed mid-session.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -21,7 +22,7 @@ use spotdc_core::{
     frame, max_perf_allocate, ClearResult, ClearingCacheStats, ClearingConfig, ConcaveGain,
     ConstraintSet, DemandBid, LinearBid, MarketClearing, RackBid, StepBid, TaskShip, WireMsg,
 };
-use spotdc_dist::{SessionTask, ShardRuntime, TransportKind};
+use spotdc_dist::{ShardRuntime, TransportKind};
 use spotdc_power::topology::TopologyBuilder;
 use spotdc_power::PowerTopology;
 use spotdc_units::{Price, RackId, Slot, TenantId, Watts};
@@ -85,12 +86,12 @@ fn shared_constraints() -> impl Strategy<Value = ConstraintSet> {
 }
 
 /// One market sub-market with its own UPS share.
-fn market_task() -> impl Strategy<Value = SessionTask> {
+fn market_task() -> impl Strategy<Value = TaskShip> {
     (
         prop::collection::vec(any_bid(), 1..TASK_RACKS),
         0.0..250.0f64,
     )
-        .prop_map(|(bids, ups)| SessionTask::Market {
+        .prop_map(|(bids, ups)| TaskShip::Market {
             bids: positioned(bids),
             ups_spot: Watts::new(ups),
         })
@@ -114,64 +115,20 @@ fn gains_for(segs: &[(f64, f64)]) -> BTreeMap<RackId, ConcaveGain> {
 }
 
 /// One water-filling task with strictly concave per-rack gain curves.
-fn maxperf_task() -> impl Strategy<Value = SessionTask> {
+fn maxperf_task() -> impl Strategy<Value = TaskShip> {
     (
         prop::collection::vec((5.0..50.0f64, 0.1..3.0f64), 1..TASK_RACKS),
         0.0..250.0f64,
     )
-        .prop_map(|(segs, ups)| SessionTask::MaxPerf {
+        .prop_map(|(segs, ups)| TaskShip::MaxPerf {
             gains: gains_for(&segs),
             ups_spot: Watts::new(ups),
         })
 }
 
-fn any_task() -> impl Strategy<Value = SessionTask> {
-    prop_oneof![market_task(), maxperf_task()]
-}
-
-/// Any session-task shipping granularity a slot frame can carry.
+/// Either task a slot frame can carry.
 fn task_ship() -> impl Strategy<Value = TaskShip> {
-    prop_oneof![
-        (prop::collection::vec(any_bid(), 1..6), 0.0..250.0f64).prop_map(|(bids, ups)| {
-            TaskShip::MarketFull {
-                ups_spot: Watts::new(ups),
-                bids: positioned(bids),
-            }
-        }),
-        (
-            prop::collection::vec(any_bid(), 0..4),
-            prop::collection::vec(any_bid(), 0..4),
-            0..6u64,
-            0.0..250.0f64,
-        )
-            .prop_map(
-                |(changed, appended, truncate_to, ups)| TaskShip::MarketDelta {
-                    ups_spot: Watts::new(ups),
-                    truncate_to,
-                    changed: changed
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, b)| (i as u64, RackBid::new(RackId::new(i), b)))
-                        .collect(),
-                    appended: appended
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, b)| RackBid::new(RackId::new(8 + i), b))
-                        .collect(),
-                }
-            ),
-        (
-            prop::collection::vec((5.0..50.0f64, 0.1..3.0f64), 1..6),
-            0.0..250.0f64,
-        )
-            .prop_map(|(segs, ups)| TaskShip::MaxPerfFull {
-                ups_spot: Watts::new(ups),
-                gains: gains_for(&segs),
-            }),
-        (0.0..250.0f64).prop_map(|ups| TaskShip::MaxPerfDelta {
-            ups_spot: Watts::new(ups),
-        }),
-    ]
+    prop_oneof![market_task(), maxperf_task()]
 }
 
 /// Any message either side of the wire can produce. `ShardCleared`
@@ -202,7 +159,7 @@ fn any_message() -> impl Strategy<Value = WireMsg> {
             0..10_000u64,
             0..100u64,
             shared_constraints(),
-            prop::collection::vec(any_task(), 0..3)
+            prop::collection::vec(task_ship(), 0..3)
         )
             .prop_map(|(s, epoch, constraints, tasks)| WireMsg::ShardCleared {
                 slot: Slot::new(s),
@@ -216,7 +173,7 @@ fn any_message() -> impl Strategy<Value = WireMsg> {
                 cache: ClearingCacheStats {
                     full_sweeps: s % 7,
                     cache_hits: epoch % 5,
-                    delta_sweeps: s % 3,
+                    delta_sweeps: 0,
                     legacy_scans: epoch % 2,
                     candidates_total: s,
                     candidates_swept: s / 2,
@@ -236,18 +193,18 @@ fn serial_clear(
     slot: Slot,
     clearing: ClearingConfig,
     constraints: &ConstraintSet,
-    tasks: &[SessionTask],
+    tasks: &[TaskShip],
 ) -> Vec<ClearResult> {
     let engine = MarketClearing::new(clearing);
     tasks
         .iter()
         .map(|task| match task {
-            SessionTask::Market { bids, ups_spot } => ClearResult::Market(engine.clear(
+            TaskShip::Market { bids, ups_spot } => ClearResult::Market(engine.clear(
                 slot,
                 bids,
                 &constraints.clone().with_ups_spot(*ups_spot),
             )),
-            SessionTask::MaxPerf { gains, ups_spot } => ClearResult::MaxPerf(max_perf_allocate(
+            TaskShip::MaxPerf { gains, ups_spot } => ClearResult::MaxPerf(max_perf_allocate(
                 gains,
                 &constraints.clone().with_ups_spot(*ups_spot),
             )),
@@ -307,7 +264,7 @@ proptest! {
     #[test]
     fn controller_merge_matches_the_serial_clear(
         constraints in shared_constraints(),
-        mut tasks in prop::collection::vec(any_task(), 1..7),
+        mut tasks in prop::collection::vec(task_ship(), 1..7),
         width in 1..5usize,
         shuffle_seed in 0..u64::MAX,
     ) {
@@ -335,7 +292,7 @@ proptest! {
     }
 }
 
-/// One slot's worth of churn against the session's held bid book.
+/// One slot's worth of churn against the running session.
 #[derive(Debug, Clone)]
 enum Churn {
     /// Replace the demand curve of bid `i % len` (bitwise change).
@@ -347,6 +304,10 @@ enum Churn {
     /// Swap to the alternate topology: different statics, so the
     /// controller must declare every session stale and resync in full.
     Restatics,
+    /// SIGKILL the agent of shard `i % width` before the slot: its
+    /// tasks degrade for this slot, and the next dispatch respawns and
+    /// resyncs it.
+    Kill(usize),
 }
 
 fn churn_op() -> impl Strategy<Value = Churn> {
@@ -355,6 +316,7 @@ fn churn_op() -> impl Strategy<Value = Churn> {
         (0..16usize).prop_map(Churn::Remove),
         any_bid().prop_map(Churn::Add),
         (0..1u64).prop_map(|_| Churn::Restatics),
+        (0..16usize).prop_map(Churn::Kill),
     ]
 }
 
@@ -375,14 +337,18 @@ fn churn_topology(alt: bool) -> PowerTopology {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The tentpole's correctness bargain: a warm session fed deltas
-    /// (and the occasional forced resync) produces bit-for-bit the
-    /// results of clearing every slot cold with everything shipped in
-    /// full. Exercised across the real wire (framed bytes through the
-    /// in-process transport), multiple widths, and arbitrary churn.
+    /// The session's correctness bargain: shards that hold the statics
+    /// across slots — through bid churn, statics swaps that force a
+    /// resync everywhere, and agents SIGKILLed mid-sequence — return
+    /// bit-for-bit the results of clearing every slot cold, and a kill
+    /// costs exactly the dead shard's tasks for exactly one slot.
+    /// Exercised across the real wire: framed bytes over pipes to
+    /// `spotdc-agent` children, multiple widths.
     #[test]
-    fn warm_delta_sessions_match_cold_full_clears(
+    fn warm_sessions_match_cold_clears_through_churn_resync_and_kills(
         initial in prop::collection::vec(any_bid(), 1..6),
+        // At most five slots: a shard is killed at most every other
+        // slot, which stays inside the controller's respawn budget.
         slots in prop::collection::vec(
             (churn_op(), 0.0..150.0f64, 0.0..150.0f64, 0.0..250.0f64, 5.0..40.0f64),
             1..6,
@@ -390,13 +356,18 @@ proptest! {
         width in 1..4usize,
     ) {
         let clearing = ClearingConfig::default();
-        let mut warm = ShardRuntime::new(width, TransportKind::InProc, clearing).unwrap();
+        let mut warm = subprocess_runtime(env!("CARGO_BIN_EXE_spotdc-agent"), width)
+            .expect("spawn spotdc-agent children");
         let engine = MarketClearing::new(clearing);
         let mut bids = positioned(initial);
         let mut next_rack = bids.len();
         let mut alt = false;
+        let mut down = None;
         let gains = gains_for(&[(30.0, 2.0), (18.0, 1.1)]);
         for (i, (op, p0, p1, ups, maxperf_ups)) in slots.into_iter().enumerate() {
+            // A shard killed last slot is only respawned by this slot's
+            // dispatch: until then its pid names a dead process.
+            let respawning = down.take();
             match op {
                 Churn::Mutate(i, b) if !bids.is_empty() => {
                     let idx = i % bids.len();
@@ -410,6 +381,10 @@ proptest! {
                     next_rack += 1;
                 }
                 Churn::Restatics => alt = !alt,
+                Churn::Kill(i) if respawning != Some(i % width) => {
+                    sigkill(warm.agent_pids()[i % width].expect("subprocess shards have pids"));
+                    down = Some(i % width);
+                }
                 _ => {}
             }
             let pdu_spot: Vec<Watts> = if alt {
@@ -424,25 +399,32 @@ proptest! {
                 slot,
                 &constraints,
                 vec![
-                    SessionTask::Market {
+                    TaskShip::Market {
                         bids: bids.clone(),
                         ups_spot: constraints.ups_spot(),
                     },
-                    SessionTask::MaxPerf {
+                    TaskShip::MaxPerf {
                         gains: gains.clone(),
                         ups_spot: Watts::new(maxperf_ups),
                     },
                 ],
             );
-            // The cold reference rebuilds everything from scratch.
-            let want = vec![
+            // The cold reference rebuilds everything from scratch; task
+            // `j` lives on shard `j % width`.
+            let mut want = vec![
                 Some(ClearResult::Market(engine.clear(slot, &bids, &constraints))),
                 Some(ClearResult::MaxPerf(max_perf_allocate(
                     &gains,
                     &constraints.clone().with_ups_spot(Watts::new(maxperf_ups)),
                 ))),
             ];
-            prop_assert_eq!(got, want, "slot {} width {}", i, width);
+            for (j, result) in want.iter_mut().enumerate() {
+                if down == Some(j % width) {
+                    *result = None;
+                }
+            }
+            prop_assert_eq!(got, want, "slot {} width {} down {:?}", i, width, down);
+            prop_assert_eq!(warm.live_shards(), width - usize::from(down.is_some()));
         }
     }
 }
@@ -450,6 +432,28 @@ proptest! {
 /// `agent_binary()` honors `SPOTDC_AGENT_BIN`, a process-wide setting;
 /// serialize the tests that point it at different binaries.
 static AGENT_ENV: Mutex<()> = Mutex::new(());
+
+/// SIGKILLs process `pid` — no shutdown handshake, its session state is
+/// simply gone — and returns once the kernel has closed its pipes (the
+/// child is a zombie until its transport reaps it), so the next
+/// dispatch finds the agent dead however busy the box is.
+fn sigkill(pid: u32) {
+    let killed = std::process::Command::new("kill")
+        .args(["-9", &pid.to_string()])
+        .status()
+        .expect("spawn kill");
+    assert!(killed.success());
+    for _ in 0..1000 {
+        match std::fs::read_to_string(format!("/proc/{pid}/stat")) {
+            // "pid (comm) state ...": still running until Z(ombie).
+            Ok(stat) if !stat.rsplit(") ").next().is_some_and(|s| s.starts_with('Z')) => {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            _ => return,
+        }
+    }
+    panic!("agent {pid} survived SIGKILL for two seconds");
+}
 
 fn subprocess_runtime(binary: &str, count: usize) -> std::io::Result<ShardRuntime> {
     let _held = AGENT_ENV.lock().unwrap_or_else(|e| e.into_inner());
@@ -463,14 +467,14 @@ fn fixed_constraints() -> ConstraintSet {
     constraints_for(3, 60.0, 30.0, 70.0)
 }
 
-fn fixed_session_tasks() -> Vec<SessionTask> {
+fn fixed_session_tasks() -> Vec<TaskShip> {
     let constraints = fixed_constraints();
     vec![
-        SessionTask::Market {
+        TaskShip::Market {
             bids: fixed_bids(),
             ups_spot: constraints.ups_spot(),
         },
-        SessionTask::MaxPerf {
+        TaskShip::MaxPerf {
             gains: fixed_gains(),
             ups_spot: constraints.ups_spot(),
         },
@@ -530,8 +534,8 @@ fn subprocess_agents_match_the_serial_clear() {
     let mut runtime = subprocess_runtime(env!("CARGO_BIN_EXE_spotdc-agent"), 2)
         .expect("spawn spotdc-agent children");
     assert_eq!(runtime.live_shards(), 2);
-    // Two slots through the same agents: the first ships everything in
-    // full (cold sessions), the second rides the warm session.
+    // Two slots through the same agents: the first ships the statics
+    // (cold sessions), the second rides the warm session.
     let constraints = fixed_constraints();
     assert_eq!(
         runtime.clear_session(slot, &constraints, fixed_session_tasks()),
@@ -544,10 +548,10 @@ fn subprocess_agents_match_the_serial_clear() {
     );
     assert_eq!(runtime.live_shards(), 2);
     // The warm slot re-cleared an unchanged book: the shard-side
-    // engines must report cache activity, proving the session (not a
-    // cold rebuild) served it.
+    // engine must report a cache hit, proving the session (not a cold
+    // rebuild) served it.
     let stats = runtime.shard_cache_stats();
-    let warm: u64 = stats.iter().map(|s| s.cache_hits + s.delta_sweeps).sum();
+    let warm: u64 = stats.iter().map(|s| s.cache_hits).sum();
     assert!(warm > 0, "no warm clearing activity: {stats:?}");
 }
 
@@ -578,15 +582,9 @@ fn sigkilled_agents_respawn_and_resync_in_full() {
         runtime.clear_session(Slot::new(1), &constraints, fixed_session_tasks()),
         fixed_want(Slot::new(1))
     );
-    // SIGKILL one agent between slots — no shutdown handshake, its
-    // session state is simply gone.
+    // SIGKILL one agent between slots.
     let pid = runtime.agent_pids()[0].expect("subprocess shards have pids");
-    let killed = std::process::Command::new("kill")
-        .args(["-9", &pid.to_string()])
-        .status()
-        .expect("spawn kill");
-    assert!(killed.success());
-    std::thread::sleep(std::time::Duration::from_millis(100));
+    sigkill(pid);
     // The slot after the kill degrades the dead shard's tasks (task 0
     // of 2 lands on shard 0) — capacity is never invented.
     let after = runtime.clear_session(Slot::new(2), &constraints, fixed_session_tasks());

@@ -6,13 +6,13 @@
 //! single test for that reason: under the default threaded runner any
 //! sibling test that starts a runtime would land in the count.
 
-use spotdc_core::{ClearingConfig, ConstraintSet, RackBid, StepBid};
-use spotdc_dist::{wire_totals, SessionTask, ShardRuntime, TransportKind};
+use spotdc_core::{ClearingConfig, ConstraintSet, RackBid, StepBid, TaskShip};
+use spotdc_dist::{wire_totals, ShardRuntime, TransportKind};
 use spotdc_power::topology::TopologyBuilder;
 use spotdc_units::{Price, RackId, Slot, TenantId, Watts};
 
 #[test]
-fn delta_shipping_kicks_in_on_warm_slots() {
+fn statics_travel_once_and_every_task_ships_whole() {
     let topo = TopologyBuilder::new(Watts::new(400.0))
         .pdu(Watts::new(200.0))
         .rack(TenantId::new(0), Watts::new(100.0), Watts::new(50.0))
@@ -26,28 +26,39 @@ fn delta_shipping_kicks_in_on_warm_slots() {
     };
     let bids = vec![step(0, 20.0, 0.2), step(1, 15.0, 0.15)];
 
-    let before = wire_totals();
+    let start = wire_totals();
     let mut runtime =
         ShardRuntime::new(1, TransportKind::InProc, ClearingConfig::default()).unwrap();
+    let mut sent = Vec::new();
     for s in 0..3_u64 {
-        let task = SessionTask::Market {
-            bids: bids.clone(),
+        let before = wire_totals();
+        let task = TaskShip::Market {
             ups_spot: Watts::new(50.0),
+            bids: bids.clone(),
         };
         let out = runtime.clear_session(Slot::new(s), &c, vec![task]);
         assert!(out[0].is_some());
+        let after = wire_totals();
+        assert_eq!(after.frames_sent - before.frames_sent, 1, "slot {s}");
+        assert_eq!(after.frames_recv - before.frames_recv, 1, "slot {s}");
+        assert_eq!(after.full_tasks - before.full_tasks, 1, "slot {s}");
+        sent.push(after.bytes_sent - before.bytes_sent);
     }
-    let after = wire_totals();
-    // Slot 0 resyncs in full; the two identical warm slots ship as
-    // (empty) deltas.
-    assert_eq!(after.full_tasks - before.full_tasks, 1);
-    assert_eq!(after.delta_tasks - before.delta_tasks, 2);
-    assert_eq!(after.setup_frames - before.setup_frames, 1);
-    assert_eq!(after.frames_sent - before.frames_sent, 3);
+    let end = wire_totals();
+    assert_eq!(end.setup_frames - start.setup_frames, 1);
+    assert_eq!(end.frames_sent - start.frames_sent, 3);
+    assert_eq!(end.full_tasks - start.full_tasks, 3);
+    assert_eq!(end.delta_tasks - start.delta_tasks, 0);
+    // Only the first slot's frame carries the statics; the two warm
+    // frames are identical to each other and strictly smaller.
+    assert!(sent[0] > sent[1], "bytes sent per slot: {sent:?}");
+    assert_eq!(sent[1], sent[2], "bytes sent per slot: {sent:?}");
+    // Identical single-task slots hit the shard's one engine.
     let cache = runtime.shard_cache_stats();
     assert_eq!(cache.len(), 1);
-    assert!(
-        cache[0].cache_hits > 0,
-        "warm identical slots must hit the shard-side cache: {cache:?}"
+    assert_eq!(
+        (cache[0].full_sweeps, cache[0].cache_hits),
+        (1, 2),
+        "{cache:?}"
     );
 }

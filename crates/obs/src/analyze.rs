@@ -187,10 +187,8 @@ pub struct DistributedStats {
     /// Distinct `(run, slot)` pairs that produced slot-phase traffic —
     /// the denominator for frames/slot and bytes/slot.
     pub slots: u64,
-    /// Session tasks shipped as deltas against a warm shard.
-    pub delta_tasks: u64,
-    /// Session tasks shipped in full (cold shard, resync).
-    pub full_tasks: u64,
+    /// Tasks shipped to shards (each travels whole, every slot).
+    pub tasks: u64,
     /// Per-shard clearing latency, keyed by shard index.
     pub clears: BTreeMap<u64, ShardClearStats>,
 }
@@ -421,8 +419,7 @@ impl Analysis {
                     frames_recv,
                     bytes_sent,
                     bytes_recv,
-                    delta_tasks,
-                    full_tasks,
+                    tasks,
                     ..
                 } => {
                     let d = &mut a.distributed;
@@ -432,8 +429,7 @@ impl Analysis {
                     } else {
                         d.frames += frames_sent + frames_recv;
                         d.bytes += bytes_sent + bytes_recv;
-                        d.delta_tasks += delta_tasks;
-                        d.full_tasks += full_tasks;
+                        d.tasks += tasks;
                         rpc_slots.insert((run_key.clone(), slot));
                     }
                 }
@@ -621,15 +617,8 @@ impl Analysis {
                     fmt_f64(d.bytes as f64 / d.slots as f64)
                 );
             }
-            let shipped = d.delta_tasks + d.full_tasks;
-            if shipped > 0 {
-                let _ = writeln!(
-                    out,
-                    "  tasks: {} delta / {} full ({} delta)",
-                    d.delta_tasks,
-                    d.full_tasks,
-                    percent(d.delta_tasks, shipped)
-                );
+            if d.tasks > 0 {
+                let _ = writeln!(out, "  tasks: {}", d.tasks);
             }
             for (shard, s) in &d.clears {
                 let _ = writeln!(
@@ -800,14 +789,8 @@ impl Analysis {
         let _ = write!(
             out,
             "\"frames\":{},\"bytes\":{},\"setup_frames\":{},\"setup_bytes\":{},\
-             \"slots\":{},\"delta_tasks\":{},\"full_tasks\":{}",
-            dist.frames,
-            dist.bytes,
-            dist.setup_frames,
-            dist.setup_bytes,
-            dist.slots,
-            dist.delta_tasks,
-            dist.full_tasks
+             \"slots\":{},\"tasks\":{}",
+            dist.frames, dist.bytes, dist.setup_frames, dist.setup_bytes, dist.slots, dist.tasks
         );
         out.push_str(",\"shards\":{");
         for (i, (shard, s)) in dist.clears.iter().enumerate() {
@@ -943,15 +926,6 @@ fn cluster_faults(faults: BTreeMap<String, Vec<(u64, String)>>) -> Vec<FaultClus
 /// Nanoseconds rendered as microseconds with 0.1 µs resolution.
 fn micros(nanos: u64) -> String {
     format!("{:.1}", nanos as f64 / 1_000.0)
-}
-
-/// A ratio rendered as a fixed-precision percentage.
-fn percent(num: u64, den: u64) -> String {
-    if den == 0 {
-        "0.0%".to_owned()
-    } else {
-        format!("{:.1}%", 100.0 * num as f64 / den as f64)
-    }
 }
 
 /// Deterministic float formatting: fixed 4-decimal precision, so the
@@ -1329,18 +1303,15 @@ mod tests {
 
     #[test]
     fn shard_rpc_traffic_and_clears_are_tallied() {
-        let rpc = |slot: u64, phase: &str, frames: u64, bytes: u64, delta: u64, full: u64| {
-            Event::ShardRpc {
-                slot: Slot::new(slot),
-                at: MonotonicNanos::from_raw(slot * 1_000 + 4),
-                phase: phase.to_owned(),
-                frames_sent: frames,
-                frames_recv: frames,
-                bytes_sent: bytes,
-                bytes_recv: bytes / 2,
-                delta_tasks: delta,
-                full_tasks: full,
-            }
+        let rpc = |slot: u64, phase: &str, frames: u64, bytes: u64, tasks: u64| Event::ShardRpc {
+            slot: Slot::new(slot),
+            at: MonotonicNanos::from_raw(slot * 1_000 + 4),
+            phase: phase.to_owned(),
+            frames_sent: frames,
+            frames_recv: frames,
+            bytes_sent: bytes,
+            bytes_recv: bytes / 2,
+            tasks,
         };
         let cleared = |slot: u64, shard: u64, outcomes: u64, nanos: u64| Event::ShardCleared {
             slot: Slot::new(slot),
@@ -1350,9 +1321,9 @@ mod tests {
             nanos,
         };
         let body = [
-            line(Some("r"), &rpc(0, "setup", 2, 300, 0, 0)),
-            line(Some("r"), &rpc(1, "slot", 2, 600, 0, 3)),
-            line(Some("r"), &rpc(2, "slot", 2, 400, 2, 1)),
+            line(Some("r"), &rpc(0, "setup", 2, 300, 0)),
+            line(Some("r"), &rpc(1, "slot", 2, 600, 3)),
+            line(Some("r"), &rpc(2, "slot", 2, 400, 3)),
             line(Some("r"), &cleared(1, 0, 2, 40_000)),
             line(Some("r"), &cleared(2, 0, 2, 60_000)),
             line(Some("r"), &cleared(1, 1, 1, 90_000)),
@@ -1365,8 +1336,7 @@ mod tests {
         assert_eq!(d.setup_frames, 4);
         assert_eq!(d.setup_bytes, 450);
         assert_eq!(d.slots, 2);
-        assert_eq!(d.delta_tasks, 2);
-        assert_eq!(d.full_tasks, 4);
+        assert_eq!(d.tasks, 6);
         assert_eq!(d.clears[&0].count, 2);
         assert_eq!(d.clears[&0].outcomes, 4);
         assert_eq!(d.clears[&0].p50_ns, 40_000);
@@ -1382,10 +1352,7 @@ mod tests {
             text.contains("frames/slot: 4.0000  bytes/slot: 750.0000"),
             "{text}"
         );
-        assert!(
-            text.contains("tasks: 2 delta / 4 full (33.3% delta)"),
-            "{text}"
-        );
+        assert!(text.contains("\n  tasks: 6\n"), "{text}");
         assert!(
             text.contains("shard 0: 2 clears, 4 outcomes, p50 40.0 µs, p99 60.0 µs"),
             "{text}"
@@ -1395,7 +1362,7 @@ mod tests {
             json.contains(
                 "\"distributed\":{\"frames\":8,\"bytes\":1500,\
                  \"setup_frames\":4,\"setup_bytes\":450,\
-                 \"slots\":2,\"delta_tasks\":2,\"full_tasks\":4,\
+                 \"slots\":2,\"tasks\":6,\
                  \"shards\":{\"0\":{\"clears\":2,\"outcomes\":4,\"p50_ns\":40000,\"p99_ns\":60000},\
                  \"1\":{\"clears\":1,\"outcomes\":1,\"p50_ns\":90000,\"p99_ns\":90000}}}"
             ),

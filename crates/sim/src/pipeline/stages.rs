@@ -12,7 +12,8 @@ use std::collections::BTreeMap;
 
 use spotdc_core::{
     check_allocation, check_allocation_indexed, max_perf_allocate, BidIndex, ClearResult,
-    ConcaveGain, ConstraintSet, MarketClearing, MarketInvariant, MarketOutcome, RackBid, TenantBid,
+    ConcaveGain, ConstraintSet, MarketClearing, MarketInvariant, MarketOutcome, RackBid, TaskShip,
+    TenantBid,
 };
 use spotdc_faults::{BidFault, FaultPlan, MeterFault};
 use spotdc_power::PowerMeter;
@@ -429,13 +430,13 @@ impl SlotStage for ClearUniform {
         let constraints = ctx.constraints.take().expect("Predict runs before Clear");
         let outcome = match state.dist.as_mut() {
             Some(dist) => {
-                // Distributed: the uniform market is a single session
-                // task (it clears against the shared UPS constraint, so
-                // it can't split); the shard holds the bid book and
-                // statics, so warm slots ship only the churn. A dead
+                // Distributed: the uniform market is a single task (it
+                // clears against the shared UPS constraint, so it can't
+                // split); the shard holds the statics, so warm slots
+                // ship only the bids and the spot capacities. A dead
                 // shard degrades the slot to "no spot capacity" — the
                 // paper's comms-loss rule.
-                let task = spotdc_dist::SessionTask::Market {
+                let task = TaskShip::Market {
                     bids: ctx.rack_bids.clone(),
                     ups_spot: constraints.ups_spot(),
                 };
@@ -525,19 +526,18 @@ impl SlotStage for ClearPerPdu {
         let mut revenue_weighted_price = 0.0;
         self.combined.clear();
         let outcomes: Vec<Option<MarketOutcome>> = if let Some(dist) = state.dist.as_mut() {
-            // Distributed: one session task per PDU sub-market,
-            // assigned round-robin across the shard agents. Each shard
-            // already holds the static constraint layers and last
-            // slot's bid books, so the frame carries only each
-            // sub-market's UPS share and bid churn. Replies come back
-            // in task (PDU) order, so the merge below is identical to
-            // the serial path; a dead shard's sub-markets come back
+            // Distributed: one task per PDU sub-market, assigned
+            // round-robin across the shard agents. Each shard already
+            // holds the static constraint layers, so the frame carries
+            // only each sub-market's UPS share and bids. Replies come
+            // back in task (PDU) order, so the merge below is identical
+            // to the serial path; a dead shard's sub-markets come back
             // `None` and degrade to "no spot capacity".
             let tasks = self
                 .clearing
                 .per_pdu_submarket_shares(&ctx.rack_bids, &constraints)
                 .into_iter()
-                .map(|(bids, share)| spotdc_dist::SessionTask::Market {
+                .map(|(bids, share)| TaskShip::Market {
                     bids,
                     ups_spot: share,
                 })
@@ -649,11 +649,9 @@ impl SlotStage for ClearMaxPerf {
         let constraints = ctx.constraints.take().expect("Predict runs before Clear");
         let grants = match state.dist.as_mut() {
             Some(dist) => {
-                // Distributed: water-filling is a single session task
-                // (the envelopes interact through the shared
-                // constraints); static gain envelopes ship as a delta
-                // when unchanged between slots.
-                let task = spotdc_dist::SessionTask::MaxPerf {
+                // Distributed: water-filling is a single task (the
+                // envelopes interact through the shared constraints).
+                let task = TaskShip::MaxPerf {
                     gains: ctx.gains.clone(),
                     ups_spot: constraints.ups_spot(),
                 };

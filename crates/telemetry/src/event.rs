@@ -231,10 +231,8 @@ pub enum Event {
         bytes_sent: u64,
         /// Bytes received back from agents.
         bytes_recv: u64,
-        /// Session tasks shipped as deltas.
-        delta_tasks: u64,
-        /// Session tasks shipped in full.
-        full_tasks: u64,
+        /// Tasks shipped (every task travels whole every slot).
+        tasks: u64,
     },
     /// A shard agent returned its clearing results for a slot
     /// (distributed mode only).
@@ -550,20 +548,18 @@ impl Event {
                 frames_recv,
                 bytes_sent,
                 bytes_recv,
-                delta_tasks,
-                full_tasks,
+                tasks,
                 ..
             } => {
                 let _ = write!(
                     out,
-                    ",\"phase\":{},\"frames_sent\":{},\"frames_recv\":{},\"bytes_sent\":{},\"bytes_recv\":{},\"delta_tasks\":{},\"full_tasks\":{}",
+                    ",\"phase\":{},\"frames_sent\":{},\"frames_recv\":{},\"bytes_sent\":{},\"bytes_recv\":{},\"tasks\":{}",
                     json_str(phase),
                     frames_sent,
                     frames_recv,
                     bytes_sent,
                     bytes_recv,
-                    delta_tasks,
-                    full_tasks
+                    tasks
                 );
             }
             Event::ShardCleared {
@@ -735,8 +731,7 @@ impl Event {
                 frames_recv: int("frames_recv")?,
                 bytes_sent: int("bytes_sent")?,
                 bytes_recv: int("bytes_recv")?,
-                delta_tasks: int("delta_tasks")?,
-                full_tasks: int("full_tasks")?,
+                tasks: int("tasks")?,
             }),
             "ShardCleared" => Ok(Event::ShardCleared {
                 slot,
@@ -989,8 +984,7 @@ mod tests {
                 frames_recv: 2,
                 bytes_sent: 612,
                 bytes_recv: 498,
-                delta_tasks: 5,
-                full_tasks: 1,
+                tasks: 6,
             },
             Event::ShardCleared {
                 slot: Slot::new(80),
