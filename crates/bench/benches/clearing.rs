@@ -33,21 +33,5 @@ fn bench_grid_scan(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_kink_search(c: &mut Criterion) {
-    let mut group = c.benchmark_group("clearing_kink_search");
-    group.sample_size(10);
-    for racks in [100usize, 1000, 5000] {
-        let (_topo, bids, constraints) = market_fixture(racks, 42);
-        let engine = MarketClearing::new(ClearingConfig::kink_search());
-        group.bench_with_input(BenchmarkId::from_parameter(racks), &racks, |b, _| {
-            b.iter(|| {
-                let out = engine.clear(Slot::ZERO, std::hint::black_box(&bids), &constraints);
-                std::hint::black_box(out.sold())
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_grid_scan, bench_kink_search);
+criterion_group!(benches, bench_grid_scan);
 criterion_main!(benches);

@@ -7,20 +7,14 @@
 //! sheds demand, so a sufficiently high price is always feasible and
 //! selling spot capacity can never create a power emergency.
 //!
-//! Two search strategies are provided:
+//! The search is the paper's: evaluate every multiple of a configurable
+//! price step (0.1–1 ¢/kW in the paper) up to the highest bid ceiling —
+//! simple, predictable, sub-second even at 15 000 racks (Fig. 7b). An
+//! exact enumeration of demand kinks and revenue vertices was tried and
+//! rejected as quadratic in the bid count for under 0.1 % more revenue
+//! (DESIGN.md §4.1).
 //!
-//! * [`ClearingAlgorithm::GridScan`] — the paper's method: evaluate
-//!   every multiple of a configurable price step (0.1–1 ¢/kW in the
-//!   paper) up to the highest bid ceiling. Simple, predictable,
-//!   sub-second even at 15 000 racks (Fig. 7b).
-//! * [`ClearingAlgorithm::KinkSearch`] — an exact refinement: revenue
-//!   is piece-wise quadratic in `q` between the finitely many *kink
-//!   prices* of the aggregate (headroom-clipped) demand, so the optimum
-//!   lies at a kink, just above a discontinuity, or at an interior
-//!   quadratic vertex — all enumerable in `O(K log K)`. Used to
-//!   validate the grid scan and as the ablation in DESIGN.md.
-//!
-//! Either way, the hot path evaluates candidates against a *columnar
+//! The hot path evaluates candidates against a *columnar
 //! bid book* ([`BidBook`]): live bids are decomposed once per slot into
 //! flat arrays of headroom, PDU slot, and demand segments, candidate
 //! prices are swept in ascending order with one monotone segment cursor
@@ -45,44 +39,30 @@ use crate::bid::RackBid;
 use crate::constraints::{ConstraintSet, TOLERANCE};
 use crate::demand::{DemandBid, EPS};
 
-/// Offset used to probe "just above" a discontinuity price.
-const JUST_ABOVE: f64 = 1e-9;
-
-/// Which price-search strategy to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ClearingAlgorithm {
-    /// Evaluate every multiple of the configured step (paper default).
-    GridScan,
-    /// Enumerate demand kinks and quadratic revenue vertices.
-    KinkSearch,
-}
+/// Most candidate prices one clearing scans. Bid ceilings arrive from
+/// tenants (and, on shard agents, straight off a pipe) with no upper
+/// bound, and the candidate list plus the per-candidate sums are sized
+/// from the highest one; a ceiling beyond `MAX_CANDIDATES` steps is
+/// therefore cleared *within the scanned range* — prices
+/// `0, step, …, (MAX_CANDIDATES − 1) · step` — rather than by growing
+/// the scan. Every scanned price is still checked against Eqns. 2–4,
+/// so the outcome stays feasible; only revenue above the range is
+/// forgone. At the paper's 0.1 ¢ step the range ends at $16.38/kW/h,
+/// some 30× any price a scenario bids.
+const MAX_CANDIDATES: usize = 1 << 14;
 
 /// Configuration for the clearing search.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ClearingConfig {
-    /// The search strategy.
-    pub algorithm: ClearingAlgorithm,
-    /// Grid step (ignored by [`ClearingAlgorithm::KinkSearch`]).
+    /// Spacing of the scanned candidate prices.
     pub price_step: Price,
 }
 
 impl ClearingConfig {
-    /// The paper's default: grid scan at 0.1 ¢/kW/h.
+    /// Grid scan at the given step (the paper uses 0.1–1 ¢/kW/h).
     #[must_use]
     pub fn grid(step: Price) -> Self {
-        ClearingConfig {
-            algorithm: ClearingAlgorithm::GridScan,
-            price_step: step,
-        }
-    }
-
-    /// Exact kink-based search.
-    #[must_use]
-    pub fn kink_search() -> Self {
-        ClearingConfig {
-            algorithm: ClearingAlgorithm::KinkSearch,
-            price_step: Price::cents_per_kw_hour(0.1),
-        }
+        ClearingConfig { price_step: step }
     }
 }
 
@@ -183,23 +163,19 @@ impl spotdc_durable::Persist for MarketOutcome {
 #[derive(Debug)]
 pub struct MarketClearing {
     config: ClearingConfig,
-    /// Pool of reusable candidate scratch buffers, one per concurrent
-    /// clearing. Each worker grabs the first free slot with `try_lock`
-    /// and holds it for the whole clearing, so parallel per-PDU clears
-    /// never serialize on a shared lock; when all slots are busy a
-    /// stack-local scratch is used instead (correct, just cold).
-    /// A poisoned slot — a panic mid-clearing — is simply never
-    /// reacquired: its cached key/candidate state may be torn, and
-    /// abandoning it is cheaper than proving it consistent.
-    scratch: [Mutex<Scratch>; SCRATCH_SLOTS],
+    /// The engine's reusable clearing state. A clearing (or a whole
+    /// [`Self::clear_shares`] run) takes it with `try_lock` and holds it
+    /// throughout; a concurrent caller finds it busy and works from a
+    /// stack-local scratch instead (correct, just cold), so parallel
+    /// per-PDU runs never serialize on it. A poisoned scratch — a panic
+    /// mid-clearing — is simply never reacquired: its cached
+    /// key/candidate state may be torn, and abandoning it is cheaper
+    /// than proving it consistent.
+    scratch: Mutex<Scratch>,
     /// Sweep-mode counters, updated with relaxed atomics on every
     /// clearing regardless of telemetry state.
     stats: CacheStats,
 }
-
-/// Number of scratch buffers in the pool; clears beyond this many at
-/// once fall back to a fresh stack-local buffer.
-const SCRATCH_SLOTS: usize = 8;
 
 /// Internal sweep-mode counters (relaxed atomics so concurrent per-PDU
 /// clears never contend). Snapshot via [`MarketClearing::cache_stats`].
@@ -237,7 +213,7 @@ pub struct ClearingCacheStats {
     pub candidates_swept: u64,
 }
 
-/// One worker's reusable clearing state: the candidate-price buffer,
+/// One engine's reusable clearing state: the candidate-price buffer,
 /// the bid-book fingerprint it was generated for (the cross-slot cache
 /// key), and the columnar bid book plus per-candidate sum buffers the
 /// sweep recycles between slots.
@@ -246,18 +222,14 @@ struct Scratch {
     /// [`BidBook::fp`] of the market `candidates` was generated for and
     /// — while `sums_valid` — `totals`/`pdu_used` were summed over.
     key: Vec<u64>,
-    /// Cached candidate prices.
+    /// Cached candidate prices, ascending.
     candidates: Vec<Price>,
     /// Indices into the caller's bid slice for live (non-null) bids —
     /// hoisted here so the hot path allocates nothing per call.
     live: Vec<u32>,
-    /// Candidate indices in ascending price order (the sweep order);
-    /// rebuilt exactly when `candidates` is regenerated.
-    order: Vec<u32>,
     /// The current slot's columnar bid book.
     book: BidBook,
-    /// Per-candidate clipped-demand totals (indexed by stored candidate
-    /// position, like `candidates`).
+    /// Per-candidate clipped-demand totals (parallel to `candidates`).
     totals: Vec<f64>,
     /// Per-candidate per-touched-PDU sums, candidate-major:
     /// `pdu_used[c * touched + s]`.
@@ -427,8 +399,8 @@ struct BidBook {
     /// The market's cache key — a flat fingerprint of the live bids as
     /// exact bit patterns, in bid order: rack, headroom, PDU index and
     /// every demand parameter (self-delimiting per bid, so distinct
-    /// books never encode alike). With `with_capacities` the UPS and
-    /// touched-PDU spot capacities follow.
+    /// books never encode alike). Spot capacities are not part of it:
+    /// neither the candidate list nor the demand sums read them.
     fp: Vec<u64>,
     /// Global indices of PDUs with at least one bid, in first-appearance
     /// order.
@@ -446,17 +418,8 @@ struct BidBook {
 impl BidBook {
     /// Rebuilds the book for one slot's live bids. Reuses every buffer;
     /// `slot_lookup` is un-marked via the *old* `touched` list first so
-    /// it never needs a full clear. `with_capacities` adds the spot
-    /// capacities to `fp` — for [`ClearingAlgorithm::KinkSearch`], whose
-    /// candidate list reads them; grid candidates and the demand sums
-    /// never do (only selection does, and that runs on every clear).
-    fn build(
-        &mut self,
-        bids: &[RackBid],
-        live: &[u32],
-        constraints: &ConstraintSet,
-        with_capacities: bool,
-    ) {
+    /// it never needs a full clear.
+    fn build(&mut self, bids: &[RackBid], live: &[u32], constraints: &ConstraintSet) {
         for &p in &self.touched {
             self.slot_lookup[p as usize] = u32::MAX;
         }
@@ -501,11 +464,6 @@ impl BidBook {
             push_segments(b.demand(), &mut self.segs);
             fingerprint_demand(b.demand(), &mut self.fp);
         }
-        if with_capacities {
-            self.fp.push(constraints.ups_spot().value().to_bits());
-            self.fp
-                .extend(self.touched_spot.iter().map(|s| s.to_bits()));
-        }
     }
 }
 
@@ -528,7 +486,7 @@ impl MarketClearing {
     pub fn new(config: ClearingConfig) -> Self {
         MarketClearing {
             config,
-            scratch: std::array::from_fn(|_| Mutex::new(Scratch::default())),
+            scratch: Mutex::new(Scratch::default()),
             stats: CacheStats::default(),
         }
     }
@@ -563,16 +521,16 @@ impl MarketClearing {
     ///
     /// One cache key serves the whole clearing: [`BidBook::build`]
     /// fingerprints the live bids (rack, headroom, PDU and every demand
-    /// parameter — plus the spot capacities under `KinkSearch`, whose
-    /// candidate list reads them) and the result is compared — by
-    /// equality, not by hash — with the key the scratch buffer's
-    /// previous clearing retained. Equal keys reuse the candidate list
-    /// and the per-candidate demand sums as they are (a *cache hit*: no
-    /// demand function is re-evaluated, only feasibility is re-checked
-    /// against the current capacities); any difference regenerates the
-    /// candidates and re-sums every row (a *full sweep*). Everything
-    /// cached is a pure function of the key, so a hit is bit-identical
-    /// to a cold engine — see DESIGN.md §13.
+    /// parameter) and the result is compared — by equality, not by hash
+    /// — with the key the engine's scratch retained from its previous
+    /// clearing. Equal keys reuse the candidate list and the
+    /// per-candidate demand sums as they are (a *cache hit*: no demand
+    /// function is re-evaluated, only feasibility is re-checked against
+    /// the current capacities, so a capacity-only change is always a
+    /// hit); any difference regenerates the candidates and re-sums
+    /// every row (a *full sweep*). Everything cached is a pure function
+    /// of the key, so a hit is bit-identical to a cold engine — see
+    /// DESIGN.md §13.
     #[must_use]
     pub fn clear(
         &self,
@@ -580,15 +538,27 @@ impl MarketClearing {
         bids: &[RackBid],
         constraints: &ConstraintSet,
     ) -> MarketOutcome {
+        self.with_scratch(|scratch| self.clear_in(scratch, slot, bids, constraints))
+    }
+
+    /// Runs `f` on the engine's scratch, or on a fresh stack-local one
+    /// when it is busy (or poisoned).
+    fn with_scratch<R>(&self, f: impl FnOnce(&mut Scratch) -> R) -> R {
+        match self.scratch.try_lock() {
+            Ok(mut held) => f(&mut held),
+            Err(_) => f(&mut Scratch::default()),
+        }
+    }
+
+    /// [`Self::clear`] on a scratch the caller already holds.
+    fn clear_in(
+        &self,
+        scratch: &mut Scratch,
+        slot: Slot,
+        bids: &[RackBid],
+        constraints: &ConstraintSet,
+    ) -> MarketOutcome {
         let _span = spotdc_telemetry::span!("clearing", slot = slot);
-        // Grab the first free scratch buffer; fall back to a fresh
-        // stack-local one when every slot is busy (or poisoned).
-        let mut fallback = None;
-        let mut guard = self.scratch.iter().find_map(|m| m.try_lock().ok());
-        let scratch: &mut Scratch = match guard.as_deref_mut() {
-            Some(s) => s,
-            None => fallback.get_or_insert_with(Scratch::default),
-        };
         scratch.live.clear();
         scratch.live.extend(
             bids.iter()
@@ -607,21 +577,13 @@ impl MarketClearing {
             }
             return outcome;
         }
-        let is_kink = self.config.algorithm == ClearingAlgorithm::KinkSearch;
-        scratch
-            .book
-            .build(bids, &scratch.live, constraints, is_kink);
+        scratch.book.build(bids, &scratch.live, constraints);
         if scratch.book.fp != scratch.key {
             scratch.candidates.clear();
-            if is_kink {
-                self.kink_candidates(bids, &scratch.live, constraints, &mut scratch.candidates);
-            } else {
-                self.grid_candidates(bids, &scratch.live, &mut scratch.candidates);
-            }
+            self.grid_candidates(bids, &scratch.live, &mut scratch.candidates);
             // The displaced key lands in `book.fp`, which the next
             // build clears — no allocation either way.
             std::mem::swap(&mut scratch.key, &mut scratch.book.fp);
-            build_order(&scratch.candidates, &mut scratch.order);
             scratch.sums_valid = false;
         }
         let evaluated = scratch.candidates.len();
@@ -645,7 +607,6 @@ impl MarketClearing {
                 sweep(
                     &scratch.book,
                     &scratch.candidates,
-                    &scratch.order,
                     &mut scratch.cursors,
                     &mut scratch.totals,
                     &mut scratch.pdu_used,
@@ -809,119 +770,18 @@ impl MarketClearing {
 
     /// Grid candidates: every multiple of the step from 0 through the
     /// highest bid ceiling (inclusive, with one extra step beyond so a
-    /// feasible zero-demand price always exists). Appends into `out`
-    /// so the caller's buffer is recycled between clearings.
+    /// feasible zero-demand price always exists), ascending, at most
+    /// [`MAX_CANDIDATES`] of them. Appends into `out` so the caller's
+    /// buffer is recycled between clearings.
     fn grid_candidates(&self, bids: &[RackBid], live: &[u32], out: &mut Vec<Price>) {
         let ceiling = live
             .iter()
             .map(|&i| bids[i as usize].demand().price_ceiling())
             .fold(Price::ZERO, Price::max);
         let step = self.config.price_step.per_kw_hour_value().max(1e-9);
-        let n = (ceiling.per_kw_hour_value() / step).ceil() as usize + 1;
+        // The float-to-int cast saturates, so no ceiling overflows it.
+        let n = ((ceiling.per_kw_hour_value() / step).ceil() as usize).min(MAX_CANDIDATES - 2) + 1;
         out.extend((0..=n).map(|i| Price::per_kw_hour(i as f64 * step)));
-    }
-
-    /// Kink candidates: all bids' kink prices (and headroom-clip
-    /// crossings), each also probed "just above" (for discontinuities),
-    /// plus the quadratic revenue vertex interior to each kink
-    /// interval. Appends into `out` like [`Self::grid_candidates`].
-    fn kink_candidates(
-        &self,
-        bids: &[RackBid],
-        live: &[u32],
-        constraints: &ConstraintSet,
-        out: &mut Vec<Price>,
-    ) {
-        let mut kinks: Vec<f64> = vec![0.0];
-        for &i in live {
-            let b = &bids[i as usize];
-            for k in b.demand().kink_prices() {
-                kinks.push(k.per_kw_hour_value());
-            }
-            for k in clip_crossings(b.demand(), constraints.rack_headroom(b.rack())) {
-                kinks.push(k.per_kw_hour_value());
-            }
-        }
-        kinks.retain(|k| k.is_finite() && *k >= 0.0);
-        kinks.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        kinks.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-
-        // Clipped demand of one bid at price q.
-        let clipped = |b: &RackBid, q: f64| -> f64 {
-            b.demand_at(Price::per_kw_hour(q))
-                .min(constraints.rack_headroom(b.rack()))
-                .clamp_non_negative()
-                .value()
-        };
-        let aggregate =
-            |q: f64| -> f64 { live.iter().map(|&i| clipped(&bids[i as usize], q)).sum() };
-
-        // The constraint groups whose crossing prices matter: every PDU
-        // with at least one bid, plus the UPS over all bids. Members
-        // are positions into `live`, preserving live-bid order.
-        let mut groups: Vec<(Vec<usize>, f64)> = Vec::new();
-        {
-            use std::collections::BTreeMap;
-            let mut by_pdu: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-            for (j, &i) in live.iter().enumerate() {
-                if let Some(p) = constraints.pdu_of(bids[i as usize].rack()) {
-                    by_pdu.entry(p.index()).or_default().push(j);
-                }
-            }
-            for (p, members) in by_pdu {
-                let cap = constraints.pdu_spot(spotdc_units::PduId::new(p)).value();
-                groups.push((members, cap));
-            }
-            groups.push(((0..live.len()).collect(), constraints.ups_spot().value()));
-        }
-
-        out.reserve(kinks.len() * 4);
-        for (i, &k) in kinks.iter().enumerate() {
-            out.push(Price::per_kw_hour(k));
-            out.push(Price::per_kw_hour(k + JUST_ABOVE));
-            if let Some(&next) = kinks.get(i + 1) {
-                // Demand is linear on (k, next): fit D(q) = α − βq from
-                // two interior probes.
-                let q1 = k + (next - k) * 0.25;
-                let q2 = k + (next - k) * 0.75;
-                if (q2 - q1).abs() <= 1e-15 {
-                    continue;
-                }
-                // Revenue vertex of the aggregate demand.
-                let d1 = aggregate(q1);
-                let d2 = aggregate(q2);
-                let beta = (d1 - d2) / (q2 - q1);
-                if beta > 1e-12 {
-                    let alpha = d1 + beta * q1;
-                    let vertex = alpha / (2.0 * beta);
-                    if vertex > k && vertex < next {
-                        out.push(Price::per_kw_hour(vertex));
-                    }
-                }
-                // Feasibility-threshold prices: where each constraint
-                // group's demand crosses its capacity, the feasible
-                // region begins — the revenue optimum often sits there.
-                for (members, cap) in &groups {
-                    let g1: f64 = members
-                        .iter()
-                        .map(|&m| clipped(&bids[live[m] as usize], q1))
-                        .sum();
-                    let g2: f64 = members
-                        .iter()
-                        .map(|&m| clipped(&bids[live[m] as usize], q2))
-                        .sum();
-                    let gb = (g1 - g2) / (q2 - q1);
-                    if gb > 1e-12 {
-                        let ga = g1 + gb * q1;
-                        let crossing = (ga - cap) / gb;
-                        if crossing > k && crossing < next {
-                            out.push(Price::per_kw_hour(crossing));
-                            out.push(Price::per_kw_hour(crossing + JUST_ABOVE));
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -960,7 +820,9 @@ impl MarketClearing {
     /// would hold while memory stays O(racks + bids) instead of
     /// O(sub-markets × racks). Callers fanning out across threads hand
     /// each worker a contiguous run of shares and concatenate the
-    /// results in run order.
+    /// results in run order. The run holds one scratch throughout, so
+    /// a worker that finds the engine's busy pays for one cold scratch
+    /// per run, not one per sub-market.
     #[must_use]
     pub fn clear_shares(
         &self,
@@ -969,13 +831,15 @@ impl MarketClearing {
         constraints: &ConstraintSet,
     ) -> Vec<MarketOutcome> {
         let mut local = constraints.clone();
-        shares
-            .iter()
-            .map(|(group, share)| {
-                local.set_ups_spot(*share);
-                self.clear(slot, group, &local)
-            })
-            .collect()
+        self.with_scratch(|scratch| {
+            shares
+                .iter()
+                .map(|(group, share)| {
+                    local.set_ups_spot(*share);
+                    self.clear_in(scratch, slot, group, &local)
+                })
+                .collect()
+        })
     }
 
     /// Decomposes a per-PDU pricing round into its independent
@@ -1071,29 +935,7 @@ fn legacy_scan(
     best
 }
 
-/// Rebuilds the ascending-price visiting order for a candidate list.
-/// Grid lists are already ascending (the common case, detected with one
-/// linear scan); kink lists interleave vertices and crossings and need
-/// the sort. Ties may land in any order — equal prices evaluate to
-/// identical sums, and results are stored by candidate position, so the
-/// selection order (and thus the tie rule) is unaffected.
-fn build_order(candidates: &[Price], order: &mut Vec<u32>) {
-    order.clear();
-    order.extend(0..candidates.len() as u32);
-    let sorted = candidates
-        .windows(2)
-        .all(|w| w[0].per_kw_hour_value() <= w[1].per_kw_hour_value());
-    if !sorted {
-        order.sort_unstable_by(|&a, &b| {
-            candidates[a as usize]
-                .per_kw_hour_value()
-                .partial_cmp(&candidates[b as usize].per_kw_hour_value())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-    }
-}
-
-/// The bucketed price sweep: visits candidates in ascending price
+/// The bucketed price sweep: visits the (ascending) candidates in
 /// order, advancing every bid's segment cursor monotonically, and
 /// accumulates each candidate's clipped-demand total and per-PDU sums
 /// in bid order — the exact addend sequence `feasible_total` would
@@ -1102,7 +944,6 @@ fn build_order(candidates: &[Price], order: &mut Vec<u32>) {
 fn sweep(
     book: &BidBook,
     candidates: &[Price],
-    order: &[u32],
     cursors: &mut Vec<u32>,
     totals: &mut [f64],
     pdu_used: &mut [f64],
@@ -1110,9 +951,8 @@ fn sweep(
     let ns = book.touched.len();
     cursors.clear();
     cursors.extend_from_slice(&book.seg_start);
-    for &ci in order {
-        let c = ci as usize;
-        let q = candidates[c].per_kw_hour_value();
+    for (c, q) in candidates.iter().enumerate() {
+        let q = q.per_kw_hour_value();
         let row = &mut pdu_used[c * ns..(c + 1) * ns];
         let mut total = 0.0;
         for ((cur, &h), &ps) in cursors.iter_mut().zip(&book.headroom).zip(&book.pdu_slot) {
@@ -1131,7 +971,7 @@ fn sweep(
 }
 
 /// Picks the revenue-maximizing feasible candidate from the swept sums,
-/// visiting candidates in *stored* order with the legacy tie rule
+/// visiting candidates in ascending order with the legacy tie rule
 /// (`rate <= best + 1e-12` keeps the incumbent). Untouched PDUs carry
 /// exactly 0.0 demand and non-negative capacity, so checking only the
 /// touched ones decides feasibility identically to the all-PDU loop.
@@ -1192,39 +1032,11 @@ fn fingerprint_demand(d: &DemandBid, out: &mut Vec<u64>) {
     }
 }
 
-/// Prices at which `bid`'s demand crosses the rack headroom `h` (the
-/// clip `min(D(q), h)` introduces kinks there).
-fn clip_crossings(bid: &DemandBid, headroom: Watts) -> Vec<Price> {
-    let h = headroom.value();
-    let mut out = Vec::new();
-    match bid {
-        DemandBid::Linear(b) => {
-            let (d0, d1) = (b.d_max().value(), b.d_min().value());
-            let (q0, q1) = (b.q_min().per_kw_hour_value(), b.q_max().per_kw_hour_value());
-            if d0 > h && h > d1 && q1 > q0 && (d0 - d1) > 1e-15 {
-                let q = q0 + (q1 - q0) * (d0 - h) / (d0 - d1);
-                out.push(Price::per_kw_hour(q));
-            }
-        }
-        DemandBid::Step(_) => {}
-        DemandBid::Full(b) => {
-            for w in b.points().windows(2) {
-                let (q0, d0) = (w[0].0.per_kw_hour_value(), w[0].1.value());
-                let (q1, d1) = (w[1].0.per_kw_hour_value(), w[1].1.value());
-                if d0 > h && h > d1 && (d0 - d1) > 1e-15 && q1 > q0 {
-                    let q = q0 + (q1 - q0) * (d0 - h) / (d0 - d1);
-                    out.push(Price::per_kw_hour(q));
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::demand::{FullBid, LinearBid, StepBid};
+    use crate::demand::{LinearBid, StepBid};
+    use crate::invariant::check_allocation;
     use spotdc_power::topology::TopologyBuilder;
     use spotdc_units::{RackId, TenantId};
 
@@ -1248,14 +1060,6 @@ mod tests {
             vec![RackId::new(0), RackId::new(1)],
             Watts::new(30.0),
         )
-    }
-
-    /// The paper's grid scan at 0.1 ¢ and the exact kink search.
-    fn both_algorithms() -> [ClearingConfig; 2] {
-        [
-            ClearingConfig::grid(Price::cents_per_kw_hour(0.1)),
-            ClearingConfig::kink_search(),
-        ]
     }
 
     /// Two PDUs with one 60 W-headroom rack each.
@@ -1293,12 +1097,14 @@ mod tests {
         RackBid::new(RackId::new(rack), bid.into())
     }
 
-    fn clear_with(algo: ClearingAlgorithm, bids: &[RackBid], cs: &ConstraintSet) -> MarketOutcome {
-        let config = match algo {
-            ClearingAlgorithm::GridScan => ClearingConfig::grid(Price::cents_per_kw_hour(0.01)),
-            ClearingAlgorithm::KinkSearch => ClearingConfig::kink_search(),
-        };
-        MarketClearing::new(config).clear(Slot::ZERO, bids, cs)
+    /// A 0.01 ¢ grid: ten times finer than the paper's finest, so the
+    /// tests below probe optima to within 0.0001 $/kW/h.
+    fn fine_grid() -> MarketClearing {
+        MarketClearing::new(ClearingConfig::grid(Price::cents_per_kw_hour(0.01)))
+    }
+
+    fn clear_with(bids: &[RackBid], cs: &ConstraintSet) -> MarketOutcome {
+        fine_grid().clear(Slot::ZERO, bids, cs)
     }
 
     #[test]
@@ -1312,38 +1118,34 @@ mod tests {
     #[test]
     fn single_step_bid_clears_at_its_cap() {
         let cs = constraints(100.0);
-        let bids = vec![step(0, 40.0, 0.25)];
-        for algo in [ClearingAlgorithm::GridScan, ClearingAlgorithm::KinkSearch] {
-            let out = clear_with(algo, &bids, &cs);
-            assert!(
-                (out.price().per_kw_hour_value() - 0.25).abs() < 1e-6,
-                "{algo:?} price {}",
-                out.price()
-            );
-            assert_eq!(out.sold(), Watts::new(40.0));
-        }
+        let out = clear_with(&[step(0, 40.0, 0.25)], &cs);
+        assert!(
+            (out.price().per_kw_hour_value() - 0.25).abs() < 1e-6,
+            "price {}",
+            out.price()
+        );
+        assert_eq!(out.sold(), Watts::new(40.0));
     }
 
     #[test]
     fn linear_bid_clears_at_revenue_vertex_or_corner() {
-        // A single linear bid D(q) = 100 − 250q on (0.1, 0.3] wide open
-        // capacity: revenue q(125 - 250q)... compute the truth directly.
+        // A single linear bid with wide-open capacity and no clipping
+        // (headroom is also 60 W): D(q) = 60(1 − q/0.3) = 60 − 200q, so
+        // R = 60q − 200q² peaks at q* = 0.15, a grid point, where
+        // R = 9 − 4.5 = 4.5 W·$/kW/h = 0.0045 $/h.
         let cs = constraints(1000.0);
         let bids = vec![linear(0, 60.0, 0.0, 0.0, 0.3)];
-        // D(q) = 60(1 − q/0.3) = 60 − 200q; R = 60q − 200q²; vertex at
-        // q* = 0.15, but rack headroom also 60 so no clipping. R(0.15)
-        // = 60*.15 − 200*.0225 = 9 − 4.5 = 4.5 W·$/kW/h = 0.0045 $/h.
-        let out = clear_with(ClearingAlgorithm::KinkSearch, &bids, &cs);
+        let out = clear_with(&bids, &cs);
         assert!(
             (out.price().per_kw_hour_value() - 0.15).abs() < 1e-6,
             "price {}",
             out.price()
         );
         assert!((out.sold().value() - 30.0).abs() < 1e-6);
-        // Grid scan with a fine step finds (nearly) the same optimum.
-        let grid = clear_with(ClearingAlgorithm::GridScan, &bids, &cs);
-        assert!(grid.revenue_rate() <= out.revenue_rate() + 1e-12);
-        assert!(grid.revenue_rate() > out.revenue_rate() * 0.999);
+        assert!((out.revenue_rate() - 0.0045).abs() < 1e-9);
+        // The paper's ten-times-coarser grid finds the same vertex.
+        let coarse = MarketClearing::default().clear(Slot::ZERO, &bids, &cs);
+        assert!((coarse.revenue_rate() - out.revenue_rate()).abs() < 1e-9);
     }
 
     #[test]
@@ -1352,14 +1154,11 @@ mod tests {
         // infeasible at any price ≤ 0.2 (both demand), so the market
         // must price out the cheap bidder.
         let cs = constraints(50.0);
-        let bids = vec![step(0, 40.0, 0.2), step(1, 40.0, 0.5)];
-        for algo in [ClearingAlgorithm::GridScan, ClearingAlgorithm::KinkSearch] {
-            let out = clear_with(algo, &bids, &cs);
-            assert!(out.price() > Price::per_kw_hour(0.2), "{algo:?}");
-            assert_eq!(out.sold(), Watts::new(40.0));
-            assert_eq!(out.allocation().grant(RackId::new(0)), Watts::ZERO);
-            assert_eq!(out.allocation().grant(RackId::new(1)), Watts::new(40.0));
-        }
+        let out = clear_with(&[step(0, 40.0, 0.2), step(1, 40.0, 0.5)], &cs);
+        assert!(out.price() > Price::per_kw_hour(0.2));
+        assert_eq!(out.sold(), Watts::new(40.0));
+        assert_eq!(out.allocation().grant(RackId::new(0)), Watts::ZERO);
+        assert_eq!(out.allocation().grant(RackId::new(1)), Watts::new(40.0));
     }
 
     #[test]
@@ -1372,7 +1171,7 @@ mod tests {
             linear(0, 40.0, 0.05, 10.0, 0.4),
             linear(1, 40.0, 0.05, 10.0, 0.4),
         ];
-        let out = clear_with(ClearingAlgorithm::KinkSearch, &bids, &cs);
+        let out = clear_with(&bids, &cs);
         let g0 = out.allocation().grant(RackId::new(0));
         let g1 = out.allocation().grant(RackId::new(1));
         assert!(g0 > Watts::ZERO && g1 > Watts::ZERO, "both served");
@@ -1382,16 +1181,17 @@ mod tests {
 
     #[test]
     fn more_spot_capacity_never_raises_the_price() {
+        // Exact on a fixed grid: more capacity only adds lower feasible
+        // candidates, and the first best candidate wins ties.
         let bids = vec![
             linear(0, 50.0, 0.05, 10.0, 0.4),
             linear(1, 50.0, 0.10, 20.0, 0.5),
         ];
         let mut last_price = f64::INFINITY;
         for spot in [30.0, 60.0, 90.0, 120.0] {
-            let cs = constraints(spot);
-            let out = clear_with(ClearingAlgorithm::KinkSearch, &bids, &cs);
+            let out = clear_with(&bids, &constraints(spot));
             let p = out.price().per_kw_hour_value();
-            assert!(p <= last_price + 1e-9, "price rose with more capacity");
+            assert!(p <= last_price, "price rose with more capacity");
             last_price = p;
         }
     }
@@ -1404,63 +1204,12 @@ mod tests {
                 linear(0, 55.0, 0.02, 5.0, 0.35),
                 linear(1, 70.0, 0.05, 15.0, 0.45), // d_max above 60 W headroom
             ];
-            for algo in [ClearingAlgorithm::GridScan, ClearingAlgorithm::KinkSearch] {
-                let out = clear_with(algo, &bids, &cs);
-                assert!(
-                    cs.is_feasible(out.allocation().grants()),
-                    "{algo:?} produced infeasible allocation at spot {spot}"
-                );
-            }
+            let out = clear_with(&bids, &cs);
+            assert!(
+                cs.is_feasible(out.allocation().grants()),
+                "infeasible allocation at spot {spot}"
+            );
         }
-    }
-
-    #[test]
-    fn kink_search_at_least_matches_grid_scan() {
-        let cases: Vec<Vec<RackBid>> = vec![
-            vec![linear(0, 60.0, 0.0, 0.0, 0.3)],
-            vec![
-                linear(0, 45.0, 0.1, 20.0, 0.2),
-                linear(1, 30.0, 0.15, 10.0, 0.5),
-            ],
-            vec![
-                RackBid::new(
-                    RackId::new(0),
-                    FullBid::new(vec![
-                        (Price::ZERO, Watts::new(55.0)),
-                        (Price::per_kw_hour(0.2), Watts::new(25.0)),
-                        (Price::per_kw_hour(0.6), Watts::ZERO),
-                    ])
-                    .unwrap()
-                    .into(),
-                ),
-                linear(1, 50.0, 0.05, 0.0, 0.4),
-            ],
-        ];
-        for bids in cases {
-            for spot in [20.0, 45.0, 100.0] {
-                let cs = constraints(spot);
-                let grid = clear_with(ClearingAlgorithm::GridScan, &bids, &cs);
-                let kink = clear_with(ClearingAlgorithm::KinkSearch, &bids, &cs);
-                assert!(
-                    kink.revenue_rate() >= grid.revenue_rate() - 1e-9,
-                    "kink search lost: {} < {}",
-                    kink.revenue_rate(),
-                    grid.revenue_rate()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn kink_search_evaluates_far_fewer_candidates() {
-        let cs = constraints(100.0);
-        let bids = vec![
-            linear(0, 50.0, 0.1, 10.0, 0.4),
-            linear(1, 40.0, 0.2, 5.0, 0.6),
-        ];
-        let grid = clear_with(ClearingAlgorithm::GridScan, &bids, &cs);
-        let kink = clear_with(ClearingAlgorithm::KinkSearch, &bids, &cs);
-        assert!(kink.candidates_evaluated() < grid.candidates_evaluated() / 10);
     }
 
     #[test]
@@ -1475,11 +1224,39 @@ mod tests {
     #[test]
     fn zero_spot_capacity_sells_nothing() {
         let cs = constraints(0.0);
-        let bids = vec![linear(0, 50.0, 0.1, 10.0, 0.4)];
-        for algo in [ClearingAlgorithm::GridScan, ClearingAlgorithm::KinkSearch] {
-            let out = clear_with(algo, &bids, &cs);
-            assert!(out.allocation().is_empty(), "{algo:?}");
-        }
+        let out = clear_with(&[linear(0, 50.0, 0.1, 10.0, 0.4)], &cs);
+        assert!(out.allocation().is_empty());
+    }
+
+    #[test]
+    fn oversized_ceiling_clears_within_the_capped_scan() {
+        // A price cap of 3 000 $/kW/h asks for three million candidates
+        // at the default step. The scan stops at `MAX_CANDIDATES` and
+        // the market clears inside it: the absurd bid is served like
+        // any bid still demanding at every scanned price, its neighbour
+        // is unaffected, and the outcome satisfies Eqns. 2–4.
+        let cs = constraints(100.0);
+        let bids = vec![step(0, 40.0, 3_000.0), linear(1, 40.0, 0.05, 10.0, 0.4)];
+        let engine = MarketClearing::default();
+        let out = engine.clear(Slot::ZERO, &bids, &cs);
+        assert!(
+            out.candidates_evaluated() <= MAX_CANDIDATES,
+            "{} candidates",
+            out.candidates_evaluated()
+        );
+        let top = MAX_CANDIDATES as f64 * engine.config().price_step.per_kw_hour_value();
+        assert!(
+            out.price().per_kw_hour_value() < top,
+            "price {}",
+            out.price()
+        );
+        assert_eq!(out.allocation().grant(RackId::new(0)), Watts::new(40.0));
+        assert_eq!(check_allocation(&cs, out.allocation(), &bids, true), vec![]);
+        // A ceiling the float-to-int cast saturates on is capped too.
+        let bids = vec![step(0, 40.0, 1e300)];
+        let out = engine.clear(Slot::ZERO, &bids, &cs);
+        assert!(out.candidates_evaluated() <= MAX_CANDIDATES);
+        assert_eq!(check_allocation(&cs, out.allocation(), &bids, true), vec![]);
     }
 
     #[test]
@@ -1490,7 +1267,7 @@ mod tests {
             linear(0, 60.0, 0.10, 10.0, 0.50), // hungry on the scarce PDU
             linear(1, 60.0, 0.02, 10.0, 0.20), // cheap on the plentiful PDU
         ];
-        let engine = MarketClearing::new(ClearingConfig::kink_search());
+        let engine = fine_grid();
         let per_pdu = engine.clear_per_pdu(Slot::ZERO, &bids, &cs);
         assert_eq!(per_pdu.len(), 2);
         // The scarce PDU clears higher than the plentiful one.
@@ -1499,7 +1276,9 @@ mod tests {
         for out in &per_pdu {
             assert!(cs.is_feasible(out.allocation().grants()));
         }
-        // Localized pricing extracts at least the uniform revenue here.
+        // Localized pricing extracts at least the uniform revenue here:
+        // the uniform price is a candidate of both sub-markets' grids
+        // (or lies above a sub-market's ceiling, where it sells nothing).
         let uniform = engine.clear(Slot::ZERO, &bids, &cs);
         let local_rev: f64 = per_pdu.iter().map(MarketOutcome::revenue_rate).sum();
         assert!(local_rev >= uniform.revenue_rate() - 1e-9);
@@ -1528,15 +1307,9 @@ mod tests {
             linear(0, 50.0, 0.0, 0.0, 0.4),
             linear(1, 50.0, 0.0, 0.0, 0.4),
         ];
-        for algo in [ClearingAlgorithm::GridScan, ClearingAlgorithm::KinkSearch] {
-            let out = clear_with(algo, &bids, &cs);
-            assert!(cs.is_feasible(out.allocation().grants()), "{algo:?}");
-            assert!(
-                out.sold() <= Watts::new(30.0 + 1e-6),
-                "{algo:?}: {}",
-                out.sold()
-            );
-        }
+        let out = clear_with(&bids, &cs);
+        assert!(cs.is_feasible(out.allocation().grants()));
+        assert!(out.sold() <= Watts::new(30.0 + 1e-6), "{}", out.sold());
     }
 
     #[test]
@@ -1548,7 +1321,7 @@ mod tests {
             linear(0, 50.0, 0.0, 0.0, 0.4),
             linear(1, 50.0, 0.0, 0.0, 0.4),
         ];
-        let out = clear_with(ClearingAlgorithm::GridScan, &bids, &cs);
+        let out = clear_with(&bids, &cs);
         assert!(cs.is_feasible(out.allocation().grants()));
         assert!(out.sold() <= Watts::new(25.0 + 1e-6), "sold {}", out.sold());
     }
@@ -1560,16 +1333,14 @@ mod tests {
         // smaller one that leaves stale capacity behind.
         let mut markets = distinct_markets();
         markets.insert(2, (vec![], constraints(100.0)));
-        for config in both_algorithms() {
-            let reused = MarketClearing::new(config);
-            let cloned = reused.clone();
-            for (slot, (bids, cs)) in markets.iter().enumerate() {
-                let warm = reused.clear(Slot::new(slot as u64), bids, cs);
-                let fresh = MarketClearing::new(config).clear(Slot::new(slot as u64), bids, cs);
-                let from_clone = cloned.clear(Slot::new(slot as u64), bids, cs);
-                assert_eq!(warm, fresh, "{config:?} slot {slot}");
-                assert_eq!(from_clone, fresh, "{config:?} slot {slot} (clone)");
-            }
+        let reused = MarketClearing::default();
+        let cloned = reused.clone();
+        for (slot, (bids, cs)) in markets.iter().enumerate() {
+            let warm = reused.clear(Slot::new(slot as u64), bids, cs);
+            let fresh = MarketClearing::default().clear(Slot::new(slot as u64), bids, cs);
+            let from_clone = cloned.clear(Slot::new(slot as u64), bids, cs);
+            assert_eq!(warm, fresh, "slot {slot}");
+            assert_eq!(from_clone, fresh, "slot {slot} (clone)");
         }
     }
 
@@ -1577,12 +1348,12 @@ mod tests {
     fn headroom_clipping_respected_in_grants() {
         // Bid asks for 100 W max but headroom is 60 W.
         let cs = constraints(500.0);
-        let bids = vec![linear(0, 100.0, 0.0, 0.0, 0.4)];
-        let out = clear_with(ClearingAlgorithm::KinkSearch, &bids, &cs);
-        assert!(out.allocation().grant(RackId::new(0)) <= Watts::new(60.0));
+        let out = clear_with(&[linear(0, 100.0, 0.0, 0.0, 0.4)], &cs);
+        let grant = out.allocation().grant(RackId::new(0));
+        assert!(grant > Watts::ZERO && grant <= Watts::new(60.0), "{grant}");
     }
 
-    /// A handful of distinct markets for the scratch-pool tests.
+    /// A handful of distinct markets for the scratch tests.
     fn distinct_markets() -> Vec<(Vec<RackBid>, ConstraintSet)> {
         vec![
             (
@@ -1606,53 +1377,64 @@ mod tests {
 
     #[test]
     fn concurrent_clears_on_one_engine_match_serial() {
-        // Many threads hammering one shared engine must produce the
-        // same outcomes as clearing the same markets one at a time.
+        // Many threads hammering one shared engine — one of them holds
+        // its scratch, the rest fall back — must produce the same
+        // outcomes as clearing the same markets one at a time.
         let markets = distinct_markets();
-        for config in both_algorithms() {
-            let engine = MarketClearing::new(config);
-            let serial: Vec<MarketOutcome> = markets
-                .iter()
-                .map(|(bids, cs)| MarketClearing::new(config).clear(Slot::ZERO, bids, cs))
-                .collect();
-            for round in 0..4 {
-                let parallel = spotdc_par::ThreadPool::new(4)
-                    .par_map(&markets, |(bids, cs)| engine.clear(Slot::ZERO, bids, cs));
-                assert_eq!(parallel, serial, "{config:?} round {round}");
-            }
+        let engine = MarketClearing::default();
+        let serial: Vec<MarketOutcome> = markets
+            .iter()
+            .map(|(bids, cs)| MarketClearing::default().clear(Slot::ZERO, bids, cs))
+            .collect();
+        for round in 0..4 {
+            let parallel = spotdc_par::ThreadPool::new(4)
+                .par_map(&markets, |(bids, cs)| engine.clear(Slot::ZERO, bids, cs));
+            assert_eq!(parallel, serial, "round {round}");
         }
     }
 
     #[test]
-    fn poisoned_scratch_slots_are_skipped() {
-        // Poison one pool slot; clearing must route around it and stay
-        // correct (the old code silently reused poisoned state).
+    fn poisoned_scratch_is_never_reacquired() {
+        // Poison the scratch; every later clearing must work from a
+        // stack-local one and stay correct rather than reuse state a
+        // panic may have torn.
         let engine = MarketClearing::default();
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = engine.scratch[0].lock().unwrap();
-            panic!("poison the slot");
+            let _guard = engine.scratch.lock().unwrap();
+            panic!("poison the scratch");
         }));
-        assert!(engine.scratch[0].is_poisoned());
-        let cs = constraints(100.0);
-        let bids = vec![linear(0, 40.0, 0.05, 10.0, 0.4)];
-        let warm = engine.clear(Slot::ZERO, &bids, &cs);
-        let fresh = MarketClearing::default().clear(Slot::ZERO, &bids, &cs);
-        assert_eq!(warm, fresh);
+        assert!(engine.scratch.is_poisoned());
+        for (bids, cs) in distinct_markets() {
+            let fresh = MarketClearing::default().clear(Slot::ZERO, &bids, &cs);
+            assert_eq!(engine.clear(Slot::ZERO, &bids, &cs), fresh);
+        }
+        // Nothing is retained between fallback clears.
+        assert_eq!(engine.cache_stats().cache_hits, 0);
     }
 
     #[test]
-    fn clear_falls_back_when_all_scratch_slots_are_busy() {
-        // Hold every pool slot (try_lock is non-reentrant, so the
-        // clearing below cannot acquire any of them) and verify the
-        // stack-local fallback produces the same outcome.
+    fn busy_scratch_falls_back_once_per_run() {
+        // Hold the scratch (`try_lock` is non-reentrant, so the calls
+        // below cannot acquire it) and verify the stack-local fallback
+        // produces the same outcomes. A `clear_shares` run keeps one
+        // fallback scratch for all its sub-markets: the second share
+        // differs from the first in capacity only, so it is a hit.
         let engine = MarketClearing::default();
         let cs = constraints(100.0);
         let bids = vec![linear(0, 40.0, 0.05, 10.0, 0.4)];
-        let guards: Vec<_> = engine.scratch.iter().map(|m| m.lock().unwrap()).collect();
+        let shares = vec![
+            (bids.clone(), Watts::new(30.0)),
+            (bids.clone(), Watts::new(20.0)),
+        ];
+        let guard = engine.scratch.lock().unwrap();
         let busy = engine.clear(Slot::ZERO, &bids, &cs);
-        drop(guards);
-        let free = engine.clear(Slot::ZERO, &bids, &cs);
-        assert_eq!(busy, free);
+        let busy_run = engine.clear_shares(Slot::ZERO, &shares, &cs);
+        let stats = engine.cache_stats();
+        assert_eq!((stats.full_sweeps, stats.cache_hits), (2, 1), "{stats:?}");
+        drop(guard);
+        assert_eq!(busy, engine.clear(Slot::ZERO, &bids, &cs));
+        assert_eq!(busy_run, engine.clear_shares(Slot::ZERO, &shares, &cs));
+        assert!(busy_run[1].sold() < busy_run[0].sold());
     }
 
     #[test]
@@ -1662,7 +1444,7 @@ mod tests {
             linear(0, 60.0, 0.10, 10.0, 0.50),
             linear(1, 60.0, 0.02, 10.0, 0.20),
         ];
-        let engine = MarketClearing::new(ClearingConfig::kink_search());
+        let engine = fine_grid();
         let direct = engine.clear_per_pdu(Slot::ZERO, &bids, &cs);
         let subs = engine.per_pdu_submarkets(&bids, &cs);
         assert_eq!(subs.len(), direct.len());
@@ -1679,14 +1461,12 @@ mod tests {
     }
 
     #[test]
-    fn capacity_only_change_reuses_cached_sums_unless_candidates_read_it() {
+    fn capacity_only_change_reuses_cached_sums() {
         // Same bids, only the UPS bound or one PDU's spot capacity
-        // tightened. Grid candidates and the per-candidate demand sums
+        // tightened. The candidates and the per-candidate demand sums
         // depend on the bids alone — capacities only filter feasibility
-        // — so the second clear is a hit (zero rows swept). Kink
-        // candidates include the capacity-crossing prices, so there the
-        // key must cover the capacities and the list is regenerated (a
-        // full sweep). Either way the outcome is a cold engine's.
+        // — so the second clear is a hit (zero rows swept) with a cold
+        // engine's outcome.
         let bids = vec![
             linear(0, 40.0, 0.05, 10.0, 0.4),
             linear(1, 30.0, 0.10, 5.0, 0.3),
@@ -1695,37 +1475,29 @@ mod tests {
         let tight_ups = constraints(100.0).with_ups_spot(Watts::new(35.0));
         let mut tight_pdu = constraints(100.0);
         tight_pdu.set_pdu_spot(&[Watts::new(30.0)]);
-        for (config, hits) in [
-            (ClearingConfig::grid(Price::cents_per_kw_hour(0.1)), 1),
-            (ClearingConfig::kink_search(), 0),
-        ] {
-            for (tight, cap) in [(&tight_ups, 35.0), (&tight_pdu, 30.0)] {
-                let engine = MarketClearing::new(config);
-                let _ = engine.clear(Slot::ZERO, &bids, &roomy);
-                assert_eq!(engine.cache_stats().full_sweeps, 1);
-                let warm = engine.clear(Slot::new(1), &bids, tight);
-                let stats = engine.cache_stats();
-                assert_eq!(
-                    (stats.cache_hits, stats.full_sweeps),
-                    (hits, 2 - hits),
-                    "{config:?} cap {cap}: {stats:?}"
-                );
-                assert_eq!(
-                    stats.candidates_swept,
-                    stats.candidates_total / (1 + hits),
-                    "a hit sweeps no candidate rows: {stats:?}"
-                );
-                let fresh = MarketClearing::new(config).clear(Slot::new(1), &bids, tight);
-                assert_eq!(warm, fresh, "{config:?} cap {cap}");
-                assert!(
-                    warm.sold() <= Watts::new(cap + 1e-6),
-                    "{config:?} cap {cap}"
-                );
-                assert!(
-                    warm.sold() < engine.clear(Slot::new(1), &bids, &roomy).sold(),
-                    "{config:?}: the tightened capacity must bind"
-                );
-            }
+        for (tight, cap) in [(&tight_ups, 35.0), (&tight_pdu, 30.0)] {
+            let engine = MarketClearing::default();
+            let _ = engine.clear(Slot::ZERO, &bids, &roomy);
+            assert_eq!(engine.cache_stats().full_sweeps, 1);
+            let warm = engine.clear(Slot::new(1), &bids, tight);
+            let stats = engine.cache_stats();
+            assert_eq!(
+                (stats.cache_hits, stats.full_sweeps),
+                (1, 1),
+                "cap {cap}: {stats:?}"
+            );
+            assert_eq!(
+                stats.candidates_swept,
+                stats.candidates_total / 2,
+                "a hit sweeps no candidate rows: {stats:?}"
+            );
+            let fresh = MarketClearing::default().clear(Slot::new(1), &bids, tight);
+            assert_eq!(warm, fresh, "cap {cap}");
+            assert!(warm.sold() <= Watts::new(cap + 1e-6), "cap {cap}");
+            assert!(
+                warm.sold() < engine.clear(Slot::new(1), &bids, &roomy).sold(),
+                "the tightened capacity must bind"
+            );
         }
     }
 
@@ -1739,9 +1511,8 @@ mod tests {
             linear(0, 40.0, 0.05, 10.0, 0.4),
             linear(1, 30.0, 0.10, 5.0, 0.3),
         ];
-        let config = ClearingConfig::grid(Price::cents_per_kw_hour(0.1));
         for churn in [1, 2] {
-            let engine = MarketClearing::new(config);
+            let engine = MarketClearing::default();
             let _ = engine.clear(Slot::ZERO, &bids, &cs);
             let mut changed = bids.clone();
             for (i, bid) in changed.iter_mut().enumerate().take(churn) {
@@ -1752,7 +1523,7 @@ mod tests {
             assert_eq!(stats.full_sweeps, 2, "churn {churn}: {stats:?}");
             assert_eq!(stats.delta_sweeps, 0, "churn {churn}: {stats:?}");
             assert_eq!(stats.candidates_swept, stats.candidates_total);
-            let fresh = MarketClearing::new(config).clear(Slot::new(1), &changed, &cs);
+            let fresh = MarketClearing::default().clear(Slot::new(1), &changed, &cs);
             assert_eq!(warm, fresh, "churn {churn}");
         }
     }
@@ -1760,11 +1531,11 @@ mod tests {
     #[test]
     fn zoned_clear_between_identical_clears_leaves_no_stale_sums() {
         // Zones route a clear through the legacy scan (the stats must
-        // say so), which shares the scratch buffer's key and candidates
-        // with the columnar clears around it but never touches the
-        // sums. When it brings new bids the key is replaced, so an
-        // unzoned clear of those same bids right after matches the key
-        // while the sums still describe the older book: it must re-sum.
+        // say so), which shares the scratch's key and candidates with
+        // the columnar clears around it but never touches the sums.
+        // When it brings new bids the key is replaced, so an unzoned
+        // clear of those same bids right after matches the key while
+        // the sums still describe the older book: it must re-sum.
         let plain = constraints(100.0);
         let zoned = aisle_zoned();
         let bids = vec![
@@ -1772,27 +1543,25 @@ mod tests {
             linear(1, 30.0, 0.10, 5.0, 0.3),
         ];
         let other = vec![linear(0, 55.0, 0.02, 5.0, 0.35)];
-        for config in both_algorithms() {
-            for (between, hits) in [(&bids, 2), (&other, 0)] {
-                let engine = MarketClearing::new(config);
-                let sequence = [
-                    (&bids, &plain),
-                    (between, &zoned),
-                    (between, &plain),
-                    (&bids, &plain),
-                ];
-                for (s, (bids, cs)) in sequence.into_iter().enumerate() {
-                    let slot = Slot::new(s as u64);
-                    let cold = MarketClearing::new(config).clear(slot, bids, cs);
-                    assert_eq!(engine.clear(slot, bids, cs), cold, "{config:?} slot {s}");
-                }
-                let stats = engine.cache_stats();
-                assert_eq!(
-                    (stats.legacy_scans, stats.cache_hits, stats.full_sweeps),
-                    (1, hits, 3 - hits),
-                    "{config:?}: {stats:?}"
-                );
+        for (between, hits) in [(&bids, 2), (&other, 0)] {
+            let engine = MarketClearing::default();
+            let sequence = [
+                (&bids, &plain),
+                (between, &zoned),
+                (between, &plain),
+                (&bids, &plain),
+            ];
+            for (s, (bids, cs)) in sequence.into_iter().enumerate() {
+                let slot = Slot::new(s as u64);
+                let cold = MarketClearing::default().clear(slot, bids, cs);
+                assert_eq!(engine.clear(slot, bids, cs), cold, "slot {s}");
             }
+            let stats = engine.cache_stats();
+            assert_eq!(
+                (stats.legacy_scans, stats.cache_hits, stats.full_sweeps),
+                (1, hits, 3 - hits),
+                "{stats:?}"
+            );
         }
     }
 }

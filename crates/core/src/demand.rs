@@ -360,18 +360,6 @@ impl DemandBid {
         }
     }
 
-    /// The prices at which this bid's demand function has a kink or
-    /// discontinuity — the only places a clearing optimum can hide
-    /// between. Sorted ascending.
-    #[must_use]
-    pub fn kink_prices(&self) -> Vec<Price> {
-        match self {
-            DemandBid::Linear(b) => vec![b.q_min(), b.q_max()],
-            DemandBid::Step(b) => vec![b.price_cap()],
-            DemandBid::Full(b) => b.points.iter().map(|&(q, _)| q).collect(),
-        }
-    }
-
     /// Whether demand is zero at every price.
     #[must_use]
     pub fn is_null(&self) -> bool {
@@ -510,22 +498,6 @@ mod tests {
             .unwrap()
             .into();
         assert!(null.is_null());
-    }
-
-    #[test]
-    fn kink_prices_cover_all_breaks() {
-        let l: DemandBid = linear().into();
-        assert_eq!(
-            l.kink_prices(),
-            vec![Price::per_kw_hour(0.1), Price::per_kw_hour(0.2)]
-        );
-        let f: DemandBid = FullBid::new(vec![
-            (Price::ZERO, Watts::new(10.0)),
-            (Price::per_kw_hour(0.5), Watts::ZERO),
-        ])
-        .unwrap()
-        .into();
-        assert_eq!(f.kink_prices().len(), 2);
     }
 
     #[test]

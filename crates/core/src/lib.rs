@@ -58,9 +58,7 @@ pub use spotdc_durable::frame;
 
 pub use allocation::SpotAllocation;
 pub use bid::{BidError, RackBid, TenantBid};
-pub use clearing::{
-    ClearingAlgorithm, ClearingCacheStats, ClearingConfig, MarketClearing, MarketOutcome,
-};
+pub use clearing::{ClearingCacheStats, ClearingConfig, MarketClearing, MarketOutcome};
 pub use constraints::{ConstraintSet, HeatZone, PhasePlan};
 pub use demand::{DemandBid, FullBid, LinearBid, StepBid};
 pub use invariant::{check_allocation, check_allocation_indexed, BidIndex, MarketInvariant};

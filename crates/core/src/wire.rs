@@ -54,7 +54,7 @@ use spotdc_durable::{DecodeError, Decoder, Encoder, Persist};
 use spotdc_units::{Price, RackId, Slot, Watts};
 
 use crate::bid::RackBid;
-use crate::clearing::{ClearingAlgorithm, ClearingCacheStats, ClearingConfig, MarketOutcome};
+use crate::clearing::{ClearingCacheStats, ClearingConfig, MarketOutcome};
 use crate::constraints::ConstraintSet;
 use crate::demand::{DemandBid, FullBid, LinearBid, StepBid};
 use crate::maxperf::ConcaveGain;
@@ -453,27 +453,11 @@ impl Persist for ClearResult {
 
 impl Persist for ClearingConfig {
     fn persist(&self, enc: &mut Encoder) {
-        enc.put_u8(match self.algorithm {
-            ClearingAlgorithm::GridScan => 0,
-            ClearingAlgorithm::KinkSearch => 1,
-        });
         enc.put_f64(self.price_step.per_kw_hour_value());
     }
 
     fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let algorithm = match dec.get_u8()? {
-            0 => ClearingAlgorithm::GridScan,
-            1 => ClearingAlgorithm::KinkSearch,
-            tag => {
-                return Err(DecodeError::Invalid(format!(
-                    "unknown clearing algorithm tag {tag:#04x}"
-                )))
-            }
-        };
-        Ok(ClearingConfig {
-            algorithm,
-            price_step: Price::per_kw_hour(dec.get_f64()?),
-        })
+        Ok(ClearingConfig::grid(Price::per_kw_hour(dec.get_f64()?)))
     }
 }
 
@@ -663,7 +647,7 @@ mod tests {
             WireMsg::AssignShard {
                 shard: 1,
                 shard_count: 4,
-                clearing: ClearingConfig::kink_search(),
+                clearing: ClearingConfig::grid(Price::cents_per_kw_hour(0.5)),
             },
             WireMsg::SlotFrame {
                 slot: Slot::new(7),

@@ -1,11 +1,14 @@
 //! Property-based tests for the SpotDC market core.
 
+mod oracle;
+
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use spotdc_core::demand::{DemandBid, FullBid, LinearBid, StepBid};
 use spotdc_core::{
-    max_perf_allocate, ClearingConfig, ConcaveGain, ConstraintSet, MarketClearing, RackBid,
+    max_perf_allocate, ClearingConfig, ConcaveGain, ConstraintSet, MarketClearing, MarketOutcome,
+    RackBid,
 };
 use spotdc_power::topology::TopologyBuilder;
 use spotdc_power::PowerTopology;
@@ -78,6 +81,47 @@ fn topology(n: usize) -> PowerTopology {
     b.build().expect("valid topology")
 }
 
+/// The grid step the engine-vs-oracle cases clear on.
+fn step() -> Price {
+    Price::cents_per_kw_hour(0.5)
+}
+
+/// Clears on a cold engine, then again on the now-warm one (a cache
+/// hit), and holds both outcomes to the independent oracle bit for
+/// bit: price, revenue rate and every grant.
+fn clear_checked(bids: &[RackBid], cs: &ConstraintSet) -> MarketOutcome {
+    let engine = MarketClearing::new(ClearingConfig::grid(step()));
+    let cold = engine.clear(Slot::ZERO, bids, cs);
+    let want = oracle::clear(step(), bids, cs);
+    let bits = |w: Watts| w.value().to_bits();
+    assert_eq!(
+        cold.price().per_kw_hour_value().to_bits(),
+        want.price.per_kw_hour_value().to_bits(),
+        "price {} vs oracle {}",
+        cold.price(),
+        want.price
+    );
+    assert_eq!(cold.revenue_rate().to_bits(), want.revenue_rate.to_bits());
+    assert_eq!(
+        cold.allocation()
+            .iter()
+            .map(|(r, w)| (r, bits(w)))
+            .collect::<Vec<_>>(),
+        want.grants
+            .iter()
+            .map(|(&r, &w)| (r, bits(w)))
+            .collect::<Vec<_>>()
+    );
+    let warm = engine.clear(Slot::ZERO, bids, cs);
+    assert_eq!(warm, cold, "the warm re-clear diverged");
+    let stats = engine.cache_stats();
+    let columnar = cs.zones().is_empty() && cs.phases().is_none();
+    if columnar && cold.candidates_evaluated() > 0 {
+        assert_eq!((stats.full_sweeps, stats.cache_hits), (1, 1), "{stats:?}");
+    }
+    cold
+}
+
 fn market_case() -> impl Strategy<Value = (Vec<DemandBid>, f64, f64, f64)> {
     (
         prop::collection::vec(any_bid(), 1..12),
@@ -99,34 +143,8 @@ proptest! {
             .enumerate()
             .map(|(i, b)| RackBid::new(RackId::new(i), b.clone()))
             .collect();
-        for config in [ClearingConfig::grid(Price::cents_per_kw_hour(0.5)), ClearingConfig::kink_search()] {
-            let out = MarketClearing::new(config).clear(Slot::ZERO, &rack_bids, &cs);
-            prop_assert!(
-                cs.is_feasible(out.allocation().grants()),
-                "infeasible allocation from {config:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn kink_search_never_loses_to_grid((bids, p0, p1, ups) in market_case()) {
-        let topo = topology(bids.len());
-        let cs = ConstraintSet::new(&topo, vec![Watts::new(p0), Watts::new(p1)], Watts::new(ups));
-        let rack_bids: Vec<RackBid> = bids
-            .iter()
-            .enumerate()
-            .map(|(i, b)| RackBid::new(RackId::new(i), b.clone()))
-            .collect();
-        let grid = MarketClearing::new(ClearingConfig::grid(Price::cents_per_kw_hour(0.2)))
-            .clear(Slot::ZERO, &rack_bids, &cs);
-        let kink = MarketClearing::new(ClearingConfig::kink_search())
-            .clear(Slot::ZERO, &rack_bids, &cs);
-        prop_assert!(
-            kink.revenue_rate() >= grid.revenue_rate() - 1e-9,
-            "kink {} < grid {}",
-            kink.revenue_rate(),
-            grid.revenue_rate()
-        );
+        let out = clear_checked(&rack_bids, &cs);
+        prop_assert!(cs.is_feasible(out.allocation().grants()), "infeasible allocation");
     }
 
     #[test]
@@ -156,7 +174,7 @@ proptest! {
             .enumerate()
             .map(|(i, b)| RackBid::new(RackId::new(i), b.clone()))
             .collect();
-        let out = MarketClearing::new(ClearingConfig::kink_search())
+        let out = MarketClearing::new(ClearingConfig::grid(step()))
             .clear(Slot::ZERO, &rack_bids, &cs);
         let price = out.price();
         for rb in &rack_bids {
@@ -210,14 +228,12 @@ proptest! {
             .enumerate()
             .map(|(i, b)| RackBid::new(RackId::new(i), b.clone()))
             .collect();
-        for config in [ClearingConfig::grid(Price::cents_per_kw_hour(0.5)), ClearingConfig::kink_search()] {
-            let engine = MarketClearing::new(config);
-            let serial = engine.clear_per_pdu(Slot::ZERO, &rack_bids, &cs);
-            let subs = engine.per_pdu_submarkets(&rack_bids, &cs);
-            let merged = spotdc_par::ThreadPool::new(4)
-                .par_map(&subs, |(group, local)| engine.clear(Slot::ZERO, group, local));
-            prop_assert_eq!(&merged, &serial, "{:?}", config);
-        }
+        let engine = MarketClearing::new(ClearingConfig::grid(step()));
+        let serial = engine.clear_per_pdu(Slot::ZERO, &rack_bids, &cs);
+        let subs = engine.per_pdu_submarkets(&rack_bids, &cs);
+        let merged = spotdc_par::ThreadPool::new(4)
+            .par_map(&subs, |(group, local)| engine.clear(Slot::ZERO, group, local));
+        prop_assert_eq!(&merged, &serial);
     }
 
     #[test]
@@ -231,8 +247,9 @@ proptest! {
         zoned in prop_oneof![Just(false), Just(true)],
     ) {
         // `clear_per_pdu` walks the shares against one retained
-        // constraint set; the oracle clears every cloned
-        // `per_pdu_submarkets` pair on its own cold engine. The market
+        // constraint set and one scratch; the reference clears every
+        // cloned `per_pdu_submarkets` pair on its own cold engine, and
+        // both must be what the independent oracle computes. The market
         // shapes cover what the walk could get wrong: PDUs with no bids
         // (`None` slots), bids on racks no PDU feeds (the last
         // `orphans` racks are outside the topology), every share zero
@@ -257,23 +274,12 @@ proptest! {
             .enumerate()
             .filter_map(|(i, b)| Some(RackBid::new(RackId::new(i), b.clone()?)))
             .collect();
-        for config in [ClearingConfig::grid(Price::cents_per_kw_hour(0.5)), ClearingConfig::kink_search()] {
-            let engine = MarketClearing::new(config);
-            let walked = engine.clear_per_pdu(Slot::ZERO, &rack_bids, &cs);
-            let subs = engine.per_pdu_submarkets(&rack_bids, &cs);
-            prop_assert_eq!(walked.len(), subs.len(), "{:?}", config);
-            for (got, (group, local)) in walked.iter().zip(&subs) {
-                let want = MarketClearing::new(config).clear(Slot::ZERO, group, local);
-                prop_assert_eq!(
-                    got.price().per_kw_hour_value().to_bits(),
-                    want.price().per_kw_hour_value().to_bits()
-                );
-                prop_assert_eq!(got.revenue_rate().to_bits(), want.revenue_rate().to_bits());
-                let bits = |o: &spotdc_core::MarketOutcome| -> Vec<(RackId, u64)> {
-                    o.allocation().iter().map(|(r, w)| (r, w.value().to_bits())).collect()
-                };
-                prop_assert_eq!(bits(got), bits(&want), "{:?}", config);
-            }
+        let engine = MarketClearing::new(ClearingConfig::grid(step()));
+        let walked = engine.clear_per_pdu(Slot::ZERO, &rack_bids, &cs);
+        let subs = engine.per_pdu_submarkets(&rack_bids, &cs);
+        prop_assert_eq!(walked.len(), subs.len());
+        for (got, (group, local)) in walked.iter().zip(&subs) {
+            prop_assert_eq!(got, &clear_checked(group, local));
         }
     }
 
@@ -299,11 +305,39 @@ proptest! {
             .enumerate()
             .map(|(i, b)| RackBid::new(RackId::new(i), b.clone()))
             .collect();
-        for config in [ClearingConfig::grid(Price::cents_per_kw_hour(0.5)), ClearingConfig::kink_search()] {
-            let columnar = MarketClearing::new(config).clear(Slot::ZERO, &rack_bids, &cs);
-            let legacy = MarketClearing::new(config).clear(Slot::ZERO, &rack_bids, &legacy_cs);
-            prop_assert_eq!(&columnar, &legacy, "columnar sweep diverged under {:?}", config);
+        let columnar = clear_checked(&rack_bids, &cs);
+        let legacy = clear_checked(&rack_bids, &legacy_cs);
+        prop_assert_eq!(&columnar, &legacy, "columnar sweep diverged");
+    }
+
+    #[test]
+    fn zoned_and_phased_markets_match_the_oracle(
+        bids in prop::collection::vec(any_bid_shape(), 1..12),
+        p0 in 0.0..200.0f64,
+        p1 in 0.0..200.0f64,
+        ups in 0.0..350.0f64,
+        zone_limit in 0.0..150.0f64,
+        imbalance in prop::option::of(0.0..80.0f64),
+    ) {
+        // A heat zone over the even racks that binds on most cases and,
+        // half the time, a phase-balance bound: the markets only the
+        // legacy scan clears, held to Eqns. 1–4 plus
+        // `ConstraintSet::check` rather than to the columnar sweep.
+        let topo = topology(bids.len());
+        let evens: Vec<RackId> = (0..bids.len()).step_by(2).map(RackId::new).collect();
+        let mut cs = ConstraintSet::new(&topo, vec![Watts::new(p0), Watts::new(p1)], Watts::new(ups))
+            .with_zone("evens", evens, Watts::new(zone_limit));
+        if let Some(limit) = imbalance {
+            let phase_of = (0..bids.len()).map(|i| (i % 3) as u8).collect();
+            cs = cs.with_phases(phase_of, Watts::new(limit));
         }
+        let rack_bids: Vec<RackBid> = bids
+            .iter()
+            .enumerate()
+            .map(|(i, b)| RackBid::new(RackId::new(i), b.clone()))
+            .collect();
+        let out = clear_checked(&rack_bids, &cs);
+        prop_assert!(cs.is_feasible(out.allocation().grants()), "infeasible allocation");
     }
 
     #[test]
@@ -315,9 +349,9 @@ proptest! {
         ups in 0.0..350.0f64,
     ) {
         // Clear a slot sequence on one warm engine, mutating one bid
-        // per slot. Every slot must match a cold engine, whichever of
-        // the hit/full paths the warm engine took, and the cache stats
-        // must account for every non-empty clear.
+        // per slot. Every slot must match the oracle and a cold engine,
+        // whichever of the hit/full paths the warm engine took, and the
+        // cache stats must account for every non-empty clear.
         let topo = topology(bids.len());
         let cs = ConstraintSet::new(&topo, vec![Watts::new(p0), Watts::new(p1)], Watts::new(ups));
         let mut current: Vec<RackBid> = bids
@@ -325,48 +359,45 @@ proptest! {
             .enumerate()
             .map(|(i, b)| RackBid::new(RackId::new(i), b.clone()))
             .collect();
-        for config in [ClearingConfig::grid(Price::cents_per_kw_hour(0.5)), ClearingConfig::kink_search()] {
-            let warm = MarketClearing::new(config);
-            let mut slots = 0u64;
-            for (s, &(victim, bump)) in churn.iter().enumerate() {
-                let v = victim % current.len();
-                let new_demand: DemandBid = match current[v].demand() {
-                    DemandBid::Linear(b) => LinearBid::new(
-                        b.d_max() + Watts::new(bump),
-                        b.q_min(),
-                        b.d_min(),
-                        b.q_max(),
-                    ).expect("growing d_max keeps ordering").into(),
-                    DemandBid::Step(b) => StepBid::new(
-                        b.demand() + Watts::new(bump),
-                        b.price_cap(),
-                    ).expect("valid").into(),
-                    DemandBid::Full(b) => FullBid::new(
-                        b.points()
-                            .iter()
-                            .map(|&(q, d)| (q, d + Watts::new(bump)))
-                            .collect(),
-                    ).expect("uniform shift keeps ordering").into(),
-                };
-                current[v] = RackBid::new(current[v].rack(), new_demand);
-                let w = warm.clear(Slot::new(s as u64), &current, &cs);
-                let f = MarketClearing::new(config).clear(Slot::new(s as u64), &current, &cs);
-                prop_assert_eq!(&w, &f, "slot {} diverged under {:?}", s, config);
-                if current.iter().any(|b| !b.demand().is_null()) {
-                    slots += 1;
-                }
+        let warm = MarketClearing::new(ClearingConfig::grid(step()));
+        let mut slots = 0u64;
+        for (s, &(victim, bump)) in churn.iter().enumerate() {
+            let v = victim % current.len();
+            let new_demand: DemandBid = match current[v].demand() {
+                DemandBid::Linear(b) => LinearBid::new(
+                    b.d_max() + Watts::new(bump),
+                    b.q_min(),
+                    b.d_min(),
+                    b.q_max(),
+                ).expect("growing d_max keeps ordering").into(),
+                DemandBid::Step(b) => StepBid::new(
+                    b.demand() + Watts::new(bump),
+                    b.price_cap(),
+                ).expect("valid").into(),
+                DemandBid::Full(b) => FullBid::new(
+                    b.points()
+                        .iter()
+                        .map(|&(q, d)| (q, d + Watts::new(bump)))
+                        .collect(),
+                ).expect("uniform shift keeps ordering").into(),
+            };
+            current[v] = RackBid::new(current[v].rack(), new_demand);
+            let w = warm.clear(Slot::ZERO, &current, &cs);
+            prop_assert_eq!(&w, &clear_checked(&current, &cs), "slot {} diverged", s);
+            if current.iter().any(|b| !b.demand().is_null()) {
+                slots += 1;
             }
-            let stats = warm.cache_stats();
-            let accounted = stats.full_sweeps + stats.cache_hits + stats.legacy_scans;
-            prop_assert_eq!(accounted, slots, "stats must cover every non-empty clear: {:?}", stats);
-            prop_assert_eq!(stats.delta_sweeps, 0, "no delta mode exists: {:?}", stats);
-            prop_assert!(
-                stats.candidates_swept <= stats.candidates_total,
-                "swept {} > total {}",
-                stats.candidates_swept,
-                stats.candidates_total
-            );
         }
+        let stats = warm.cache_stats();
+        let accounted = stats.full_sweeps + stats.cache_hits + stats.legacy_scans;
+        prop_assert_eq!(accounted, slots, "stats must cover every non-empty clear: {:?}", stats);
+        prop_assert_eq!(stats.delta_sweeps, 0, "no delta mode exists: {:?}", stats);
+        prop_assert!(
+            stats.candidates_swept <= stats.candidates_total,
+            "swept {} > total {}",
+            stats.candidates_swept,
+            stats.candidates_total
+        );
     }
 
     #[test]
@@ -402,14 +433,10 @@ proptest! {
             DemandBid::Full(_) => unreachable!("market_case only emits linear/step"),
         };
         mutated[v] = RackBid::new(mutated[v].rack(), new_demand);
-        for config in [ClearingConfig::grid(Price::cents_per_kw_hour(0.5)), ClearingConfig::kink_search()] {
-            let warm = MarketClearing::new(config);
-            let warm_a = warm.clear(Slot::ZERO, &rack_bids, &cs);
-            let warm_b = warm.clear(Slot::new(1), &mutated, &cs);
-            let fresh_a = MarketClearing::new(config).clear(Slot::ZERO, &rack_bids, &cs);
-            let fresh_b = MarketClearing::new(config).clear(Slot::new(1), &mutated, &cs);
-            prop_assert_eq!(&warm_a, &fresh_a, "warm A diverged under {:?}", config);
-            prop_assert_eq!(&warm_b, &fresh_b, "warm B diverged under {:?}", config);
-        }
+        let warm = MarketClearing::new(ClearingConfig::grid(step()));
+        let warm_a = warm.clear(Slot::ZERO, &rack_bids, &cs);
+        let warm_b = warm.clear(Slot::ZERO, &mutated, &cs);
+        prop_assert_eq!(&warm_a, &clear_checked(&rack_bids, &cs), "warm A diverged");
+        prop_assert_eq!(&warm_b, &clear_checked(&mutated, &cs), "warm B diverged");
     }
 }

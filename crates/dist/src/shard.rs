@@ -184,7 +184,7 @@ mod tests {
 
     use std::collections::BTreeMap;
 
-    use spotdc_core::{ConcaveGain, LinearBid, RackBid, StepBid};
+    use spotdc_core::{check_allocation, ConcaveGain, LinearBid, RackBid, StepBid};
     use spotdc_power::topology::TopologyBuilder;
     use spotdc_units::{Price, RackId, TenantId};
 
@@ -380,6 +380,56 @@ mod tests {
         assert_eq!(results.len(), 2);
         assert!(matches!(results[0], ClearResult::Market(_)));
         assert!(matches!(results[1], ClearResult::MaxPerf(_)));
+    }
+
+    #[test]
+    fn oversized_bid_off_the_wire_clears_in_a_bounded_scan() {
+        // Agents run no admission: a bid decoded off the pipe with a
+        // 3 000 $/kW/h cap asks for three million candidates at the
+        // default step. The engine scans at most 2^14 of them and the
+        // market clears inside that range, Eqns. 2–4 intact.
+        let c = constraints();
+        let absurd = RackBid::new(
+            RackId::new(1),
+            StepBid::new(Watts::new(25.0), Price::per_kw_hour(3_000.0))
+                .unwrap()
+                .into(),
+        );
+        let bids = vec![bid(0), absurd];
+        let frame = WireMsg::SlotFrame {
+            slot: Slot::new(5),
+            epoch: 1,
+            statics: Some(c.clone()),
+            pdu_spot: c.pdu_spots().to_vec(),
+            tasks: vec![market(50.0, bids.clone())],
+        };
+        let mut agent = AgentLoop::new();
+        agent.handle(WireMsg::AssignShard {
+            shard: 0,
+            shard_count: 1,
+            clearing: ClearingConfig::default(),
+        });
+        let reply = agent
+            .handle(WireMsg::decode(&frame.encode()).expect("round trip"))
+            .expect("a slot frame demands a reply");
+        assert_eq!(WireMsg::decode(&reply.encode()).as_ref(), Ok(&reply));
+        let WireMsg::ShardCleared { results, .. } = reply else {
+            panic!("expected ShardCleared, got {reply:?}");
+        };
+        let [ClearResult::Market(outcome)] = &results[..] else {
+            panic!("expected one market result, got {results:?}");
+        };
+        assert!(
+            outcome.candidates_evaluated() <= 1 << 14,
+            "{} candidates",
+            outcome.candidates_evaluated()
+        );
+        assert_eq!(outcome.allocation().grant(RackId::new(1)), Watts::new(25.0));
+        let local = c.with_ups_spot(Watts::new(50.0));
+        assert_eq!(
+            check_allocation(&local, outcome.allocation(), &bids, true),
+            vec![]
+        );
     }
 
     #[test]

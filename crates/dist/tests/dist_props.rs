@@ -139,7 +139,7 @@ fn any_message() -> impl Strategy<Value = WireMsg> {
         (0..16u64, 0..64u64).prop_map(|(count, shard)| WireMsg::AssignShard {
             shard: shard % (count + 1),
             shard_count: count + 1,
-            clearing: ClearingConfig::kink_search(),
+            clearing: ClearingConfig::grid(Price::cents_per_kw_hour(0.01)),
         }),
         (
             0..10_000u64,

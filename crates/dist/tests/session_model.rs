@@ -58,10 +58,7 @@ const LISTS: [&str; 5] = ["", "M", "MX", "Xm", "eM"];
 
 fn config() -> ClearingConfig {
     // A coarse grid keeps each of the ~1.5 million clears tiny.
-    ClearingConfig {
-        price_step: Price::cents_per_kw_hour(2.0),
-        ..ClearingConfig::default()
-    }
+    ClearingConfig::grid(Price::cents_per_kw_hour(2.0))
 }
 
 /// The constraint set of statics variant `variant`, built from scratch:

@@ -1,7 +1,7 @@
 //! Ablations of SpotDC's design choices (beyond the paper's figures).
 //!
-//! * **Clearing search**: the paper's grid scan vs our exact
-//!   kink-search — revenue parity and search-cost difference;
+//! * **Clearing search**: the paper's grid scan at its finest and
+//!   coarsest step (0.1 ¢ vs 1 ¢) — what resolution buys;
 //! * **Prediction staleness**: lossless vs lossy communications — the
 //!   no-spot fallback's cost;
 //! * **Allocation granularity**: the paper argues allocation must be
@@ -9,9 +9,7 @@
 //!   concentrate power on one PDU — quantified here by adversarially
 //!   redistributing cleared multi-rack grants.
 
-use spotdc_core::{
-    ClearingAlgorithm, ClearingConfig, ConstraintSet, MarketClearing, OperatorConfig, SpotPredictor,
-};
+use spotdc_core::{ClearingConfig, ConstraintSet, MarketClearing, OperatorConfig, SpotPredictor};
 use spotdc_power::topology::TopologyBuilder;
 use spotdc_tenants::bundle_bid;
 use spotdc_units::{Price, RackId, Slot, TenantId, Watts};
@@ -47,19 +45,6 @@ pub fn compute(cfg: &ExpConfig) -> Vec<AblationRow> {
             EngineConfig {
                 operator: OperatorConfig {
                     clearing: ClearingConfig::grid(Price::cents_per_kw_hour(1.0)),
-                    ..OperatorConfig::default()
-                },
-                ..EngineConfig::new(Mode::SpotDc)
-            },
-        ),
-        (
-            "kink search (exact)",
-            EngineConfig {
-                operator: OperatorConfig {
-                    clearing: ClearingConfig {
-                        algorithm: ClearingAlgorithm::KinkSearch,
-                        ..ClearingConfig::default()
-                    },
                     ..OperatorConfig::default()
                 },
                 ..EngineConfig::new(Mode::SpotDc)
@@ -238,18 +223,10 @@ mod tests {
     }
 
     #[test]
-    fn exact_clearing_at_least_matches_grid() {
-        let r = rows();
-        let grid = r[0].extra_percent;
-        let kink = r[2].extra_percent;
-        assert!(kink >= grid - 0.1, "kink {kink} vs grid {grid}");
-    }
-
-    #[test]
     fn losses_reduce_but_do_not_break_the_market() {
         let r = rows();
         let clean = r[0].avg_sold;
-        for lossy in &r[5..] {
+        for lossy in &r[4..] {
             assert!(lossy.avg_sold <= clean + 1.0);
             assert!(lossy.avg_sold > 0.2 * clean, "{} collapsed", lossy.label);
         }
@@ -259,7 +236,7 @@ mod tests {
     fn per_pdu_pricing_is_at_least_competitive() {
         let r = rows();
         let uniform = r[0].extra_percent;
-        let local = r[3].extra_percent;
+        let local = r[2].extra_percent;
         assert!(
             local > 0.5 * uniform,
             "localized pricing collapsed: {local} vs uniform {uniform}"
@@ -270,7 +247,7 @@ mod tests {
     fn adaptive_predictor_stays_close_to_exact() {
         let r = rows();
         let exact = r[0].extra_percent;
-        let adaptive = r[4].extra_percent;
+        let adaptive = r[3].extra_percent;
         assert!(
             (adaptive - exact).abs() < 0.25 * exact.max(1.0),
             "adaptive {adaptive} vs exact {exact}"

@@ -82,7 +82,7 @@ proptest! {
         let plan = FaultPlan::new(FaultConfig::uniform(0.2, fault_seed));
         for config in [
             ClearingConfig::grid(Price::cents_per_kw_hour(0.5)),
-            ClearingConfig::kink_search(),
+            ClearingConfig::grid(Price::cents_per_kw_hour(0.01)),
         ] {
             let warm = MarketClearing::new(config);
             let mut late: Vec<(TenantId, RackBid)> = Vec::new();
@@ -173,7 +173,7 @@ proptest! {
         let plan = FaultPlan::new(FaultConfig::uniform(0.2, fault_seed));
         for config in [
             ClearingConfig::grid(Price::cents_per_kw_hour(0.5)),
-            ClearingConfig::kink_search(),
+            ClearingConfig::grid(Price::cents_per_kw_hour(0.01)),
         ] {
             let warm = MarketClearing::new(config);
             let mut current = demands.clone();
