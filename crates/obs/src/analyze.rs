@@ -17,7 +17,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use spotdc_telemetry::Event;
+use spotdc_telemetry::{json_str, Event, EventParseError};
 
 /// The nine pipeline stages, in execution order.
 ///
@@ -302,14 +302,14 @@ impl Analysis {
             }
             let (run, event) = match Event::from_jsonl_tagged(line) {
                 Ok(parsed) => parsed,
-                Err(e) if e.starts_with("unknown event tag") => {
+                Err(EventParseError::UnknownTag(_)) => {
                     // A newer writer's event: count it so the report
                     // shows the log carried more than we understood.
                     a.unknown_events += 1;
                     continue;
                 }
-                Err(e) => {
-                    a.malformed.push((idx as u64 + 1, e));
+                Err(EventParseError::Malformed(why)) => {
+                    a.malformed.push((idx as u64 + 1, why));
                     continue;
                 }
             };
@@ -485,6 +485,20 @@ impl Analysis {
         !self.emergency_slots.is_empty() || !self.invariant_slots.is_empty() || self.cap_events > 0
     }
 
+    /// The stage rows both renderers list: the canonical stages first,
+    /// in pipeline order, then any other spans alphabetically.
+    fn ordered_stages(&self) -> impl Iterator<Item = (&str, &StageStats)> {
+        let others = self
+            .stages
+            .iter()
+            .filter(|(name, _)| !PIPELINE_STAGES.contains(&name.as_str()))
+            .map(|(name, stats)| (name.as_str(), stats));
+        PIPELINE_STAGES
+            .iter()
+            .map(|stage| (*stage, &self.stages[*stage]))
+            .chain(others)
+    }
+
     /// Renders the human-readable report.
     #[must_use]
     pub fn render_text(&self) -> String {
@@ -512,19 +526,7 @@ impl Analysis {
             "{:<22} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}",
             "stage", "count", "p50", "p90", "p99", "mean", "max"
         );
-        // Canonical stages first, in pipeline order; any other spans
-        // after, alphabetically.
-        let canonical: BTreeSet<&str> = PIPELINE_STAGES.iter().copied().collect();
-        let ordered = PIPELINE_STAGES
-            .iter()
-            .map(|s| (*s, &self.stages[*s]))
-            .chain(
-                self.stages
-                    .iter()
-                    .filter(|(name, _)| !canonical.contains(name.as_str()))
-                    .map(|(name, stats)| (name.as_str(), stats)),
-            );
-        for (name, stats) in ordered {
+        for (name, stats) in self.ordered_stages() {
             let _ = writeln!(
                 out,
                 "{:<22} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}",
@@ -699,18 +701,7 @@ impl Analysis {
         let _ = write!(out, ",\"runs\":[{}]", runs.join(","));
 
         out.push_str(",\"stages\":[");
-        let canonical: BTreeSet<&str> = PIPELINE_STAGES.iter().copied().collect();
-        let ordered: Vec<(&str, &StageStats)> = PIPELINE_STAGES
-            .iter()
-            .map(|s| (*s, &self.stages[*s]))
-            .chain(
-                self.stages
-                    .iter()
-                    .filter(|(name, _)| !canonical.contains(name.as_str()))
-                    .map(|(name, stats)| (name.as_str(), stats)),
-            )
-            .collect();
-        for (i, (name, s)) in ordered.iter().enumerate() {
+        for (i, (name, s)) in self.ordered_stages().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -936,28 +927,6 @@ fn fmt_f64(x: f64) -> String {
     } else {
         "0.0000".to_owned()
     }
-}
-
-/// Quotes and escapes a JSON string (same escapes the telemetry wire
-/// format uses).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -1299,6 +1268,18 @@ mod tests {
             "{}",
             a.render_json()
         );
+    }
+
+    #[test]
+    fn a_malformed_line_that_mimics_the_unknown_tag_message_stays_malformed() {
+        // The unknown/malformed split is made on the parse error's
+        // type, so no wording of a damaged line — or of the description
+        // the parser gives it — can promote it to "a newer writer's
+        // event".
+        let body = "unknown event tag \"Nope\"\n{\"unknown event tag\"}";
+        let a = Analysis::from_jsonl(body, None);
+        assert_eq!(a.unknown_events, 0);
+        assert_eq!(a.malformed.len(), 2, "{:?}", a.malformed);
     }
 
     #[test]

@@ -63,9 +63,12 @@ fn main() -> ExitCode {
 
     let mut body = String::new();
     for path in &paths {
-        match std::fs::read_to_string(path) {
+        // Bytes, decoded lossily: a log torn inside a multi-byte
+        // character (a `FileSink` tail after `kill -9`, a damaged
+        // black-box dump) costs the one damaged line, not the file.
+        match std::fs::read(path) {
             Ok(content) => {
-                body.push_str(&content);
+                body.push_str(&String::from_utf8_lossy(&content));
                 if !body.ends_with('\n') {
                     body.push('\n');
                 }

@@ -22,6 +22,20 @@ use spotdc_units::{RackId, Slot, Watts};
 use crate::metrics::{SlotRecord, TenantSlotMetrics};
 use crate::pipeline::{PredictKind, SimState, SlotContext, SlotStage};
 
+/// Counts one fired fault and logs it as a `FaultInjected` event. The
+/// label is rendered only when telemetry is on.
+fn note_fault_injected(slot: Slot, kind: &str, target: &dyn std::fmt::Display) {
+    if spotdc_telemetry::is_enabled() {
+        spotdc_telemetry::registry().inc_counter("spotdc_faults_injected_total", 1);
+        spotdc_telemetry::emit(spotdc_telemetry::Event::FaultInjected {
+            slot,
+            at: spotdc_units::MonotonicNanos::now(),
+            kind: kind.to_owned(),
+            target: target.to_string(),
+        });
+    }
+}
+
 /// Records `draw` into the meter, applying any scheduled meter fault:
 /// a dropout skips the sample (detectable staleness), a freeze
 /// re-records the last value as if fresh (undetectable), noise scales
@@ -42,15 +56,7 @@ fn record_observed(
         meter.record(slot, rack, draw);
         return false;
     };
-    if spotdc_telemetry::is_enabled() {
-        spotdc_telemetry::registry().inc_counter("spotdc_faults_injected_total", 1);
-        spotdc_telemetry::emit(spotdc_telemetry::Event::FaultInjected {
-            slot,
-            at: spotdc_units::MonotonicNanos::now(),
-            kind: fault.kind().to_owned(),
-            target: rack.to_string(),
-        });
-    }
+    note_fault_injected(slot, fault.kind(), &rack);
     match fault {
         MeterFault::Dropout => {}
         MeterFault::Freeze => {
@@ -130,15 +136,7 @@ impl SlotStage for Sense {
         let delayed = state.faults_active && state.plan.prediction_delayed(slot);
         if delayed {
             state.faults_injected += 1;
-            if spotdc_telemetry::is_enabled() {
-                spotdc_telemetry::registry().inc_counter("spotdc_faults_injected_total", 1);
-                spotdc_telemetry::emit(spotdc_telemetry::Event::FaultInjected {
-                    slot,
-                    at: spotdc_units::MonotonicNanos::now(),
-                    kind: "prediction-delay".to_owned(),
-                    target: "operator".to_owned(),
-                });
-            }
+            note_fault_injected(slot, "prediction-delay", &"operator");
         }
         ctx.delayed = delayed;
     }
@@ -227,16 +225,7 @@ impl SlotStage for CollectBids {
                     None => i += 1,
                     Some(fault) => {
                         state.faults_injected += 1;
-                        if spotdc_telemetry::is_enabled() {
-                            spotdc_telemetry::registry()
-                                .inc_counter("spotdc_faults_injected_total", 1);
-                            spotdc_telemetry::emit(spotdc_telemetry::Event::FaultInjected {
-                                slot,
-                                at: spotdc_units::MonotonicNanos::now(),
-                                kind: fault.kind().to_owned(),
-                                target: ctx.bids[i].tenant().to_string(),
-                            });
-                        }
+                        note_fault_injected(slot, fault.kind(), &ctx.bids[i].tenant());
                         let bid = ctx.bids.remove(i);
                         if fault == BidFault::Late {
                             self.late_bids.push(bid);

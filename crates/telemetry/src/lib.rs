@@ -56,6 +56,7 @@
 #![warn(missing_docs)]
 
 mod event;
+mod json;
 mod metrics;
 mod sink;
 mod span;
@@ -65,7 +66,8 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
-pub use event::Event;
+pub use event::{Event, EventParseError};
+pub use json::json_str;
 pub use metrics::{Histogram, Registry, DURATION_BUCKETS};
 pub use sink::{EventSink, FileSink, NullSink, RingSink, VecSink};
 pub use span::SpanGuard;

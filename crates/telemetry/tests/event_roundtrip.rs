@@ -3,11 +3,15 @@
 //!
 //! `spotdc-trace` trusts `Event::from_jsonl_tagged` to reconstruct
 //! whatever a `FileSink` or flight-recorder dump wrote; this pins that
-//! trust down across all eleven variants with adversarial strings
-//! (quotes, backslashes, newlines, control characters, non-ASCII) and
-//! full-range numeric fields.
+//! trust down across every variant with adversarial strings (quotes,
+//! backslashes, newlines, control characters, non-ASCII) and full-range
+//! numeric fields. `every_kind_is_generated` keeps "every" true: a
+//! variant added to the event table without a generator here fails it.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use spotdc_telemetry::Event;
 use spotdc_units::{MonotonicNanos, Slot};
 
@@ -44,9 +48,12 @@ fn magnitude() -> impl Strategy<Value = f64> {
     prop_oneof![Just(0.0), 0.0..2.0e7, 0.0..0.001]
 }
 
+fn any_u64() -> impl Strategy<Value = u64> {
+    0u64..=u64::MAX
+}
+
 fn base() -> impl Strategy<Value = (Slot, MonotonicNanos)> {
-    (0u64..=u64::MAX, 0u64..=u64::MAX)
-        .prop_map(|(slot, at)| (Slot::new(slot), MonotonicNanos::from_raw(at)))
+    (any_u64(), any_u64()).prop_map(|(slot, at)| (Slot::new(slot), MonotonicNanos::from_raw(at)))
 }
 
 fn event() -> impl Strategy<Value = Event> {
@@ -151,7 +158,75 @@ fn event() -> impl Strategy<Value = Event> {
                 candidates_swept,
             }
         ),
+        (base(), any_u64(), any_u64()).prop_map(|((slot, at), bytes, nanos)| {
+            Event::CheckpointWritten {
+                slot,
+                at,
+                bytes,
+                nanos,
+            }
+        }),
+        (base(), any_u64(), any_u64()).prop_map(|((slot, at), snapshot_slot, replayed_slots)| {
+            Event::RecoveryPerformed {
+                slot,
+                at,
+                snapshot_slot,
+                replayed_slots,
+            }
+        }),
+        (base(), text(), any_u64()).prop_map(|((slot, at), reason, dropped_bytes)| {
+            Event::JournalTruncated {
+                slot,
+                at,
+                reason,
+                dropped_bytes,
+            }
+        }),
+        (
+            base(),
+            text(),
+            any_u64(),
+            any_u64(),
+            any_u64(),
+            any_u64(),
+            any_u64()
+        )
+            .prop_map(
+                |((slot, at), phase, frames_sent, frames_recv, bytes_sent, bytes_recv, tasks)| {
+                    Event::ShardRpc {
+                        slot,
+                        at,
+                        phase,
+                        frames_sent,
+                        frames_recv,
+                        bytes_sent,
+                        bytes_recv,
+                        tasks,
+                    }
+                }
+            ),
+        (base(), any_u64(), any_u64(), any_u64()).prop_map(
+            |((slot, at), shard, outcomes, nanos)| Event::ShardCleared {
+                slot,
+                at,
+                shard,
+                outcomes,
+                nanos,
+            }
+        ),
     ]
+}
+
+/// The generator above is a hand-written list; the table is the truth.
+#[test]
+fn every_kind_is_generated() {
+    let strategy = event();
+    let mut rng = TestRng::deterministic("every_kind_is_generated");
+    let generated: BTreeSet<&str> = (0..4_096)
+        .map(|_| strategy.sample(&mut rng).kind())
+        .collect();
+    let declared: BTreeSet<&str> = Event::KINDS.iter().copied().collect();
+    assert_eq!(generated, declared);
 }
 
 proptest! {
