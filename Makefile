@@ -3,7 +3,7 @@
 CARGO ?= cargo
 JOBS ?= 4
 
-.PHONY: build test bench bench-repro bench-slots bench-check bench-dist \
+.PHONY: build test bench bench-repro bench-slots bench-check bench-dist bench-pairs \
 	benchmark-check clippy determinism golden smoke-faults smoke-trace smoke-crash \
 	smoke-dist fmt verify repro
 
@@ -87,6 +87,18 @@ bench-check: build
 	$(CARGO) run -p spotdc-bench --bin bench_slots --release -- \
 		--out target/BENCH_slots.fresh.json
 	scripts/bench_check BENCH_slots.json target/BENCH_slots.fresh.json
+
+# The A/B behind every performance claim: BENCHMARK.json's command on
+# the working tree against BASE, in alternating pairs, reporting both
+# medians with quartiles and wins / pairs per end-to-end metric (see
+# scripts/bench_pairs). `make bench-pairs BASE=HEAD WORKLOADS=clear-replay`
+# measures uncommitted work on one workload.
+BASE ?= HEAD~1
+PAIRS ?= 10
+SEED ?= 42
+WORKLOADS ?= testbed-modes armed-3k perpdu-15k sharded-15k clear-replay
+bench-pairs:
+	scripts/bench_pairs -b $(BASE) -n $(PAIRS) -s $(SEED) $(WORKLOADS)
 
 # The BENCHMARK.json gate builds `benchmark/` (a standalone package
 # with path dependencies on crates/*, outside this workspace) from the

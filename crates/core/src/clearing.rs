@@ -16,10 +16,13 @@
 //!
 //! The hot path evaluates candidates against a *columnar
 //! bid book* ([`BidBook`]): live bids are decomposed once per slot into
-//! flat arrays of headroom, PDU slot, and demand segments, candidate
-//! prices are swept in ascending order with one monotone segment cursor
-//! per bid (O(1) amortized per bid per sweep), and per-PDU/UPS sums are
-//! accumulated in recycled SoA buffers. Building the book also writes
+//! flat arrays of headroom, PDU slot, and demand segments, and the
+//! sweep runs *bid-major* — each piece of a bid's curve covers one
+//! contiguous range of the ascending candidates, found by binary
+//! search and summed by a straight-line loop, and the all-zero tail
+//! above a bid's ceiling is never visited. Per-PDU sums live in a
+//! ragged PDU-major arena, one row per PDU, each only as long as its
+//! highest bid reaches (DESIGN.md §13). Building the book also writes
 //! one flat bitwise fingerprint of the live bids; when it equals the
 //! key retained from the previous clearing, the candidate list and the
 //! cached sums are reused outright (a *hit*), otherwise candidates are
@@ -231,18 +234,28 @@ struct Scratch {
     book: BidBook,
     /// Per-candidate clipped-demand totals (parallel to `candidates`).
     totals: Vec<f64>,
-    /// Per-candidate per-touched-PDU sums, candidate-major:
-    /// `pdu_used[c * touched + s]`.
+    /// Per-touched-PDU sums, PDU-major and ragged: row `s` is
+    /// `pdu_used[row_start[s]..row_start[s + 1]]`, indexed by candidate,
+    /// and ends at the first candidate past every bid of PDU `s` —
+    /// beyond it that PDU's demand is exactly 0.0.
     pdu_used: Vec<f64>,
-    /// Whether `totals`/`pdu_used` describe (`key`, `candidates`).
+    /// Row offsets into `pdu_used` (one more entry than touched PDUs).
+    row_start: Vec<usize>,
+    /// Whether `totals`/`pdu_used`/`row_start` describe (`key`,
+    /// `candidates`).
     sums_valid: bool,
-    /// Segment cursors for the sweep (one per live bid).
-    cursors: Vec<u32>,
+    /// End of the candidate range each piece of `book.segs` covers
+    /// (parallel to it; a range starts where the bid's previous piece
+    /// ends, the first at candidate 0).
+    seg_end: Vec<u32>,
+    /// [`select_best`]'s per-candidate "some PDU is over capacity" flags.
+    infeasible: Vec<bool>,
 }
 
 /// One linear-or-constant piece of a bid's demand curve, valid up to
-/// `bound`. [`advance_cursor`] walks these left to right as the sweep's
-/// query price rises, reproducing the corresponding `demand_at`
+/// `bound`; past its last piece a bid demands exactly zero. The sweep
+/// finds where each piece ends among the ascending candidates with
+/// [`Segment::passed`], which reproduces the corresponding `demand_at`
 /// implementation bit for bit — including its comparison style:
 /// `fuzzy` pieces end when `bound <= q + EPS` (the `partition_point`
 /// predicate of [`crate::demand::FullBid`]) while exact pieces end when
@@ -262,14 +275,8 @@ enum SegKind {
 }
 
 impl Segment {
-    /// Every bid's chain ends with this unbounded zero-demand piece, so
-    /// cursors saturate instead of running off the end.
-    const TERMINAL: Segment = Segment {
-        bound: f64::INFINITY,
-        fuzzy: false,
-        kind: SegKind::Const(0.0),
-    };
-
+    /// Whether `q` lies beyond this piece. Monotone in `q` for either
+    /// style, so the candidates a piece covers are one contiguous run.
     #[inline]
     fn passed(&self, q: f64) -> bool {
         if self.fuzzy {
@@ -278,30 +285,9 @@ impl Segment {
             q > self.bound
         }
     }
-
-    #[inline]
-    fn eval(&self, q: f64) -> f64 {
-        match self.kind {
-            SegKind::Const(v) => v,
-            SegKind::Interp { q0, dq, a, b } => a + (b - a) * ((q - q0) / dq),
-        }
-    }
 }
 
-/// Advances one bid's segment cursor to the piece covering `q` and
-/// evaluates it. Queries must arrive in non-decreasing `q` order per
-/// sweep, which is why each candidate costs O(1) amortized.
-#[inline]
-fn advance_cursor(segs: &[Segment], cur: &mut u32, q: f64) -> f64 {
-    let mut i = *cur as usize;
-    while segs[i].passed(q) {
-        i += 1;
-    }
-    *cur = i as u32;
-    segs[i].eval(q)
-}
-
-/// Decomposes `d` into its [`Segment`] chain (terminated), matching the
+/// Decomposes `d` into its [`Segment`] chain, matching the
 /// region boundaries and arithmetic of `d.demand_at` exactly.
 fn push_segments(d: &DemandBid, out: &mut Vec<Segment>) {
     match d {
@@ -331,7 +317,6 @@ fn push_segments(d: &DemandBid, out: &mut Vec<Segment>) {
                 fuzzy: false,
                 kind,
             });
-            out.push(Segment::TERMINAL);
         }
         DemandBid::Step(b) => {
             out.push(Segment {
@@ -339,7 +324,6 @@ fn push_segments(d: &DemandBid, out: &mut Vec<Segment>) {
                 fuzzy: false,
                 kind: SegKind::Const(b.demand().value()),
             });
-            out.push(Segment::TERMINAL);
         }
         DemandBid::Full(b) => {
             let pts = b.points();
@@ -374,7 +358,6 @@ fn push_segments(d: &DemandBid, out: &mut Vec<Segment>) {
                 fuzzy: false,
                 kind: SegKind::Const(last.1.value()),
             });
-            out.push(Segment::TERMINAL);
         }
     }
 }
@@ -392,7 +375,8 @@ struct BidBook {
     pdu_slot: Vec<u32>,
     /// Rack headroom (watts) per bid.
     headroom: Vec<f64>,
-    /// First segment of each bid's chain in `segs`.
+    /// First segment of each bid's chain in `segs`, plus one closing
+    /// entry: bid `j`'s chain is `segs[seg_start[j]..seg_start[j + 1]]`.
     seg_start: Vec<u32>,
     /// All bids' segment chains, concatenated.
     segs: Vec<Segment>,
@@ -464,6 +448,7 @@ impl BidBook {
             push_segments(b.demand(), &mut self.segs);
             fingerprint_demand(b.demand(), &mut self.fp);
         }
+        self.seg_start.push(self.segs.len() as u32);
     }
 }
 
@@ -586,7 +571,6 @@ impl MarketClearing {
             std::mem::swap(&mut scratch.key, &mut scratch.book.fp);
             scratch.sums_valid = false;
         }
-        let evaluated = scratch.candidates.len();
         let zoned = !constraints.zones().is_empty() || constraints.phases().is_some();
         let (best, mode) = if zoned {
             let best = legacy_scan(bids, &scratch.live, constraints, &scratch.candidates);
@@ -599,17 +583,13 @@ impl MarketClearing {
             let mode = if scratch.sums_valid {
                 "hit"
             } else {
-                let ns = scratch.book.touched.len();
-                scratch.totals.clear();
-                scratch.totals.resize(evaluated, 0.0);
-                scratch.pdu_used.clear();
-                scratch.pdu_used.resize(evaluated * ns, 0.0);
                 sweep(
                     &scratch.book,
                     &scratch.candidates,
-                    &mut scratch.cursors,
+                    &mut scratch.seg_end,
                     &mut scratch.totals,
                     &mut scratch.pdu_used,
+                    &mut scratch.row_start,
                 );
                 scratch.sums_valid = true;
                 "full"
@@ -618,8 +598,10 @@ impl MarketClearing {
                 &scratch.candidates,
                 &scratch.totals,
                 &scratch.pdu_used,
+                &scratch.row_start,
                 &scratch.book.touched_spot,
                 constraints.ups_spot().value(),
+                &mut scratch.infeasible,
             );
             (best, mode)
         };
@@ -935,63 +917,113 @@ fn legacy_scan(
     best
 }
 
-/// The bucketed price sweep: visits the (ascending) candidates in
-/// order, advancing every bid's segment cursor monotonically, and
-/// accumulates each candidate's clipped-demand total and per-PDU sums
-/// in bid order — the exact addend sequence `feasible_total` would
-/// produce, so the resulting floats are bit-identical to the legacy
-/// scan's.
+/// The bid-major price sweep. Each piece of a bid's curve covers one
+/// contiguous range of the (ascending) candidates, ending where
+/// [`Segment::passed`] first holds — the very comparison `demand_at`
+/// makes, never arithmetic on the grid step — and a straight-line loop
+/// adds the piece's clipped demand to that range of `totals` and of the
+/// bid's PDU row; the zero tail past a bid's last piece is skipped.
+/// Bids are visited in bid order, so every candidate total and every
+/// (candidate, PDU) cell receives the addend sequence `feasible_total`
+/// would produce, less some `+ 0.0` terms — the identity on a sum that
+/// starts at `+0.0` and only ever adds non-negative or `-0.0` values —
+/// and the resulting floats are bit-identical to the legacy scan's.
 fn sweep(
     book: &BidBook,
     candidates: &[Price],
-    cursors: &mut Vec<u32>,
-    totals: &mut [f64],
-    pdu_used: &mut [f64],
+    seg_end: &mut Vec<u32>,
+    totals: &mut Vec<f64>,
+    pdu_used: &mut Vec<f64>,
+    row_start: &mut Vec<usize>,
 ) {
+    let chain = |j: usize| book.seg_start[j] as usize..book.seg_start[j + 1] as usize;
+    // First pass: where each piece ends, and from that how long each
+    // PDU's row must be (collected in `row_start[slot + 1]`, then
+    // turned into offsets by a running sum).
     let ns = book.touched.len();
-    cursors.clear();
-    cursors.extend_from_slice(&book.seg_start);
-    for (c, q) in candidates.iter().enumerate() {
-        let q = q.per_kw_hour_value();
-        let row = &mut pdu_used[c * ns..(c + 1) * ns];
-        let mut total = 0.0;
-        for ((cur, &h), &ps) in cursors.iter_mut().zip(&book.headroom).zip(&book.pdu_slot) {
-            let d = advance_cursor(&book.segs, cur, q);
-            // `min` then clamp — f64::min and `< 0.0`, matching
-            // `Watts::min`/`Watts::clamp_non_negative` bit for bit.
-            let mut clip = d.min(h);
-            if clip < 0.0 {
-                clip = 0.0;
-            }
-            total += clip;
-            row[ps as usize] += clip;
+    seg_end.clear();
+    row_start.clear();
+    row_start.resize(ns + 1, 0);
+    for (j, &ps) in book.pdu_slot.iter().enumerate() {
+        let mut hi = 0;
+        for seg in &book.segs[chain(j)] {
+            hi += candidates[hi..].partition_point(|q| !seg.passed(q.per_kw_hour_value()));
+            seg_end.push(hi as u32);
         }
-        totals[c] = total;
+        let len = &mut row_start[ps as usize + 1];
+        *len = (*len).max(hi);
+    }
+    for s in 0..ns {
+        row_start[s + 1] += row_start[s];
+    }
+    totals.clear();
+    totals.resize(candidates.len(), 0.0);
+    pdu_used.clear();
+    pdu_used.resize(row_start[ns], 0.0);
+    // `min` then clamp — f64::min and `< 0.0`, matching
+    // `Watts::min`/`Watts::clamp_non_negative` bit for bit.
+    let clip = |d: f64, h: f64| {
+        let clip = d.min(h);
+        if clip < 0.0 {
+            0.0
+        } else {
+            clip
+        }
+    };
+    for (j, (&ps, &h)) in book.pdu_slot.iter().zip(&book.headroom).enumerate() {
+        let row = &mut pdu_used[row_start[ps as usize]..row_start[ps as usize + 1]];
+        let mut lo = 0;
+        for (seg, &hi) in book.segs[chain(j)].iter().zip(&seg_end[chain(j)]) {
+            let hi = hi as usize;
+            let cells = totals[lo..hi].iter_mut().zip(&mut row[lo..hi]);
+            match seg.kind {
+                SegKind::Const(v) => {
+                    let d = clip(v, h);
+                    for (total, used) in cells {
+                        *total += d;
+                        *used += d;
+                    }
+                }
+                SegKind::Interp { q0, dq, a, b } => {
+                    for ((total, used), q) in cells.zip(&candidates[lo..hi]) {
+                        let q = q.per_kw_hour_value();
+                        let d = clip(a + (b - a) * ((q - q0) / dq), h);
+                        *total += d;
+                        *used += d;
+                    }
+                }
+            }
+            lo = hi;
+        }
     }
 }
 
-/// Picks the revenue-maximizing feasible candidate from the swept sums,
-/// visiting candidates in ascending order with the legacy tie rule
-/// (`rate <= best + 1e-12` keeps the incumbent). Untouched PDUs carry
-/// exactly 0.0 demand and non-negative capacity, so checking only the
-/// touched ones decides feasibility identically to the all-PDU loop.
+/// Picks the revenue-maximizing feasible candidate from the swept sums:
+/// every PDU row first flags the candidates it is over capacity at,
+/// then candidates are visited in ascending order with the legacy tie
+/// rule (`rate <= best + 1e-12` keeps the incumbent). Past the end of
+/// its row a PDU's demand is exactly 0.0, as is an untouched PDU's at
+/// every candidate, and capacities are non-negative, so the flagged
+/// cells decide feasibility identically to the all-PDU loop.
 fn select_best(
     candidates: &[Price],
     totals: &[f64],
     pdu_used: &[f64],
+    row_start: &[usize],
     touched_spot: &[f64],
     ups_spot: f64,
+    infeasible: &mut Vec<bool>,
 ) -> Option<(Price, f64)> {
-    let ns = touched_spot.len();
-    let mut best: Option<(Price, f64)> = None;
-    'cand: for (c, &q) in candidates.iter().enumerate() {
-        for (&used, &cap) in pdu_used[c * ns..(c + 1) * ns].iter().zip(touched_spot) {
-            if used > cap + TOLERANCE {
-                continue 'cand;
-            }
+    infeasible.clear();
+    infeasible.resize(candidates.len(), false);
+    for (row, &cap) in row_start.windows(2).zip(touched_spot) {
+        for (over, &used) in infeasible.iter_mut().zip(&pdu_used[row[0]..row[1]]) {
+            *over |= used > cap + TOLERANCE;
         }
-        let total = totals[c];
-        if total > ups_spot + TOLERANCE {
+    }
+    let mut best: Option<(Price, f64)> = None;
+    for ((&q, &total), &over) in candidates.iter().zip(totals).zip(&*infeasible) {
+        if over || total > ups_spot + TOLERANCE {
             continue;
         }
         let rate = q.per_kw_hour_value() * (total / 1_000.0);

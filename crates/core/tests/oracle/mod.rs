@@ -1,12 +1,13 @@
 //! An independent reference clearer, written from the paper's Eqns.
-//! 1–4 and nothing else: no bid book, no segment cursors, no cached
+//! 1–4 and nothing else: no bid book, no piece ranges, no cached
 //! sums, no scratch. The property tests hold `MarketClearing` to it
 //! bit for bit, so "correct" does not bottom out in "equals the
 //! previous implementation".
 //!
 //! * Eq. 1 — choose the price `q` maximizing `q · Σ_r D_r(q)` over the
 //!   scanned grid `0, step, 2·step, …` up to one step past the highest
-//!   price any bid still demands at;
+//!   price any bid still demands at, or [`MAX_PRICES`] grid prices if
+//!   that comes first;
 //! * Eq. 2 — no rack is granted more than its headroom (each demand is
 //!   clipped to it, which is also what the rack is granted);
 //! * Eq. 3 — the grants under each PDU fit that PDU's spot capacity;
@@ -20,11 +21,15 @@
 
 use std::collections::BTreeMap;
 
-use spotdc_core::{ConstraintSet, RackBid};
+use spotdc_core::{ConstraintSet, MarketOutcome, RackBid};
 use spotdc_units::{PduId, Price, RackId, Watts};
 
 /// Slack on Eqns. 3–4, as `ConstraintSet::check` applies it.
 const TOLERANCE: f64 = 1e-6;
+
+/// The documented bound on how many grid prices one clearing scans
+/// (a ceiling beyond it is cleared within the scanned range).
+const MAX_PRICES: usize = 1 << 14;
 
 /// What the market clears to: a price, the operator's revenue rate in
 /// $/h there, and each bidding rack's grant. Nothing sold is price 0,
@@ -75,7 +80,7 @@ pub fn clear(step: Price, bids: &[RackBid], cs: &ConstraintSet) -> Cleared {
         .iter()
         .map(|b| b.demand().price_ceiling().per_kw_hour_value())
         .fold(0.0, f64::max);
-    let last = (ceiling / step).ceil() as usize + 1;
+    let last = ((ceiling / step).ceil() as usize).min(MAX_PRICES - 2) + 1;
     let mut best: Option<(Price, f64)> = None;
     for i in 0..=last {
         let q = Price::per_kw_hour(i as f64 * step);
@@ -100,4 +105,29 @@ pub fn clear(step: Price, bids: &[RackBid], cs: &ConstraintSet) -> Cleared {
             grants: BTreeMap::new(),
         },
     }
+}
+
+/// Holds an engine's outcome to [`clear`] bit for bit: price, revenue
+/// rate and every grant.
+pub fn assert_cleared(got: &MarketOutcome, step: Price, bids: &[RackBid], cs: &ConstraintSet) {
+    let want = clear(step, bids, cs);
+    let bits = |w: Watts| w.value().to_bits();
+    assert_eq!(
+        got.price().per_kw_hour_value().to_bits(),
+        want.price.per_kw_hour_value().to_bits(),
+        "price {} vs oracle {}",
+        got.price(),
+        want.price
+    );
+    assert_eq!(got.revenue_rate().to_bits(), want.revenue_rate.to_bits());
+    assert_eq!(
+        got.allocation()
+            .iter()
+            .map(|(r, w)| (r, bits(w)))
+            .collect::<Vec<_>>(),
+        want.grants
+            .iter()
+            .map(|(&r, &w)| (r, bits(w)))
+            .collect::<Vec<_>>()
+    );
 }

@@ -2,57 +2,17 @@
 //!
 //! `clear_per_pdu` must hold one constraint set however many
 //! sub-markets it walks: bytes allocated are O(racks + bids), not
-//! O(sub-markets × racks). This lives in its own test binary because it
-//! installs a counting `#[global_allocator]`, which needs `unsafe` the
-//! library crates forbid, and holds a single test so no sibling test's
-//! allocations land in the count.
+//! O(sub-markets × racks). Own test binary, single test — for the
+//! reasons given in `counting/mod.rs`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod counting;
 
 use spotdc_core::demand::StepBid;
 use spotdc_core::{ClearingConfig, ConstraintSet, MarketClearing, RackBid};
 use spotdc_power::topology::TopologyBuilder;
 use spotdc_units::{Price, RackId, Slot, TenantId, Watts};
 
-/// Bytes requested from the allocator so far (allocations plus the new
-/// size of every reallocation); frees are not subtracted.
-static REQUESTED: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// whose contract is the one the caller already upholds; the only added
-// work is a relaxed counter bump that touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: `layout` is the caller's, passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` via `alloc`/`realloc` above
-        // with this `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
-        // SAFETY: same block, layout and size the caller vouches for.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Bytes requested while `f` runs.
-fn requested_by<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = REQUESTED.load(Ordering::Relaxed);
-    let out = f();
-    (out, REQUESTED.load(Ordering::Relaxed) - before)
-}
+use counting::requested_by;
 
 #[test]
 fn clear_per_pdu_allocates_a_constant_number_of_constraint_sets() {

@@ -69,6 +69,141 @@ fn any_bid_shape() -> impl Strategy<Value = DemandBid> {
     prop_oneof![linear_bid(), step_bid(), full_bid()]
 }
 
+/// `spotdc_core::demand`'s price-comparison tolerance (crate-private).
+const EPS: f64 = 1e-12;
+
+/// A price placed where the sweep decides which piece of a curve a
+/// candidate falls on: exactly on a multiple of [`step`] (computed as
+/// the engine computes its candidates), within a few [`EPS`] either
+/// side of one, or anywhere between two.
+fn edge_price(multiples: std::ops::Range<u32>) -> impl Strategy<Value = f64> {
+    let offset = prop_oneof![
+        Just(0.0),
+        Just(0.4 * EPS),
+        Just(-0.4 * EPS),
+        Just(EPS),
+        Just(-EPS),
+        Just(2.0 * EPS),
+        Just(-2.0 * EPS),
+        0.0..0.005f64,
+    ];
+    (multiples, offset)
+        .prop_map(|(k, off)| (f64::from(k) * step().per_kw_hour_value() + off).max(0.0))
+}
+
+/// A demand parameter that is often a zero of either sign.
+fn edge_demand() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), Just(-0.0), 0.0..80.0f64, 0.0..80.0f64]
+}
+
+/// Linear and step bids priced at [`edge_price`]s, and full curves whose
+/// first breakpoint lies above zero and some of whose breakpoints sit
+/// less than [`EPS`] apart with a demand drop between them — the shapes
+/// that tell the exact piece-end comparison from the fuzzy one.
+fn edge_bid() -> impl Strategy<Value = DemandBid> {
+    let linear = (
+        edge_demand(),
+        0.0..80.0f64,
+        edge_price(0..60),
+        edge_price(0..60),
+    )
+        .prop_map(|(d1, d2, q1, q2)| {
+            let (d_min, d_max) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
+            let (q_min, q_max) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
+            LinearBid::new(
+                Watts::new(d_max),
+                Price::per_kw_hour(q_min),
+                Watts::new(d_min),
+                Price::per_kw_hour(q_max),
+            )
+            .expect("ordered parameters are valid")
+            .into()
+        });
+    let step = (edge_demand(), edge_price(0..60)).prop_map(|(d, q)| {
+        StepBid::new(Watts::new(d), Price::per_kw_hour(q))
+            .expect("valid")
+            .into()
+    });
+    let twin = prop::option::of(prop_oneof![Just(0.3 * EPS), Just(0.9 * EPS)]);
+    let full = (
+        prop::collection::vec((edge_price(1..60), twin, 0.0..30.0f64), 1..4),
+        edge_demand(),
+    )
+        .prop_map(|(breaks, d0)| {
+            let mut prices: Vec<f64> = breaks
+                .iter()
+                .flat_map(|&(q, twin, _)| std::iter::once(q).chain(twin.map(|gap| q + gap)))
+                .collect();
+            prices.sort_by(f64::total_cmp);
+            prices.dedup();
+            let mut drops = breaks.iter().map(|b| b.2).cycle();
+            let mut demand = d0;
+            let points = prices
+                .into_iter()
+                .map(|q| {
+                    let point = (Price::per_kw_hour(q), Watts::new(demand));
+                    demand = (demand - drops.next().expect("non-empty cycle")).max(0.0);
+                    point
+                })
+                .collect();
+            FullBid::new(points).expect("valid by construction").into()
+        });
+    prop_oneof![linear, step, full]
+}
+
+/// Racks under each PDU of a [`wide_market`].
+const WIDE_RACKS_PER_PDU: usize = 3;
+
+/// A market in the shapes the bid-major sweep depends on. `picks` are
+/// `(rack pick, bid)` in bid order over `pdus` ≥ 5 PDUs, so consecutive
+/// bids land on different PDUs and several may share a rack; PDU 1 and
+/// every PDU flagged in `silent` receive no bid, so the compact PDU
+/// rows differ from the global PDU indices; `tall` adds a step bid whose
+/// cap is far above every other ceiling, or above the candidate cap;
+/// rack headrooms are often a zero of either sign.
+fn wide_market(
+    picks: &[(usize, DemandBid)],
+    pdus: usize,
+    silent: &[bool],
+    tall: Option<(usize, f64)>,
+    headrooms: &[f64],
+    spots: &[f64],
+    ups: f64,
+) -> (Vec<RackBid>, ConstraintSet) {
+    let mut b = TopologyBuilder::new(Watts::new(1e6));
+    for p in 0..pdus {
+        b = b.pdu(Watts::new(1e5));
+        for r in 0..WIDE_RACKS_PER_PDU {
+            let i = p * WIDE_RACKS_PER_PDU + r;
+            b = b.rack(
+                TenantId::new(i),
+                Watts::new(100.0),
+                Watts::new(headrooms[i]),
+            );
+        }
+    }
+    let topo = b.build().expect("valid topology");
+    let loud: Vec<usize> = (0..pdus).filter(|&p| p != 1 && !silent[p]).collect();
+    let loud = if loud.is_empty() { vec![0] } else { loud };
+    let rack = |pick: usize| {
+        let pdu = loud[(pick / WIDE_RACKS_PER_PDU) % loud.len()];
+        RackId::new(pdu * WIDE_RACKS_PER_PDU + pick % WIDE_RACKS_PER_PDU)
+    };
+    let mut bids: Vec<RackBid> = picks
+        .iter()
+        .map(|(pick, bid)| RackBid::new(rack(*pick), bid.clone()))
+        .collect();
+    if let Some((pick, cap)) = tall {
+        let bid = StepBid::new(Watts::new(25.0), Price::per_kw_hour(cap)).expect("valid");
+        bids.insert(
+            pick % (bids.len() + 1),
+            RackBid::new(rack(pick), bid.into()),
+        );
+    }
+    let pdu_spot = spots[..pdus].iter().map(|&w| Watts::new(w)).collect();
+    (bids, ConstraintSet::new(&topo, pdu_spot, Watts::new(ups)))
+}
+
 /// A topology with `n` racks spread over two PDUs, 60 W headroom each.
 fn topology(n: usize) -> PowerTopology {
     let mut b = TopologyBuilder::new(Watts::new(1e6)).pdu(Watts::new(1e5));
@@ -92,26 +227,7 @@ fn step() -> Price {
 fn clear_checked(bids: &[RackBid], cs: &ConstraintSet) -> MarketOutcome {
     let engine = MarketClearing::new(ClearingConfig::grid(step()));
     let cold = engine.clear(Slot::ZERO, bids, cs);
-    let want = oracle::clear(step(), bids, cs);
-    let bits = |w: Watts| w.value().to_bits();
-    assert_eq!(
-        cold.price().per_kw_hour_value().to_bits(),
-        want.price.per_kw_hour_value().to_bits(),
-        "price {} vs oracle {}",
-        cold.price(),
-        want.price
-    );
-    assert_eq!(cold.revenue_rate().to_bits(), want.revenue_rate.to_bits());
-    assert_eq!(
-        cold.allocation()
-            .iter()
-            .map(|(r, w)| (r, bits(w)))
-            .collect::<Vec<_>>(),
-        want.grants
-            .iter()
-            .map(|(&r, &w)| (r, bits(w)))
-            .collect::<Vec<_>>()
-    );
+    oracle::assert_cleared(&cold, step(), bids, cs);
     let warm = engine.clear(Slot::ZERO, bids, cs);
     assert_eq!(warm, cold, "the warm re-clear diverged");
     let stats = engine.cache_stats();
@@ -284,6 +400,38 @@ proptest! {
     }
 
     #[test]
+    fn sweep_shapes_match_the_oracle(
+        picks in prop::collection::vec((0..64usize, edge_bid()), 1..14),
+        next in prop::collection::vec((0..64usize, edge_bid()), 1..14),
+        pdus in 5..9usize,
+        silent in prop::collection::vec(prop_oneof![Just(false), Just(false), Just(true)], 8),
+        tall in prop::option::of((0..64usize, prop_oneof![2.0..20.0f64, 90.0..200.0f64])),
+        headrooms in prop::collection::vec(
+            prop_oneof![Just(0.0), Just(-0.0), Just(60.0), 5.0..100.0f64],
+            8 * WIDE_RACKS_PER_PDU,
+        ),
+        spots in prop::collection::vec(0.0..120.0f64, 8),
+        ups in 0.0..400.0f64,
+    ) {
+        // What the earlier cases never generate — one bid per rack, in
+        // rack order, on two contiguous PDUs, at off-grid prices — is
+        // what the bid-major sweep's ragged PDU rows and binary-searched
+        // piece ends newly depend on; see `wide_market` and `edge_bid`.
+        // A second, differently shaped book then goes through the same
+        // warm engine and back, so stale rows of one layout can never
+        // leak into the next.
+        let (bids, cs) = wide_market(&picks, pdus, &silent, tall, &headrooms, &spots, ups);
+        let out = clear_checked(&bids, &cs);
+        prop_assert!(cs.is_feasible(out.allocation().grants()), "infeasible allocation");
+        let (other, _) = wide_market(&next, pdus, &silent, None, &headrooms, &spots, ups);
+        let other_out = clear_checked(&other, &cs);
+        let warm = MarketClearing::new(ClearingConfig::grid(step()));
+        for (book, want) in [(&bids, &out), (&other, &other_out), (&bids, &out)] {
+            prop_assert_eq!(&warm.clear(Slot::ZERO, book, &cs), want);
+        }
+    }
+
+    #[test]
     fn columnar_sweep_matches_legacy_scan(
         bids in prop::collection::vec(any_bid_shape(), 1..12),
         p0 in 0.0..200.0f64,
@@ -295,7 +443,7 @@ proptest! {
         // never bind forces that path without changing any outcome, so
         // comparing against a zone-free clear pits the columnar sweep
         // against the legacy scan on the same market — the outcomes
-        // must be exactly equal, segment cursors and all.
+        // must be exactly equal, piece ranges and all.
         let topo = topology(bids.len());
         let cs = ConstraintSet::new(&topo, vec![Watts::new(p0), Watts::new(p1)], Watts::new(ups));
         let all: Vec<RackId> = (0..bids.len()).map(RackId::new).collect();

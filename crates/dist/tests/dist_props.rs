@@ -12,6 +12,12 @@
 //! drives the real `spotdc-agent` subprocess end-to-end: healthy, dead,
 //! and SIGKILLed mid-session.
 
+/// `spotdc-core`'s independent Eqns. 1–4 reference: [`serial_clear`]
+/// holds itself to it, so "merged equals serial" and "warm equals cold"
+/// never bottom out in the engine agreeing with itself.
+#[path = "../../core/tests/oracle/mod.rs"]
+mod oracle;
+
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -189,6 +195,8 @@ fn any_message() -> impl Strategy<Value = WireMsg> {
 
 /// The single-process reference: clear each task directly, in order,
 /// against a clone of the shared set re-pointed at the task's share.
+/// Every market outcome must be the oracle's bit for bit — price,
+/// revenue rate and grants — before anything is compared with it.
 fn serial_clear(
     slot: Slot,
     clearing: ClearingConfig,
@@ -199,11 +207,12 @@ fn serial_clear(
     tasks
         .iter()
         .map(|task| match task {
-            TaskShip::Market { bids, ups_spot } => ClearResult::Market(engine.clear(
-                slot,
-                bids,
-                &constraints.clone().with_ups_spot(*ups_spot),
-            )),
+            TaskShip::Market { bids, ups_spot } => {
+                let local = constraints.clone().with_ups_spot(*ups_spot);
+                let got = engine.clear(slot, bids, &local);
+                oracle::assert_cleared(&got, clearing.price_step, bids, &local);
+                ClearResult::Market(got)
+            }
             TaskShip::MaxPerf { gains, ups_spot } => ClearResult::MaxPerf(max_perf_allocate(
                 gains,
                 &constraints.clone().with_ups_spot(*ups_spot),
@@ -358,7 +367,6 @@ proptest! {
         let clearing = ClearingConfig::default();
         let mut warm = subprocess_runtime(env!("CARGO_BIN_EXE_spotdc-agent"), width)
             .expect("spawn spotdc-agent children");
-        let engine = MarketClearing::new(clearing);
         let mut bids = positioned(initial);
         let mut next_rack = bids.len();
         let mut alt = false;
@@ -395,29 +403,24 @@ proptest! {
             let constraints =
                 ConstraintSet::new(&churn_topology(alt), pdu_spot, Watts::new(ups));
             let slot = Slot::new(100 + i as u64);
-            let got = warm.clear_session(
-                slot,
-                &constraints,
-                vec![
-                    TaskShip::Market {
-                        bids: bids.clone(),
-                        ups_spot: constraints.ups_spot(),
-                    },
-                    TaskShip::MaxPerf {
-                        gains: gains.clone(),
-                        ups_spot: Watts::new(maxperf_ups),
-                    },
-                ],
-            );
+            let tasks = vec![
+                TaskShip::Market {
+                    bids: bids.clone(),
+                    ups_spot: constraints.ups_spot(),
+                },
+                TaskShip::MaxPerf {
+                    gains: gains.clone(),
+                    ups_spot: Watts::new(maxperf_ups),
+                },
+            ];
             // The cold reference rebuilds everything from scratch; task
             // `j` lives on shard `j % width`.
-            let mut want = vec![
-                Some(ClearResult::Market(engine.clear(slot, &bids, &constraints))),
-                Some(ClearResult::MaxPerf(max_perf_allocate(
-                    &gains,
-                    &constraints.clone().with_ups_spot(Watts::new(maxperf_ups)),
-                ))),
-            ];
+            let mut want: Vec<Option<ClearResult>> =
+                serial_clear(slot, clearing, &constraints, &tasks)
+                    .into_iter()
+                    .map(Some)
+                    .collect();
+            let got = warm.clear_session(slot, &constraints, tasks);
             for (j, result) in want.iter_mut().enumerate() {
                 if down == Some(j % width) {
                     *result = None;
@@ -513,19 +516,15 @@ fn fixed_gains() -> BTreeMap<RackId, ConcaveGain> {
 }
 
 fn fixed_want(slot: Slot) -> Vec<Option<ClearResult>> {
-    let constraints = fixed_constraints();
-    let engine = MarketClearing::new(ClearingConfig::default());
-    vec![
-        Some(ClearResult::Market(engine.clear(
-            slot,
-            &fixed_bids(),
-            &constraints,
-        ))),
-        Some(ClearResult::MaxPerf(max_perf_allocate(
-            &fixed_gains(),
-            &constraints,
-        ))),
-    ]
+    serial_clear(
+        slot,
+        ClearingConfig::default(),
+        &fixed_constraints(),
+        &fixed_session_tasks(),
+    )
+    .into_iter()
+    .map(Some)
+    .collect()
 }
 
 #[test]

@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use spotdc_core::demand::LinearBid;
-use spotdc_core::{ClearingConfig, ConstraintSet, MarketClearing, RackBid};
+use spotdc_core::{ClearingCacheStats, ClearingConfig, ConstraintSet, MarketClearing, RackBid};
 use spotdc_power::topology::{PowerTopology, TopologyBuilder};
 use spotdc_traces::Sampler;
 use spotdc_units::{Price, RackId, Slot, TenantId, Watts};
@@ -87,29 +87,53 @@ pub fn synthetic_market_shaped(
     (topology, bids, constraints)
 }
 
+/// The two search steps of the figure, in ¢/kW/h.
+const STEPS_CENTS: [f64; 2] = [1.0, 0.1];
+
+/// Per step of [`STEPS_CENTS`]: the mean wall-clock milliseconds of
+/// `reps` clears of a `racks`-rack market, and the engine's sweep-mode
+/// counters afterwards. Two unrelated books of the same size alternate
+/// through one warm engine, so the bid fingerprint differs on every
+/// clear and each one is a full sweep — re-clearing one identical book
+/// would time the hit cache.
+fn time_full_clears(racks: usize, seed: u64, reps: u32) -> [(f64, ClearingCacheStats); 2] {
+    let (_topology, bids, constraints) = synthetic_market(racks, seed);
+    let (_, other, _) = synthetic_market(racks, seed + 1);
+    STEPS_CENTS.map(|step_cents| {
+        let engine =
+            MarketClearing::new(ClearingConfig::grid(Price::cents_per_kw_hour(step_cents)));
+        // Warm-up clear, then timed repetitions.
+        let _ = engine.clear(Slot::ZERO, &bids, &constraints);
+        let start = Instant::now();
+        for i in 0..reps {
+            let book = if i % 2 == 0 { &other } else { &bids };
+            let outcome = engine.clear(Slot::ZERO, book, &constraints);
+            assert!(outcome.sold() >= Watts::ZERO);
+        }
+        let millis = start.elapsed().as_secs_f64() * 1000.0 / f64::from(reps);
+        (millis, engine.cache_stats())
+    })
+}
+
 /// Measures clearing time for each rack count × step size.
+///
+/// # Panics
+///
+/// Panics if any timed clear was answered from the engine's hit cache
+/// instead of being swept in full.
 #[must_use]
 pub fn compute(cfg: &ExpConfig) -> Vec<ClearingTiming> {
     let sizes: Vec<usize> = if cfg.quick {
         vec![100, 1000, 5000]
     } else {
-        vec![100, 500, 1000, 5000, 10_000, 15_000]
+        vec![100, 500, 1000, 5000, 10_000, 15_000, 100_000]
     };
     let reps = if cfg.quick { 2 } else { 5 };
     let mut out = Vec::new();
     for &racks in &sizes {
-        let (_topology, bids, constraints) = synthetic_market(racks, cfg.seed);
-        for &step_cents in &[1.0, 0.1] {
-            let engine =
-                MarketClearing::new(ClearingConfig::grid(Price::cents_per_kw_hour(step_cents)));
-            // Warm-up clear, then timed repetitions.
-            let _ = engine.clear(Slot::ZERO, &bids, &constraints);
-            let start = Instant::now();
-            for _ in 0..reps {
-                let outcome = engine.clear(Slot::ZERO, &bids, &constraints);
-                assert!(outcome.sold() >= Watts::ZERO);
-            }
-            let millis = start.elapsed().as_secs_f64() * 1000.0 / f64::from(reps);
+        let timed = time_full_clears(racks, cfg.seed, reps);
+        for (step_cents, (millis, stats)) in STEPS_CENTS.into_iter().zip(timed) {
+            assert_eq!(stats.cache_hits, 0, "timed a cache hit: {stats:?}");
             out.push(ClearingTiming {
                 racks,
                 step_cents,
@@ -216,11 +240,32 @@ mod tests {
 
     #[test]
     fn coarser_step_is_faster() {
-        let timings = compute(&ExpConfig::quick());
-        for pair in timings.chunks(2) {
-            // chunks of (1¢, 0.1¢) per size
-            assert!(pair[0].millis <= pair[1].millis * 1.5);
+        // Real sweeps, so ten times fewer candidates must simply win.
+        // Up to three tries per size: under `cargo test`'s parallel
+        // threads a pre-empted sub-millisecond coarse run can lose to an
+        // undisturbed fine one, which says nothing about the sweep.
+        for racks in [100, 1000, 5000] {
+            let faster = (0..3).any(|_| {
+                let [(coarse, _), (fine, _)] = time_full_clears(racks, 42, 2);
+                coarse < fine
+            });
+            assert!(faster, "{racks} racks: 1¢ never beat 0.1¢");
         }
+    }
+
+    #[test]
+    fn timed_clears_are_full_sweeps() {
+        for (_, stats) in time_full_clears(200, 42, 4) {
+            assert_eq!((stats.cache_hits, stats.full_sweeps), (0, 5), "{stats:?}");
+            assert_eq!(stats.candidates_swept, stats.candidates_total);
+        }
+        // What the experiment used to time: re-clears of one book.
+        let (_, bids, cs) = synthetic_market(200, 42);
+        let engine = MarketClearing::default();
+        for _ in 0..5 {
+            let _ = engine.clear(Slot::ZERO, &bids, &cs);
+        }
+        assert_eq!(engine.cache_stats().cache_hits, 4);
     }
 
     #[test]
