@@ -5,7 +5,7 @@ JOBS ?= 4
 
 .PHONY: build test bench bench-repro bench-slots bench-check bench-dist bench-pairs \
 	benchmark-check clippy determinism golden smoke-faults smoke-trace smoke-crash \
-	smoke-dist fmt verify repro
+	smoke-dist fmt verify repro loc
 
 # --workspace matters: the root Cargo.toml is a package, so a bare
 # `cargo build` would skip member binaries (repro, spotdc-trace) that
@@ -99,6 +99,12 @@ SEED ?= 42
 WORKLOADS ?= testbed-modes armed-3k perpdu-15k sharded-15k clear-replay
 bench-pairs:
 	scripts/bench_pairs -b $(BASE) -n $(PAIRS) -s $(SEED) $(WORKLOADS)
+
+# The line counts ROADMAP.md tracks and every simplicity PR quotes —
+# per-file total and non-test lines, all Rust under crates/ and
+# benchmark/ — for the working tree beside BASE, with the deltas.
+loc:
+	scripts/loc -b $(BASE)
 
 # The BENCHMARK.json gate builds `benchmark/` (a standalone package
 # with path dependencies on crates/*, outside this workspace) from the

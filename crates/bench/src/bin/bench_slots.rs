@@ -23,8 +23,7 @@
 //!
 //! A separate *hyperscale clearing* section measures the pure clearing
 //! engine (no pipeline around it) on fig7b synthetic markets at 15k
-//! and 100k racks, one column per columnar resolution mode: full
-//! sweeps and cache-hit re-clears.
+//! and 100k racks.
 //!
 //! A *distributed clearing* section runs the sharded pipeline on a
 //! 15k-participant hyperscale scenario (per-PDU SpotDC, so the PDU
@@ -131,19 +130,18 @@ fn measure_durable(slots: u64, samples: usize) -> f64 {
 struct ClearingRow {
     racks: usize,
     full_per_sec: f64,
-    hit_per_sec: f64,
 }
 
-/// Clearing throughput at `racks` on the paper-default 0.1¢ grid, one
-/// measurement per cache-resolution mode. Market construction and the
-/// warm-up clear are outside every timed region.
+/// Clearing throughput at `racks` on the paper-default 0.1¢ grid.
+/// Market construction and the warm-up clear are outside the timed
+/// region.
 fn measure_clearing(racks: usize, iters: usize) -> ClearingRow {
     let (_, bids, cs) = fig7b::synthetic_market(racks, SEED);
     let (_, other, _) = fig7b::synthetic_market(racks, SEED + 1);
     let config = ClearingConfig::grid(Price::cents_per_kw_hour(0.1));
 
-    // Full sweeps: alternating two unrelated bid books changes the
-    // cache key on every clear.
+    // Two unrelated bid books alternate, the recipe the checked-in
+    // reference rates used.
     let engine = MarketClearing::new(config);
     std::hint::black_box(engine.clear(Slot::ZERO, &bids, &cs));
     let started = Instant::now();
@@ -153,24 +151,9 @@ fn measure_clearing(racks: usize, iters: usize) -> ClearingRow {
     }
     let full_per_sec = iters as f64 / started.elapsed().as_secs_f64();
 
-    // Cache hits: the steady state — identical bids slot after slot.
-    let engine = MarketClearing::new(config);
-    std::hint::black_box(engine.clear(Slot::ZERO, &bids, &cs));
-    let started = Instant::now();
-    for i in 0..iters {
-        std::hint::black_box(engine.clear(Slot::new(i as u64 + 1), &bids, &cs));
-    }
-    let hit_per_sec = iters as f64 / started.elapsed().as_secs_f64();
-    assert_eq!(
-        engine.cache_stats().cache_hits,
-        iters as u64,
-        "hit loop must resolve every slot from the cache"
-    );
-
     ClearingRow {
         racks,
         full_per_sec,
-        hit_per_sec,
     }
 }
 
@@ -389,8 +372,7 @@ fn main() -> ExitCode {
     let durable_overhead_percent = (serial / durable - 1.0) * 100.0;
 
     // Pure-clearing hyperscale section, telemetry still hard-off. The
-    // iteration counts keep the 100k-rack full-sweep loop to a few
-    // seconds while the cheap cache-hit loop gets a steadier median.
+    // iteration counts keep the 100k-rack loop to a few seconds.
     let clearing_rows: Vec<ClearingRow> = CLEARING_RACKS
         .iter()
         .map(|&racks| measure_clearing(racks, if racks > 50_000 { 8 } else { 24 }))
@@ -433,12 +415,9 @@ fn main() -> ExitCode {
          ({durable_overhead_percent:+.1}% overhead)"
     );
     println!("\n# pure clearing — fig7b synthetic market, 0.1¢ grid");
-    println!("{:>8}  {:>10}  {:>10}", "racks", "full/sec", "hit/sec");
+    println!("{:>8}  {:>10}", "racks", "full/sec");
     for r in &clearing_rows {
-        println!(
-            "{:>8}  {:>10.2}  {:>10.2}",
-            r.racks, r.full_per_sec, r.hit_per_sec
-        );
+        println!("{:>8}  {:>10.2}", r.racks, r.full_per_sec);
     }
     print_dist_table(&dist_rows);
 
@@ -508,9 +487,8 @@ fn write_json(
         .iter()
         .map(|r| {
             format!(
-                "    {{ \"racks\": {}, \"full_clears_per_sec\": {:.2}, \
-                 \"hit_clears_per_sec\": {:.2} }}",
-                r.racks, r.full_per_sec, r.hit_per_sec
+                "    {{ \"racks\": {}, \"full_clears_per_sec\": {:.2} }}",
+                r.racks, r.full_per_sec
             )
         })
         .collect();

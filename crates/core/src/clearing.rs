@@ -22,14 +22,16 @@
 //! search and summed by a straight-line loop, and the all-zero tail
 //! above a bid's ceiling is never visited. Per-PDU sums live in a
 //! ragged PDU-major arena, one row per PDU, each only as long as its
-//! highest bid reaches (DESIGN.md §13). Building the book also writes
-//! one flat bitwise fingerprint of the live bids; when it equals the
-//! key retained from the previous clearing, the candidate list and the
-//! cached sums are reused outright (a *hit*), otherwise candidates are
-//! regenerated and every row is re-summed (a *full* sweep). Both modes
-//! produce bit-identical outcomes to the straightforward per-candidate
-//! scan (DESIGN.md §13), which remains in the code as the *legacy*
-//! fallback for heat-zone/phase constrained markets.
+//! highest bid reaches (DESIGN.md §13). The sweep is bit-identical to
+//! the straightforward per-candidate scan, which remains in the code as
+//! the *legacy* fallback for heat-zone/phase constrained markets.
+//!
+//! Clearing keeps no market state between calls, as in the paper's
+//! Algorithm 1: every non-empty clear regenerates the grid, sweeps and
+//! selects, so an outcome is a pure function of
+//! `(config, bids, constraints)`. What an engine retains is buffers
+//! (recycled so a warm clear allocates nothing but its outcome) and
+//! counters — DESIGN.md §13, "Why clearing keeps no state".
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -41,6 +43,8 @@ use crate::allocation::SpotAllocation;
 use crate::bid::RackBid;
 use crate::constraints::{ConstraintSet, TOLERANCE};
 use crate::demand::{DemandBid, EPS};
+use crate::maxperf::max_perf_allocate;
+use crate::wire::{ClearResult, TaskShip};
 
 /// Most candidate prices one clearing scans. Bid ceilings arrive from
 /// tenants (and, on shard agents, straight off a pipe) with no upper
@@ -166,66 +170,58 @@ impl spotdc_durable::Persist for MarketOutcome {
 #[derive(Debug)]
 pub struct MarketClearing {
     config: ClearingConfig,
-    /// The engine's reusable clearing state. A clearing (or a whole
-    /// [`Self::clear_shares`] run) takes it with `try_lock` and holds it
-    /// throughout; a concurrent caller finds it busy and works from a
-    /// stack-local scratch instead (correct, just cold), so parallel
-    /// per-PDU runs never serialize on it. A poisoned scratch — a panic
-    /// mid-clearing — is simply never reacquired: its cached
-    /// key/candidate state may be torn, and abandoning it is cheaper
-    /// than proving it consistent.
+    /// The engine's reusable buffers. A clearing (or a whole
+    /// [`Self::clear_tasks`] run) takes them with `try_lock` and holds
+    /// them throughout; a concurrent caller finds them busy and works
+    /// from a stack-local scratch instead (the same outcome, it only
+    /// allocates), so parallel per-PDU runs never serialize on it. A
+    /// poisoned scratch — a panic mid-clearing — is never reacquired.
     scratch: Mutex<Scratch>,
-    /// Sweep-mode counters, updated with relaxed atomics on every
-    /// clearing regardless of telemetry state.
-    stats: CacheStats,
+    /// Clear counters, updated with relaxed atomics on every clearing
+    /// regardless of telemetry state.
+    stats: ClearCounters,
 }
 
-/// Internal sweep-mode counters (relaxed atomics so concurrent per-PDU
+/// Internal clear counters (relaxed atomics so concurrent per-PDU
 /// clears never contend). Snapshot via [`MarketClearing::cache_stats`].
 #[derive(Debug, Default)]
-struct CacheStats {
+struct ClearCounters {
     full_sweeps: AtomicU64,
-    cache_hits: AtomicU64,
     legacy_scans: AtomicU64,
     candidates_total: AtomicU64,
-    candidates_swept: AtomicU64,
 }
 
-/// A snapshot of one engine's clearing-cache effectiveness counters.
+/// A snapshot of one engine's clear counters.
 ///
-/// `full_sweeps + cache_hits + legacy_scans` equals the number of
-/// non-empty markets cleared; `candidates_swept` out of
-/// `candidates_total` measures how much per-candidate work the cache
-/// actually avoided (a hit sweeps zero rows, every other mode all of
-/// them).
+/// `full_sweeps + legacy_scans` equals the number of non-empty markets
+/// cleared. The name and the three constant fields are what is left of
+/// the cross-slot caches; they stay, with their wire words, only until
+/// the external `benchmark/` package stops reading them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClearingCacheStats {
-    /// Markets swept from scratch (cold cache or any changed bid).
+    /// Markets cleared by the columnar sweep.
     pub full_sweeps: u64,
-    /// Markets served entirely from cached per-candidate sums.
+    /// Always 0 (no hit cache exists); see the struct docs.
     pub cache_hits: u64,
-    /// Always 0 (no delta mode exists); kept, with its wire word, only
-    /// until the external `benchmark/` package stops reading it.
+    /// Always 0 (no delta mode exists); see the struct docs.
     pub delta_sweeps: u64,
     /// Markets routed through the legacy per-candidate scan (heat-zone
     /// or phase-balance constraints, or a bid on an unknown PDU).
     pub legacy_scans: u64,
     /// Candidate prices considered across all clearings.
     pub candidates_total: u64,
-    /// Candidate prices actually (re-)summed across all clearings.
+    /// Always equal to `candidates_total` (every clear sums every
+    /// candidate); see the struct docs.
     pub candidates_swept: u64,
 }
 
-/// One engine's reusable clearing state: the candidate-price buffer,
-/// the bid-book fingerprint it was generated for (the cross-slot cache
-/// key), and the columnar bid book plus per-candidate sum buffers the
-/// sweep recycles between slots.
+/// One engine's reusable buffers: the candidate prices, the columnar
+/// bid book and the per-candidate sums. Every field is rebuilt from the
+/// inputs on each clear before it is read; nothing here carries market
+/// state from one clear to the next.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// [`BidBook::fp`] of the market `candidates` was generated for and
-    /// — while `sums_valid` — `totals`/`pdu_used` were summed over.
-    key: Vec<u64>,
-    /// Cached candidate prices, ascending.
+    /// This clear's candidate prices, ascending.
     candidates: Vec<Price>,
     /// Indices into the caller's bid slice for live (non-null) bids —
     /// hoisted here so the hot path allocates nothing per call.
@@ -241,9 +237,6 @@ struct Scratch {
     pdu_used: Vec<f64>,
     /// Row offsets into `pdu_used` (one more entry than touched PDUs).
     row_start: Vec<usize>,
-    /// Whether `totals`/`pdu_used`/`row_start` describe (`key`,
-    /// `candidates`).
-    sums_valid: bool,
     /// End of the candidate range each piece of `book.segs` covers
     /// (parallel to it; a range starts where the bid's previous piece
     /// ends, the first at candidate 0).
@@ -380,12 +373,6 @@ struct BidBook {
     seg_start: Vec<u32>,
     /// All bids' segment chains, concatenated.
     segs: Vec<Segment>,
-    /// The market's cache key — a flat fingerprint of the live bids as
-    /// exact bit patterns, in bid order: rack, headroom, PDU index and
-    /// every demand parameter (self-delimiting per bid, so distinct
-    /// books never encode alike). Spot capacities are not part of it:
-    /// neither the candidate list nor the demand sums read them.
-    fp: Vec<u64>,
     /// Global indices of PDUs with at least one bid, in first-appearance
     /// order.
     touched: Vec<u32>,
@@ -411,21 +398,16 @@ impl BidBook {
         self.headroom.clear();
         self.seg_start.clear();
         self.segs.clear();
-        self.fp.clear();
         self.touched.clear();
         self.touched_spot.clear();
         self.any_unknown_pdu = false;
         for &i in live {
             let b = &bids[i as usize];
             let rack = b.rack();
-            let headroom = constraints.rack_headroom(rack).value();
-            self.headroom.push(headroom);
-            self.fp.push(rack.index() as u64);
-            self.fp.push(headroom.to_bits());
+            self.headroom.push(constraints.rack_headroom(rack).value());
             match constraints.pdu_of(rack) {
                 Some(p) => {
                     let pi = p.index();
-                    self.fp.push(pi as u64);
                     if pi >= self.slot_lookup.len() {
                         self.slot_lookup.resize(pi + 1, u32::MAX);
                     }
@@ -439,14 +421,12 @@ impl BidBook {
                     self.pdu_slot.push(slot);
                 }
                 None => {
-                    self.fp.push(u64::MAX);
                     self.any_unknown_pdu = true;
                     self.pdu_slot.push(0);
                 }
             }
             self.seg_start.push(self.segs.len() as u32);
             push_segments(b.demand(), &mut self.segs);
-            fingerprint_demand(b.demand(), &mut self.fp);
         }
         self.seg_start.push(self.segs.len() as u32);
     }
@@ -454,7 +434,7 @@ impl BidBook {
 
 impl Clone for MarketClearing {
     fn clone(&self) -> Self {
-        // Scratch is per-instance cache, not state: clones start empty.
+        // Scratch is per-instance buffers, not state: clones start empty.
         MarketClearing::new(self.config)
     }
 }
@@ -472,7 +452,7 @@ impl MarketClearing {
         MarketClearing {
             config,
             scratch: Mutex::new(Scratch::default()),
-            stats: CacheStats::default(),
+            stats: ClearCounters::default(),
         }
     }
 
@@ -482,18 +462,18 @@ impl MarketClearing {
         &self.config
     }
 
-    /// A snapshot of this engine's sweep-mode counters: how many
-    /// clearings were served from cache, swept in full, or routed
-    /// through the legacy scan.
+    /// A snapshot of this engine's clear counters: how many clearings
+    /// were swept or routed through the legacy scan.
     #[must_use]
     pub fn cache_stats(&self) -> ClearingCacheStats {
+        let candidates_total = self.stats.candidates_total.load(Ordering::Relaxed);
         ClearingCacheStats {
             full_sweeps: self.stats.full_sweeps.load(Ordering::Relaxed),
-            cache_hits: self.stats.cache_hits.load(Ordering::Relaxed),
+            cache_hits: 0,
             delta_sweeps: 0,
             legacy_scans: self.stats.legacy_scans.load(Ordering::Relaxed),
-            candidates_total: self.stats.candidates_total.load(Ordering::Relaxed),
-            candidates_swept: self.stats.candidates_swept.load(Ordering::Relaxed),
+            candidates_total,
+            candidates_swept: candidates_total,
         }
     }
 
@@ -502,20 +482,9 @@ impl MarketClearing {
     ///
     /// Bids whose demand is identically zero are ignored. If no bid is
     /// present (or no positive-revenue feasible price exists) the
-    /// returned outcome carries an empty allocation.
-    ///
-    /// One cache key serves the whole clearing: [`BidBook::build`]
-    /// fingerprints the live bids (rack, headroom, PDU and every demand
-    /// parameter) and the result is compared — by equality, not by hash
-    /// — with the key the engine's scratch retained from its previous
-    /// clearing. Equal keys reuse the candidate list and the
-    /// per-candidate demand sums as they are (a *cache hit*: no demand
-    /// function is re-evaluated, only feasibility is re-checked against
-    /// the current capacities, so a capacity-only change is always a
-    /// hit); any difference regenerates the candidates and re-sums
-    /// every row (a *full sweep*). Everything cached is a pure function
-    /// of the key, so a hit is bit-identical to a cold engine — see
-    /// DESIGN.md §13.
+    /// returned outcome carries an empty allocation. The outcome is a
+    /// pure function of `(config, bids, constraints)`: nothing an
+    /// earlier clearing left in the engine is read.
     #[must_use]
     pub fn clear(
         &self,
@@ -558,42 +527,30 @@ impl MarketClearing {
                 candidates: 0,
             };
             if spotdc_telemetry::is_enabled() {
-                self.record_outcome(slot, &outcome, constraints, None);
+                self.record_outcome(slot, &outcome, constraints);
             }
             return outcome;
         }
         scratch.book.build(bids, &scratch.live, constraints);
-        if scratch.book.fp != scratch.key {
-            scratch.candidates.clear();
-            self.grid_candidates(bids, &scratch.live, &mut scratch.candidates);
-            // The displaced key lands in `book.fp`, which the next
-            // build clears — no allocation either way.
-            std::mem::swap(&mut scratch.key, &mut scratch.book.fp);
-            scratch.sums_valid = false;
-        }
+        scratch.candidates.clear();
+        self.grid_candidates(bids, &scratch.live, &mut scratch.candidates);
         let zoned = !constraints.zones().is_empty() || constraints.phases().is_some();
-        let (best, mode) = if zoned {
+        let (best, tally) = if zoned {
             let best = legacy_scan(bids, &scratch.live, constraints, &scratch.candidates);
-            (best, "legacy")
+            (best, &self.stats.legacy_scans)
         } else if scratch.book.any_unknown_pdu {
             // `feasible_total` rejects every candidate when any live
             // bid's rack has no PDU, so the market clears empty.
-            (None, "legacy")
+            (None, &self.stats.legacy_scans)
         } else {
-            let mode = if scratch.sums_valid {
-                "hit"
-            } else {
-                sweep(
-                    &scratch.book,
-                    &scratch.candidates,
-                    &mut scratch.seg_end,
-                    &mut scratch.totals,
-                    &mut scratch.pdu_used,
-                    &mut scratch.row_start,
-                );
-                scratch.sums_valid = true;
-                "full"
-            };
+            sweep(
+                &scratch.book,
+                &scratch.candidates,
+                &mut scratch.seg_end,
+                &mut scratch.totals,
+                &mut scratch.pdu_used,
+                &mut scratch.row_start,
+            );
             let best = select_best(
                 &scratch.candidates,
                 &scratch.totals,
@@ -603,15 +560,18 @@ impl MarketClearing {
                 constraints.ups_spot().value(),
                 &mut scratch.infeasible,
             );
-            (best, mode)
+            (best, &self.stats.full_sweeps)
         };
-        self.finish(slot, bids, scratch, constraints, best, mode)
+        tally.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .candidates_total
+            .fetch_add(scratch.candidates.len() as u64, Ordering::Relaxed);
+        self.finish(slot, bids, scratch, constraints, best)
     }
 
-    /// Builds the outcome for the chosen price, updates the sweep-mode
-    /// counters, and records telemetry. Grants re-evaluate each live
-    /// bid at the winning price exactly like the legacy scan did. Only
-    /// a `"hit"` re-sums no candidate row; every other mode sums all.
+    /// Builds the outcome for the chosen price and records telemetry.
+    /// Grants re-evaluate each live bid at the winning price exactly
+    /// like the legacy scan did.
     fn finish(
         &self,
         slot: Slot,
@@ -619,10 +579,8 @@ impl MarketClearing {
         scratch: &Scratch,
         constraints: &ConstraintSet,
         best: Option<(Price, f64)>,
-        mode: &'static str,
     ) -> MarketOutcome {
         let evaluated = scratch.candidates.len();
-        let swept = if mode == "hit" { 0 } else { evaluated };
         let outcome = match best {
             Some((price, rate)) if rate > 0.0 => {
                 let grants = scratch
@@ -646,37 +604,16 @@ impl MarketClearing {
                 candidates: evaluated,
             },
         };
-        let counter = match mode {
-            "hit" => &self.stats.cache_hits,
-            "full" => &self.stats.full_sweeps,
-            _ => &self.stats.legacy_scans,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .candidates_total
-            .fetch_add(evaluated as u64, Ordering::Relaxed);
-        self.stats
-            .candidates_swept
-            .fetch_add(swept as u64, Ordering::Relaxed);
         if spotdc_telemetry::is_enabled() {
-            self.record_outcome(slot, &outcome, constraints, Some((mode, evaluated, swept)));
+            self.record_outcome(slot, &outcome, constraints);
         }
         outcome
     }
 
-    /// Telemetry for one clearing: counters, the `SlotCleared` and
-    /// `ClearingCache` events, and `ConstraintBound` events for every
-    /// capacity the winning allocation exhausted. Only called when
-    /// telemetry is enabled. `cache` carries the sweep mode plus the
-    /// candidate counts considered and actually re-summed (`None` for
-    /// the empty-market early exit, which sweeps nothing).
-    fn record_outcome(
-        &self,
-        slot: Slot,
-        outcome: &MarketOutcome,
-        constraints: &ConstraintSet,
-        cache: Option<(&'static str, usize, usize)>,
-    ) {
+    /// Telemetry for one clearing: counters, the `SlotCleared` event,
+    /// and `ConstraintBound` events for every capacity the winning
+    /// allocation exhausted. Only called when telemetry is enabled.
+    fn record_outcome(&self, slot: Slot, outcome: &MarketOutcome, constraints: &ConstraintSet) {
         use spotdc_telemetry::Event;
         use spotdc_units::MonotonicNanos;
 
@@ -694,24 +631,6 @@ impl MarketClearing {
             revenue_rate_per_hour: outcome.revenue_rate(),
             candidates_evaluated: outcome.candidates as u64,
         });
-        if let Some((mode, evaluated, swept)) = cache {
-            registry.inc_counter(
-                if mode == "hit" {
-                    "spotdc_clearing_cache_hits_total"
-                } else {
-                    "spotdc_clearing_cache_misses_total"
-                },
-                1,
-            );
-            registry.inc_counter("spotdc_clearing_candidates_swept_total", swept as u64);
-            spotdc_telemetry::emit(Event::ClearingCache {
-                slot,
-                at: MonotonicNanos::now(),
-                mode: mode.to_owned(),
-                candidates_total: evaluated as u64,
-                candidates_swept: swept as u64,
-            });
-        }
         if outcome.allocation.is_empty() {
             return;
         }
@@ -786,39 +705,51 @@ impl MarketClearing {
         constraints: &ConstraintSet,
     ) -> Vec<MarketOutcome> {
         let _span = spotdc_telemetry::span!("clear_per_pdu", slot = slot);
-        self.clear_shares(
-            slot,
-            &self.per_pdu_submarket_shares(bids, constraints),
-            constraints,
-        )
+        let tasks: Vec<TaskShip> = self
+            .per_pdu_submarket_shares(bids, constraints)
+            .into_iter()
+            .map(|(bids, ups_spot)| TaskShip::Market { ups_spot, bids })
+            .collect();
+        self.clear_tasks(slot, &mut constraints.clone(), &tasks)
+            .into_iter()
+            .map(|result| match result {
+                ClearResult::Market(outcome) => outcome,
+                ClearResult::MaxPerf(_) => unreachable!("market tasks clear to market results"),
+            })
+            .collect()
     }
 
-    /// Clears a run of [`Self::per_pdu_submarket_shares`] pairs in
-    /// order against **one** retained copy of `constraints`, re-pointed
-    /// at each sub-market's UPS share with
-    /// [`ConstraintSet::set_ups_spot`] — the same clamp
-    /// [`Self::per_pdu_submarkets`] applies through `with_ups_spot`, so
-    /// every clear reads bit-for-bit the values a per-sub-market clone
-    /// would hold while memory stays O(racks + bids) instead of
-    /// O(sub-markets × racks). Callers fanning out across threads hand
-    /// each worker a contiguous run of shares and concatenate the
-    /// results in run order. The run holds one scratch throughout, so
-    /// a worker that finds the engine's busy pays for one cold scratch
-    /// per run, not one per sub-market.
+    /// Clears a run of tasks in order against **one** retained
+    /// constraint set, re-pointed at each task's UPS share with
+    /// [`ConstraintSet::set_ups_spot`] — the clamp `with_ups_spot`
+    /// applies, so every task reads bit for bit what
+    /// `constraints.clone().with_ups_spot(share)` would hold while
+    /// memory stays O(racks + bids), not O(tasks × racks). This is the
+    /// one task walk: a local clear stage, [`Self::clear_per_pdu`] and
+    /// a shard agent's frame handler all run it. `constraints` is left
+    /// at the last task's share. The run holds one scratch throughout;
+    /// callers fanning out across threads hand each worker a
+    /// contiguous run of tasks and its own copy of the set, and
+    /// concatenate the results in run order.
     #[must_use]
-    pub fn clear_shares(
+    pub fn clear_tasks(
         &self,
         slot: Slot,
-        shares: &[(Vec<RackBid>, Watts)],
-        constraints: &ConstraintSet,
-    ) -> Vec<MarketOutcome> {
-        let mut local = constraints.clone();
+        constraints: &mut ConstraintSet,
+        tasks: &[TaskShip],
+    ) -> Vec<ClearResult> {
         self.with_scratch(|scratch| {
-            shares
+            tasks
                 .iter()
-                .map(|(group, share)| {
-                    local.set_ups_spot(*share);
-                    self.clear_in(scratch, slot, group, &local)
+                .map(|task| match task {
+                    TaskShip::Market { ups_spot, bids } => {
+                        constraints.set_ups_spot(*ups_spot);
+                        ClearResult::Market(self.clear_in(scratch, slot, bids, constraints))
+                    }
+                    TaskShip::MaxPerf { ups_spot, gains } => {
+                        constraints.set_ups_spot(*ups_spot);
+                        ClearResult::MaxPerf(max_perf_allocate(gains, constraints))
+                    }
                 })
                 .collect()
         })
@@ -835,7 +766,7 @@ impl MarketClearing {
     /// Every pair owns a full clone of `constraints`, so this is
     /// O(sub-markets × racks) in memory. No product path calls it;
     /// it is the reference the tests (and the benchmark's split row)
-    /// hold [`Self::clear_shares`] against.
+    /// hold [`Self::clear_tasks`] against.
     #[must_use]
     pub fn per_pdu_submarkets(
         &self,
@@ -854,9 +785,10 @@ impl MarketClearing {
     /// `per_pdu_submarkets` passes to [`ConstraintSet::with_ups_spot`],
     /// so `constraints.clone().with_ups_spot(share)` — or a retained
     /// set updated via [`ConstraintSet::set_ups_spot`] — reproduces the
-    /// sub-market constraints bit for bit. [`Self::clear_shares`] walks
-    /// these against one retained set, and the distributed controller
-    /// ships one share per task instead of ~120KB of cloned statics.
+    /// sub-market constraints bit for bit. [`Self::clear_tasks`] walks
+    /// them, one [`TaskShip::Market`] each, against one retained set,
+    /// and the distributed controller ships one share per task instead
+    /// of ~120KB of cloned statics.
     #[must_use]
     pub fn per_pdu_submarket_shares(
         &self,
@@ -891,8 +823,7 @@ impl MarketClearing {
 
 /// The legacy per-candidate scan for heat-zone and phase-plan markets:
 /// they need the BTreeMap-ordered extra checks of `feasible_total`,
-/// whose accumulation order is part of the byte-identity contract. It
-/// neither reads nor writes the cached sums.
+/// whose accumulation order is part of the byte-identity contract.
 fn legacy_scan(
     bids: &[RackBid],
     live: &[u32],
@@ -1035,40 +966,12 @@ fn select_best(
     best
 }
 
-/// Appends the exact parameters of one demand curve to a fingerprint:
-/// a variant tag, then every defining value as an `f64` bit pattern
-/// (length-prefixed for [`crate::demand::FullBid`]'s variable point list, so distinct
-/// curves can never encode to the same sequence).
-fn fingerprint_demand(d: &DemandBid, out: &mut Vec<u64>) {
-    match d {
-        DemandBid::Linear(b) => {
-            out.push(1);
-            out.push(b.d_max().value().to_bits());
-            out.push(b.q_min().per_kw_hour_value().to_bits());
-            out.push(b.d_min().value().to_bits());
-            out.push(b.q_max().per_kw_hour_value().to_bits());
-        }
-        DemandBid::Step(b) => {
-            out.push(2);
-            out.push(b.demand().value().to_bits());
-            out.push(b.price_cap().per_kw_hour_value().to_bits());
-        }
-        DemandBid::Full(b) => {
-            out.push(3);
-            out.push(b.points().len() as u64);
-            for (q, w) in b.points() {
-                out.push(q.per_kw_hour_value().to_bits());
-                out.push(w.value().to_bits());
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::demand::{LinearBid, StepBid};
     use crate::invariant::check_allocation;
+    use crate::maxperf::ConcaveGain;
     use spotdc_power::topology::TopologyBuilder;
     use spotdc_units::{RackId, TenantId};
 
@@ -1082,16 +985,6 @@ mod tests {
             .build()
             .unwrap();
         ConstraintSet::new(&topo, vec![Watts::new(pdu_spot)], Watts::new(pdu_spot))
-    }
-
-    /// [`constraints`]`(100.0)` plus a 30 W hot-aisle budget the two
-    /// racks share.
-    fn aisle_zoned() -> ConstraintSet {
-        constraints(100.0).with_zone(
-            "aisle",
-            vec![RackId::new(0), RackId::new(1)],
-            Watts::new(30.0),
-        )
     }
 
     /// Two PDUs with one 60 W-headroom rack each.
@@ -1334,7 +1227,11 @@ mod tests {
     fn clearing_respects_heat_zones() {
         // Two racks share a 30 W hot-aisle budget despite 100 W of PDU
         // spot; the market must keep their joint grant under it.
-        let cs = aisle_zoned();
+        let cs = constraints(100.0).with_zone(
+            "aisle",
+            vec![RackId::new(0), RackId::new(1)],
+            Watts::new(30.0),
+        );
         let bids = vec![
             linear(0, 50.0, 0.0, 0.0, 0.4),
             linear(1, 50.0, 0.0, 0.0, 0.4),
@@ -1440,33 +1337,48 @@ mod tests {
             let fresh = MarketClearing::default().clear(Slot::ZERO, &bids, &cs);
             assert_eq!(engine.clear(Slot::ZERO, &bids, &cs), fresh);
         }
-        // Nothing is retained between fallback clears.
-        assert_eq!(engine.cache_stats().cache_hits, 0);
     }
 
     #[test]
     fn busy_scratch_falls_back_once_per_run() {
         // Hold the scratch (`try_lock` is non-reentrant, so the calls
-        // below cannot acquire it) and verify the stack-local fallback
-        // produces the same outcomes. A `clear_shares` run keeps one
-        // fallback scratch for all its sub-markets: the second share
-        // differs from the first in capacity only, so it is a hit.
+        // below cannot acquire it): a clear and a mixed `clear_tasks`
+        // run then work from a stack-local scratch and must produce
+        // exactly what they produce once the lock is released.
         let engine = MarketClearing::default();
         let cs = constraints(100.0);
         let bids = vec![linear(0, 40.0, 0.05, 10.0, 0.4)];
-        let shares = vec![
-            (bids.clone(), Watts::new(30.0)),
-            (bids.clone(), Watts::new(20.0)),
+        let gain = ConcaveGain::new(vec![(30.0, 2.0)]).unwrap();
+        let market = |share: f64| TaskShip::Market {
+            ups_spot: Watts::new(share),
+            bids: bids.clone(),
+        };
+        let tasks = vec![
+            market(30.0),
+            TaskShip::MaxPerf {
+                ups_spot: Watts::new(25.0),
+                gains: [(RackId::new(1), gain)].into_iter().collect(),
+            },
+            market(20.0),
         ];
         let guard = engine.scratch.lock().unwrap();
         let busy = engine.clear(Slot::ZERO, &bids, &cs);
-        let busy_run = engine.clear_shares(Slot::ZERO, &shares, &cs);
-        let stats = engine.cache_stats();
-        assert_eq!((stats.full_sweeps, stats.cache_hits), (2, 1), "{stats:?}");
+        let busy_run = engine.clear_tasks(Slot::ZERO, &mut cs.clone(), &tasks);
         drop(guard);
         assert_eq!(busy, engine.clear(Slot::ZERO, &bids, &cs));
-        assert_eq!(busy_run, engine.clear_shares(Slot::ZERO, &shares, &cs));
-        assert!(busy_run[1].sold() < busy_run[0].sold());
+        let free_run = engine.clear_tasks(Slot::ZERO, &mut cs.clone(), &tasks);
+        assert_eq!(busy_run, free_run);
+        assert_eq!(engine.cache_stats().full_sweeps, 6);
+        // Each task cleared against its own share, not its neighbour's.
+        let sold: Vec<f64> = busy_run
+            .iter()
+            .map(|result| match result {
+                ClearResult::Market(outcome) => outcome.sold().value(),
+                ClearResult::MaxPerf(grants) => grants.values().map(|w| w.value()).sum(),
+            })
+            .collect();
+        assert_eq!(sold[1], 25.0);
+        assert!(sold[2] < sold[0] && sold[0] <= 30.0, "{sold:?}");
     }
 
     #[test]
@@ -1490,110 +1402,5 @@ mod tests {
             engine.clear(Slot::ZERO, group, local)
         });
         assert_eq!(merged, direct);
-    }
-
-    #[test]
-    fn capacity_only_change_reuses_cached_sums() {
-        // Same bids, only the UPS bound or one PDU's spot capacity
-        // tightened. The candidates and the per-candidate demand sums
-        // depend on the bids alone — capacities only filter feasibility
-        // — so the second clear is a hit (zero rows swept) with a cold
-        // engine's outcome.
-        let bids = vec![
-            linear(0, 40.0, 0.05, 10.0, 0.4),
-            linear(1, 30.0, 0.10, 5.0, 0.3),
-        ];
-        let roomy = constraints(100.0);
-        let tight_ups = constraints(100.0).with_ups_spot(Watts::new(35.0));
-        let mut tight_pdu = constraints(100.0);
-        tight_pdu.set_pdu_spot(&[Watts::new(30.0)]);
-        for (tight, cap) in [(&tight_ups, 35.0), (&tight_pdu, 30.0)] {
-            let engine = MarketClearing::default();
-            let _ = engine.clear(Slot::ZERO, &bids, &roomy);
-            assert_eq!(engine.cache_stats().full_sweeps, 1);
-            let warm = engine.clear(Slot::new(1), &bids, tight);
-            let stats = engine.cache_stats();
-            assert_eq!(
-                (stats.cache_hits, stats.full_sweeps),
-                (1, 1),
-                "cap {cap}: {stats:?}"
-            );
-            assert_eq!(
-                stats.candidates_swept,
-                stats.candidates_total / 2,
-                "a hit sweeps no candidate rows: {stats:?}"
-            );
-            let fresh = MarketClearing::default().clear(Slot::new(1), &bids, tight);
-            assert_eq!(warm, fresh, "cap {cap}");
-            assert!(warm.sold() <= Watts::new(cap + 1e-6), "cap {cap}");
-            assert!(
-                warm.sold() < engine.clear(Slot::new(1), &bids, &roomy).sold(),
-                "the tightened capacity must bind"
-            );
-        }
-    }
-
-    #[test]
-    fn any_bid_change_resweeps_in_full() {
-        // Whether one bid or every bid changes between slots, the key
-        // differs, so the engine regenerates and re-sums every row —
-        // and matches a cold engine.
-        let cs = constraints(100.0);
-        let bids = vec![
-            linear(0, 40.0, 0.05, 10.0, 0.4),
-            linear(1, 30.0, 0.10, 5.0, 0.3),
-        ];
-        for churn in [1, 2] {
-            let engine = MarketClearing::default();
-            let _ = engine.clear(Slot::ZERO, &bids, &cs);
-            let mut changed = bids.clone();
-            for (i, bid) in changed.iter_mut().enumerate().take(churn) {
-                *bid = linear(i, 50.0 + i as f64, 0.05, 10.0, 0.4);
-            }
-            let warm = engine.clear(Slot::new(1), &changed, &cs);
-            let stats = engine.cache_stats();
-            assert_eq!(stats.full_sweeps, 2, "churn {churn}: {stats:?}");
-            assert_eq!(stats.delta_sweeps, 0, "churn {churn}: {stats:?}");
-            assert_eq!(stats.candidates_swept, stats.candidates_total);
-            let fresh = MarketClearing::default().clear(Slot::new(1), &changed, &cs);
-            assert_eq!(warm, fresh, "churn {churn}");
-        }
-    }
-
-    #[test]
-    fn zoned_clear_between_identical_clears_leaves_no_stale_sums() {
-        // Zones route a clear through the legacy scan (the stats must
-        // say so), which shares the scratch's key and candidates with
-        // the columnar clears around it but never touches the sums.
-        // When it brings new bids the key is replaced, so an unzoned
-        // clear of those same bids right after matches the key while
-        // the sums still describe the older book: it must re-sum.
-        let plain = constraints(100.0);
-        let zoned = aisle_zoned();
-        let bids = vec![
-            linear(0, 40.0, 0.05, 10.0, 0.4),
-            linear(1, 30.0, 0.10, 5.0, 0.3),
-        ];
-        let other = vec![linear(0, 55.0, 0.02, 5.0, 0.35)];
-        for (between, hits) in [(&bids, 2), (&other, 0)] {
-            let engine = MarketClearing::default();
-            let sequence = [
-                (&bids, &plain),
-                (between, &zoned),
-                (between, &plain),
-                (&bids, &plain),
-            ];
-            for (s, (bids, cs)) in sequence.into_iter().enumerate() {
-                let slot = Slot::new(s as u64);
-                let cold = MarketClearing::default().clear(slot, bids, cs);
-                assert_eq!(engine.clear(slot, bids, cs), cold, "slot {s}");
-            }
-            let stats = engine.cache_stats();
-            assert_eq!(
-                (stats.legacy_scans, stats.cache_hits, stats.full_sweeps),
-                (1, hits, 3 - hits),
-                "{stats:?}"
-            );
-        }
     }
 }

@@ -36,7 +36,7 @@
 //! ```text
 //! controller → agent: AssignShard   (setup: shard identity + config)
 //! controller → agent: SlotFrame     (every slot: one coalesced frame)
-//! agent → controller: ShardCleared  (results + cache stats)
+//! agent → controller: ShardCleared  (results + clear counts)
 //!               — or: ResyncNeeded  (session can't absorb the frame)
 //! controller → agent: SlotFrame     (same frame + statics, epoch bump)
 //! agent → controller: ShardCleared
@@ -165,7 +165,7 @@ pub enum WireMsg {
         tasks: Vec<TaskShip>,
     },
     /// Agent → controller, every slot: results for the slot's tasks in
-    /// task order, plus the shard's cumulative clearing-cache counters.
+    /// task order, plus the shard engine's cumulative clear counters.
     ShardCleared {
         /// The slot the results belong to.
         slot: Slot,
@@ -173,7 +173,7 @@ pub enum WireMsg {
         epoch: u64,
         /// One result per task, in the order the tasks arrived.
         results: Vec<ClearResult>,
-        /// The cumulative cache counters of the shard's engine.
+        /// The cumulative clear counters of the shard's engine.
         cache: ClearingCacheStats,
     },
     /// Agent → controller, instead of `ShardCleared`: the agent holds

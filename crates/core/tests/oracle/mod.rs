@@ -33,12 +33,14 @@ const MAX_PRICES: usize = 1 << 14;
 
 /// What the market clears to: a price, the operator's revenue rate in
 /// $/h there, and each bidding rack's grant. Nothing sold is price 0,
-/// rate 0, no grants — the paper's "no spot capacity".
+/// rate 0, no grants — the paper's "no spot capacity". `scanned` is how
+/// many grid prices Eq. 1 was evaluated at (none when nobody bids).
 #[derive(Debug, PartialEq)]
 pub struct Cleared {
     pub price: Price,
     pub revenue_rate: f64,
     pub grants: BTreeMap<RackId, Watts>,
+    pub scanned: usize,
 }
 
 /// `D_r(q)` clipped to the rack's headroom (Eq. 2), per live bid.
@@ -81,6 +83,7 @@ pub fn clear(step: Price, bids: &[RackBid], cs: &ConstraintSet) -> Cleared {
         .map(|b| b.demand().price_ceiling().per_kw_hour_value())
         .fold(0.0, f64::max);
     let last = ((ceiling / step).ceil() as usize).min(MAX_PRICES - 2) + 1;
+    let scanned = if live.is_empty() { 0 } else { last + 1 };
     let mut best: Option<(Price, f64)> = None;
     for i in 0..=last {
         let q = Price::per_kw_hour(i as f64 * step);
@@ -98,17 +101,19 @@ pub fn clear(step: Price, bids: &[RackBid], cs: &ConstraintSet) -> Cleared {
             price,
             revenue_rate,
             grants: clipped(&live, cs, price).into_iter().collect(),
+            scanned,
         },
         _ => Cleared {
             price: Price::ZERO,
             revenue_rate: 0.0,
             grants: BTreeMap::new(),
+            scanned,
         },
     }
 }
 
 /// Holds an engine's outcome to [`clear`] bit for bit: price, revenue
-/// rate and every grant.
+/// rate and every grant, and to the same number of prices scanned.
 pub fn assert_cleared(got: &MarketOutcome, step: Price, bids: &[RackBid], cs: &ConstraintSet) {
     let want = clear(step, bids, cs);
     let bits = |w: Watts| w.value().to_bits();
@@ -120,6 +125,7 @@ pub fn assert_cleared(got: &MarketOutcome, step: Price, bids: &[RackBid], cs: &C
         want.price
     );
     assert_eq!(got.revenue_rate().to_bits(), want.revenue_rate.to_bits());
+    assert_eq!(got.candidates_evaluated(), want.scanned, "prices scanned");
     assert_eq!(
         got.allocation()
             .iter()

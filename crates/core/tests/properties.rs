@@ -7,8 +7,8 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use spotdc_core::demand::{DemandBid, FullBid, LinearBid, StepBid};
 use spotdc_core::{
-    max_perf_allocate, ClearingConfig, ConcaveGain, ConstraintSet, MarketClearing, MarketOutcome,
-    RackBid,
+    max_perf_allocate, ClearResult, ClearingConfig, ConcaveGain, ConstraintSet, MarketClearing,
+    MarketOutcome, RackBid, TaskShip,
 };
 use spotdc_power::topology::TopologyBuilder;
 use spotdc_power::PowerTopology;
@@ -221,20 +221,15 @@ fn step() -> Price {
     Price::cents_per_kw_hour(0.5)
 }
 
-/// Clears on a cold engine, then again on the now-warm one (a cache
-/// hit), and holds both outcomes to the independent oracle bit for
-/// bit: price, revenue rate and every grant.
+/// Clears on a fresh engine, then again on the same one, and holds
+/// both outcomes to the independent oracle bit for bit: price, revenue
+/// rate and every grant.
 fn clear_checked(bids: &[RackBid], cs: &ConstraintSet) -> MarketOutcome {
     let engine = MarketClearing::new(ClearingConfig::grid(step()));
     let cold = engine.clear(Slot::ZERO, bids, cs);
     oracle::assert_cleared(&cold, step(), bids, cs);
-    let warm = engine.clear(Slot::ZERO, bids, cs);
-    assert_eq!(warm, cold, "the warm re-clear diverged");
-    let stats = engine.cache_stats();
-    let columnar = cs.zones().is_empty() && cs.phases().is_none();
-    if columnar && cold.candidates_evaluated() > 0 {
-        assert_eq!((stats.full_sweeps, stats.cache_hits), (1, 1), "{stats:?}");
-    }
+    let again = engine.clear(Slot::ZERO, bids, cs);
+    assert_eq!(again, cold, "the re-clear diverged");
     cold
 }
 
@@ -361,12 +356,15 @@ proptest! {
         spot_scale in prop_oneof![Just(0.0), Just(1.0), Just(1.0)],
         ups in 0.0..350.0f64,
         zoned in prop_oneof![Just(false), Just(true)],
+        fills in prop::collection::vec((0.0..350.0f64, 1.0..60.0f64, 0.0001..0.01f64), 0..3),
     ) {
-        // `clear_per_pdu` walks the shares against one retained
-        // constraint set and one scratch; the reference clears every
-        // cloned `per_pdu_submarkets` pair on its own cold engine, and
-        // both must be what the independent oracle computes. The market
-        // shapes cover what the walk could get wrong: PDUs with no bids
+        // `clear_tasks` walks a run of tasks against one retained
+        // constraint set and one scratch; the reference gives every
+        // task its own `constraints.clone().with_ups_spot(share)` — a
+        // market task on a cold engine held to the independent oracle,
+        // a MaxPerf task through `max_perf_allocate`. The run is the
+        // per-PDU sub-markets with water-filling tasks in between, in
+        // the shapes the walk could get wrong: PDUs with no bids
         // (`None` slots), bids on racks no PDU feeds (the last
         // `orphans` racks are outside the topology), every share zero
         // (`spot_scale` 0), a single PDU, and a never-binding heat zone
@@ -391,12 +389,48 @@ proptest! {
             .filter_map(|(i, b)| Some(RackBid::new(RackId::new(i), b.clone()?)))
             .collect();
         let engine = MarketClearing::new(ClearingConfig::grid(step()));
-        let walked = engine.clear_per_pdu(Slot::ZERO, &rack_bids, &cs);
-        let subs = engine.per_pdu_submarkets(&rack_bids, &cs);
-        prop_assert_eq!(walked.len(), subs.len());
-        for (got, (group, local)) in walked.iter().zip(&subs) {
-            prop_assert_eq!(got, &clear_checked(group, local));
+        let markets: Vec<TaskShip> = engine
+            .per_pdu_submarket_shares(&rack_bids, &cs)
+            .into_iter()
+            .map(|(bids, ups_spot)| TaskShip::Market { ups_spot, bids })
+            .collect();
+        let mut fills = fills.iter().enumerate().map(|(i, &(share, watts, slope))| {
+            let gain = ConcaveGain::new(vec![(watts, slope)]).expect("valid");
+            TaskShip::MaxPerf {
+                ups_spot: Watts::new(share),
+                gains: [(RackId::new(i % racks), gain)].into_iter().collect(),
+            }
+        });
+        let mut tasks = Vec::new();
+        for market in &markets {
+            tasks.push(market.clone());
+            tasks.extend(fills.next());
         }
+        tasks.extend(fills);
+        let walked = engine.clear_tasks(Slot::ZERO, &mut cs.clone(), &tasks);
+        prop_assert_eq!(walked.len(), tasks.len());
+        for (got, task) in walked.iter().zip(&tasks) {
+            let want = match task {
+                TaskShip::Market { ups_spot, bids } => {
+                    ClearResult::Market(clear_checked(bids, &cs.clone().with_ups_spot(*ups_spot)))
+                }
+                TaskShip::MaxPerf { ups_spot, gains } => {
+                    ClearResult::MaxPerf(max_perf_allocate(gains, &cs.clone().with_ups_spot(*ups_spot)))
+                }
+            };
+            prop_assert_eq!(got, &want);
+        }
+        // `clear_per_pdu` is the same walk over the market tasks alone.
+        let per_pdu: Vec<ClearResult> = engine
+            .clear_per_pdu(Slot::ZERO, &rack_bids, &cs)
+            .into_iter()
+            .map(ClearResult::Market)
+            .collect();
+        let market_results: Vec<ClearResult> = walked
+            .into_iter()
+            .filter(|result| matches!(result, ClearResult::Market(_)))
+            .collect();
+        prop_assert_eq!(per_pdu, market_results);
     }
 
     #[test]
@@ -489,102 +523,57 @@ proptest! {
     }
 
     #[test]
-    fn incremental_reclear_matches_cold_engine_over_churn(
-        bids in prop::collection::vec(any_bid_shape(), 2..12),
-        churn in prop::collection::vec((0..64usize, 0.5..20.0f64), 1..6),
-        p0 in 0.0..200.0f64,
-        p1 in 0.0..200.0f64,
-        ups in 0.0..350.0f64,
+    fn reused_scratch_never_leaks_the_previous_book(
+        big in prop::collection::vec((0..64usize, edge_bid()), 8..14),
+        small in prop::collection::vec((0..64usize, edge_bid()), 1..4),
+        pdus in 5..9usize,
+        keep in (0..8usize, 0..8usize),
+        tall in (0..64usize, prop_oneof![2.0..20.0f64, 90.0..200.0f64]),
+        headrooms in prop::collection::vec(
+            prop_oneof![Just(0.0), Just(-0.0), Just(60.0), 5.0..100.0f64],
+            8 * WIDE_RACKS_PER_PDU,
+        ),
+        spots in prop::collection::vec(0.0..120.0f64, 8),
+        ups in 0.0..400.0f64,
+        zone_limit in 0.0..150.0f64,
     ) {
-        // Clear a slot sequence on one warm engine, mutating one bid
-        // per slot. Every slot must match the oracle and a cold engine,
-        // whichever of the hit/full paths the warm engine took, and the
-        // cache stats must account for every non-empty clear.
-        let topo = topology(bids.len());
-        let cs = ConstraintSet::new(&topo, vec![Watts::new(p0), Watts::new(p1)], Watts::new(ups));
-        let mut current: Vec<RackBid> = bids
-            .iter()
-            .enumerate()
-            .map(|(i, b)| RackBid::new(RackId::new(i), b.clone()))
-            .collect();
-        let warm = MarketClearing::new(ClearingConfig::grid(step()));
-        let mut slots = 0u64;
-        for (s, &(victim, bump)) in churn.iter().enumerate() {
-            let v = victim % current.len();
-            let new_demand: DemandBid = match current[v].demand() {
-                DemandBid::Linear(b) => LinearBid::new(
-                    b.d_max() + Watts::new(bump),
-                    b.q_min(),
-                    b.d_min(),
-                    b.q_max(),
-                ).expect("growing d_max keeps ordering").into(),
-                DemandBid::Step(b) => StepBid::new(
-                    b.demand() + Watts::new(bump),
-                    b.price_cap(),
-                ).expect("valid").into(),
-                DemandBid::Full(b) => FullBid::new(
-                    b.points()
-                        .iter()
-                        .map(|&(q, d)| (q, d + Watts::new(bump)))
-                        .collect(),
-                ).expect("uniform shift keeps ordering").into(),
-            };
-            current[v] = RackBid::new(current[v].rack(), new_demand);
-            let w = warm.clear(Slot::ZERO, &current, &cs);
-            prop_assert_eq!(&w, &clear_checked(&current, &cs), "slot {} diverged", s);
-            if current.iter().any(|b| !b.demand().is_null()) {
-                slots += 1;
-            }
+        // One engine — one scratch — clears a sequence of differently
+        // *shaped* books, each outcome held to the oracle bit for bit.
+        // `wide` has many bids over every loud PDU and one far-out
+        // ceiling (a long candidate list, up to the cap); `narrow` has
+        // a few bids on at most two PDUs and a low ceiling. Going from
+        // one to the other and back shrinks and regrows the bid
+        // columns, the touched-PDU map, the ragged sums and the
+        // candidate list; a zoned book (legacy scan) and an empty one
+        // sit in between, and one book is cleared twice in a row. A
+        // buffer that is not rebuilt from the inputs shows up as a
+        // diverging outcome.
+        let loud = vec![false; 8];
+        let quiet: Vec<bool> = (0..8).map(|p| p != keep.0 % pdus && p != keep.1 % pdus).collect();
+        let (wide, cs) = wide_market(&big, pdus, &loud, Some(tall), &headrooms, &spots, ups);
+        let (narrow, _) = wide_market(&small, pdus, &quiet, None, &headrooms, &spots, ups);
+        let aisle = wide.iter().take(4).map(RackBid::rack).collect();
+        let zoned = cs.clone().with_zone("aisle", aisle, Watts::new(zone_limit));
+        let empty = Vec::new();
+        let sequence = [
+            (&wide, &cs),
+            (&narrow, &cs),
+            (&wide, &zoned),
+            (&narrow, &cs),
+            (&narrow, &cs),
+            (&empty, &cs),
+            (&wide, &cs),
+            (&narrow, &zoned),
+            (&wide, &cs),
+        ];
+        let engine = MarketClearing::new(ClearingConfig::grid(step()));
+        let mut live = 0;
+        for (s, (bids, cs)) in sequence.into_iter().enumerate() {
+            let got = engine.clear(Slot::new(s as u64), bids, cs);
+            oracle::assert_cleared(&got, step(), bids, cs);
+            live += u64::from(bids.iter().any(|b| !b.demand().is_null()));
         }
-        let stats = warm.cache_stats();
-        let accounted = stats.full_sweeps + stats.cache_hits + stats.legacy_scans;
-        prop_assert_eq!(accounted, slots, "stats must cover every non-empty clear: {:?}", stats);
-        prop_assert_eq!(stats.delta_sweeps, 0, "no delta mode exists: {:?}", stats);
-        prop_assert!(
-            stats.candidates_swept <= stats.candidates_total,
-            "swept {} > total {}",
-            stats.candidates_swept,
-            stats.candidates_total
-        );
-    }
-
-    #[test]
-    fn single_parameter_change_busts_the_candidate_cache(
-        (bids, p0, p1, ups) in market_case(),
-        victim in 0..64usize,
-        bump in 0.5..20.0f64,
-    ) {
-        // Warm an engine on market A, then change exactly one demand
-        // parameter of one bid and clear market B on the same engine.
-        // Both outcomes must match a fresh engine's — a stale cached
-        // candidate curve surviving the change would diverge here.
-        let topo = topology(bids.len());
-        let cs = ConstraintSet::new(&topo, vec![Watts::new(p0), Watts::new(p1)], Watts::new(ups));
-        let rack_bids: Vec<RackBid> = bids
-            .iter()
-            .enumerate()
-            .map(|(i, b)| RackBid::new(RackId::new(i), b.clone()))
-            .collect();
-        let mut mutated = rack_bids.clone();
-        let v = victim % mutated.len();
-        let new_demand: DemandBid = match mutated[v].demand() {
-            DemandBid::Linear(b) => LinearBid::new(
-                b.d_max() + Watts::new(bump),
-                b.q_min(),
-                b.d_min(),
-                b.q_max(),
-            ).expect("growing d_max keeps ordering").into(),
-            DemandBid::Step(b) => StepBid::new(
-                b.demand() + Watts::new(bump),
-                b.price_cap(),
-            ).expect("valid").into(),
-            DemandBid::Full(_) => unreachable!("market_case only emits linear/step"),
-        };
-        mutated[v] = RackBid::new(mutated[v].rack(), new_demand);
-        let warm = MarketClearing::new(ClearingConfig::grid(step()));
-        let warm_a = warm.clear(Slot::ZERO, &rack_bids, &cs);
-        let warm_b = warm.clear(Slot::ZERO, &mutated, &cs);
-        prop_assert_eq!(&warm_a, &clear_checked(&rack_bids, &cs), "warm A diverged");
-        prop_assert_eq!(&warm_b, &clear_checked(&mutated, &cs), "warm B diverged");
+        let stats = engine.cache_stats();
+        prop_assert_eq!(stats.full_sweeps + stats.legacy_scans, live, "{:?}", stats);
     }
 }

@@ -132,7 +132,7 @@ struct ShardConn {
     /// Epoch of the last frame sent to this shard.
     epoch: u64,
     respawns_left: u32,
-    /// The shard's last reported clearing-cache counters.
+    /// The shard's last reported clear counters.
     cache: ClearingCacheStats,
 }
 
@@ -206,7 +206,7 @@ impl ShardRuntime {
         self.shards.iter().filter(|s| s.alive).count()
     }
 
-    /// Each shard's last reported clearing-cache counters, in shard
+    /// Each shard's last reported clear counters, in shard
     /// order: one engine per shard, counting exactly like a local one.
     #[must_use]
     pub fn shard_cache_stats(&self) -> Vec<ClearingCacheStats> {

@@ -2,8 +2,7 @@
 //! message loop that drives it, shared by every transport.
 
 use spotdc_core::{
-    max_perf_allocate, ClearResult, ClearingCacheStats, ClearingConfig, ConstraintSet,
-    MarketClearing, TaskShip, WireMsg,
+    ClearingCacheStats, ClearingConfig, ConstraintSet, MarketClearing, TaskShip, WireMsg,
 };
 use spotdc_units::{Slot, Watts};
 
@@ -66,7 +65,7 @@ impl MarketShard {
         self.epoch
     }
 
-    /// The cumulative clearing-cache counters of this shard's engine.
+    /// The cumulative clear counters of this shard's engine.
     #[must_use]
     pub fn cache_stats(&self) -> ClearingCacheStats {
         self.engine.cache_stats()
@@ -96,30 +95,18 @@ impl MarketShard {
             };
         }
         // Validated: adopt statics, advance the epoch, refresh the
-        // per-slot PDU spot vector, then clear task by task.
+        // per-slot PDU spot vector, then walk the tasks — the same
+        // walk a local clear stage runs.
         if let Some(s) = statics {
             self.session = Some(s);
         }
         let session = self.session.as_mut().expect("carried or held");
         self.epoch = epoch;
         session.set_pdu_spot(pdu_spot);
-        let mut results = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            results.push(match task {
-                TaskShip::Market { ups_spot, bids } => {
-                    session.set_ups_spot(ups_spot);
-                    ClearResult::Market(self.engine.clear(slot, &bids, session))
-                }
-                TaskShip::MaxPerf { ups_spot, gains } => {
-                    session.set_ups_spot(ups_spot);
-                    ClearResult::MaxPerf(max_perf_allocate(&gains, session))
-                }
-            });
-        }
         WireMsg::ShardCleared {
             slot,
             epoch,
-            results,
+            results: self.engine.clear_tasks(slot, session, &tasks),
             cache: self.cache_stats(),
         }
     }
@@ -184,7 +171,7 @@ mod tests {
 
     use std::collections::BTreeMap;
 
-    use spotdc_core::{check_allocation, ConcaveGain, LinearBid, RackBid, StepBid};
+    use spotdc_core::{check_allocation, ClearResult, ConcaveGain, LinearBid, RackBid, StepBid};
     use spotdc_power::topology::TopologyBuilder;
     use spotdc_units::{Price, RackId, TenantId};
 

@@ -251,13 +251,6 @@ pub struct Analysis {
     /// Sold / predicted UPS spot capacity, for slots carrying both a
     /// clearing and a prediction (within the same run).
     pub utilization: SeriesStats,
-    /// Clearing resolutions by mode ("full", "hit", "legacy"),
-    /// from `ClearingCache` events.
-    pub clearing_modes: BTreeMap<String, u64>,
-    /// Candidate prices considered across all clearings.
-    pub clearing_candidates_total: u64,
-    /// Candidate prices actually re-swept (cache hits sweep none).
-    pub clearing_candidates_swept: u64,
     /// Degradation tallies by kind.
     pub degradations: BTreeMap<String, DegradationStats>,
     /// Slots where an overload emergency fired.
@@ -384,16 +377,6 @@ impl Analysis {
                         .entry(run_key)
                         .or_default()
                         .push((slot, kind.clone()));
-                }
-                Event::ClearingCache {
-                    mode,
-                    candidates_total,
-                    candidates_swept,
-                    ..
-                } => {
-                    *a.clearing_modes.entry(mode.clone()).or_default() += 1;
-                    a.clearing_candidates_total += *candidates_total;
-                    a.clearing_candidates_swept += *candidates_swept;
                 }
                 Event::CheckpointWritten { bytes, nanos, .. } => {
                     a.durability.checkpoints += 1;
@@ -544,22 +527,6 @@ impl Analysis {
         let _ = writeln!(out, "price $/kW/h: {}", self.price.render());
         let _ = writeln!(out, "sold watts:   {}", self.sold_watts.render());
         let _ = writeln!(out, "utilization:  {}", self.utilization.render());
-        if self.clearing_modes.is_empty() {
-            let _ = writeln!(out, "clearing:     (no cache telemetry)");
-        } else {
-            let modes: Vec<String> = self
-                .clearing_modes
-                .iter()
-                .map(|(mode, count)| format!("{mode} {count}"))
-                .collect();
-            let _ = writeln!(
-                out,
-                "clearing:     {}  candidates {} total, {} swept",
-                modes.join(", "),
-                self.clearing_candidates_total,
-                self.clearing_candidates_swept
-            );
-        }
 
         let _ = writeln!(out, "\n-- degradations --");
         if self.degradations.is_empty() {
@@ -723,19 +690,6 @@ impl Analysis {
         let _ = write!(out, ",\"price\":{}", self.price.render_json());
         let _ = write!(out, ",\"sold_watts\":{}", self.sold_watts.render_json());
         let _ = write!(out, ",\"utilization\":{}", self.utilization.render_json());
-
-        out.push_str(",\"clearing_cache\":{\"modes\":{");
-        for (i, (mode, count)) in self.clearing_modes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", json_str(mode), count);
-        }
-        let _ = write!(
-            out,
-            "}},\"candidates_total\":{},\"candidates_swept\":{}}}",
-            self.clearing_candidates_total, self.clearing_candidates_swept
-        );
 
         out.push_str(",\"degradations\":{");
         for (i, (kind, stats)) in self.degradations.iter().enumerate() {
@@ -1126,49 +1080,6 @@ mod tests {
         assert_eq!(c0.kinds, vec!["bid-late", "meter-dropout"]);
         assert_eq!(a.fault_clusters[1].first_slot, 10);
         assert_eq!(a.fault_clusters[2].run, "s");
-    }
-
-    #[test]
-    fn clearing_cache_modes_are_tallied() {
-        let cache = |slot: u64, mode: &str, total: u64, swept: u64| Event::ClearingCache {
-            slot: Slot::new(slot),
-            at: MonotonicNanos::from_raw(slot * 1_000 + 3),
-            mode: mode.to_owned(),
-            candidates_total: total,
-            candidates_swept: swept,
-        };
-        let body = [
-            line(Some("r"), &cache(1, "full", 100, 100)),
-            line(Some("r"), &cache(2, "hit", 100, 0)),
-            line(Some("r"), &cache(3, "legacy", 100, 100)),
-            line(Some("r"), &cache(4, "hit", 100, 0)),
-        ]
-        .join("\n");
-        let a = Analysis::from_jsonl(&body, None);
-        assert_eq!(a.clearing_modes["full"], 1);
-        assert_eq!(a.clearing_modes["hit"], 2);
-        assert_eq!(a.clearing_modes["legacy"], 1);
-        assert_eq!(a.clearing_candidates_total, 400);
-        assert_eq!(a.clearing_candidates_swept, 200);
-        let text = a.render_text();
-        assert!(
-            text.contains("clearing:     full 1, hit 2, legacy 1  candidates 400 total, 200 swept"),
-            "{text}"
-        );
-        let json = a.render_json();
-        assert!(
-            json.contains(
-                "\"clearing_cache\":{\"modes\":{\"full\":1,\"hit\":2,\"legacy\":1},\
-                 \"candidates_total\":400,\"candidates_swept\":200}"
-            ),
-            "{json}"
-        );
-        // Logs without cache telemetry still render the section.
-        let empty = Analysis::from_jsonl("", None).render_text();
-        assert!(
-            empty.contains("clearing:     (no cache telemetry)"),
-            "{empty}"
-        );
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!   slot boundary. Everything *not* captured here is provably
 //!   rebuildable: the topology, operator, traces and fault plan are
 //!   pure functions of the scenario and config; stage scratch and the
-//!   valuation/clearing caches are bit-transparent (warm-vs-cold
-//!   equality is pinned by existing property tests); and the rack-PDU
+//!   valuation/prediction caches are bit-transparent (warm-vs-cold
+//!   equality is pinned by property tests) and clearing keeps no state
+//!   between slots (only buffers it rebuilds); and the rack-PDU
 //!   bank is excluded because the Sense stage unconditionally resets
 //!   every budget at the top of each slot, so nothing the bank holds at
 //!   a slot boundary survives into the next slot (its `changes` audit
@@ -26,7 +27,7 @@
 //! what makes "resumed report == uninterrupted report" an equality of
 //! bytes, not an approximation.
 
-use spotdc_core::{DemandBid, FullBid, LinearBid, RackBid, StepBid, TenantBid};
+use spotdc_core::{RackBid, TenantBid};
 use spotdc_durable::{DecodeError, Decoder, Encoder, Persist};
 use spotdc_power::{EmergencyEvent, EmergencyLevel, PowerMeter};
 use spotdc_units::{PduId, Price, RackId, Slot, TenantId, Watts};
@@ -545,36 +546,15 @@ pub fn wal_record_slot(record: &[u8]) -> Result<u64, DecodeError> {
 }
 
 /// Serializes tenant bids (used by the WAL and the late-bid stage
-/// blob).
+/// blob). Each rack bid goes through `spotdc-core`'s one binary shape
+/// for a demand function, the same bytes it has on the wire.
 pub(crate) fn encode_tenant_bids(enc: &mut Encoder, bids: &[TenantBid]) {
     enc.put_usize(bids.len());
     for bid in bids {
-        enc.put_u64(bid.tenant().index() as u64);
+        enc.put_usize(bid.tenant().index());
         enc.put_usize(bid.rack_bids().len());
         for rb in bid.rack_bids() {
-            enc.put_u64(rb.rack().index() as u64);
-            match rb.demand() {
-                DemandBid::Linear(b) => {
-                    enc.put_u8(0);
-                    enc.put_f64(b.d_max().value());
-                    enc.put_f64(b.q_min().per_kw_hour_value());
-                    enc.put_f64(b.d_min().value());
-                    enc.put_f64(b.q_max().per_kw_hour_value());
-                }
-                DemandBid::Step(b) => {
-                    enc.put_u8(1);
-                    enc.put_f64(b.demand().value());
-                    enc.put_f64(b.price_cap().per_kw_hour_value());
-                }
-                DemandBid::Full(b) => {
-                    enc.put_u8(2);
-                    enc.put_usize(b.points().len());
-                    for &(q, d) in b.points() {
-                        enc.put_f64(q.per_kw_hour_value());
-                        enc.put_f64(d.value());
-                    }
-                }
-            }
+            rb.persist(enc);
         }
     }
 }
@@ -583,7 +563,6 @@ pub(crate) fn encode_tenant_bids(enc: &mut Encoder, bids: &[TenantBid]) {
 /// constructors re-validate every invariant, so a damaged blob fails
 /// here rather than corrupting the market.
 pub(crate) fn decode_tenant_bids(dec: &mut Decoder<'_>) -> Result<Vec<TenantBid>, DecodeError> {
-    let invalid = |e: spotdc_core::BidError| DecodeError::Invalid(format!("restored bid: {e:?}"));
     let n = dec.get_usize()?;
     let mut bids = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
@@ -591,43 +570,95 @@ pub(crate) fn decode_tenant_bids(dec: &mut Decoder<'_>) -> Result<Vec<TenantBid>
         let racks = dec.get_usize()?;
         let mut rack_bids = Vec::with_capacity(racks.min(1024));
         for _ in 0..racks {
-            let rack = RackId::new(dec.get_usize()?);
-            let demand = match dec.get_u8()? {
-                0 => DemandBid::Linear(
-                    LinearBid::new(
-                        Watts::new(dec.get_f64()?),
-                        Price::per_kw_hour(dec.get_f64()?),
-                        Watts::new(dec.get_f64()?),
-                        Price::per_kw_hour(dec.get_f64()?),
-                    )
-                    .map_err(invalid)?,
-                ),
-                1 => DemandBid::Step(
-                    StepBid::new(
-                        Watts::new(dec.get_f64()?),
-                        Price::per_kw_hour(dec.get_f64()?),
-                    )
-                    .map_err(invalid)?,
-                ),
-                2 => {
-                    let count = dec.get_usize()?;
-                    let mut points = Vec::with_capacity(count.min(1024));
-                    for _ in 0..count {
-                        let q = Price::per_kw_hour(dec.get_f64()?);
-                        let d = Watts::new(dec.get_f64()?);
-                        points.push((q, d));
-                    }
-                    DemandBid::Full(FullBid::new(points).map_err(invalid)?)
-                }
-                tag => {
-                    return Err(DecodeError::Invalid(format!(
-                        "unknown demand-bid tag {tag}"
-                    )))
-                }
-            };
-            rack_bids.push(RackBid::new(rack, demand));
+            rack_bids.push(RackBid::restore(dec)?);
         }
-        bids.push(TenantBid::new(tenant, rack_bids).map_err(invalid)?);
+        let bid = TenantBid::new(tenant, rack_bids)
+            .map_err(|e| DecodeError::Invalid(format!("restored bid: {e:?}")))?;
+        bids.push(bid);
     }
     Ok(bids)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spotdc_core::{FullBid, LinearBid, StepBid};
+
+    /// Two tenants: a linear and a step bid, then a three-point curve.
+    fn sample_bids() -> Vec<TenantBid> {
+        let price = Price::per_kw_hour;
+        let linear = LinearBid::new(Watts::new(40.0), price(0.05), Watts::new(10.0), price(0.30));
+        let step = StepBid::new(Watts::new(25.0), price(0.2));
+        let full = FullBid::new(vec![
+            (Price::ZERO, Watts::new(60.0)),
+            (price(0.1), Watts::new(35.5)),
+            (price(0.25), Watts::ZERO),
+        ]);
+        let first = vec![
+            RackBid::new(RackId::new(3), linear.unwrap().into()),
+            RackBid::new(RackId::new(4), step.unwrap().into()),
+        ];
+        let second = vec![RackBid::new(RackId::new(9), full.unwrap().into())];
+        vec![
+            TenantBid::new(TenantId::new(1), first).unwrap(),
+            TenantBid::new(TenantId::new(7), second).unwrap(),
+        ]
+    }
+
+    /// What the hand-rolled per-variant encoder this module had before
+    /// it called `RackBid::persist` wrote for [`sample_bids`]: journals
+    /// and checkpoints on disk hold these bytes.
+    const SAMPLE_HEX: &str = "\
+        0200000000000000010000000000000002000000000000000300000000000000\
+        0000000000000044409a9999999999a93f0000000000002440333333333333d3\
+        3f04000000000000000100000000000039409a9999999999c93f070000000000\
+        0000010000000000000009000000000000000203000000000000000000000000\
+        0000000000000000004e409a9999999999b93f0000000000c041400000000000\
+        00d03f0000000000000000";
+
+    fn encoded(bids: &[TenantBid]) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        encode_tenant_bids(&mut enc, bids);
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn tenant_bids_keep_their_disk_bytes() {
+        let bytes = encoded(&sample_bids());
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, SAMPLE_HEX);
+        let mut dec = Decoder::new(&bytes);
+        assert_eq!(decode_tenant_bids(&mut dec), Ok(sample_bids()));
+        assert_eq!(dec.finish(), Ok(()));
+    }
+
+    #[test]
+    fn damaged_tenant_bids_are_errors_not_panics() {
+        let bytes = encoded(&sample_bids());
+        // Torn anywhere: the decoder runs out of bytes.
+        for cut in 0..bytes.len() {
+            assert!(
+                decode_tenant_bids(&mut Decoder::new(&bytes[..cut])).is_err(),
+                "cut {cut}"
+            );
+        }
+        // The tail is the three-point curve. Its point count blown up to
+        // more points than bytes remain, its demand tag made unknown, and
+        // its last demand raised above the one before it (a curve that
+        // rises with price) must each be refused.
+        let count_at = bytes.len() - 3 * 16 - 8;
+        let mut huge = bytes.clone();
+        huge[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut tagged = bytes.clone();
+        tagged[count_at - 1] = 9;
+        let mut rising = bytes.clone();
+        let last = rising.len() - 8;
+        rising[last..].copy_from_slice(&100.0_f64.to_bits().to_le_bytes());
+        for (what, bad) in [("count", huge), ("tag", tagged), ("rising", rising)] {
+            assert!(
+                decode_tenant_bids(&mut Decoder::new(&bad)).is_err(),
+                "{what}"
+            );
+        }
+    }
 }

@@ -21,7 +21,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use spotdc_core::{CommsModel, ConcaveGain, ConstraintSet, Operator, PredictedSpot};
+use spotdc_core::{
+    ClearResult, CommsModel, ConcaveGain, ConstraintSet, Operator, PredictedSpot, TaskShip,
+};
 use spotdc_faults::FaultPlan;
 use spotdc_power::topology::PowerTopology;
 use spotdc_power::{CapController, EmergencyEvent, EmergencyLog, PowerMeter, RackPduBank};
@@ -107,8 +109,8 @@ pub struct SimState {
     pub inner: spotdc_par::ThreadPool,
     /// The distributed clearing runtime, present when
     /// [`EngineConfig::shards`] is above one and the mode has a clear
-    /// stage to distribute. Clear stages route their tasks through it;
-    /// everything else ignores it.
+    /// stage to distribute. [`Self::clear_tasks`] routes the clear
+    /// stages' tasks through it; everything else ignores it.
     pub dist: Option<spotdc_dist::ShardRuntime>,
     /// Structure-of-arrays per-PDU draw buffer the settle stage
     /// re-fills each slot instead of allocating a fresh vector.
@@ -212,6 +214,48 @@ impl SimState {
     #[must_use]
     pub fn inner_parallel(&self) -> bool {
         self.inner.threads() > 1
+    }
+
+    /// Clears one slot's tasks, one entry per task in task order — the
+    /// single place that knows where a clear runs. With shard agents
+    /// ([`Self::dist`]) the tasks go over the wire and a dead shard's
+    /// come back `None`, which the clear stages degrade to "no spot
+    /// capacity" (the paper's comms-loss rule). Without, they are walked
+    /// here by [`spotdc_core::MarketClearing::clear_tasks`] — the very
+    /// function a shard agent runs — on the operator's engine, against
+    /// `constraints` itself (its UPS spot is put back afterwards) or,
+    /// with an inner pool and more than one task, one contiguous run
+    /// per worker on that worker's own copy; `par_map` returns the runs
+    /// in order, so the results are in task order either way.
+    pub fn clear_tasks(
+        &mut self,
+        slot: Slot,
+        constraints: &mut ConstraintSet,
+        tasks: Vec<TaskShip>,
+    ) -> Vec<Option<ClearResult>> {
+        if let Some(dist) = self.dist.as_mut() {
+            return dist.clear_session(slot, constraints, tasks);
+        }
+        let engine = self.operator.clearing();
+        let results = if self.inner_parallel() && tasks.len() > 1 {
+            let _span = spotdc_telemetry::span!("par.clear_per_pdu", slot = slot);
+            let runs: Vec<&[TaskShip]> = tasks
+                .chunks(tasks.len().div_ceil(self.inner.threads()))
+                .collect();
+            let run = spotdc_telemetry::current_run();
+            let shared = &*constraints;
+            let cleared = self.inner.par_map(&runs, |part| {
+                let _scope = run.as_deref().map(spotdc_telemetry::run_scope);
+                engine.clear_tasks(slot, &mut shared.clone(), part)
+            });
+            cleared.into_iter().flatten().collect()
+        } else {
+            let ups_spot = constraints.ups_spot();
+            let cleared = engine.clear_tasks(slot, constraints, &tasks);
+            constraints.set_ups_spot(ups_spot);
+            cleared
+        };
+        results.into_iter().map(Some).collect()
     }
 
     /// The meter the market should see this slot: last slot's snapshot

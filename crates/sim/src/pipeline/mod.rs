@@ -43,8 +43,7 @@ use crate::engine::EngineConfig;
 ///
 /// Stages communicate only through the shared state; `run` takes
 /// `&mut self` so a stage can keep scratch that survives across slots
-/// (late bids, clearing candidate buffers) without per-slot
-/// allocation.
+/// (late bids, validation maps) without per-slot allocation.
 pub trait SlotStage {
     /// Telemetry span name for this stage (`stage.*`).
     fn name(&self) -> &'static str;
@@ -138,7 +137,7 @@ fn instantiate(kind: StageKind, config: &EngineConfig) -> Box<dyn SlotStage> {
         StageKind::CollectGains => Box::new(CollectGains),
         StageKind::Predict(p) => Box::new(Predict::new(p, config.operator.staleness)),
         StageKind::ClearUniform => Box::new(ClearUniform),
-        StageKind::ClearPerPdu => Box::new(ClearPerPdu::new(config.operator.clearing)),
+        StageKind::ClearPerPdu => Box::new(ClearPerPdu::default()),
         StageKind::ClearMaxPerf => Box::new(ClearMaxPerf),
         StageKind::Enforce => Box::new(Enforce),
         StageKind::Settle => Box::new(Settle),

@@ -4,16 +4,19 @@
 //! the pre-pipeline monolithic slot loop — float accumulation order,
 //! RNG draw order and telemetry emission are preserved bit for bit
 //! (the golden-report test enforces this). Stage-local scratch that
-//! must survive across slots (late bids, the per-PDU clearing state)
+//! must survive across slots (late bids, the per-PDU validation map)
 //! lives on the stage struct itself, keeping the steady state free of
 //! per-slot allocations.
+//!
+//! The three `Clear*` stages only build their [`TaskShip`]s, hand them
+//! to [`SimState::clear_tasks`] and interpret the results; whether the
+//! tasks clear here or on shard agents is that function's business.
 
 use std::collections::BTreeMap;
 
 use spotdc_core::{
-    check_allocation, check_allocation_indexed, max_perf_allocate, BidIndex, ClearResult,
-    ConcaveGain, ConstraintSet, MarketClearing, MarketInvariant, MarketOutcome, RackBid, TaskShip,
-    TenantBid,
+    check_allocation, check_allocation_indexed, BidIndex, ClearResult, ConcaveGain, ConstraintSet,
+    MarketInvariant, RackBid, TaskShip, TenantBid,
 };
 use spotdc_faults::{BidFault, FaultPlan, MeterFault};
 use spotdc_power::PowerMeter;
@@ -403,9 +406,8 @@ impl SlotStage for Predict {
 /// broadcast over the lossy channel, post-clearing invariant check,
 /// and grant programming into the rack PDUs.
 ///
-/// Clearing runs on the operator's columnar engine (bid book + bucketed
-/// price sweep, cached across slots); its full/hit/legacy
-/// resolution counts are readable via `Operator::clearing_cache_stats`.
+/// The uniform market is a single task: it clears against the shared
+/// UPS constraint, so it cannot split.
 #[derive(Debug)]
 pub struct ClearUniform;
 
@@ -416,32 +418,16 @@ impl SlotStage for ClearUniform {
 
     fn run(&mut self, state: &mut SimState, ctx: &mut SlotContext) {
         let slot = ctx.slot;
-        let constraints = ctx.constraints.take().expect("Predict runs before Clear");
-        let outcome = match state.dist.as_mut() {
-            Some(dist) => {
-                // Distributed: the uniform market is a single task (it
-                // clears against the shared UPS constraint, so it can't
-                // split); the shard holds the statics, so warm slots
-                // ship only the bids and the spot capacities. A dead
-                // shard degrades the slot to "no spot capacity" — the
-                // paper's comms-loss rule.
-                let task = TaskShip::Market {
-                    bids: ctx.rack_bids.clone(),
-                    ups_spot: constraints.ups_spot(),
-                };
-                match dist
-                    .clear_session(slot, &constraints, vec![task])
-                    .pop()
-                    .flatten()
-                {
-                    Some(ClearResult::Market(outcome)) => outcome,
-                    _ => {
-                        ctx.slot_degraded = true;
-                        return;
-                    }
-                }
-            }
-            None => state.operator.clear(slot, &ctx.rack_bids, &constraints),
+        let mut constraints = ctx.constraints.take().expect("Predict runs before Clear");
+        let task = TaskShip::Market {
+            bids: ctx.rack_bids.clone(),
+            ups_spot: constraints.ups_spot(),
+        };
+        let cleared = state.clear_tasks(slot, &mut constraints, vec![task]).pop();
+        let Some(Some(ClearResult::Market(outcome))) = cleared else {
+            // Comms loss: no spot capacity this slot.
+            ctx.slot_degraded = true;
+            return;
         };
         let mut alloc = outcome.into_allocation();
         state
@@ -479,29 +465,10 @@ impl SlotStage for ClearUniform {
 /// clears independently at its own price; the reported price is
 /// revenue-weighted across sub-markets and the combined grant set is
 /// checked against the shared UPS spot.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ClearPerPdu {
-    clearing: MarketClearing,
     /// Combined grant set across sub-markets (validation scratch).
     combined: BTreeMap<RackId, Watts>,
-}
-
-impl ClearPerPdu {
-    /// Creates the stage with its own clearing instance.
-    #[must_use]
-    pub fn new(config: spotdc_core::ClearingConfig) -> Self {
-        ClearPerPdu {
-            clearing: MarketClearing::new(config),
-            combined: BTreeMap::new(),
-        }
-    }
-
-    /// Cache behavior of this stage's private clearing engine (the
-    /// per-PDU ablation does not share the operator's engine).
-    #[must_use]
-    pub fn cache_stats(&self) -> spotdc_core::ClearingCacheStats {
-        self.clearing.cache_stats()
-    }
 }
 
 impl SlotStage for ClearPerPdu {
@@ -511,69 +478,27 @@ impl SlotStage for ClearPerPdu {
 
     fn run(&mut self, state: &mut SimState, ctx: &mut SlotContext) {
         let slot = ctx.slot;
-        let constraints = ctx.constraints.take().expect("Predict runs before Clear");
+        let mut constraints = ctx.constraints.take().expect("Predict runs before Clear");
         let mut revenue_weighted_price = 0.0;
         self.combined.clear();
-        let outcomes: Vec<Option<MarketOutcome>> = if let Some(dist) = state.dist.as_mut() {
-            // Distributed: one task per PDU sub-market, assigned
-            // round-robin across the shard agents. Each shard already
-            // holds the static constraint layers, so the frame carries
-            // only each sub-market's UPS share and bids. Replies come
-            // back in task (PDU) order, so the merge below is identical
-            // to the serial path; a dead shard's sub-markets come back
-            // `None` and degrade to "no spot capacity".
-            let tasks = self
-                .clearing
-                .per_pdu_submarket_shares(&ctx.rack_bids, &constraints)
-                .into_iter()
-                .map(|(bids, share)| TaskShip::Market {
-                    bids,
-                    ups_spot: share,
-                })
-                .collect();
-            dist.clear_session(slot, &constraints, tasks)
-                .into_iter()
-                .map(|result| match result {
-                    Some(ClearResult::Market(outcome)) => Some(outcome),
-                    _ => None,
-                })
-                .collect()
-        } else if state.inner_parallel() {
-            // Each PDU sub-market clears independently against its own
-            // UPS share. One contiguous run of shares per worker, each
-            // walked against that worker's single retained constraint
-            // set (clones = workers, not sub-markets); `par_map`
-            // returns the runs in order, so the flattened outcomes are
-            // in sub-market (PDU) order and the merge below — payments,
-            // validation, revenue-weighted price — is identical to the
-            // serial path.
-            let _span = spotdc_telemetry::span!("par.clear_per_pdu", slot = slot);
-            let shares = self
-                .clearing
-                .per_pdu_submarket_shares(&ctx.rack_bids, &constraints);
-            let runs: Vec<_> = shares
-                .chunks(shares.len().div_ceil(state.inner.threads()).max(1))
-                .collect();
-            let run = spotdc_telemetry::current_run();
-            let clearing = &self.clearing;
-            let outcomes = state.inner.par_map(&runs, |part| {
-                let _scope = run.as_deref().map(spotdc_telemetry::run_scope);
-                clearing.clear_shares(slot, part, &constraints)
-            });
-            outcomes.into_iter().flatten().map(Some).collect()
-        } else {
-            self.clearing
-                .clear_per_pdu(slot, &ctx.rack_bids, &constraints)
-                .into_iter()
-                .map(Some)
-                .collect()
-        };
+        // One task per PDU sub-market, each against its own UPS share.
+        // Results come back in task (PDU) order wherever they cleared,
+        // so the merge below — payments, validation, revenue-weighted
+        // price — is the same on every backend.
+        let tasks = state
+            .operator
+            .clearing()
+            .per_pdu_submarket_shares(&ctx.rack_bids, &constraints)
+            .into_iter()
+            .map(|(bids, ups_spot)| TaskShip::Market { bids, ups_spot })
+            .collect();
+        let cleared = state.clear_tasks(slot, &mut constraints, tasks);
         // One rack → bids index for the whole slot: every sub-market's
         // Eq. 1 check then costs its own grants, not the slot's bids.
         let admitted = state.validate.then(|| BidIndex::new(&ctx.rack_bids));
-        for outcome in outcomes {
-            let Some(outcome) = outcome else {
-                // A degraded sub-market sells nothing this slot.
+        for result in cleared {
+            let Some(ClearResult::Market(outcome)) = result else {
+                // Comms loss: this sub-market sells nothing this slot.
                 ctx.slot_degraded = true;
                 continue;
             };
@@ -635,28 +560,18 @@ impl SlotStage for ClearMaxPerf {
 
     fn run(&mut self, state: &mut SimState, ctx: &mut SlotContext) {
         let slot = ctx.slot;
-        let constraints = ctx.constraints.take().expect("Predict runs before Clear");
-        let grants = match state.dist.as_mut() {
-            Some(dist) => {
-                // Distributed: water-filling is a single task (the
-                // envelopes interact through the shared constraints).
-                let task = TaskShip::MaxPerf {
-                    gains: ctx.gains.clone(),
-                    ups_spot: constraints.ups_spot(),
-                };
-                match dist
-                    .clear_session(slot, &constraints, vec![task])
-                    .pop()
-                    .flatten()
-                {
-                    Some(ClearResult::MaxPerf(grants)) => grants,
-                    _ => {
-                        ctx.slot_degraded = true;
-                        return;
-                    }
-                }
-            }
-            None => max_perf_allocate(&ctx.gains, &constraints),
+        let mut constraints = ctx.constraints.take().expect("Predict runs before Clear");
+        // Water-filling is a single task: the envelopes interact
+        // through the shared constraints.
+        let task = TaskShip::MaxPerf {
+            gains: ctx.gains.clone(),
+            ups_spot: constraints.ups_spot(),
+        };
+        let cleared = state.clear_tasks(slot, &mut constraints, vec![task]).pop();
+        let Some(Some(ClearResult::MaxPerf(grants))) = cleared else {
+            // Comms loss: no spot capacity this slot.
+            ctx.slot_degraded = true;
+            return;
         };
         if state.validate {
             if let Err(v) = constraints.check(&grants) {

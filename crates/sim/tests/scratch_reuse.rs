@@ -1,18 +1,19 @@
-//! Cache-invalidation guard for the clearing engine's cross-slot
-//! candidate cache.
+//! Scratch-reuse guard for the clearing engine under fault-driven churn.
 //!
-//! [`MarketClearing`] reuses its candidate price grid when the admitted
-//! bid set is unchanged between clears; the cache key is a full-equality
-//! fingerprint of everything candidate generation reads. This test
-//! drives a warm engine through the bid-set churn a fault schedule
+//! [`MarketClearing`] keeps no market state between clears, only
+//! buffers it rebuilds from each clear's inputs. This test drives one
+//! long-lived engine through the bid-set churn a fault schedule
 //! produces — lost bids, late bids rolling into the next slot's
-//! auction, tenants sitting slots out — and demands that every clear
-//! matches a cache-cold engine exactly. A single stale-cache reuse
-//! shows up as a diverging outcome.
+//! auction, tenants sitting slots out, one demand drifting — and holds
+//! every clear to `spotdc-core`'s independent Eqns. 1–4 oracle bit for
+//! bit. A buffer that leaked from one slot's book into the next shows
+//! up as a diverging outcome.
 //!
-//! (The complementary single-parameter property — any one mutated bid
-//! parameter busts the cache — lives in the core crate's property
-//! suite, next to the cache itself.)
+//! (The shape-driven counterpart — books that shrink and regrow every
+//! buffer — lives in the core crate's property suite.)
+
+#[path = "../../core/tests/oracle/mod.rs"]
+mod oracle;
 
 use proptest::prelude::*;
 use spotdc_core::demand::{DemandBid, LinearBid, StepBid};
@@ -69,9 +70,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn fault_driven_bid_churn_never_reuses_a_stale_cache(
+    fn fault_driven_bid_churn_clears_like_the_oracle(
         demands in prop::collection::vec(any_bid(), TENANTS..=TENANTS),
         fault_seed in 0u64..1_000_000,
+        drift in prop_oneof![Just(0.0), 0.5..10.0f64],
     ) {
         let topo = topology();
         let cs = ConstraintSet::new(
@@ -84,13 +86,30 @@ proptest! {
             ClearingConfig::grid(Price::cents_per_kw_hour(0.5)),
             ClearingConfig::grid(Price::cents_per_kw_hour(0.01)),
         ] {
-            let warm = MarketClearing::new(config);
+            let engine = MarketClearing::new(config);
+            let mut current = demands.clone();
             let mut late: Vec<(TenantId, RackBid)> = Vec::new();
             let mut lost_faults = 0usize;
             let mut late_faults = 0usize;
             let mut live_slots = 0u64;
             for s in 0..HORIZON {
                 let slot = Slot::new(s);
+                // One tenant's demand drifts per slot (not at all when
+                // `drift` is zero), on top of the fault-driven churn.
+                let victim = (s as usize) % TENANTS;
+                current[victim] = match &current[victim] {
+                    DemandBid::Linear(b) => LinearBid::new(
+                        b.d_max() + Watts::new(drift),
+                        b.q_min(),
+                        b.d_min(),
+                        b.q_max(),
+                    ).expect("growing d_max keeps ordering").into(),
+                    DemandBid::Step(b) => StepBid::new(
+                        b.demand() + Watts::new(drift),
+                        b.price_cap(),
+                    ).expect("valid").into(),
+                    DemandBid::Full(_) => unreachable!("any_bid only emits linear/step"),
+                };
                 // Fresh submissions from a rotating subset of tenants,
                 // so a late bid can roll into a slot its tenant sits
                 // out — the same supersede-on-fresh rule CollectBids
@@ -100,7 +119,7 @@ proptest! {
                     .map(|i| {
                         (
                             TenantId::new(i),
-                            RackBid::new(RackId::new(i), demands[i].clone()),
+                            RackBid::new(RackId::new(i), current[i].clone()),
                         )
                     })
                     .collect();
@@ -126,13 +145,8 @@ proptest! {
                 }
                 let rack_bids: Vec<RackBid> =
                     market.iter().map(|(_, b)| b.clone()).collect();
-                let from_warm = warm.clear(slot, &rack_bids, &cs);
-                let from_cold = MarketClearing::new(config).clear(slot, &rack_bids, &cs);
-                prop_assert_eq!(
-                    from_warm,
-                    from_cold,
-                    "slot {s}: warm clear diverged from cache-cold clear ({config:?})"
-                );
+                let cleared = engine.clear(slot, &rack_bids, &cs);
+                oracle::assert_cleared(&cleared, config.price_step, &rack_bids, &cs);
                 if rack_bids.iter().any(|b| !b.demand().is_null()) {
                     live_slots += 1;
                 }
@@ -142,80 +156,12 @@ proptest! {
             // not bad luck.
             prop_assert!(lost_faults > 0, "no lost-bid faults fired");
             prop_assert!(late_faults > 0, "no late-bid faults fired");
-            // Every non-empty clear must be accounted to exactly one
-            // resolution mode (full / hit / legacy).
-            let stats = warm.cache_stats();
+            // Every non-empty clear is one sweep: none skipped, none
+            // counted twice.
+            let stats = engine.cache_stats();
             prop_assert_eq!(
-                stats.full_sweeps + stats.cache_hits + stats.legacy_scans,
+                stats.full_sweeps,
                 live_slots,
-                "unaccounted clears under {:?}: {:?}", config, stats
-            );
-        }
-    }
-
-    #[test]
-    fn demand_drift_under_faults_reclears_like_cold(
-        demands in prop::collection::vec(any_bid(), TENANTS..=TENANTS),
-        fault_seed in 0u64..1_000_000,
-        drift in 0.5..10.0f64,
-    ) {
-        // Small churn on a stable book: every tenant bids every slot
-        // and exactly one tenant's demand drifts per slot, while a
-        // fault schedule occasionally drops or delays bids; the last
-        // four slots run fault-free. Every slot must match a cold
-        // engine, and each is accounted to exactly one surviving mode.
-        let topo = topology();
-        let cs = ConstraintSet::new(
-            &topo,
-            vec![Watts::new(120.0), Watts::new(90.0)],
-            Watts::new(180.0),
-        );
-        let plan = FaultPlan::new(FaultConfig::uniform(0.2, fault_seed));
-        for config in [
-            ClearingConfig::grid(Price::cents_per_kw_hour(0.5)),
-            ClearingConfig::grid(Price::cents_per_kw_hour(0.01)),
-        ] {
-            let warm = MarketClearing::new(config);
-            let mut current = demands.clone();
-            let mut live_slots = 0u64;
-            for s in 0..HORIZON {
-                let slot = Slot::new(s);
-                let victim = (s as usize) % TENANTS;
-                current[victim] = match &current[victim] {
-                    DemandBid::Linear(b) => LinearBid::new(
-                        b.d_max() + Watts::new(drift),
-                        b.q_min(),
-                        b.d_min(),
-                        b.q_max(),
-                    ).expect("growing d_max keeps ordering").into(),
-                    DemandBid::Step(b) => StepBid::new(
-                        b.demand() + Watts::new(drift),
-                        b.price_cap(),
-                    ).expect("valid").into(),
-                    DemandBid::Full(_) => unreachable!("any_bid only emits linear/step"),
-                };
-                let rack_bids: Vec<RackBid> = (0..TENANTS)
-                    .filter(|&i| {
-                        s >= HORIZON - 4
-                            || plan.bid_fault(slot, TenantId::new(i)).is_none()
-                    })
-                    .map(|i| RackBid::new(RackId::new(i), current[i].clone()))
-                    .collect();
-                let from_warm = warm.clear(slot, &rack_bids, &cs);
-                let from_cold = MarketClearing::new(config).clear(slot, &rack_bids, &cs);
-                prop_assert_eq!(
-                    from_warm,
-                    from_cold,
-                    "slot {s}: warm clear diverged from cache-cold ({config:?})"
-                );
-                if rack_bids.iter().any(|b| !b.demand().is_null()) {
-                    live_slots += 1;
-                }
-            }
-            let stats = warm.cache_stats();
-            prop_assert!(
-                stats.delta_sweeps == 0
-                    && stats.full_sweeps + stats.cache_hits + stats.legacy_scans == live_slots,
                 "unaccounted clears under {:?}: {:?}", config, stats
             );
         }

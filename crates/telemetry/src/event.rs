@@ -247,22 +247,6 @@ event_table! {
         /// Measured duration, nanoseconds.
         nanos: u64,
     },
-    /// How the clearing engine resolved a slot: a full price sweep, a
-    /// fingerprint cache hit reusing every cached sum, or the legacy
-    /// per-candidate scan (zone/phase markets). Lets `spotdc-trace`
-    /// report clearing-cache effectiveness per run.
-    ClearingCache {
-        /// The slot that was cleared.
-        slot: Slot,
-        /// Monotonic timestamp.
-        at: MonotonicNanos,
-        /// Resolution mode ("full", "hit", "legacy").
-        mode: String,
-        /// Candidate prices considered by the search.
-        candidates_total: u64,
-        /// Candidate prices actually re-swept (0 on a cache hit).
-        candidates_swept: u64,
-    },
     /// The durable engine cut a checkpoint: the full cross-slot market
     /// state was atomically persisted and the write-ahead journal was
     /// restarted.

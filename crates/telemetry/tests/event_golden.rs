@@ -99,13 +99,6 @@ fn samples() -> Vec<Event> {
             span: "stage.clear_market".to_owned(),
             nanos: 48_211,
         },
-        Event::ClearingCache {
-            slot: Slot::new(21),
-            at: at(100_401),
-            mode: "hit".to_owned(),
-            candidates_total: 101,
-            candidates_swept: 0,
-        },
         Event::CheckpointWritten {
             slot: Slot::new(50),
             at: at(100_501),

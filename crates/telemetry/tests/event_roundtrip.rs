@@ -149,15 +149,6 @@ fn event() -> impl Strategy<Value = Event> {
                 nanos,
             }
         }),
-        (base(), text(), 0u64..=u64::MAX, 0u64..=u64::MAX).prop_map(
-            |((slot, at), mode, candidates_total, candidates_swept)| Event::ClearingCache {
-                slot,
-                at,
-                mode,
-                candidates_total,
-                candidates_swept,
-            }
-        ),
         (base(), any_u64(), any_u64()).prop_map(|((slot, at), bytes, nanos)| {
             Event::CheckpointWritten {
                 slot,
