@@ -464,45 +464,35 @@ fn run_single(run: SingleRun, reporter: &Reporter) -> ExitCode {
     } = run;
     let scenario = Scenario::testbed(seed);
     let config = EngineConfig {
-        durability: durability.clone(),
+        durability,
         per_pdu_pricing: per_pdu,
         shards,
         shard_transport,
         ..EngineConfig::new(mode)
     };
-    let report = if durability.dir.is_some() {
-        match Simulation::new(scenario, config).run_durable(slots) {
-            Ok(outcome) => {
-                if let Some(r) = &outcome.recovery {
-                    reporter.status(&format!(
-                        "# recovered: snapshot {}, {} slot(s) replayed{}",
-                        r.snapshot_slot
-                            .map_or_else(|| "none".to_owned(), |s| s.to_string()),
-                        r.replayed_slots,
-                        r.truncated.as_ref().map_or_else(String::new, |d| format!(
-                            ", journal tail {} ({} bytes dropped)",
-                            d.reason, d.dropped_bytes
-                        ))
-                    ));
-                }
+    let report = match Simulation::new(scenario, config).run_durable(slots) {
+        Ok(outcome) => {
+            if let Some(r) = &outcome.recovery {
                 reporter.status(&format!(
-                    "# {} checkpoint(s) written",
-                    outcome.checkpoints_written
+                    "# recovered: snapshot {}, {} slot(s) replayed{}",
+                    r.snapshot_slot
+                        .map_or_else(|| "none".to_owned(), |s| s.to_string()),
+                    r.replayed_slots,
+                    r.truncated.as_ref().map_or_else(String::new, |d| format!(
+                        ", journal tail {} ({} bytes dropped)",
+                        d.reason, d.dropped_bytes
+                    ))
                 ));
-                outcome.report
             }
-            Err(e) => {
-                reporter.error(&format!("error: {e}"));
-                return ExitCode::FAILURE;
-            }
+            reporter.status(&format!(
+                "# {} checkpoint(s) written",
+                outcome.checkpoints_written
+            ));
+            outcome.report
         }
-    } else {
-        match Simulation::try_new(scenario, config) {
-            Ok(sim) => sim.run(slots),
-            Err(e) => {
-                reporter.error(&format!("error: {e}"));
-                return ExitCode::FAILURE;
-            }
+        Err(e) => {
+            reporter.error(&format!("error: {e}"));
+            return ExitCode::FAILURE;
         }
     };
     // Derived Debug is deterministic field-by-field rendering (floats

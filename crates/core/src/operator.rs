@@ -13,7 +13,7 @@ use spotdc_units::{RackId, Slot};
 use crate::bid::{RackBid, TenantBid};
 use crate::clearing::{ClearingConfig, MarketClearing, MarketOutcome};
 use crate::constraints::ConstraintSet;
-use crate::prediction::{PredictedSpot, PredictionScratch, SpotPredictor, StalenessPolicy};
+use crate::prediction::{PredictedSpot, SpotPredictor, StalenessPolicy};
 
 /// Operator-side configuration: how to predict and how to clear.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -115,12 +115,6 @@ impl Operator {
     #[must_use]
     pub fn topology(&self) -> &PowerTopology {
         &self.topology
-    }
-
-    /// The predictor in use.
-    #[must_use]
-    pub fn predictor(&self) -> SpotPredictor {
-        self.predictor
     }
 
     /// Runs one market round for `slot`: admission-checks the bids,
@@ -243,42 +237,6 @@ impl Operator {
             });
         }
         (predicted, degraded)
-    }
-
-    /// Like [`Self::predict_spot`], but threads a caller-owned
-    /// [`PredictionScratch`] through so unchanged racks' references are
-    /// reused across slots. Falls back to the uncached staleness path
-    /// when a [`StalenessPolicy`] is configured (staleness handling
-    /// reads reading ages, which the scratch does not track). Emits the
-    /// same telemetry as the uncached entry point and produces
-    /// bit-identical predictions.
-    #[must_use]
-    pub fn predict_spot_cached(
-        &self,
-        slot: Slot,
-        requesting: &[RackId],
-        meter: &PowerMeter,
-        scratch: &mut PredictionScratch,
-    ) -> (PredictedSpot, Option<DegradedInfo>) {
-        if self.staleness.is_some() {
-            return self.predict_spot(slot, requesting, meter);
-        }
-        let predicted = self.predictor.predict_cached(
-            &self.topology,
-            meter,
-            requesting.iter().copied(),
-            scratch,
-        );
-        if spotdc_telemetry::is_enabled() {
-            spotdc_telemetry::emit(spotdc_telemetry::Event::PredictionIssued {
-                slot,
-                at: spotdc_units::MonotonicNanos::now(),
-                ups_watts: predicted.ups.value(),
-                pdu_total_watts: predicted.total_pdu().value(),
-                pdus: predicted.pdu.len() as u64,
-            });
-        }
-        (predicted, None)
     }
 
     /// Clears the market over admitted `rack_bids` under `constraints`.

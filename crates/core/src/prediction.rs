@@ -321,7 +321,9 @@ impl SpotPredictor {
 /// Cross-slot cache for [`SpotPredictor::predict_cached`]: per-rack
 /// prediction references plus the inputs they were derived from, so
 /// only racks whose observed draw (or market participation) actually
-/// changed are recomputed each slot.
+/// changed are recomputed each slot. No product caller — the pipeline
+/// predicts uncached (DESIGN.md §11 has the measurements); kept for the
+/// benchmark's `core.prediction.predict_cached` row.
 ///
 /// The per-PDU and UPS sums are *not* cached — they are re-accumulated
 /// in rack order on every call, because incrementally patching a float
@@ -367,7 +369,9 @@ impl SpotPredictor {
     /// recomputing the reference of every rack whose meter reading and
     /// participation are unchanged since the previous call — the common
     /// case slot-over-slot, where PDU power moves ±2.5 % (Fig. 7a) and
-    /// most racks' readings are literally identical trace samples.
+    /// most racks' readings are literally identical trace samples. No
+    /// product caller; kept for `core.prediction.predict_cached` (see
+    /// [`PredictionScratch`]).
     ///
     /// Bit-identical to [`SpotPredictor::predict`]: cached references
     /// are compared on exact reading bit patterns, and the capacity

@@ -1,17 +1,10 @@
-//! The three operating modes the paper compares (Section V-B), each
-//! defined as a *composition* of slot-pipeline stages.
+//! The three operating modes the paper compares (Section V-B).
 //!
-//! [`Mode::composition`] is the single place the modes differ: the
-//! engine's slot loop never branches on the mode, it just steps
-//! whatever stage sequence the composition produced. Adding a fourth
-//! operating scheme (an alternative clearing mechanism, an EDR-style
-//! participation model) means adding a composition here plus any new
-//! stages it needs — the driver is untouched.
+//! A mode is a name and two predicates; what each one *runs* is the
+//! stage table in [`crate::pipeline::build`], and the engine's slot
+//! loop never branches on the mode.
 
 use serde::{Deserialize, Serialize};
-
-use crate::engine::EngineConfig;
-use crate::pipeline::{PredictKind, StageKind};
 
 /// How the data center allocates power each slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -41,48 +34,6 @@ impl Mode {
     pub fn allocates_spot(self) -> bool {
         !matches!(self, Mode::PowerCapped)
     }
-
-    /// The slot-pipeline stage sequence this mode runs each slot.
-    ///
-    /// * `PowerCapped` — no market at all: sense, enforce, settle.
-    /// * `SpotDc` — the full market: bids are collected *before*
-    ///   prediction because the predictor counts each requesting rack
-    ///   at its full guarantee (Eqn. 2 needs the requesting set). The
-    ///   `per_pdu_pricing` ablation swaps the uniform clearing stage
-    ///   for localized per-PDU clearing (and skips operator admission,
-    ///   as the ablation historically did).
-    /// * `MaxPerf` — bidding is replaced by gain-envelope collection
-    ///   and clearing by the omniscient water-filling allocator.
-    #[must_use]
-    pub fn composition(self, config: &EngineConfig) -> Vec<StageKind> {
-        match self {
-            Mode::PowerCapped => vec![StageKind::Sense, StageKind::Enforce, StageKind::Settle],
-            Mode::SpotDc if config.per_pdu_pricing => vec![
-                StageKind::Sense,
-                StageKind::CollectBids { admit: false },
-                StageKind::Predict(PredictKind::Direct),
-                StageKind::ClearPerPdu,
-                StageKind::Enforce,
-                StageKind::Settle,
-            ],
-            Mode::SpotDc => vec![
-                StageKind::Sense,
-                StageKind::CollectBids { admit: true },
-                StageKind::Predict(PredictKind::Operator),
-                StageKind::ClearUniform,
-                StageKind::Enforce,
-                StageKind::Settle,
-            ],
-            Mode::MaxPerf => vec![
-                StageKind::Sense,
-                StageKind::CollectGains,
-                StageKind::Predict(PredictKind::Plain),
-                StageKind::ClearMaxPerf,
-                StageKind::Enforce,
-                StageKind::Settle,
-            ],
-        }
-    }
 }
 
 impl std::fmt::Display for Mode {
@@ -109,37 +60,5 @@ mod tests {
     #[test]
     fn mode_display() {
         assert_eq!(Mode::SpotDc.to_string(), "SpotDC");
-    }
-
-    #[test]
-    fn compositions_match_mode_semantics() {
-        let cfg = EngineConfig::new(Mode::SpotDc);
-        let uniform = Mode::SpotDc.composition(&cfg);
-        assert!(uniform.contains(&StageKind::ClearUniform));
-        assert!(uniform.contains(&StageKind::CollectBids { admit: true }));
-
-        let per_pdu = Mode::SpotDc.composition(&EngineConfig {
-            per_pdu_pricing: true,
-            ..cfg
-        });
-        assert!(per_pdu.contains(&StageKind::ClearPerPdu));
-        assert!(per_pdu.contains(&StageKind::CollectBids { admit: false }));
-
-        // PowerCapped never predicts, bids or clears.
-        let pc = Mode::PowerCapped.composition(&EngineConfig::new(Mode::PowerCapped));
-        assert_eq!(
-            pc,
-            vec![StageKind::Sense, StageKind::Enforce, StageKind::Settle]
-        );
-
-        let mp = Mode::MaxPerf.composition(&EngineConfig::new(Mode::MaxPerf));
-        assert!(mp.contains(&StageKind::ClearMaxPerf));
-        assert!(mp.contains(&StageKind::CollectGains));
-
-        // Every composition senses first and settles last.
-        for comp in [&uniform, &per_pdu, &pc, &mp] {
-            assert_eq!(comp.first(), Some(&StageKind::Sense));
-            assert_eq!(comp.last(), Some(&StageKind::Settle));
-        }
     }
 }

@@ -1,18 +1,18 @@
 //! The time-slotted simulation driver.
 //!
-//! [`Simulation::run`] owns the clock: each slot it steps the staged
-//! pipeline its mode composed (see [`crate::pipeline`]), mirroring
+//! [`Simulation::run`] owns the clock: each slot it steps the stages
+//! [`crate::pipeline::build`] tabled for its configuration, mirroring
 //! Algorithm 1 and Fig. 6 of the paper:
 //!
 //! 1. **Sense** — tenants observe their load traces, rack PDUs reset;
 //! 2. **CollectBids** (SpotDC) / **CollectGains** (MaxPerf) — bids
-//!    travel a lossy channel with late-bid rollover, or gain envelopes
-//!    are gathered;
+//!    travel a lossy channel with late-bid rollover and pass operator
+//!    admission, or gain envelopes are gathered;
 //! 3. **Predict** — spot capacity is forecast from *last* slot's meter
 //!    readings (Eqns. 1–4), under the staleness policy if armed;
-//! 4. **Clear** — uniform-price clearing, the per-PDU localized
-//!    ablation, or MaxPerf's omniscient water-filling; lost broadcasts
-//!    revoke the affected grants;
+//! 4. **Clear** — uniform-price clearing, localized per-PDU prices, or
+//!    MaxPerf's omniscient water-filling; lost broadcasts revoke the
+//!    affected grants;
 //! 5. **Enforce** — the cap controller sheds spot before guaranteed
 //!    capacity when overloads were observed;
 //! 6. **Settle** — tenants run under their budgets, the meter records
@@ -52,8 +52,8 @@ use spotdc_core::OperatorConfig;
 #[derive(Debug, Clone, PartialEq)]
 pub struct DurabilityConfig {
     /// Directory for checkpoint files and the journal. `None` (the
-    /// default) disables durability entirely — the engine takes the
-    /// exact historical code path.
+    /// default) disables durability: [`Simulation::run_durable`] is
+    /// then [`Simulation::run`].
     pub dir: Option<PathBuf>,
     /// Cut a checkpoint after every N completed slots. Must be
     /// positive when `dir` is set.
@@ -126,13 +126,12 @@ pub struct EngineConfig {
     /// JSONL dumps behind. Events only flow while telemetry is
     /// enabled.
     pub blackbox: BlackBoxConfig,
-    /// Worker threads for the *within-slot* data-parallel sections
-    /// (bid/gain collection, per-PDU sub-market clearing, tenant
-    /// settlement). `1` (the default) keeps every stage on the single
-    /// historical serial path; higher values fan those sections out on
-    /// a [`spotdc_par::ThreadPool`] with order-preserving merges, so
-    /// reports stay byte-identical at any width. Orthogonal to the
-    /// *across-run* `--jobs` fan-out in the experiment layer.
+    /// Width of the [`spotdc_par::ThreadPool`] the *within-slot*
+    /// data-parallel sections (bid/gain collection, per-PDU sub-market
+    /// clearing, tenant settlement) map through: inline at `1` (the
+    /// default), merged in order at any width, so reports stay
+    /// byte-identical. Orthogonal to the *across-run* `--jobs` fan-out
+    /// in the experiment layer.
     pub inner_jobs: usize,
     /// Shard agents for the distributed clearing plane. `1` (the
     /// default) keeps clearing in-process on the historical path;
@@ -178,8 +177,7 @@ pub enum ConfigError {
     },
     /// A simulation was asked to run for zero slots.
     ZeroHorizon,
-    /// `inner_jobs` was zero: the within-slot parallel width must be at
-    /// least one (one means the serial path).
+    /// `inner_jobs` was zero: the within-slot pool needs a worker.
     ZeroInnerJobs,
     /// `shards` was zero: the distributed clearing width must be at
     /// least one (one means the in-process serial path).
@@ -509,37 +507,16 @@ impl Simulation {
     /// Runs `slots` slots and returns the full report.
     ///
     /// The driver owns the clock and nothing else: it builds the
-    /// cross-slot [`SimState`] (including the slot-0 meter warm-up),
-    /// asks the mode for its stage composition, and steps the stages
-    /// once per slot. All market behaviour lives in the stages.
+    /// cross-slot [`SimState`] (including the slot-0 meter warm-up) and
+    /// the stage table ([`pipeline::build`]), and steps the stages once
+    /// per slot. All market behaviour lives in the stages.
     #[must_use]
     pub fn run(self, slots: u64) -> SimReport {
-        let Simulation { scenario, config } = self;
-        if config.telemetry.enabled {
-            spotdc_telemetry::install_if_uninstalled(config.telemetry);
+        let mut run = Run::start(&self.scenario, &self.config, slots);
+        for t in 0..slots {
+            run_one_slot(&mut run, t);
         }
-        // Arm the flight recorder unless a binary armed one already
-        // (with its own dump directory); either way the recorder stays
-        // installed after the run so sweeps share one ring.
-        let recorder = if config.blackbox.enabled {
-            FlightRecorder::arm_if_unarmed(config.blackbox)
-        } else {
-            None
-        };
-        let n = slots as usize;
-        let mut state = SimState::new(&scenario, &config, n);
-        let mut ctx = SlotContext::new(state.topology.rack_count(), state.agents.len());
-        let mut stages = pipeline::build(&config);
-
-        for t in 0..n {
-            run_one_slot(&mut state, &mut ctx, &mut stages, t as u64);
-        }
-
-        if recorder.is_some() {
-            // Dump any emergency window still collecting its tail.
-            spotdc_telemetry::flush();
-        }
-        state.into_report()
+        run.finish()
     }
 
     /// Runs `slots` slots with crash-consistent durability: a bid
@@ -556,34 +533,27 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`DurableError::Config`] for an invalid configuration
-    /// (including a missing [`DurabilityConfig::dir`]), `Io` for
-    /// filesystem failures, `Corrupt` for structurally damaged durable
-    /// state, and `Diverged` when journal replay disagrees with the
-    /// recorded history.
+    /// Returns [`DurableError::Config`] for an invalid configuration,
+    /// `Io` for filesystem failures, `Corrupt` for structurally damaged
+    /// durable state, and `Diverged` when journal replay disagrees with
+    /// the recorded history.
     pub fn run_durable(self, slots: u64) -> Result<DurableOutcome, DurableError> {
         self.config.validate()?;
         if slots == 0 {
             return Err(DurableError::Config(ConfigError::ZeroHorizon));
         }
-        let Simulation { scenario, config } = self;
-        let dir: PathBuf = config.durability.dir.clone().ok_or(DurableError::Config(
-            ConfigError::ResumeWithoutCheckpointDir,
-        ))?;
-        let every = config.durability.checkpoint_every;
-
-        if config.telemetry.enabled {
-            spotdc_telemetry::install_if_uninstalled(config.telemetry);
-        }
-        let recorder = if config.blackbox.enabled {
-            FlightRecorder::arm_if_unarmed(config.blackbox)
-        } else {
-            None
+        let Some(dir) = self.config.durability.dir.clone() else {
+            // No directory disables durability: the plain loop.
+            return Ok(DurableOutcome {
+                report: self.run(slots),
+                recovery: None,
+                checkpoints_written: 0,
+                stopped_after: None,
+            });
         };
-
-        let mut state = SimState::new(&scenario, &config, slots as usize);
-        let mut ctx = SlotContext::new(state.topology.rack_count(), state.agents.len());
-        let mut stages = pipeline::build(&config);
+        let Simulation { scenario, config } = self;
+        let (mode, seed) = (config.mode, scenario.seed);
+        let mut run = Run::start(&scenario, &config, slots);
         let wal_path = dir.join("journal.wal");
 
         let mut start_slot: u64 = 0;
@@ -598,7 +568,7 @@ impl Simulation {
                             loaded.path.display()
                         ))
                     })?;
-                    snap.apply(&mut state, &mut stages, config.mode, scenario.seed)
+                    snap.apply(&mut run.state, &mut run.stages, mode, seed)
                         .map_err(|e| {
                             DurableError::Corrupt(format!(
                                 "checkpoint {} does not apply: {e}",
@@ -648,13 +618,13 @@ impl Simulation {
                 // the missing slots, re-journaling them so the new
                 // journal again spans everything since the snapshot.
                 while start_slot < slot {
-                    run_one_slot(&mut state, &mut ctx, &mut stages, start_slot);
-                    wal.append(&crate::durability::encode_wal_record(&ctx))?;
+                    run_one_slot(&mut run, start_slot);
+                    wal.append(&crate::durability::encode_wal_record(&run.ctx))?;
                     start_slot += 1;
                     replayed += 1;
                 }
-                run_one_slot(&mut state, &mut ctx, &mut stages, slot);
-                let replay = crate::durability::encode_wal_record(&ctx);
+                run_one_slot(&mut run, slot);
+                let replay = crate::durability::encode_wal_record(&run.ctx);
                 if replay != *record {
                     return Err(DurableError::Diverged { slot });
                 }
@@ -695,12 +665,11 @@ impl Simulation {
         let mut checkpoints_written = 0u64;
         let mut stopped_after = None;
         for t in start_slot..slots {
-            run_one_slot(&mut state, &mut ctx, &mut stages, t);
-            wal.append(&crate::durability::encode_wal_record(&ctx))?;
-            if (t + 1) % every == 0 {
+            run_one_slot(&mut run, t);
+            wal.append(&crate::durability::encode_wal_record(&run.ctx))?;
+            if (t + 1) % config.durability.checkpoint_every == 0 {
                 let started = std::time::Instant::now();
-                let snap =
-                    EngineSnapshot::capture(&state, &stages, config.mode, scenario.seed, t + 1);
+                let snap = EngineSnapshot::capture(&run.state, &run.stages, mode, seed, t + 1);
                 let bytes = spotdc_durable::write_checkpoint(&dir, t + 1, &snap.encode())?;
                 // The checkpoint covers every journaled slot, so the
                 // journal restarts empty; its predecessor needs no
@@ -727,12 +696,8 @@ impl Simulation {
             }
         }
         wal.sync()?;
-
-        if recorder.is_some() {
-            spotdc_telemetry::flush();
-        }
         Ok(DurableOutcome {
-            report: state.into_report(),
+            report: run.finish(),
             recovery,
             checkpoints_written,
             stopped_after,
@@ -740,27 +705,62 @@ impl Simulation {
     }
 }
 
+/// One run in flight, as [`Simulation::run`] and [`Simulation::run_durable`]
+/// both build it, step it ([`run_one_slot`]) and finish it.
+struct Run {
+    state: SimState,
+    ctx: SlotContext,
+    stages: Vec<Box<dyn SlotStage>>,
+    /// Whether this run armed the flight recorder (and so flushes it).
+    armed_recorder: bool,
+}
+
+impl Run {
+    /// Installs telemetry and the flight recorder as configured, then
+    /// builds the cross-slot state, the slot scratch and the stages.
+    fn start(scenario: &Scenario, config: &EngineConfig, slots: u64) -> Self {
+        if config.telemetry.enabled {
+            spotdc_telemetry::install_if_uninstalled(config.telemetry);
+        }
+        // Arm the flight recorder unless a binary armed one already
+        // (with its own dump directory); either way the recorder stays
+        // installed after the run so sweeps share one ring.
+        let armed_recorder =
+            config.blackbox.enabled && FlightRecorder::arm_if_unarmed(config.blackbox).is_some();
+        let state = SimState::new(scenario, config, slots as usize);
+        Run {
+            ctx: SlotContext::new(state.topology.rack_count(), state.agents.len()),
+            state,
+            stages: pipeline::build(config),
+            armed_recorder,
+        }
+    }
+
+    fn finish(self) -> SimReport {
+        if self.armed_recorder {
+            // Dump any emergency window still collecting its tail.
+            spotdc_telemetry::flush();
+        }
+        self.state.into_report()
+    }
+}
+
 /// Steps every stage once for slot `t`: the single slot body shared by
 /// [`Simulation::run`], the durable main loop, and journal replay —
 /// sharing it is what makes replay bit-identical to the original
 /// execution.
-fn run_one_slot(
-    state: &mut SimState,
-    ctx: &mut SlotContext,
-    stages: &mut [Box<dyn SlotStage>],
-    t: u64,
-) {
+fn run_one_slot(run: &mut Run, t: u64) {
     let slot = Slot::new(t);
     let _slot_span = spotdc_telemetry::span!("engine.slot", slot = slot);
-    ctx.begin(slot, t as usize);
-    for stage in stages.iter_mut() {
+    run.ctx.begin(slot, t as usize);
+    for stage in run.stages.iter_mut() {
         let _stage_span = spotdc_telemetry::span!(stage.name());
         // Time the stage for the event log too: spans feed the
         // in-process registry only, while a `SpanClosed` event
         // per stage lets `spotdc-trace` rebuild the latency
         // distributions from the JSONL artifact alone.
         let started = spotdc_telemetry::is_enabled().then(std::time::Instant::now);
-        stage.run(state, ctx);
+        stage.run(&mut run.state, &mut run.ctx);
         if let Some(started) = started {
             spotdc_telemetry::emit(spotdc_telemetry::Event::SpanClosed {
                 slot,
@@ -1204,6 +1204,17 @@ mod tests {
             config.validate(),
             Err(ConfigError::ResumeWithoutCheckpointDir)
         );
+    }
+
+    #[test]
+    fn run_durable_without_a_dir_is_the_plain_run() {
+        let outcome = Simulation::new(Scenario::testbed(11), EngineConfig::new(Mode::SpotDc))
+            .run_durable(45)
+            .expect("`dir: None` disables durability, it is not an error");
+        assert_eq!(outcome.report, run(Mode::SpotDc, 45));
+        assert!(outcome.recovery.is_none());
+        assert_eq!(outcome.checkpoints_written, 0);
+        assert_eq!(outcome.stopped_after, None);
     }
 
     #[test]

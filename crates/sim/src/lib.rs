@@ -6,14 +6,14 @@
 //! * [`scenario`] — the paper's Table I testbed (two PDUs, nine
 //!   tenants, 5 % oversubscription) and its hyper-scale replication to
 //!   1 000 tenants;
-//! * [`engine`] — the thin per-slot driver: it builds the pipeline its
-//!   mode composed and steps it once per slot;
+//! * [`engine`] — the thin per-slot driver: it builds the stage table
+//!   for its configuration and steps it once per slot;
 //! * [`pipeline`] — the staged slot pipeline (Sense → CollectBids →
 //!   Predict → Clear → Enforce → Settle) and the typed state threaded
 //!   through it;
 //! * [`baselines`] — the three operating modes compared throughout:
 //!   `PowerCapped` (status quo), `SpotDC`, and `MaxPerf` — each a
-//!   stage *composition*, not a branch in the loop;
+//!   row of [`pipeline::build`]'s stage table, not a branch in the loop;
 //! * [`accounting`] — dollars: reservation rates, energy billing,
 //!   amortized capex, operator profit;
 //! * [`metrics`] — per-slot records and the aggregations the figures

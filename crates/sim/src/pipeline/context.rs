@@ -21,9 +21,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use spotdc_core::{
-    ClearResult, CommsModel, ConcaveGain, ConstraintSet, Operator, PredictedSpot, TaskShip,
-};
+use spotdc_core::{ClearResult, CommsModel, ConcaveGain, ConstraintSet, Operator, TaskShip};
 use spotdc_faults::FaultPlan;
 use spotdc_power::topology::PowerTopology;
 use spotdc_power::{CapController, EmergencyEvent, EmergencyLog, PowerMeter, RackPduBank};
@@ -104,8 +102,8 @@ pub struct SimState {
     /// Number of slots contributing to `prediction_error_sum`.
     pub prediction_error_count: u64,
     /// Thread pool for the within-slot data-parallel sections, sized by
-    /// [`EngineConfig::inner_jobs`] (width 1 = every stage stays on its
-    /// serial path).
+    /// [`EngineConfig::inner_jobs`]. The stages always map through it;
+    /// at width 1 the pool runs them inline.
     pub inner: spotdc_par::ThreadPool,
     /// The distributed clearing runtime, present when
     /// [`EngineConfig::shards`] is above one and the mode has a clear
@@ -209,8 +207,9 @@ impl SimState {
         }
     }
 
-    /// Whether the within-slot parallel sections should fan out (the
-    /// inner pool is wider than one worker).
+    /// Whether the inner pool is wider than one worker — asked only by
+    /// [`Self::clear_tasks`], whose wide arm pays a constraint-set
+    /// clone per worker; everywhere else the pool decides.
     #[must_use]
     pub fn inner_parallel(&self) -> bool {
         self.inner.threads() > 1
@@ -330,14 +329,13 @@ pub struct SlotContext {
     pub bids: Vec<spotdc_core::TenantBid>,
     /// Tenants whose bids were delivered (broadcast audience).
     pub bidders: Vec<TenantId>,
-    /// Flattened rack bids handed to clearing.
+    /// Admitted rack bids handed to clearing.
     pub rack_bids: Vec<spotdc_core::RackBid>,
-    /// Racks requesting spot, fed to the predictor.
+    /// Racks requesting spot, fed to the predictor: the admitted rack
+    /// bids' racks (`CollectBids`) or the wanting racks (`CollectGains`).
     pub requesting: Vec<RackId>,
     /// MaxPerf: concave gain envelope per wanting rack.
     pub gains: BTreeMap<RackId, ConcaveGain>,
-    /// The prediction issued this slot, if a predict stage ran.
-    pub predicted: Option<PredictedSpot>,
     /// The constraint set clearing runs against, if a predict stage
     /// ran. Clear stages `take()` it.
     pub constraints: Option<ConstraintSet>,
@@ -362,7 +360,6 @@ impl SlotContext {
             rack_bids: Vec::new(),
             requesting: Vec::new(),
             gains: BTreeMap::new(),
-            predicted: None,
             constraints: None,
         }
     }
@@ -379,7 +376,6 @@ impl SlotContext {
         self.spot_sold = 0.0;
         self.slot_degraded = false;
         self.payments.fill(0.0);
-        self.predicted = None;
         self.constraints = None;
     }
 }

@@ -10,23 +10,23 @@
 //!          (or CollectGains)         (Uniform / PerPdu / MaxPerf)
 //! ```
 //!
-//! The three operating modes are *compositions* of these stages — see
-//! [`Mode::composition`](crate::baselines::Mode::composition) — not
-//! branches inside a loop: `PowerCapped` runs only
-//! `Sense → Enforce → Settle`, `MaxPerf` swaps bidding for gain
-//! collection and clearing for the omniscient allocator. This is the
-//! seam for future per-PDU sharding, online operation, and alternative
-//! clearing mechanisms: a new scheme is a new stage (or composition),
-//! not a new branch in a 770-line loop.
+//! The operating modes are *compositions* of these stages, not
+//! branches inside a loop, and [`build`] is the one table that states
+//! them: `PowerCapped` runs only `Sense → Enforce → Settle`, `MaxPerf`
+//! swaps bidding for gain collection and clearing for the omniscient
+//! allocator, per-PDU pricing swaps the `Clear` stage and nothing
+//! else. Whoever collects leaves the requesting set, so admission and
+//! prediction are one path whatever clears the slot. A new scheme —
+//! an operator-side capacity cut, another clearing mechanism — is a
+//! new stage and a row in the table.
 //!
 //! Bids are collected *before* prediction, as in the paper's
 //! Algorithm 1: the predictor counts each requesting rack at its full
 //! guarantee (Eqn. 2), so it needs the requesting set — which is only
-//! known once bids are in. (The issue sketch listed Predict before
-//! CollectBids; composing it that way would change behaviour.)
+//! known once bids are in.
 //!
-//! Every stage body is a verbatim port of the pre-pipeline monolithic
-//! loop; the golden-report test pins the outputs byte for byte.
+//! The golden-report test pins every composition's output byte for
+//! byte.
 
 mod context;
 mod stages;
@@ -37,6 +37,7 @@ pub use stages::{
     Settle,
 };
 
+use crate::baselines::Mode;
 use crate::engine::EngineConfig;
 
 /// One step of the per-slot pipeline.
@@ -52,10 +53,9 @@ pub trait SlotStage {
     /// Serializes any *cross-slot* stage state into `enc` for a
     /// checkpoint. The default writes nothing: most stages keep only
     /// per-slot scratch (buffers whose contents are rebuilt before
-    /// being read) or bit-transparent caches, neither of which affects
-    /// the slots simulated after a restore. Stages with real carried
-    /// state (the late-bid rollover in [`CollectBids`]) override both
-    /// hooks.
+    /// being read), which does not affect the slots simulated after a
+    /// restore. Stages with real carried state (the late-bid rollover
+    /// in [`CollectBids`]) override both hooks.
     fn save_durable(&self, enc: &mut spotdc_durable::Encoder) {
         let _ = enc;
     }
@@ -75,71 +75,72 @@ pub trait SlotStage {
     }
 }
 
-/// Which predictor variant a [`Predict`] stage runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PredictKind {
-    /// The operator's prediction: staleness policy applied, prediction
-    /// and degradation telemetry emitted. Used by the uniform market.
-    Operator,
-    /// Engine-side prediction over the unadmitted rack bids, staleness
-    /// policy applied without operator telemetry. Used by the per-PDU
-    /// pricing ablation.
-    Direct,
-    /// Plain prediction with no staleness handling. Used by MaxPerf.
-    Plain,
-}
-
-/// A stage in symbolic form: what [`Mode::composition`] produces and
-/// [`build`] instantiates.
-///
-/// [`Mode::composition`]: crate::baselines::Mode::composition
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageKind {
-    /// Load observation, PDU reset, prediction-delay fault selection.
-    Sense,
-    /// Bid collection, comms delivery, late-bid rollover.
-    CollectBids {
-        /// Run operator admission checks (uniform market) instead of
-        /// flattening bids unadmitted (per-PDU ablation).
-        admit: bool,
-    },
-    /// Gain-envelope collection (MaxPerf's analogue of bidding).
-    CollectGains,
-    /// Spot-capacity prediction + constraint-set construction.
-    Predict(PredictKind),
-    /// Uniform-price market clearing.
-    ClearUniform,
-    /// Localized per-PDU clearing (ablation).
-    ClearPerPdu,
-    /// Omniscient water-filling allocation.
-    ClearMaxPerf,
-    /// Cap-controller enforcement (graceful degradation).
-    Enforce,
-    /// Tenant execution, metering, accounting, record emission.
-    Settle,
-}
-
-/// Instantiates the stage sequence for `config`'s mode.
+/// The stage table: the stage sequence `config` runs each slot. Every
+/// composition that allocates spot is sense, collect, predict, clear,
+/// enforce, settle, and differs only in who asks (bids or gain
+/// envelopes) and how the slot clears.
 #[must_use]
 pub fn build(config: &EngineConfig) -> Vec<Box<dyn SlotStage>> {
-    config
-        .mode
-        .composition(config)
-        .into_iter()
-        .map(|kind| instantiate(kind, config))
-        .collect()
+    let (collect, clear): (Box<dyn SlotStage>, Box<dyn SlotStage>) = match config.mode {
+        Mode::PowerCapped => return vec![Box::new(Sense), Box::new(Enforce), Box::new(Settle)],
+        Mode::SpotDc => (
+            Box::new(CollectBids::new(config.price_oracle)),
+            if config.per_pdu_pricing {
+                Box::new(ClearPerPdu::default())
+            } else {
+                Box::new(ClearUniform)
+            },
+        ),
+        Mode::MaxPerf => (Box::new(CollectGains), Box::new(ClearMaxPerf)),
+    };
+    vec![
+        Box::new(Sense),
+        collect,
+        Box::new(Predict),
+        clear,
+        Box::new(Enforce),
+        Box::new(Settle),
+    ]
 }
 
-fn instantiate(kind: StageKind, config: &EngineConfig) -> Box<dyn SlotStage> {
-    match kind {
-        StageKind::Sense => Box::new(Sense),
-        StageKind::CollectBids { admit } => Box::new(CollectBids::new(admit, config.price_oracle)),
-        StageKind::CollectGains => Box::new(CollectGains),
-        StageKind::Predict(p) => Box::new(Predict::new(p, config.operator.staleness)),
-        StageKind::ClearUniform => Box::new(ClearUniform),
-        StageKind::ClearPerPdu => Box::new(ClearPerPdu::default()),
-        StageKind::ClearMaxPerf => Box::new(ClearMaxPerf),
-        StageKind::Enforce => Box::new(Enforce),
-        StageKind::Settle => Box::new(Settle),
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn build_is_the_stage_table() {
+        let short = |name: &'static str| name.strip_prefix("stage.").expect("stage.* span name");
+        let table = |config: EngineConfig| -> String {
+            let names: Vec<_> = build(&config).iter().map(|s| short(s.name())).collect();
+            names.join(" ")
+        };
+        let per_pdu = EngineConfig {
+            per_pdu_pricing: true,
+            ..EngineConfig::new(Mode::SpotDc)
+        };
+        // Per-PDU pricing is the paper's market with another Clear;
+        // PowerCapped never collects, predicts or clears.
+        let tables = [
+            table(EngineConfig::new(Mode::SpotDc)),
+            table(per_pdu),
+            table(EngineConfig::new(Mode::MaxPerf)),
+            table(EngineConfig::new(Mode::PowerCapped)),
+        ];
+        assert_eq!(
+            tables,
+            [
+                "sense collect_bids predict clear_market enforce settle",
+                "sense collect_bids predict clear_per_pdu enforce settle",
+                "sense collect_gains predict clear_maxperf enforce settle",
+                "sense enforce settle",
+            ]
+        );
+        // The analyzer's stage list is exactly what the table can run.
+        let mut built: Vec<&str> = tables.iter().flat_map(|t| t.split(' ')).collect();
+        built.sort_unstable();
+        built.dedup();
+        let mut known = spotdc_obs::PIPELINE_STAGES.map(short);
+        known.sort_unstable();
+        assert_eq!(built, known);
     }
 }

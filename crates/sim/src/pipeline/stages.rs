@@ -1,12 +1,16 @@
 //! The pipeline stages: one struct per step of Algorithm 1.
 //!
-//! Every stage body is a verbatim port of the corresponding block of
-//! the pre-pipeline monolithic slot loop — float accumulation order,
-//! RNG draw order and telemetry emission are preserved bit for bit
-//! (the golden-report test enforces this). Stage-local scratch that
-//! must survive across slots (late bids, the per-PDU validation map)
-//! lives on the stage struct itself, keeping the steady state free of
+//! Float accumulation order, RNG draw order and telemetry emission are
+//! part of the contract (the golden-report test pins every
+//! composition's output byte for byte). Stage-local scratch that must
+//! survive across slots (late bids, the per-PDU validation map) lives
+//! on the stage struct itself, keeping the steady state free of
 //! per-slot allocations.
+//!
+//! Whichever stage collects leaves the admitted requesting set, so
+//! there is one [`Predict`]; the data-parallel sections always map
+//! through [`SimState::inner`], and the pool, not the stage, decides
+//! whether that fans out.
 //!
 //! The three `Clear*` stages only build their [`TaskShip`]s, hand them
 //! to [`SimState::clear_tasks`] and interpret the results; whether the
@@ -16,14 +20,14 @@ use std::collections::BTreeMap;
 
 use spotdc_core::{
     check_allocation, check_allocation_indexed, BidIndex, ClearResult, ConcaveGain, ConstraintSet,
-    MarketInvariant, RackBid, TaskShip, TenantBid,
+    MarketInvariant, RackBid, SpotAllocation, TaskShip, TenantBid,
 };
 use spotdc_faults::{BidFault, FaultPlan, MeterFault};
 use spotdc_power::PowerMeter;
 use spotdc_units::{RackId, Slot, Watts};
 
 use crate::metrics::{SlotRecord, TenantSlotMetrics};
-use crate::pipeline::{PredictKind, SimState, SlotContext, SlotStage};
+use crate::pipeline::{SimState, SlotContext, SlotStage};
 
 /// Counts one fired fault and logs it as a `FaultInjected` event. The
 /// label is rendered only when telemetry is on.
@@ -75,18 +79,14 @@ fn record_observed(
 }
 
 /// Collects every tenant agent's bid in rack order, appending the
-/// `Some` results to `bids`. With an inner pool wider than one worker
-/// the per-agent bid computation fans out via `par_map_mut` (each agent
-/// mutates only its own valuation cache); the order-preserving merge
-/// keeps the resulting bid order identical to the serial path.
+/// `Some` results to `bids`. The per-agent bid computation goes through
+/// the inner pool (each agent mutates only its own valuation cache),
+/// which runs it inline at width one and merges in agent order at any
+/// width.
 fn collect_bids_into(state: &mut SimState, bids: &mut Vec<TenantBid>) {
-    if state.inner_parallel() {
-        let _span = spotdc_telemetry::span!("par.collect_bids");
-        let produced = state.inner.par_map_mut(&mut state.agents, |a| a.make_bid());
-        bids.extend(produced.into_iter().flatten());
-    } else {
-        bids.extend(state.agents.iter_mut().filter_map(|a| a.make_bid()));
-    }
+    let _span = spotdc_telemetry::span!("par.collect_bids");
+    let produced = state.inner.par_map_mut(&mut state.agents, |a| a.make_bid());
+    bids.extend(produced.into_iter().flatten());
 }
 
 /// Counts and reports post-clearing invariant violations. Every
@@ -113,6 +113,20 @@ fn note_violations(slot: Slot, violations: &[MarketInvariant], count: &mut usize
         violations.is_empty(),
         "market invariants violated at {slot}: {violations:?}"
     );
+}
+
+/// Programs one cleared market's positive grants into the rack PDUs
+/// and books each winner's payment for the slot.
+fn program_grants(state: &mut SimState, slot: Slot, payments: &mut [f64], alloc: &SpotAllocation) {
+    for (rack, grant) in alloc.iter() {
+        if grant > Watts::ZERO {
+            state
+                .bank
+                .grant_spot(slot, rack, grant)
+                .expect("cleared grants respect rack headroom");
+            payments[rack.index()] = alloc.payment_for(rack, state.slot_len).usd();
+        }
+    }
 }
 
 /// Sense: tenants observe their load traces, the rack PDUs reset, and
@@ -147,32 +161,26 @@ impl SlotStage for Sense {
 
 /// CollectBids: tenants bid, the optional price oracle runs its
 /// pre-clearing pass, late bids from the previous slot roll over, bid
-/// faults fire, and the lossy channel delivers what survives. With
-/// `admit` set the operator admission-checks the delivered bids into
-/// `ctx.rack_bids` (uniform market); without it the bids are flattened
-/// unadmitted (per-PDU ablation, which admission-checks nothing, as
-/// the pre-pipeline loop did).
+/// faults fire, the lossy channel delivers what survives, and the
+/// operator admission-checks the delivered bids into `ctx.rack_bids`
+/// — whichever pricing clears them, and before anything is shipped to
+/// a shard agent. The admitted racks are the slot's requesting set.
 #[derive(Debug)]
 pub struct CollectBids {
-    admit: bool,
     price_oracle: bool,
     /// Late bids carried across slots — stage-local because no other
     /// stage may observe them.
     late_bids: Vec<TenantBid>,
-    /// Admission-rejected racks (scratch, reused across slots).
-    rejected: Vec<RackId>,
 }
 
 impl CollectBids {
-    /// Creates the stage. `admit` selects operator admission checking;
-    /// `price_oracle` enables the Fig. 16 pre-clearing price pass.
+    /// Creates the stage. `price_oracle` enables the Fig. 16
+    /// pre-clearing price pass.
     #[must_use]
-    pub fn new(admit: bool, price_oracle: bool) -> Self {
+    pub fn new(price_oracle: bool) -> Self {
         CollectBids {
-            admit,
             price_oracle,
             late_bids: Vec::new(),
-            rejected: Vec::new(),
         }
     }
 }
@@ -241,15 +249,14 @@ impl SlotStage for CollectBids {
         ctx.bidders.clear();
         ctx.bidders.extend(ctx.bids.iter().map(|b| b.tenant()));
         ctx.rack_bids.clear();
-        if self.admit {
-            self.rejected.clear();
-            state
-                .operator
-                .admit_bids_into(slot, &ctx.bids, &mut ctx.rack_bids, &mut self.rejected);
-        } else {
-            ctx.rack_bids
-                .extend(ctx.bids.iter().flat_map(|b| b.rack_bids().iter().cloned()));
-        }
+        // Who was turned away is the operator's to report (`BidRejected`);
+        // nothing downstream reads it.
+        state
+            .operator
+            .admit_bids_into(slot, &ctx.bids, &mut ctx.rack_bids, &mut Vec::new());
+        ctx.requesting.clear();
+        ctx.requesting
+            .extend(ctx.rack_bids.iter().map(RackBid::rack));
     }
 }
 
@@ -266,66 +273,34 @@ impl SlotStage for CollectGains {
     fn run(&mut self, state: &mut SimState, ctx: &mut SlotContext) {
         ctx.gains.clear();
         ctx.requesting.clear();
-        if state.inner_parallel() {
-            // Envelope construction is the expensive part; the ordered
-            // merge below inserts in agent order, exactly as the serial
-            // loop does.
-            let _span = spotdc_telemetry::span!("par.collect_gains");
-            let produced = state.inner.par_map_mut(&mut state.agents, |agent| {
-                if !agent.wants_spot() {
-                    return None;
-                }
-                let env = agent.gain_curve().concave_envelope();
-                ConcaveGain::from_points(env.points())
-                    .ok()
-                    .map(|gain| (agent.rack(), gain))
-            });
-            for (rack, gain) in produced.into_iter().flatten() {
-                ctx.requesting.push(rack);
-                ctx.gains.insert(rack, gain);
+        // Envelope construction is the expensive part and goes through
+        // the inner pool; the merge below inserts in agent order at any
+        // width.
+        let _span = spotdc_telemetry::span!("par.collect_gains");
+        let produced = state.inner.par_map_mut(&mut state.agents, |agent| {
+            if !agent.wants_spot() {
+                return None;
             }
-        } else {
-            for agent in state.agents.iter_mut() {
-                if agent.wants_spot() {
-                    let env = agent.gain_curve().concave_envelope();
-                    if let Ok(gain) = ConcaveGain::from_points(env.points()) {
-                        ctx.requesting.push(agent.rack());
-                        ctx.gains.insert(agent.rack(), gain);
-                    }
-                }
-            }
+            let env = agent.gain_curve().concave_envelope();
+            ConcaveGain::from_points(env.points())
+                .ok()
+                .map(|gain| (agent.rack(), gain))
+        });
+        for (rack, gain) in produced.into_iter().flatten() {
+            ctx.requesting.push(rack);
+            ctx.gains.insert(rack, gain);
         }
     }
 }
 
 /// Predict: forecast this slot's spot capacity (paper Eqns. 1–4) from
-/// the market's meter view and build the constraint set clearing will
-/// run against. The [`PredictKind`] selects whose predictor runs and
-/// how staleness is handled.
+/// the market's meter view for the requesting set the collect stage
+/// left, and build the constraint set clearing will run against. One
+/// body for every composition: the operator applies its configured
+/// staleness policy and emits the prediction / degradation telemetry
+/// whatever clears the slot.
 #[derive(Debug)]
-pub struct Predict {
-    kind: PredictKind,
-    staleness: Option<spotdc_core::StalenessPolicy>,
-    /// Cross-slot per-rack reference cache: racks whose membership and
-    /// meter reading are unchanged reuse their cached reference draw.
-    /// Sums are still re-accumulated in rack order every slot, so the
-    /// prediction stays bit-identical to the uncached path.
-    scratch: spotdc_core::PredictionScratch,
-}
-
-impl Predict {
-    /// Creates the stage. `staleness` is only consulted by
-    /// [`PredictKind::Direct`]; the operator variant applies its own
-    /// configured policy and the plain variant none at all.
-    #[must_use]
-    pub fn new(kind: PredictKind, staleness: Option<spotdc_core::StalenessPolicy>) -> Self {
-        Predict {
-            kind,
-            staleness,
-            scratch: spotdc_core::PredictionScratch::new(),
-        }
-    }
-}
+pub struct Predict;
 
 impl SlotStage for Predict {
     fn name(&self) -> &'static str {
@@ -333,72 +308,17 @@ impl SlotStage for Predict {
     }
 
     fn run(&mut self, state: &mut SimState, ctx: &mut SlotContext) {
-        let slot = ctx.slot;
-        let predicted = match self.kind {
-            PredictKind::Operator => {
-                // Uniform market: the requesting set is the admitted
-                // rack bids; the operator applies its staleness policy
-                // and emits the prediction/degradation telemetry.
-                ctx.requesting.clear();
-                ctx.requesting
-                    .extend(ctx.rack_bids.iter().map(RackBid::rack));
-                let meter = state.market_meter(ctx.delayed);
-                let (predicted, degraded) = state.operator.predict_spot_cached(
-                    slot,
-                    &ctx.requesting,
-                    meter,
-                    &mut self.scratch,
-                );
-                ctx.slot_degraded |= degraded.is_some();
-                predicted
-            }
-            PredictKind::Direct => {
-                // Per-PDU ablation: engine-side prediction over the
-                // unadmitted rack bids, historically without the
-                // operator's telemetry events.
-                ctx.requesting.clear();
-                ctx.requesting
-                    .extend(ctx.rack_bids.iter().map(RackBid::rack));
-                let meter = state.market_meter(ctx.delayed);
-                match self.staleness {
-                    None => state.operator.predictor().predict_cached(
-                        &state.topology,
-                        meter,
-                        ctx.requesting.iter().copied(),
-                        &mut self.scratch,
-                    ),
-                    Some(policy) => {
-                        let d = state.operator.predictor().predict_with_staleness(
-                            &state.topology,
-                            meter,
-                            ctx.requesting.iter().copied(),
-                            slot,
-                            policy,
-                        );
-                        ctx.slot_degraded |= d.is_degraded();
-                        d.spot
-                    }
-                }
-            }
-            PredictKind::Plain => {
-                // MaxPerf: omniscient allocation still respects the
-                // predictor's capacity view, with no staleness policy.
-                let meter = state.market_meter(ctx.delayed);
-                state.operator.predictor().predict_cached(
-                    &state.topology,
-                    meter,
-                    ctx.requesting.iter().copied(),
-                    &mut self.scratch,
-                )
-            }
-        };
+        let meter = state.market_meter(ctx.delayed);
+        let (predicted, degraded) = state
+            .operator
+            .predict_spot(ctx.slot, &ctx.requesting, meter);
+        ctx.slot_degraded |= degraded.is_some();
         ctx.spot_available = predicted.total_pdu().min(predicted.ups).value();
         ctx.constraints = Some(ConstraintSet::new(
             &state.topology,
-            predicted.pdu.clone(),
+            predicted.pdu,
             predicted.ups,
         ));
-        ctx.predicted = Some(predicted);
     }
 }
 
@@ -445,15 +365,7 @@ impl SlotStage for ClearUniform {
                 &mut state.invariant_violations,
             );
         }
-        for (rack, grant) in alloc.iter() {
-            if grant > Watts::ZERO {
-                state
-                    .bank
-                    .grant_spot(slot, rack, grant)
-                    .expect("cleared grants respect rack headroom");
-                ctx.payments[rack.index()] = alloc.payment_for(rack, state.slot_len).usd();
-            }
-        }
+        program_grants(state, slot, &mut ctx.payments, &alloc);
         ctx.spot_sold = alloc.total().value();
         if ctx.spot_sold > 0.0 {
             ctx.price = Some(alloc.price().per_kw_hour_value());
@@ -518,15 +430,7 @@ impl SlotStage for ClearPerPdu {
                     self.combined.insert(rack, grant);
                 }
             }
-            for (rack, grant) in alloc.iter() {
-                if grant > Watts::ZERO {
-                    state
-                        .bank
-                        .grant_spot(slot, rack, grant)
-                        .expect("cleared grants respect rack headroom");
-                    ctx.payments[rack.index()] = alloc.payment_for(rack, state.slot_len).usd();
-                }
-            }
+            program_grants(state, slot, &mut ctx.payments, &alloc);
             let sold = alloc.total().value();
             ctx.spot_sold += sold;
             revenue_weighted_price += alloc.price().per_kw_hour_value() * sold;
@@ -644,24 +548,17 @@ impl SlotStage for Settle {
         let t = ctx.t;
         let mut tenant_metrics = Vec::with_capacity(state.agents.len());
         // Tenant execution is pure per agent (`run_slot(&self)`), so the
-        // fan-out only reads the agents and the bank; the serial merge
-        // below records meter samples and metrics in agent order,
-        // keeping the report identical to the serial path.
-        let outcomes = if state.inner_parallel() {
+        // inner pool only reads the agents and the bank; the serial
+        // merge below records meter samples and metrics in agent order,
+        // keeping the report identical at any width.
+        let outcomes = {
             let _span = spotdc_telemetry::span!("par.settle");
             let bank = &state.bank;
-            Some(state.inner.par_map(&state.agents, |agent| {
+            state.inner.par_map(&state.agents, |agent| {
                 agent.run_slot(bank.budget(agent.rack()))
-            }))
-        } else {
-            None
+            })
         };
-        let mut outcomes = outcomes.into_iter().flatten();
-        for agent in state.agents.iter() {
-            let out = match outcomes.next() {
-                Some(out) => out,
-                None => agent.run_slot(state.bank.budget(agent.rack())),
-            };
+        for (agent, out) in state.agents.iter().zip(outcomes) {
             if record_observed(
                 &mut state.meter,
                 &state.plan,

@@ -8,21 +8,40 @@
 use spotdc_sim::{
     baselines::Mode,
     engine::{EngineConfig, Simulation},
+    metrics::SimReport,
     scenario::Scenario,
 };
 use spotdc_telemetry::{Event, TelemetryConfig};
 
-#[test]
-fn simulation_produces_consistent_telemetry() {
-    const SLOTS: u64 = 200;
+const SLOTS: u64 = 200;
+
+/// Runs `config` with the in-memory sink armed and drains the sink, so
+/// each leg sees its own events only. The first leg's engine installs
+/// the sink from its configuration, as a user's run would; later legs
+/// find it installed and only switch it back on.
+fn traced_run(config: EngineConfig) -> (SimReport, Vec<Event>) {
+    spotdc_telemetry::set_enabled(spotdc_telemetry::is_installed());
     let config = EngineConfig {
         telemetry: TelemetryConfig::in_memory(),
-        ..EngineConfig::new(Mode::SpotDc)
+        ..config
     };
     let report = Simulation::new(Scenario::testbed(11), config).run(SLOTS);
     spotdc_telemetry::flush();
     let events = spotdc_telemetry::memory_sink().take();
     spotdc_telemetry::set_enabled(false);
+    (report, events)
+}
+
+fn predictions(events: &[Event]) -> u64 {
+    events
+        .iter()
+        .filter(|e| matches!(e, Event::PredictionIssued { .. }))
+        .count() as u64
+}
+
+#[test]
+fn simulation_produces_consistent_telemetry() {
+    let (report, events) = traced_run(EngineConfig::new(Mode::SpotDc));
 
     // Every slot clears the market exactly once in SpotDC mode, and
     // with sample_every = 1 each clearing reaches the sink.
@@ -43,11 +62,7 @@ fn simulation_produces_consistent_telemetry() {
     assert_eq!(sold_events, sold_slots);
 
     // A prediction is issued for every slot's market round.
-    let predictions = events
-        .iter()
-        .filter(|e| matches!(e, Event::PredictionIssued { .. }))
-        .count();
-    assert_eq!(predictions as u64, SLOTS);
+    assert_eq!(predictions(&events), SLOTS);
 
     // Every event survives a JSONL round-trip unchanged.
     for event in &events {
@@ -71,4 +86,19 @@ fn simulation_produces_consistent_telemetry() {
     assert!(text.contains("spotdc_span_duration_seconds_bucket{span=\"clearing\""));
     assert!(text.contains("spotdc_span_duration_seconds_count{span=\"engine.slot\""));
     assert!(text.contains("spotdc_prediction_error_watts"));
+
+    // Every composition that predicts says so once per slot, whatever
+    // clears it — which is what lets the analyzer join sold against
+    // predicted capacity for a per-PDU run.
+    let (_, per_pdu) = traced_run(EngineConfig {
+        per_pdu_pricing: true,
+        ..EngineConfig::new(Mode::SpotDc)
+    });
+    assert_eq!(predictions(&per_pdu), SLOTS);
+    let log: String = per_pdu.iter().map(|e| e.to_jsonl() + "\n").collect();
+    let analysis = spotdc_obs::Analysis::from_jsonl(&log, None);
+    assert!(analysis.utilization.count > 0, "{:?}", analysis.utilization);
+
+    let (_, max_perf) = traced_run(EngineConfig::new(Mode::MaxPerf));
+    assert_eq!(predictions(&max_perf), SLOTS);
 }
