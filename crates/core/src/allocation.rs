@@ -116,10 +116,11 @@ impl SpotAllocation {
         self.price.cost_of(self.total(), duration)
     }
 
-    /// Removes the grants of `rack` (used when a price broadcast to its
-    /// tenant is lost — the fallback is "no spot capacity").
-    pub fn revoke(&mut self, rack: RackId) {
-        self.grants.remove(&rack);
+    /// Removes the grant of every rack `lost` names (used when the price
+    /// broadcast to a rack's tenant is lost — the fallback is "no spot
+    /// capacity").
+    pub fn revoke_where(&mut self, mut lost: impl FnMut(RackId) -> bool) {
+        self.grants.retain(|&rack, _| !lost(rack));
     }
 
     /// Access to the underlying grant map.
@@ -210,7 +211,7 @@ mod tests {
     #[test]
     fn revoke_removes_grant() {
         let mut a = alloc();
-        a.revoke(RackId::new(0));
+        a.revoke_where(|rack| rack == RackId::new(0));
         assert_eq!(a.grant(RackId::new(0)), Watts::ZERO);
         assert_eq!(a.total(), Watts::new(20.0));
     }

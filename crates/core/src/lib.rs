@@ -18,8 +18,11 @@
 //!    power for exactly one slot.
 //!
 //! [`maxperf`] implements the owner-operated upper-bound allocator the
-//! paper compares against, and [`protocol`] the operator↔tenant message
-//! exchange with its loss semantics (lost messages ⇒ no spot capacity).
+//! paper compares against. The operator↔tenant message exchange's loss
+//! semantics (a lost bid is not cleared, a lost price broadcast revokes
+//! the grant: either way no spot capacity) are two channels of
+//! `spotdc-faults`' `FaultPlan`, applied by the simulation's slot
+//! pipeline.
 //!
 //! ```
 //! use spotdc_core::demand::{DemandBid, LinearBid};
@@ -47,7 +50,6 @@ pub mod invariant;
 pub mod maxperf;
 pub mod operator;
 pub mod prediction;
-pub mod protocol;
 pub mod wire;
 
 /// The shared length-prefix + CRC-32 record framing, re-exported from
@@ -68,5 +70,4 @@ pub use prediction::{
     DegradedPrediction, MarginPolicy, PredictedSpot, PredictionScratch, SpotPredictor,
     StalenessPolicy,
 };
-pub use protocol::{CommsModel, ProtocolEvent};
 pub use wire::{ClearResult, TaskShip, WireError, WireMsg};

@@ -205,38 +205,7 @@ impl SpotPredictor {
         meter: &PowerMeter,
         spot_racks: impl IntoIterator<Item = RackId>,
     ) -> PredictedSpot {
-        let _span = spotdc_telemetry::span!("predict");
-        let spot_set: BTreeSet<RackId> = spot_racks.into_iter().collect();
-        let mut pdu_ref = vec![Watts::ZERO; topology.pdu_count()];
-        let mut total_ref = Watts::ZERO;
-        for rack in topology.racks() {
-            let reference = if spot_set.contains(&rack.id()) {
-                rack.guaranteed()
-            } else {
-                let base = meter.rack_power(rack.id());
-                let padded = match self.policy {
-                    MarginPolicy::Scale(_) => base,
-                    MarginPolicy::Adaptive { ramp_multiplier } => {
-                        base + worst_upward_ramp(meter, rack.id()) * ramp_multiplier
-                    }
-                };
-                // A rack may not exceed its guarantee without a grant, so
-                // the reference never exceeds the guarantee either.
-                padded.min(rack.guaranteed())
-            };
-            pdu_ref[rack.pdu().index()] += reference;
-            total_ref += reference;
-        }
-        let factor = self.factor();
-        let pdu = topology
-            .pdus()
-            .map(|p| {
-                let cap = topology.pdu_capacity(p).expect("pdu from topology");
-                ((cap - pdu_ref[p.index()]) * factor).clamp_non_negative()
-            })
-            .collect();
-        let ups = ((topology.ups_capacity() - total_ref) * factor).clamp_non_negative();
-        PredictedSpot { pdu, ups }
+        self.predict_from(topology, meter, spot_racks, None).spot
     }
 
     /// Like [`SpotPredictor::predict`], but degrades gracefully when
@@ -260,8 +229,20 @@ impl SpotPredictor {
         now: Slot,
         policy: StalenessPolicy,
     ) -> DegradedPrediction {
+        self.predict_from(topology, meter, spot_racks, Some((now, policy)))
+    }
+
+    /// The per-rack reference loop behind both entry points. Without a
+    /// staleness policy every rack's latest reading counts as fresh
+    /// (zero for a rack never read) and nothing is withheld.
+    fn predict_from(
+        &self,
+        topology: &PowerTopology,
+        meter: &PowerMeter,
+        spot_racks: impl IntoIterator<Item = RackId>,
+        staleness: Option<(Slot, StalenessPolicy)>,
+    ) -> DegradedPrediction {
         let _span = spotdc_telemetry::span!("predict");
-        let expected = Slot::new(now.index().saturating_sub(1));
         let spot_set: BTreeSet<RackId> = spot_racks.into_iter().collect();
         let mut pdu_ref = vec![Watts::ZERO; topology.pdu_count()];
         let mut total_ref = Watts::ZERO;
@@ -271,24 +252,33 @@ impl SpotPredictor {
             let reference = if spot_set.contains(&rack.id()) {
                 rack.guaranteed()
             } else {
-                match meter.last_known_good(rack.id(), expected) {
-                    Some((reading, age)) if age <= policy.max_age_slots => {
-                        if age > 0 {
-                            stale_racks += 1;
-                        }
-                        let base = reading.power;
+                // The rack's usable reading and the widening its age
+                // costs; `None` when too stale (or never read).
+                let reading = match staleness {
+                    None => Some((meter.rack_power(rack.id()), Watts::ZERO)),
+                    Some((now, policy)) => meter
+                        .last_known_good(rack.id(), Slot::new(now.index().saturating_sub(1)))
+                        .filter(|&(_, age)| age <= policy.max_age_slots)
+                        .map(|(reading, age)| {
+                            stale_racks += u64::from(age > 0);
+                            (reading.power, policy.penalty_per_slot * age as f64)
+                        }),
+                };
+                match reading {
+                    Some((base, widening)) => {
                         let padded = match self.policy {
                             MarginPolicy::Scale(_) => base,
                             MarginPolicy::Adaptive { ramp_multiplier } => {
                                 base + worst_upward_ramp(meter, rack.id()) * ramp_multiplier
                             }
                         };
-                        let widened = padded + policy.penalty_per_slot * age as f64;
-                        widened.min(rack.guaranteed())
+                        // A rack may not exceed its guarantee without a
+                        // grant, so the reference never exceeds it either.
+                        (padded + widening).min(rack.guaranteed())
                     }
-                    _ => {
-                        // Too stale (or never read): assume the worst
-                        // and close the whole PDU to spot this slot.
+                    None => {
+                        // Assume the worst and close the whole PDU to
+                        // spot this slot.
                         stale_racks += 1;
                         withheld[rack.pdu().index()] = true;
                         rack.guaranteed()

@@ -1,15 +1,17 @@
 //! Deterministic, seedable fault injection for the SpotDC simulation.
 //!
 //! Real multi-tenant deployments lose meter samples, receive frozen or
-//! noisy readings, drop or delay bid submissions, and feed the
-//! predictor stale inputs. [`FaultPlan`] turns a [`FaultConfig`] into a
-//! per-slot schedule of such faults that is a *pure function* of
-//! `(seed, slot, target)`: every decision is derived by hashing the
-//! coordinates rather than by advancing a shared RNG stream. That keeps
-//! the schedule byte-identical regardless of query order, worker count,
-//! or which subsystems happen to consult it — the property the
-//! determinism gate (`crates/sim/tests/determinism.rs`) checks
-//! end-to-end.
+//! noisy readings, drop or delay bid submissions, lose price
+//! broadcasts, and feed the predictor stale inputs. [`FaultPlan`] turns
+//! a [`FaultConfig`] into a per-slot schedule of such faults that is a
+//! *pure function* of `(seed, slot, target)`: every decision — message
+//! loss in either direction of the operator↔tenant exchange included
+//! (paper Section III-C: both ways the tenant gets "no spot capacity")
+//! — is derived by hashing the coordinates rather than by advancing a
+//! shared RNG stream. That keeps the schedule byte-identical regardless
+//! of query order, worker count, or which subsystems happen to consult
+//! it — the property the determinism gate
+//! (`crates/sim/tests/determinism.rs`) checks end-to-end.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,7 +21,7 @@ use spotdc_units::{RackId, Slot, TenantId};
 
 /// Fault rates for one simulation run. All rates are probabilities in
 /// `[0, 1]` applied independently per slot and per target.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultConfig {
     /// Seed for the fault schedule (independent of the scenario seed).
     pub seed: u64,
@@ -41,27 +43,23 @@ pub struct FaultConfig {
     /// Probability the predictor's meter snapshot for a slot is one
     /// slot staler than it should be.
     pub prediction_delay: f64,
+    /// Probability the price broadcast back to a bidding tenant is
+    /// lost: it cannot know its grant, so the operator revokes it.
+    pub broadcast_loss: f64,
 }
 
 impl FaultConfig {
-    /// No faults at all (the default for every engine run).
+    /// No faults at all (the default for every engine run): every rate
+    /// zero.
     #[must_use]
     pub fn disabled() -> Self {
-        FaultConfig {
-            seed: 0,
-            meter_dropout: 0.0,
-            meter_freeze: 0.0,
-            meter_noise: 0.0,
-            noise_magnitude: 0.0,
-            bid_loss: 0.0,
-            bid_delay: 0.0,
-            prediction_delay: 0.0,
-        }
+        FaultConfig::default()
     }
 
-    /// Every fault channel at the same `rate`, with a 40 % noise-spike
-    /// magnitude — the configuration the `robustness` experiment
-    /// sweeps.
+    /// The six input-side channels (meter, bid, prediction) at the same
+    /// `rate`, with a 40 % noise-spike magnitude — the configuration the
+    /// `robustness` experiment sweeps. The output-side channel,
+    /// `broadcast_loss`, stays off: set it by name.
     #[must_use]
     pub fn uniform(rate: f64, seed: u64) -> Self {
         let rate = rate.clamp(0.0, 1.0);
@@ -74,12 +72,14 @@ impl FaultConfig {
             bid_loss: rate,
             bid_delay: rate,
             prediction_delay: rate,
+            broadcast_loss: 0.0,
         }
     }
 
-    /// Whether any fault channel has a nonzero rate. When `false`, the
-    /// engine takes the exact pre-fault code path (no extra RNG draws,
-    /// no float operations), keeping fault-free output byte-identical.
+    /// Whether any fault channel has a nonzero rate. Nothing in the
+    /// engine branches on it — when `false`, every [`FaultPlan`] query
+    /// answers `None` / `false` without hashing — it is for callers that
+    /// report on a run.
     #[must_use]
     pub fn any(&self) -> bool {
         self.meter_dropout > 0.0
@@ -88,12 +88,7 @@ impl FaultConfig {
             || self.bid_loss > 0.0
             || self.bid_delay > 0.0
             || self.prediction_delay > 0.0
-    }
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig::disabled()
+            || self.broadcast_loss > 0.0
     }
 }
 
@@ -152,6 +147,7 @@ const SALT_METER: u64 = 0x6d65_7465_720a_0001;
 const SALT_NOISE: u64 = 0x6d65_7465_720a_0002;
 const SALT_BID: u64 = 0x6269_640a_0000_0001;
 const SALT_PREDICTION: u64 = 0x7072_6564_0a00_0001;
+const SALT_BROADCAST: u64 = 0x6263_6173_740a_0001;
 
 /// A materialized fault schedule: [`FaultConfig`] plus the stateless
 /// hash answering "does fault X fire at slot T for target Y?".
@@ -186,12 +182,6 @@ impl FaultPlan {
     #[must_use]
     pub fn config(&self) -> &FaultConfig {
         &self.config
-    }
-
-    /// Whether any fault channel is active (see [`FaultConfig::any`]).
-    #[must_use]
-    pub fn any(&self) -> bool {
-        self.config.any()
     }
 
     /// The meter fault (if any) for `rack`'s sample at `slot`.
@@ -244,6 +234,16 @@ impl FaultPlan {
             && self.unit(SALT_PREDICTION, slot.index(), 0) < self.config.prediction_delay
     }
 
+    /// Whether the price broadcast to `tenant` at `slot` is lost. Keyed
+    /// by tenant, not by delivery: every sub-market of a slot sees the
+    /// same verdict however often or in whatever order it asks.
+    #[must_use]
+    pub fn broadcast_lost(&self, slot: Slot, tenant: TenantId) -> bool {
+        self.config.broadcast_loss > 0.0
+            && self.unit(SALT_BROADCAST, slot.index(), tenant.index() as u64)
+                < self.config.broadcast_loss
+    }
+
     /// A uniform draw in `[0, 1)` from the coordinate hash.
     fn unit(&self, salt: u64, slot: u64, index: u64) -> f64 {
         let h = mix(mix(mix(self.config.seed ^ salt) ^ slot) ^ index);
@@ -265,20 +265,79 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Every channel at `rate`, the output-side one included.
     fn plan(rate: f64, seed: u64) -> FaultPlan {
-        FaultPlan::new(FaultConfig::uniform(rate, seed))
+        FaultPlan::new(FaultConfig {
+            broadcast_loss: rate,
+            ..FaultConfig::uniform(rate, seed)
+        })
     }
 
     #[test]
     fn disabled_plan_never_fires() {
         let p = FaultPlan::new(FaultConfig::disabled());
-        assert!(!p.any());
+        assert!(!p.config().any());
         for t in 0..200 {
             let slot = Slot::new(t);
             assert_eq!(p.meter_fault(slot, RackId::new(t as usize % 7)), None);
             assert_eq!(p.bid_fault(slot, TenantId::new(t as usize % 5)), None);
             assert!(!p.prediction_delayed(slot));
+            assert!(!p.broadcast_lost(slot, TenantId::new(t as usize % 5)));
         }
+    }
+
+    #[test]
+    fn broadcast_loss_is_its_own_channel() {
+        let only = FaultConfig {
+            broadcast_loss: 0.3,
+            ..FaultConfig::disabled()
+        };
+        assert!(only.any(), "any() must see the broadcast channel");
+        assert_eq!(
+            FaultPlan::new(only).bid_fault(Slot::ZERO, TenantId::new(0)),
+            None
+        );
+        // `uniform` is the six input-side channels and nothing else.
+        assert_eq!(FaultConfig::uniform(1.0, 3).broadcast_loss, 0.0);
+
+        // 10⁵ draws: both loss rates hold, and at equal coordinates the
+        // bid and broadcast verdicts coincide as often as independent
+        // 0.3-coins do (0.09), not as often as one shared coin (0.3).
+        let p = FaultPlan::new(FaultConfig {
+            seed: 424_242,
+            bid_loss: 0.3,
+            ..only
+        });
+        let (mut bids, mut broadcasts, mut both) = (0usize, 0usize, 0usize);
+        for s in 0..1_000 {
+            for t in 0..100 {
+                let (slot, tenant) = (Slot::new(s), TenantId::new(t));
+                let bid = p.bid_fault(slot, tenant) == Some(BidFault::Lost);
+                let broadcast = p.broadcast_lost(slot, tenant);
+                bids += usize::from(bid);
+                broadcasts += usize::from(broadcast);
+                both += usize::from(bid && broadcast);
+            }
+        }
+        for (what, count, want) in [
+            ("bid loss", bids, 0.3),
+            ("broadcast loss", broadcasts, 0.3),
+            ("joint loss", both, 0.09),
+        ] {
+            let rate = count as f64 / 1e5;
+            assert!((rate - want).abs() < 0.01, "{what} rate {rate}");
+        }
+
+        // A verdict is keyed by all of seed, slot and tenant.
+        let verdicts = |plan: FaultPlan, slot: u64| -> Vec<bool> {
+            (0..64)
+                .map(|t| plan.broadcast_lost(Slot::new(slot), TenantId::new(t)))
+                .collect()
+        };
+        let at_5 = verdicts(p, 5);
+        assert!(at_5.contains(&true) && at_5.contains(&false));
+        assert_ne!(at_5, verdicts(p, 6));
+        assert_ne!(at_5, verdicts(plan(0.3, 1), 5));
     }
 
     #[test]
@@ -289,6 +348,7 @@ mod tests {
             assert!(p.meter_fault(slot, RackId::new(0)).is_some());
             assert!(p.bid_fault(slot, TenantId::new(0)).is_some());
             assert!(p.prediction_delayed(slot));
+            assert!(p.broadcast_lost(slot, TenantId::new(0)));
         }
     }
 
@@ -347,6 +407,10 @@ mod tests {
                     prop_assert_eq!(
                         a.bid_fault(slot, TenantId::new(r)),
                         b.bid_fault(slot, TenantId::new(r))
+                    );
+                    prop_assert_eq!(
+                        a.broadcast_lost(slot, TenantId::new(r)),
+                        b.broadcast_lost(slot, TenantId::new(r))
                     );
                 }
                 prop_assert_eq!(a.prediction_delayed(slot), b.prediction_delayed(slot));

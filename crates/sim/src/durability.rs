@@ -8,7 +8,9 @@
 //! * [`EngineSnapshot`] — the complete cross-slot market state at a
 //!   slot boundary. Everything *not* captured here is provably
 //!   rebuildable: the topology, operator, traces and fault plan are
-//!   pure functions of the scenario and config; stage scratch and the
+//!   pure functions of the scenario and config (every fault verdict,
+//!   lost messages included, is a hash of `(seed, slot, target)`, so a
+//!   snapshot carries no RNG state at all); stage scratch and the
 //!   valuation/prediction caches are bit-transparent (warm-vs-cold
 //!   equality is pinned by property tests) and clearing keeps no state
 //!   between slots (only buffers it rebuilds); and the rack-PDU
@@ -37,7 +39,7 @@ use crate::metrics::{SlotRecord, TenantSlotMetrics};
 use crate::pipeline::{SimState, SlotContext, SlotStage};
 
 /// Snapshot format version; bump on any layout change.
-pub const SNAPSHOT_FORMAT: u32 = 1;
+pub const SNAPSHOT_FORMAT: u32 = 2;
 
 /// The stable tag a [`Mode`] serializes as.
 #[must_use]
@@ -167,17 +169,12 @@ fn capture_meter(meter: &PowerMeter) -> MeterHistory {
         .collect()
 }
 
+/// Replays `history` into a fresh meter. The caller has checked it
+/// holds one row per rack of `topology`.
 fn rebuild_meter(
     history: &MeterHistory,
     topology: &spotdc_power::topology::PowerTopology,
 ) -> Result<PowerMeter, DecodeError> {
-    if history.len() != topology.rack_count() {
-        return Err(DecodeError::Invalid(format!(
-            "snapshot meters {} racks, topology has {}",
-            history.len(),
-            topology.rack_count()
-        )));
-    }
     let mut meter = PowerMeter::new(topology, crate::pipeline::METER_HISTORY_LEN)
         .map_err(|e| DecodeError::Invalid(format!("meter rebuild: {e}")))?;
     for (i, readings) in history.iter().enumerate() {
@@ -222,8 +219,6 @@ pub struct EngineSnapshot {
     pub emergency_slots_observed: u64,
     /// Cap-controller hysteresis holds, when the controller is enabled.
     pub cap_hold: Option<(Vec<Option<u64>>, Option<u64>)>,
-    /// Comms bid-loss stream state.
-    pub comms_state: u64,
     /// Per-agent `(intensity, predicted price)`.
     pub agents: Vec<(f64, Option<f64>)>,
     /// Accumulated per-slot records.
@@ -263,7 +258,6 @@ impl Persist for EngineSnapshot {
         self.emergencies.persist(enc);
         enc.put_u64(self.emergency_slots_observed);
         self.cap_hold.persist(enc);
-        enc.put_u64(self.comms_state);
         self.agents.persist(enc);
         self.records.persist(enc);
         self.true_draw.persist(enc);
@@ -297,7 +291,6 @@ impl Persist for EngineSnapshot {
             emergencies: Vec::<EmergencyRecord>::restore(dec)?,
             emergency_slots_observed: dec.get_u64()?,
             cap_hold: Option::<(Vec<Option<u64>>, Option<u64>)>::restore(dec)?,
-            comms_state: dec.get_u64()?,
             agents: Vec::<(f64, Option<f64>)>::restore(dec)?,
             records: Vec::<SlotRecord>::restore(dec)?,
             true_draw: Vec::<f64>::restore(dec)?,
@@ -345,7 +338,6 @@ impl EngineSnapshot {
                 .cap
                 .as_ref()
                 .map(spotdc_power::CapController::hold_state),
-            comms_state: state.comms.stream_state(),
             agents: state
                 .agents
                 .iter()
@@ -403,13 +395,16 @@ impl EngineSnapshot {
 
     /// Applies the snapshot onto a freshly built `SimState` + stage
     /// sequence, leaving them exactly as they were when the snapshot
-    /// was cut.
+    /// was cut. Validate, then apply: a checksum only proves the bytes
+    /// are the ones written, so every length the engine will index by
+    /// is checked against this run's shape — and every stage blob
+    /// decoded — before the first assignment to `state`.
     ///
     /// # Errors
     ///
     /// Returns a [`DecodeError`] when the snapshot does not belong to
-    /// this run (mode/seed/shape mismatch) or a stage blob fails to
-    /// decode.
+    /// this run (mode/seed/shape mismatch), is inconsistent with its
+    /// own header, or a stage blob fails to decode.
     pub fn apply(
         &self,
         state: &mut SimState,
@@ -417,41 +412,66 @@ impl EngineSnapshot {
         mode: Mode,
         seed: u64,
     ) -> Result<(), DecodeError> {
-        let header = [
+        let racks = state.topology.rack_count() as u64;
+        let agents = state.agents.len() as u64;
+        let pdus = state.topology.pdu_count() as u64;
+        let cap_holds = self.cap_hold.as_ref().map(|(pdu_hold, _)| pdu_hold.len());
+        let expected = [
             ("mode", u64::from(self.mode), u64::from(mode_tag(mode))),
             ("seed", self.seed, seed),
+            ("rack count", self.rack_count, racks),
+            ("agent count", self.agent_count, agents),
+            ("pdu count", self.pdu_count, pdus),
+            ("meter rows", self.meter.len() as u64, racks),
             (
-                "rack count",
-                self.rack_count,
-                state.topology.rack_count() as u64,
+                "prev_meter rows",
+                self.prev_meter.as_ref().map_or(racks, |h| h.len() as u64),
+                racks,
             ),
-            ("agent count", self.agent_count, state.agents.len() as u64),
+            ("true_draw length", self.true_draw.len() as u64, racks),
+            ("agents length", self.agents.len() as u64, agents),
             (
-                "pdu count",
-                self.pdu_count,
-                state.topology.pdu_count() as u64,
+                "prev_base_pdu length",
+                self.prev_base_pdu.len() as u64,
+                pdus,
+            ),
+            (
+                "cap_hold length",
+                cap_holds.map_or(pdus, |n| n as u64),
+                pdus,
+            ),
+            (
+                "cap_hold presence",
+                u64::from(self.cap_hold.is_some()),
+                u64::from(state.cap.is_some()),
+            ),
+            ("records length", self.records.len() as u64, self.slots_done),
+            (
+                "stage_blobs length",
+                self.stage_blobs.len() as u64,
+                stages.len() as u64,
             ),
         ];
-        for (what, snap, run) in header {
+        for (what, snap, run) in expected {
             if snap != run {
                 return Err(DecodeError::Invalid(format!(
-                    "snapshot {what} {snap} does not match this run's {run}"
+                    "snapshot {what} is {snap}, this run expects {run}"
                 )));
             }
         }
-        if stages.len() != self.stage_blobs.len() {
-            return Err(DecodeError::Invalid(format!(
-                "snapshot has {} stage blobs, pipeline has {} stages",
-                self.stage_blobs.len(),
-                stages.len()
-            )));
-        }
-
-        state.meter = rebuild_meter(&self.meter, &state.topology)?;
-        state.prev_meter = match &self.prev_meter {
+        let meter = rebuild_meter(&self.meter, &state.topology)?;
+        let prev_meter = match &self.prev_meter {
             Some(h) => Some(rebuild_meter(h, &state.topology)?),
             None => None,
         };
+        for (stage, blob) in stages.iter_mut().zip(&self.stage_blobs) {
+            let mut dec = Decoder::new(blob);
+            stage.load_durable(&mut dec)?;
+            dec.finish()?;
+        }
+
+        state.meter = meter;
+        state.prev_meter = prev_meter;
         state.emergencies.restore(
             self.emergencies
                 .iter()
@@ -460,35 +480,9 @@ impl EngineSnapshot {
                 .collect(),
             self.emergency_slots_observed,
         );
-        match (&mut state.cap, &self.cap_hold) {
-            (Some(cap), Some((pdu_hold, ups_hold))) => {
-                if pdu_hold.len() != state.topology.pdu_count() {
-                    return Err(DecodeError::Invalid(format!(
-                        "snapshot cap holds cover {} pdus, topology has {}",
-                        pdu_hold.len(),
-                        state.topology.pdu_count()
-                    )));
-                }
-                cap.restore_hold_state(pdu_hold.clone(), *ups_hold);
-            }
-            (None, None) => {}
-            (have, _) => {
-                return Err(DecodeError::Invalid(format!(
-                    "cap controller {} in this run but {} in the snapshot",
-                    if have.is_some() {
-                        "enabled"
-                    } else {
-                        "disabled"
-                    },
-                    if self.cap_hold.is_some() {
-                        "present"
-                    } else {
-                        "absent"
-                    }
-                )));
-            }
+        if let (Some(cap), Some((pdu_hold, ups_hold))) = (&mut state.cap, &self.cap_hold) {
+            cap.restore_hold_state(pdu_hold.clone(), *ups_hold);
         }
-        state.comms.restore_stream_state(self.comms_state);
         for (agent, &(intensity, price)) in state.agents.iter_mut().zip(&self.agents) {
             // Stored intensities already sit in [0, 1], so the
             // setter's clamp is exact on replay.
@@ -509,18 +503,13 @@ impl EngineSnapshot {
         state.invariant_violations = self.invariant_violations as usize;
         state.prediction_error_sum = self.prediction_error_sum;
         state.prediction_error_count = self.prediction_error_count;
-        for (stage, blob) in stages.iter_mut().zip(&self.stage_blobs) {
-            let mut dec = Decoder::new(blob);
-            stage.load_durable(&mut dec)?;
-            dec.finish()?;
-        }
         Ok(())
     }
 }
 
 /// Encodes one slot's journal record from the post-settle context: the
 /// slot number, the degradation verdict, the market outcome, and the
-/// bids exactly as the lossy channel delivered them (`ctx.bids` is
+/// bids exactly as they were delivered (`ctx.bids` is
 /// stable after CollectBids; `ctx.rack_bids` is not — the validating
 /// clear pass overwrites it).
 #[must_use]

@@ -6,7 +6,7 @@
 //!
 //! 1. **Sense** — tenants observe their load traces, rack PDUs reset;
 //! 2. **CollectBids** (SpotDC) / **CollectGains** (MaxPerf) — bids
-//!    travel a lossy channel with late-bid rollover and pass operator
+//!    arrive (or are lost, or roll over late) and pass operator
 //!    admission, or gain envelopes are gathered;
 //! 3. **Predict** — spot capacity is forecast from *last* slot's meter
 //!    readings (Eqns. 1–4), under the staleness policy if armed;
@@ -25,7 +25,8 @@
 //! and clearing). With fault injection off the two are identical, down
 //! to the float-accumulation order; a [`FaultConfig`] lets them
 //! diverge — dropped, frozen or noisy meter samples, lost or late
-//! bids, delayed prediction inputs — so the degradation paths
+//! bids, lost price broadcasts, delayed prediction inputs — so the
+//! degradation paths
 //! ([`StalenessPolicy`] margins, [`CapController`] shedding, the
 //! post-clearing invariant checker) can be exercised deterministically.
 //!
@@ -91,10 +92,6 @@ pub struct EngineConfig {
     pub mode: Mode,
     /// Operator-side market configuration.
     pub operator: OperatorConfig,
-    /// Probability a bid submission is lost.
-    pub bid_loss: f64,
-    /// Probability a price broadcast is lost.
-    pub broadcast_loss: f64,
     /// Fig. 16: run a pre-clearing pass and feed the resulting price to
     /// price-predicting strategies ("perfect knowledge of market
     /// price").
@@ -108,9 +105,10 @@ pub struct EngineConfig {
     /// a sink installed elsewhere (e.g. by a test or the repro binary)
     /// and concurrent simulations never race on the global sink.
     pub telemetry: spotdc_telemetry::TelemetryConfig,
-    /// Fault-injection schedule. Disabled by default; when disabled the
-    /// engine takes the exact pre-fault code path, so outputs stay
-    /// byte-identical to a build without the fault layer.
+    /// Fault-injection schedule, message loss in both directions
+    /// included. Disabled by default; the stages consult it either way,
+    /// and a disabled plan answers every query "no fault" without
+    /// hashing, so there is one code path with or without faults.
     pub faults: FaultConfig,
     /// Graceful-degradation cap controller (spot-before-guaranteed
     /// shedding with hysteresis). Disabled by default.
@@ -253,14 +251,12 @@ impl std::error::Error for ConfigError {}
 
 impl EngineConfig {
     /// Default configuration for the given mode: paper-default market
-    /// settings, lossless communications, no price oracle.
+    /// settings, no faults, no price oracle.
     #[must_use]
     pub fn new(mode: Mode) -> Self {
         EngineConfig {
             mode,
             operator: OperatorConfig::default(),
-            bid_loss: 0.0,
-            broadcast_loss: 0.0,
             price_oracle: false,
             per_pdu_pricing: false,
             telemetry: spotdc_telemetry::TelemetryConfig::default(),
@@ -306,14 +302,13 @@ impl EngineConfig {
             return Err(ConfigError::ResumeWithoutCheckpointDir);
         }
         let rates = [
-            ("bid_loss", self.bid_loss),
-            ("broadcast_loss", self.broadcast_loss),
             ("faults.meter_dropout", self.faults.meter_dropout),
             ("faults.meter_freeze", self.faults.meter_freeze),
             ("faults.meter_noise", self.faults.meter_noise),
             ("faults.bid_loss", self.faults.bid_loss),
             ("faults.bid_delay", self.faults.bid_delay),
             ("faults.prediction_delay", self.faults.prediction_delay),
+            ("faults.broadcast_loss", self.faults.broadcast_loss),
         ];
         for (field, value) in rates {
             // NaN fails the range check too: all comparisons are false.
@@ -342,8 +337,6 @@ impl EngineConfig {
             let market_only = [
                 ("price_oracle", self.price_oracle),
                 ("per_pdu_pricing", self.per_pdu_pricing),
-                ("bid_loss", self.bid_loss > 0.0),
-                ("broadcast_loss", self.broadcast_loss > 0.0),
             ];
             for (setting, set) in market_only {
                 if set {
@@ -886,12 +879,17 @@ mod tests {
         let lossy = Simulation::new(
             Scenario::testbed(11),
             EngineConfig {
-                bid_loss: 0.5,
+                faults: FaultConfig {
+                    bid_loss: 0.5,
+                    broadcast_loss: 0.5,
+                    ..FaultConfig::disabled()
+                },
                 ..EngineConfig::new(Mode::SpotDc)
             },
         )
         .run(300);
         assert!(lossy.avg_spot_sold() < clean.avg_spot_sold());
+        assert!(lossy.faults_injected > 0, "losses must be accounted");
     }
 
     #[test]
@@ -926,13 +924,16 @@ mod tests {
         ));
 
         let negative = EngineConfig {
-            bid_loss: -0.25,
+            faults: FaultConfig {
+                broadcast_loss: -0.25,
+                ..FaultConfig::disabled()
+            },
             ..EngineConfig::new(Mode::SpotDc)
         };
         assert!(matches!(
             negative.validate(),
             Err(ConfigError::InvalidRate {
-                field: "bid_loss",
+                field: "faults.broadcast_loss",
                 value,
             }) if value == -0.25
         ));
@@ -973,16 +974,16 @@ mod tests {
             })
         ));
 
-        let lossy_maxperf = EngineConfig {
-            broadcast_loss: 0.2,
+        let per_pdu_maxperf = EngineConfig {
+            per_pdu_pricing: true,
             ..EngineConfig::new(Mode::MaxPerf)
         };
-        assert!(lossy_maxperf.validate().is_err());
+        assert!(per_pdu_maxperf.validate().is_err());
 
         // The same settings are fine with a market.
         EngineConfig {
             price_oracle: true,
-            broadcast_loss: 0.2,
+            per_pdu_pricing: true,
             ..EngineConfig::new(Mode::SpotDc)
         }
         .validate()
@@ -992,7 +993,10 @@ mod tests {
     #[test]
     fn try_new_and_try_run_reject_bad_inputs() {
         let bad = EngineConfig {
-            bid_loss: f64::NAN,
+            faults: FaultConfig {
+                bid_loss: f64::NAN,
+                ..FaultConfig::disabled()
+            },
             ..EngineConfig::new(Mode::SpotDc)
         };
         assert!(Simulation::try_new(Scenario::testbed(11), bad).is_err());

@@ -2,14 +2,16 @@
 //!
 //! * **Clearing search**: the paper's grid scan at its finest and
 //!   coarsest step (0.1 ¢ vs 1 ¢) — what resolution buys;
-//! * **Prediction staleness**: lossless vs lossy communications — the
-//!   no-spot fallback's cost;
+//! * **Message loss**: 5 % of bids, then 5 % of price broadcasts, lost
+//!   (the two message channels of the fault plan) — the no-spot
+//!   fallback's cost;
 //! * **Allocation granularity**: the paper argues allocation must be
 //!   rack-granular because a tenant-level grant lets tenants
 //!   concentrate power on one PDU — quantified here by adversarially
 //!   redistributing cleared multi-rack grants.
 
 use spotdc_core::{ClearingConfig, ConstraintSet, MarketClearing, OperatorConfig, SpotPredictor};
+use spotdc_faults::FaultConfig;
 use spotdc_power::topology::TopologyBuilder;
 use spotdc_tenants::bundle_bid;
 use spotdc_units::{Price, RackId, Slot, TenantId, Watts};
@@ -70,14 +72,22 @@ pub fn compute(cfg: &ExpConfig) -> Vec<AblationRow> {
         (
             "5% bid loss",
             EngineConfig {
-                bid_loss: 0.05,
+                faults: FaultConfig {
+                    seed: cfg.seed,
+                    bid_loss: 0.05,
+                    ..FaultConfig::disabled()
+                },
                 ..EngineConfig::new(Mode::SpotDc)
             },
         ),
         (
             "5% broadcast loss",
             EngineConfig {
-                broadcast_loss: 0.05,
+                faults: FaultConfig {
+                    seed: cfg.seed,
+                    broadcast_loss: 0.05,
+                    ..FaultConfig::disabled()
+                },
                 ..EngineConfig::new(Mode::SpotDc)
             },
         ),

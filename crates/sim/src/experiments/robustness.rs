@@ -23,7 +23,7 @@ use crate::report::TextTable;
 use crate::scenario::Scenario;
 
 /// Salt mixed into the experiment seed to derive the fault-plan seed,
-/// so fault schedules decorrelate from the trace/comms streams.
+/// so fault schedules decorrelate from the trace streams.
 const FAULT_SEED_SALT: u64 = 0x00fa_0175;
 
 /// One fault-rate level's outcome.

@@ -21,12 +21,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use spotdc_core::{ClearResult, CommsModel, ConcaveGain, ConstraintSet, Operator, TaskShip};
+use spotdc_core::{ClearResult, ConcaveGain, ConstraintSet, Operator, TaskShip};
 use spotdc_faults::FaultPlan;
 use spotdc_power::topology::PowerTopology;
 use spotdc_power::{CapController, EmergencyEvent, EmergencyLog, PowerMeter, RackPduBank};
 use spotdc_tenants::TenantAgent;
-use spotdc_units::{RackId, Slot, SlotDuration, TenantId, Watts};
+use spotdc_units::{RackId, Slot, SlotDuration, Watts};
 
 use crate::engine::EngineConfig;
 use crate::metrics::{SimReport, SlotRecord};
@@ -58,20 +58,16 @@ pub struct SimState {
     pub emergencies: EmergencyLog,
     /// Graceful-degradation cap controller, when enabled.
     pub cap: Option<CapController>,
-    /// Lossy bid/broadcast channel.
-    pub comms: CommsModel,
     /// Tenant agents, in rack order.
     pub agents: Vec<TenantAgent>,
     /// Non-participating ("other") rack groups.
     pub others: Vec<OtherGroup>,
     /// Memoized load traces shared across runs of the same scenario.
     pub traces: Arc<ScenarioTraces>,
-    /// Deterministic fault schedule.
+    /// Deterministic fault schedule. The stages query it
+    /// unconditionally: with a channel's rates at zero its query answers
+    /// `None` / `false` without hashing.
     pub plan: FaultPlan,
-    /// Whether any fault channel is armed (`plan.any()`), hoisted so
-    /// the fault-free path stays branch-cheap and byte-identical to a
-    /// build without the fault layer.
-    pub faults_active: bool,
     /// Whether to snapshot the meter each slot for delayed predictions.
     pub track_prev_meter: bool,
     /// Whether the post-clearing invariant checker runs every slot.
@@ -131,8 +127,7 @@ impl SimState {
         let bank = RackPduBank::new(&topology);
         let emergencies = EmergencyLog::new(&topology);
         let plan = FaultPlan::new(config.faults);
-        let faults_active = plan.any();
-        let track_prev_meter = faults_active && config.faults.prediction_delay > 0.0;
+        let track_prev_meter = config.faults.prediction_delay > 0.0;
         let cap = config
             .cap
             .enabled
@@ -140,11 +135,6 @@ impl SimState {
         let validate = config.validate || crate::validate::forced();
         let guaranteed: Vec<Watts> = topology.racks().map(|r| r.guaranteed()).collect();
         let rack_pdu: Vec<usize> = topology.racks().map(|r| r.pdu().index()).collect();
-        let comms = CommsModel::new(
-            config.bid_loss,
-            config.broadcast_loss,
-            scenario.seed ^ 0x00c0_b1d5,
-        );
         let mut agents = scenario.agents.clone();
 
         let mut true_draw: Vec<Watts> = vec![Watts::ZERO; topology.rack_count()];
@@ -174,12 +164,10 @@ impl SimState {
             bank,
             emergencies,
             cap,
-            comms,
             agents,
             others: scenario.others.clone(),
             traces,
             plan,
-            faults_active,
             track_prev_meter,
             validate,
             slot_len: scenario.slot,
@@ -325,10 +313,9 @@ pub struct SlotContext {
     pub slot_degraded: bool,
     /// Per-rack payments for this slot (USD), dense rack index.
     pub payments: Vec<f64>,
-    /// Tenant bids as delivered over the lossy channel.
+    /// Tenant bids as delivered (after lost and late submissions);
+    /// their tenants are the price broadcast's audience.
     pub bids: Vec<spotdc_core::TenantBid>,
-    /// Tenants whose bids were delivered (broadcast audience).
-    pub bidders: Vec<TenantId>,
     /// Admitted rack bids handed to clearing.
     pub rack_bids: Vec<spotdc_core::RackBid>,
     /// Racks requesting spot, fed to the predictor: the admitted rack
@@ -356,7 +343,6 @@ impl SlotContext {
             slot_degraded: false,
             payments: vec![0.0; rack_count],
             bids: Vec::with_capacity(agent_count),
-            bidders: Vec::with_capacity(agent_count),
             rack_bids: Vec::new(),
             requesting: Vec::new(),
             gains: BTreeMap::new(),

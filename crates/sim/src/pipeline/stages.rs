@@ -23,8 +23,8 @@ use spotdc_core::{
     MarketInvariant, RackBid, SpotAllocation, TaskShip, TenantBid,
 };
 use spotdc_faults::{BidFault, FaultPlan, MeterFault};
-use spotdc_power::PowerMeter;
-use spotdc_units::{RackId, Slot, Watts};
+use spotdc_power::{PowerMeter, PowerTopology};
+use spotdc_units::{RackId, Slot, TenantId, Watts};
 
 use crate::metrics::{SlotRecord, TenantSlotMetrics};
 use crate::pipeline::{SimState, SlotContext, SlotStage};
@@ -50,15 +50,10 @@ fn note_fault_injected(slot: Slot, kind: &str, target: &dyn std::fmt::Display) {
 fn record_observed(
     meter: &mut PowerMeter,
     plan: &FaultPlan,
-    active: bool,
     slot: Slot,
     rack: RackId,
     draw: Watts,
 ) -> bool {
-    if !active {
-        meter.record(slot, rack, draw);
-        return false;
-    }
     let Some(fault) = plan.meter_fault(slot, rack) else {
         meter.record(slot, rack, draw);
         return false;
@@ -115,6 +110,34 @@ fn note_violations(slot: Slot, violations: &[MarketInvariant], count: &mut usize
     );
 }
 
+/// The tenants among the slot's delivered `bids` whose price broadcast
+/// is lost, sorted. Decided once per slot — however many sub-markets
+/// then consult the set — and each `(slot, tenant)` is counted and
+/// logged once, as a lost bid is.
+fn lost_broadcasts(state: &mut SimState, slot: Slot, bids: &[TenantBid]) -> Vec<TenantId> {
+    let is_lost = |tenant: &TenantId| state.plan.broadcast_lost(slot, *tenant);
+    let mut lost: Vec<TenantId> = bids.iter().map(TenantBid::tenant).filter(is_lost).collect();
+    for tenant in &lost {
+        state.faults_injected += 1;
+        note_fault_injected(slot, "broadcast-lost", tenant);
+    }
+    lost.sort_unstable();
+    lost
+}
+
+/// The comms-loss rule for the price broadcast: a tenant that never
+/// hears the price cannot know its grant, so every grant on a rack of a
+/// `lost` tenant (sorted) is revoked before anything is programmed.
+fn revoke_lost_broadcasts(topology: &PowerTopology, lost: &[TenantId], alloc: &mut SpotAllocation) {
+    if lost.is_empty() {
+        return;
+    }
+    alloc.revoke_where(|rack| {
+        let owner = topology.rack(rack).map(|spec| spec.tenant());
+        owner.is_ok_and(|tenant| lost.binary_search(&tenant).is_ok())
+    });
+}
+
 /// Programs one cleared market's positive grants into the rack PDUs
 /// and books each winner's payment for the slot.
 fn program_grants(state: &mut SimState, slot: Slot, payments: &mut [f64], alloc: &SpotAllocation) {
@@ -150,7 +173,7 @@ impl SlotStage for Sense {
 
         // Delayed prediction input: the operator sees the meter as it
         // stood at the end of the previous slot.
-        let delayed = state.faults_active && state.plan.prediction_delayed(slot);
+        let delayed = state.plan.prediction_delayed(slot);
         if delayed {
             state.faults_injected += 1;
             note_fault_injected(slot, "prediction-delay", &"operator");
@@ -161,8 +184,8 @@ impl SlotStage for Sense {
 
 /// CollectBids: tenants bid, the optional price oracle runs its
 /// pre-clearing pass, late bids from the previous slot roll over, bid
-/// faults fire, the lossy channel delivers what survives, and the
-/// operator admission-checks the delivered bids into `ctx.rack_bids`
+/// faults fire (a lost bid is simply not cleared), and the operator
+/// admission-checks the delivered bids into `ctx.rack_bids`
 /// — whichever pricing clears them, and before anything is shipped to
 /// a shard agent. The admitted racks are the slot's requesting set.
 #[derive(Debug)]
@@ -221,33 +244,28 @@ impl SlotStage for CollectBids {
             ctx.bids.clear();
             collect_bids_into(state, &mut ctx.bids);
         }
-        if state.faults_active {
-            // Late bids from the previous slot arrive now — unless the
-            // tenant already submitted a fresh one, which supersedes
-            // the stale copy.
-            for b in self.late_bids.drain(..) {
-                if !ctx.bids.iter().any(|x| x.tenant() == b.tenant()) {
-                    ctx.bids.push(b);
-                }
+        // Late bids from the previous slot arrive now — unless the
+        // tenant already submitted a fresh one, which supersedes the
+        // stale copy.
+        for b in self.late_bids.drain(..) {
+            if !ctx.bids.iter().any(|x| x.tenant() == b.tenant()) {
+                ctx.bids.push(b);
             }
-            let mut i = 0;
-            while i < ctx.bids.len() {
-                match state.plan.bid_fault(slot, ctx.bids[i].tenant()) {
-                    None => i += 1,
-                    Some(fault) => {
-                        state.faults_injected += 1;
-                        note_fault_injected(slot, fault.kind(), &ctx.bids[i].tenant());
-                        let bid = ctx.bids.remove(i);
-                        if fault == BidFault::Late {
-                            self.late_bids.push(bid);
-                        }
+        }
+        let mut i = 0;
+        while i < ctx.bids.len() {
+            match state.plan.bid_fault(slot, ctx.bids[i].tenant()) {
+                None => i += 1,
+                Some(fault) => {
+                    state.faults_injected += 1;
+                    note_fault_injected(slot, fault.kind(), &ctx.bids[i].tenant());
+                    let bid = ctx.bids.remove(i);
+                    if fault == BidFault::Late {
+                        self.late_bids.push(bid);
                     }
                 }
             }
         }
-        let _lost_bids = state.comms.deliver_bids(slot, &mut ctx.bids);
-        ctx.bidders.clear();
-        ctx.bidders.extend(ctx.bids.iter().map(|b| b.tenant()));
         ctx.rack_bids.clear();
         // Who was turned away is the operator's to report (`BidRejected`);
         // nothing downstream reads it.
@@ -322,9 +340,10 @@ impl SlotStage for Predict {
     }
 }
 
-/// ClearUniform: the paper's single uniform-price clearing, price
-/// broadcast over the lossy channel, post-clearing invariant check,
-/// and grant programming into the rack PDUs.
+/// ClearUniform: the paper's single uniform-price clearing, the price
+/// broadcast (a tenant it does not reach loses its grant),
+/// post-clearing invariant check, and grant programming into the rack
+/// PDUs.
 ///
 /// The uniform market is a single task: it clears against the shared
 /// UPS constraint, so it cannot split.
@@ -350,9 +369,8 @@ impl SlotStage for ClearUniform {
             return;
         };
         let mut alloc = outcome.into_allocation();
-        state
-            .comms
-            .deliver_broadcasts(&state.topology, &mut alloc, ctx.bidders.iter().copied());
+        let lost = lost_broadcasts(state, slot, &ctx.bids);
+        revoke_lost_broadcasts(&state.topology, &lost, &mut alloc);
         if state.validate {
             // The checker audits against *every delivered* bid, not
             // just the admitted ones, so admission bugs can't hide.
@@ -408,6 +426,7 @@ impl SlotStage for ClearPerPdu {
         // One rack → bids index for the whole slot: every sub-market's
         // Eq. 1 check then costs its own grants, not the slot's bids.
         let admitted = state.validate.then(|| BidIndex::new(&ctx.rack_bids));
+        let lost = lost_broadcasts(state, slot, &ctx.bids);
         for result in cleared {
             let Some(ClearResult::Market(outcome)) = result else {
                 // Comms loss: this sub-market sells nothing this slot.
@@ -415,11 +434,7 @@ impl SlotStage for ClearPerPdu {
                 continue;
             };
             let mut alloc = outcome.into_allocation();
-            state.comms.deliver_broadcasts(
-                &state.topology,
-                &mut alloc,
-                ctx.bidders.iter().copied(),
-            );
+            revoke_lost_broadcasts(&state.topology, &lost, &mut alloc);
             if state.validate {
                 note_violations(
                     slot,
@@ -559,14 +574,7 @@ impl SlotStage for Settle {
             })
         };
         for (agent, out) in state.agents.iter().zip(outcomes) {
-            if record_observed(
-                &mut state.meter,
-                &state.plan,
-                state.faults_active,
-                slot,
-                agent.rack(),
-                out.draw,
-            ) {
+            if record_observed(&mut state.meter, &state.plan, slot, agent.rack(), out.draw) {
                 state.faults_injected += 1;
             }
             state.true_draw[agent.rack().index()] = out.draw.clamp_non_negative();
@@ -588,41 +596,22 @@ impl SlotStage for Settle {
         }
         for (j, other) in state.others.iter().enumerate() {
             let draw = state.traces.others[j][t].min(other.subscription);
-            if record_observed(
-                &mut state.meter,
-                &state.plan,
-                state.faults_active,
-                slot,
-                other.rack,
-                draw,
-            ) {
+            if record_observed(&mut state.meter, &state.plan, slot, other.rack, draw) {
                 state.faults_injected += 1;
             }
             state.true_draw[other.rack.index()] = draw.clamp_non_negative();
         }
 
-        // Emergencies and the per-slot record reflect *physical*
-        // power. With faults off the meter holds exactly the true
-        // draws, so reading it back preserves the historical
-        // accumulation order bit for bit.
-        // The per-PDU draws accumulate into the recycled
-        // structure-of-arrays buffer on the state — no per-slot
-        // allocation — in the same rack order as before.
-        let ups_power = if state.faults_active {
-            state.pdu_draw.clear();
-            state
-                .pdu_draw
-                .resize(state.topology.pdu_count(), Watts::ZERO);
-            let mut total = Watts::ZERO;
-            for (i, &d) in state.true_draw.iter().enumerate() {
-                state.pdu_draw[state.rack_pdu[i]] += d;
-                total += d;
-            }
-            total
-        } else {
-            state.meter.pdu_powers_into(&mut state.pdu_draw);
-            state.meter.ups_power()
-        };
+        // Emergencies and the per-slot record reflect *physical* power:
+        // `true_draw` summed in rack order — the order the meter sums
+        // its readings in, so an unfaulted run's records match what it
+        // observed bit for bit — into the recycled per-PDU buffer.
+        state.pdu_draw.fill(Watts::ZERO);
+        let mut ups_power = Watts::ZERO;
+        for (i, &d) in state.true_draw.iter().enumerate() {
+            state.pdu_draw[state.rack_pdu[i]] += d;
+            ups_power += d;
+        }
         let found = state.emergencies.observe(slot, &state.pdu_draw);
         if ctx.slot_degraded {
             state.degraded_slots += 1;
@@ -664,5 +653,31 @@ impl SlotStage for Settle {
         if state.track_prev_meter {
             state.prev_meter = Some(state.meter.clone());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spotdc_power::topology::TopologyBuilder;
+    use spotdc_units::Price;
+
+    #[test]
+    fn a_lost_broadcast_revokes_every_rack_of_that_tenant_and_no_other() {
+        let watts = Watts::new;
+        let topology = TopologyBuilder::new(watts(400.0))
+            .pdu(watts(400.0))
+            .rack(TenantId::new(0), watts(100.0), watts(50.0))
+            .rack(TenantId::new(1), watts(100.0), watts(50.0))
+            .rack(TenantId::new(0), watts(100.0), watts(50.0))
+            .build()
+            .unwrap();
+        let grants = (0..3).map(|r| (RackId::new(r), watts(20.0))).collect();
+        let mut alloc = SpotAllocation::new(Slot::new(2), Price::per_kw_hour(0.2), grants);
+        revoke_lost_broadcasts(&topology, &[], &mut alloc);
+        assert_eq!(alloc.total(), watts(60.0));
+        revoke_lost_broadcasts(&topology, &[TenantId::new(0)], &mut alloc);
+        let kept: Vec<RackId> = alloc.grants().keys().copied().collect();
+        assert_eq!(kept, [RackId::new(1)]);
     }
 }

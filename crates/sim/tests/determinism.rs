@@ -120,6 +120,41 @@ fn hyperscale_per_pdu_report_is_identical_across_inner_jobs() {
     assert_eq!(serial, run(4), "inner_jobs=4 diverged from the serial walk");
 }
 
+/// Lost bids and lost price broadcasts are verdicts keyed by
+/// `(seed, slot, tenant)`, consulted from wherever a slot's tasks clear:
+/// the report — grants revoked, faults counted — must not depend on the
+/// within-slot width or on the shard count, under either pricing.
+#[test]
+fn message_loss_is_identical_across_inner_jobs_and_shards() {
+    let run = |per_pdu_pricing: bool, inner_jobs: usize, shards: usize| {
+        let config = EngineConfig {
+            faults: FaultConfig {
+                seed: 3,
+                bid_loss: 0.2,
+                broadcast_loss: 0.3,
+                ..FaultConfig::disabled()
+            },
+            per_pdu_pricing,
+            inner_jobs,
+            shards,
+            ..EngineConfig::new(Mode::SpotDc)
+        };
+        Simulation::new(Scenario::testbed(7), config).run(80)
+    };
+    for per_pdu in [false, true] {
+        let serial = run(per_pdu, 1, 1);
+        assert!(serial.faults_injected > 0 && serial.avg_spot_sold() > 0.0);
+        for (inner_jobs, shards) in [(4, 1), (1, 2), (4, 2)] {
+            assert_eq!(
+                serial,
+                run(per_pdu, inner_jobs, shards),
+                "per_pdu={per_pdu} inner_jobs={inner_jobs} shards={shards} \
+                 diverged from the serial report"
+            );
+        }
+    }
+}
+
 fn faulted_engine(fault_seed: u64) -> EngineConfig {
     EngineConfig {
         faults: FaultConfig::uniform(0.1, fault_seed),

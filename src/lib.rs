@@ -24,7 +24,7 @@
 //! | [`power`] | `spotdc-power` | UPS→PDU→rack topology, metering, rack PDUs, breakers |
 //! | [`workloads`] | `spotdc-workloads` | queueing, DVFS, interactive/batch models, costs, gain curves |
 //! | [`traces`] | `spotdc-traces` | synthetic arrival/power/batch traces, CDFs |
-//! | [`market`] | `spotdc-core` | demand functions, bids, clearing, prediction, MaxPerf, protocol |
+//! | [`market`] | `spotdc-core` | demand functions, bids, clearing, prediction, MaxPerf |
 //! | [`tenants`] | `spotdc-tenants` | tenant agents and bidding strategies |
 //! | [`sim`] | `spotdc-sim` | slot engine, Table I scenario, every paper experiment |
 //!

@@ -85,43 +85,47 @@ fn manual_market_round_improves_the_needy_tenant() {
 }
 
 /// Lost price broadcasts fall back to "no spot capacity" without
-/// breaking anything downstream.
+/// breaking anything downstream: a run in which no tenant ever hears
+/// the price is, for the tenants, the PowerCapped run.
 #[test]
 fn comms_loss_degrades_to_no_spot() {
-    use spotdc::market::CommsModel;
-
-    let topology = TopologyBuilder::new(Watts::new(500.0))
-        .pdu(Watts::new(500.0))
-        .rack(TenantId::new(0), Watts::new(145.0), Watts::new(72.5))
-        .build()
-        .expect("valid topology");
-    let mut agent = TenantAgent::new(
-        TenantId::new(0),
-        RackId::new(0),
-        Watts::new(145.0),
-        Watts::new(72.5),
-        WorkloadModel::search(),
-        Strategy::elastic(Price::per_kw_hour(0.25), Price::per_kw_hour(0.60)),
+    const SLOTS: u64 = 150;
+    let scenario = Scenario::testbed(9);
+    let clean = Simulation::new(scenario.clone(), EngineConfig::new(Mode::SpotDc)).run(SLOTS);
+    assert!(
+        clean.avg_spot_sold() > 0.0,
+        "the market must have something to lose"
     );
-    agent.observe(1.0);
-    let mut meter = PowerMeter::new(&topology, 4).expect("positive history length");
-    meter.record(Slot::ZERO, RackId::new(0), Watts::new(140.0));
 
-    let operator = Operator::new(topology.clone(), OperatorConfig::default());
-    let bids = vec![agent.make_bid().expect("bids at peak")];
-    let round = operator.run_slot(Slot::new(1), &bids, &meter);
-    let mut allocation = round.outcome.into_allocation();
-    assert!(allocation.total() > Watts::ZERO);
+    let mut config = EngineConfig::new(Mode::SpotDc);
+    config.validate = true;
+    config.faults.broadcast_loss = 1.0;
+    // The plan the engine consults for this configuration loses every
+    // broadcast, to whichever tenant in whichever slot.
+    let plan = spotdc::sim::pipeline::SimState::new(&scenario, &config, 1).plan;
+    assert!((0..SLOTS).all(|t| plan.broadcast_lost(Slot::new(t), TenantId::new(t as usize % 8))));
 
-    // Every broadcast lost: the grant is revoked.
-    let comms = CommsModel::new(0.0, 1.0, 9);
-    let events = comms.deliver_broadcasts(&topology, &mut allocation, [TenantId::new(0)]);
-    assert_eq!(events.len(), 1);
-    assert_eq!(allocation.total(), Watts::ZERO);
+    // Every grant is revoked before it is programmed or billed, and
+    // every lost broadcast is accounted for.
+    let lossy = Simulation::new(scenario.clone(), config).run(SLOTS);
+    for record in &lossy.records {
+        assert_eq!((record.spot_sold, record.price), (0.0, None));
+        assert!(record
+            .tenants
+            .iter()
+            .all(|t| t.grant == 0.0 && t.payment == 0.0));
+    }
+    assert!(lossy.faults_injected > 0);
+    assert_eq!(lossy.invariant_violations, 0);
 
-    // The tenant simply runs at its guaranteed capacity.
-    let bank = RackPduBank::new(&topology);
-    assert_eq!(bank.budget(RackId::new(0)), Watts::new(145.0));
+    // The tenants simply run at their guaranteed capacity.
+    let capped = Simulation::new(scenario, EngineConfig::new(Mode::PowerCapped)).run(SLOTS);
+    for (lost, base) in lossy.records.iter().zip(&capped.records) {
+        for (a, b) in lost.tenants.iter().zip(&base.tenants) {
+            assert_eq!((a.draw, a.perf_index), (b.draw, b.perf_index));
+        }
+    }
+    assert_eq!(lossy.emergencies, capped.emergencies);
 }
 
 /// The MaxPerf allocator and the market operate on the same constraint
