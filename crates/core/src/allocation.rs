@@ -39,11 +39,10 @@ impl SpotAllocation {
     /// but was priced out appears with a zero grant), negative grants
     /// are clamped to zero.
     #[must_use]
-    pub fn new(slot: Slot, price: Price, grants: BTreeMap<RackId, Watts>) -> Self {
-        let grants = grants
-            .into_iter()
-            .map(|(r, w)| (r, w.clamp_non_negative()))
-            .collect();
+    pub fn new(slot: Slot, price: Price, mut grants: BTreeMap<RackId, Watts>) -> Self {
+        for grant in grants.values_mut() {
+            *grant = grant.clamp_non_negative();
+        }
         SpotAllocation {
             slot,
             price,
@@ -225,12 +224,34 @@ mod tests {
     }
 
     #[test]
-    fn negative_grants_clamped() {
+    fn negative_grants_clamped_zero_grants_kept() {
+        use spotdc_durable::{Decoder, Encoder, Persist};
+
+        let watts = [-5.0, 0.0, -0.0, 30.0];
+        let grants = watts.into_iter().enumerate();
         let a = SpotAllocation::new(
-            Slot::ZERO,
-            Price::ZERO,
-            [(RackId::new(0), Watts::new(-5.0))].into_iter().collect(),
+            Slot::new(3),
+            Price::per_kw_hour(0.2),
+            grants
+                .map(|(r, w)| (RackId::new(r), Watts::new(w)))
+                .collect(),
         );
-        assert_eq!(a.grant(RackId::new(0)), Watts::ZERO);
+        // Only the negative grant changes — a `-0.0` is not negative and
+        // keeps its sign — and every rack stays in the map.
+        let bits: Vec<u64> = a.iter().map(|(_, w)| w.value().to_bits()).collect();
+        let kept = [0.0, 0.0, -0.0, 30.0].map(f64::to_bits);
+        assert_eq!(bits, kept);
+        assert_eq!(a.granted_racks().collect::<Vec<_>>(), [RackId::new(3)]);
+        // Equal to the allocation built from already-clamped grants, and
+        // a persist round trip restores it bit for bit.
+        let clamped = a.grants().clone();
+        assert_eq!(a, SpotAllocation::new(a.slot(), a.price(), clamped));
+        let mut enc = Encoder::new();
+        a.persist(&mut enc);
+        let bytes = enc.into_bytes();
+        let back = SpotAllocation::restore(&mut Decoder::new(&bytes)).expect("round trip");
+        assert_eq!(back, a);
+        let back_bits: Vec<u64> = back.iter().map(|(_, w)| w.value().to_bits()).collect();
+        assert_eq!(back_bits, kept);
     }
 }

@@ -16,15 +16,17 @@
 //!
 //! The hot path evaluates candidates against a *columnar
 //! bid book* ([`BidBook`]): live bids are decomposed once per slot into
-//! flat arrays of headroom, PDU slot, and demand segments, and the
+//! flat arrays of headroom, per-PDU chain and demand segments, and the
 //! sweep runs *bid-major* — each piece of a bid's curve covers one
-//! contiguous range of the ascending candidates, found by binary
-//! search and summed by a straight-line loop, and the all-zero tail
-//! above a bid's ceiling is never visited. Per-PDU sums live in a
-//! ragged PDU-major arena, one row per PDU, each only as long as its
-//! highest bid reaches (DESIGN.md §13). The sweep is bit-identical to
-//! the straightforward per-candidate scan, which remains in the code as
-//! the *legacy* fallback for heat-zone/phase constrained markets.
+//! contiguous range of the ascending candidates, found from a grid
+//! hint and summed by a straight-line loop, and the all-zero tail
+//! above a bid's ceiling is never visited. Only what can decide the
+//! price is summed: a PDU's per-candidate sums only if its bidders'
+//! headrooms could exceed its spot capacity at all, and every sum only
+//! from the first candidate no PDU has ruled out yet (DESIGN.md §13).
+//! The sweep is bit-identical to the straightforward per-candidate
+//! scan, which remains in the code as the *legacy* fallback for
+//! heat-zone/phase constrained markets.
 //!
 //! Clearing keeps no market state between calls, as in the paper's
 //! Algorithm 1: every non-empty clear regenerates the grid, sweeps and
@@ -210,15 +212,15 @@ pub struct ClearingCacheStats {
     pub legacy_scans: u64,
     /// Candidate prices considered across all clearings.
     pub candidates_total: u64,
-    /// Always equal to `candidates_total` (every clear sums every
+    /// Always equal to `candidates_total` (every clear scans every
     /// candidate); see the struct docs.
     pub candidates_swept: u64,
 }
 
-/// One engine's reusable buffers: the candidate prices, the columnar
-/// bid book and the per-candidate sums. Every field is rebuilt from the
-/// inputs on each clear before it is read; nothing here carries market
-/// state from one clear to the next.
+/// One engine's reusable buffers, each O(candidates + bids) long: the
+/// candidate prices, the columnar bid book and the per-candidate sums.
+/// Every field is rebuilt from the inputs on each clear before it is
+/// read; nothing here carries market state from one clear to the next.
 #[derive(Debug, Default)]
 struct Scratch {
     /// This clear's candidate prices, ascending.
@@ -228,20 +230,13 @@ struct Scratch {
     live: Vec<u32>,
     /// The current slot's columnar bid book.
     book: BidBook,
-    /// Per-candidate clipped-demand totals (parallel to `candidates`).
+    /// Per-candidate clipped-demand totals (parallel to `candidates`),
+    /// summed only from the first candidate no PDU rules out.
     totals: Vec<f64>,
-    /// Per-touched-PDU sums, PDU-major and ragged: row `s` is
-    /// `pdu_used[row_start[s]..row_start[s + 1]]`, indexed by candidate,
-    /// and ends at the first candidate past every bid of PDU `s` —
-    /// beyond it that PDU's demand is exactly 0.0.
-    pdu_used: Vec<f64>,
-    /// Row offsets into `pdu_used` (one more entry than touched PDUs).
-    row_start: Vec<usize>,
-    /// End of the candidate range each piece of `book.segs` covers
-    /// (parallel to it; a range starts where the bid's previous piece
-    /// ends, the first at candidate 0).
-    seg_end: Vec<u32>,
-    /// [`select_best`]'s per-candidate "some PDU is over capacity" flags.
+    /// The same sums over the bids of the one PDU being checked;
+    /// all-zero between PDUs.
+    pdu_row: Vec<f64>,
+    /// Per-candidate "some PDU is over capacity" flags.
     infeasible: Vec<bool>,
 }
 
@@ -360,24 +355,31 @@ fn push_segments(d: &DemandBid, out: &mut Vec<Segment>) {
 /// contiguous memory instead of chasing `RackBid` enum layouts.
 ///
 /// PDUs are remapped to compact *slots* in first-appearance order
-/// (`touched`/`slot_lookup`), so per-candidate PDU sums live in a dense
-/// `candidates × touched` matrix however sparse the global PDU space.
+/// (`touched`/`slot_lookup`), however sparse the global PDU space.
 #[derive(Debug, Default)]
 struct BidBook {
-    /// Compact accumulator slot per bid (index into `touched`).
-    pdu_slot: Vec<u32>,
     /// Rack headroom (watts) per bid.
     headroom: Vec<f64>,
+    /// The next bid on the same PDU, in bid order (`u32::MAX` = none).
+    next_bid: Vec<u32>,
     /// First segment of each bid's chain in `segs`, plus one closing
     /// entry: bid `j`'s chain is `segs[seg_start[j]..seg_start[j + 1]]`.
     seg_start: Vec<u32>,
     /// All bids' segment chains, concatenated.
     segs: Vec<Segment>,
-    /// Global indices of PDUs with at least one bid, in first-appearance
-    /// order.
+    /// End of the candidate range each piece of `segs` covers (parallel
+    /// to it); a range starts where the bid's previous piece ends.
+    seg_end: Vec<u32>,
+    /// Global index of each PDU with a bid, in first-appearance order.
     touched: Vec<u32>,
     /// Current spot capacity (watts) of each touched PDU.
     touched_spot: Vec<f64>,
+    /// The most each touched PDU's bids can demand together at any
+    /// price: their `clip(∞, headroom)` summed in bid order.
+    touched_most: Vec<f64>,
+    /// Head and tail of each touched PDU's `next_bid` chain.
+    first_bid: Vec<u32>,
+    last_bid: Vec<u32>,
     /// Global PDU index → compact slot (`u32::MAX` = untouched).
     /// Persists across builds; reset via the previous `touched` list.
     slot_lookup: Vec<u32>,
@@ -394,41 +396,105 @@ impl BidBook {
         for &p in &self.touched {
             self.slot_lookup[p as usize] = u32::MAX;
         }
-        self.pdu_slot.clear();
         self.headroom.clear();
+        self.next_bid.clear();
         self.seg_start.clear();
         self.segs.clear();
         self.touched.clear();
         self.touched_spot.clear();
+        self.touched_most.clear();
+        self.first_bid.clear();
+        self.last_bid.clear();
         self.any_unknown_pdu = false;
-        for &i in live {
+        for (j, &i) in live.iter().enumerate() {
             let b = &bids[i as usize];
-            let rack = b.rack();
-            self.headroom.push(constraints.rack_headroom(rack).value());
-            match constraints.pdu_of(rack) {
+            let headroom = constraints.rack_headroom(b.rack()).value();
+            self.headroom.push(headroom);
+            self.next_bid.push(u32::MAX);
+            match constraints.pdu_of(b.rack()) {
                 Some(p) => {
                     let pi = p.index();
                     if pi >= self.slot_lookup.len() {
                         self.slot_lookup.resize(pi + 1, u32::MAX);
                     }
-                    let mut slot = self.slot_lookup[pi];
-                    if slot == u32::MAX {
-                        slot = self.touched.len() as u32;
-                        self.slot_lookup[pi] = slot;
+                    let mut slot = self.slot_lookup[pi] as usize;
+                    if slot == u32::MAX as usize {
+                        slot = self.touched.len();
+                        self.slot_lookup[pi] = slot as u32;
                         self.touched.push(pi as u32);
                         self.touched_spot.push(constraints.pdu_spot(p).value());
+                        self.touched_most.push(0.0);
+                        self.first_bid.push(j as u32);
+                        self.last_bid.push(j as u32);
+                    } else {
+                        // Chains keep bid order, the order
+                        // `feasible_total` adds a PDU's demands in.
+                        self.next_bid[self.last_bid[slot] as usize] = j as u32;
+                        self.last_bid[slot] = j as u32;
                     }
-                    self.pdu_slot.push(slot);
+                    self.touched_most[slot] += clip(f64::INFINITY, headroom);
                 }
-                None => {
-                    self.any_unknown_pdu = true;
-                    self.pdu_slot.push(0);
-                }
+                None => self.any_unknown_pdu = true,
             }
             self.seg_start.push(self.segs.len() as u32);
             push_segments(b.demand(), &mut self.segs);
         }
         self.seg_start.push(self.segs.len() as u32);
+    }
+
+    /// Fills `seg_end`: per piece, the first candidate from the previous
+    /// piece's end on that [`Segment::passed`] holds at. Candidate `i`
+    /// is `i · step`, so `bound / step + 1` says where to start; walking
+    /// up while the piece is not passed, then down while the candidate
+    /// below is, ends on that monotone predicate's partition point
+    /// wherever it began — a wrong hint costs comparisons, nothing else.
+    fn find_piece_ends(&mut self, candidates: &[Price]) {
+        let n = candidates.len();
+        let q = |i: usize| candidates[i].per_kw_hour_value();
+        let step = q(1);
+        self.seg_end.clear();
+        for chain in self.seg_start.windows(2) {
+            let mut end = 0;
+            for seg in &self.segs[chain[0] as usize..chain[1] as usize] {
+                let floor = end;
+                end = ((seg.bound / step + 1.0) as usize).clamp(floor, n);
+                while end < n && !seg.passed(q(end)) {
+                    end += 1;
+                }
+                while end > floor && seg.passed(q(end - 1)) {
+                    end -= 1;
+                }
+                self.seg_end.push(end as u32);
+            }
+        }
+    }
+
+    /// Adds bid `j`'s clipped demand into `sums` (parallel to
+    /// `candidates`) at every candidate from `from` up that one of its
+    /// pieces covers; returns where its last piece ends (`from` at
+    /// least). The one loop per-PDU sums and totals both go through: a
+    /// precomputed value or `demand_at`'s own expression, per piece kind.
+    fn add_bid(&self, candidates: &[Price], j: usize, from: usize, sums: &mut [f64]) -> usize {
+        let h = self.headroom[j];
+        let chain = self.seg_start[j] as usize..self.seg_start[j + 1] as usize;
+        let mut lo = from;
+        for (seg, &hi) in self.segs[chain.clone()].iter().zip(&self.seg_end[chain]) {
+            let hi = (hi as usize).max(lo);
+            match seg.kind {
+                SegKind::Const(v) => {
+                    let d = clip(v, h);
+                    sums[lo..hi].iter_mut().for_each(|sum| *sum += d);
+                }
+                SegKind::Interp { q0, dq, a, b } => {
+                    for (sum, q) in sums[lo..hi].iter_mut().zip(&candidates[lo..hi]) {
+                        let q = q.per_kw_hour_value();
+                        *sum += clip(a + (b - a) * ((q - q0) / dq), h);
+                    }
+                }
+            }
+            lo = hi;
+        }
+        lo
     }
 }
 
@@ -520,19 +586,11 @@ impl MarketClearing {
                 .filter(|(_, b)| !b.demand().is_null())
                 .map(|(i, _)| i as u32),
         );
+        scratch.candidates.clear();
         if scratch.live.is_empty() {
-            let outcome = MarketOutcome {
-                allocation: SpotAllocation::none(slot),
-                revenue_rate: 0.0,
-                candidates: 0,
-            };
-            if spotdc_telemetry::is_enabled() {
-                self.record_outcome(slot, &outcome, constraints);
-            }
-            return outcome;
+            return self.finish(slot, bids, scratch, constraints, None);
         }
         scratch.book.build(bids, &scratch.live, constraints);
-        scratch.candidates.clear();
         self.grid_candidates(bids, &scratch.live, &mut scratch.candidates);
         let zoned = !constraints.zones().is_empty() || constraints.phases().is_some();
         let (best, tally) = if zoned {
@@ -543,23 +601,8 @@ impl MarketClearing {
             // bid's rack has no PDU, so the market clears empty.
             (None, &self.stats.legacy_scans)
         } else {
-            sweep(
-                &scratch.book,
-                &scratch.candidates,
-                &mut scratch.seg_end,
-                &mut scratch.totals,
-                &mut scratch.pdu_used,
-                &mut scratch.row_start,
-            );
-            let best = select_best(
-                &scratch.candidates,
-                &scratch.totals,
-                &scratch.pdu_used,
-                &scratch.row_start,
-                &scratch.book.touched_spot,
-                constraints.ups_spot().value(),
-                &mut scratch.infeasible,
-            );
+            scratch.sweep();
+            let best = scratch.select_best(constraints.ups_spot().value());
             (best, &self.stats.full_sweeps)
         };
         tally.fetch_add(1, Ordering::Relaxed);
@@ -580,29 +623,22 @@ impl MarketClearing {
         constraints: &ConstraintSet,
         best: Option<(Price, f64)>,
     ) -> MarketOutcome {
-        let evaluated = scratch.candidates.len();
-        let outcome = match best {
+        let (allocation, revenue_rate) = match best {
             Some((price, rate)) if rate > 0.0 => {
-                let grants = scratch
-                    .live
-                    .iter()
-                    .map(|&i| {
-                        let b = &bids[i as usize];
-                        let d = b.demand_at(price).min(constraints.rack_headroom(b.rack()));
-                        (b.rack(), d)
-                    })
-                    .collect();
-                MarketOutcome {
-                    allocation: SpotAllocation::new(slot, price, grants),
-                    revenue_rate: rate,
-                    candidates: evaluated,
-                }
+                let grant = |&i: &u32| {
+                    let b = &bids[i as usize];
+                    let d = b.demand_at(price).min(constraints.rack_headroom(b.rack()));
+                    (b.rack(), d)
+                };
+                let grants = scratch.live.iter().map(grant).collect();
+                (SpotAllocation::new(slot, price, grants), rate)
             }
-            _ => MarketOutcome {
-                allocation: SpotAllocation::none(slot),
-                revenue_rate: 0.0,
-                candidates: evaluated,
-            },
+            _ => (SpotAllocation::none(slot), 0.0),
+        };
+        let outcome = MarketOutcome {
+            allocation,
+            revenue_rate,
+            candidates: scratch.candidates.len(),
         };
         if spotdc_telemetry::is_enabled() {
             self.record_outcome(slot, &outcome, constraints);
@@ -848,122 +884,85 @@ fn legacy_scan(
     best
 }
 
-/// The bid-major price sweep. Each piece of a bid's curve covers one
-/// contiguous range of the (ascending) candidates, ending where
-/// [`Segment::passed`] first holds — the very comparison `demand_at`
-/// makes, never arithmetic on the grid step — and a straight-line loop
-/// adds the piece's clipped demand to that range of `totals` and of the
-/// bid's PDU row; the zero tail past a bid's last piece is skipped.
-/// Bids are visited in bid order, so every candidate total and every
-/// (candidate, PDU) cell receives the addend sequence `feasible_total`
-/// would produce, less some `+ 0.0` terms — the identity on a sum that
-/// starts at `+0.0` and only ever adds non-negative or `-0.0` values —
-/// and the resulting floats are bit-identical to the legacy scan's.
-fn sweep(
-    book: &BidBook,
-    candidates: &[Price],
-    seg_end: &mut Vec<u32>,
-    totals: &mut Vec<f64>,
-    pdu_used: &mut Vec<f64>,
-    row_start: &mut Vec<usize>,
-) {
-    let chain = |j: usize| book.seg_start[j] as usize..book.seg_start[j + 1] as usize;
-    // First pass: where each piece ends, and from that how long each
-    // PDU's row must be (collected in `row_start[slot + 1]`, then
-    // turned into offsets by a running sum).
-    let ns = book.touched.len();
-    seg_end.clear();
-    row_start.clear();
-    row_start.resize(ns + 1, 0);
-    for (j, &ps) in book.pdu_slot.iter().enumerate() {
-        let mut hi = 0;
-        for seg in &book.segs[chain(j)] {
-            hi += candidates[hi..].partition_point(|q| !seg.passed(q.per_kw_hour_value()));
-            seg_end.push(hi as u32);
-        }
-        let len = &mut row_start[ps as usize + 1];
-        *len = (*len).max(hi);
-    }
-    for s in 0..ns {
-        row_start[s + 1] += row_start[s];
-    }
-    totals.clear();
-    totals.resize(candidates.len(), 0.0);
-    pdu_used.clear();
-    pdu_used.resize(row_start[ns], 0.0);
-    // `min` then clamp — f64::min and `< 0.0`, matching
-    // `Watts::min`/`Watts::clamp_non_negative` bit for bit.
-    let clip = |d: f64, h: f64| {
-        let clip = d.min(h);
-        if clip < 0.0 {
-            0.0
-        } else {
-            clip
-        }
-    };
-    for (j, (&ps, &h)) in book.pdu_slot.iter().zip(&book.headroom).enumerate() {
-        let row = &mut pdu_used[row_start[ps as usize]..row_start[ps as usize + 1]];
-        let mut lo = 0;
-        for (seg, &hi) in book.segs[chain(j)].iter().zip(&seg_end[chain(j)]) {
-            let hi = hi as usize;
-            let cells = totals[lo..hi].iter_mut().zip(&mut row[lo..hi]);
-            match seg.kind {
-                SegKind::Const(v) => {
-                    let d = clip(v, h);
-                    for (total, used) in cells {
-                        *total += d;
-                        *used += d;
-                    }
-                }
-                SegKind::Interp { q0, dq, a, b } => {
-                    for ((total, used), q) in cells.zip(&candidates[lo..hi]) {
-                        let q = q.per_kw_hour_value();
-                        let d = clip(a + (b - a) * ((q - q0) / dq), h);
-                        *total += d;
-                        *used += d;
-                    }
-                }
-            }
-            lo = hi;
-        }
+/// A piece's demand `d` clipped to rack headroom `h`: `min` then
+/// clamp — `f64::min` and `< 0.0`, matching `Watts::min` /
+/// `Watts::clamp_non_negative` bit for bit. Never above `clip(∞, h)`.
+#[inline]
+fn clip(d: f64, h: f64) -> f64 {
+    let clip = d.min(h);
+    if clip < 0.0 {
+        0.0
+    } else {
+        clip
     }
 }
 
-/// Picks the revenue-maximizing feasible candidate from the swept sums:
-/// every PDU row first flags the candidates it is over capacity at,
-/// then candidates are visited in ascending order with the legacy tie
-/// rule (`rate <= best + 1e-12` keeps the incumbent). Past the end of
-/// its row a PDU's demand is exactly 0.0, as is an untouched PDU's at
-/// every candidate, and capacities are non-negative, so the flagged
-/// cells decide feasibility identically to the all-PDU loop.
-fn select_best(
-    candidates: &[Price],
-    totals: &[f64],
-    pdu_used: &[f64],
-    row_start: &[usize],
-    touched_spot: &[f64],
-    ups_spot: f64,
-    infeasible: &mut Vec<bool>,
-) -> Option<(Price, f64)> {
-    infeasible.clear();
-    infeasible.resize(candidates.len(), false);
-    for (row, &cap) in row_start.windows(2).zip(touched_spot) {
-        for (over, &used) in infeasible.iter_mut().zip(&pdu_used[row[0]..row[1]]) {
-            *over |= used > cap + TOLERANCE;
+impl Scratch {
+    /// The bid-major price sweep: fills `infeasible` and `totals` for
+    /// [`Self::select_best`], skipping cells that cannot decide the
+    /// price (DESIGN.md §13 argues each skip). Sums add their bids in
+    /// bid order, so a cell that is read holds the addends of
+    /// `feasible_total` less some `+ 0.0` terms — the identity on a sum
+    /// that starts at `+0.0` and only adds non-negative or `-0.0`
+    /// values — and is bit-identical to the legacy scan's.
+    fn sweep(&mut self) {
+        let n = self.candidates.len();
+        self.book.find_piece_ends(&self.candidates);
+        self.infeasible.clear();
+        self.infeasible.resize(n, false);
+        self.pdu_row.clear();
+        self.pdu_row.resize(n, 0.0);
+        // Every candidate below `from` is flagged and a flag is never
+        // unset, so no sum is read there — and none is written there.
+        let mut from = 0;
+        for (s, &cap) in self.book.touched_spot.iter().enumerate() {
+            // f64 addition is monotone in both arguments, so no sum of
+            // this PDU's demands exceeds the sum of their bounds.
+            if self.book.touched_most[s] <= cap + TOLERANCE {
+                continue;
+            }
+            let (mut j, mut end) = (self.book.first_bid[s], from);
+            while j != u32::MAX {
+                let row = &mut self.pdu_row;
+                end = end.max(self.book.add_bid(&self.candidates, j as usize, from, row));
+                j = self.book.next_bid[j as usize];
+            }
+            let row = &mut self.pdu_row[from..end];
+            for (over, used) in self.infeasible[from..end].iter_mut().zip(row) {
+                *over |= *used > cap + TOLERANCE;
+                *used = 0.0;
+            }
+            while from < n && self.infeasible[from] {
+                from += 1;
+            }
+        }
+        self.totals.clear();
+        self.totals.resize(n, 0.0);
+        for j in 0..self.book.headroom.len() {
+            self.book
+                .add_bid(&self.candidates, j, from, &mut self.totals);
         }
     }
-    let mut best: Option<(Price, f64)> = None;
-    for ((&q, &total), &over) in candidates.iter().zip(totals).zip(&*infeasible) {
-        if over || total > ups_spot + TOLERANCE {
-            continue;
+
+    /// Picks the revenue-maximizing feasible candidate, ascending, with
+    /// the legacy tie rule (`rate <= best + 1e-12` keeps the incumbent).
+    /// A flagged candidate is skipped *before* its total is looked at:
+    /// the sweep leaves totals below the first unflagged one unsummed.
+    fn select_best(&self, ups_spot: f64) -> Option<(Price, f64)> {
+        let mut best: Option<(Price, f64)> = None;
+        let sums = self.totals.iter().zip(&self.infeasible);
+        for (&q, (&total, &over)) in self.candidates.iter().zip(sums) {
+            if over || total > ups_spot + TOLERANCE {
+                continue;
+            }
+            let rate = q.per_kw_hour_value() * (total / 1_000.0);
+            match best {
+                Some((_, best_rate)) if rate <= best_rate + 1e-12 => {}
+                _ => best = Some((q, rate)),
+            }
         }
-        let rate = q.per_kw_hour_value() * (total / 1_000.0);
-        match best {
-            Some((_, best_rate)) if rate <= best_rate + 1e-12 => {}
-            _ => best = Some((q, rate)),
-        }
+        best
     }
-    best
 }
 
 #[cfg(test)]

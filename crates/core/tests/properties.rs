@@ -10,9 +10,10 @@ use spotdc_core::{
     max_perf_allocate, ClearResult, ClearingConfig, ConcaveGain, ConstraintSet, MarketClearing,
     MarketOutcome, RackBid, TaskShip,
 };
+use spotdc_durable::{Decoder, Encoder, Persist};
 use spotdc_power::topology::TopologyBuilder;
 use spotdc_power::PowerTopology;
-use spotdc_units::{Price, RackId, Slot, TenantId, Watts};
+use spotdc_units::{PduId, Price, RackId, Slot, TenantId, Watts};
 
 /// A random linear bid (always valid by construction).
 fn linear_bid() -> impl Strategy<Value = DemandBid> {
@@ -72,11 +73,14 @@ fn any_bid_shape() -> impl Strategy<Value = DemandBid> {
 /// `spotdc_core::demand`'s price-comparison tolerance (crate-private).
 const EPS: f64 = 1e-12;
 
+/// `ConstraintSet`'s slack on Eqns. 3–4 (crate-private).
+const TOLERANCE: f64 = 1e-6;
+
 /// A price placed where the sweep decides which piece of a curve a
-/// candidate falls on: exactly on a multiple of [`step`] (computed as
-/// the engine computes its candidates), within a few [`EPS`] either
+/// candidate falls on: exactly on a multiple of `step` $/kW/h (computed
+/// as the engine computes its candidates), within a few [`EPS`] either
 /// side of one, or anywhere between two.
-fn edge_price(multiples: std::ops::Range<u32>) -> impl Strategy<Value = f64> {
+fn edge_price(step: f64, multiples: std::ops::Range<u32>) -> impl Strategy<Value = f64> {
     let offset = prop_oneof![
         Just(0.0),
         Just(0.4 * EPS),
@@ -85,10 +89,9 @@ fn edge_price(multiples: std::ops::Range<u32>) -> impl Strategy<Value = f64> {
         Just(-EPS),
         Just(2.0 * EPS),
         Just(-2.0 * EPS),
-        0.0..0.005f64,
+        (0.0..1.0f64).prop_map(move |part| part * step),
     ];
-    (multiples, offset)
-        .prop_map(|(k, off)| (f64::from(k) * step().per_kw_hour_value() + off).max(0.0))
+    (multiples, offset).prop_map(move |(k, off)| (f64::from(k) * step + off).max(0.0))
 }
 
 /// A demand parameter that is often a zero of either sign.
@@ -96,11 +99,18 @@ fn edge_demand() -> impl Strategy<Value = f64> {
     prop_oneof![Just(0.0), Just(-0.0), 0.0..80.0f64, 0.0..80.0f64]
 }
 
-/// Linear and step bids priced at [`edge_price`]s, and full curves whose
-/// first breakpoint lies above zero and some of whose breakpoints sit
-/// less than [`EPS`] apart with a demand drop between them — the shapes
-/// that tell the exact piece-end comparison from the fuzzy one.
+/// Linear and step bids priced at [`edge_price`]s of [`step`], and full
+/// curves whose first breakpoint lies above zero and some of whose
+/// breakpoints sit less than [`EPS`] apart with a demand drop between
+/// them — the shapes that tell the exact piece-end comparison from the
+/// fuzzy one.
 fn edge_bid() -> impl Strategy<Value = DemandBid> {
+    edge_bid_on(step().per_kw_hour_value())
+}
+
+/// [`edge_bid`] on the grid of `step` $/kW/h.
+fn edge_bid_on(step: f64) -> impl Strategy<Value = DemandBid> {
+    let edge_price = move |multiples| edge_price(step, multiples);
     let linear = (
         edge_demand(),
         0.0..80.0f64,
@@ -225,12 +235,114 @@ fn step() -> Price {
 /// both outcomes to the independent oracle bit for bit: price, revenue
 /// rate and every grant.
 fn clear_checked(bids: &[RackBid], cs: &ConstraintSet) -> MarketOutcome {
-    let engine = MarketClearing::new(ClearingConfig::grid(step()));
+    clear_checked_on(step(), bids, cs)
+}
+
+/// [`clear_checked`] on the grid of `step`.
+fn clear_checked_on(step: Price, bids: &[RackBid], cs: &ConstraintSet) -> MarketOutcome {
+    let engine = MarketClearing::new(ClearingConfig::grid(step));
     let cold = engine.clear(Slot::ZERO, bids, cs);
-    oracle::assert_cleared(&cold, step(), bids, cs);
+    oracle::assert_cleared(&cold, step, bids, cs);
     let again = engine.clear(Slot::ZERO, bids, cs);
     assert_eq!(again, cold, "the re-clear diverged");
     cold
+}
+
+/// `cs` with its rack headrooms replaced bit for bit, by way of its
+/// `Persist` bytes (the rack count, then one `f64` a rack) — how a shard
+/// agent is handed a set off a pipe, unvalidated. `TopologyBuilder`
+/// rightly refuses the negative, infinite and NaN headrooms the sweep
+/// must nonetheless clip by exactly as `feasible_total` does.
+fn with_raw_headrooms(cs: &ConstraintSet, headrooms: &[f64]) -> ConstraintSet {
+    let mut enc = Encoder::new();
+    cs.persist(&mut enc);
+    let mut bytes = enc.into_bytes();
+    for (i, h) in headrooms.iter().take(cs.rack_count()).enumerate() {
+        bytes[8 + 8 * i..16 + 8 * i].copy_from_slice(&h.to_bits().to_le_bytes());
+    }
+    ConstraintSet::restore(&mut Decoder::new(&bytes)).expect("same layout")
+}
+
+/// The most the live bids on `pdu` can be granted together, summed in
+/// bid order: a bid's clipped demand never exceeds its rack's headroom
+/// floored at zero (and is not clipped at all by a NaN headroom). A PDU
+/// whose spot capacity covers this can never be over capacity — what
+/// the sweep's skip test decides, in its own arithmetic.
+fn pdu_reach(bids: &[RackBid], cs: &ConstraintSet, pdu: usize) -> f64 {
+    bids.iter()
+        .filter(|b| !b.demand().is_null() && cs.pdu_of(b.rack()) == Some(PduId::new(pdu)))
+        .map(|b| match cs.rack_headroom(b.rack()).value() {
+            h if h.is_nan() => f64::INFINITY,
+            h => h.max(0.0),
+        })
+        .sum()
+}
+
+/// A bid that asks for far more than any headroom up to an
+/// [`edge_price`], so its PDU's sum sits exactly at [`pdu_reach`]'s
+/// bound wherever all of that PDU's bids are such.
+fn greedy_bid() -> impl Strategy<Value = DemandBid> {
+    let price = || edge_price(step().per_kw_hour_value(), 0..60);
+    let flat = price().prop_map(|q| {
+        StepBid::new(Watts::new(1e4), Price::per_kw_hour(q))
+            .expect("valid")
+            .into()
+    });
+    let sloped = (price(), price(), edge_demand()).prop_map(|(q1, q2, d_min)| {
+        LinearBid::new(
+            Watts::new(1e4),
+            Price::per_kw_hour(q1.min(q2)),
+            Watts::new(d_min),
+            Price::per_kw_hour(q1.max(q2)),
+        )
+        .expect("ordered parameters are valid")
+        .into()
+    });
+    prop_oneof![flat, sloped]
+}
+
+/// Where a PDU's spot capacity sits against its [`pdu_reach`].
+#[derive(Debug, Clone, Copy)]
+enum Spot {
+    /// The reach plus `offset` watts, moved `ulps` floats up or down: on
+    /// and around the value at which the PDU can first be over capacity.
+    AtReach { offset: f64, ulps: i8 },
+    /// A capacity of its own, the reach notwithstanding.
+    Fixed(f64),
+}
+
+fn spot() -> impl Strategy<Value = Spot> {
+    let at_reach = || {
+        let offset = prop_oneof![
+            Just(0.0),
+            Just(TOLERANCE),
+            Just(-TOLERANCE),
+            Just(2.0 * TOLERANCE),
+            Just(-2.0 * TOLERANCE),
+            Just(1e3),
+        ];
+        (offset, -1..=1i8).prop_map(|(offset, ulps)| Spot::AtReach { offset, ulps })
+    };
+    prop_oneof![
+        at_reach(),
+        at_reach(),
+        at_reach(),
+        Just(Spot::Fixed(0.0)),
+        (0.0..120.0f64).prop_map(Spot::Fixed),
+    ]
+}
+
+impl Spot {
+    fn watts(self, reach: f64) -> Watts {
+        Watts::new(match self {
+            Spot::AtReach { offset, ulps } => match ulps {
+                0 => reach + offset,
+                1.. => (reach + offset).next_up(),
+                _ => (reach + offset).next_down(),
+            },
+            Spot::Fixed(watts) => watts,
+        })
+    }
 }
 
 fn market_case() -> impl Strategy<Value = (Vec<DemandBid>, f64, f64, f64)> {
@@ -449,10 +561,10 @@ proptest! {
     ) {
         // What the earlier cases never generate — one bid per rack, in
         // rack order, on two contiguous PDUs, at off-grid prices — is
-        // what the bid-major sweep's ragged PDU rows and binary-searched
-        // piece ends newly depend on; see `wide_market` and `edge_bid`.
+        // what the bid-major sweep's per-PDU bid chains and hinted
+        // piece ends depend on; see `wide_market` and `edge_bid`.
         // A second, differently shaped book then goes through the same
-        // warm engine and back, so stale rows of one layout can never
+        // warm engine and back, so stale sums of one layout can never
         // leak into the next.
         let (bids, cs) = wide_market(&picks, pdus, &silent, tall, &headrooms, &spots, ups);
         let out = clear_checked(&bids, &cs);
@@ -575,5 +687,184 @@ proptest! {
         }
         let stats = engine.cache_stats();
         prop_assert_eq!(stats.full_sweeps + stats.legacy_scans, live, "{:?}", stats);
+    }
+}
+
+/// Four PDUs of two 60 W racks and eight step bids in rack-major order
+/// (so PDUs are first met in index order). PDU `tight` is asked for
+/// 50 W up to 0.10 $/kW/h and 40 W up to 0.30 $; every other PDU for
+/// 50 W and 40 W up to 0.105 $. With 60 W of spot on `tight` the first
+/// candidate it fits at is 0.105 $, which is then also the best one
+/// (310 W sold; beyond it only the 40 W are left); were it to fit
+/// everywhere, 0.10 $ would win with all 360 W.
+fn four_pdu_book(tight: usize) -> (Vec<RackBid>, PowerTopology) {
+    let mut b = TopologyBuilder::new(Watts::new(1e6));
+    for p in 0..4 {
+        b = b.pdu(Watts::new(1e5));
+        for r in 0..2 {
+            b = b.rack(
+                TenantId::new(2 * p + r),
+                Watts::new(100.0),
+                Watts::new(60.0),
+            );
+        }
+    }
+    let bid = |rack: usize, watts: f64, cap: f64| {
+        let bid = StepBid::new(Watts::new(watts), Price::per_kw_hour(cap)).expect("valid");
+        RackBid::new(RackId::new(rack), bid.into())
+    };
+    let firsts = (0..4).map(|p| bid(2 * p, 50.0, if p == tight { 0.10 } else { 0.105 }));
+    let seconds = (0..4).map(|p| bid(2 * p + 1, 40.0, if p == tight { 0.30 } else { 0.105 }));
+    (firsts.chain(seconds).collect(), b.build().expect("valid"))
+}
+
+#[test]
+fn the_running_start_does_not_depend_on_where_the_binding_pdu_sits() {
+    // The one PDU that binds placed first, between and last among PDUs
+    // that cannot (spot at their reach: skipped) or can but never do (a
+    // watt short of it: summed), the book as given and reversed. The
+    // winner is the first candidate the PDUs allow, so the sums must be
+    // right from the very first one that is read.
+    let grid = |i: u32| Price::per_kw_hour(f64::from(i) * step().per_kw_hour_value());
+    for tight in [0, 2, 3] {
+        let (bids, topo) = four_pdu_book(tight);
+        let reversed: Vec<RackBid> = bids.iter().rev().cloned().collect();
+        for idle in [120.0, 119.0] {
+            let spots = (0..4).map(|p| Watts::new(if p == tight { 60.0 } else { idle }));
+            let cs = ConstraintSet::new(&topo, spots.collect(), Watts::new(1e6));
+            for book in [&bids, &reversed] {
+                let out = clear_checked(book, &cs);
+                assert_eq!(out.price(), grid(21), "tight PDU {tight}, idle spot {idle}");
+                assert_eq!(out.sold(), Watts::new(310.0));
+            }
+        }
+    }
+    let (bids, topo) = four_pdu_book(0);
+    // Every PDU summed, none ever over: the first candidate is feasible.
+    let roomy = ConstraintSet::new(&topo, vec![Watts::new(119.0); 4], Watts::new(1e6));
+    assert_eq!(clear_checked(&bids, &roomy).price(), grid(20));
+    // No spot at all under the bid that reaches the top of the grid:
+    // only the last candidate, one step above it, is feasible.
+    let mut spots = vec![Watts::new(119.0); 4];
+    spots[0] = Watts::ZERO;
+    let out = clear_checked(&bids, &ConstraintSet::new(&topo, spots, Watts::new(1e6)));
+    assert!(out.allocation().is_empty());
+    assert_eq!(out.candidates_evaluated(), 62);
+}
+
+#[test]
+fn a_pdus_demands_are_summed_in_bid_order() {
+    // 0.1 + 0.2 + 0.3 W is 0.6000000000000001 W added left to right and
+    // 0.6 W right to left, and the PDU's spot is placed so that spot +
+    // tolerance is 0.6 W exactly: over capacity in one order, not in
+    // the other. However the sweep groups a PDU's bids, it must add them
+    // in the order they were submitted — the book and its reverse clear
+    // differently, and each as the oracle says.
+    let topo = TopologyBuilder::new(Watts::new(1e6)).pdu(Watts::new(1e5));
+    let topo = (0..3).fold(topo, |b, i| {
+        b.rack(TenantId::new(i), Watts::new(100.0), Watts::new(60.0))
+    });
+    let mut spot = 0.6 - TOLERANCE;
+    while spot + TOLERANCE < 0.6 {
+        spot = spot.next_up();
+    }
+    while spot + TOLERANCE > 0.6 {
+        spot = spot.next_down();
+    }
+    assert_eq!(spot + TOLERANCE, 0.6);
+    let cs = ConstraintSet::new(
+        &topo.build().expect("valid"),
+        vec![Watts::new(spot)],
+        Watts::new(1e6),
+    );
+    let bids: Vec<RackBid> = [0.1, 0.2, 0.3]
+        .into_iter()
+        .enumerate()
+        .map(|(rack, watts)| {
+            let bid = StepBid::new(Watts::new(watts), Price::per_kw_hour(0.2)).expect("valid");
+            RackBid::new(RackId::new(rack), bid.into())
+        })
+        .collect();
+    assert!(clear_checked(&bids, &cs).allocation().is_empty());
+    let reversed: Vec<RackBid> = bids.into_iter().rev().collect();
+    let sold = clear_checked(&reversed, &cs);
+    assert_eq!(sold.allocation().granted_racks().count(), 3);
+}
+
+/// A grid step in $/kW/h — 1e-9 (the engine's floor), 0.001 ¢ or 1 $ —
+/// and `wide_market` picks of [`edge_bid_on`] that grid.
+fn book_on_any_grid() -> impl Strategy<Value = (f64, Vec<(usize, DemandBid)>)> {
+    let on = |grid: f64| {
+        let picks = prop::collection::vec((0..64usize, edge_bid_on(grid)), 1..14);
+        (Just(grid), picks)
+    };
+    prop_oneof![on(1e-9), on(1e-5), on(1.0)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn skipped_pdus_and_the_running_start_match_the_oracle(
+        picks in prop::collection::vec((0..64usize, prop_oneof![edge_bid(), greedy_bid()]), 1..14),
+        pdus in 5..9usize,
+        silent in prop::collection::vec(prop_oneof![Just(false), Just(false), Just(true)], 8),
+        tall in prop::option::of((0..64usize, prop_oneof![2.0..20.0f64, 90.0..200.0f64])),
+        headrooms in prop::collection::vec(
+            prop_oneof![
+                Just(60.0), 5.0..100.0f64, 5.0..100.0f64, 5.0..100.0f64,
+                Just(0.0), Just(-0.0), Just(-5.0), -50.0..0.0f64,
+                Just(f64::INFINITY), Just(f64::NAN),
+            ],
+            8 * WIDE_RACKS_PER_PDU,
+        ),
+        spots in prop::collection::vec(spot(), 8),
+        ups in prop_oneof![0.0..400.0f64, Just(1e9)],
+    ) {
+        // The sweep takes a PDU's per-candidate sums only if the
+        // headrooms of its bidding racks, floored at zero, can exceed
+        // its spot capacity plus tolerance at all, and starts every sum
+        // at the first candidate no PDU visited so far rules out. So:
+        // spot capacities on and a float either side of that very
+        // bound, ± one and two tolerances; greedy bids that put the sum
+        // exactly on it; negative, `-0.0`, infinite and NaN headrooms
+        // under positive spots (the bound counts a negative as zero and
+        // a NaN as no clip at all); and the same book with its bids
+        // reversed, which reverses the order PDUs are visited in — the
+        // outcome may depend on which candidates *some* PDU rules out,
+        // never on which PDU got there first.
+        let placeholder = vec![60.0; 8 * WIDE_RACKS_PER_PDU];
+        let (mut bids, cs) = wide_market(&picks, pdus, &silent, tall, &placeholder, &[0.0; 8], ups);
+        let mut cs = with_raw_headrooms(&cs, &headrooms);
+        let warm = MarketClearing::new(ClearingConfig::grid(step()));
+        for _ in 0..2 {
+            let at: Vec<Watts> = (0..pdus).map(|p| spots[p].watts(pdu_reach(&bids, &cs, p))).collect();
+            cs.set_pdu_spot(&at);
+            let out = clear_checked(&bids, &cs);
+            prop_assert_eq!(&warm.clear(Slot::ZERO, &bids, &cs), &out);
+            bids.reverse();
+        }
+    }
+
+    #[test]
+    fn piece_ends_match_the_oracle_on_any_grid(
+        (grid, picks) in book_on_any_grid(),
+        tall in prop::option::of((0..64usize, prop_oneof![2.0..20.0f64, 1e5..1e6f64])),
+        spots in prop::collection::vec(0.0..120.0f64, 8),
+        ups in 0.0..400.0f64,
+    ) {
+        // A piece's range is found from `bound / step`, then corrected
+        // by the comparison `demand_at` makes. Steps of 1e-9 $ (the
+        // floor), 0.001 ¢ and 1 $ put that quotient anywhere from
+        // exact to rounded at every multiple, bounds sit on grid
+        // multiples and within ± 2 `EPS` of them (at a 1e-9 step `EPS`
+        // is a thousandth of a step, at 1 $ far below a float's
+        // spacing), and a `tall` cap lands beyond the candidate cap, at
+        // the 1e-9 step by fifteen orders of magnitude: the hint may be
+        // off by one, saturated, or past the end, and the outcome may
+        // not depend on it.
+        let headrooms = vec![60.0; 8 * WIDE_RACKS_PER_PDU];
+        let (bids, cs) = wide_market(&picks, 6, &[false; 8], tall, &headrooms, &spots, ups);
+        clear_checked_on(Price::per_kw_hour(grid), &bids, &cs);
     }
 }
