@@ -1,9 +1,8 @@
 # Developer entry points. `make verify` is the full pre-merge gate.
 
 CARGO ?= cargo
-JOBS ?= 4
 
-.PHONY: build test bench bench-repro bench-slots bench-check bench-dist bench-pairs \
+.PHONY: build test bench bench-slots bench-check bench-dist bench-pairs \
 	benchmark-check clippy determinism golden smoke-faults smoke-trace smoke-crash \
 	smoke-dist fmt verify repro loc
 
@@ -63,12 +62,6 @@ fmt:
 
 bench:
 	$(CARGO) bench -p spotdc-bench
-
-# Wall-clock the full reproduction harness and record per-experiment
-# timings (see BENCH_repro.json for the checked-in reference run).
-bench-repro: build
-	$(CARGO) run -p spotdc-bench --bin repro --release -- --quick --quiet \
-		--jobs $(JOBS) --bench-json BENCH_repro.json
 
 # Slot throughput versus the within-slot width (see BENCH_slots.json
 # for the checked-in reference run).

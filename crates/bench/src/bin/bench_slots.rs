@@ -5,7 +5,6 @@
 //! bench_slots                        # print the table
 //! bench_slots --out BENCH_slots.json # also write the JSON reference
 //! bench_slots --slots 90 --samples 5 # longer / steadier measurement
-//! bench_slots --serve-metrics 127.0.0.1:0  # live /metrics while measuring
 //! ```
 //!
 //! Runs a fig14-class scenario — the hyper-scale topology at 304
@@ -295,7 +294,6 @@ fn main() -> ExitCode {
     let mut out: Option<std::path::PathBuf> = None;
     let mut slots: u64 = 60;
     let mut samples: usize = 3;
-    let mut metrics_addr: Option<String> = None;
     let mut dist_only = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -305,10 +303,6 @@ fn main() -> ExitCode {
                 None => return usage("--out needs a file path"),
             },
             "--dist-only" => dist_only = true,
-            "--serve-metrics" => match args.next() {
-                Some(addr) => metrics_addr = Some(addr),
-                None => return usage("--serve-metrics needs an address (host:port)"),
-            },
             "--slots" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n >= 1 => slots = n,
                 _ => return usage("--slots needs a positive integer"),
@@ -331,23 +325,6 @@ fn main() -> ExitCode {
         print_dist_table(&measure_dist_grid());
         return ExitCode::SUCCESS;
     }
-
-    let server = match &metrics_addr {
-        Some(addr) => match spotdc_obs::MetricsServer::start(addr.as_str()) {
-            Ok(server) => {
-                // The scrape endpoint needs the span registry filling
-                // up, which needs the enable switch on; the measured
-                // rows below manage the switch themselves.
-                eprintln!("# serving http://{}/metrics and /healthz", server.addr());
-                Some(server)
-            }
-            Err(e) => {
-                eprintln!("cannot bind {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
 
     // Warm once (trace memoization, allocator) outside the timed region.
     std::hint::black_box(
@@ -438,9 +415,6 @@ fn main() -> ExitCode {
             eprintln!("cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
-    }
-    if let Some(server) = server {
-        server.shutdown();
     }
     ExitCode::SUCCESS
 }
@@ -535,10 +509,7 @@ fn usage(error: &str) -> ExitCode {
     if !error.is_empty() {
         eprintln!("error: {error}\n");
     }
-    eprintln!(
-        "usage: bench_slots [--out <file>] [--slots <n>] [--samples <n>] \
-         [--serve-metrics <host:port>] [--dist-only]"
-    );
+    eprintln!("usage: bench_slots [--out <file>] [--slots <n>] [--samples <n>] [--dist-only]");
     if error.is_empty() {
         ExitCode::SUCCESS
     } else {

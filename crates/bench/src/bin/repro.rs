@@ -11,8 +11,6 @@
 //! repro --out results/       # also write one .txt file per experiment
 //! repro --telemetry t.jsonl  # record market events to a JSONL file
 //! repro --blackbox dumps/    # flight recorder: black-box dumps on emergencies
-//! repro --serve-metrics 127.0.0.1:9184   # live GET /metrics + /healthz
-//! repro --bench-json b.json  # write per-experiment wall-clock timings
 //! repro --validate           # per-slot invariant checks; violations fail the run
 //! repro --quiet              # suppress progress output (errors remain)
 //! ```
@@ -45,14 +43,13 @@
 //! simulation is fully seeded, so the experiment bodies are
 //! byte-identical for any job count — only the wall-clock changes.
 
-use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use spotdc_obs::{BlackBoxConfig, FlightRecorder, MetricsServer};
+use spotdc_obs::{BlackBoxConfig, FlightRecorder};
 use spotdc_sim::engine::{DurabilityConfig, EngineConfig, Simulation};
-use spotdc_sim::experiments::{all_ids, run_selected, ExpConfig, TimedOutput};
+use spotdc_sim::experiments::{all_ids, run_selected, ExpConfig};
 use spotdc_sim::report::telemetry_summary;
 use spotdc_sim::{Mode, Scenario};
 use spotdc_telemetry::{FileSink, SinkKind, TelemetryConfig};
@@ -99,8 +96,6 @@ fn main() -> ExitCode {
     let mut out_dir: Option<std::path::PathBuf> = None;
     let mut telemetry_path: Option<std::path::PathBuf> = None;
     let mut blackbox_dir: Option<std::path::PathBuf> = None;
-    let mut metrics_addr: Option<String> = None;
-    let mut bench_path: Option<std::path::PathBuf> = None;
     let mut jobs: usize = spotdc_par::available();
     let mut quiet = false;
     let mut single_mode: Option<Mode> = None;
@@ -153,14 +148,6 @@ fn main() -> ExitCode {
             "--blackbox" => match args.next() {
                 Some(dir) => blackbox_dir = Some(dir.into()),
                 None => return usage("--blackbox needs a directory"),
-            },
-            "--serve-metrics" => match args.next() {
-                Some(addr) => metrics_addr = Some(addr),
-                None => return usage("--serve-metrics needs an address (host:port)"),
-            },
-            "--bench-json" => match args.next() {
-                Some(path) => bench_path = Some(path.into()),
-                None => return usage("--bench-json needs a file path"),
             },
             "--mode" => match args.next().as_deref() {
                 Some("powercapped") => single_mode = Some(Mode::PowerCapped),
@@ -216,11 +203,7 @@ fn main() -> ExitCode {
         return usage("--per-pdu/--shards/--shard-transport require --mode (single runs)");
     }
     if single_mode.is_some()
-        && (!selected.is_empty()
-            || out_dir.is_some()
-            || blackbox_dir.is_some()
-            || metrics_addr.is_some()
-            || bench_path.is_some())
+        && (!selected.is_empty() || out_dir.is_some() || blackbox_dir.is_some())
     {
         return usage(
             "--mode single runs take only --slots/--seed/--telemetry, the checkpoint \
@@ -254,11 +237,10 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-    } else if blackbox_dir.is_some() || metrics_addr.is_some() {
-        // The flight recorder and the scrape endpoint need telemetry
-        // flowing even when no JSONL artifact was requested: enable it
-        // with a Null primary sink (the recorder channel and the span
-        // registry still see everything).
+    } else if blackbox_dir.is_some() {
+        // The flight recorder needs telemetry flowing even when no
+        // JSONL artifact was requested: enable it with a Null primary
+        // sink (the recorder channel still sees everything).
         spotdc_telemetry::install(TelemetryConfig {
             enabled: true,
             sink: SinkKind::Null,
@@ -289,37 +271,14 @@ fn main() -> ExitCode {
                 reporter.status(&format!("## telemetry span timings\n\n{summary}"));
             }
         }
-        if let Some(sink) = &file_sink {
-            if sink.write_errors() > 0 {
-                reporter.error(&format!(
-                    "error: {} telemetry write(s) failed (log truncated): {}",
-                    sink.write_errors(),
-                    sink.first_error().unwrap_or_default()
-                ));
-                return ExitCode::FAILURE;
-            }
+        if telemetry_log_truncated(file_sink.as_deref(), &reporter) {
+            return ExitCode::FAILURE;
         }
         return code;
     }
     let recorder = blackbox_dir
         .as_ref()
         .map(|dir| FlightRecorder::arm(dir, BlackBoxConfig::enabled()));
-    let server = match &metrics_addr {
-        Some(addr) => match MetricsServer::start(addr.as_str()) {
-            Ok(server) => {
-                reporter.status(&format!(
-                    "# serving http://{}/metrics and /healthz",
-                    server.addr()
-                ));
-                Some(server)
-            }
-            Err(e) => {
-                reporter.error(&format!("cannot bind {addr}: {e}"));
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
     let ids: Vec<String> = if selected.is_empty() {
         all_ids().into_iter().map(str::to_owned).collect()
     } else {
@@ -383,20 +342,11 @@ fn main() -> ExitCode {
         ids.len(),
         total.as_secs_f64()
     ));
-    if let Some(path) = &bench_path {
-        if let Err(e) = write_bench_json(path, &cfg, jobs, total.as_secs_f64(), &ids, &timed) {
-            reporter.error(&format!("cannot write {}: {e}", path.display()));
-            return ExitCode::FAILURE;
-        }
-    }
-    if telemetry_path.is_some() || blackbox_dir.is_some() || metrics_addr.is_some() {
+    if telemetry_path.is_some() || blackbox_dir.is_some() {
         spotdc_telemetry::flush();
         if let Some(summary) = telemetry_summary() {
             reporter.progress(&format!("## telemetry span timings\n\n{summary}"));
         }
-    }
-    if let Some(server) = server {
-        server.shutdown();
     }
     if let Some(recorder) = &recorder {
         reporter.status(&format!(
@@ -413,15 +363,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if let Some(sink) = &file_sink {
-        if sink.write_errors() > 0 {
-            reporter.error(&format!(
-                "error: {} telemetry write(s) failed (log truncated): {}",
-                sink.write_errors(),
-                sink.first_error().unwrap_or_default()
-            ));
-            return ExitCode::FAILURE;
-        }
+    if telemetry_log_truncated(file_sink.as_deref(), &reporter) {
+        return ExitCode::FAILURE;
     }
     // With --validate, turn any market-invariant violation into a
     // failing exit even in release, where debug_assert! is compiled out.
@@ -503,39 +446,18 @@ fn run_single(run: SingleRun, reporter: &Reporter) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Writes the per-experiment wall-clock timings as a small JSON file.
-fn write_bench_json(
-    path: &std::path::Path,
-    cfg: &ExpConfig,
-    jobs: usize,
-    total_seconds: f64,
-    ids: &[String],
-    timed: &[Option<TimedOutput>],
-) -> std::io::Result<()> {
-    let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
-    writeln!(file, "{{")?;
-    writeln!(file, "  \"jobs\": {jobs},")?;
-    writeln!(file, "  \"inner_jobs\": {},", cfg.inner_jobs)?;
-    writeln!(file, "  \"seed\": {},", cfg.seed)?;
-    writeln!(file, "  \"days\": {},", cfg.days)?;
-    writeln!(file, "  \"quick\": {},", cfg.quick)?;
-    writeln!(file, "  \"total_seconds\": {total_seconds:.3},")?;
-    writeln!(file, "  \"experiments\": [")?;
-    let rows: Vec<String> = ids
-        .iter()
-        .zip(timed)
-        .filter_map(|(id, slot)| slot.as_ref().map(|t| (id, t)))
-        .map(|(id, t)| {
-            format!(
-                "    {{ \"id\": \"{id}\", \"seconds\": {:.3} }}",
-                t.wall.as_secs_f64()
-            )
-        })
-        .collect();
-    writeln!(file, "{}", rows.join(",\n"))?;
-    writeln!(file, "  ]")?;
-    writeln!(file, "}}")?;
-    file.flush()
+/// Reports `--telemetry` write failures; true means the JSONL log is
+/// truncated and the run must fail rather than ship it.
+fn telemetry_log_truncated(sink: Option<&FileSink>, reporter: &Reporter) -> bool {
+    let Some(sink) = sink.filter(|s| s.write_errors() > 0) else {
+        return false;
+    };
+    reporter.error(&format!(
+        "error: {} telemetry write(s) failed (log truncated): {}",
+        sink.write_errors(),
+        sink.first_error().unwrap_or_default()
+    ));
+    true
 }
 
 fn usage(error: &str) -> ExitCode {
@@ -546,8 +468,7 @@ fn usage(error: &str) -> ExitCode {
         "usage: repro [--exp <id>]... [--days <n>] [--seed <n>] [--quick] [--jobs <n>]\n\
          \x20            [--inner-jobs <n>] [--list-exps]\n\
          \x20            [--out <dir>] [--telemetry <file>] [--blackbox <dir>]\n\
-         \x20            [--serve-metrics <host:port>] [--bench-json <file>] [--validate]\n\
-         \x20            [--quiet]\n\
+         \x20            [--validate] [--quiet]\n\
          \x20      repro --mode <powercapped|spotdc|maxperf> [--slots <n>] [--seed <n>]\n\
          \x20            [--per-pdu] [--shards <n>] [--shard-transport <inproc|subprocess>]\n\
          \x20            [--checkpoint-dir <dir>] [--checkpoint-every <n>] [--resume]\n\

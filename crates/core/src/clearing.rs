@@ -578,7 +578,7 @@ impl MarketClearing {
         bids: &[RackBid],
         constraints: &ConstraintSet,
     ) -> MarketOutcome {
-        let _span = spotdc_telemetry::span!("clearing", slot = slot);
+        let _span = spotdc_telemetry::span!("clearing");
         scratch.live.clear();
         scratch.live.extend(
             bids.iter()
@@ -646,19 +646,13 @@ impl MarketClearing {
         outcome
     }
 
-    /// Telemetry for one clearing: counters, the `SlotCleared` event,
-    /// and `ConstraintBound` events for every capacity the winning
+    /// Telemetry for one clearing: the `SlotCleared` event and
+    /// `ConstraintBound` events for every capacity the winning
     /// allocation exhausted. Only called when telemetry is enabled.
     fn record_outcome(&self, slot: Slot, outcome: &MarketOutcome, constraints: &ConstraintSet) {
         use spotdc_telemetry::Event;
         use spotdc_units::MonotonicNanos;
 
-        let registry = spotdc_telemetry::registry();
-        registry.inc_counter("spotdc_slots_cleared_total", 1);
-        registry.inc_counter(
-            "spotdc_clearing_candidates_total",
-            outcome.candidates as u64,
-        );
         spotdc_telemetry::emit(Event::SlotCleared {
             slot,
             at: MonotonicNanos::now(),
@@ -740,7 +734,7 @@ impl MarketClearing {
         bids: &[RackBid],
         constraints: &ConstraintSet,
     ) -> Vec<MarketOutcome> {
-        let _span = spotdc_telemetry::span!("clear_per_pdu", slot = slot);
+        let _span = spotdc_telemetry::span!("clear_per_pdu");
         let tasks: Vec<TaskShip> = self
             .per_pdu_submarket_shares(bids, constraints)
             .into_iter()

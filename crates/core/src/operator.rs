@@ -128,7 +128,7 @@ impl Operator {
     /// individually with its own reusable buffers.
     #[must_use]
     pub fn run_slot(&self, slot: Slot, bids: &[TenantBid], meter: &PowerMeter) -> SlotRound {
-        let _span = spotdc_telemetry::span!("operator.run_slot", slot = slot);
+        let _span = spotdc_telemetry::span!("operator.run_slot");
         let mut rack_bids: Vec<RackBid> = Vec::new();
         let mut rejected: Vec<RackId> = Vec::new();
         self.admit_bids_into(slot, bids, &mut rack_bids, &mut rejected);
@@ -168,8 +168,6 @@ impl Operator {
             }
             let dropped = rejected.len() - rejected_before;
             if dropped > 0 && spotdc_telemetry::is_enabled() {
-                spotdc_telemetry::registry()
-                    .inc_counter("spotdc_bids_rejected_total", dropped as u64);
                 spotdc_telemetry::emit(spotdc_telemetry::Event::BidRejected {
                     slot,
                     at: spotdc_units::MonotonicNanos::now(),

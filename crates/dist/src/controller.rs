@@ -151,7 +151,7 @@ impl ShardRuntime {
     /// If `count` is zero.
     pub fn new(count: usize, kind: TransportKind, clearing: ClearingConfig) -> io::Result<Self> {
         assert!(count > 0, "a shard runtime needs at least one shard");
-        let _span = spotdc_telemetry::span!("dist.start", shards = count);
+        let _span = spotdc_telemetry::span!("dist.start");
         let binary = match kind {
             TransportKind::InProc => None,
             TransportKind::Subprocess => Some(agent_binary().ok_or_else(|| {
@@ -237,7 +237,7 @@ impl ShardRuntime {
         constraints: &ConstraintSet,
         tasks: Vec<TaskShip>,
     ) -> Vec<Option<ClearResult>> {
-        let _span = spotdc_telemetry::span!("dist.clear", slot = slot);
+        let _span = spotdc_telemetry::span!("dist.clear");
         let statics_changed = match &self.statics {
             Some(held) => !held.same_statics(constraints),
             None => true,

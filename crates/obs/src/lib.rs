@@ -1,8 +1,8 @@
 //! Consumers for the telemetry `spotdc-telemetry` produces.
 //!
-//! PR 1 made the market pipeline *emit* spans, metrics, and structured
-//! JSONL events; until this crate nothing *consumed* them. Three
-//! consumers live here, all zero-dependency like the producer side:
+//! The market pipeline *emits* spans and structured JSONL events; the
+//! two consumers of the event log live here, both zero-dependency like
+//! the producer side:
 //!
 //! * [`blackbox`] — a **flight recorder**: a bounded ring of the most
 //!   recent events that dumps a JSONL "black box" snapshot to disk
@@ -14,10 +14,6 @@
 //!   black-box dump), reconstructs per-slot timelines, and reports
 //!   per-stage latency breakdowns, market time series, and an anomaly
 //!   summary, deterministically.
-//! * [`serve`] — a minimal HTTP server exposing
-//!   `Registry::render_prometheus` on `GET /metrics` (plus
-//!   `GET /healthz`), the first concrete piece of ROADMAP item 3's
-//!   always-on market service.
 //!
 //! Dependency direction: `spotdc-sim` depends on this crate (the
 //! engine arms the flight recorder from its config), never the
@@ -31,8 +27,6 @@
 
 pub mod analyze;
 pub mod blackbox;
-pub mod serve;
 
 pub use analyze::{Analysis, PIPELINE_STAGES};
 pub use blackbox::{BlackBoxConfig, FlightRecorder};
-pub use serve::MetricsServer;

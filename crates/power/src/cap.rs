@@ -357,9 +357,7 @@ impl CapController {
             });
         }
 
-        if spotdc_telemetry::is_enabled() && !out.actions.is_empty() {
-            let registry = spotdc_telemetry::registry();
-            registry.inc_counter("spotdc_cap_actions_total", out.actions.len() as u64);
+        if spotdc_telemetry::is_enabled() {
             for a in &out.actions {
                 spotdc_telemetry::emit(spotdc_telemetry::Event::CapApplied {
                     slot,

@@ -134,9 +134,7 @@ impl EmergencyLog {
                 capacity: self.ups_capacity,
             });
         }
-        if spotdc_telemetry::is_enabled() && !found.is_empty() {
-            let registry = spotdc_telemetry::registry();
-            registry.inc_counter("spotdc_emergencies_total", found.len() as u64);
+        if spotdc_telemetry::is_enabled() {
             for e in &found {
                 spotdc_telemetry::emit(spotdc_telemetry::Event::EmergencyTriggered {
                     slot,

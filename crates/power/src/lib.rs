@@ -7,8 +7,9 @@
 //! metering) and *writes* per-rack power budgets (intelligent rack PDUs
 //! can be re-limited 20+ times per second). This crate provides exactly
 //! that surface, plus the physical context the paper's evaluation needs —
-//! capacity oversubscription, circuit-breaker trip behaviour and
-//! emergency bookkeeping.
+//! capacity oversubscription, emergency bookkeeping and the cap ladder.
+//! Breakers have no trip curve here: the engine reads their tolerance as
+//! a ±5 % band over [`EmergencyLog`]'s overloads.
 //!
 //! The entry point is [`PowerTopology`], built with
 //! [`TopologyBuilder`](topology::TopologyBuilder):
@@ -29,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod breaker;
 pub mod cap;
 pub mod capacity;
 pub mod emergency;
@@ -37,7 +37,6 @@ pub mod meter;
 pub mod rack_pdu;
 pub mod topology;
 
-pub use breaker::{BreakerState, CircuitBreaker, TripCurve};
 pub use cap::{CapAction, CapConfig, CapController, CapOutcome, SpotTrim};
 pub use capacity::{CapacityPlan, Oversubscription};
 pub use emergency::{EmergencyEvent, EmergencyLevel, EmergencyLog};

@@ -2,11 +2,8 @@
 
 use proptest::prelude::*;
 use spotdc_power::topology::TopologyBuilder;
-use spotdc_power::{
-    BreakerState, CircuitBreaker, EmergencyLog, Oversubscription, PowerMeter, RackPduBank,
-    TripCurve,
-};
-use spotdc_units::{RackId, Slot, SlotDuration, TenantId, Watts};
+use spotdc_power::{EmergencyLog, Oversubscription, PowerMeter, RackPduBank};
+use spotdc_units::{RackId, Slot, TenantId, Watts};
 
 fn rack_specs() -> impl Strategy<Value = Vec<(f64, f64)>> {
     prop::collection::vec((1.0..500.0f64, 0.0..200.0f64), 1..30)
@@ -71,33 +68,6 @@ proptest! {
         let phys = os.physical_for_subscribed(Watts::new(sub));
         let back = os.subscribed_for_physical(phys);
         prop_assert!((back.value() - sub).abs() < 1e-6 * sub.max(1.0));
-    }
-
-    #[test]
-    fn breaker_never_trips_within_tolerance(rating in 10.0..1e5f64, frac in 0.0..1.0f64, slots in 1usize..200) {
-        let curve = TripCurve::default();
-        let mut b = CircuitBreaker::new(Watts::new(rating), curve);
-        let load = Watts::new(rating * frac * curve.tolerance());
-        let dur = SlotDuration::from_secs(300);
-        for _ in 0..slots {
-            prop_assert_eq!(b.apply_load(load, dur), BreakerState::Closed);
-        }
-    }
-
-    #[test]
-    fn breaker_trip_time_monotone(rating in 100.0..1e4f64, r1 in 1.1..1.8f64, extra in 0.05..1.0f64) {
-        let slots_to_trip = |ratio: f64| {
-            let mut b = CircuitBreaker::new(Watts::new(rating), TripCurve::default());
-            let dur = SlotDuration::from_secs(10);
-            let mut n = 0u32;
-            while b.apply_load(Watts::new(rating * ratio), dur) == BreakerState::Closed {
-                n += 1;
-                if n > 100_000 { break; }
-            }
-            n
-        };
-        // A strictly more severe overload never takes longer to trip.
-        prop_assert!(slots_to_trip(r1 + extra) <= slots_to_trip(r1));
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::metrics::{SlotRecord, TenantSlotMetrics};
 use crate::pipeline::{SimState, SlotContext, SlotStage};
 
 /// Snapshot format version; bump on any layout change.
-pub const SNAPSHOT_FORMAT: u32 = 2;
+pub const SNAPSHOT_FORMAT: u32 = 3;
 
 /// The stable tag a [`Mode`] serializes as.
 #[must_use]
@@ -235,10 +235,6 @@ pub struct EngineSnapshot {
     pub degraded_slots: u64,
     /// Invariant violations so far.
     pub invariant_violations: u64,
-    /// Running prediction-error sum.
-    pub prediction_error_sum: f64,
-    /// Slots contributing to the prediction-error sum.
-    pub prediction_error_count: u64,
     /// One opaque blob per pipeline stage, in stage order (from
     /// `SlotStage::save_durable`).
     pub stage_blobs: Vec<Vec<u8>>,
@@ -266,8 +262,6 @@ impl Persist for EngineSnapshot {
         enc.put_u64(self.faults_injected);
         enc.put_u64(self.degraded_slots);
         enc.put_u64(self.invariant_violations);
-        enc.put_f64(self.prediction_error_sum);
-        enc.put_u64(self.prediction_error_count);
         self.stage_blobs.persist(enc);
     }
 
@@ -299,8 +293,6 @@ impl Persist for EngineSnapshot {
             faults_injected: dec.get_u64()?,
             degraded_slots: dec.get_u64()?,
             invariant_violations: dec.get_u64()?,
-            prediction_error_sum: dec.get_f64()?,
-            prediction_error_count: dec.get_u64()?,
             stage_blobs: Vec::<Vec<u8>>::restore(dec)?,
         })
     }
@@ -359,8 +351,6 @@ impl EngineSnapshot {
             faults_injected: state.faults_injected as u64,
             degraded_slots: state.degraded_slots as u64,
             invariant_violations: state.invariant_violations as u64,
-            prediction_error_sum: state.prediction_error_sum,
-            prediction_error_count: state.prediction_error_count,
             stage_blobs: stages
                 .iter()
                 .map(|s| {
@@ -501,8 +491,6 @@ impl EngineSnapshot {
         state.faults_injected = self.faults_injected as usize;
         state.degraded_slots = self.degraded_slots as usize;
         state.invariant_violations = self.invariant_violations as usize;
-        state.prediction_error_sum = self.prediction_error_sum;
-        state.prediction_error_count = self.prediction_error_count;
         Ok(())
     }
 }

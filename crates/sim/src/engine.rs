@@ -744,7 +744,7 @@ impl Run {
 /// execution.
 fn run_one_slot(run: &mut Run, t: u64) {
     let slot = Slot::new(t);
-    let _slot_span = spotdc_telemetry::span!("engine.slot", slot = slot);
+    let _slot_span = spotdc_telemetry::span!("engine.slot");
     run.ctx.begin(slot, t as usize);
     for stage in run.stages.iter_mut() {
         let _stage_span = spotdc_telemetry::span!(stage.name());

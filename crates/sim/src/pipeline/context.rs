@@ -93,10 +93,6 @@ pub struct SimState {
     pub degraded_slots: usize,
     /// Post-clearing invariant violations observed.
     pub invariant_violations: usize,
-    /// Running sum of |predicted spot − realized headroom|.
-    pub prediction_error_sum: f64,
-    /// Number of slots contributing to `prediction_error_sum`.
-    pub prediction_error_count: u64,
     /// Thread pool for the within-slot data-parallel sections, sized by
     /// [`EngineConfig::inner_jobs`]. The stages always map through it;
     /// at width 1 the pool runs them inline.
@@ -180,8 +176,6 @@ impl SimState {
             faults_injected: 0,
             degraded_slots: 0,
             invariant_violations: 0,
-            prediction_error_sum: 0.0,
-            prediction_error_count: 0,
             inner: spotdc_par::ThreadPool::new(config.inner_jobs.max(1)),
             dist: (config.shards > 1 && config.mode.allocates_spot()).then(|| {
                 spotdc_dist::ShardRuntime::new(
@@ -225,7 +219,7 @@ impl SimState {
         }
         let engine = self.operator.clearing();
         let results = if self.inner_parallel() && tasks.len() > 1 {
-            let _span = spotdc_telemetry::span!("par.clear_per_pdu", slot = slot);
+            let _span = spotdc_telemetry::span!("par.clear_per_pdu");
             let runs: Vec<&[TaskShip]> = tasks
                 .chunks(tasks.len().div_ceil(self.inner.threads()))
                 .collect();

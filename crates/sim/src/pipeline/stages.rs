@@ -29,11 +29,10 @@ use spotdc_units::{RackId, Slot, TenantId, Watts};
 use crate::metrics::{SlotRecord, TenantSlotMetrics};
 use crate::pipeline::{SimState, SlotContext, SlotStage};
 
-/// Counts one fired fault and logs it as a `FaultInjected` event. The
-/// label is rendered only when telemetry is on.
+/// Logs one fired fault as a `FaultInjected` event. The label is
+/// rendered only when telemetry is on.
 fn note_fault_injected(slot: Slot, kind: &str, target: &dyn std::fmt::Display) {
     if spotdc_telemetry::is_enabled() {
-        spotdc_telemetry::registry().inc_counter("spotdc_faults_injected_total", 1);
         spotdc_telemetry::emit(spotdc_telemetry::Event::FaultInjected {
             slot,
             at: spotdc_units::MonotonicNanos::now(),
@@ -94,8 +93,6 @@ fn note_violations(slot: Slot, violations: &[MarketInvariant], count: &mut usize
     *count += violations.len();
     crate::validate::record_violations(violations.len());
     if spotdc_telemetry::is_enabled() {
-        spotdc_telemetry::registry()
-            .inc_counter("spotdc_invariant_violations_total", violations.len() as u64);
         for v in violations {
             spotdc_telemetry::emit(spotdc_telemetry::Event::InvariantViolated {
                 slot,
@@ -615,19 +612,6 @@ impl SlotStage for Settle {
         let found = state.emergencies.observe(slot, &state.pdu_draw);
         if ctx.slot_degraded {
             state.degraded_slots += 1;
-        }
-        if spotdc_telemetry::is_enabled() && ctx.spot_available > 0.0 {
-            // The predictor forecast `spot_available` from last slot's
-            // meter readings; compare against the headroom actually
-            // realized this slot (unused UPS capacity plus the spot
-            // capacity that was sold and consumed).
-            let realized = (state.topology.ups_capacity() - ups_power).value() + ctx.spot_sold;
-            state.prediction_error_sum += (ctx.spot_available - realized).abs();
-            state.prediction_error_count += 1;
-            spotdc_telemetry::registry().set_gauge(
-                "spotdc_prediction_error_watts",
-                state.prediction_error_sum / state.prediction_error_count as f64,
-            );
         }
         state.records.push(SlotRecord {
             slot: t as u64,

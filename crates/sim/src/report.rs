@@ -47,30 +47,6 @@ impl TextTable {
         self.rows.is_empty()
     }
 
-    /// Renders the table as CSV (RFC-4180 quoting for cells containing
-    /// commas or quotes).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let quote = |cell: &str| -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_owned()
-            }
-        };
-        let mut out = String::new();
-        let emit = |out: &mut String, cells: &[String]| {
-            let line: Vec<String> = cells.iter().map(|c| quote(c)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        };
-        emit(&mut out, &self.headers);
-        for r in &self.rows {
-            emit(&mut out, r);
-        }
-        out
-    }
-
     /// Renders the table with aligned columns.
     #[must_use]
     pub fn render(&self) -> String {
@@ -185,18 +161,6 @@ mod tests {
         assert!(lines[1].starts_with('-'));
         assert!(!t.is_empty());
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn csv_quotes_only_when_needed() {
-        let mut t = TextTable::new(vec!["name", "value"]);
-        t.row(vec!["plain".into(), "1".into()]);
-        t.row(vec!["with,comma".into(), "say \"hi\"".into()]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "name,value");
-        assert_eq!(lines[1], "plain,1");
-        assert_eq!(lines[2], "\"with,comma\",\"say \"\"hi\"\"\"");
     }
 
     #[test]

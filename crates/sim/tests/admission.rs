@@ -1,14 +1,14 @@
 //! Admission holds under every pricing and every clearing backend: a
 //! tenant whose bids name a rack it does not own is granted nothing,
 //! whichever `Clear` stage the slot runs and wherever its tasks clear.
-//! One `#[test]`: the legs read the process-global telemetry registry.
+//! One `#[test]`: the legs drain the process-global memory sink.
 
 use spotdc_sim::{
     baselines::Mode,
     engine::{EngineConfig, Simulation},
     scenario::Scenario,
 };
-use spotdc_telemetry::TelemetryConfig;
+use spotdc_telemetry::{Event, TelemetryConfig};
 use spotdc_tenants::TenantAgent;
 use spotdc_units::TenantId;
 
@@ -27,13 +27,24 @@ fn a_bid_for_a_rack_the_bidder_does_not_own_is_never_granted() {
         owner.strategy().clone(),
     );
 
-    let rejected = || spotdc_telemetry::registry().counter("spotdc_bids_rejected_total");
+    // Rejected racks this leg, summed over its `BidRejected` events.
+    let rejected = || -> u64 {
+        spotdc_telemetry::flush();
+        let events = spotdc_telemetry::memory_sink().take();
+        events
+            .iter()
+            .map(|e| match e {
+                Event::BidRejected { racks, .. } => *racks,
+                _ => 0,
+            })
+            .sum()
+    };
+    let mut per_pdu_rejections = Vec::new();
     for (leg, per_pdu_pricing, shards) in [
         ("uniform", false, 1),
         ("per-PDU", true, 1),
         ("per-PDU, two shards", true, 2),
     ] {
-        let rejected_before = rejected();
         let config = EngineConfig {
             per_pdu_pricing,
             shards,
@@ -55,6 +66,13 @@ fn a_bid_for_a_rack_the_bidder_does_not_own_is_never_granted() {
             .sum();
         assert!(others > 0.0, "{leg}: nobody else bought spot");
         assert_eq!(report.invariant_violations, 0, "{leg}");
-        assert!(rejected() > rejected_before, "{leg}: no rejection counted");
+        let racks = rejected();
+        assert!(racks > 0, "{leg}: no rejection logged");
+        if per_pdu_pricing {
+            per_pdu_rejections.push(racks);
+        }
     }
+    // Admission runs once per slot on the controller, before any task
+    // is built, so the shard count cannot change what it turns away.
+    assert_eq!(per_pdu_rejections[0], per_pdu_rejections[1]);
 }

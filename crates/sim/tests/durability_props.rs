@@ -17,6 +17,7 @@ use spotdc_sim::durability::{EngineSnapshot, SNAPSHOT_FORMAT};
 use spotdc_sim::engine::{DurabilityConfig, DurableError, EngineConfig, Simulation};
 use spotdc_sim::pipeline::{self, SimState, SlotContext, SlotStage};
 use spotdc_sim::{Mode, Scenario};
+use spotdc_telemetry::TelemetryConfig;
 use spotdc_units::Slot;
 
 const MODES: [Mode; 3] = [Mode::PowerCapped, Mode::SpotDc, Mode::MaxPerf];
@@ -212,7 +213,7 @@ fn forged_snapshots_are_refused_before_anything_is_applied() {
 /// Decoders facing bytes from a disk never panic: every prefix of an
 /// encoded snapshot is refused, every single-byte change of it either
 /// fails to decode, fails to apply, or applies — and the previous
-/// format is refused by name.
+/// formats are refused by name.
 #[test]
 fn damaged_snapshots_are_errors_not_panics() {
     let (snap, mut state, mut stages) = rich_snapshot();
@@ -241,13 +242,37 @@ fn damaged_snapshots_are_errors_not_panics() {
         "{refused} refused, {applied} applied"
     );
 
-    assert_eq!(SNAPSHOT_FORMAT, 2);
-    let mut format_1 = bytes;
-    format_1[..4].copy_from_slice(&1u32.to_le_bytes());
-    match EngineSnapshot::decode(&format_1) {
-        Err(DecodeError::Invalid(why)) => assert!(why.contains("format 1"), "{why}"),
-        other => panic!("a format-1 header must be refused by name, got {other:?}"),
+    // Format 2 carried two more words before the stage blobs; read as
+    // format 3 they would shift every blob, so the header must decide.
+    assert_eq!(SNAPSHOT_FORMAT, 3);
+    for old in [1u32, 2] {
+        let mut stale = bytes.clone();
+        stale[..4].copy_from_slice(&old.to_le_bytes());
+        let expected = format!("snapshot format {old}, this build reads 3");
+        match EngineSnapshot::decode(&stale) {
+            Err(DecodeError::Invalid(why)) => assert_eq!(why, expected),
+            other => panic!("a format-{old} header must be refused by name, got {other:?}"),
+        }
     }
+}
+
+/// A checkpoint holds market state and nothing about who is watching:
+/// the same run captured with telemetry off and with it on encodes to
+/// the same bytes. (Safe beside the other tests here for the same
+/// reason: nothing they compare reads the switch.)
+#[test]
+fn a_checkpoint_does_not_depend_on_whether_telemetry_is_on() {
+    let checkpoint = |telemetry: TelemetryConfig| {
+        spotdc_telemetry::install(telemetry);
+        let (state, _, stages, _) = run_to(7, lossy_config(), 12);
+        assert!(state.records.iter().any(|r| r.spot_available > 0.0));
+        EngineSnapshot::capture(&state, &stages, Mode::SpotDc, 7, 12).encode()
+    };
+    let off = checkpoint(TelemetryConfig::default());
+    let on = checkpoint(TelemetryConfig::in_memory());
+    spotdc_telemetry::install(TelemetryConfig::default());
+    assert!(!spotdc_telemetry::memory_sink().take().is_empty());
+    assert!(off == on, "checkpoint bytes differ with telemetry on");
 }
 
 /// The same for a journal record that passes its CRC: damaged anywhere,

@@ -1,6 +1,6 @@
 //! End-to-end telemetry check: run a real SpotDC simulation with the
 //! in-memory sink installed and verify the event stream, the JSONL
-//! round-trip, and the Prometheus exposition all line up.
+//! round-trip, and the span histograms all line up.
 //!
 //! One `#[test]` on purpose: telemetry state is process-global, and a
 //! single test avoids cross-test interference without a gate mutex.
@@ -72,20 +72,13 @@ fn simulation_produces_consistent_telemetry() {
         assert_eq!(&parsed, event);
     }
 
-    // The registry saw the same clearing count, and the exposition
-    // carries a clearing-duration histogram with real timings.
-    let registry = spotdc_telemetry::registry();
-    assert!(registry.counter("spotdc_slots_cleared_total") >= SLOTS);
-    let clearing = registry
+    // The registry timed every clearing, with real durations.
+    let clearing = spotdc_telemetry::registry()
         .span_durations("clearing")
         .expect("clearing span recorded");
     assert!(clearing.count() >= SLOTS);
     assert!(clearing.p50().unwrap() > 0.0);
     assert!(clearing.p99().unwrap() > 0.0);
-    let text = registry.render_prometheus();
-    assert!(text.contains("spotdc_span_duration_seconds_bucket{span=\"clearing\""));
-    assert!(text.contains("spotdc_span_duration_seconds_count{span=\"engine.slot\""));
-    assert!(text.contains("spotdc_prediction_error_watts"));
 
     // Every composition that predicts says so once per slot, whatever
     // clears it — which is what lets the analyzer join sold against

@@ -1,19 +1,18 @@
-//! Spans, metrics, and a structured event log for the SpotDC market
-//! pipeline — with zero external dependencies.
+//! Spans and a structured event log for the SpotDC market pipeline —
+//! with zero external dependencies.
 //!
-//! The build environment is offline, so this crate hand-rolls the three
+//! The build environment is offline, so this crate hand-rolls the two
 //! observability primitives the simulator needs instead of pulling in
-//! `tracing`/`metrics`/`serde_json`:
+//! `tracing`/`serde_json`:
 //!
 //! * **Spans** — [`span!`] opens a [`SpanGuard`] that records its
-//!   wall-clock duration (and nesting depth) into the global registry
-//!   when it drops.
-//! * **Metrics** — the [`Registry`] holds counters, gauges, and
-//!   fixed-bucket [`Histogram`]s with p50/p90/p99 extraction and
-//!   Prometheus text exposition via [`Registry::render_prometheus`].
+//!   wall-clock duration into the global [`Registry`]'s per-name
+//!   [`Histogram`] (p50/p90/p99 extraction) when it drops.
 //! * **Events** — typed [`Event`]s serialize to JSON lines into an
 //!   [`EventSink`] ([`FileSink`] for the `telemetry.jsonl` artifact,
-//!   [`VecSink`] for tests, [`NullSink`] to drop everything).
+//!   [`VecSink`] for tests, [`NullSink`] to drop everything). A market
+//!   fact is recorded as an event and nowhere else: totals are counted
+//!   from the log (`spotdc-trace`), not kept beside it.
 //!
 //! # Cost when disabled
 //!
@@ -35,8 +34,7 @@
 //! });
 //!
 //! {
-//!     let _span = telemetry::span!("doc-example", slot = 3);
-//!     telemetry::registry().inc_counter("spotdc_slots_cleared_total", 1);
+//!     let _span = telemetry::span!("doc-example");
 //!     telemetry::emit(telemetry::Event::SlotCleared {
 //!         slot: Slot::new(3),
 //!         at: MonotonicNanos::now(),
@@ -48,8 +46,8 @@
 //! }
 //!
 //! assert_eq!(telemetry::memory_sink().len(), 1);
-//! let text = telemetry::registry().render_prometheus();
-//! assert!(text.contains("spotdc_slots_cleared_total 1"));
+//! let timed = telemetry::registry().span_durations("doc-example").unwrap();
+//! assert_eq!(timed.count(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -68,7 +66,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 pub use event::{Event, EventParseError};
 pub use json::json_str;
-pub use metrics::{Histogram, Registry, DURATION_BUCKETS};
+pub use metrics::{Histogram, Registry};
 pub use sink::{EventSink, FileSink, NullSink, RingSink, VecSink};
 pub use span::SpanGuard;
 
@@ -148,7 +146,7 @@ pub fn set_enabled(enabled: bool) {
     ENABLED.store(enabled, Ordering::Relaxed);
 }
 
-/// The process-global metric registry.
+/// The process-global span-duration registry.
 #[must_use]
 pub fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::new)
@@ -407,23 +405,20 @@ mod tests {
     }
 
     #[test]
-    fn counters_sum_exactly_across_threads() {
+    fn span_records_count_exactly_across_threads() {
         // Uses a fresh local registry: no global state, no lock needed.
-        let registry = std::sync::Arc::new(Registry::new());
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let registry = registry.clone();
-                std::thread::spawn(move || {
+        let registry = Registry::new();
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
                     for _ in 0..1_000 {
-                        registry.inc_counter("spotdc_concurrency_smoke_total", 1);
+                        registry.record_span("concurrency-smoke", 1e-6);
                     }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(registry.counter("spotdc_concurrency_smoke_total"), 8_000);
+                });
+            }
+        });
+        let recorded = registry.span_durations("concurrency-smoke").unwrap();
+        assert_eq!(recorded.count(), 8_000);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Counters, gauges, and fixed-bucket histograms with Prometheus-style
-//! text exposition.
+//! Fixed-bucket duration histograms, one per span name.
 //!
 //! The [`Registry`] is a plain mutex-guarded map: the hot path of the
 //! simulator only touches it when telemetry is enabled, and even then a
@@ -7,19 +6,17 @@
 //! tree, no sharding — measured before optimized.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 
-/// Default histogram buckets for durations in seconds: log-spaced
-/// 1µs → 1s (1-2.5-5 per decade), plus the implicit `+Inf` overflow.
-pub const DURATION_BUCKETS: &[f64] = &[
+/// Histogram buckets for durations in seconds: log-spaced 1µs → 1s
+/// (1-2.5-5 per decade), plus the implicit `+Inf` overflow.
+const DURATION_BUCKETS: &[f64] = &[
     1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2,
     5e-2, 0.1, 0.25, 0.5, 1.0,
 ];
 
-/// A fixed-bucket histogram (Prometheus semantics: bucket `i` counts
-/// observations `<= bounds[i]`, with an implicit `+Inf` bucket at the
-/// end).
+/// A fixed-bucket histogram: bucket `i` counts observations
+/// `<= bounds[i]`, with an implicit `+Inf` bucket at the end.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     /// Ascending finite upper bounds.
@@ -31,14 +28,8 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Creates a histogram with the given ascending finite bucket bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty, non-ascending, or contains a
-    /// non-finite value.
-    #[must_use]
-    pub fn with_buckets(bounds: &[f64]) -> Self {
+    /// An empty histogram over ascending finite bucket bounds.
+    fn with_buckets(bounds: &[f64]) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bucket");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]) && bounds.iter().all(|b| b.is_finite()),
@@ -52,9 +43,7 @@ impl Histogram {
         }
     }
 
-    /// A histogram with [`DURATION_BUCKETS`].
-    #[must_use]
-    pub fn for_durations() -> Self {
+    fn for_durations() -> Self {
         Histogram::with_buckets(DURATION_BUCKETS)
     }
 
@@ -100,11 +89,9 @@ impl Histogram {
             let prev = cumulative as f64;
             cumulative += bucket_count;
             if (cumulative as f64) >= rank && bucket_count > 0 {
-                let last = *self.bounds.last().expect("non-empty bounds");
-                if i == self.bounds.len() {
-                    return Some(last); // +Inf bucket clamps
-                }
-                let upper = self.bounds[i];
+                let Some(&upper) = self.bounds.get(i) else {
+                    break; // +Inf bucket clamps
+                };
                 let lower = if i == 0 { 0.0 } else { self.bounds[i - 1] };
                 let frac = ((rank - prev) / bucket_count as f64).clamp(0.0, 1.0);
                 return Some(lower + (upper - lower) * frac);
@@ -117,11 +104,7 @@ impl Histogram {
     /// estimate). Returns `None` when the histogram is empty.
     #[must_use]
     pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum / self.count as f64)
-        }
+        (self.count > 0).then(|| self.sum / self.count as f64)
     }
 
     /// The median estimate (p50).
@@ -141,37 +124,16 @@ impl Histogram {
     pub fn p99(&self) -> Option<f64> {
         self.quantile(0.99)
     }
-
-    /// Cumulative bucket counts paired with their upper bounds, the
-    /// `+Inf` bucket last (bound `None`).
-    fn cumulative(&self) -> Vec<(Option<f64>, u64)> {
-        let mut out = Vec::with_capacity(self.counts.len());
-        let mut cumulative = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cumulative += c;
-            out.push((self.bounds.get(i).copied(), cumulative));
-        }
-        out
-    }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-    /// Span-duration histograms keyed by span name, rendered as one
-    /// metric family with a `span` label.
-    spans: BTreeMap<String, Histogram>,
-}
-
-/// A thread-safe registry of counters, gauges, and histograms.
+/// A thread-safe registry of span-duration [`Histogram`]s keyed by span
+/// name.
 ///
 /// One process-global instance lives behind [`crate::registry`]; tests
 /// construct their own.
 #[derive(Debug, Default)]
 pub struct Registry {
-    inner: Mutex<Inner>,
+    spans: Mutex<BTreeMap<String, Histogram>>,
 }
 
 impl Registry {
@@ -181,174 +143,37 @@ impl Registry {
         Registry::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Histogram>> {
         // A poisoned registry only means a panic elsewhere mid-update;
         // telemetry should keep limping rather than cascade the panic.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Adds `by` to the named counter (creating it at zero).
-    pub fn inc_counter(&self, name: &str, by: u64) {
-        *self.lock().counters.entry(name.to_owned()).or_insert(0) += by;
-    }
-
-    /// Sets the named gauge.
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        self.lock().gauges.insert(name.to_owned(), value);
-    }
-
-    /// Sets the named gauge to `value` only if it exceeds the current
-    /// value (high-water-mark gauges, e.g. max span nesting depth).
-    pub fn set_gauge_max(&self, name: &str, value: f64) {
-        let mut inner = self.lock();
-        let slot = inner.gauges.entry(name.to_owned()).or_insert(f64::MIN);
-        if value > *slot {
-            *slot = value;
-        }
-    }
-
-    /// Records `value` into the named histogram, created on first use
-    /// with [`DURATION_BUCKETS`].
-    pub fn observe(&self, name: &str, value: f64) {
-        self.lock()
-            .histograms
-            .entry(name.to_owned())
-            .or_insert_with(Histogram::for_durations)
-            .observe(value);
-    }
-
-    /// Records `value` into the named histogram, created on first use
-    /// with the given bounds (ignored if the histogram already exists).
-    pub fn observe_with_buckets(&self, name: &str, value: f64, bounds: &[f64]) {
-        self.lock()
-            .histograms
-            .entry(name.to_owned())
-            .or_insert_with(|| Histogram::with_buckets(bounds))
-            .observe(value);
+        self.spans.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Records one span duration (seconds) under the span's name.
     pub fn record_span(&self, span: &str, seconds: f64) {
         self.lock()
-            .spans
             .entry(span.to_owned())
             .or_insert_with(Histogram::for_durations)
             .observe(seconds);
     }
 
-    /// The current value of a counter (zero if never incremented).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.lock().counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// The current value of a gauge, if set.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.lock().gauges.get(name).copied()
-    }
-
-    /// A snapshot of the named histogram.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.lock().histograms.get(name).cloned()
-    }
-
     /// A snapshot of the named span's duration histogram.
     #[must_use]
     pub fn span_durations(&self, span: &str) -> Option<Histogram> {
-        self.lock().spans.get(span).cloned()
+        self.lock().get(span).cloned()
     }
 
     /// The names of every span recorded so far, in sorted order.
     #[must_use]
     pub fn span_names(&self) -> Vec<String> {
-        self.lock().spans.keys().cloned().collect()
+        self.lock().keys().cloned().collect()
     }
 
-    /// Drops every metric. Intended for tests sharing the process-global
-    /// registry.
+    /// Drops every histogram. Intended for tests sharing the
+    /// process-global registry.
     pub fn reset(&self) {
-        *self.lock() = Inner::default();
+        self.lock().clear();
     }
-
-    /// Renders every metric in the Prometheus text exposition format
-    /// (version 0.0.4): counters, gauges, then histograms with
-    /// cumulative `_bucket{le=...}` series plus `_sum` and `_count`,
-    /// and span durations as one `spotdc_span_duration_seconds` family
-    /// labelled by span name.
-    #[must_use]
-    pub fn render_prometheus(&self) -> String {
-        let inner = self.lock();
-        let mut out = String::new();
-        for (name, value) in &inner.counters {
-            let name = sanitize(name);
-            let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");
-        }
-        for (name, value) in &inner.gauges {
-            let name = sanitize(name);
-            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {value}");
-        }
-        for (name, histogram) in &inner.histograms {
-            let name = sanitize(name);
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            for (bound, cumulative) in histogram.cumulative() {
-                let le = bound.map_or("+Inf".to_owned(), |b| b.to_string());
-                let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-            }
-            let _ = writeln!(out, "{name}_sum {}", histogram.sum());
-            let _ = writeln!(out, "{name}_count {}", histogram.count());
-        }
-        if !inner.spans.is_empty() {
-            let family = "spotdc_span_duration_seconds";
-            let _ = writeln!(out, "# TYPE {family} histogram");
-            for (span, histogram) in &inner.spans {
-                // Label values (unlike metric names) admit any UTF-8;
-                // only `\`, `"` and newline need escaping.
-                let span = escape_label(span);
-                for (bound, cumulative) in histogram.cumulative() {
-                    let le = bound.map_or("+Inf".to_owned(), |b| b.to_string());
-                    let _ = writeln!(
-                        out,
-                        "{family}_bucket{{span=\"{span}\",le=\"{le}\"}} {cumulative}"
-                    );
-                }
-                let _ = writeln!(out, "{family}_sum{{span=\"{span}\"}} {}", histogram.sum());
-                let _ = writeln!(
-                    out,
-                    "{family}_count{{span=\"{span}\"}} {}",
-                    histogram.count()
-                );
-            }
-        }
-        out
-    }
-}
-
-/// Escapes a string for use as a Prometheus label value.
-fn escape_label(value: &str) -> String {
-    value
-        .replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
-/// Maps arbitrary names onto the Prometheus metric-name alphabet.
-fn sanitize(name: &str) -> String {
-    let mut out: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        out.insert(0, '_');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -410,75 +235,24 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_gauges_histograms() {
+    fn registry_keeps_one_histogram_per_span_name() {
         let r = Registry::new();
-        r.inc_counter("slots", 2);
-        r.inc_counter("slots", 3);
-        assert_eq!(r.counter("slots"), 5);
-        assert_eq!(r.counter("never"), 0);
-
-        r.set_gauge("err", 1.5);
-        r.set_gauge("err", 0.5);
-        assert_eq!(r.gauge("err"), Some(0.5));
-        r.set_gauge_max("peak", 1.0);
-        r.set_gauge_max("peak", 0.25);
-        assert_eq!(r.gauge("peak"), Some(1.0));
-
-        r.observe("lat", 1e-4);
-        assert_eq!(r.histogram("lat").unwrap().count(), 1);
-        assert!(r.histogram("missing").is_none());
-    }
-
-    #[test]
-    fn render_prometheus_golden() {
-        let r = Registry::new();
-        r.inc_counter("spotdc_slots_cleared_total", 3);
-        r.set_gauge("spotdc_prediction_error_watts", 12.5);
-        r.observe_with_buckets("spotdc_clearing_duration_seconds", 0.5, &[1.0, 2.0]);
-        r.observe_with_buckets("spotdc_clearing_duration_seconds", 1.5, &[1.0, 2.0]);
-        r.observe_with_buckets("spotdc_clearing_duration_seconds", 9.0, &[1.0, 2.0]);
-        r.record_span("clearing", 0.75);
-        let expected = "\
-# TYPE spotdc_slots_cleared_total counter
-spotdc_slots_cleared_total 3
-# TYPE spotdc_prediction_error_watts gauge
-spotdc_prediction_error_watts 12.5
-# TYPE spotdc_clearing_duration_seconds histogram
-spotdc_clearing_duration_seconds_bucket{le=\"1\"} 1
-spotdc_clearing_duration_seconds_bucket{le=\"2\"} 2
-spotdc_clearing_duration_seconds_bucket{le=\"+Inf\"} 3
-spotdc_clearing_duration_seconds_sum 11
-spotdc_clearing_duration_seconds_count 3
-# TYPE spotdc_span_duration_seconds histogram
-spotdc_span_duration_seconds_bucket{span=\"clearing\",le=\"0.000001\"} 0
-";
-        let rendered = r.render_prometheus();
-        assert!(
-            rendered.starts_with(expected),
-            "rendered:\n{rendered}\nexpected prefix:\n{expected}"
-        );
-        assert!(
-            rendered.contains("spotdc_span_duration_seconds_bucket{span=\"clearing\",le=\"1\"} 1")
-        );
-        assert!(rendered.contains("spotdc_span_duration_seconds_sum{span=\"clearing\"} 0.75"));
-        assert!(rendered.contains("spotdc_span_duration_seconds_count{span=\"clearing\"} 1"));
-    }
-
-    #[test]
-    fn sanitize_maps_to_prometheus_alphabet() {
-        assert_eq!(sanitize("clear.per-pdu"), "clear_per_pdu");
-        assert_eq!(sanitize("9lives"), "_9lives");
-        assert_eq!(sanitize("ok_name:x"), "ok_name:x");
+        r.record_span("clearing", 1e-4);
+        r.record_span("clearing", 3e-4);
+        r.record_span("admit", 2e-6);
+        assert_eq!(r.span_names(), ["admit", "clearing"]);
+        let clearing = r.span_durations("clearing").unwrap();
+        assert_eq!(clearing.count(), 2);
+        assert!((clearing.sum() - 4e-4).abs() < 1e-12);
+        assert!(r.span_durations("missing").is_none());
     }
 
     #[test]
     fn reset_clears_everything() {
         let r = Registry::new();
-        r.inc_counter("a", 1);
-        r.observe("b", 0.1);
+        r.record_span("a", 0.1);
         r.reset();
-        assert_eq!(r.counter("a"), 0);
-        assert!(r.histogram("b").is_none());
-        assert!(r.render_prometheus().is_empty());
+        assert!(r.span_durations("a").is_none());
+        assert!(r.span_names().is_empty());
     }
 }

@@ -1,18 +1,12 @@
 //! Lightweight timing spans.
 //!
-//! A span is a scope guard: created by the [`crate::span!`] macro, it
-//! records its wall-clock duration into the global registry's
-//! span-duration histogram when dropped, and tracks nesting depth per
-//! thread. When telemetry is disabled the guard holds no timer and the
-//! drop is a no-op — the macro's cost is one relaxed atomic load.
+//! A span is a name and a start time: created by the [`crate::span!`]
+//! macro, the guard records its wall-clock duration into the global
+//! registry's histogram for that name when dropped. When telemetry is
+//! disabled the guard holds no timer and the drop is a no-op — the
+//! macro's cost is one relaxed atomic load.
 
-use std::cell::Cell;
 use std::time::Instant;
-
-thread_local! {
-    /// Current span nesting depth on this thread.
-    static DEPTH: Cell<usize> = const { Cell::new(0) };
-}
 
 /// A scope guard timing one named region.
 ///
@@ -23,45 +17,14 @@ pub struct SpanGuard {
     name: &'static str,
     /// `None` when telemetry was disabled at creation.
     start: Option<Instant>,
-    /// Nesting depth at creation (1 = outermost).
-    depth: usize,
-    /// Key/value fields captured at creation (empty when disabled).
-    fields: Vec<(&'static str, String)>,
 }
 
 impl SpanGuard {
     /// Opens a span. Prefer the [`crate::span!`] macro.
     pub fn enter(name: &'static str) -> SpanGuard {
-        SpanGuard::enter_with(name, |_| {})
-    }
-
-    /// Opens a span, letting `fill` attach fields. `fill` only runs when
-    /// telemetry is enabled, so field formatting costs nothing when off.
-    pub fn enter_with(
-        name: &'static str,
-        fill: impl FnOnce(&mut Vec<(&'static str, String)>),
-    ) -> SpanGuard {
-        if !crate::is_enabled() {
-            return SpanGuard {
-                name,
-                start: None,
-                depth: 0,
-                fields: Vec::new(),
-            };
-        }
-        let depth = DEPTH.with(|d| {
-            let depth = d.get() + 1;
-            d.set(depth);
-            depth
-        });
-        crate::registry().set_gauge_max("spotdc_span_depth_max", depth as f64);
-        let mut fields = Vec::new();
-        fill(&mut fields);
         SpanGuard {
             name,
-            start: Some(Instant::now()),
-            depth,
-            fields,
+            start: crate::is_enabled().then(Instant::now),
         }
     }
 
@@ -70,32 +33,20 @@ impl SpanGuard {
     pub fn name(&self) -> &'static str {
         self.name
     }
-
-    /// Nesting depth at creation (1 = outermost), or 0 if telemetry was
-    /// disabled when the span opened.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// The fields captured at creation.
-    #[must_use]
-    pub fn fields(&self) -> &[(&'static str, String)] {
-        &self.fields
-    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            let seconds = start.elapsed().as_secs_f64();
-            crate::registry().record_span(self.name, seconds);
-            DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+            crate::registry().record_span(self.name, start.elapsed().as_secs_f64());
         }
     }
 }
 
 /// Opens a [`SpanGuard`] timing the rest of the enclosing scope.
+///
+/// Trailing `key = value` pairs label the call site for whoever reads
+/// the source; they are borrowed, never formatted or stored.
 ///
 /// ```
 /// # spotdc_telemetry::set_enabled(true);
@@ -111,11 +62,10 @@ macro_rules! span {
     ($name:expr $(,)?) => {
         $crate::SpanGuard::enter($name)
     };
-    ($name:expr, $($key:ident = $value:expr),+ $(,)?) => {
-        $crate::SpanGuard::enter_with($name, |fields| {
-            $(fields.push((stringify!($key), ::std::format!("{}", $value)));)+
-        })
-    };
+    ($name:expr, $($key:ident = $value:expr),+ $(,)?) => {{
+        $(let _ = &$value;)+
+        $crate::SpanGuard::enter($name)
+    }};
 }
 
 #[cfg(test)]
@@ -134,26 +84,21 @@ mod tests {
     fn disabled_span_records_nothing() {
         // Not under `with_enabled`: uses a name no enabled test uses.
         crate::set_enabled(false);
-        {
-            let span = crate::span!("never-enabled-span");
-            assert_eq!(span.depth(), 0);
-            assert!(span.fields().is_empty());
-        }
+        drop(crate::span!("never-enabled-span"));
         assert!(crate::registry()
             .span_durations("never-enabled-span")
             .is_none());
     }
 
     #[test]
-    fn nested_spans_track_depth_and_record_durations() {
+    fn nested_spans_record_durations() {
         with_enabled(|| {
             {
                 let outer = crate::span!("span-test-outer");
-                assert_eq!(outer.depth(), 1);
+                assert_eq!(outer.name(), "span-test-outer");
                 std::thread::sleep(std::time::Duration::from_micros(200));
                 {
-                    let inner = crate::span!("span-test-inner");
-                    assert_eq!(inner.depth(), 2);
+                    let _inner = crate::span!("span-test-inner");
                     std::thread::sleep(std::time::Duration::from_micros(100));
                 }
             }
@@ -164,33 +109,21 @@ mod tests {
             // The outer span strictly contains the inner one.
             assert!(outer.sum() > inner.sum());
             assert!(inner.sum() > 0.0);
-            assert!(crate::registry().gauge("spotdc_span_depth_max").unwrap() >= 2.0);
         });
     }
 
     #[test]
-    fn span_fields_capture_values() {
+    fn span_labels_only_borrow_their_values() {
         with_enabled(|| {
-            let value = 42;
-            let span = crate::span!("span-test-fields", slot = value, phase = "clear");
-            assert_eq!(
-                span.fields(),
-                &[("slot", "42".to_owned()), ("phase", "clear".to_owned())]
-            );
-        });
-    }
-
-    #[test]
-    fn depth_recovers_after_drop() {
-        with_enabled(|| {
-            {
-                let _a = crate::span!("span-test-depth-a");
-            }
-            {
-                let b = crate::span!("span-test-depth-b");
-                // Depth reset to 1 because the previous span closed.
-                assert_eq!(b.depth(), 1);
-            }
+            // Not `Display`, not `Copy`: the `k = v` arm must neither
+            // format nor move what it is handed.
+            struct Opaque;
+            let value = Opaque;
+            let text = String::from("clear");
+            drop(crate::span!("span-test-labels", slot = value, phase = text));
+            let (_still_here, _and_here) = (value, text);
+            let recorded = crate::registry().span_durations("span-test-labels");
+            assert_eq!(recorded.unwrap().count(), 1);
         });
     }
 }

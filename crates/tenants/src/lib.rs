@@ -16,9 +16,7 @@
 //! * [`agent`] — a [`TenantAgent`] tying rack, reservation, model and
 //!   strategy together for the simulation loop;
 //! * [`multirack`] — the bundled multi-rack bidding guideline of
-//!   Fig. 4 (affine-joined demand vectors sharing one price range);
-//! * [`equilibrium`] — best-response bidding dynamics, a case study of
-//!   the equilibrium question the paper leaves open.
+//!   Fig. 4 (affine-joined demand vectors sharing one price range).
 //!
 //! [`LinearBid`]: spotdc_core::LinearBid
 //!
@@ -44,13 +42,11 @@
 #![warn(missing_docs)]
 
 pub mod agent;
-pub mod equilibrium;
 pub mod model;
 pub mod multirack;
 pub mod strategy;
 
 pub use agent::{Performance, SlotOutcome, TenantAgent};
-pub use equilibrium::{best_response_dynamics, BestResponseConfig, EquilibriumResult};
 pub use model::WorkloadModel;
 pub use multirack::bundle_bid;
 pub use strategy::{BidContext, Strategy};

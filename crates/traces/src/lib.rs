@@ -15,9 +15,7 @@
 //!   tenants (active ≈30 % of slots);
 //! * [`dist`] — the underlying deterministic, seedable samplers;
 //! * [`stats`] — empirical CDFs and variation statistics used to plot
-//!   Figs. 2(b), 7(a) and 13;
-//! * [`csv`] — numeric CSV I/O so measured traces can replace the
-//!   synthetic generators.
+//!   Figs. 2(b), 7(a) and 13.
 //!
 //! ```
 //! use spotdc_traces::ArrivalTrace;
@@ -32,14 +30,12 @@
 
 pub mod arrivals;
 pub mod batch_trace;
-pub mod csv;
 pub mod dist;
 pub mod pdu_power;
 pub mod stats;
 
 pub use arrivals::ArrivalTrace;
 pub use batch_trace::BatchTrace;
-pub use csv::NumericCsv;
 pub use dist::Sampler;
 pub use pdu_power::PduPowerTrace;
 pub use stats::{Cdf, VariationStats};

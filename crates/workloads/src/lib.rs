@@ -42,7 +42,7 @@ pub use cost::{OpportunisticCost, SprintingCost};
 pub use dvfs::DvfsModel;
 pub use gain::GainCurve;
 pub use interactive::InteractiveWorkload;
-pub use queueing::{Mg1, MmK};
+pub use queueing::MmK;
 
 /// A workload's dollar-denominated running cost as a function of its
 /// rack power budget, at some fixed load level.

@@ -183,103 +183,6 @@ impl MmK {
     }
 }
 
-/// An M/G/1 queue: Poisson arrivals, a single server with a *general*
-/// service-time distribution summarized by its squared coefficient of
-/// variation (SCV).
-///
-/// The Pollaczek–Khinchine formula gives the exact mean waiting time;
-/// tail percentiles use the standard exponential approximation of the
-/// waiting distribution with the P-K mean. `scv = 1` recovers M/M/1;
-/// `scv = 0` is M/D/1 (deterministic service); heavy-tailed request
-/// mixes have `scv > 1` and correspondingly worse tails — useful for
-/// modelling interactive services whose request sizes vary wildly.
-///
-/// # Examples
-///
-/// ```
-/// use spotdc_workloads::queueing::Mg1;
-///
-/// let smooth = Mg1::new(100.0, 0.0);   // deterministic service
-/// let bursty = Mg1::new(100.0, 4.0);   // heavy-tailed service
-/// assert!(bursty.mean_wait(70.0) > smooth.mean_wait(70.0));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Mg1 {
-    service_rate: f64,
-    scv: f64,
-}
-
-impl Mg1 {
-    /// Creates a queue with the given service rate (req/s) and service
-    /// SCV (variance ÷ mean², ≥ 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `service_rate > 0` and `scv ≥ 0`, both finite.
-    #[must_use]
-    pub fn new(service_rate: f64, scv: f64) -> Self {
-        assert!(
-            service_rate.is_finite() && service_rate > 0.0,
-            "service rate must be positive"
-        );
-        assert!(scv.is_finite() && scv >= 0.0, "scv must be non-negative");
-        Mg1 { service_rate, scv }
-    }
-
-    /// The service rate `µ`.
-    #[must_use]
-    pub fn service_rate(&self) -> f64 {
-        self.service_rate
-    }
-
-    /// The service-time squared coefficient of variation.
-    #[must_use]
-    pub fn scv(&self) -> f64 {
-        self.scv
-    }
-
-    /// Whether the queue is stable at arrival rate `lambda`.
-    #[must_use]
-    pub fn is_stable(&self, lambda: f64) -> bool {
-        lambda >= 0.0 && lambda < self.service_rate
-    }
-
-    /// Mean waiting time (Pollaczek–Khinchine), seconds;
-    /// `f64::INFINITY` when unstable.
-    #[must_use]
-    pub fn mean_wait(&self, lambda: f64) -> f64 {
-        if !self.is_stable(lambda) {
-            return f64::INFINITY;
-        }
-        let rho = lambda / self.service_rate;
-        rho * (1.0 + self.scv) / (2.0 * self.service_rate * (1.0 - rho))
-    }
-
-    /// Mean response time (wait + service), seconds.
-    #[must_use]
-    pub fn mean_response(&self, lambda: f64) -> f64 {
-        self.mean_wait(lambda) + 1.0 / self.service_rate
-    }
-
-    /// The `p`-percentile response time (seconds) under the
-    /// exponential-tail approximation `W_p ≈ E[T]·(−ln(1−p))` scaled to
-    /// the P-K mean — exact for M/M/1, a standard engineering
-    /// approximation otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < p < 1`.
-    #[must_use]
-    pub fn latency_percentile(&self, lambda: f64, p: f64) -> f64 {
-        assert!(p > 0.0 && p < 1.0, "percentile must be in (0,1)");
-        let mean = self.mean_response(lambda);
-        if !mean.is_finite() {
-            return f64::INFINITY;
-        }
-        mean * -(1.0 - p).ln()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,62 +271,5 @@ mod tests {
     #[should_panic(expected = "at least one server")]
     fn zero_servers_rejected() {
         let _ = MmK::new(0, 1.0);
-    }
-
-    #[test]
-    fn mg1_with_unit_scv_matches_mm1_mean() {
-        let mm1 = MmK::new(1, 10.0);
-        let mg1 = Mg1::new(10.0, 1.0);
-        for lambda in [2.0, 5.0, 8.0] {
-            assert!(
-                (mm1.mean_response(lambda) - mg1.mean_response(lambda)).abs() < 1e-9,
-                "diverged at λ={lambda}"
-            );
-        }
-    }
-
-    #[test]
-    fn mg1_md1_halves_the_waiting_time() {
-        // M/D/1 waits exactly half of M/M/1 (P-K with scv 0 vs 1).
-        let md1 = Mg1::new(10.0, 0.0);
-        let mm1 = Mg1::new(10.0, 1.0);
-        let lambda = 7.0;
-        assert!((md1.mean_wait(lambda) * 2.0 - mm1.mean_wait(lambda)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mg1_tail_grows_with_variability() {
-        let lambda = 60.0;
-        let mut last = 0.0;
-        for scv in [0.0, 1.0, 4.0, 16.0] {
-            let q = Mg1::new(100.0, scv);
-            let p99 = q.latency_percentile(lambda, 0.99);
-            assert!(p99 > last, "p99 should grow with scv");
-            last = p99;
-        }
-    }
-
-    #[test]
-    fn mg1_unstable_is_infinite() {
-        let q = Mg1::new(10.0, 2.0);
-        assert!(q.mean_wait(10.0).is_infinite());
-        assert!(q.latency_percentile(12.0, 0.9).is_infinite());
-    }
-
-    #[test]
-    fn mg1_percentile_monotone_in_load() {
-        let q = Mg1::new(50.0, 2.5);
-        let mut last = 0.0;
-        for lambda in [5.0, 20.0, 35.0, 45.0] {
-            let t = q.latency_percentile(lambda, 0.95);
-            assert!(t > last);
-            last = t;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "scv must be non-negative")]
-    fn mg1_negative_scv_rejected() {
-        let _ = Mg1::new(10.0, -0.5);
     }
 }

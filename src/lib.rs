@@ -21,7 +21,7 @@
 //! | Layer | Crate | Contents |
 //! |---|---|---|
 //! | [`units`] | `spotdc-units` | watts, prices, money, slots, ids |
-//! | [`power`] | `spotdc-power` | UPS→PDU→rack topology, metering, rack PDUs, breakers |
+//! | [`power`] | `spotdc-power` | UPS→PDU→rack topology, metering, rack PDUs, emergency log, cap ladder |
 //! | [`workloads`] | `spotdc-workloads` | queueing, DVFS, interactive/batch models, costs, gain curves |
 //! | [`traces`] | `spotdc-traces` | synthetic arrival/power/batch traces, CDFs |
 //! | [`market`] | `spotdc-core` | demand functions, bids, clearing, prediction, MaxPerf |
