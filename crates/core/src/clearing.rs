@@ -22,8 +22,9 @@
 //! hint and summed by a straight-line loop, and the all-zero tail
 //! above a bid's ceiling is never visited. Only what can decide the
 //! price is summed: a PDU's per-candidate sums only if its bidders'
-//! headrooms could exceed its spot capacity at all, and every sum only
-//! from the first candidate no PDU has ruled out yet (DESIGN.md §13).
+//! headrooms could exceed its spot capacity at all, every sum only
+//! from the first candidate no PDU has ruled out yet, and exact totals
+//! only where bounds on them cannot name the winner (DESIGN.md §13).
 //! The sweep is bit-identical to the straightforward per-candidate
 //! scan, which remains in the code as the *legacy* fallback for
 //! heat-zone/phase constrained markets.
@@ -87,7 +88,7 @@ pub struct MarketOutcome {
     allocation: SpotAllocation,
     /// Revenue rate in $/hour at the clearing price.
     revenue_rate: f64,
-    /// Number of candidate prices evaluated (search-cost metric).
+    /// Size of the price grid the search considered.
     candidates: usize,
 }
 
@@ -122,7 +123,8 @@ impl MarketOutcome {
         self.revenue_rate
     }
 
-    /// Number of candidate prices the search evaluated.
+    /// Size of the price grid the search considered — the prices the
+    /// outcome is the best of, not how many of them had to be summed.
     #[must_use]
     pub fn candidates_evaluated(&self) -> usize {
         self.candidates
@@ -230,14 +232,15 @@ struct Scratch {
     live: Vec<u32>,
     /// The current slot's columnar bid book.
     book: BidBook,
-    /// Per-candidate clipped-demand totals (parallel to `candidates`),
-    /// summed only from the first candidate no PDU rules out.
+    /// Per-candidate clipped-demand totals (parallel to `candidates`,
+    /// plus a closing cell), exact wherever `ruled_out` is unset.
     totals: Vec<f64>,
     /// The same sums over the bids of the one PDU being checked;
-    /// all-zero between PDUs.
+    /// all-zero between PDUs, the approximate totals after the last.
     pdu_row: Vec<f64>,
-    /// Per-candidate "some PDU is over capacity" flags.
-    infeasible: Vec<bool>,
+    /// Per-candidate "cannot be the price" flags: some PDU is over
+    /// capacity, or the bounds on the total rule the candidate out.
+    ruled_out: Vec<bool>,
 }
 
 /// One linear-or-constant piece of a bid's demand curve, valid up to
@@ -470,16 +473,17 @@ impl BidBook {
     }
 
     /// Adds bid `j`'s clipped demand into `sums` (parallel to
-    /// `candidates`) at every candidate from `from` up that one of its
-    /// pieces covers; returns where its last piece ends (`from` at
-    /// least). The one loop per-PDU sums and totals both go through: a
-    /// precomputed value or `demand_at`'s own expression, per piece kind.
+    /// `candidates`, cut off where the caller's window ends) at every
+    /// candidate from `from` up that one of its pieces covers; returns
+    /// where its last piece ends (`from` at least). The one loop
+    /// per-PDU sums and totals both go through: a precomputed value or
+    /// `demand_at`'s own expression, per piece kind.
     fn add_bid(&self, candidates: &[Price], j: usize, from: usize, sums: &mut [f64]) -> usize {
         let h = self.headroom[j];
         let chain = self.seg_start[j] as usize..self.seg_start[j + 1] as usize;
         let mut lo = from;
         for (seg, &hi) in self.segs[chain.clone()].iter().zip(&self.seg_end[chain]) {
-            let hi = (hi as usize).max(lo);
+            let hi = (hi as usize).clamp(lo, sums.len());
             match seg.kind {
                 SegKind::Const(v) => {
                     let d = clip(v, h);
@@ -601,9 +605,9 @@ impl MarketClearing {
             // bid's rack has no PDU, so the market clears empty.
             (None, &self.stats.legacy_scans)
         } else {
-            scratch.sweep();
-            let best = scratch.select_best(constraints.ups_spot().value());
-            (best, &self.stats.full_sweeps)
+            let ups_limit = constraints.ups_spot().value() + TOLERANCE;
+            scratch.sweep(ups_limit);
+            (scratch.select_best(ups_limit), &self.stats.full_sweeps)
         };
         tally.fetch_add(1, Ordering::Relaxed);
         self.stats
@@ -892,20 +896,20 @@ fn clip(d: f64, h: f64) -> f64 {
 }
 
 impl Scratch {
-    /// The bid-major price sweep: fills `infeasible` and `totals` for
+    /// The bid-major price sweep: fills `ruled_out` and `totals` for
     /// [`Self::select_best`], skipping cells that cannot decide the
     /// price (DESIGN.md §13 argues each skip). Sums add their bids in
     /// bid order, so a cell that is read holds the addends of
     /// `feasible_total` less some `+ 0.0` terms — the identity on a sum
     /// that starts at `+0.0` and only adds non-negative or `-0.0`
     /// values — and is bit-identical to the legacy scan's.
-    fn sweep(&mut self) {
+    fn sweep(&mut self, ups_limit: f64) {
         let n = self.candidates.len();
         self.book.find_piece_ends(&self.candidates);
-        self.infeasible.clear();
-        self.infeasible.resize(n, false);
+        self.ruled_out.clear();
+        self.ruled_out.resize(n, false);
         self.pdu_row.clear();
-        self.pdu_row.resize(n, 0.0);
+        self.pdu_row.resize(n + 1, 0.0);
         // Every candidate below `from` is flagged and a flag is never
         // unset, so no sum is read there — and none is written there.
         let mut from = 0;
@@ -917,36 +921,111 @@ impl Scratch {
             }
             let (mut j, mut end) = (self.book.first_bid[s], from);
             while j != u32::MAX {
-                let row = &mut self.pdu_row;
+                let row = &mut self.pdu_row[..n];
                 end = end.max(self.book.add_bid(&self.candidates, j as usize, from, row));
                 j = self.book.next_bid[j as usize];
             }
             let row = &mut self.pdu_row[from..end];
-            for (over, used) in self.infeasible[from..end].iter_mut().zip(row) {
+            for (over, used) in self.ruled_out[from..end].iter_mut().zip(row) {
                 *over |= *used > cap + TOLERANCE;
                 *used = 0.0;
             }
-            while from < n && self.infeasible[from] {
+            while from < n && self.ruled_out[from] {
                 from += 1;
             }
         }
         self.totals.clear();
-        self.totals.resize(n, 0.0);
+        self.totals.resize(n + 1, 0.0);
+        // Bounding costs O(pieces + candidates) whatever it saves: a book
+        // with fewer pieces than candidates (a per-PDU sub-market) skips it.
+        if self.book.segs.len() >= n {
+            self.rule_out_losers(from, ups_limit);
+        }
+        // Exact totals from the first to the last candidate still in.
+        let flags = &self.ruled_out[from..];
+        let lo = from + flags.iter().position(|&out| !out).unwrap_or(flags.len());
+        let hi = n - flags.iter().rev().position(|&out| !out).unwrap_or(n - lo);
         for j in 0..self.book.headroom.len() {
             self.book
-                .add_bid(&self.candidates, j, from, &mut self.totals);
+                .add_bid(&self.candidates, j, lo, &mut self.totals[..hi]);
+        }
+    }
+
+    /// Flags the candidates from `from` up whose exact total need not
+    /// be known (DESIGN.md §13, "Bounding before summing"). Each piece
+    /// is a line `level + slope · q` over the candidates it covers,
+    /// added into difference arrays (the idle `pdu_row`, the unwritten
+    /// `totals`, left zeroed); prefix sums give every total to within
+    /// `err`, a generous multiple of all the rounding involved.
+    fn rule_out_losers(&mut self, from: usize, ups_limit: f64) {
+        let n = self.candidates.len();
+        let q = |i: usize| self.candidates[i].per_kw_hour_value();
+        let (book, approx, slopes) = (&self.book, &mut self.pdu_row, &mut self.totals);
+        let (mut magnitude, mut lines) = (0.0, n);
+        let mut add = |lo: usize, hi: usize, level: f64, slope: f64| {
+            approx[lo] += level;
+            approx[hi] -= level;
+            slopes[lo] += slope;
+            slopes[hi] -= slope;
+            magnitude += level.abs() + q(n - 1) * slope.abs();
+            lines += 1;
+        };
+        for (j, &h) in book.headroom.iter().enumerate() {
+            let chain = book.seg_start[j] as usize..book.seg_start[j + 1] as usize;
+            let mut lo = from;
+            for (seg, &hi) in book.segs[chain.clone()].iter().zip(&book.seg_end[chain]) {
+                let hi = (hi as usize).max(lo);
+                match seg.kind {
+                    _ if lo == hi => {}
+                    SegKind::Const(v) => add(lo, hi, clip(v, h), 0.0),
+                    SegKind::Interp { q0, dq, a, b } => {
+                        // `add_bid`'s cell before clipping, monotone in
+                        // `q` operation by operation: within the clip at
+                        // both ends, the piece is a line.
+                        let at = |i: usize| a + (b - a) * ((q(i) - q0) / dq);
+                        if (0.0..=h).contains(&at(lo)) && (0.0..=h).contains(&at(hi - 1)) {
+                            let slope = (b - a) / dq;
+                            add(lo, hi, a - slope * q0, slope);
+                        } else {
+                            (lo..hi).for_each(|i| add(i, i + 1, clip(at(i), h), 0.0));
+                        }
+                    }
+                }
+                lo = hi;
+            }
+        }
+        let err = (4 * lines + 64) as f64 * (f64::EPSILON * magnitude + f64::MIN_POSITIVE);
+        let rate = |i: usize, total: f64| q(i) * (total / 1_000.0);
+        let (mut level, mut slope, mut floor) = (0.0, 0.0, f64::NEG_INFINITY);
+        for i in from..n {
+            level += approx[i];
+            slope += std::mem::take(&mut slopes[i]);
+            approx[i] = level + q(i) * slope;
+            if !self.ruled_out[i] && approx[i] + err <= ups_limit {
+                floor = floor.max(rate(i, approx[i] - err));
+            }
+        }
+        // What a candidate certainly under the limit certainly earns,
+        // less more than the incumbent rule's 1e-12 adds up to along the
+        // grid and two ulps for the subtraction: any that certainly
+        // earns less, or is certainly over the limit, is out.
+        floor -= (n + 2) as f64 * 2e-12 + 2.0 * f64::EPSILON * floor.abs();
+        // Bounds that overflowed or met a NaN bound nothing.
+        let sound = magnitude < 1e300;
+        for (i, out) in self.ruled_out.iter_mut().enumerate().skip(from) {
+            *out |= sound && (approx[i] - err > ups_limit || rate(i, approx[i] + err) < floor);
         }
     }
 
     /// Picks the revenue-maximizing feasible candidate, ascending, with
     /// the legacy tie rule (`rate <= best + 1e-12` keeps the incumbent).
     /// A flagged candidate is skipped *before* its total is looked at:
-    /// the sweep leaves totals below the first unflagged one unsummed.
-    fn select_best(&self, ups_spot: f64) -> Option<(Price, f64)> {
+    /// the sweep leaves the totals of flagged candidates unsummed.
+    fn select_best(&self, ups_limit: f64) -> Option<(Price, f64)> {
         let mut best: Option<(Price, f64)> = None;
-        let sums = self.totals.iter().zip(&self.infeasible);
-        for (&q, (&total, &over)) in self.candidates.iter().zip(sums) {
-            if over || total > ups_spot + TOLERANCE {
+        let sums = self.totals.iter().zip(&self.ruled_out);
+        for (&q, (&total, &out)) in self.candidates.iter().zip(sums) {
+            if out || total > ups_limit {
                 continue;
             }
             let rate = q.per_kw_hour_value() * (total / 1_000.0);
@@ -1372,6 +1451,58 @@ mod tests {
             .collect();
         assert_eq!(sold[1], 25.0);
         assert!(sold[2] < sold[0] && sold[0] <= 30.0, "{sold:?}");
+    }
+
+    #[test]
+    fn bounding_leaves_a_handful_of_candidates_to_sum() {
+        // 3 000 linear bids, four racks to a PDU, a quarter of them
+        // asking for more than their rack's headroom (pieces that clip
+        // and are bounded cell by cell): 6 000 pieces over ~600
+        // candidates, so the totals are bounded first. The bounds must
+        // then actually decide — sound bounds that rule nothing out
+        // would pass every outcome test and sum everything.
+        let mut state = 42u64;
+        let mut uniform = |lo: f64, hi: f64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            lo + (hi - lo) * ((state >> 11) as f64 / (1u64 << 53) as f64)
+        };
+        let racks = 3_000;
+        let mut topo = TopologyBuilder::new(Watts::new(1e9));
+        for r in 0..racks {
+            if r % 4 == 0 {
+                topo = topo.pdu(Watts::new(1e6));
+            }
+            topo = topo.rack(TenantId::new(r), Watts::new(5_000.0), Watts::new(2_000.0));
+        }
+        let topo = topo.build().unwrap();
+        let bids: Vec<RackBid> = (0..racks)
+            .map(|r| {
+                let d_max = uniform(200.0, 2_600.0);
+                let q_min = uniform(0.0, 0.2);
+                let (d_min, q_max) = (uniform(0.0, d_max), q_min + uniform(0.01, 0.4));
+                linear(r, d_max, q_min, d_min, q_max)
+            })
+            .collect();
+        let cs = ConstraintSet::new(
+            &topo,
+            vec![Watts::new(6_000.0); racks / 4],
+            Watts::new(racks as f64 * 400.0),
+        );
+        let engine = MarketClearing::default();
+        let mut scratch = Scratch::default();
+        let out = engine.clear_in(&mut scratch, Slot::ZERO, &bids, &cs);
+        assert!(scratch.book.segs.len() >= scratch.candidates.len());
+        let summed = scratch.ruled_out.iter().filter(|&&out| !out).count();
+        assert!(
+            (1..=8).contains(&summed),
+            "{summed} of {} candidates summed exactly",
+            scratch.candidates.len()
+        );
+        let (price, rate) = legacy_scan(&bids, &scratch.live, &cs, &scratch.candidates).unwrap();
+        assert_eq!((out.price(), out.revenue_rate()), (price, rate));
+        assert!(rate > 0.0);
     }
 
     #[test]

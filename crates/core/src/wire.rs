@@ -781,6 +781,39 @@ mod tests {
     }
 
     #[test]
+    fn damaged_payloads_are_errors_not_panics() {
+        // Every other value of every byte of every message: a tag, a
+        // bool, a length word's high byte (a count of 2^56 elements), a
+        // float's exponent. The decoder answers `Ok` or a typed error —
+        // an unchecked length would abort in `with_capacity` — and what
+        // it builds is never larger than what it was given: each
+        // element it keeps took at least its own encoding off the wire.
+        let (mut refused, mut decoded) = (0usize, 0usize);
+        for msg in sample_messages() {
+            let bytes = msg.encode();
+            for at in 0..bytes.len() {
+                let mut damaged = bytes.clone();
+                for value in (0..=u8::MAX).filter(|&v| v != bytes[at]) {
+                    damaged[at] = value;
+                    match WireMsg::decode(&damaged) {
+                        Ok(read) => {
+                            assert!(read.encode().len() <= damaged.len(), "byte {at} = {value}");
+                            decoded += 1;
+                        }
+                        Err(WireError::Decode(_) | WireError::UnknownMessage(_)) => refused += 1,
+                    }
+                }
+            }
+        }
+        // Both arms are exercised: tags, bools and lengths refuse,
+        // float and id payload bits decode.
+        assert!(
+            refused > 0 && decoded > 0,
+            "{refused} refused, {decoded} decoded"
+        );
+    }
+
+    #[test]
     fn wire_errors_render_their_cause() {
         let e = WireError::from(DecodeError::BadBool(7));
         assert!(e.to_string().contains("does not decode"));

@@ -282,7 +282,12 @@ fn pdu_reach(bids: &[RackBid], cs: &ConstraintSet, pdu: usize) -> f64 {
 /// [`edge_price`], so its PDU's sum sits exactly at [`pdu_reach`]'s
 /// bound wherever all of that PDU's bids are such.
 fn greedy_bid() -> impl Strategy<Value = DemandBid> {
-    let price = || edge_price(step().per_kw_hour_value(), 0..60);
+    greedy_bid_on(step().per_kw_hour_value())
+}
+
+/// [`greedy_bid`] on the grid of `step` $/kW/h.
+fn greedy_bid_on(step: f64) -> impl Strategy<Value = DemandBid> {
+    let price = move || edge_price(step, 0..60);
     let flat = price().prop_map(|q| {
         StepBid::new(Watts::new(1e4), Price::per_kw_hour(q))
             .expect("valid")
@@ -866,5 +871,249 @@ proptest! {
         let headrooms = vec![60.0; 8 * WIDE_RACKS_PER_PDU];
         let (bids, cs) = wide_market(&picks, 6, &[false; 8], tall, &headrooms, &spots, ups);
         clear_checked_on(Price::per_kw_hour(grid), &bids, &cs);
+    }
+}
+
+/// Eq. 4's left-hand side at `q`: the live bids' clipped demands added
+/// in bid order, whether or not they fit anything.
+fn total_at(bids: &[RackBid], cs: &ConstraintSet, q: Price) -> f64 {
+    bids.iter()
+        .filter(|b| !b.demand().is_null())
+        .map(|b| b.demand_at(q).min(cs.rack_headroom(b.rack())))
+        .fold(0.0, |total, d| total + d.clamp_non_negative().value())
+}
+
+/// Where the UPS spot capacity sits.
+#[derive(Debug, Clone, Copy)]
+enum Ups {
+    /// A capacity of its own.
+    Fixed(f64),
+    /// Such that the limit a total is held to, capacity plus tolerance,
+    /// is the exact total at grid price number `multiple` moved `ulps`
+    /// floats up or down: that candidate fits by nothing, or misses by
+    /// nothing, and no bound on its total can tell which.
+    AtTotal { multiple: u32, ulps: i8 },
+    /// The same at the price the market clears at while the UPS does
+    /// not bind: the best candidate there is, kept or lost by one float.
+    AtWinner { ulps: i8 },
+}
+
+fn ups() -> impl Strategy<Value = Ups> {
+    prop_oneof![
+        (0..62u32, -1..=1i8).prop_map(|(multiple, ulps)| Ups::AtTotal { multiple, ulps }),
+        (-1..=1i8).prop_map(|ulps| Ups::AtWinner { ulps }),
+        (-1..=1i8).prop_map(|ulps| Ups::AtWinner { ulps }),
+        (0.0..4_000.0f64).prop_map(Ups::Fixed),
+        Just(Ups::Fixed(1e9)),
+    ]
+}
+
+impl Ups {
+    fn watts(self, grid: f64, bids: &[RackBid], cs: &ConstraintSet) -> Watts {
+        let (q, ulps) = match self {
+            Ups::Fixed(watts) => return Watts::new(watts),
+            Ups::AtTotal { multiple, ulps } => {
+                (Price::per_kw_hour(f64::from(multiple) * grid), ulps)
+            }
+            Ups::AtWinner { ulps } => {
+                let open = cs.clone().with_ups_spot(Watts::new(1e18));
+                (
+                    oracle::clear(Price::per_kw_hour(grid), bids, &open).price,
+                    ulps,
+                )
+            }
+        };
+        let total = total_at(bids, cs, q);
+        let limit = match ulps {
+            0 => total,
+            1.. => total.next_up(),
+            _ => total.next_down(),
+        };
+        let mut spot = limit - TOLERANCE;
+        while spot + TOLERANCE < limit {
+            spot = spot.next_up();
+        }
+        while spot + TOLERANCE > limit {
+            spot = spot.next_down();
+        }
+        Watts::new(spot)
+    }
+}
+
+/// A grid step from the engine's floor to 1 $ and 30–90 `wide_market`
+/// picks on it: more pieces than grid prices unless a tall cap stretches
+/// the grid, so the sweep bounds the totals before it sums any — and
+/// with the tall cap it does not, the other side of that rule.
+fn big_book_on_any_grid() -> impl Strategy<Value = (f64, Vec<(usize, DemandBid)>)> {
+    let on = |grid: f64| {
+        let bid = prop_oneof![edge_bid_on(grid), edge_bid_on(grid), greedy_bid_on(grid)];
+        (Just(grid), prop::collection::vec((0..64usize, bid), 30..90))
+    };
+    prop_oneof![on(1e-9), on(1e-5), on(0.005), on(1.0)]
+}
+
+/// Step bids forming a revenue *ladder* on the grid of `grid` $/kW/h:
+/// rung `k` (1-based) is `parts` bids sharing the cap `k · grid`, sized
+/// so that the revenue rate at that price is `level + offsets[k - 1]`
+/// $/h up to rounding. Bids go part by part, not rung by rung, behind
+/// any `extras`; every rack has room for everything.
+fn ladder_book(
+    grid: f64,
+    level: f64,
+    offsets: &[f64],
+    parts: usize,
+    extras: &[DemandBid],
+) -> (Vec<RackBid>, ConstraintSet) {
+    let rungs = offsets.len();
+    let total = |k: usize| (level + offsets[k - 1]) * 1_000.0 / (k as f64 * grid);
+    let rung = |k: usize| total(k) - if k < rungs { total(k + 1) } else { 0.0 };
+    let demands = (0..parts).flat_map(|part| {
+        (1..=rungs).map(move |k| {
+            let share = rung(k) / parts as f64;
+            let watts = if part == 0 {
+                rung(k) - share * (parts - 1) as f64
+            } else {
+                share
+            };
+            StepBid::new(
+                Watts::new(watts.max(0.0)),
+                Price::per_kw_hour(k as f64 * grid),
+            )
+            .expect("valid")
+            .into()
+        })
+    });
+    let demands: Vec<DemandBid> = extras.iter().cloned().chain(demands).collect();
+    let mut b = TopologyBuilder::new(Watts::new(1e18));
+    for i in 0..demands.len() {
+        if i % 4 == 0 {
+            b = b.pdu(Watts::new(1e15));
+        }
+        b = b.rack(TenantId::new(i), Watts::new(100.0), Watts::new(1e12));
+    }
+    let topo = b.build().expect("valid topology");
+    let bids = demands
+        .into_iter()
+        .enumerate()
+        .map(|(i, d)| RackBid::new(RackId::new(i), d))
+        .collect();
+    let spots = vec![Watts::new(1e15); topo.pdu_count()];
+    (bids, ConstraintSet::new(&topo, spots, Watts::new(1e18)))
+}
+
+#[test]
+fn a_ladder_within_the_tie_tolerance_keeps_the_oracles_rung() {
+    // Each rung earns three quarters of the incumbent rule's 1e-12 more
+    // (or less) than the one below, so which rung the ascending scan
+    // ends on depends on every rung it passed: it keeps one, refuses
+    // the next, takes the one after. The top of the ladder alone does
+    // not say where that chain stands; a sweep that sums only the
+    // candidates near the maximum must still end on the oracle's rung.
+    for rungs in [7, 8, 19, 20, 33] {
+        for rise in [0.75e-12, -0.75e-12, 0.4e-12, 1.25e-12] {
+            let offsets: Vec<f64> = (0..rungs).map(|k| f64::from(k) * rise).collect();
+            for level in [1.0, 40.0] {
+                let (bids, cs) = ladder_book(1.0, level, &offsets, 3, &[]);
+                let out = clear_checked_on(Price::per_kw_hour(1.0), &bids, &cs);
+                assert!(
+                    (out.revenue_rate() - level).abs() < 1e-9,
+                    "{}",
+                    out.revenue_rate()
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn bounded_totals_match_the_oracle(
+        (grid, picks) in big_book_on_any_grid(),
+        pdus in 5..9usize,
+        tall in prop_oneof![
+            Just(None),
+            Just(None),
+            (0..64usize, prop_oneof![70..400u32, 100_000..200_000u32]).prop_map(Some),
+        ],
+        headrooms in prop::collection::vec(
+            prop_oneof![
+                Just(60.0), 5.0..100.0f64, 5.0..100.0f64, 5.0..100.0f64, Just(2e4),
+                Just(0.0), Just(-0.0), -50.0..0.0f64, Just(f64::INFINITY), Just(f64::NAN),
+            ],
+            8 * WIDE_RACKS_PER_PDU,
+        ),
+        spots in prop::collection::vec(prop_oneof![0.0..120.0f64, 0.0..3_000.0f64, Just(1e9)], 8),
+        ups in ups(),
+    ) {
+        // With at least as many pieces as grid prices the sweep first
+        // bounds every total from the pieces' linear forms and sums
+        // exactly only where the bounds cannot say whether a candidate
+        // fits the UPS or can be the maximum. So: books of that size in
+        // every bid shape (fuzzy `FullBid` interiors included), greedy
+        // bids and negative, `-0.0`, infinite and NaN headrooms — pieces
+        // that clip and are bounded cell by cell — grids from 1e-9 $ to
+        // 1 $, and a UPS limit one float either side of a candidate's
+        // exact total, where that candidate must be summed, not judged
+        // by its bounds. The book is cleared again with its bids
+        // reversed: the same sets of addends in another order.
+        let placeholder = vec![60.0; 8 * WIDE_RACKS_PER_PDU];
+        let tall = tall.map(|(pick, multiple)| (pick, f64::from(multiple) * grid));
+        let (mut bids, cs) = wide_market(&picks, pdus, &[false; 8], tall, &placeholder, &spots, 0.0);
+        let mut cs = with_raw_headrooms(&cs, &headrooms);
+        for _ in 0..2 {
+            cs.set_ups_spot(ups.watts(grid, &bids, &cs));
+            clear_checked_on(Price::per_kw_hour(grid), &bids, &cs);
+            bids.reverse();
+        }
+    }
+
+    #[test]
+    fn revenue_ladders_keep_the_oracles_incumbent(
+        grid in prop_oneof![Just(1.0), Just(0.01), Just(1e-5)],
+        level in prop_oneof![Just(1.0), Just(37.5), Just(1e4), Just(1e6)],
+        rises in prop::collection::vec(
+            prop_oneof![
+                (-4..=4i8).prop_map(|halves| f64::from(halves) * 0.5e-12),
+                (-4..=4i8).prop_map(|halves| f64::from(halves) * 0.5e-12),
+                Just(0.0), Just(-1e-9), Just(1e-10), Just(-1e-3),
+            ],
+            6..40,
+        ),
+        cumulative in prop_oneof![Just(false), Just(true)],
+        parts in 2..5usize,
+        extras in prop_oneof![
+            Just(Vec::new()),
+            Just(Vec::new()),
+            prop::collection::vec(prop_oneof![edge_bid_on(1.0), greedy_bid_on(1.0)], 1..4),
+        ],
+        ups in ups(),
+    ) {
+        // Plateaus (every rise zero), ladders that climb or fall by
+        // 0.5e-12 … 2e-12 $/h a rung — under, on and over the 1e-12 by
+        // which the ascending scan lets a later candidate displace the
+        // incumbent — and rungs far below the rest, at revenue levels
+        // where 1e-12 is thousands of floats and where it is less than
+        // one. The price the oracle ends on depends on the whole chain
+        // of incumbents, including candidates nowhere near the maximum;
+        // the sweep, which sums only those near it, must end there too.
+        let mut climbed = 0.0;
+        let offsets: Vec<f64> = rises
+            .iter()
+            .map(|&rise| {
+                climbed = if cumulative { climbed + rise } else { rise };
+                climbed
+            })
+            .collect();
+        let (mut bids, mut cs) = ladder_book(grid, level, &offsets, parts, &extras);
+        for _ in 0..2 {
+            cs.set_ups_spot(match ups {
+                Ups::Fixed(_) => Watts::new(1e18),
+                at_total => at_total.watts(grid, &bids, &cs),
+            });
+            clear_checked_on(Price::per_kw_hour(grid), &bids, &cs);
+            bids.reverse();
+        }
     }
 }

@@ -127,7 +127,9 @@ event_table! {
         sold_watts: f64,
         /// Operator revenue rate at the clearing point, $/h.
         revenue_rate_per_hour: f64,
-        /// Candidate prices evaluated by the clearing search.
+        /// Size of the price grid the clearing search considered — the
+        /// prices the outcome is the best of, not how many of them the
+        /// engine had to sum to know it.
         candidates_evaluated: u64,
     },
     /// The operator issued a spot-capacity prediction for a slot.
