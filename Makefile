@@ -2,9 +2,9 @@
 
 CARGO ?= cargo
 
-.PHONY: build test bench bench-slots bench-check bench-dist bench-pairs \
-	benchmark-check clippy determinism golden smoke-faults smoke-trace smoke-crash \
-	smoke-dist fmt verify repro loc
+.PHONY: build test bench bench-pairs benchmark-check clippy determinism \
+	golden smoke-faults smoke-trace smoke-crash smoke-dist fmt docs-check \
+	verify repro loc
 
 # --workspace matters: the root Cargo.toml is a package, so a bare
 # `cargo build` would skip member binaries (repro, spotdc-trace) that
@@ -60,26 +60,13 @@ smoke-dist: build
 fmt:
 	$(CARGO) fmt --check
 
+# Every `make <target>` and scripts/<name> the documents mention must
+# exist, so deleting a tool fails here until its mentions go too.
+docs-check:
+	scripts/doc_refs
+
 bench:
 	$(CARGO) bench -p spotdc-bench
-
-# Slot throughput versus the within-slot width (see BENCH_slots.json
-# for the checked-in reference run).
-bench-slots: build
-	$(CARGO) run -p spotdc-bench --bin bench_slots --release -- \
-		--out BENCH_slots.json
-
-# Just the distributed grid — cold/warm throughput, frames and bytes
-# per slot — without the serial/clearing rows.
-bench-dist: build
-	$(CARGO) run -p spotdc-bench --bin bench_slots --release -- --dist-only
-
-# Regression gate: re-measure and fail if inner_jobs=4 throughput fell
-# more than 10% below the committed reference.
-bench-check: build
-	$(CARGO) run -p spotdc-bench --bin bench_slots --release -- \
-		--out target/BENCH_slots.fresh.json
-	scripts/bench_check BENCH_slots.json target/BENCH_slots.fresh.json
 
 # The A/B behind every performance claim: BENCHMARK.json's command on
 # the working tree against BASE, in alternating pairs, reporting both
@@ -111,4 +98,4 @@ repro:
 	$(CARGO) run -p spotdc-bench --bin repro --release -- --quick \
 		--out repro-results --telemetry repro-results/telemetry.jsonl
 
-verify: build test golden determinism clippy benchmark-check smoke-faults smoke-trace smoke-crash smoke-dist fmt
+verify: build test golden determinism clippy benchmark-check smoke-faults smoke-trace smoke-crash smoke-dist docs-check fmt

@@ -2,6 +2,12 @@
 //! (hyper-scale, 304 tenants, SpotDC with per-PDU pricing) as the
 //! inner pool widens. All widths simulate byte-identical markets, so
 //! any spread is pure pipeline overhead or speedup.
+//!
+//! This is the repository's only `inner_jobs` ≥ 2 measurement: every
+//! `BENCHMARK.json` workload runs the serial width, and stays so until
+//! ROADMAP item 1(c)'s two-CPU row exists. Read it beside
+//! `std::thread::available_parallelism` — on one CPU it can only show
+//! the pool's overhead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spotdc_sim::baselines::Mode;

@@ -43,6 +43,7 @@
 //! simulation is fully seeded, so the experiment bodies are
 //! byte-identical for any job count — only the wall-clock changes.
 
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -73,7 +74,7 @@ impl Reporter {
     fn progress(&self, text: &str) {
         if !self.quiet {
             let _held = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-            println!("{text}");
+            print_stdout(text);
         }
     }
 
@@ -87,6 +88,25 @@ impl Reporter {
     fn error(&self, text: &str) {
         let _held = self.lock.lock().unwrap_or_else(|e| e.into_inner());
         eprintln!("{text}");
+    }
+}
+
+/// Writes `text` and a newline to stdout through one locked handle —
+/// the only way this binary writes there. A reader that closed the
+/// pipe (`repro --list | head -1`) has what it came for: exit 0
+/// silently where `println!` would panic with a backtrace.
+fn print_stdout(text: &str) {
+    let mut out = std::io::stdout().lock();
+    match writeln!(out, "{text}").and_then(|()| out.flush()) {
+        Ok(()) => {}
+        Err(e) => {
+            spotdc_telemetry::flush();
+            if e.kind() == std::io::ErrorKind::BrokenPipe {
+                std::process::exit(0);
+            }
+            eprintln!("error: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -108,9 +128,7 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--list" | "--list-exps" => {
-                for id in all_ids() {
-                    println!("{id}");
-                }
+                print_stdout(&all_ids().join("\n"));
                 return ExitCode::SUCCESS;
             }
             "--quick" => {
@@ -278,7 +296,7 @@ fn main() -> ExitCode {
     }
     let recorder = blackbox_dir
         .as_ref()
-        .map(|dir| FlightRecorder::arm(dir, BlackBoxConfig::enabled()));
+        .map(|dir| FlightRecorder::arm(dir, BlackBoxConfig::default()));
     let ids: Vec<String> = if selected.is_empty() {
         all_ids().into_iter().map(str::to_owned).collect()
     } else {
@@ -441,8 +459,9 @@ fn run_single(run: SingleRun, reporter: &Reporter) -> ExitCode {
     // Derived Debug is deterministic field-by-field rendering (floats
     // print shortest-roundtrip), so two equal reports print
     // byte-identically — exactly what the harness diffs.
-    println!("# repro --mode run: seed {seed}, {slots} slots");
-    println!("{report:#?}");
+    print_stdout(&format!(
+        "# repro --mode run: seed {seed}, {slots} slots\n{report:#?}"
+    ));
     ExitCode::SUCCESS
 }
 

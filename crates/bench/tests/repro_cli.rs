@@ -1,0 +1,42 @@
+//! `repro`'s stdout contract: `--list` prints the experiment registry,
+//! and a reader that goes away is not an error.
+
+use std::process::{Command, Stdio};
+
+#[test]
+fn list_prints_the_registry_in_order() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--list")
+        .output()
+        .expect("run repro");
+    assert!(out.status.success(), "exit {:?}", out.status);
+    assert!(out.stderr.is_empty(), "{:?}", out.stderr);
+    let stdout = String::from_utf8(out.stdout).expect("ids are UTF-8");
+    let listed: Vec<&str> = stdout.lines().collect();
+    assert_eq!(listed, spotdc_sim::experiments::all_ids());
+}
+
+#[test]
+fn list_into_a_closed_pipe_exits_cleanly() {
+    // The read end is gone before the child starts, so its first write
+    // fails with EPIPE — `repro --list | head -1` without the race.
+    let (reader, writer) = std::io::pipe().expect("create pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--list")
+        .stdout(Stdio::from(writer))
+        .stderr(Stdio::piped())
+        .output()
+        .expect("run repro");
+    assert!(
+        out.status.success(),
+        "exit {:?}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        out.stderr.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}

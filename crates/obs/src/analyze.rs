@@ -251,6 +251,11 @@ pub struct Analysis {
     /// Sold / predicted UPS spot capacity, for slots carrying both a
     /// clearing and a prediction (within the same run).
     pub utilization: SeriesStats,
+    /// `ConstraintBound` events by level (`"ups"`, `"pdu"`): how often
+    /// the winning grants exhausted a spot capacity of that level.
+    pub binding: BTreeMap<String, u64>,
+    /// Distinct `(run, slot)` pairs with any bound constraint.
+    pub binding_slots: u64,
     /// Degradation tallies by kind.
     pub degradations: BTreeMap<String, DegradationStats>,
     /// Slots where an overload emergency fired.
@@ -288,6 +293,8 @@ impl Analysis {
         let mut shard_clears: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         // (run, slot) pairs that carried slot-phase shard traffic
         let mut rpc_slots: BTreeSet<(String, u64)> = BTreeSet::new();
+        // (run, slot) pairs where some clear ran into a spot capacity
+        let mut bound_slots: BTreeSet<(String, u64)> = BTreeSet::new();
 
         for (idx, line) in body.lines().enumerate() {
             if line.trim().is_empty() {
@@ -425,7 +432,12 @@ impl Analysis {
                     shard_clears.entry(*shard).or_default().push(*nanos);
                     a.distributed.clears.entry(*shard).or_default().outcomes += *outcomes;
                 }
-                Event::ConstraintBound { .. } => {}
+                Event::ConstraintBound { constraint, .. } => {
+                    // "ups" or "pdu-<i>": tally by level, not by PDU.
+                    let level = constraint.split('-').next().unwrap_or_default();
+                    *a.binding.entry(level.to_owned()).or_default() += 1;
+                    bound_slots.insert((run_key, slot));
+                }
             }
         }
 
@@ -454,6 +466,7 @@ impl Analysis {
             stats.p99_ns = nearest_rank(&samples, 99);
         }
         a.distributed.slots = rpc_slots.len() as u64;
+        a.binding_slots = bound_slots.len() as u64;
         a.emergency_slots.sort();
         a.emergency_slots.dedup();
         a.invariant_slots.sort();
@@ -527,6 +540,21 @@ impl Analysis {
         let _ = writeln!(out, "price $/kW/h: {}", self.price.render());
         let _ = writeln!(out, "sold watts:   {}", self.sold_watts.render());
         let _ = writeln!(out, "utilization:  {}", self.utilization.render());
+        let levels: Vec<String> = self
+            .binding
+            .iter()
+            .map(|(level, count)| format!("{level} {count}"))
+            .collect();
+        let _ = writeln!(
+            out,
+            "binding:      {} slots ({})",
+            self.binding_slots,
+            if levels.is_empty() {
+                "none".to_owned()
+            } else {
+                levels.join(", ")
+            }
+        );
 
         let _ = writeln!(out, "\n-- degradations --");
         if self.degradations.is_empty() {
@@ -690,6 +718,17 @@ impl Analysis {
         let _ = write!(out, ",\"price\":{}", self.price.render_json());
         let _ = write!(out, ",\"sold_watts\":{}", self.sold_watts.render_json());
         let _ = write!(out, ",\"utilization\":{}", self.utilization.render_json());
+        let levels: Vec<String> = self
+            .binding
+            .iter()
+            .map(|(level, count)| format!("{}:{count}", json_str(level)))
+            .collect();
+        let _ = write!(
+            out,
+            ",\"binding\":{{\"slots\":{},\"levels\":{{{}}}}}",
+            self.binding_slots,
+            levels.join(",")
+        );
 
         out.push_str(",\"degradations\":{");
         for (i, (kind, stats)) in self.degradations.iter().enumerate() {
@@ -1263,6 +1302,59 @@ mod tests {
         // Serial logs still render the section header.
         let empty = Analysis::from_jsonl("", None).render_text();
         assert!(empty.contains("(no shard telemetry)"), "{empty}");
+    }
+
+    #[test]
+    fn bound_constraints_are_tallied_by_level() {
+        let bound = |slot: u64, constraint: &str| Event::ConstraintBound {
+            slot: Slot::new(slot),
+            at: MonotonicNanos::from_raw(slot * 1_000 + 6),
+            constraint: constraint.to_owned(),
+            limit_watts: 1_000.0,
+        };
+        let body = [
+            line(Some("r"), &bound(1, "pdu-0")),
+            line(Some("r"), &bound(1, "pdu-12")),
+            line(Some("r"), &bound(1, "ups")),
+            line(Some("r"), &bound(2, "pdu-3")),
+            // Same slot index, another run: its own (run, slot) pair.
+            line(Some("q"), &bound(2, "ups")),
+            line(Some("r"), &cleared(3, 0.2, 100.0)),
+        ]
+        .join("\n");
+        let a = Analysis::from_jsonl(&body, None);
+        assert_eq!(a.binding["pdu"], 3);
+        assert_eq!(a.binding["ups"], 2);
+        assert_eq!(a.binding.len(), 2);
+        assert_eq!(a.binding_slots, 3);
+        let text = a.render_text();
+        assert!(
+            text.contains("\nbinding:      3 slots (pdu 3, ups 2)\n"),
+            "{text}"
+        );
+        let json = a.render_json();
+        assert!(
+            json.contains("\"binding\":{\"slots\":3,\"levels\":{\"pdu\":3,\"ups\":2}}"),
+            "{json}"
+        );
+        // The run filter applies to the tally like to everything else.
+        let q = Analysis::from_jsonl(&body, Some("q"));
+        assert_eq!((q.binding.get("pdu"), q.binding["ups"]), (None, 1));
+        assert_eq!(q.binding_slots, 1);
+        // A log with no bound constraint still prints the line.
+        let empty = Analysis::from_jsonl("", None);
+        assert!(
+            empty.render_text().contains("binding:      0 slots (none)"),
+            "{}",
+            empty.render_text()
+        );
+        assert!(
+            empty
+                .render_json()
+                .contains("\"binding\":{\"slots\":0,\"levels\":{}}"),
+            "{}",
+            empty.render_json()
+        );
     }
 
     #[test]

@@ -24,14 +24,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use spotdc_telemetry::{Event, EventSink, RingSink};
 
-/// Flight-recorder configuration, embedded in the engine's `Copy`
-/// config structs (hence `Copy` — the dump directory is *not* part of
-/// it; binaries choose the directory when they arm the recorder, and
-/// the engine falls back to [`BlackBoxConfig::DEFAULT_DIR`]).
+/// Flight-recorder window sizes. The dump directory is *not* part of
+/// it: whoever arms the recorder ([`FlightRecorder::arm`]) chooses it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlackBoxConfig {
-    /// Master switch; when false the engine arms no recorder.
-    pub enabled: bool,
     /// Ring capacity: how many events of pre-trigger context each dump
     /// carries (minimum 1).
     pub capacity: usize,
@@ -43,27 +39,9 @@ pub struct BlackBoxConfig {
     pub max_dumps: usize,
 }
 
-impl BlackBoxConfig {
-    /// Directory the engine uses when it arms a recorder and the
-    /// owning binary did not pick one.
-    pub const DEFAULT_DIR: &'static str = "spotdc-blackbox";
-
-    /// Enabled with the default window sizes.
-    #[must_use]
-    pub fn enabled() -> Self {
-        BlackBoxConfig {
-            enabled: true,
-            ..BlackBoxConfig::default()
-        }
-    }
-}
-
 impl Default for BlackBoxConfig {
-    /// Disabled, but with usable window sizes so `enabled: true` via
-    /// struct-update syntax works out of the box.
     fn default() -> Self {
         BlackBoxConfig {
-            enabled: false,
             capacity: 256,
             post_trigger: 32,
             max_dumps: 16,
@@ -123,17 +101,6 @@ impl FlightRecorder {
         let recorder = Arc::new(FlightRecorder::new(dir, config));
         spotdc_telemetry::install_recorder(recorder.clone());
         recorder
-    }
-
-    /// Arms a recorder with the default dump directory unless one is
-    /// already installed; returns the new recorder if this call armed
-    /// it. The engine's entry point: a binary that armed its own
-    /// recorder (with its own directory) wins.
-    pub fn arm_if_unarmed(config: BlackBoxConfig) -> Option<Arc<FlightRecorder>> {
-        if spotdc_telemetry::has_recorder() {
-            return None;
-        }
-        Some(FlightRecorder::arm(BlackBoxConfig::DEFAULT_DIR, config))
     }
 
     /// The recorder's configuration.
@@ -291,7 +258,6 @@ mod tests {
 
     fn config(capacity: usize, post_trigger: usize) -> BlackBoxConfig {
         BlackBoxConfig {
-            enabled: true,
             capacity,
             post_trigger,
             max_dumps: 16,
@@ -372,7 +338,6 @@ mod tests {
         let rec = FlightRecorder::new(
             &dir,
             BlackBoxConfig {
-                enabled: true,
                 capacity: 4,
                 post_trigger: 0,
                 max_dumps: 2,
@@ -423,8 +388,6 @@ mod tests {
         // being the only such test in this crate's unit suite.
         let dir = temp_dir("arm");
         let rec = FlightRecorder::arm(&dir, config(4, 0));
-        assert!(spotdc_telemetry::has_recorder());
-        assert!(FlightRecorder::arm_if_unarmed(config(4, 0)).is_none());
         let detached = spotdc_telemetry::uninstall_recorder();
         assert!(detached.is_some());
         assert_eq!(rec.config().capacity, 4);

@@ -37,7 +37,6 @@ use std::path::{Path, PathBuf};
 
 use spotdc_durable::{Tail, WalWriter};
 use spotdc_faults::FaultConfig;
-use spotdc_obs::{BlackBoxConfig, FlightRecorder};
 use spotdc_power::CapConfig;
 use spotdc_units::{MonotonicNanos, Slot};
 
@@ -118,12 +117,6 @@ pub struct EngineConfig {
     /// runtime via [`crate::validate::set_forced`] (the repro binary's
     /// `--validate` flag).
     pub validate: bool,
-    /// Flight-recorder settings. When enabled, [`Simulation::run`] arms
-    /// a [`FlightRecorder`] (unless a binary armed one already, with
-    /// its own dump directory) so capacity emergencies leave black-box
-    /// JSONL dumps behind. Events only flow while telemetry is
-    /// enabled.
-    pub blackbox: BlackBoxConfig,
     /// Width of the [`spotdc_par::ThreadPool`] the *within-slot*
     /// data-parallel sections (bid/gain collection, per-PDU sub-market
     /// clearing, tenant settlement) map through: inline at `1` (the
@@ -180,9 +173,6 @@ pub enum ConfigError {
     /// `shards` was zero: the distributed clearing width must be at
     /// least one (one means the in-process serial path).
     ZeroShards,
-    /// The flight recorder was enabled with a zero-event ring: a black
-    /// box with no context is a misconfiguration, not a request.
-    ZeroBlackBoxCapacity,
     /// Durability was enabled with a zero checkpoint interval: a run
     /// that never checkpoints journals forever and recovers nothing.
     ZeroCheckpointEvery,
@@ -217,12 +207,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ZeroShards => {
                 write!(f, "shards must be at least one (1 = in-process)")
-            }
-            ConfigError::ZeroBlackBoxCapacity => {
-                write!(
-                    f,
-                    "blackbox.capacity must be at least one event when enabled"
-                )
             }
             ConfigError::ZeroCheckpointEvery => {
                 write!(
@@ -263,7 +247,6 @@ impl EngineConfig {
             faults: FaultConfig::disabled(),
             cap: CapConfig::disabled(),
             validate: cfg!(debug_assertions),
-            blackbox: BlackBoxConfig::default(),
             inner_jobs: 1,
             shards: 1,
             shard_transport: spotdc_dist::TransportKind::InProc,
@@ -284,9 +267,6 @@ impl EngineConfig {
         }
         if self.shards == 0 {
             return Err(ConfigError::ZeroShards);
-        }
-        if self.blackbox.enabled && self.blackbox.capacity == 0 {
-            return Err(ConfigError::ZeroBlackBoxCapacity);
         }
         if let Some(dir) = &self.durability.dir {
             if self.durability.checkpoint_every == 0 {
@@ -509,7 +489,7 @@ impl Simulation {
         for t in 0..slots {
             run_one_slot(&mut run, t);
         }
-        run.finish()
+        run.state.into_report()
     }
 
     /// Runs `slots` slots with crash-consistent durability: a bid
@@ -690,7 +670,7 @@ impl Simulation {
         }
         wal.sync()?;
         Ok(DurableOutcome {
-            report: run.finish(),
+            report: run.state.into_report(),
             recovery,
             checkpoints_written,
             stopped_after,
@@ -699,42 +679,26 @@ impl Simulation {
 }
 
 /// One run in flight, as [`Simulation::run`] and [`Simulation::run_durable`]
-/// both build it, step it ([`run_one_slot`]) and finish it.
+/// both build it and step it ([`run_one_slot`]).
 struct Run {
     state: SimState,
     ctx: SlotContext,
     stages: Vec<Box<dyn SlotStage>>,
-    /// Whether this run armed the flight recorder (and so flushes it).
-    armed_recorder: bool,
 }
 
 impl Run {
-    /// Installs telemetry and the flight recorder as configured, then
-    /// builds the cross-slot state, the slot scratch and the stages.
+    /// Installs telemetry as configured, then builds the cross-slot
+    /// state, the slot scratch and the stages.
     fn start(scenario: &Scenario, config: &EngineConfig, slots: u64) -> Self {
         if config.telemetry.enabled {
             spotdc_telemetry::install_if_uninstalled(config.telemetry);
         }
-        // Arm the flight recorder unless a binary armed one already
-        // (with its own dump directory); either way the recorder stays
-        // installed after the run so sweeps share one ring.
-        let armed_recorder =
-            config.blackbox.enabled && FlightRecorder::arm_if_unarmed(config.blackbox).is_some();
         let state = SimState::new(scenario, config, slots as usize);
         Run {
             ctx: SlotContext::new(state.topology.rack_count(), state.agents.len()),
             state,
             stages: pipeline::build(config),
-            armed_recorder,
         }
-    }
-
-    fn finish(self) -> SimReport {
-        if self.armed_recorder {
-            // Dump any emergency window still collecting its tail.
-            spotdc_telemetry::flush();
-        }
-        self.state.into_report()
     }
 }
 
@@ -1009,37 +973,6 @@ mod tests {
         );
         let report = sim.try_run(50).expect("valid run succeeds");
         assert_eq!(report.records.len(), 50);
-    }
-
-    #[test]
-    fn zero_capacity_blackbox_is_rejected() {
-        let zero = EngineConfig {
-            blackbox: BlackBoxConfig {
-                enabled: true,
-                capacity: 0,
-                ..BlackBoxConfig::default()
-            },
-            ..EngineConfig::new(Mode::SpotDc)
-        };
-        assert_eq!(zero.validate(), Err(ConfigError::ZeroBlackBoxCapacity));
-        // A disabled recorder never trips the check; an enabled one
-        // with the defaults is fine.
-        EngineConfig {
-            blackbox: BlackBoxConfig {
-                enabled: false,
-                capacity: 0,
-                ..BlackBoxConfig::default()
-            },
-            ..EngineConfig::new(Mode::SpotDc)
-        }
-        .validate()
-        .unwrap();
-        EngineConfig {
-            blackbox: BlackBoxConfig::enabled(),
-            ..EngineConfig::new(Mode::SpotDc)
-        }
-        .validate()
-        .unwrap();
     }
 
     #[test]

@@ -29,31 +29,37 @@ pub mod table1;
 
 pub use common::{ExpConfig, ExpOutput};
 
+/// An experiment's entry point: its module's `run`.
+type RunFn = fn(&ExpConfig) -> ExpOutput;
+
+/// The registry: every experiment's id and entry point, in paper order.
+const EXPERIMENTS: &[(&str, RunFn)] = &[
+    ("table1", table1::run),
+    ("fig2b", fig2b::run),
+    ("fig4", fig4::run),
+    ("fig7a", fig7a::run),
+    ("fig7b", fig7b::run),
+    ("fig8", fig8::run),
+    ("fig9", fig9::run),
+    ("fig10", fig10::run),
+    ("fig11", fig11::run),
+    ("fig12", fig12::run),
+    ("fig13", fig13::run),
+    ("fig14", fig14::run),
+    ("fig15", fig15::run),
+    ("fig16", fig16::run),
+    ("fig17", fig17::run),
+    ("fig18", fig18::run),
+    ("headline", headline::run),
+    ("ablations", ablations::run),
+    ("market_power", market_power::run),
+    ("robustness", robustness::run),
+];
+
 /// Every experiment id, in paper order.
 #[must_use]
 pub fn all_ids() -> Vec<&'static str> {
-    vec![
-        "table1",
-        "fig2b",
-        "fig4",
-        "fig7a",
-        "fig7b",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "fig12",
-        "fig13",
-        "fig14",
-        "fig15",
-        "fig16",
-        "fig17",
-        "fig18",
-        "headline",
-        "ablations",
-        "market_power",
-        "robustness",
-    ]
+    EXPERIMENTS.iter().map(|(id, _)| *id).collect()
 }
 
 /// One experiment's rendered output plus its wall-clock time.
@@ -92,29 +98,8 @@ pub fn run_selected(
 /// Runs one experiment by id, or `None` for an unknown id.
 #[must_use]
 pub fn run_by_id(id: &str, cfg: &ExpConfig) -> Option<ExpOutput> {
-    Some(match id {
-        "table1" => table1::run(cfg),
-        "fig2b" => fig2b::run(cfg),
-        "fig4" => fig4::run(cfg),
-        "fig7a" => fig7a::run(cfg),
-        "fig7b" => fig7b::run(cfg),
-        "fig8" => fig8::run(cfg),
-        "fig9" => fig9::run(cfg),
-        "fig10" => fig10::run(cfg),
-        "fig11" => fig11::run(cfg),
-        "fig12" => fig12::run(cfg),
-        "fig13" => fig13::run(cfg),
-        "fig14" => fig14::run(cfg),
-        "fig15" => fig15::run(cfg),
-        "fig16" => fig16::run(cfg),
-        "fig17" => fig17::run(cfg),
-        "fig18" => fig18::run(cfg),
-        "headline" => headline::run(cfg),
-        "ablations" => ablations::run(cfg),
-        "market_power" => market_power::run(cfg),
-        "robustness" => robustness::run(cfg),
-        _ => return None,
-    })
+    let (_, run) = EXPERIMENTS.iter().find(|(known, _)| *known == id)?;
+    Some(run(cfg))
 }
 
 #[cfg(test)]
@@ -134,7 +119,10 @@ mod tests {
             assert!(!out.body.is_empty());
         }
         assert!(run_by_id("nope", &cfg).is_none());
-        assert_eq!(all_ids().len(), 20);
+        let mut ids = all_ids();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), EXPERIMENTS.len(), "an id is listed twice");
     }
 
     #[test]

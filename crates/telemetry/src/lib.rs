@@ -236,12 +236,6 @@ pub fn uninstall_recorder() -> Option<Arc<dyn EventSink>> {
     RECORDER.write().unwrap_or_else(|e| e.into_inner()).take()
 }
 
-/// Whether a recorder is installed.
-#[must_use]
-pub fn has_recorder() -> bool {
-    RECORDER.read().unwrap_or_else(|e| e.into_inner()).is_some()
-}
-
 thread_local! {
     /// Stack of run-id tags for the current thread; the innermost
     /// [`run_scope`] wins. A stack (not a slot) so nested scopes
@@ -488,9 +482,7 @@ mod tests {
                 .collect();
             assert_eq!(sampled, vec![0, 10, 13]);
             assert_eq!(ring.len(), 21, "recorder receives every event");
-            assert!(has_recorder());
             assert!(uninstall_recorder().is_some());
-            assert!(!has_recorder());
             // With the recorder gone, emits only reach the sink.
             emit(emergency(14));
             assert_eq!(ring.len(), 21);

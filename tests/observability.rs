@@ -43,7 +43,7 @@ fn flight_recorder_and_trace_analysis_capture_a_real_emergency() {
 
     spotdc_telemetry::install(spotdc_telemetry::TelemetryConfig::in_memory());
     let _ = spotdc_telemetry::memory_sink().take();
-    let recorder = FlightRecorder::arm(&dir, BlackBoxConfig::enabled());
+    let recorder = FlightRecorder::arm(&dir, BlackBoxConfig::default());
 
     let report = Simulation::new(
         Scenario::testbed(EMERGENCY_SEED),
