@@ -31,7 +31,8 @@ use spotdc_units::{Money, Price, RackId, Slot, SlotDuration, Watts};
 pub struct SpotAllocation {
     slot: Slot,
     price: Price,
-    grants: BTreeMap<RackId, Watts>,
+    /// `(rack, grant)` pairs, strictly ascending by rack.
+    grants: Vec<(RackId, Watts)>,
 }
 
 impl SpotAllocation {
@@ -39,9 +40,28 @@ impl SpotAllocation {
     /// but was priced out appears with a zero grant), negative grants
     /// are clamped to zero.
     #[must_use]
-    pub fn new(slot: Slot, price: Price, mut grants: BTreeMap<RackId, Watts>) -> Self {
-        for grant in grants.values_mut() {
+    pub fn new(slot: Slot, price: Price, grants: BTreeMap<RackId, Watts>) -> Self {
+        SpotAllocation::from_pairs(slot, price, grants.into_iter().collect())
+    }
+
+    /// [`Self::new`] from `(rack, grant)` pairs in any order, with what
+    /// collecting them into a `BTreeMap` would keep: sorted by rack, the
+    /// last grant of a rack named twice. Rack-ascending pairs — every
+    /// real book's — are neither moved nor copied.
+    pub(crate) fn from_pairs(slot: Slot, price: Price, mut grants: Vec<(RackId, Watts)>) -> Self {
+        for (_, grant) in &mut grants {
             *grant = grant.clamp_non_negative();
+        }
+        if !grants.is_sorted_by(|a, b| a.0 < b.0) {
+            // Stable, so a rack's grants stay in the order given.
+            grants.sort_by_key(|&(rack, _)| rack);
+            grants.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    kept.1 = later.1;
+                }
+                same
+            });
         }
         SpotAllocation {
             slot,
@@ -56,7 +76,7 @@ impl SpotAllocation {
         SpotAllocation {
             slot,
             price: Price::ZERO,
-            grants: BTreeMap::new(),
+            grants: Vec::new(),
         }
     }
 
@@ -75,26 +95,27 @@ impl SpotAllocation {
     /// The grant for `rack` (zero if it received nothing).
     #[must_use]
     pub fn grant(&self, rack: RackId) -> Watts {
-        self.grants.get(&rack).copied().unwrap_or(Watts::ZERO)
+        self.grants
+            .binary_search_by_key(&rack, |&(r, _)| r)
+            .map_or(Watts::ZERO, |i| self.grants[i].1)
     }
 
     /// Iterates over `(rack, grant)` pairs in rack order.
     pub fn iter(&self) -> impl Iterator<Item = (RackId, Watts)> + '_ {
-        self.grants.iter().map(|(&r, &w)| (r, w))
+        self.grants.iter().copied()
     }
 
     /// The racks holding a strictly positive grant.
     pub fn granted_racks(&self) -> impl Iterator<Item = RackId> + '_ {
-        self.grants
-            .iter()
-            .filter(|(_, &w)| w > Watts::ZERO)
-            .map(|(&r, _)| r)
+        self.iter()
+            .filter(|&(_, w)| w > Watts::ZERO)
+            .map(|(r, _)| r)
     }
 
     /// Total spot capacity sold.
     #[must_use]
     pub fn total(&self) -> Watts {
-        self.grants.values().copied().sum()
+        self.iter().map(|(_, w)| w).sum()
     }
 
     /// Whether nothing was sold.
@@ -119,12 +140,12 @@ impl SpotAllocation {
     /// broadcast to a rack's tenant is lost — the fallback is "no spot
     /// capacity").
     pub fn revoke_where(&mut self, mut lost: impl FnMut(RackId) -> bool) {
-        self.grants.retain(|&rack, _| !lost(rack));
+        self.grants.retain(|&(rack, _)| !lost(rack));
     }
 
-    /// Access to the underlying grant map.
+    /// The `(rack, grant)` pairs, strictly ascending by rack.
     #[must_use]
-    pub fn grants(&self) -> &BTreeMap<RackId, Watts> {
+    pub fn grants(&self) -> &[(RackId, Watts)] {
         &self.grants
     }
 }
@@ -134,21 +155,31 @@ impl spotdc_durable::Persist for SpotAllocation {
         enc.put_u64(self.slot.index());
         enc.put_f64(self.price.per_kw_hour_value());
         enc.put_usize(self.grants.len());
-        for (rack, grant) in &self.grants {
+        for (rack, grant) in self.iter() {
             enc.put_u64(rack.index() as u64);
             enc.put_f64(grant.value());
         }
     }
 
     fn restore(dec: &mut spotdc_durable::Decoder<'_>) -> Result<Self, spotdc_durable::DecodeError> {
+        use spotdc_durable::DecodeError;
         let slot = Slot::new(dec.get_u64()?);
         let price = Price::per_kw_hour(dec.get_f64()?);
         let n = dec.get_usize()?;
-        let mut grants = BTreeMap::new();
+        // Each grant is 16 bytes on the wire: a count the rest of the
+        // buffer cannot hold is refused before anything is allocated.
+        if n > dec.remaining() / 16 {
+            return Err(DecodeError::BadLength(n as u64));
+        }
+        let mut grants = Vec::with_capacity(n);
         for _ in 0..n {
             let rack = RackId::new(dec.get_usize()?);
-            let grant = Watts::new(dec.get_f64()?);
-            grants.insert(rack, grant);
+            if grants.last().is_some_and(|&(last, _)| last >= rack) {
+                return Err(DecodeError::Invalid(format!(
+                    "spot grant racks out of order at {rack}"
+                )));
+            }
+            grants.push((rack, Watts::new(dec.get_f64()?)));
         }
         // The struct is rebuilt directly (not via `new`) so the decoded
         // value is bit-identical to the encoded one even for the zero
@@ -244,7 +275,7 @@ mod tests {
         assert_eq!(a.granted_racks().collect::<Vec<_>>(), [RackId::new(3)]);
         // Equal to the allocation built from already-clamped grants, and
         // a persist round trip restores it bit for bit.
-        let clamped = a.grants().clone();
+        let clamped = a.iter().collect();
         assert_eq!(a, SpotAllocation::new(a.slot(), a.price(), clamped));
         let mut enc = Encoder::new();
         a.persist(&mut enc);
@@ -253,5 +284,50 @@ mod tests {
         assert_eq!(back, a);
         let back_bits: Vec<u64> = back.iter().map(|(_, w)| w.value().to_bits()).collect();
         assert_eq!(back_bits, kept);
+    }
+
+    #[test]
+    fn pairs_in_any_order_collect_like_a_map() {
+        // Shuffled racks are sorted; a rack named twice keeps its last
+        // grant, as `BTreeMap`'s `collect` does; negatives are clamped.
+        let pairs = [(2, 20.0), (0, 30.0), (2, -7.0), (1, 5.0), (0, 10.0)];
+        let pairs = pairs.map(|(r, w)| (RackId::new(r), Watts::new(w)));
+        let a = SpotAllocation::from_pairs(Slot::new(2), Price::per_kw_hour(0.2), pairs.to_vec());
+        let map = SpotAllocation::new(a.slot(), a.price(), pairs.into_iter().collect());
+        assert_eq!(a, map);
+        let kept = [(0, 10.0), (1, 5.0), (2, 0.0)].map(|(r, w)| (RackId::new(r), Watts::new(w)));
+        assert_eq!(a.grants(), kept);
+        assert_eq!(a.grant(RackId::new(1)), Watts::new(5.0));
+    }
+
+    /// `alloc()`'s persisted bytes with grant `i`'s rack word replaced.
+    fn with_rack_word(i: usize, rack: u64) -> Vec<u8> {
+        use spotdc_durable::{Encoder, Persist};
+        let mut enc = Encoder::new();
+        alloc().persist(&mut enc);
+        let mut bytes = enc.into_bytes();
+        let at = 24 + 16 * i;
+        bytes[at..at + 8].copy_from_slice(&rack.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn decoding_refuses_unordered_racks_and_impossible_counts() {
+        use spotdc_durable::{DecodeError, Decoder, Persist};
+        let decode = |bytes: &[u8]| SpotAllocation::restore(&mut Decoder::new(bytes));
+        // Racks 0, 1, 2 as written decode; a duplicate or a descending
+        // rack — which no writer produces — is refused, not collapsed.
+        assert_eq!(decode(&with_rack_word(1, 1)), Ok(alloc()));
+        for rack in [0, 2] {
+            let err = decode(&with_rack_word(1, rack)).unwrap_err();
+            assert!(matches!(err, DecodeError::Invalid(_)), "{err}");
+        }
+        // A count of u64::MAX grants (and one more than the bytes hold)
+        // fails before anything is allocated for them.
+        let mut bytes = with_rack_word(0, 0);
+        for count in [u64::MAX, 4] {
+            bytes[16..24].copy_from_slice(&count.to_le_bytes());
+            assert!(matches!(decode(&bytes), Err(DecodeError::BadLength(n)) if n == count));
+        }
     }
 }

@@ -33,14 +33,15 @@
 //! Algorithm 1: every non-empty clear regenerates the grid, sweeps and
 //! selects, so an outcome is a pure function of
 //! `(config, bids, constraints)`. What an engine retains is buffers
-//! (recycled so a warm clear allocates nothing but its outcome) and
-//! counters — DESIGN.md §13, "Why clearing keeps no state".
+//! (recycled, so a warm clear makes one allocation: its outcome's
+//! rack-ordered grant vector) and counters — DESIGN.md §13, "Why
+//! clearing keeps no state".
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
-use spotdc_units::{Price, Slot, Watts};
+use spotdc_units::{Price, RackId, Slot, Watts};
 
 use crate::allocation::SpotAllocation;
 use crate::bid::RackBid;
@@ -241,114 +242,113 @@ struct Scratch {
     /// Per-candidate "cannot be the price" flags: some PDU is over
     /// capacity, or the bounds on the total rule the candidate out.
     ruled_out: Vec<bool>,
+    /// The cheapest candidate the sweep summed exactly (`usize::MAX`
+    /// when no sweep ran this clear) …
+    exact_from: usize,
+    /// … and each bid's clipped demand there: the grants, should that
+    /// candidate win.
+    exact_demand: Vec<f64>,
 }
 
-/// One linear-or-constant piece of a bid's demand curve, valid up to
-/// `bound`; past its last piece a bid demands exactly zero. The sweep
-/// finds where each piece ends among the ascending candidates with
-/// [`Segment::passed`], which reproduces the corresponding `demand_at`
-/// implementation bit for bit — including its comparison style:
-/// `fuzzy` pieces end when `bound <= q + EPS` (the `partition_point`
-/// predicate of [`crate::demand::FullBid`]) while exact pieces end when
-/// `q > bound` with `EPS` pre-added into the bound (the `LinearBid`/
-/// `StepBid` style). The two are *not* interchangeable.
+/// One linear-or-constant piece of a bid's demand curve; past its last
+/// piece a bid demands exactly zero. Where a piece ends among the
+/// candidates is found when the book is built and kept beside it, so
+/// the piece itself is only its values.
 #[derive(Debug, Clone, Copy)]
-struct Segment {
-    bound: f64,
-    fuzzy: bool,
-    kind: SegKind,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum SegKind {
+enum Segment {
     Const(f64),
     Interp { q0: f64, dq: f64, a: f64, b: f64 },
 }
 
 impl Segment {
-    /// Whether `q` lies beyond this piece. Monotone in `q` for either
-    /// style, so the candidates a piece covers are one contiguous run.
+    /// The piece's demand at `q`, unclipped: its value, or `demand_at`'s
+    /// own interpolation.
     #[inline]
-    fn passed(&self, q: f64) -> bool {
-        if self.fuzzy {
-            self.bound <= q + EPS
-        } else {
-            q > self.bound
+    fn at(self, q: f64) -> f64 {
+        match self {
+            Segment::Const(v) => v,
+            Segment::Interp { q0, dq, a, b } => a + (b - a) * ((q - q0) / dq),
         }
     }
 }
 
-/// Decomposes `d` into its [`Segment`] chain, matching the
-/// region boundaries and arithmetic of `d.demand_at` exactly.
-fn push_segments(d: &DemandBid, out: &mut Vec<Segment>) {
+/// Whether `q` lies beyond a piece valid up to `bound`, reproducing the
+/// corresponding `demand_at` implementation bit for bit — including its
+/// comparison style: `fuzzy` pieces end when `bound <= q + EPS` (the
+/// `partition_point` predicate of [`crate::demand::FullBid`]) while
+/// exact pieces end when `q > bound` with `EPS` pre-added into the
+/// bound (the `LinearBid`/`StepBid` style). The two are *not*
+/// interchangeable. Monotone in `q` for either style, so the candidates
+/// a piece covers are one contiguous run.
+#[inline]
+fn passed(bound: f64, fuzzy: bool, q: f64) -> bool {
+    if fuzzy {
+        bound <= q + EPS
+    } else {
+        q > bound
+    }
+}
+
+/// Decomposes `d` into its [`Segment`] chain, matching the region
+/// boundaries and arithmetic of `d.demand_at` exactly: `push` gets each
+/// piece in order with the bound it is valid up to and whether that
+/// bound compares `fuzzy` (see [`passed`]).
+#[inline]
+fn for_each_segment(d: &DemandBid, mut push: impl FnMut(f64, bool, Segment)) {
     match d {
         DemandBid::Linear(b) => {
             let d_max = b.d_max().value();
             let d_min = b.d_min().value();
             let q0 = b.q_min().per_kw_hour_value();
             let q1 = b.q_max().per_kw_hour_value();
-            out.push(Segment {
-                bound: q0 + EPS,
-                fuzzy: false,
-                kind: SegKind::Const(d_max),
-            });
-            let kind = if q1 - q0 <= EPS {
+            push(q0 + EPS, false, Segment::Const(d_max));
+            let seg = if q1 - q0 <= EPS {
                 // Degenerate step at q0 == q1: demand D_max up to it.
-                SegKind::Const(d_max)
+                Segment::Const(d_max)
             } else {
-                SegKind::Interp {
+                Segment::Interp {
                     q0,
                     dq: q1 - q0,
                     a: d_max,
                     b: d_min,
                 }
             };
-            out.push(Segment {
-                bound: q1 + EPS,
-                fuzzy: false,
-                kind,
-            });
+            push(q1 + EPS, false, seg);
         }
         DemandBid::Step(b) => {
-            out.push(Segment {
-                bound: b.price_cap().per_kw_hour_value() + EPS,
-                fuzzy: false,
-                kind: SegKind::Const(b.demand().value()),
-            });
+            let cap = b.price_cap().per_kw_hour_value();
+            push(cap + EPS, false, Segment::Const(b.demand().value()));
         }
         DemandBid::Full(b) => {
             let pts = b.points();
-            out.push(Segment {
-                bound: pts[0].0.per_kw_hour_value() + EPS,
-                fuzzy: false,
-                kind: SegKind::Const(pts[0].1.value()),
-            });
+            let first = pts[0];
+            push(
+                first.0.per_kw_hour_value() + EPS,
+                false,
+                Segment::Const(first.1.value()),
+            );
             for w in pts.windows(2) {
                 let (q0, d0) = (w[0].0.per_kw_hour_value(), w[0].1.value());
                 let (q1, d1) = (w[1].0.per_kw_hour_value(), w[1].1.value());
                 let span = q1 - q0;
-                let kind = if span <= EPS {
-                    SegKind::Const(d1)
+                let seg = if span <= EPS {
+                    Segment::Const(d1)
                 } else {
-                    SegKind::Interp {
+                    Segment::Interp {
                         q0,
                         dq: span,
                         a: d0,
                         b: d1,
                     }
                 };
-                out.push(Segment {
-                    bound: q1,
-                    fuzzy: true,
-                    kind,
-                });
+                push(q1, true, seg);
             }
             let last = pts[pts.len() - 1];
-            out.push(Segment {
-                bound: last.0.per_kw_hour_value() + EPS,
-                fuzzy: false,
-                kind: SegKind::Const(last.1.value()),
-            });
+            push(
+                last.0.per_kw_hour_value() + EPS,
+                false,
+                Segment::Const(last.1.value()),
+            );
         }
     }
 }
@@ -361,6 +361,8 @@ fn push_segments(d: &DemandBid, out: &mut Vec<Segment>) {
 /// (`touched`/`slot_lookup`), however sparse the global PDU space.
 #[derive(Debug, Default)]
 struct BidBook {
+    /// Rack of each bid.
+    rack: Vec<RackId>,
     /// Rack headroom (watts) per bid.
     headroom: Vec<f64>,
     /// The next bid on the same PDU, in bid order (`u32::MAX` = none).
@@ -392,26 +394,40 @@ struct BidBook {
 }
 
 impl BidBook {
-    /// Rebuilds the book for one slot's live bids. Reuses every buffer;
-    /// `slot_lookup` is un-marked via the *old* `touched` list first so
-    /// it never needs a full clear.
-    fn build(&mut self, bids: &[RackBid], live: &[u32], constraints: &ConstraintSet) {
+    /// Rebuilds the book for one slot's live bids over the ascending
+    /// `candidates`, each piece's end found as it is pushed. Reuses
+    /// every buffer; `slot_lookup` is un-marked via the *old* `touched`
+    /// list first so it never needs a full clear.
+    fn build(
+        &mut self,
+        bids: &[RackBid],
+        live: &[u32],
+        constraints: &ConstraintSet,
+        candidates: &[Price],
+    ) {
         for &p in &self.touched {
             self.slot_lookup[p as usize] = u32::MAX;
         }
+        self.rack.clear();
         self.headroom.clear();
         self.next_bid.clear();
         self.seg_start.clear();
         self.segs.clear();
+        self.seg_end.clear();
         self.touched.clear();
         self.touched_spot.clear();
         self.touched_most.clear();
         self.first_bid.clear();
         self.last_bid.clear();
         self.any_unknown_pdu = false;
+        let (n, q) = (candidates.len(), |i: usize| {
+            candidates[i].per_kw_hour_value()
+        });
+        let step = q(1);
         for (j, &i) in live.iter().enumerate() {
             let b = &bids[i as usize];
             let headroom = constraints.rack_headroom(b.rack()).value();
+            self.rack.push(b.rack());
             self.headroom.push(headroom);
             self.next_bid.push(u32::MAX);
             match constraints.pdu_of(b.rack()) {
@@ -440,65 +456,87 @@ impl BidBook {
                 None => self.any_unknown_pdu = true,
             }
             self.seg_start.push(self.segs.len() as u32);
-            push_segments(b.demand(), &mut self.segs);
-        }
-        self.seg_start.push(self.segs.len() as u32);
-    }
-
-    /// Fills `seg_end`: per piece, the first candidate from the previous
-    /// piece's end on that [`Segment::passed`] holds at. Candidate `i`
-    /// is `i · step`, so `bound / step + 1` says where to start; walking
-    /// up while the piece is not passed, then down while the candidate
-    /// below is, ends on that monotone predicate's partition point
-    /// wherever it began — a wrong hint costs comparisons, nothing else.
-    fn find_piece_ends(&mut self, candidates: &[Price]) {
-        let n = candidates.len();
-        let q = |i: usize| candidates[i].per_kw_hour_value();
-        let step = q(1);
-        self.seg_end.clear();
-        for chain in self.seg_start.windows(2) {
-            let mut end = 0;
-            for seg in &self.segs[chain[0] as usize..chain[1] as usize] {
+            // Each piece's end as it is pushed: the first candidate from
+            // the previous piece's end on that [`passed`] holds at.
+            // Candidate `i` is `i · step`, so `bound / step + 1` says
+            // where to start; walking up while the piece is not passed,
+            // then down while the candidate below is, ends on that
+            // monotone predicate's partition point wherever it began —
+            // a wrong hint costs comparisons, nothing else.
+            let (segs, seg_end, mut end) = (&mut self.segs, &mut self.seg_end, 0);
+            for_each_segment(b.demand(), |bound, fuzzy, seg| {
                 let floor = end;
-                end = ((seg.bound / step + 1.0) as usize).clamp(floor, n);
-                while end < n && !seg.passed(q(end)) {
+                end = ((bound / step + 1.0) as usize).clamp(floor, n);
+                while end < n && !passed(bound, fuzzy, q(end)) {
                     end += 1;
                 }
-                while end > floor && seg.passed(q(end - 1)) {
+                while end > floor && passed(bound, fuzzy, q(end - 1)) {
                     end -= 1;
                 }
-                self.seg_end.push(end as u32);
-            }
+                segs.push(seg);
+                seg_end.push(end as u32);
+            });
         }
+        self.seg_start.push(self.segs.len() as u32);
     }
 
     /// Adds bid `j`'s clipped demand into `sums` (parallel to
     /// `candidates`, cut off where the caller's window ends) at every
     /// candidate from `from` up that one of its pieces covers; returns
-    /// where its last piece ends (`from` at least). The one loop
-    /// per-PDU sums and totals both go through: a precomputed value or
-    /// `demand_at`'s own expression, per piece kind.
-    fn add_bid(&self, candidates: &[Price], j: usize, from: usize, sums: &mut [f64]) -> usize {
+    /// where its last piece ends (`from` at least) and the demand it
+    /// added at `from` — `clip(0, h)` where no piece covers it, as
+    /// [`Self::demand_at`] reads it. The one loop per-PDU sums and
+    /// totals both go through: a precomputed value or `demand_at`'s own
+    /// expression, per piece kind.
+    fn add_bid(
+        &self,
+        candidates: &[Price],
+        j: usize,
+        from: usize,
+        sums: &mut [f64],
+    ) -> (usize, f64) {
         let h = self.headroom[j];
         let chain = self.seg_start[j] as usize..self.seg_start[j + 1] as usize;
-        let mut lo = from;
+        let (mut lo, mut at_from) = (from, clip(0.0, h));
         for (seg, &hi) in self.segs[chain.clone()].iter().zip(&self.seg_end[chain]) {
             let hi = (hi as usize).clamp(lo, sums.len());
-            match seg.kind {
-                SegKind::Const(v) => {
+            if lo == hi {
+                continue;
+            }
+            let first = match *seg {
+                Segment::Const(v) => {
                     let d = clip(v, h);
                     sums[lo..hi].iter_mut().for_each(|sum| *sum += d);
+                    d
                 }
-                SegKind::Interp { q0, dq, a, b } => {
-                    for (sum, q) in sums[lo..hi].iter_mut().zip(&candidates[lo..hi]) {
-                        let q = q.per_kw_hour_value();
-                        *sum += clip(a + (b - a) * ((q - q0) / dq), h);
-                    }
+                seg @ Segment::Interp { .. } => {
+                    let at = |q: &Price| clip(seg.at(q.per_kw_hour_value()), h);
+                    let first = at(&candidates[lo]);
+                    sums[lo] += first;
+                    let rest = sums[lo + 1..hi].iter_mut().zip(&candidates[lo + 1..hi]);
+                    rest.for_each(|(sum, q)| *sum += at(q));
+                    first
                 }
+            };
+            if lo == from {
+                at_from = first;
             }
             lo = hi;
         }
-        lo
+        (lo, at_from)
+    }
+
+    /// Bid `j`'s clipped demand at candidate `i`: the piece covering `i`
+    /// evaluated there, or `clip(0, h)` past its last piece, where
+    /// `demand_at` is zero — `demand_at(q).min(h).clamp_non_negative()`
+    /// bit for bit, `±0` included.
+    fn demand_at(&self, candidates: &[Price], j: usize, i: usize) -> f64 {
+        let chain = self.seg_start[j] as usize..self.seg_start[j + 1] as usize;
+        let mut pieces = self.segs[chain.clone()].iter().zip(&self.seg_end[chain]);
+        let d = pieces
+            .find(|&(_, &end)| end as usize > i)
+            .map_or(0.0, |(seg, _)| seg.at(candidates[i].per_kw_hour_value()));
+        clip(d, self.headroom[j])
     }
 }
 
@@ -591,11 +629,14 @@ impl MarketClearing {
                 .map(|(i, _)| i as u32),
         );
         scratch.candidates.clear();
+        scratch.exact_from = usize::MAX;
         if scratch.live.is_empty() {
-            return self.finish(slot, bids, scratch, constraints, None);
+            return self.finish(slot, scratch, constraints, None);
         }
-        scratch.book.build(bids, &scratch.live, constraints);
         self.grid_candidates(bids, &scratch.live, &mut scratch.candidates);
+        scratch
+            .book
+            .build(bids, &scratch.live, constraints, &scratch.candidates);
         let zoned = !constraints.zones().is_empty() || constraints.phases().is_some();
         let (best, tally) = if zoned {
             let best = legacy_scan(bids, &scratch.live, constraints, &scratch.candidates);
@@ -613,29 +654,23 @@ impl MarketClearing {
         self.stats
             .candidates_total
             .fetch_add(scratch.candidates.len() as u64, Ordering::Relaxed);
-        self.finish(slot, bids, scratch, constraints, best)
+        self.finish(slot, scratch, constraints, best)
     }
 
-    /// Builds the outcome for the chosen price and records telemetry.
-    /// Grants re-evaluate each live bid at the winning price exactly
-    /// like the legacy scan did.
+    /// Builds the outcome for the winning candidate `best` (its index
+    /// and revenue rate) and records telemetry.
     fn finish(
         &self,
         slot: Slot,
-        bids: &[RackBid],
         scratch: &Scratch,
         constraints: &ConstraintSet,
-        best: Option<(Price, f64)>,
+        best: Option<(usize, f64)>,
     ) -> MarketOutcome {
         let (allocation, revenue_rate) = match best {
-            Some((price, rate)) if rate > 0.0 => {
-                let grant = |&i: &u32| {
-                    let b = &bids[i as usize];
-                    let d = b.demand_at(price).min(constraints.rack_headroom(b.rack()));
-                    (b.rack(), d)
-                };
-                let grants = scratch.live.iter().map(grant).collect();
-                (SpotAllocation::new(slot, price, grants), rate)
+            Some((i, rate)) if rate > 0.0 => {
+                let price = scratch.candidates[i];
+                let allocation = SpotAllocation::from_pairs(slot, price, scratch.grants_at(i));
+                (allocation, rate)
             }
             _ => (SpotAllocation::none(slot), 0.0),
         };
@@ -863,11 +898,11 @@ fn legacy_scan(
     live: &[u32],
     constraints: &ConstraintSet,
     candidates: &[Price],
-) -> Option<(Price, f64)> {
-    let mut best: Option<(Price, f64)> = None;
-    for &q in candidates {
-        let demands = live.iter().map(|&i| {
-            let b = &bids[i as usize];
+) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, &q) in candidates.iter().enumerate() {
+        let demands = live.iter().map(|&j| {
+            let b = &bids[j as usize];
             (b.rack(), b.demand_at(q))
         });
         let Some(total) = constraints.feasible_total(demands) else {
@@ -876,7 +911,7 @@ fn legacy_scan(
         let rate = q.per_kw_hour_value() * total.kilowatts();
         match best {
             Some((_, best_rate)) if rate <= best_rate + 1e-12 => {}
-            _ => best = Some((q, rate)),
+            _ => best = Some((i, rate)),
         }
     }
     best
@@ -905,7 +940,6 @@ impl Scratch {
     /// values — and is bit-identical to the legacy scan's.
     fn sweep(&mut self, ups_limit: f64) {
         let n = self.candidates.len();
-        self.book.find_piece_ends(&self.candidates);
         self.ruled_out.clear();
         self.ruled_out.resize(n, false);
         self.pdu_row.clear();
@@ -922,7 +956,7 @@ impl Scratch {
             let (mut j, mut end) = (self.book.first_bid[s], from);
             while j != u32::MAX {
                 let row = &mut self.pdu_row[..n];
-                end = end.max(self.book.add_bid(&self.candidates, j as usize, from, row));
+                end = end.max(self.book.add_bid(&self.candidates, j as usize, from, row).0);
                 j = self.book.next_bid[j as usize];
             }
             let row = &mut self.pdu_row[from..end];
@@ -941,13 +975,18 @@ impl Scratch {
         if self.book.segs.len() >= n {
             self.rule_out_losers(from, ups_limit);
         }
-        // Exact totals from the first to the last candidate still in.
+        // Exact totals from the first to the last candidate still in,
+        // keeping each bid's demand at the first: usually the only one.
         let flags = &self.ruled_out[from..];
         let lo = from + flags.iter().position(|&out| !out).unwrap_or(flags.len());
         let hi = n - flags.iter().rev().position(|&out| !out).unwrap_or(n - lo);
+        self.exact_from = lo;
+        self.exact_demand.clear();
         for j in 0..self.book.headroom.len() {
-            self.book
+            let (_, at_lo) = self
+                .book
                 .add_bid(&self.candidates, j, lo, &mut self.totals[..hi]);
+            self.exact_demand.push(at_lo);
         }
     }
 
@@ -975,14 +1014,14 @@ impl Scratch {
             let mut lo = from;
             for (seg, &hi) in book.segs[chain.clone()].iter().zip(&book.seg_end[chain]) {
                 let hi = (hi as usize).max(lo);
-                match seg.kind {
+                match *seg {
                     _ if lo == hi => {}
-                    SegKind::Const(v) => add(lo, hi, clip(v, h), 0.0),
-                    SegKind::Interp { q0, dq, a, b } => {
+                    Segment::Const(v) => add(lo, hi, clip(v, h), 0.0),
+                    Segment::Interp { q0, dq, a, b } => {
                         // `add_bid`'s cell before clipping, monotone in
                         // `q` operation by operation: within the clip at
                         // both ends, the piece is a line.
-                        let at = |i: usize| a + (b - a) * ((q(i) - q0) / dq);
+                        let at = |i: usize| seg.at(q(i));
                         if (0.0..=h).contains(&at(lo)) && (0.0..=h).contains(&at(hi - 1)) {
                             let slope = (b - a) / dq;
                             add(lo, hi, a - slope * q0, slope);
@@ -1017,21 +1056,36 @@ impl Scratch {
         }
     }
 
+    /// Each live bid's `(rack, grant)` at candidate `i`, in bid order:
+    /// its clipped demand there, `demand_at(price).min(headroom)` bit for
+    /// bit — as the sweep's exact pass left it when `i` is the cheapest
+    /// candidate it summed, else read from the book's pieces.
+    fn grants_at(&self, i: usize) -> Vec<(RackId, Watts)> {
+        let racks = self.book.rack.iter();
+        if i == self.exact_from {
+            let demands = racks.zip(&self.exact_demand);
+            demands.map(|(&rack, &d)| (rack, Watts::new(d))).collect()
+        } else {
+            let at = |j| Watts::new(self.book.demand_at(&self.candidates, j, i));
+            racks.enumerate().map(|(j, &rack)| (rack, at(j))).collect()
+        }
+    }
+
     /// Picks the revenue-maximizing feasible candidate, ascending, with
     /// the legacy tie rule (`rate <= best + 1e-12` keeps the incumbent).
     /// A flagged candidate is skipped *before* its total is looked at:
     /// the sweep leaves the totals of flagged candidates unsummed.
-    fn select_best(&self, ups_limit: f64) -> Option<(Price, f64)> {
-        let mut best: Option<(Price, f64)> = None;
+    fn select_best(&self, ups_limit: f64) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
         let sums = self.totals.iter().zip(&self.ruled_out);
-        for (&q, (&total, &out)) in self.candidates.iter().zip(sums) {
+        for (i, (&q, (&total, &out))) in self.candidates.iter().zip(sums).enumerate() {
             if out || total > ups_limit {
                 continue;
             }
             let rate = q.per_kw_hour_value() * (total / 1_000.0);
             match best {
                 Some((_, best_rate)) if rate <= best_rate + 1e-12 => {}
-                _ => best = Some((q, rate)),
+                _ => best = Some((i, rate)),
             }
         }
         best
@@ -1500,8 +1554,14 @@ mod tests {
             "{summed} of {} candidates summed exactly",
             scratch.candidates.len()
         );
-        let (price, rate) = legacy_scan(&bids, &scratch.live, &cs, &scratch.candidates).unwrap();
-        assert_eq!((out.price(), out.revenue_rate()), (price, rate));
+        let (i, rate) = legacy_scan(&bids, &scratch.live, &cs, &scratch.candidates).unwrap();
+        assert_eq!(
+            (out.price(), out.revenue_rate()),
+            (scratch.candidates[i], rate)
+        );
+        // The one candidate summed exactly won: its grants came from the
+        // exact pass, not from re-reading the book.
+        assert_eq!(scratch.exact_from, i);
         assert!(rate > 0.0);
     }
 

@@ -34,6 +34,33 @@ use spotdc_power::PowerTopology;
 /// must compare bit-for-bit like [`ConstraintSet::feasible_total`].
 pub(crate) const TOLERANCE: f64 = 1e-6;
 
+/// One `(rack, grant)` pair in any of the forms rack-ordered grants
+/// iterate as: by value, borrowed from a slice such as
+/// [`SpotAllocation::grants`](crate::SpotAllocation::grants), or
+/// borrowed from a `BTreeMap<RackId, Watts>`.
+pub trait RackGrant {
+    /// The pair by value.
+    fn rack_grant(self) -> (RackId, Watts);
+}
+
+impl RackGrant for (RackId, Watts) {
+    fn rack_grant(self) -> (RackId, Watts) {
+        self
+    }
+}
+
+impl RackGrant for &(RackId, Watts) {
+    fn rack_grant(self) -> (RackId, Watts) {
+        *self
+    }
+}
+
+impl RackGrant for (&RackId, &Watts) {
+    fn rack_grant(self) -> (RackId, Watts) {
+        (*self.0, *self.1)
+    }
+}
+
 /// One slot's frozen spot-capacity limits at every level.
 ///
 /// # Examples
@@ -304,16 +331,27 @@ impl ConstraintSet {
         self.rack_headroom(rack).min(pdu).min(self.ups_spot)
     }
 
-    /// Checks a set of per-rack grants against all three constraint
-    /// levels. Returns the first violation found, or `Ok(())`.
+    /// Checks per-rack grants — rack-ordered pairs, such as a
+    /// `&BTreeMap<RackId, Watts>` or [`SpotAllocation::grants`] —
+    /// against all three constraint levels. Returns the first violation
+    /// found, or `Ok(())`.
+    ///
+    /// [`SpotAllocation::grants`]: crate::SpotAllocation::grants
     ///
     /// # Errors
     ///
     /// Returns [`ConstraintViolation`] naming the violated level.
-    pub fn check(&self, grants: &BTreeMap<RackId, Watts>) -> Result<(), ConstraintViolation> {
+    pub fn check(
+        &self,
+        grants: impl IntoIterator<Item = impl RackGrant>,
+    ) -> Result<(), ConstraintViolation> {
         let mut per_pdu = vec![Watts::ZERO; self.pdu_spot.len()];
         let mut total = Watts::ZERO;
-        for (&rack, &grant) in grants {
+        // Zones and phases look grants up by rack once the levels pass.
+        let has_extras = !self.zones.is_empty() || self.phases.is_some();
+        let mut by_rack = vec![Watts::ZERO; if has_extras { self.rack_pdu.len() } else { 0 }];
+        for pair in grants {
+            let (rack, grant) = pair.rack_grant();
             if grant.is_negative() {
                 return Err(ConstraintViolation::Rack {
                     rack,
@@ -336,6 +374,9 @@ impl ConstraintSet {
             })?;
             per_pdu[pdu.index()] += grant;
             total += grant;
+            if has_extras {
+                by_rack[rack.index()] = grant;
+            }
         }
         for (i, &used) in per_pdu.iter().enumerate() {
             if used > self.pdu_spot[i] + Watts::new(TOLERANCE) {
@@ -352,12 +393,13 @@ impl ConstraintSet {
                 limit: self.ups_spot,
             });
         }
-        self.check_extras(&|rack| grants.get(&rack).copied().unwrap_or(Watts::ZERO))
+        self.check_extras(&|rack| by_rack.get(rack.index()).copied().unwrap_or(Watts::ZERO))
     }
 
-    /// Whether the given per-rack demands are simultaneously feasible.
+    /// Whether the given per-rack grants (rack-ordered pairs, as
+    /// [`Self::check`] takes them) are simultaneously feasible.
     #[must_use]
-    pub fn is_feasible(&self, grants: &BTreeMap<RackId, Watts>) -> bool {
+    pub fn is_feasible(&self, grants: impl IntoIterator<Item = impl RackGrant>) -> bool {
         self.check(grants).is_ok()
     }
 
@@ -619,13 +661,13 @@ mod tests {
     #[test]
     fn feasible_allocation_passes() {
         let cs = constraints();
-        assert!(cs.is_feasible(&grants(&[(0, 30.0), (1, 20.0), (2, 20.0)])));
+        assert!(cs.is_feasible(grants(&[(0, 30.0), (1, 20.0), (2, 20.0)])));
     }
 
     #[test]
     fn rack_headroom_violation_detected() {
         let cs = constraints();
-        let err = cs.check(&grants(&[(0, 51.0)])).unwrap_err();
+        let err = cs.check(grants(&[(0, 51.0)])).unwrap_err();
         assert!(matches!(err, ConstraintViolation::Rack { .. }));
     }
 
@@ -633,7 +675,7 @@ mod tests {
     fn pdu_violation_detected() {
         let cs = constraints();
         // Each rack within headroom, sum 65 > 60 at PDU#0.
-        let err = cs.check(&grants(&[(0, 40.0), (1, 25.0)])).unwrap_err();
+        let err = cs.check(grants(&[(0, 40.0), (1, 25.0)])).unwrap_err();
         assert!(matches!(err, ConstraintViolation::Pdu { pdu, .. } if pdu == PduId::new(0)));
     }
 
@@ -642,7 +684,7 @@ mod tests {
         let cs = constraints();
         // Fits each PDU (55 ≤ 60, 30 ≤ 30) but 85 > 70 at the UPS.
         let err = cs
-            .check(&grants(&[(0, 35.0), (1, 20.0), (2, 30.0)]))
+            .check(grants(&[(0, 35.0), (1, 20.0), (2, 30.0)]))
             .unwrap_err();
         assert!(matches!(err, ConstraintViolation::Ups { .. }));
     }
@@ -650,7 +692,7 @@ mod tests {
     #[test]
     fn negative_grant_rejected() {
         let cs = constraints();
-        assert!(cs.check(&grants(&[(0, -1.0)])).is_err());
+        assert!(cs.check(grants(&[(0, -1.0)])).is_err());
     }
 
     #[test]
@@ -701,8 +743,8 @@ mod tests {
             vec![RackId::new(0), RackId::new(2)],
             Watts::new(40.0),
         );
-        assert!(cs.is_feasible(&grants(&[(0, 20.0), (2, 20.0)])));
-        let err = cs.check(&grants(&[(0, 25.0), (2, 20.0)])).unwrap_err();
+        assert!(cs.is_feasible(grants(&[(0, 20.0), (2, 20.0)])));
+        let err = cs.check(grants(&[(0, 25.0), (2, 20.0)])).unwrap_err();
         assert!(matches!(err, ConstraintViolation::Zone { .. }));
         // feasible_total honours the same bound.
         assert!(cs
@@ -719,8 +761,8 @@ mod tests {
         // so it anchors the spread); a lopsided grant violates a 25 W
         // imbalance bound.
         let cs = constraints().with_phases(vec![0, 1, 2], Watts::new(25.0));
-        assert!(cs.is_feasible(&grants(&[(0, 20.0), (1, 15.0)])));
-        let err = cs.check(&grants(&[(0, 30.0), (1, 5.0)])).unwrap_err();
+        assert!(cs.is_feasible(grants(&[(0, 20.0), (1, 15.0)])));
+        let err = cs.check(grants(&[(0, 30.0), (1, 5.0)])).unwrap_err();
         assert!(matches!(err, ConstraintViolation::PhaseImbalance { .. }));
     }
 
@@ -729,10 +771,10 @@ mod tests {
         // Rack 2 is on PDU#1: its grant must not affect PDU#0's balance.
         let cs = constraints().with_phases(vec![0, 0, 1], Watts::new(25.0));
         // Phase 0 on PDU#0 carries 40 W, phases 1/2 zero => spread 40 > 25.
-        assert!(!cs.is_feasible(&grants(&[(0, 20.0), (1, 20.0)])));
+        assert!(!cs.is_feasible(grants(&[(0, 20.0), (1, 20.0)])));
         // But rack 2 alone on PDU#1 (phase 1, spread 20 vs empty phases)
         // stays within the 25 W bound.
-        assert!(cs.is_feasible(&grants(&[(2, 20.0)])));
+        assert!(cs.is_feasible(grants(&[(2, 20.0)])));
     }
 
     #[test]

@@ -12,14 +12,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// size of every reallocation); frees are not subtracted.
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
 
+/// Allocation calls so far: every `alloc` and every `realloc`.
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // whose contract is the one the caller already upholds; the only added
-// work is a relaxed counter bump that touches no allocator state.
+// work is relaxed counter bumps that touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        CALLS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: `layout` is the caller's, passed through as is.
         unsafe { System.alloc(layout) }
     }
@@ -32,6 +36,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
+        CALLS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: same block, layout and size the caller vouches for.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -42,7 +47,17 @@ static ALLOCATOR: Counting = Counting;
 
 /// Bytes requested while `f` runs.
 pub fn requested_by<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = REQUESTED.load(Ordering::Relaxed);
+    let (out, bytes, _) = counted(f);
+    (out, bytes)
+}
+
+/// Bytes requested and allocation calls made while `f` runs.
+pub fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (bytes, calls) = (
+        REQUESTED.load(Ordering::Relaxed),
+        CALLS.load(Ordering::Relaxed),
+    );
     let out = f();
-    (out, REQUESTED.load(Ordering::Relaxed) - before)
+    let bytes = REQUESTED.load(Ordering::Relaxed) - bytes;
+    (out, bytes, CALLS.load(Ordering::Relaxed) - calls)
 }

@@ -796,6 +796,99 @@ fn a_pdus_demands_are_summed_in_bid_order() {
     assert_eq!(sold.allocation().granted_racks().count(), 3);
 }
 
+/// Holds `out`'s grants to their definition, bit for bit: at the price
+/// it cleared at, each live bid's `demand_at(price).min(rack_headroom)
+/// .clamp_non_negative()`, collected into a `BTreeMap` — sorted by rack,
+/// a rack that bid twice keeping its last grant — and no grant at all
+/// when nothing sold.
+fn assert_grants_at_price(out: &MarketOutcome, bids: &[RackBid], cs: &ConstraintSet) {
+    let price = out.price();
+    let grant = |b: &RackBid| {
+        let clipped = b.demand_at(price).min(cs.rack_headroom(b.rack()));
+        (b.rack(), clipped.clamp_non_negative())
+    };
+    let want: BTreeMap<RackId, Watts> = if out.revenue_rate() > 0.0 {
+        bids.iter()
+            .filter(|b| !b.demand().is_null())
+            .map(grant)
+            .collect()
+    } else {
+        BTreeMap::new()
+    };
+    let bits = |(rack, w): (RackId, Watts)| (rack, w.value().to_bits());
+    assert_eq!(
+        out.allocation().iter().map(bits).collect::<Vec<_>>(),
+        want.into_iter().map(bits).collect::<Vec<_>>(),
+        "grants at {price}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn grants_are_each_bids_clipped_demand_at_the_price(
+        picks in prop_oneof![
+            prop::collection::vec((0..24usize, edge_bid()), 1..6),
+            prop::collection::vec((0..24usize, prop_oneof![edge_bid(), greedy_bid()]), 30..90),
+        ],
+        sorted in prop_oneof![Just(false), Just(true)],
+        headrooms in prop::collection::vec(
+            prop_oneof![
+                Just(-0.0), Just(-0.0), Just(0.0), Just(-5.0), Just(f64::NAN),
+                Just(f64::INFINITY), 5.0..100.0f64, 5.0..100.0f64,
+            ],
+            8 * WIDE_RACKS_PER_PDU,
+        ),
+        spots in prop::collection::vec(prop_oneof![0.0..300.0f64, Just(1e9)], 8),
+        ups in prop_oneof![0.0..600.0f64, Just(1e9)],
+        zone in prop::option::of(0.0..150.0f64),
+    ) {
+        // The grants are no longer re-derived from the bids: they are the
+        // exact pass's values at the cheapest candidate it summed, or the
+        // book's pieces read at the winner, then sorted and de-duplicated
+        // only when the bids are out of rack order. So: books of a few
+        // bids (fewer pieces than candidates: the sweep sums a window
+        // many candidates wide) and of 30–90 (bounded to a handful),
+        // racks picked at random — shuffled, often twice — or sorted
+        // (duplicates kept), headrooms of −0.0, 0, negative, NaN and +∞
+        // (a bid past its last piece is granted `clip(0, h)`: −0.0 under
+        // a −0.0 headroom), half the markets behind a heat zone (the
+        // legacy scan) and each market's per-PDU sub-markets walked by
+        // `clear_tasks`. Mutations this fails on: first-wins on duplicate
+        // racks, no sort on unsorted input, the exact pass's values kept
+        // when a dearer candidate wins, an off-by-one piece lookup. A
+        // literal 0.0 for uncovered bids passes where `f64::min(0.0,
+        // -0.0)` is `+0.0` (x86-64, rustc 1.95, debug and release: ~1 500
+        // such bids a run, equal bits) — `minnum` may return either zero,
+        // so the engine keeps `clip(0.0, h)`, the expression `Watts::min`
+        // evaluates.
+        let placeholder = vec![60.0; 8 * WIDE_RACKS_PER_PDU];
+        let (mut bids, cs) = wide_market(&picks, 8, &[false; 8], None, &placeholder, &spots, ups);
+        if sorted {
+            bids.sort_by_key(RackBid::rack);
+        }
+        let mut cs = with_raw_headrooms(&cs, &headrooms);
+        if let Some(limit) = zone {
+            let aisle = (0..2 * WIDE_RACKS_PER_PDU).map(RackId::new).collect();
+            cs = cs.with_zone("aisle", aisle, Watts::new(limit));
+        }
+        let engine = MarketClearing::new(ClearingConfig::grid(step()));
+        assert_grants_at_price(&engine.clear(Slot::ZERO, &bids, &cs), &bids, &cs);
+        let tasks: Vec<TaskShip> = engine
+            .per_pdu_submarket_shares(&bids, &cs)
+            .into_iter()
+            .map(|(bids, ups_spot)| TaskShip::Market { ups_spot, bids })
+            .collect();
+        for (result, task) in engine.clear_tasks(Slot::ZERO, &mut cs.clone(), &tasks).iter().zip(&tasks) {
+            let (ClearResult::Market(out), TaskShip::Market { ups_spot, bids }) = (result, task) else {
+                unreachable!("market tasks clear to market results");
+            };
+            assert_grants_at_price(out, bids, &cs.clone().with_ups_spot(*ups_spot));
+        }
+    }
+}
+
 /// A grid step in $/kW/h — 1e-9 (the engine's floor), 0.001 ¢ or 1 $ —
 /// and `wide_market` picks of [`edge_bid_on`] that grid.
 fn book_on_any_grid() -> impl Strategy<Value = (f64, Vec<(usize, DemandBid)>)> {

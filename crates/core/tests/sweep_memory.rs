@@ -5,18 +5,18 @@
 //! is no candidates × PDUs rectangle and no ragged per-PDU arena, an
 //! outlying price ceiling lengthens only the candidates-long buffers,
 //! and every buffer is recycled, so a warm engine clearing a new book
-//! of a familiar shape allocates nothing but the outcome it returns.
-//! Own test binary, single test — for the reasons given in
-//! `counting/mod.rs`.
+//! of a familiar shape makes exactly one allocation: the rack-ordered
+//! grant vector of the outcome it returns. Own test binary, single
+//! test — for the reasons given in `counting/mod.rs`.
 
 mod counting;
 
 use spotdc_core::demand::StepBid;
-use spotdc_core::{ClearingConfig, ConstraintSet, MarketClearing, RackBid, SpotAllocation};
+use spotdc_core::{ClearingConfig, ConstraintSet, MarketClearing, RackBid};
 use spotdc_power::topology::TopologyBuilder;
 use spotdc_units::{Price, RackId, Slot, TenantId, Watts};
 
-use counting::requested_by;
+use counting::{counted, requested_by};
 
 const PDUS: usize = 2_048;
 
@@ -66,13 +66,11 @@ fn sweep_buffers_are_linear_and_recycled() {
 
     let (cold, cold_bytes) = requested_by(|| engine.clear(Slot::ZERO, &books[0], &cs));
     assert!(cold.sold() > Watts::ZERO);
-    // What the outcome itself costs to build, grant map and all.
-    let (_, grants_bytes) = requested_by(|| {
-        SpotAllocation::new(Slot::ZERO, cold.price(), cold.allocation().iter().collect())
-    });
+    // The outcome's grant vector: one `(RackId, Watts)` a bid.
+    let grants_bytes = (16 * PDUS) as u64;
     // Four candidates-long buffers (price, total, row sum, flag: 25 B a
-    // candidate) and a dozen bid-long columns (112 B a bid, a 56 B
-    // `Segment` among them); whatever grows push by push requests
+    // candidate) and fourteen bid- or PDU-long columns (112 B a bid, a
+    // 40 B `Segment` among them); whatever grows push by push requests
     // about twice its final size. No product term.
     let candidates = cold.candidates_evaluated();
     let linear = (48 * candidates + 256 * PDUS) as u64 + grants_bytes;
@@ -91,14 +89,17 @@ fn sweep_buffers_are_linear_and_recycled() {
         "bound must discriminate: {linear} B against {ragged} B"
     );
 
-    // Every buffer grew on the first clear; the second is steady state.
-    let (warm, warm_bytes) = requested_by(|| engine.clear(Slot::ZERO, &books[1], &cs));
+    // Every buffer grew on the first clear; the second is steady state:
+    // one allocation, the outcome's grant vector, and nothing else.
+    let (warm, warm_bytes, warm_calls) = counted(|| engine.clear(Slot::ZERO, &books[1], &cs));
     assert!(warm.sold() > Watts::ZERO);
     assert_eq!(engine.cache_stats().full_sweeps, 2);
-    assert!(
-        warm_bytes <= grants_bytes + 1_024,
-        "a warm clear requested {warm_bytes} B; its grants take {grants_bytes} B"
+    assert_eq!(
+        (warm_calls, warm_bytes),
+        (1, grants_bytes),
+        "a warm clear's allocations (calls, bytes); its grants take {grants_bytes} B"
     );
+    assert_eq!(warm.allocation().grants().len(), PDUS);
 
     // Ten times the outlying ceiling: more candidates, so longer
     // candidates-long buffers (price, total, row sum, flag) and nothing

@@ -661,7 +661,7 @@ mod tests {
         revoke_lost_broadcasts(&topology, &[], &mut alloc);
         assert_eq!(alloc.total(), watts(60.0));
         revoke_lost_broadcasts(&topology, &[TenantId::new(0)], &mut alloc);
-        let kept: Vec<RackId> = alloc.grants().keys().copied().collect();
+        let kept: Vec<RackId> = alloc.iter().map(|(rack, _)| rack).collect();
         assert_eq!(kept, [RackId::new(1)]);
     }
 }
