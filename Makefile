@@ -60,8 +60,9 @@ smoke-dist: build
 fmt:
 	$(CARGO) fmt --check
 
-# Every `make <target>` and scripts/<name> the documents mention must
-# exist, so deleting a tool fails here until its mentions go too.
+# Every `make <target>`, script, path and `Type::item` the documents
+# mention must exist, and every ROADMAP citation must name a current
+# item, so deleting or renumbering fails here until the mentions follow.
 docs-check:
 	scripts/doc_refs
 

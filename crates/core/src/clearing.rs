@@ -242,12 +242,6 @@ struct Scratch {
     /// Per-candidate "cannot be the price" flags: some PDU is over
     /// capacity, or the bounds on the total rule the candidate out.
     ruled_out: Vec<bool>,
-    /// The cheapest candidate the sweep summed exactly (`usize::MAX`
-    /// when no sweep ran this clear) …
-    exact_from: usize,
-    /// … and each bid's clipped demand there: the grants, should that
-    /// candidate win.
-    exact_demand: Vec<f64>,
 }
 
 /// One linear-or-constant piece of a bid's demand curve; past its last
@@ -483,47 +477,28 @@ impl BidBook {
     /// Adds bid `j`'s clipped demand into `sums` (parallel to
     /// `candidates`, cut off where the caller's window ends) at every
     /// candidate from `from` up that one of its pieces covers; returns
-    /// where its last piece ends (`from` at least) and the demand it
-    /// added at `from` — `clip(0, h)` where no piece covers it, as
-    /// [`Self::demand_at`] reads it. The one loop per-PDU sums and
-    /// totals both go through: a precomputed value or `demand_at`'s own
-    /// expression, per piece kind.
-    fn add_bid(
-        &self,
-        candidates: &[Price],
-        j: usize,
-        from: usize,
-        sums: &mut [f64],
-    ) -> (usize, f64) {
+    /// where its last piece ends (`from` at least). The one loop
+    /// per-PDU sums and totals both go through: a precomputed value or
+    /// `demand_at`'s own expression, per piece kind.
+    fn add_bid(&self, candidates: &[Price], j: usize, from: usize, sums: &mut [f64]) -> usize {
         let h = self.headroom[j];
         let chain = self.seg_start[j] as usize..self.seg_start[j + 1] as usize;
-        let (mut lo, mut at_from) = (from, clip(0.0, h));
+        let mut lo = from;
         for (seg, &hi) in self.segs[chain.clone()].iter().zip(&self.seg_end[chain]) {
             let hi = (hi as usize).clamp(lo, sums.len());
-            if lo == hi {
-                continue;
-            }
-            let first = match *seg {
+            match *seg {
                 Segment::Const(v) => {
                     let d = clip(v, h);
                     sums[lo..hi].iter_mut().for_each(|sum| *sum += d);
-                    d
                 }
                 seg @ Segment::Interp { .. } => {
-                    let at = |q: &Price| clip(seg.at(q.per_kw_hour_value()), h);
-                    let first = at(&candidates[lo]);
-                    sums[lo] += first;
-                    let rest = sums[lo + 1..hi].iter_mut().zip(&candidates[lo + 1..hi]);
-                    rest.for_each(|(sum, q)| *sum += at(q));
-                    first
+                    let cells = sums[lo..hi].iter_mut().zip(&candidates[lo..hi]);
+                    cells.for_each(|(sum, q)| *sum += clip(seg.at(q.per_kw_hour_value()), h));
                 }
-            };
-            if lo == from {
-                at_from = first;
             }
             lo = hi;
         }
-        (lo, at_from)
+        lo
     }
 
     /// Bid `j`'s clipped demand at candidate `i`: the piece covering `i`
@@ -629,7 +604,6 @@ impl MarketClearing {
                 .map(|(i, _)| i as u32),
         );
         scratch.candidates.clear();
-        scratch.exact_from = usize::MAX;
         if scratch.live.is_empty() {
             return self.finish(slot, scratch, constraints, None);
         }
@@ -956,7 +930,7 @@ impl Scratch {
             let (mut j, mut end) = (self.book.first_bid[s], from);
             while j != u32::MAX {
                 let row = &mut self.pdu_row[..n];
-                end = end.max(self.book.add_bid(&self.candidates, j as usize, from, row).0);
+                end = end.max(self.book.add_bid(&self.candidates, j as usize, from, row));
                 j = self.book.next_bid[j as usize];
             }
             let row = &mut self.pdu_row[from..end];
@@ -970,23 +944,14 @@ impl Scratch {
         }
         self.totals.clear();
         self.totals.resize(n + 1, 0.0);
-        // Bounding costs O(pieces + candidates) whatever it saves: a book
-        // with fewer pieces than candidates (a per-PDU sub-market) skips it.
-        if self.book.segs.len() >= n {
-            self.rule_out_losers(from, ups_limit);
-        }
-        // Exact totals from the first to the last candidate still in,
-        // keeping each bid's demand at the first: usually the only one.
+        self.rule_out_losers(from, ups_limit);
+        // Exact totals from the first to the last candidate still in.
         let flags = &self.ruled_out[from..];
         let lo = from + flags.iter().position(|&out| !out).unwrap_or(flags.len());
         let hi = n - flags.iter().rev().position(|&out| !out).unwrap_or(n - lo);
-        self.exact_from = lo;
-        self.exact_demand.clear();
         for j in 0..self.book.headroom.len() {
-            let (_, at_lo) = self
-                .book
+            self.book
                 .add_bid(&self.candidates, j, lo, &mut self.totals[..hi]);
-            self.exact_demand.push(at_lo);
         }
     }
 
@@ -1058,17 +1023,11 @@ impl Scratch {
 
     /// Each live bid's `(rack, grant)` at candidate `i`, in bid order:
     /// its clipped demand there, `demand_at(price).min(headroom)` bit for
-    /// bit — as the sweep's exact pass left it when `i` is the cheapest
-    /// candidate it summed, else read from the book's pieces.
+    /// bit, read from the book's pieces.
     fn grants_at(&self, i: usize) -> Vec<(RackId, Watts)> {
-        let racks = self.book.rack.iter();
-        if i == self.exact_from {
-            let demands = racks.zip(&self.exact_demand);
-            demands.map(|(&rack, &d)| (rack, Watts::new(d))).collect()
-        } else {
-            let at = |j| Watts::new(self.book.demand_at(&self.candidates, j, i));
-            racks.enumerate().map(|(j, &rack)| (rack, at(j))).collect()
-        }
+        let at = |j| Watts::new(self.book.demand_at(&self.candidates, j, i));
+        let racks = self.book.rack.iter().enumerate();
+        racks.map(|(j, &rack)| (rack, at(j))).collect()
     }
 
     /// Picks the revenue-maximizing feasible candidate, ascending, with
@@ -1512,9 +1471,9 @@ mod tests {
         // 3 000 linear bids, four racks to a PDU, a quarter of them
         // asking for more than their rack's headroom (pieces that clip
         // and are bounded cell by cell): 6 000 pieces over ~600
-        // candidates, so the totals are bounded first. The bounds must
-        // then actually decide — sound bounds that rule nothing out
-        // would pass every outcome test and sum everything.
+        // candidates. The bounds must actually decide — sound bounds
+        // that rule nothing out would pass every outcome test and sum
+        // everything.
         let mut state = 42u64;
         let mut uniform = |lo: f64, hi: f64| {
             state = state
@@ -1547,7 +1506,6 @@ mod tests {
         let engine = MarketClearing::default();
         let mut scratch = Scratch::default();
         let out = engine.clear_in(&mut scratch, Slot::ZERO, &bids, &cs);
-        assert!(scratch.book.segs.len() >= scratch.candidates.len());
         let summed = scratch.ruled_out.iter().filter(|&&out| !out).count();
         assert!(
             (1..=8).contains(&summed),
@@ -1559,9 +1517,6 @@ mod tests {
             (out.price(), out.revenue_rate()),
             (scratch.candidates[i], rate)
         );
-        // The one candidate summed exactly won: its grants came from the
-        // exact pass, not from re-reading the book.
-        assert_eq!(scratch.exact_from, i);
         assert!(rate > 0.0);
     }
 

@@ -844,20 +844,17 @@ proptest! {
         ups in prop_oneof![0.0..600.0f64, Just(1e9)],
         zone in prop::option::of(0.0..150.0f64),
     ) {
-        // The grants are no longer re-derived from the bids: they are the
-        // exact pass's values at the cheapest candidate it summed, or the
-        // book's pieces read at the winner, then sorted and de-duplicated
-        // only when the bids are out of rack order. So: books of a few
-        // bids (fewer pieces than candidates: the sweep sums a window
-        // many candidates wide) and of 30–90 (bounded to a handful),
+        // The grants are not re-derived from the bids: they are the book's
+        // pieces read at the winner, then sorted and de-duplicated only
+        // when the bids are out of rack order. So: books of a few
+        // bids (fewer pieces than candidates) and of 30–90,
         // racks picked at random — shuffled, often twice — or sorted
         // (duplicates kept), headrooms of −0.0, 0, negative, NaN and +∞
         // (a bid past its last piece is granted `clip(0, h)`: −0.0 under
         // a −0.0 headroom), half the markets behind a heat zone (the
         // legacy scan) and each market's per-PDU sub-markets walked by
         // `clear_tasks`. Mutations this fails on: first-wins on duplicate
-        // racks, no sort on unsorted input, the exact pass's values kept
-        // when a dearer candidate wins, an off-by-one piece lookup. A
+        // racks, no sort on unsorted input, an off-by-one piece lookup. A
         // literal 0.0 for uncovered bids passes where `f64::min(0.0,
         // -0.0)` is `+0.0` (x86-64, rustc 1.95, debug and release: ~1 500
         // such bids a run, equal bits) — `minnum` may return either zero,
@@ -1033,14 +1030,18 @@ impl Ups {
     }
 }
 
-/// A grid step from the engine's floor to 1 $ and 30–90 `wide_market`
-/// picks on it: more pieces than grid prices unless a tall cap stretches
-/// the grid, so the sweep bounds the totals before it sums any — and
-/// with the tall cap it does not, the other side of that rule.
+/// A grid step from the engine's floor to 1 $ and `wide_market` picks on
+/// it: 30–90, more pieces than grid prices unless a tall cap stretches
+/// the grid, or 1–4, a per-PDU sub-market's size — with a tall cap, a
+/// few pieces over hundreds of candidates.
 fn big_book_on_any_grid() -> impl Strategy<Value = (f64, Vec<(usize, DemandBid)>)> {
     let on = |grid: f64| {
-        let bid = prop_oneof![edge_bid_on(grid), edge_bid_on(grid), greedy_bid_on(grid)];
-        (Just(grid), prop::collection::vec((0..64usize, bid), 30..90))
+        let bid = || prop_oneof![edge_bid_on(grid), edge_bid_on(grid), greedy_bid_on(grid)];
+        let picks = prop_oneof![
+            prop::collection::vec((0..64usize, bid()), 30..90),
+            prop::collection::vec((0..64usize, bid()), 1..5),
+        ];
+        (Just(grid), picks)
     };
     prop_oneof![on(1e-9), on(1e-5), on(0.005), on(1.0)]
 }
@@ -1140,12 +1141,12 @@ proptest! {
         spots in prop::collection::vec(prop_oneof![0.0..120.0f64, 0.0..3_000.0f64, Just(1e9)], 8),
         ups in ups(),
     ) {
-        // With at least as many pieces as grid prices the sweep first
-        // bounds every total from the pieces' linear forms and sums
-        // exactly only where the bounds cannot say whether a candidate
-        // fits the UPS or can be the maximum. So: books of that size in
-        // every bid shape (fuzzy `FullBid` interiors included), greedy
-        // bids and negative, `-0.0`, infinite and NaN headrooms — pieces
+        // The sweep first bounds every total from the pieces' linear
+        // forms and sums exactly only where the bounds cannot say whether
+        // a candidate fits the UPS or can be the maximum. So: wide books
+        // and books of a few bids, in every bid shape (fuzzy `FullBid`
+        // interiors included), greedy bids and negative, `-0.0`,
+        // infinite and NaN headrooms — pieces
         // that clip and are bounded cell by cell — grids from 1e-9 $ to
         // 1 $, and a UPS limit one float either side of a candidate's
         // exact total, where that candidate must be summed, not judged

@@ -69,7 +69,7 @@ fn sweep_buffers_are_linear_and_recycled() {
     // The outcome's grant vector: one `(RackId, Watts)` a bid.
     let grants_bytes = (16 * PDUS) as u64;
     // Four candidates-long buffers (price, total, row sum, flag: 25 B a
-    // candidate) and fourteen bid- or PDU-long columns (112 B a bid, a
+    // candidate) and thirteen bid- or PDU-long columns (104 B a bid, a
     // 40 B `Segment` among them); whatever grows push by push requests
     // about twice its final size. No product term.
     let candidates = cold.candidates_evaluated();

@@ -191,9 +191,9 @@ mod tests {
 
     #[test]
     fn clearing_handles_hyperscale_markets() {
-        // ROADMAP item 1: orders of magnitude past the paper's 15k
-        // racks. A 100k-rack market must clear on the columnar path in
-        // sane wall-clock even in a debug build — the bound is generous
+        // An order of magnitude past the paper's 15k racks: a 100k-rack
+        // market must clear on the columnar path in sane wall-clock even
+        // in a debug build — the bound is generous
         // (this is a correctness-at-scale guard, not a benchmark; for
         // measured numbers run `repro --exp fig7b`).
         let (_, bids, cs) = synthetic_market(100_000, 42);
