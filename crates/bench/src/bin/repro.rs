@@ -44,14 +44,14 @@
 //! byte-identical for any job count — only the wall-clock changes.
 
 use std::io::Write as _;
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use spotdc_obs::{BlackBoxConfig, FlightRecorder};
+use spotdc_obs::{Analysis, BlackBoxConfig, FlightRecorder};
 use spotdc_sim::engine::{DurabilityConfig, EngineConfig, Simulation};
 use spotdc_sim::experiments::{all_ids, run_selected, ExpConfig};
-use spotdc_sim::report::telemetry_summary;
 use spotdc_sim::{Mode, Scenario};
 use spotdc_telemetry::{FileSink, SinkKind, TelemetryConfig};
 
@@ -281,13 +281,10 @@ fn main() -> ExitCode {
             },
             &reporter,
         );
-        if telemetry_path.is_some() {
-            spotdc_telemetry::flush();
-            if let Some(summary) = telemetry_summary() {
-                // stderr, not stdout: the rendered report must stay the
-                // only stdout so crash-recovery byte-diffs hold.
-                reporter.status(&format!("## telemetry span timings\n\n{summary}"));
-            }
+        if let Some(path) = &telemetry_path {
+            // stderr, not stdout: the rendered report must stay the
+            // only stdout so crash-recovery byte-diffs hold.
+            reporter.status(&span_timings(path));
         }
         if telemetry_log_truncated(file_sink.as_deref(), &reporter) {
             return ExitCode::FAILURE;
@@ -360,11 +357,10 @@ fn main() -> ExitCode {
         ids.len(),
         total.as_secs_f64()
     ));
-    if telemetry_path.is_some() || blackbox_dir.is_some() {
+    if let Some(path) = &telemetry_path {
+        reporter.progress(&span_timings(path));
+    } else if blackbox_dir.is_some() {
         spotdc_telemetry::flush();
-        if let Some(summary) = telemetry_summary() {
-            reporter.progress(&format!("## telemetry span timings\n\n{summary}"));
-        }
     }
     if let Some(recorder) = &recorder {
         reporter.status(&format!(
@@ -463,6 +459,18 @@ fn run_single(run: SingleRun, reporter: &Reporter) -> ExitCode {
         "# repro --mode run: seed {seed}, {slots} slots\n{report:#?}"
     ));
     ExitCode::SUCCESS
+}
+
+/// Flushes the `--telemetry` log at `path` and renders its per-span
+/// latency table: exact nearest-rank quantiles over every `SpanClosed`
+/// the run wrote (`spotdc-trace --run <id>` splits it by run).
+fn span_timings(path: &Path) -> String {
+    spotdc_telemetry::flush();
+    let table = match std::fs::read_to_string(path) {
+        Ok(body) => Analysis::from_jsonl(&body, None).render_latency(),
+        Err(e) => format!("cannot read {}: {e}\n", path.display()),
+    };
+    format!("## telemetry span timings\n\n{table}")
 }
 
 /// Reports `--telemetry` write failures; true means the JSONL log is

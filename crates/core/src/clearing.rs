@@ -595,7 +595,7 @@ impl MarketClearing {
         bids: &[RackBid],
         constraints: &ConstraintSet,
     ) -> MarketOutcome {
-        let _span = spotdc_telemetry::span!("clearing");
+        let _span = spotdc_telemetry::span!("clearing", slot = slot);
         scratch.live.clear();
         scratch.live.extend(
             bids.iter()
@@ -747,7 +747,7 @@ impl MarketClearing {
         bids: &[RackBid],
         constraints: &ConstraintSet,
     ) -> Vec<MarketOutcome> {
-        let _span = spotdc_telemetry::span!("clear_per_pdu");
+        let _span = spotdc_telemetry::span!("clear_per_pdu", slot = slot);
         let tasks: Vec<TaskShip> = self
             .per_pdu_submarket_shares(bids, constraints)
             .into_iter()

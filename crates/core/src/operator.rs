@@ -79,8 +79,8 @@ pub struct SlotRound {
     pub constraints: ConstraintSet,
     /// The clearing outcome (price, grants, revenue).
     pub outcome: MarketOutcome,
-    /// Rack bids that were dropped at admission (unknown rack, or a
-    /// rack not owned by the bidding tenant).
+    /// Rack bids that were dropped at admission (unknown rack, a rack
+    /// not owned by the bidding tenant, or a tenant's second bid).
     pub rejected: Vec<RackId>,
     /// How prediction inputs were degraded this slot, if a
     /// [`StalenessPolicy`] was in force and anything was stale.
@@ -128,7 +128,7 @@ impl Operator {
     /// individually with its own reusable buffers.
     #[must_use]
     pub fn run_slot(&self, slot: Slot, bids: &[TenantBid], meter: &PowerMeter) -> SlotRound {
-        let _span = spotdc_telemetry::span!("operator.run_slot");
+        let _span = spotdc_telemetry::span!("operator.run_slot", slot = slot);
         let mut rack_bids: Vec<RackBid> = Vec::new();
         let mut rejected: Vec<RackId> = Vec::new();
         self.admit_bids_into(slot, bids, &mut rack_bids, &mut rejected);
@@ -147,8 +147,10 @@ impl Operator {
 
     /// Admission-checks `bids`, appending each rack bid that names a
     /// known rack owned by the bidding tenant to `rack_bids` and every
-    /// other requested rack to `rejected`. Buffers are appended to, not
-    /// cleared, so callers can reuse hot-path scratch across slots.
+    /// other requested rack to `rejected`. A tenant bids once a slot:
+    /// only its first bid in `bids` is admitted, and every rack of a
+    /// later one is rejected. Buffers are appended to, not cleared, so
+    /// callers can reuse hot-path scratch across slots.
     pub fn admit_bids_into(
         &self,
         slot: Slot,
@@ -156,11 +158,19 @@ impl Operator {
         rack_bids: &mut Vec<RackBid>,
         rejected: &mut Vec<RackId>,
     ) {
+        // Only a rack owner needs a has-bid bit: every rack a tenant
+        // beyond the last owner names is rejected anyway.
+        let owners = self.topology.tenants().last().map_or(0, |t| t.index() + 1);
+        let mut has_bid = vec![false; owners];
         for tenant_bid in bids {
+            let tenant = tenant_bid.tenant().index();
+            let repeated = has_bid
+                .get_mut(tenant)
+                .is_some_and(|seen| std::mem::replace(seen, true));
             let rejected_before = rejected.len();
             for rb in tenant_bid.rack_bids() {
                 match self.topology.rack(rb.rack()) {
-                    Ok(spec) if spec.tenant() == tenant_bid.tenant() => {
+                    Ok(spec) if !repeated && spec.tenant() == tenant_bid.tenant() => {
                         rack_bids.push(rb.clone());
                     }
                     _ => rejected.push(rb.rack()),
@@ -168,12 +178,17 @@ impl Operator {
             }
             let dropped = rejected.len() - rejected_before;
             if dropped > 0 && spotdc_telemetry::is_enabled() {
+                let reason = if repeated {
+                    "admission: tenant already bid this slot"
+                } else {
+                    "admission: rack unknown or not owned by tenant"
+                };
                 spotdc_telemetry::emit(spotdc_telemetry::Event::BidRejected {
                     slot,
                     at: spotdc_units::MonotonicNanos::now(),
-                    tenant: tenant_bid.tenant().index() as u64,
+                    tenant: tenant as u64,
                     racks: dropped as u64,
-                    reason: "admission: rack unknown or not owned by tenant".to_owned(),
+                    reason: reason.to_owned(),
                 });
             }
         }
@@ -345,6 +360,34 @@ mod tests {
         let round = op.run_slot(Slot::new(1), &[step_bid(0, 1, 10.0, 0.2)], &meter);
         assert_eq!(round.rejected, vec![RackId::new(1)]);
         assert!(round.outcome.allocation().is_empty());
+    }
+
+    #[test]
+    fn a_second_bid_from_one_tenant_is_rejected() {
+        let (op, meter) = operator();
+        // Tenant 0 bids twice for its rack; only the first bid counts,
+        // so the price, the grant and the revenue all come from it.
+        let bids = vec![
+            step_bid(0, 0, 40.0, 0.3),
+            step_bid(0, 0, 45.0, 0.25),
+            step_bid(1, 1, 30.0, 0.2),
+        ];
+        let round = op.run_slot(Slot::new(1), &bids, &meter);
+        assert_eq!(round.rejected, vec![RackId::new(0)]);
+        let first_only = op.run_slot(Slot::new(1), &[bids[0].clone(), bids[2].clone()], &meter);
+        assert_eq!(round.outcome.price(), first_only.outcome.price());
+        assert_eq!(
+            round.outcome.allocation().grants(),
+            first_only.outcome.allocation().grants()
+        );
+        assert_eq!(
+            round.outcome.revenue_rate(),
+            first_only.outcome.revenue_rate()
+        );
+        assert_eq!(
+            round.outcome.allocation().grant(RackId::new(0)),
+            Watts::new(40.0)
+        );
     }
 
     #[test]

@@ -242,7 +242,6 @@ impl SpotPredictor {
         spot_racks: impl IntoIterator<Item = RackId>,
         staleness: Option<(Slot, StalenessPolicy)>,
     ) -> DegradedPrediction {
-        let _span = spotdc_telemetry::span!("predict");
         let spot_set: BTreeSet<RackId> = spot_racks.into_iter().collect();
         let mut pdu_ref = vec![Watts::ZERO; topology.pdu_count()];
         let mut total_ref = Watts::ZERO;
@@ -380,7 +379,6 @@ impl SpotPredictor {
         if let MarginPolicy::Adaptive { .. } = self.policy {
             return self.predict(topology, meter, spot_racks);
         }
-        let _span = spotdc_telemetry::span!("predict");
         let spot_set: BTreeSet<RackId> = spot_racks.into_iter().collect();
         scratch.reshape(topology.rack_count(), topology.pdu_count());
         let mut total_ref = Watts::ZERO;

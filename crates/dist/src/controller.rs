@@ -237,7 +237,7 @@ impl ShardRuntime {
         constraints: &ConstraintSet,
         tasks: Vec<TaskShip>,
     ) -> Vec<Option<ClearResult>> {
-        let _span = spotdc_telemetry::span!("dist.clear");
+        let _span = spotdc_telemetry::span!("dist.clear", slot = slot);
         let statics_changed = match &self.statics {
             Some(held) => !held.same_statics(constraints),
             None => true,

@@ -495,6 +495,35 @@ impl Analysis {
             .chain(others)
     }
 
+    /// Renders the per-span latency table (count and exact nearest-rank
+    /// p50/p90/p99, mean and max in µs): the nine pipeline stages in
+    /// order, then every other span seen. The first section of
+    /// [`Self::render_text`].
+    #[must_use]
+    pub fn render_latency(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(out, "-- per-stage latency (µs) --");
+        let _ = writeln!(
+            out,
+            "{:<22} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}",
+            "stage", "count", "p50", "p90", "p99", "mean", "max"
+        );
+        for (name, stats) in self.ordered_stages() {
+            let _ = writeln!(
+                out,
+                "{:<22} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}",
+                name,
+                stats.count,
+                micros(stats.p50_ns),
+                micros(stats.p90_ns),
+                micros(stats.p99_ns),
+                micros(stats.mean_ns),
+                micros(stats.max_ns)
+            );
+        }
+        out
+    }
+
     /// Renders the human-readable report.
     #[must_use]
     pub fn render_text(&self) -> String {
@@ -516,25 +545,8 @@ impl Analysis {
             let _ = writeln!(out, "runs:   {}", runs.join(", "));
         }
 
-        let _ = writeln!(out, "\n-- per-stage latency (µs) --");
-        let _ = writeln!(
-            out,
-            "{:<22} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            "stage", "count", "p50", "p90", "p99", "mean", "max"
-        );
-        for (name, stats) in self.ordered_stages() {
-            let _ = writeln!(
-                out,
-                "{:<22} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}",
-                name,
-                stats.count,
-                micros(stats.p50_ns),
-                micros(stats.p90_ns),
-                micros(stats.p99_ns),
-                micros(stats.mean_ns),
-                micros(stats.max_ns)
-            );
-        }
+        out.push('\n');
+        out.push_str(&self.render_latency());
 
         let _ = writeln!(out, "\n-- market --");
         let _ = writeln!(out, "price $/kW/h: {}", self.price.render());
@@ -1011,6 +1023,32 @@ mod tests {
         assert_eq!(s.p99_ns, 99_000);
         assert_eq!(s.max_ns, 100_000);
         assert_eq!(s.mean_ns, 50_500);
+    }
+
+    #[test]
+    fn latency_table_lists_stages_then_other_spans_inside_the_report() {
+        let body = [
+            line(Some("r"), &span(1, "engine.slot", 9_000)),
+            line(Some("r"), &span(1, "stage.settle", 2_000)),
+            line(Some("r"), &span(1, "clearing", 1_000)),
+        ]
+        .join("\n");
+        let a = Analysis::from_jsonl(&body, None);
+        let table = a.render_latency();
+        let rows: Vec<Vec<&str>> = table
+            .lines()
+            .skip(2)
+            .map(|row| row.split_whitespace().collect())
+            .collect();
+        let names: Vec<&str> = rows.iter().map(|row| row[0]).collect();
+        let mut want: Vec<&str> = PIPELINE_STAGES.to_vec();
+        want.extend(["clearing", "engine.slot"]);
+        assert_eq!(names, want);
+        assert_eq!(
+            rows.last().unwrap()[1..],
+            ["1", "9.0", "9.0", "9.0", "9.0", "9.0"]
+        );
+        assert!(a.render_text().contains(&table));
     }
 
     #[test]

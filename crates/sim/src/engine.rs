@@ -708,24 +708,11 @@ impl Run {
 /// execution.
 fn run_one_slot(run: &mut Run, t: u64) {
     let slot = Slot::new(t);
-    let _slot_span = spotdc_telemetry::span!("engine.slot");
+    let _slot_span = spotdc_telemetry::span!("engine.slot", slot = slot);
     run.ctx.begin(slot, t as usize);
     for stage in run.stages.iter_mut() {
-        let _stage_span = spotdc_telemetry::span!(stage.name());
-        // Time the stage for the event log too: spans feed the
-        // in-process registry only, while a `SpanClosed` event
-        // per stage lets `spotdc-trace` rebuild the latency
-        // distributions from the JSONL artifact alone.
-        let started = spotdc_telemetry::is_enabled().then(std::time::Instant::now);
+        let _stage_span = spotdc_telemetry::span!(stage.name(), slot = slot);
         stage.run(&mut run.state, &mut run.ctx);
-        if let Some(started) = started {
-            spotdc_telemetry::emit(spotdc_telemetry::Event::SpanClosed {
-                slot,
-                at: MonotonicNanos::now(),
-                span: stage.name().to_owned(),
-                nanos: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            });
-        }
     }
 }
 

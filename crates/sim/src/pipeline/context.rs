@@ -219,7 +219,7 @@ impl SimState {
         }
         let engine = self.operator.clearing();
         let results = if self.inner_parallel() && tasks.len() > 1 {
-            let _span = spotdc_telemetry::span!("par.clear_per_pdu");
+            let _span = spotdc_telemetry::span!("par.clear_per_pdu", slot = slot);
             let runs: Vec<&[TaskShip]> = tasks
                 .chunks(tasks.len().div_ceil(self.inner.threads()))
                 .collect();

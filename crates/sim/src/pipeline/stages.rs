@@ -77,8 +77,8 @@ fn record_observed(
 /// the inner pool (each agent mutates only its own valuation cache),
 /// which runs it inline at width one and merges in agent order at any
 /// width.
-fn collect_bids_into(state: &mut SimState, bids: &mut Vec<TenantBid>) {
-    let _span = spotdc_telemetry::span!("par.collect_bids");
+fn collect_bids_into(state: &mut SimState, slot: Slot, bids: &mut Vec<TenantBid>) {
+    let _span = spotdc_telemetry::span!("par.collect_bids", slot = slot);
     let produced = state.inner.par_map_mut(&mut state.agents, |a| a.make_bid());
     bids.extend(produced.into_iter().flatten());
 }
@@ -228,7 +228,7 @@ impl SlotStage for CollectBids {
     fn run(&mut self, state: &mut SimState, ctx: &mut SlotContext) {
         let slot = ctx.slot;
         ctx.bids.clear();
-        collect_bids_into(state, &mut ctx.bids);
+        collect_bids_into(state, slot, &mut ctx.bids);
         if self.price_oracle {
             // The oracle's pre-pass always reads the *live* meter: it
             // models perfect knowledge, not the (possibly delayed)
@@ -239,7 +239,7 @@ impl SlotStage for CollectBids {
                 a.predict_price(oracle);
             }
             ctx.bids.clear();
-            collect_bids_into(state, &mut ctx.bids);
+            collect_bids_into(state, slot, &mut ctx.bids);
         }
         // Late bids from the previous slot arrive now — unless the
         // tenant already submitted a fresh one, which supersedes the
@@ -291,7 +291,7 @@ impl SlotStage for CollectGains {
         // Envelope construction is the expensive part and goes through
         // the inner pool; the merge below inserts in agent order at any
         // width.
-        let _span = spotdc_telemetry::span!("par.collect_gains");
+        let _span = spotdc_telemetry::span!("par.collect_gains", slot = ctx.slot);
         let produced = state.inner.par_map_mut(&mut state.agents, |agent| {
             if !agent.wants_spot() {
                 return None;
@@ -564,7 +564,7 @@ impl SlotStage for Settle {
         // merge below records meter samples and metrics in agent order,
         // keeping the report identical at any width.
         let outcomes = {
-            let _span = spotdc_telemetry::span!("par.settle");
+            let _span = spotdc_telemetry::span!("par.settle", slot = slot);
             let bank = &state.bank;
             state.inner.par_map(&state.agents, |agent| {
                 agent.run_slot(bank.budget(agent.rack()))

@@ -89,45 +89,6 @@ impl TextTable {
     }
 }
 
-/// Renders the process-global telemetry registry's span timings as an
-/// aligned table (one row per span: count, p50, p90, p99, mean in µs),
-/// or `None` when telemetry is disabled or no spans have been recorded.
-///
-/// Deliberately *not* part of [`SimReport`](crate::metrics::SimReport):
-/// wall-clock timings differ between otherwise identical runs, and the
-/// report must stay comparable-by-equality for determinism tests.
-#[must_use]
-pub fn telemetry_summary() -> Option<String> {
-    if !spotdc_telemetry::is_enabled() {
-        return None;
-    }
-    let registry = spotdc_telemetry::registry();
-    let names = registry.span_names();
-    if names.is_empty() {
-        return None;
-    }
-    let micros = |s: Option<f64>| match s {
-        Some(v) => format!("{:.1}", v * 1e6),
-        None => "-".to_owned(),
-    };
-    let mut table = TextTable::new(vec![
-        "span", "count", "p50 us", "p90 us", "p99 us", "mean us",
-    ]);
-    for name in names {
-        if let Some(h) = registry.span_durations(&name) {
-            table.row(vec![
-                name,
-                h.count().to_string(),
-                micros(h.p50()),
-                micros(h.p90()),
-                micros(h.p99()),
-                micros(h.mean()),
-            ]);
-        }
-    }
-    Some(table.render())
-}
-
 /// Formats a ratio as `1.23x`.
 #[must_use]
 pub fn ratio(x: f64) -> String {
@@ -161,23 +122,6 @@ mod tests {
         assert!(lines[1].starts_with('-'));
         assert!(!t.is_empty());
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn telemetry_summary_reports_quantiles_and_mean() {
-        // The summary reads process-global state; make its inputs
-        // unambiguous (a uniquely named span) rather than relying on
-        // what other tests recorded.
-        spotdc_telemetry::set_enabled(true);
-        spotdc_telemetry::registry().record_span("report.summary.test", 0.002);
-        let table = telemetry_summary().expect("enabled with spans recorded");
-        spotdc_telemetry::set_enabled(false);
-        let header = table.lines().next().unwrap();
-        for column in ["span", "count", "p50 us", "p90 us", "p99 us", "mean us"] {
-            assert!(header.contains(column), "missing {column:?}: {header}");
-        }
-        assert!(table.contains("report.summary.test"));
-        assert!(telemetry_summary().is_none(), "disabled => no summary");
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! End-to-end telemetry check: run a real SpotDC simulation with the
 //! in-memory sink installed and verify the event stream, the JSONL
-//! round-trip, and the span histograms all line up.
+//! round-trip, and the per-slot spans all line up.
 //!
 //! One `#[test]` on purpose: telemetry state is process-global, and a
 //! single test avoids cross-test interference without a gate mutex.
+
+use std::collections::BTreeMap;
 
 use spotdc_sim::{
     baselines::Mode,
     engine::{EngineConfig, Simulation},
     metrics::SimReport,
+    pipeline,
     scenario::Scenario,
 };
 use spotdc_telemetry::{Event, TelemetryConfig};
@@ -18,18 +21,52 @@ const SLOTS: u64 = 200;
 /// Runs `config` with the in-memory sink armed and drains the sink, so
 /// each leg sees its own events only. The first leg's engine installs
 /// the sink from its configuration, as a user's run would; later legs
-/// find it installed and only switch it back on.
+/// find it installed and only switch it back on. Every leg's spans are
+/// checked against its composition.
 fn traced_run(config: EngineConfig) -> (SimReport, Vec<Event>) {
     spotdc_telemetry::set_enabled(spotdc_telemetry::is_installed());
     let config = EngineConfig {
         telemetry: TelemetryConfig::in_memory(),
         ..config
     };
-    let report = Simulation::new(Scenario::testbed(11), config).run(SLOTS);
+    let report = Simulation::new(Scenario::testbed(11), config.clone()).run(SLOTS);
     spotdc_telemetry::flush();
     let events = spotdc_telemetry::memory_sink().take();
     spotdc_telemetry::set_enabled(false);
+    assert_one_span_per_stage_per_slot(&config, &events);
     (report, events)
+}
+
+/// Every slot carries exactly one `SpanClosed` per stage of `config`'s
+/// composition plus one `engine.slot`, each stamped with that slot, and
+/// the stages fit inside their slot's span.
+fn assert_one_span_per_stage_per_slot(config: &EngineConfig, events: &[Event]) {
+    let stages: Vec<&str> = pipeline::build(config).iter().map(|s| s.name()).collect();
+    let mut closed: BTreeMap<(u64, &str), Vec<u64>> = BTreeMap::new();
+    for event in events {
+        if let Event::SpanClosed {
+            slot, span, nanos, ..
+        } = event
+        {
+            if span == "engine.slot" || stages.contains(&span.as_str()) {
+                closed
+                    .entry((slot.index(), span.as_str()))
+                    .or_default()
+                    .push(*nanos);
+            }
+        }
+    }
+    assert_eq!(closed.len() as u64, SLOTS * (stages.len() as u64 + 1));
+    for t in 0..SLOTS {
+        let one = |name: &str| -> u64 {
+            match closed.get(&(t, name)).map(Vec::as_slice) {
+                Some(&[nanos]) => nanos,
+                other => panic!("slot {t}, span {name}: {other:?}"),
+            }
+        };
+        let staged: u64 = stages.iter().map(|stage| one(stage)).sum();
+        assert!(staged <= one("engine.slot"), "slot {t}");
+    }
 }
 
 fn predictions(events: &[Event]) -> u64 {
@@ -72,13 +109,15 @@ fn simulation_produces_consistent_telemetry() {
         assert_eq!(&parsed, event);
     }
 
-    // The registry timed every clearing, with real durations.
-    let clearing = spotdc_telemetry::registry()
-        .span_durations("clearing")
-        .expect("clearing span recorded");
-    assert!(clearing.count() >= SLOTS);
-    assert!(clearing.p50().unwrap() > 0.0);
-    assert!(clearing.p99().unwrap() > 0.0);
+    // Every clearing closed one span, in the slot it cleared.
+    let clearings: Vec<&Event> = events
+        .iter()
+        .filter(|e| matches!(e, Event::SpanClosed { span, .. } if span == "clearing"))
+        .collect();
+    assert_eq!(clearings.len(), cleared.len());
+    for (span, clear) in clearings.iter().zip(&cleared) {
+        assert_eq!(span.slot(), clear.slot());
+    }
 
     // Every composition that predicts says so once per slot, whatever
     // clears it — which is what lets the analyzer join sold against

@@ -235,12 +235,11 @@ event_table! {
         violation: String,
     },
     /// A timing span closed: one pipeline stage (or other instrumented
-    /// region) finished for a slot. Emitted by the engine loop so
-    /// post-hoc tooling (`spotdc-trace`) can reconstruct per-stage
-    /// latency distributions from the JSONL log alone, without access
-    /// to the in-process registry histograms.
+    /// region) finished for a slot. Emitted by `SpanGuard`'s drop and
+    /// nowhere else, so post-hoc tooling (`spotdc-trace`) reconstructs
+    /// every span's latency distribution from the JSONL log alone.
     SpanClosed {
-        /// The slot the span ran in.
+        /// The slot the span ran in (`Slot::ZERO` for setup spans).
         slot: Slot,
         /// Monotonic timestamp at close.
         at: MonotonicNanos,

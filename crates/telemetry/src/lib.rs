@@ -5,9 +5,10 @@
 //! observability primitives the simulator needs instead of pulling in
 //! `tracing`/`serde_json`:
 //!
-//! * **Spans** — [`span!`] opens a [`SpanGuard`] that records its
-//!   wall-clock duration into the global [`Registry`]'s per-name
-//!   [`Histogram`] (p50/p90/p99 extraction) when it drops.
+//! * **Spans** — [`span!`] opens a [`SpanGuard`] that emits one
+//!   [`Event::SpanClosed`] with its slot and wall-clock duration when it
+//!   drops. A span is an event like any other: timings are read from
+//!   the log (`spotdc-trace`), not from a second store beside it.
 //! * **Events** — typed [`Event`]s serialize to JSON lines into an
 //!   [`EventSink`] ([`FileSink`] for the `telemetry.jsonl` artifact,
 //!   [`VecSink`] for tests, [`NullSink`] to drop everything). A market
@@ -18,8 +19,8 @@
 //!
 //! Telemetry is off by default. Every entry point ([`span!`],
 //! [`emit`]) first reads one relaxed [`AtomicBool`]; nothing else runs
-//! — no locks, no clocks, no formatting. The clearing benchmark in
-//! `crates/bench` holds the disabled overhead under 2%.
+//! — no locks, no clocks, no formatting. The benchmark's
+//! `telemetry.span.ns_disabled` row measures that path.
 //!
 //! # Examples
 //!
@@ -34,7 +35,7 @@
 //! });
 //!
 //! {
-//!     let _span = telemetry::span!("doc-example");
+//!     let _span = telemetry::span!("doc-example", slot = Slot::new(3));
 //!     telemetry::emit(telemetry::Event::SlotCleared {
 //!         slot: Slot::new(3),
 //!         at: MonotonicNanos::now(),
@@ -45,9 +46,9 @@
 //!     });
 //! }
 //!
-//! assert_eq!(telemetry::memory_sink().len(), 1);
-//! let timed = telemetry::registry().span_durations("doc-example").unwrap();
-//! assert_eq!(timed.count(), 1);
+//! let events = telemetry::memory_sink().take();
+//! let kinds: Vec<&str> = events.iter().map(telemetry::Event::kind).collect();
+//! assert_eq!(kinds, ["SlotCleared", "SpanClosed"]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,7 +56,6 @@
 
 mod event;
 mod json;
-mod metrics;
 mod sink;
 mod span;
 
@@ -66,7 +66,6 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 pub use event::{Event, EventParseError};
 pub use json::json_str;
-pub use metrics::{Histogram, Registry};
 pub use sink::{EventSink, FileSink, NullSink, RingSink, VecSink};
 pub use span::SpanGuard;
 
@@ -128,7 +127,6 @@ impl TelemetryConfig {
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(1);
-static REGISTRY: OnceLock<Registry> = OnceLock::new();
 static MEMORY_SINK: OnceLock<Arc<VecSink>> = OnceLock::new();
 static SINK: RwLock<Option<Arc<dyn EventSink>>> = RwLock::new(None);
 static RECORDER: RwLock<Option<Arc<dyn EventSink>>> = RwLock::new(None);
@@ -144,12 +142,6 @@ pub fn is_enabled() -> bool {
 /// Flips the global enable switch (prefer [`install`]).
 pub fn set_enabled(enabled: bool) {
     ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// The process-global span-duration registry.
-#[must_use]
-pub fn registry() -> &'static Registry {
-    REGISTRY.get_or_init(Registry::new)
 }
 
 /// The process-global in-memory event sink (used by
@@ -170,14 +162,7 @@ pub fn is_installed() -> bool {
 /// keeps the currently installed sink (see [`install_with_sink`]).
 pub fn install(config: TelemetryConfig) {
     INSTALLED.store(true, Ordering::SeqCst);
-    SAMPLE_EVERY.store(config.sample_every.max(1), Ordering::Relaxed);
-    match config.sink {
-        SinkKind::Null => set_sink(None),
-        SinkKind::Memory => set_sink(Some(memory_sink())),
-        SinkKind::File => {}
-    }
-    // Enable last so no event races ahead of its sink.
-    set_enabled(config.enabled);
+    apply(config, None);
 }
 
 /// Applies `config` only if no `install*` call has run yet; returns
@@ -197,13 +182,7 @@ pub fn install_if_uninstalled(config: TelemetryConfig) -> bool {
     {
         return false;
     }
-    SAMPLE_EVERY.store(config.sample_every.max(1), Ordering::Relaxed);
-    match config.sink {
-        SinkKind::Null => set_sink(None),
-        SinkKind::Memory => set_sink(Some(memory_sink())),
-        SinkKind::File => {}
-    }
-    set_enabled(config.enabled);
+    apply(config, None);
     true
 }
 
@@ -211,8 +190,20 @@ pub fn install_if_uninstalled(config: TelemetryConfig) -> bool {
 /// [`FileSink`] writing `telemetry.jsonl`).
 pub fn install_with_sink(config: TelemetryConfig, sink: Arc<dyn EventSink>) {
     INSTALLED.store(true, Ordering::SeqCst);
+    apply(config, Some(sink));
+}
+
+/// The body every `install*` shares: the sampling period, then `sink`
+/// (or the one `config.sink` selects), then the enable switch.
+fn apply(config: TelemetryConfig, sink: Option<Arc<dyn EventSink>>) {
     SAMPLE_EVERY.store(config.sample_every.max(1), Ordering::Relaxed);
-    set_sink(Some(sink));
+    match (sink, config.sink) {
+        (Some(sink), _) => set_sink(Some(sink)),
+        (None, SinkKind::Null) => set_sink(None),
+        (None, SinkKind::Memory) => set_sink(Some(memory_sink())),
+        (None, SinkKind::File) => {}
+    }
+    // Enable last so no event races ahead of its sink.
     set_enabled(config.enabled);
 }
 
@@ -336,8 +327,9 @@ mod tests {
 
     use super::*;
 
-    /// Tests below mutate process-global state; serialize them.
-    fn with_global_lock(test: impl FnOnce()) {
+    /// Tests that mutate process-global state (here and in `span.rs`)
+    /// serialize on this.
+    pub(crate) fn with_global_lock(test: impl FnOnce()) {
         static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
         let _guard = GATE.lock().unwrap_or_else(|e| e.into_inner());
         let _ = memory_sink().take();
@@ -399,20 +391,25 @@ mod tests {
     }
 
     #[test]
-    fn span_records_count_exactly_across_threads() {
-        // Uses a fresh local registry: no global state, no lock needed.
-        let registry = Registry::new();
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..1_000 {
-                        registry.record_span("concurrency-smoke", 1e-6);
-                    }
-                });
+    fn spans_close_exactly_once_across_threads() {
+        with_global_lock(|| {
+            install(TelemetryConfig::in_memory());
+            std::thread::scope(|s| {
+                for t in 0..8 {
+                    s.spawn(move || {
+                        for _ in 0..100 {
+                            drop(crate::span!("concurrency-smoke", slot = Slot::new(t)));
+                        }
+                    });
+                }
+            });
+            let events = memory_sink().take();
+            assert_eq!(events.len(), 800);
+            for t in 0..8 {
+                let of_slot = events.iter().filter(|e| e.slot() == Slot::new(t));
+                assert_eq!(of_slot.count(), 100, "thread {t}");
             }
         });
-        let recorded = registry.span_durations("concurrency-smoke").unwrap();
-        assert_eq!(recorded.count(), 8_000);
     }
 
     #[test]

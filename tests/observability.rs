@@ -1,5 +1,5 @@
 //! End-to-end tests for the observability layer: flight recorder,
-//! trace analysis, and the span histograms, driving a real simulation
+//! trace analysis, and spans in the event log, driving real simulations
 //! rather than hand-built event streams.
 //!
 //! Telemetry is process-global, so every test here takes the same
@@ -7,11 +7,12 @@
 //! empty on the way out.
 
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use spotdc_obs::{Analysis, BlackBoxConfig, FlightRecorder, PIPELINE_STAGES};
 use spotdc_sim::engine::{EngineConfig, Simulation};
 use spotdc_sim::{Mode, Scenario};
+use spotdc_telemetry::{FileSink, SinkKind, TelemetryConfig};
 
 static TELEMETRY_GATE: Mutex<()> = Mutex::new(());
 
@@ -119,37 +120,63 @@ fn flight_recorder_and_trace_analysis_capture_a_real_emergency() {
 }
 
 #[test]
-fn parallel_per_pdu_run_records_span_histograms() {
+fn concurrent_runs_keep_their_spans_apart_in_the_log() {
     let _gate = gate();
-
-    spotdc_telemetry::install(spotdc_telemetry::TelemetryConfig {
-        enabled: true,
-        sink: spotdc_telemetry::SinkKind::Null,
-        sample_every: 1,
+    let dir = temp_dir("runs");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("telemetry.jsonl");
+    spotdc_telemetry::install_with_sink(
+        TelemetryConfig {
+            enabled: true,
+            sink: SinkKind::File,
+            sample_every: 1,
+        },
+        Arc::new(FileSink::create(&path).expect("log file")),
+    );
+    // Two experiments at once, each tagged with its run id: a uniform
+    // market, and a per-PDU one whose inner pool is wider than one
+    // worker, so its sub-market clears close spans on pool threads.
+    let runs = [
+        ("uniform", EngineConfig::new(Mode::SpotDc), 40),
+        (
+            "per-pdu",
+            EngineConfig {
+                per_pdu_pricing: true,
+                inner_jobs: 2,
+                ..EngineConfig::new(Mode::SpotDc)
+            },
+            30,
+        ),
+    ];
+    std::thread::scope(|s| {
+        for (run, config, slots) in runs.clone() {
+            s.spawn(move || {
+                let _scope = spotdc_telemetry::run_scope(run);
+                Simulation::new(Scenario::testbed(7), config).run(slots)
+            });
+        }
     });
-    // An inner pool wider than one worker exercises the par.* spans.
-    let engine = EngineConfig {
-        per_pdu_pricing: true,
-        inner_jobs: 2,
-        ..EngineConfig::new(Mode::SpotDc)
-    };
-    let _ = Simulation::new(Scenario::testbed(7), engine).run(40);
-    spotdc_telemetry::set_enabled(false);
+    spotdc_telemetry::install(TelemetryConfig::default());
+    let body = std::fs::read_to_string(&path).expect("log readable");
+    std::fs::remove_dir_all(&dir).ok();
 
-    // Only spans this run itself closes: the registry is process-global,
-    // so a name the sibling test registers (the uniform market's
-    // `stage.clear_market`) would make this depend on test order.
-    let registry = spotdc_telemetry::registry();
-    for span in [
-        "engine.slot",
-        "stage.clear_per_pdu",
-        "par.collect_bids",
-        "par.clear_per_pdu",
-    ] {
-        assert!(
-            registry.span_durations(span).is_some(),
-            "missing span {span} among {:?}",
-            registry.span_names()
-        );
+    let both = Analysis::from_jsonl(&body, None);
+    assert!(both.malformed.is_empty(), "{:?}", both.malformed);
+    let mut clears = 0;
+    for (run, _, slots) in &runs {
+        let one = Analysis::from_jsonl(&body, Some(run));
+        let count = |span: &str| one.stages.get(span).map_or(0, |s| s.count);
+        assert!(one.price.count > 0, "{run}: no SlotCleared");
+        assert_eq!(count("clearing"), one.price.count, "{run}");
+        assert_eq!(count("engine.slot"), *slots, "{run}");
+        assert_eq!(count("par.collect_bids"), *slots, "{run}");
+        clears += count("clearing");
     }
+    assert_eq!(both.stages["clearing"].count, clears);
+    let uniform = Analysis::from_jsonl(&body, Some("uniform"));
+    assert_eq!(uniform.stages["clearing"].count, 40, "one clear a slot");
+    let per_pdu = Analysis::from_jsonl(&body, Some("per-pdu"));
+    assert!(per_pdu.stages["stage.clear_per_pdu"].count > 0);
+    assert!(per_pdu.stages.contains_key("par.clear_per_pdu"));
+    assert!(!uniform.stages.contains_key("par.clear_per_pdu"));
 }
