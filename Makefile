@@ -71,7 +71,8 @@ bench:
 
 # The A/B behind every performance claim: BENCHMARK.json's command on
 # the working tree against BASE, in alternating pairs, reporting both
-# medians with quartiles and wins / pairs per end-to-end metric (see
+# medians with quartiles, wins / pairs and the gate's within / WORSE
+# verdict against the metric's bound per end-to-end metric (see
 # scripts/bench_pairs). `make bench-pairs BASE=HEAD WORKLOADS=clear-replay`
 # measures uncommitted work on one workload.
 BASE ?= HEAD~1

@@ -10,9 +10,9 @@
 //!   rebuildable: the topology, operator, traces and fault plan are
 //!   pure functions of the scenario and config (every fault verdict,
 //!   lost messages included, is a hash of `(seed, slot, target)`, so a
-//!   snapshot carries no RNG state at all); stage scratch and the
-//!   valuation/prediction caches are bit-transparent (warm-vs-cold
-//!   equality is pinned by property tests) and clearing keeps no state
+//!   snapshot carries no RNG state at all); stage scratch, the agents'
+//!   valuation-row caches and the prediction cache are bit-transparent
+//!   (warm-vs-cold equality is pinned by tests) and clearing keeps no state
 //!   between slots (only buffers it rebuilds); and the rack-PDU
 //!   bank is excluded because the Sense stage unconditionally resets
 //!   every budget at the top of each slot, so nothing the bank holds at

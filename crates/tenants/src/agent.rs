@@ -15,11 +15,12 @@ use spotdc_core::bid::{RackBid, TenantBid};
 use spotdc_units::{Price, RackId, TenantId, Watts};
 use spotdc_workloads::GainCurve;
 
-use crate::model::WorkloadModel;
+use crate::model::{ValuationRow, WorkloadModel};
 use crate::strategy::{BidContext, Strategy};
 
-/// Intensity quantization for the valuation cache: gain curves are
-/// reused across slots whose load rounds to the same 1/256 step.
+/// Intensity quantization for valuations: the curve is built at the
+/// load rounded to a 1/256 step, and a sprinting agent's valuation rows
+/// are cached per step.
 const INTENSITY_BUCKETS: f64 = 256.0;
 
 /// The performance a tenant achieved in one slot.
@@ -99,10 +100,12 @@ pub struct TenantAgent {
     strategy: Strategy,
     intensity: f64,
     predicted_price: Option<Price>,
-    /// Valuations keyed by quantized intensity — building a gain curve
-    /// involves dozens of queueing-model inversions, and long
-    /// simulations revisit the same load levels constantly.
-    valuation_cache: HashMap<u16, (GainCurve, Watts)>,
+    /// Valuation rows keyed by intensity bucket — a row is dozens of
+    /// queueing or DVFS inversions, and long simulations revisit the
+    /// same load levels constantly. An opportunistic row is
+    /// load-independent, so a batch agent holds one, under key 0. Each
+    /// valuation applies the agent's cost model to its row afresh.
+    rows: HashMap<u16, ValuationRow>,
 }
 
 impl TenantAgent {
@@ -137,26 +140,24 @@ impl TenantAgent {
             strategy,
             intensity: 0.0,
             predicted_price: None,
-            valuation_cache: HashMap::new(),
+            rows: HashMap::new(),
         }
     }
 
     /// The tenant's `(gain curve, needed power)` at the current
-    /// (quantized) intensity, computed once and cached.
+    /// (quantized) intensity, from its cached valuation row.
     fn valuation(&mut self) -> (GainCurve, Watts) {
-        let key = (self.intensity * INTENSITY_BUCKETS).round() as u16;
-        if let Some(v) = self.valuation_cache.get(&key) {
-            return v.clone();
-        }
-        let quantized = f64::from(key) / INTENSITY_BUCKETS;
-        let gain = self
-            .model
-            .gain_curve(self.reserved, self.headroom, quantized);
-        let needed = self
-            .model
-            .needed_power(self.reserved, self.headroom, quantized);
-        self.valuation_cache.insert(key, (gain.clone(), needed));
-        (gain, needed)
+        let bucket = (self.intensity * INTENSITY_BUCKETS).round() as u16;
+        let quantized = f64::from(bucket) / INTENSITY_BUCKETS;
+        let key = if self.model.is_sprinting() { bucket } else { 0 };
+        let row = self.rows.entry(key).or_insert_with(|| {
+            self.model
+                .valuation_row(self.reserved, self.headroom, quantized)
+        });
+        (
+            self.model.gain_from_row(row, quantized),
+            self.model.needed_from_row(row, quantized),
+        )
     }
 
     /// The tenant's identity.

@@ -47,6 +47,6 @@ pub mod multirack;
 pub mod strategy;
 
 pub use agent::{Performance, SlotOutcome, TenantAgent};
-pub use model::WorkloadModel;
+pub use model::{ValuationRow, WorkloadModel};
 pub use multirack::bundle_bid;
 pub use strategy::{BidContext, Strategy};

@@ -38,6 +38,25 @@ pub enum WorkloadModel {
     },
 }
 
+/// The cost-independent half of a tenant's valuation (see
+/// [`WorkloadModel::valuation_row`]): what the performance model says
+/// at each budget a gain curve samples. Applying the cost model to it
+/// ([`WorkloadModel::gain_from_row`]) is one multiplication or so per
+/// sample, where building it is one queueing or DVFS inversion each.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ValuationRow {
+    reserved: Watts,
+    headroom: Watts,
+    /// Tail latency (sprinting) or throughput (opportunistic) at the
+    /// reservation.
+    at_reserved: f64,
+    /// The same at each of the curve's spot levels.
+    at_levels: Vec<f64>,
+    /// Sprinting: the smallest budget meeting the SLO, `None` when
+    /// infeasible. Opportunistic: `None`.
+    slo_power: Option<Watts>,
+}
+
 impl WorkloadModel {
     /// The paper's Search tenant: p99/100 ms SLO, highest bid prices.
     #[must_use]
@@ -134,17 +153,38 @@ impl WorkloadModel {
     /// normalized load `intensity`.
     #[must_use]
     pub fn cost_rate(&self, budget: Watts, intensity: f64) -> f64 {
+        if !self.is_sprinting() && intensity <= 0.0 {
+            // No backlog, nothing to cost: skip the DVFS inversion.
+            return 0.0;
+        }
+        self.cost_at(self.performance(budget, intensity), intensity)
+    }
+
+    /// What the cost model judges at `budget`: tail latency (seconds)
+    /// for sprinting models, throughput (work units/s, independent of
+    /// `intensity`) for opportunistic ones.
+    fn performance(&self, budget: Watts, intensity: f64) -> f64 {
         match self {
-            WorkloadModel::Sprinting { workload, cost } => {
-                let lambda = self.arrival_rate(intensity);
-                cost.cost_rate(workload.latency(lambda, budget), lambda)
+            WorkloadModel::Sprinting { workload, .. } => {
+                workload.latency(self.arrival_rate(intensity), budget)
             }
-            WorkloadModel::Opportunistic { workload, cost } => {
+            WorkloadModel::Opportunistic { workload, .. } => workload.throughput(budget),
+        }
+    }
+
+    /// The cost rate ($/hour) of [`performance`](Self::performance)
+    /// `perf` at load `intensity`.
+    fn cost_at(&self, perf: f64, intensity: f64) -> f64 {
+        match self {
+            WorkloadModel::Sprinting { cost, .. } => {
+                cost.cost_rate(perf, self.arrival_rate(intensity))
+            }
+            WorkloadModel::Opportunistic { cost, .. } => {
                 let pressure = intensity.clamp(0.0, 1.0);
                 if pressure == 0.0 {
                     return 0.0;
                 }
-                pressure * cost.cost_rate_at_throughput(workload.throughput(budget))
+                pressure * cost.cost_rate_at_throughput(perf)
             }
         }
     }
@@ -154,9 +194,65 @@ impl WorkloadModel {
     /// valuation the strategies bid from.
     #[must_use]
     pub fn gain_curve(&self, reserved: Watts, headroom: Watts, intensity: f64) -> GainCurve {
-        GainCurve::from_cost_rate(reserved, headroom, GAIN_SAMPLES, |b| {
-            self.cost_rate(b, intensity)
-        })
+        if !self.is_sprinting() && intensity <= 0.0 {
+            // No backlog: every cost is zero (see `cost_rate`), so skip
+            // the DVFS samples an agent's load-independent row needs.
+            let zeros = std::iter::repeat_n(0.0, GAIN_SAMPLES + 1);
+            return GainCurve::from_costs(headroom, GAIN_SAMPLES, 0.0, zeros);
+        }
+        // The curve alone needs no SLO power, whose bisection would cost
+        // twice the samples.
+        let row = self.sampled_row(reserved, headroom, intensity, None);
+        self.gain_from_row(&row, intensity)
+    }
+
+    /// The cost-independent half of the valuation at load `intensity`:
+    /// the performance model sampled at `reserved` and at every spot
+    /// level of the gain curve, plus (sprinting) the SLO power. An
+    /// opportunistic row does not depend on `intensity` at all.
+    #[must_use]
+    pub fn valuation_row(&self, reserved: Watts, headroom: Watts, intensity: f64) -> ValuationRow {
+        self.sampled_row(reserved, headroom, intensity, self.slo_power(intensity))
+    }
+
+    /// A row's samples at `intensity`, carrying `slo_power` as given.
+    fn sampled_row(
+        &self,
+        reserved: Watts,
+        headroom: Watts,
+        intensity: f64,
+        slo_power: Option<Watts>,
+    ) -> ValuationRow {
+        ValuationRow {
+            reserved,
+            headroom,
+            at_reserved: self.performance(reserved, intensity),
+            at_levels: GainCurve::spot_levels(headroom, GAIN_SAMPLES)
+                .map(|s| self.performance(reserved + s, intensity))
+                .collect(),
+            slo_power,
+        }
+    }
+
+    /// The gain curve at load `intensity` from a row this model built
+    /// (at the same `intensity`, for a sprinting model): the cost model
+    /// applied to each sample.
+    #[must_use]
+    pub fn gain_from_row(&self, row: &ValuationRow, intensity: f64) -> GainCurve {
+        GainCurve::from_costs(
+            row.headroom,
+            GAIN_SAMPLES,
+            self.cost_at(row.at_reserved, intensity),
+            row.at_levels.iter().map(|&p| self.cost_at(p, intensity)),
+        )
+    }
+
+    /// [`needed_power`](Self::needed_power) at load `intensity` from a
+    /// row this model built (at the same `intensity`, for a sprinting
+    /// model).
+    #[must_use]
+    pub fn needed_from_row(&self, row: &ValuationRow, intensity: f64) -> Watts {
+        self.needed_given(row.slo_power, row.reserved, row.headroom, intensity)
     }
 
     /// The extra power beyond `reserved` the tenant *needs* (sprinting:
@@ -164,16 +260,36 @@ impl WorkloadModel {
     /// throughput), clamped to `headroom`. Zero when nothing is needed.
     #[must_use]
     pub fn needed_power(&self, reserved: Watts, headroom: Watts, intensity: f64) -> Watts {
+        self.needed_given(self.slo_power(intensity), reserved, headroom, intensity)
+    }
+
+    /// The smallest budget meeting a sprinting model's SLO at load
+    /// `intensity` (`None` when infeasible, and for opportunistic models).
+    fn slo_power(&self, intensity: f64) -> Option<Watts> {
         match self {
             WorkloadModel::Sprinting { workload, .. } => {
-                let lambda = self.arrival_rate(intensity);
-                match workload.power_for_slo(lambda) {
-                    Some(p) => (p - reserved).clamp_non_negative().min(headroom),
-                    // SLO infeasible even at peak power: take all the
-                    // headroom, every watt still helps.
-                    None => headroom,
-                }
+                workload.power_for_slo(self.arrival_rate(intensity))
             }
+            WorkloadModel::Opportunistic { .. } => None,
+        }
+    }
+
+    /// [`needed_power`](Self::needed_power) given the sprinting SLO
+    /// power (ignored for opportunistic models).
+    fn needed_given(
+        &self,
+        slo_power: Option<Watts>,
+        reserved: Watts,
+        headroom: Watts,
+        intensity: f64,
+    ) -> Watts {
+        match self {
+            WorkloadModel::Sprinting { .. } => match slo_power {
+                Some(p) => (p - reserved).clamp_non_negative().min(headroom),
+                // SLO infeasible even at peak power: take all the
+                // headroom, every watt still helps.
+                None => headroom,
+            },
             WorkloadModel::Opportunistic { workload, .. } => {
                 if intensity <= 0.0 {
                     return Watts::ZERO;

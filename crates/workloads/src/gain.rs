@@ -68,22 +68,49 @@ impl GainCurve {
         samples: usize,
         cost_rate: impl Fn(Watts) -> f64,
     ) -> Self {
+        let costs = Self::spot_levels(max_spot, samples).map(|s| cost_rate(reserved + s));
+        Self::from_costs(max_spot, samples, cost_rate(reserved), costs)
+    }
+
+    /// Builds a curve from cost rates already sampled: `base` at the
+    /// reserved budget and one per [spot level](Self::spot_levels), in
+    /// order. Clipping and capping are as in
+    /// [`from_cost_rate`](Self::from_cost_rate).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_spot` is negative/non-finite, `samples == 0`, or
+    /// `costs` does not yield exactly `samples + 1` values.
+    #[must_use]
+    pub fn from_costs(
+        max_spot: Watts,
+        samples: usize,
+        base: f64,
+        costs: impl IntoIterator<Item = f64>,
+    ) -> Self {
         assert!(samples > 0, "need at least one sample interval");
         assert!(
             max_spot.is_finite() && !max_spot.is_negative(),
             "max spot must be non-negative"
         );
-        let base = cost_rate(reserved).min(COST_CAP);
+        let base = base.min(COST_CAP);
         let mut points = Vec::with_capacity(samples + 1);
         let mut best = 0.0f64;
-        for i in 0..=samples {
-            let s = max_spot.value() * i as f64 / samples as f64;
-            let cost = cost_rate(reserved + Watts::new(s)).min(COST_CAP);
+        let mut costs = costs.into_iter();
+        for s in Self::spot_levels(max_spot, samples) {
+            let cost = costs.next().expect("one cost per spot level").min(COST_CAP);
             let gain = (base - cost).max(0.0);
             best = best.max(gain);
-            points.push((s, best));
+            points.push((s.value(), best));
         }
+        assert!(costs.next().is_none(), "one cost per spot level");
         GainCurve { points }
+    }
+
+    /// The `samples + 1` evenly spaced spot levels in `[0, max_spot]` a
+    /// curve is tabulated at.
+    pub fn spot_levels(max_spot: Watts, samples: usize) -> impl Iterator<Item = Watts> {
+        (0..=samples).map(move |i| Watts::new(max_spot.value() * i as f64 / samples as f64))
     }
 
     /// Builds a curve directly from `(spot_watts, gain)` samples.
@@ -403,5 +430,11 @@ mod tests {
     #[should_panic(expected = "at least one sample")]
     fn zero_samples_rejected() {
         let _ = GainCurve::from_cost_rate(Watts::ZERO, Watts::new(1.0), 0, |_| 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "one cost per spot level")]
+    fn cost_count_must_match_levels() {
+        let _ = GainCurve::from_costs(Watts::new(1.0), 2, 1.0, [1.0, 0.5]);
     }
 }

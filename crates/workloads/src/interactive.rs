@@ -134,10 +134,10 @@ impl InteractiveWorkload {
         f64::from(self.dvfs.servers()) * self.mu_max
     }
 
-    /// The queue the rack behaves as under power budget `budget` at
-    /// arrival rate `lambda`: an M/M/k with service rate scaled by the
-    /// relative compute capacity the budget affords.
-    fn queue_at(&self, _lambda: f64, budget: Watts) -> MmK {
+    /// The queue the rack behaves as under power budget `budget`: an
+    /// M/M/k with service rate scaled by the relative compute capacity
+    /// the budget affords.
+    fn queue_at(&self, budget: Watts) -> MmK {
         // A power budget is a hard cap: the tenant must pick a frequency
         // whose *worst-case* (fully busy) draw stays under it, so the
         // budget→frequency mapping is evaluated at utilization 1.
@@ -151,14 +151,9 @@ impl InteractiveWorkload {
     /// latency cap instead of returning infinity.
     #[must_use]
     pub fn latency(&self, lambda: f64, budget: Watts) -> f64 {
-        if lambda <= 0.0 {
-            let q = self.queue_at(1e-9, budget);
-            return q
-                .latency_percentile(0.0, self.percentile)
-                .min(self.latency_cap);
-        }
-        let q = self.queue_at(lambda, budget);
-        q.latency_percentile(lambda, self.percentile)
+        let lambda = if lambda <= 0.0 { 0.0 } else { lambda };
+        self.queue_at(budget)
+            .latency_percentile(lambda, self.percentile)
             .min(self.latency_cap)
     }
 
