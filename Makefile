@@ -38,9 +38,10 @@ smoke-faults: build
 	$(CARGO) run -p spotdc-bench --bin repro --release -- \
 		--exp robustness --validate --quick --quiet
 
-# Observability smoke run: quick faulted sweeps with the flight
-# recorder armed, then spotdc-trace must find the injected emergencies,
-# time all nine pipeline stages, and render deterministically.
+# Observability smoke run: quick faulted sweeps with a telemetry log,
+# then spotdc-trace must name the simulation each emergency tripped in,
+# time all nine pipeline stages, read utilization <= 1 for every
+# experiment, and render deterministically.
 smoke-trace: build
 	scripts/smoke_trace
 

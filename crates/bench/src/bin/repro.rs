@@ -10,7 +10,6 @@
 //! repro --list-exps          # available experiment ids (alias: --list)
 //! repro --out results/       # also write one .txt file per experiment
 //! repro --telemetry t.jsonl  # record market events to a JSONL file
-//! repro --blackbox dumps/    # flight recorder: black-box dumps on emergencies
 //! repro --validate           # per-slot invariant checks; violations fail the run
 //! repro --quiet              # suppress progress output (errors remain)
 //! ```
@@ -49,7 +48,7 @@ use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use spotdc_obs::{Analysis, BlackBoxConfig, FlightRecorder};
+use spotdc_obs::Analysis;
 use spotdc_sim::engine::{DurabilityConfig, EngineConfig, Simulation};
 use spotdc_sim::experiments::{all_ids, run_selected, ExpConfig};
 use spotdc_sim::{Mode, Scenario};
@@ -115,7 +114,6 @@ fn main() -> ExitCode {
     let mut selected: Vec<String> = Vec::new();
     let mut out_dir: Option<std::path::PathBuf> = None;
     let mut telemetry_path: Option<std::path::PathBuf> = None;
-    let mut blackbox_dir: Option<std::path::PathBuf> = None;
     let mut jobs: usize = spotdc_par::available();
     let mut quiet = false;
     let mut single_mode: Option<Mode> = None;
@@ -162,10 +160,6 @@ fn main() -> ExitCode {
             "--telemetry" => match args.next() {
                 Some(path) => telemetry_path = Some(path.into()),
                 None => return usage("--telemetry needs a file path"),
-            },
-            "--blackbox" => match args.next() {
-                Some(dir) => blackbox_dir = Some(dir.into()),
-                None => return usage("--blackbox needs a directory"),
             },
             "--mode" => match args.next().as_deref() {
                 Some("powercapped") => single_mode = Some(Mode::PowerCapped),
@@ -220,9 +214,7 @@ fn main() -> ExitCode {
     {
         return usage("--per-pdu/--shards/--shard-transport require --mode (single runs)");
     }
-    if single_mode.is_some()
-        && (!selected.is_empty() || out_dir.is_some() || blackbox_dir.is_some())
-    {
+    if single_mode.is_some() && (!selected.is_empty() || out_dir.is_some()) {
         return usage(
             "--mode single runs take only --slots/--seed/--telemetry, the checkpoint \
              flags, and the shard flags",
@@ -255,15 +247,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-    } else if blackbox_dir.is_some() {
-        // The flight recorder needs telemetry flowing even when no
-        // JSONL artifact was requested: enable it with a Null primary
-        // sink (the recorder channel still sees everything).
-        spotdc_telemetry::install(TelemetryConfig {
-            enabled: true,
-            sink: SinkKind::Null,
-            sample_every: 1,
-        });
     }
     if let Some(mode) = single_mode {
         // Single-run mode shares the telemetry plumbing above but none
@@ -291,9 +274,6 @@ fn main() -> ExitCode {
         }
         return code;
     }
-    let recorder = blackbox_dir
-        .as_ref()
-        .map(|dir| FlightRecorder::arm(dir, BlackBoxConfig::default()));
     let ids: Vec<String> = if selected.is_empty() {
         all_ids().into_iter().map(str::to_owned).collect()
     } else {
@@ -359,23 +339,6 @@ fn main() -> ExitCode {
     ));
     if let Some(path) = &telemetry_path {
         reporter.progress(&span_timings(path));
-    } else if blackbox_dir.is_some() {
-        spotdc_telemetry::flush();
-    }
-    if let Some(recorder) = &recorder {
-        reporter.status(&format!(
-            "# black box: {} dump(s) in {}",
-            recorder.dumps().len(),
-            recorder.dir().display()
-        ));
-        if recorder.write_errors() > 0 {
-            reporter.error(&format!(
-                "error: {} black-box dump write(s) failed: {}",
-                recorder.write_errors(),
-                recorder.first_error().unwrap_or_default()
-            ));
-            return ExitCode::FAILURE;
-        }
     }
     if telemetry_log_truncated(file_sink.as_deref(), &reporter) {
         return ExitCode::FAILURE;
@@ -494,7 +457,7 @@ fn usage(error: &str) -> ExitCode {
     eprintln!(
         "usage: repro [--exp <id>]... [--days <n>] [--seed <n>] [--quick] [--jobs <n>]\n\
          \x20            [--inner-jobs <n>] [--list-exps]\n\
-         \x20            [--out <dir>] [--telemetry <file>] [--blackbox <dir>]\n\
+         \x20            [--out <dir>] [--telemetry <file>]\n\
          \x20            [--validate] [--quiet]\n\
          \x20      repro --mode <powercapped|spotdc|maxperf> [--slots <n>] [--seed <n>]\n\
          \x20            [--per-pdu] [--shards <n>] [--shard-transport <inproc|subprocess>]\n\

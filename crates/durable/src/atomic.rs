@@ -5,8 +5,8 @@
 //! or the new one, never a mixture or a prefix. The fragile part is the
 //! ordering around it — the data must be durable *before* the rename
 //! makes it visible, and the rename itself lives in the directory, so
-//! the directory is fsynced too. Skipping either step is how partially
-//! written blackbox dumps get mistaken for complete ones.
+//! the directory is fsynced too. Skipping either step is how a
+//! partially written checkpoint gets mistaken for a complete one.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};

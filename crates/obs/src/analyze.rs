@@ -2,10 +2,9 @@
 //!
 //! The engine behind the `spotdc-trace` binary. Input is any event
 //! log this workspace produces — the `FileSink` artifact
-//! (`telemetry.jsonl`) or a flight-recorder black-box dump — and
-//! output is an [`Analysis`]: per-stage latency breakdowns
-//! reconstructed from `SpanClosed` events, market time-series
-//! statistics from `SlotCleared`/`PredictionIssued` pairs, degradation
+//! (`telemetry.jsonl`) — and output is an [`Analysis`]: per-stage
+//! latency breakdowns reconstructed from `SpanClosed` events, market
+//! time-series statistics from `SlotCleared`/`PredictionIssued` pairs, degradation
 //! tallies, and an anomaly summary (emergency slots, invariant
 //! violations, cap actions, fault clusters).
 //!
@@ -248,8 +247,8 @@ pub struct Analysis {
     pub price: SeriesStats,
     /// Spot capacity sold per clearing, watts.
     pub sold_watts: SeriesStats,
-    /// Sold / predicted UPS spot capacity, for slots carrying both a
-    /// clearing and a prediction (within the same run).
+    /// Sold / predicted UPS spot capacity: one sample per prediction
+    /// that some clearing of its run and slot sold against.
     pub utilization: SeriesStats,
     /// `ConstraintBound` events by level (`"ups"`, `"pdu"`): how often
     /// the winning grants exhausted a spot capacity of that level.
@@ -278,16 +277,20 @@ pub struct Analysis {
 
 impl Analysis {
     /// Analyzes a JSONL log, optionally keeping only lines whose
-    /// `"run"` tag equals `run_filter` (untagged lines match only when
-    /// no filter is given).
+    /// `"run"` tag is `run_filter` or one of its sub-runs
+    /// (`<run_filter>/…`, as `fan_out` tags its jobs). Untagged lines
+    /// match only when no filter is given.
     #[must_use]
     pub fn from_jsonl(body: &str, run_filter: Option<&str>) -> Analysis {
         let mut a = Analysis::default();
         let mut span_samples: BTreeMap<String, Vec<u64>> = BTreeMap::new();
         let mut prices = Vec::new();
         let mut sold = Vec::new();
-        // (run, slot) -> (sold watts, predicted ups watts)
-        let mut joined: BTreeMap<(String, u64), (Option<f64>, Option<f64>)> = BTreeMap::new();
+        // One (predicted ups watts, sold watts, cleared) per prediction,
+        // and each run's latest one with its slot: a clearing sells
+        // against the prediction just before it.
+        let mut predictions: Vec<(f64, f64, bool)> = Vec::new();
+        let mut latest_prediction: BTreeMap<String, (u64, usize)> = BTreeMap::new();
         let mut faults: BTreeMap<String, Vec<(u64, String)>> = BTreeMap::new();
         // shard -> controller-observed clear latencies
         let mut shard_clears: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
@@ -314,7 +317,10 @@ impl Analysis {
                 }
             };
             if let Some(want) = run_filter {
-                if run.as_deref() != Some(want) {
+                if !run
+                    .as_deref()
+                    .is_some_and(|run| is_run_or_sub_run(run, want))
+                {
                     a.filtered_out += 1;
                     continue;
                 }
@@ -345,13 +351,18 @@ impl Analysis {
                 } => {
                     prices.push(*price_per_kw_hour);
                     sold.push(*sold_watts);
-                    let cell = joined.entry((run_key, slot)).or_default();
                     // Per-PDU clearing emits one event per sub-market;
-                    // sum them into the slot's sold total.
-                    cell.0 = Some(cell.0.unwrap_or(0.0) + *sold_watts);
+                    // they sum into the one prediction they share.
+                    if let Some(&(at, i)) = latest_prediction.get(&run_key) {
+                        if at == slot {
+                            predictions[i].1 += *sold_watts;
+                            predictions[i].2 = true;
+                        }
+                    }
                 }
                 Event::PredictionIssued { ups_watts, .. } => {
-                    joined.entry((run_key, slot)).or_default().1 = Some(*ups_watts);
+                    latest_prediction.insert(run_key, (slot, predictions.len()));
+                    predictions.push((*ups_watts, 0.0, false));
                 }
                 Event::DegradedDecision { kind, watts, .. } => {
                     let entry = a.degradations.entry(kind.clone()).or_default();
@@ -450,12 +461,10 @@ impl Analysis {
             .collect();
         a.price = SeriesStats::from_samples(&prices);
         a.sold_watts = SeriesStats::from_samples(&sold);
-        let utilization: Vec<f64> = joined
-            .values()
-            .filter_map(|(sold, predicted)| match (sold, predicted) {
-                (Some(s), Some(p)) if *p > 0.0 => Some(s / p),
-                _ => None,
-            })
+        let utilization: Vec<f64> = predictions
+            .iter()
+            .filter(|&&(predicted, _, cleared)| cleared && predicted > 0.0)
+            .map(|&(predicted, sold, _)| sold / predicted)
             .collect();
         a.utilization = SeriesStats::from_samples(&utilization);
         for (shard, mut samples) in shard_clears {
@@ -880,6 +889,13 @@ impl SeriesStats {
     }
 }
 
+/// Whether `run` is `want` or one of its sub-runs (`want/…`): `fig1`
+/// keeps `fig1/0` but not `fig14`.
+fn is_run_or_sub_run(run: &str, want: &str) -> bool {
+    run.strip_prefix(want)
+        .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+}
+
 /// Groups per-run fault events into maximal consecutive-slot clusters.
 fn cluster_faults(faults: BTreeMap<String, Vec<(u64, String)>>) -> Vec<FaultCluster> {
     let mut clusters = Vec::new();
@@ -1090,6 +1106,38 @@ mod tests {
     }
 
     #[test]
+    fn sub_runs_at_the_same_slot_read_apart() {
+        let body = [
+            line(Some("x/0"), &predicted(5, 100.0)),
+            line(Some("x/1"), &predicted(5, 100.0)),
+            line(Some("x/0"), &cleared(5, 0.2, 60.0)),
+            line(Some("x/1"), &cleared(5, 0.2, 60.0)),
+        ]
+        .join("\n");
+        let a = Analysis::from_jsonl(&body, Some("x"));
+        assert_eq!(a.utilization.count, 2);
+        assert!((a.utilization.max - 0.6).abs() < 1e-12, "not 120/100");
+    }
+
+    #[test]
+    fn each_clearing_pairs_with_its_own_prediction() {
+        // A price-oracle pre-pass predicts and clears twice in a slot.
+        let body = [
+            line(Some("o"), &predicted(3, 1_000.0)),
+            line(Some("o"), &cleared(3, 0.2, 500.0)),
+            line(Some("o"), &predicted(3, 1_000.0)),
+            line(Some("o"), &cleared(3, 0.2, 400.0)),
+            // A clearing with no prediction of its slot reads nothing.
+            line(Some("o"), &cleared(4, 0.2, 400.0)),
+        ]
+        .join("\n");
+        let a = Analysis::from_jsonl(&body, None);
+        assert_eq!(a.utilization.count, 2);
+        assert!((a.utilization.min - 0.4).abs() < 1e-12);
+        assert!((a.utilization.max - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
     fn run_filter_keeps_only_the_requested_run() {
         let body = [
             line(Some("fig12"), &cleared(1, 0.2, 100.0)),
@@ -1101,6 +1149,20 @@ mod tests {
         assert_eq!(a.events, 1);
         assert_eq!(a.filtered_out, 2);
         assert_eq!(a.slot_range, Some((1, 1)));
+    }
+
+    #[test]
+    fn run_filter_keeps_sub_runs_on_the_slash_boundary() {
+        let body = [
+            line(Some("x"), &cleared(1, 0.2, 100.0)),
+            line(Some("x/1"), &cleared(2, 0.2, 100.0)),
+            line(Some("x1"), &cleared(3, 0.2, 100.0)),
+        ]
+        .join("\n");
+        let a = Analysis::from_jsonl(&body, Some("x"));
+        assert_eq!(a.events, 2);
+        assert_eq!(a.filtered_out, 1);
+        assert_eq!(a.runs.iter().collect::<Vec<_>>(), ["x", "x/1"]);
     }
 
     #[test]

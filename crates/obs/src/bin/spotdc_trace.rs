@@ -5,10 +5,12 @@
 //! ```
 //!
 //! Ingests one or more JSONL event logs (the `telemetry.jsonl` the
-//! repro binary writes, or flight-recorder black-box dumps) and prints
-//! per-stage latency breakdowns, market time-series statistics, and an
-//! anomaly summary. Output is deterministic: the same logs produce
-//! byte-identical reports on every run.
+//! repro binary writes) and prints per-stage latency breakdowns, market
+//! time-series statistics, and an anomaly summary. `--run headline`
+//! keeps the experiment and each of its simulations (`headline/0`,
+//! `headline/1`, ...); `--run headline/2` keeps one simulation. Output
+//! is deterministic: the same logs produce byte-identical reports on
+//! every run.
 //!
 //! Exit status: 0 on success, 1 when the input yields zero parsed
 //! events (empty logs, entirely malformed logs, or a `--run` filter
@@ -23,11 +25,11 @@ use spotdc_obs::Analysis;
 
 const USAGE: &str = "usage: spotdc-trace [--json] [--run <id>] <log.jsonl>...\n\
 \n\
-Analyze SpotDC JSONL event logs (telemetry.jsonl or black-box dumps):\n\
-per-stage latency breakdowns, market series, anomaly summary.\n\
+Analyze SpotDC JSONL event logs (telemetry.jsonl): per-stage latency\n\
+breakdowns, market series, anomaly summary.\n\
 \n\
   --json       machine-readable output (one JSON object)\n\
-  --run <id>   keep only events tagged with this run id\n\
+  --run <id>   keep only events tagged <id> or <id>/... (its simulations)\n\
   -h, --help   this help\n";
 
 fn main() -> ExitCode {
@@ -64,8 +66,8 @@ fn main() -> ExitCode {
     let mut body = String::new();
     for path in &paths {
         // Bytes, decoded lossily: a log torn inside a multi-byte
-        // character (a `FileSink` tail after `kill -9`, a damaged
-        // black-box dump) costs the one damaged line, not the file.
+        // character (a `FileSink` tail after `kill -9`) costs the one
+        // damaged line, not the file.
         match std::fs::read(path) {
             Ok(content) => {
                 body.push_str(&String::from_utf8_lossy(&content));

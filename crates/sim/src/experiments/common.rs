@@ -94,8 +94,10 @@ pub fn run_with(cfg: &ExpConfig, scenario: Scenario, engine: EngineConfig) -> Si
 }
 
 /// Runs independent jobs concurrently on the default pool, preserving
-/// input order and propagating the ambient telemetry run tag into the
-/// workers (thread-local tags do not cross threads on their own).
+/// input order. Under an ambient telemetry run tag `<run>`, job *i*
+/// logs as `<run>/<i>` (thread-local tags do not cross threads on their
+/// own), so every simulation's events stay apart in the log even when
+/// two of them share a slot index.
 ///
 /// Simulations are fully seeded, so the result is identical to mapping
 /// `f` serially — the experiments lean on this to stay byte-for-byte
@@ -108,13 +110,15 @@ where
     F: Fn(&T) -> U + Sync,
 {
     let run = spotdc_telemetry::current_run();
-    spotdc_par::par_map(items, move |item| {
-        let _scope = run.as_deref().map(spotdc_telemetry::run_scope);
+    let jobs: Vec<(usize, &T)> = items.iter().enumerate().collect();
+    spotdc_par::par_map(&jobs, move |&(i, item)| {
+        let _scope = sub_run_scope(run.as_deref(), i);
         f(item)
     })
 }
 
-/// Runs two independent jobs concurrently (telemetry-tag aware).
+/// Runs two independent jobs concurrently, logging as `<run>/0` and
+/// `<run>/1` under an ambient run tag (see [`fan_out`]).
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -125,14 +129,19 @@ where
     let run = spotdc_telemetry::current_run();
     spotdc_par::join(
         || {
-            let _scope = run.as_deref().map(spotdc_telemetry::run_scope);
+            let _scope = sub_run_scope(run.as_deref(), 0);
             a()
         },
         || {
-            let _scope = run.as_deref().map(spotdc_telemetry::run_scope);
+            let _scope = sub_run_scope(run.as_deref(), 1);
             b()
         },
     )
+}
+
+/// Scopes job `i` of a fan-out as `<run>/<i>`; no tag without a run.
+fn sub_run_scope(run: Option<&str>, i: usize) -> Option<spotdc_telemetry::RunScope> {
+    run.map(|run| spotdc_telemetry::run_scope(&format!("{run}/{i}")))
 }
 
 /// Runs `scenario` under every engine configuration concurrently.
@@ -192,19 +201,24 @@ mod tests {
     #[test]
     fn fan_out_preserves_order_and_run_tags() {
         let _scope = spotdc_telemetry::run_scope("outer");
-        let tags = fan_out(&[1, 2, 3], |&x| {
-            (
-                x * 10,
-                spotdc_telemetry::current_run().map(|r| r.to_string()),
-            )
-        });
+        let tag = || spotdc_telemetry::current_run().map(|r| r.to_string());
+        let tags = fan_out(&[1, 2, 3], |&x| (x * 10, tag()));
         assert_eq!(
             tags,
             vec![
-                (10, Some("outer".into())),
-                (20, Some("outer".into())),
-                (30, Some("outer".into()))
+                (10, Some("outer/0".into())),
+                (20, Some("outer/1".into())),
+                (30, Some("outer/2".into()))
             ]
+        );
+        assert_eq!(
+            join(tag, tag),
+            (Some("outer/0".into()), Some("outer/1".into()))
+        );
+        assert_eq!(
+            tag().as_deref(),
+            Some("outer"),
+            "the ambient tag is restored"
         );
     }
 

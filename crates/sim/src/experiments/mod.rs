@@ -76,9 +76,8 @@ pub struct TimedOutput {
 ///
 /// Each experiment executes under a telemetry run scope named after
 /// its id, so events from interleaved runs stay attributable in the
-/// shared JSONL log. Experiments that fan out internally re-propagate
-/// the tag to their own workers (see
-/// [`common::fan_out`]).
+/// shared JSONL log. Experiments that fan out internally tag each of
+/// their own jobs `<id>/<i>` (see [`common::fan_out`]).
 #[must_use]
 pub fn run_selected(
     ids: &[&str],

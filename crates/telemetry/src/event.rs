@@ -354,25 +354,6 @@ impl Event {
         )
     }
 
-    /// Whether the event is a capacity-emergency-class anomaly that
-    /// should trip the flight recorder's black-box dump: an observed
-    /// overload, an invariant violation, or cap-shedding (either the
-    /// cap controller acting or a `cap-shed` degradation decision).
-    ///
-    /// A strict subset of [`Event::is_critical`]: routine degradations
-    /// (stale meters, late bids) and bid rejections are critical enough
-    /// to bypass sampling but not emergencies worth a disk snapshot.
-    #[must_use]
-    pub fn is_blackbox_trigger(&self) -> bool {
-        match self {
-            Event::EmergencyTriggered { .. }
-            | Event::InvariantViolated { .. }
-            | Event::CapApplied { .. } => true,
-            Event::DegradedDecision { kind, .. } => kind == "cap-shed",
-            _ => false,
-        }
-    }
-
     /// Serializes the event as one JSON line (no trailing newline).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
@@ -636,33 +617,5 @@ mod tests {
                 "JournalTruncated",
             ]
         );
-    }
-
-    #[test]
-    fn blackbox_triggers_are_the_emergency_subset() {
-        let triggers: Vec<&str> = sample_events()
-            .iter()
-            .filter(|e| e.is_blackbox_trigger())
-            .map(Event::kind)
-            .collect();
-        assert_eq!(
-            triggers,
-            vec!["EmergencyTriggered", "CapApplied", "InvariantViolated"]
-        );
-        // Every trigger is also critical (never down-sampled away).
-        for e in sample_events() {
-            if e.is_blackbox_trigger() {
-                assert!(e.is_critical(), "{} must be critical", e.kind());
-            }
-        }
-        // A cap-shed degradation triggers; other degradations don't.
-        let shed = Event::DegradedDecision {
-            slot: Slot::new(1),
-            at: MonotonicNanos::from_raw(1),
-            kind: "cap-shed".to_owned(),
-            detail: "pdu-0".to_owned(),
-            watts: 10.0,
-        };
-        assert!(shed.is_blackbox_trigger());
     }
 }

@@ -66,7 +66,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 pub use event::{Event, EventParseError};
 pub use json::json_str;
-pub use sink::{EventSink, FileSink, NullSink, RingSink, VecSink};
+pub use sink::{EventSink, FileSink, NullSink, VecSink};
 pub use span::SpanGuard;
 
 /// Where emitted events should go, selectable from a `Copy` config.
@@ -129,7 +129,6 @@ static INSTALLED: AtomicBool = AtomicBool::new(false);
 static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(1);
 static MEMORY_SINK: OnceLock<Arc<VecSink>> = OnceLock::new();
 static SINK: RwLock<Option<Arc<dyn EventSink>>> = RwLock::new(None);
-static RECORDER: RwLock<Option<Arc<dyn EventSink>>> = RwLock::new(None);
 
 /// Whether telemetry is globally enabled. The fast path of every
 /// instrumentation site; one relaxed atomic load.
@@ -211,22 +210,6 @@ fn set_sink(sink: Option<Arc<dyn EventSink>>) {
     *SINK.write().unwrap_or_else(|e| e.into_inner()) = sink;
 }
 
-/// Installs a *recorder*: a second event channel alongside the primary
-/// sink. The recorder receives **every** event — critical or not,
-/// regardless of `sample_every` — because its consumer (the flight
-/// recorder in `spotdc-obs`) needs the full local context around an
-/// emergency, not a down-sampled view. Installing does not flip the
-/// enable switch; events only flow while telemetry is enabled.
-pub fn install_recorder(recorder: Arc<dyn EventSink>) {
-    *RECORDER.write().unwrap_or_else(|e| e.into_inner()) = Some(recorder);
-}
-
-/// Removes and returns the installed recorder, if any (tests and
-/// shutdown paths).
-pub fn uninstall_recorder() -> Option<Arc<dyn EventSink>> {
-    RECORDER.write().unwrap_or_else(|e| e.into_inner()).take()
-}
-
 thread_local! {
     /// Stack of run-id tags for the current thread; the innermost
     /// [`run_scope`] wins. A stack (not a slot) so nested scopes
@@ -287,37 +270,21 @@ pub fn emit(event: Event) {
     if !is_enabled() {
         return;
     }
-    let run = current_run();
-    // The recorder channel is sampling-exempt: the flight recorder's
-    // ring buffer must hold the complete local context around a
-    // trigger, not the down-sampled stream the primary sink sees.
-    {
-        let recorder = RECORDER.read().unwrap_or_else(|e| e.into_inner());
-        if let Some(recorder) = recorder.as_ref() {
-            recorder.emit_tagged(run.as_deref(), &event);
-        }
-    }
     let sample_every = SAMPLE_EVERY.load(Ordering::Relaxed).max(1);
     if !event.is_critical() && !event.slot().index().is_multiple_of(sample_every) {
         return;
     }
     let sink = SINK.read().unwrap_or_else(|e| e.into_inner());
     if let Some(sink) = sink.as_ref() {
-        sink.emit_tagged(run.as_deref(), &event);
+        sink.emit_tagged(current_run().as_deref(), &event);
     }
 }
 
-/// Flushes the installed sink and recorder (e.g. before reading
-/// `telemetry.jsonl` or collecting black-box dumps).
+/// Flushes the installed sink (e.g. before reading `telemetry.jsonl`).
 pub fn flush() {
     let sink = SINK.read().unwrap_or_else(|e| e.into_inner());
     if let Some(sink) = sink.as_ref() {
         sink.flush();
-    }
-    drop(sink);
-    let recorder = RECORDER.read().unwrap_or_else(|e| e.into_inner());
-    if let Some(recorder) = recorder.as_ref() {
-        recorder.flush();
     }
 }
 
@@ -454,36 +421,6 @@ mod tests {
             // enabled and still pointed at the memory sink.
             emit(cleared(1));
             assert_eq!(memory_sink().take().len(), 1);
-        });
-    }
-
-    #[test]
-    fn recorder_channel_bypasses_sampling() {
-        with_global_lock(|| {
-            install(TelemetryConfig {
-                enabled: true,
-                sink: SinkKind::Memory,
-                sample_every: 10,
-            });
-            let ring = Arc::new(RingSink::new(64));
-            install_recorder(ring.clone());
-            for slot in 0..20 {
-                emit(cleared(slot));
-            }
-            emit(emergency(13));
-            // The primary sink is down-sampled; the recorder sees all.
-            let sampled: Vec<u64> = memory_sink()
-                .take()
-                .iter()
-                .map(|e| e.slot().index())
-                .collect();
-            assert_eq!(sampled, vec![0, 10, 13]);
-            assert_eq!(ring.len(), 21, "recorder receives every event");
-            assert!(uninstall_recorder().is_some());
-            // With the recorder gone, emits only reach the sink.
-            emit(emergency(14));
-            assert_eq!(ring.len(), 21);
-            let _ = memory_sink().take();
         });
     }
 

@@ -1,6 +1,5 @@
 //! Event sinks: where serialized telemetry events go.
 
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -86,76 +85,6 @@ impl VecSink {
 impl EventSink for VecSink {
     fn emit(&self, event: &Event) {
         self.lock().push(event.clone());
-    }
-}
-
-/// A bounded ring buffer of the most recent events, with their run
-/// tags. The storage half of the flight recorder (`spotdc-obs`): cheap
-/// enough to receive *every* event un-sampled, so the last `capacity`
-/// events are always available as local causal context when an
-/// emergency needs a black-box dump.
-#[derive(Debug)]
-pub struct RingSink {
-    capacity: usize,
-    buf: Mutex<VecDeque<(Option<String>, Event)>>,
-}
-
-impl RingSink {
-    /// Creates a ring keeping the last `capacity` events (minimum 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        RingSink {
-            capacity,
-            buf: Mutex::new(VecDeque::with_capacity(capacity)),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<(Option<String>, Event)>> {
-        self.buf.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of buffered events (at most `capacity`).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether the ring is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    /// Clones out the buffered `(run, event)` pairs, oldest first.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<(Option<String>, Event)> {
-        self.lock().iter().cloned().collect()
-    }
-
-    /// Drops every buffered event.
-    pub fn clear(&self) {
-        self.lock().clear();
-    }
-}
-
-impl EventSink for RingSink {
-    fn emit(&self, event: &Event) {
-        self.emit_tagged(None, event);
-    }
-
-    fn emit_tagged(&self, run: Option<&str>, event: &Event) {
-        let mut buf = self.lock();
-        if buf.len() == self.capacity {
-            buf.pop_front();
-        }
-        buf.push_back((run.map(str::to_owned), event.clone()));
     }
 }
 
@@ -323,38 +252,6 @@ mod tests {
     fn null_sink_discards() {
         NullSink.emit(&event(1));
         NullSink.flush();
-    }
-
-    #[test]
-    fn ring_sink_keeps_only_the_last_capacity_events() {
-        let ring = RingSink::new(3);
-        assert_eq!(ring.capacity(), 3);
-        assert!(ring.is_empty());
-        for slot in 0..5 {
-            ring.emit_tagged(Some("run-a"), &event(slot));
-        }
-        assert_eq!(ring.len(), 3);
-        let kept: Vec<u64> = ring
-            .snapshot()
-            .iter()
-            .map(|(run, e)| {
-                assert_eq!(run.as_deref(), Some("run-a"));
-                e.slot().index()
-            })
-            .collect();
-        assert_eq!(kept, vec![2, 3, 4], "oldest events evicted first");
-        ring.clear();
-        assert!(ring.is_empty());
-    }
-
-    #[test]
-    fn ring_sink_zero_capacity_clamps_to_one() {
-        let ring = RingSink::new(0);
-        ring.emit(&event(9));
-        ring.emit(&event(10));
-        assert_eq!(ring.len(), 1);
-        assert_eq!(ring.snapshot()[0].1.slot(), Slot::new(10));
-        assert_eq!(ring.snapshot()[0].0, None);
     }
 
     #[test]

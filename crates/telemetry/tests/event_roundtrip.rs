@@ -2,7 +2,7 @@
 //! variant exactly, tagged or not.
 //!
 //! `spotdc-trace` trusts `Event::from_jsonl_tagged` to reconstruct
-//! whatever a `FileSink` or flight-recorder dump wrote; this pins that
+//! whatever a `FileSink` wrote; this pins that
 //! trust down across every variant with adversarial strings (quotes,
 //! backslashes, newlines, control characters, non-ASCII) and full-range
 //! numeric fields. `every_kind_is_generated` keeps "every" true: a

@@ -1,16 +1,16 @@
-//! End-to-end tests for the observability layer: flight recorder,
-//! trace analysis, and spans in the event log, driving real simulations
-//! rather than hand-built event streams.
+//! End-to-end tests for the observability layer: trace analysis and
+//! spans in the event log, driving real simulations rather than
+//! hand-built event streams.
 //!
 //! Telemetry is process-global, so every test here takes the same
-//! mutex; each one leaves telemetry disabled and the recorder channel
-//! empty on the way out.
+//! mutex; each one leaves telemetry disabled on the way out.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use spotdc_obs::{Analysis, BlackBoxConfig, FlightRecorder, PIPELINE_STAGES};
+use spotdc_obs::{Analysis, PIPELINE_STAGES};
 use spotdc_sim::engine::{EngineConfig, Simulation};
+use spotdc_sim::experiments::common::fan_out;
 use spotdc_sim::{Mode, Scenario};
 use spotdc_telemetry::{FileSink, SinkKind, TelemetryConfig};
 
@@ -37,93 +37,9 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-#[test]
-fn flight_recorder_and_trace_analysis_capture_a_real_emergency() {
-    let _gate = gate();
-    let dir = temp_dir("blackbox");
-
-    spotdc_telemetry::install(spotdc_telemetry::TelemetryConfig::in_memory());
-    let _ = spotdc_telemetry::memory_sink().take();
-    let recorder = FlightRecorder::arm(&dir, BlackBoxConfig::default());
-
-    let report = Simulation::new(
-        Scenario::testbed(EMERGENCY_SEED),
-        EngineConfig::new(Mode::MaxPerf),
-    )
-    .run(EMERGENCY_SLOTS);
-    assert_eq!(report.records.len() as u64, EMERGENCY_SLOTS);
-    // MaxPerf has no bidding or clearing-auction stages; two short
-    // SpotDC runs (global and per-PDU pricing) fill in the rest of the
-    // nine-stage pipeline for the coverage assertion below.
-    let _ = Simulation::new(
-        Scenario::testbed(EMERGENCY_SEED),
-        EngineConfig::new(Mode::SpotDc),
-    )
-    .run(40);
-    let _ = Simulation::new(
-        Scenario::testbed(EMERGENCY_SEED),
-        EngineConfig {
-            per_pdu_pricing: true,
-            ..EngineConfig::new(Mode::SpotDc)
-        },
-    )
-    .run(40);
-    spotdc_telemetry::flush();
-    spotdc_telemetry::uninstall_recorder();
-    let events = spotdc_telemetry::memory_sink().take();
-    spotdc_telemetry::set_enabled(false);
-
-    let emergencies: Vec<_> = events
-        .iter()
-        .filter(|e| matches!(e, spotdc_telemetry::Event::EmergencyTriggered { .. }))
-        .collect();
-    assert!(
-        !emergencies.is_empty(),
-        "the MaxPerf testbed run must trip at least one emergency"
-    );
-
-    // The recorder must have written at least one black-box dump, and
-    // the dump must parse back through the analysis layer with the
-    // emergency flagged.
-    let dumps = recorder.dumps();
-    assert!(!dumps.is_empty(), "no black-box dump written to {dir:?}");
-    assert_eq!(recorder.write_errors(), 0, "{:?}", recorder.first_error());
-    let body = std::fs::read_to_string(&dumps[0]).expect("dump readable");
-    let analysis = Analysis::from_jsonl(&body, None);
-    assert!(analysis.malformed.is_empty(), "{:?}", analysis.malformed);
-    assert!(analysis.has_anomalies(), "dump must contain the trigger");
-    assert!(
-        !analysis.emergency_slots.is_empty(),
-        "dump must flag the emergency slot"
-    );
-
-    // The full in-memory stream, serialized as JSONL, must analyze to
-    // per-stage latency for all nine pipeline stages plus every
-    // emergency the simulation raised.
-    let log: String = events.iter().map(|e| e.to_jsonl() + "\n").collect();
-    let full = Analysis::from_jsonl(&log, None);
-    for stage in PIPELINE_STAGES {
-        assert!(
-            full.stages.get(stage).is_some_and(|s| s.count > 0),
-            "stage {stage} missing from analysis"
-        );
-    }
-    assert_eq!(full.emergency_slots.len(), emergencies.len());
-
-    // Determinism: analyzing the same log twice renders byte-identical
-    // text and JSON.
-    let again = Analysis::from_jsonl(&log, None);
-    assert_eq!(full.render_text(), again.render_text());
-    assert_eq!(full.render_json(), again.render_json());
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn concurrent_runs_keep_their_spans_apart_in_the_log() {
-    let _gate = gate();
-    let dir = temp_dir("runs");
-    std::fs::create_dir_all(&dir).expect("temp dir");
+/// Installs a file sink at `dir/telemetry.jsonl` and returns its path.
+fn log_to_file(dir: &Path) -> PathBuf {
+    std::fs::create_dir_all(dir).expect("temp dir");
     let path = dir.join("telemetry.jsonl");
     spotdc_telemetry::install_with_sink(
         TelemetryConfig {
@@ -133,6 +49,88 @@ fn concurrent_runs_keep_their_spans_apart_in_the_log() {
         },
         Arc::new(FileSink::create(&path).expect("log file")),
     );
+    path
+}
+
+#[test]
+fn trace_analysis_attributes_a_real_emergency_to_its_run() {
+    let _gate = gate();
+    let dir = temp_dir("emergency");
+    let path = log_to_file(&dir);
+
+    // MaxPerf has no bidding or clearing-auction stages; two short
+    // SpotDC runs (global and per-PDU pricing) fill in the rest of the
+    // nine-stage pipeline for the coverage assertion below. Fanned out
+    // like an experiment's simulations, each logs under its own tag.
+    let jobs = [
+        (EngineConfig::new(Mode::MaxPerf), EMERGENCY_SLOTS),
+        (EngineConfig::new(Mode::SpotDc), 40),
+        (
+            EngineConfig {
+                per_pdu_pricing: true,
+                ..EngineConfig::new(Mode::SpotDc)
+            },
+            40,
+        ),
+    ];
+    let reports = {
+        let _scope = spotdc_telemetry::run_scope("obs");
+        fan_out(&jobs, |(config, slots)| {
+            Simulation::new(Scenario::testbed(EMERGENCY_SEED), config.clone()).run(*slots)
+        })
+    };
+    assert_eq!(reports[0].records.len() as u64, EMERGENCY_SLOTS);
+    spotdc_telemetry::install(TelemetryConfig::default());
+    let log = std::fs::read_to_string(&path).expect("log readable");
+    std::fs::remove_dir_all(&dir).ok();
+
+    let emergencies = log
+        .lines()
+        .filter(|l| l.contains("\"event\":\"EmergencyTriggered\""))
+        .count();
+    assert!(
+        emergencies > 0,
+        "the MaxPerf testbed run must trip at least one emergency"
+    );
+
+    // The full log must analyze to per-stage latency for all nine
+    // pipeline stages plus every emergency the simulations raised.
+    let full = Analysis::from_jsonl(&log, None);
+    assert!(full.malformed.is_empty(), "{:?}", full.malformed);
+    assert!(full.has_anomalies());
+    for stage in PIPELINE_STAGES {
+        assert!(
+            full.stages.get(stage).is_some_and(|s| s.count > 0),
+            "stage {stage} missing from analysis"
+        );
+    }
+    assert_eq!(full.emergency_slots.len(), emergencies);
+
+    // Every emergency names the MaxPerf run, and filtering the log to
+    // that run keeps them all: the log itself says which run tripped.
+    for site in &full.emergency_slots {
+        assert_eq!(site.run, "obs/0", "{site:?}");
+    }
+    let maxperf = Analysis::from_jsonl(&log, Some("obs/0"));
+    assert_eq!(maxperf.emergency_slots, full.emergency_slots);
+    assert_eq!(maxperf.runs.iter().collect::<Vec<_>>(), ["obs/0"]);
+    assert!(maxperf.render_text().contains(&format!(
+        "EMERGENCY run obs/0 slot {}",
+        full.emergency_slots[0].slot
+    )));
+
+    // Determinism: analyzing the same log twice renders byte-identical
+    // text and JSON.
+    let again = Analysis::from_jsonl(&log, None);
+    assert_eq!(full.render_text(), again.render_text());
+    assert_eq!(full.render_json(), again.render_json());
+}
+
+#[test]
+fn concurrent_runs_keep_their_spans_apart_in_the_log() {
+    let _gate = gate();
+    let dir = temp_dir("runs");
+    let path = log_to_file(&dir);
     // Two experiments at once, each tagged with its run id: a uniform
     // market, and a per-PDU one whose inner pool is wider than one
     // worker, so its sub-market clears close spans on pool threads.
