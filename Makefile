@@ -4,7 +4,7 @@ CARGO ?= cargo
 
 .PHONY: build test bench bench-pairs benchmark-check clippy determinism \
 	golden smoke-faults smoke-trace smoke-crash smoke-dist fmt docs-check \
-	verify repro loc
+	api-check verify repro loc
 
 # --workspace matters: the root Cargo.toml is a package, so a bare
 # `cargo build` would skip member binaries (repro, spotdc-trace) that
@@ -67,6 +67,12 @@ fmt:
 docs-check:
 	scripts/doc_refs
 
+# Every public item in the crates' non-test code must be named by some
+# other line of Rust in the repository (a caller, a test, an example or
+# benchmark/): a callerless item fails here until it goes (ROADMAP 7).
+api-check:
+	scripts/pub_callers
+
 bench:
 	$(CARGO) bench -p spotdc-bench
 
@@ -101,4 +107,4 @@ repro:
 	$(CARGO) run -p spotdc-bench --bin repro --release -- --quick \
 		--out repro-results --telemetry repro-results/telemetry.jsonl
 
-verify: build test golden determinism clippy benchmark-check smoke-faults smoke-trace smoke-crash smoke-dist docs-check fmt
+verify: build test golden determinism clippy benchmark-check smoke-faults smoke-trace smoke-crash smoke-dist docs-check api-check fmt

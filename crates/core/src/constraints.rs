@@ -76,7 +76,9 @@ impl RackGrant for (&RackId, &Watts) {
 ///     .build()?;
 /// let cs = ConstraintSet::new(&topo, vec![Watts::new(40.0)], Watts::new(40.0));
 /// // Rack headroom is 50 W but the PDU only has 40 W spare:
-/// assert_eq!(cs.max_grant(RackId::new(0)), Watts::new(40.0));
+/// assert_eq!(cs.rack_headroom(RackId::new(0)), Watts::new(50.0));
+/// assert!(cs.is_feasible([(RackId::new(0), Watts::new(40.0))]));
+/// assert!(!cs.is_feasible([(RackId::new(0), Watts::new(45.0))]));
 /// # Ok::<(), spotdc_power::TopologyError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -317,18 +319,6 @@ impl ConstraintSet {
     #[must_use]
     pub fn ups_spot(&self) -> Watts {
         self.ups_spot
-    }
-
-    /// The tightest upper bound on a *single* rack's grant when it is
-    /// the only one asking: min(rack headroom, its PDU's spot, UPS
-    /// spot).
-    #[must_use]
-    pub fn max_grant(&self, rack: RackId) -> Watts {
-        let pdu = match self.pdu_of(rack) {
-            Some(p) => self.pdu_spot(p),
-            None => return Watts::ZERO,
-        };
-        self.rack_headroom(rack).min(pdu).min(self.ups_spot)
     }
 
     /// Checks per-rack grants — rack-ordered pairs, such as a
@@ -693,14 +683,6 @@ mod tests {
     fn negative_grant_rejected() {
         let cs = constraints();
         assert!(cs.check(grants(&[(0, -1.0)])).is_err());
-    }
-
-    #[test]
-    fn max_grant_is_min_of_levels() {
-        let cs = constraints();
-        assert_eq!(cs.max_grant(RackId::new(0)), Watts::new(50.0)); // headroom binds
-        assert_eq!(cs.max_grant(RackId::new(2)), Watts::new(30.0)); // PDU binds
-        assert_eq!(cs.max_grant(RackId::new(9)), Watts::ZERO); // unknown rack
     }
 
     #[test]

@@ -29,8 +29,9 @@ use crate::constraints::ConstraintSet;
 ///
 /// // 0→20 W at $0.002/W/h, then 20→50 W at $0.0005/W/h.
 /// let g = ConcaveGain::new(vec![(20.0, 0.002), (30.0, 0.0005)])?;
-/// assert_eq!(g.max_watts(), 50.0);
-/// assert!((g.gain_at(25.0) - (20.0 * 0.002 + 5.0 * 0.0005)).abs() < 1e-12);
+/// assert_eq!(g.segments(), &[(20.0, 0.002), (30.0, 0.0005)]);
+/// // Slopes must not increase: a convex curve is rejected.
+/// assert!(ConcaveGain::new(vec![(20.0, 0.0005), (30.0, 0.002)]).is_err());
 /// # Ok::<(), spotdc_core::maxperf::GainError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -108,28 +109,6 @@ impl ConcaveGain {
     #[must_use]
     pub fn segments(&self) -> &[(f64, f64)] {
         &self.segments
-    }
-
-    /// Total watts the curve covers.
-    #[must_use]
-    pub fn max_watts(&self) -> f64 {
-        self.segments.iter().map(|s| s.0).sum()
-    }
-
-    /// Gain ($/hour) at `watts` of spot capacity.
-    #[must_use]
-    pub fn gain_at(&self, watts: f64) -> f64 {
-        let mut remaining = watts.max(0.0);
-        let mut gain = 0.0;
-        for &(w, s) in &self.segments {
-            let take = remaining.min(w);
-            gain += take * s;
-            remaining -= take;
-            if remaining <= 0.0 {
-                break;
-            }
-        }
-        gain
     }
 }
 
@@ -247,14 +226,16 @@ mod tests {
         ConcaveGain::new(segs.to_vec()).unwrap()
     }
 
-    #[test]
-    fn gain_curve_evaluation() {
-        let g = gain(&[(10.0, 1.0), (10.0, 0.5)]);
-        assert_eq!(g.gain_at(0.0), 0.0);
-        assert_eq!(g.gain_at(5.0), 5.0);
-        assert_eq!(g.gain_at(15.0), 12.5);
-        assert_eq!(g.gain_at(100.0), 15.0); // saturates
-        assert_eq!(g.max_watts(), 20.0);
+    /// Gain ($/hour) of `g` at `watts`: the segments filled in order.
+    fn gain_at(g: &ConcaveGain, watts: f64) -> f64 {
+        let mut remaining = watts.max(0.0);
+        let mut total = 0.0;
+        for &(w, s) in g.segments() {
+            let take = remaining.min(w);
+            total += take * s;
+            remaining -= take;
+        }
+        total
     }
 
     #[test]
@@ -268,8 +249,8 @@ mod tests {
     fn from_points_builds_segments() {
         let g = ConcaveGain::from_points(&[(0.0, 0.0), (10.0, 20.0), (30.0, 30.0)]).unwrap();
         assert_eq!(g.segments().len(), 2);
-        assert!((g.gain_at(10.0) - 20.0).abs() < 1e-12);
-        assert!((g.gain_at(30.0) - 30.0).abs() < 1e-12);
+        assert!((gain_at(&g, 10.0) - 20.0).abs() < 1e-12);
+        assert!((gain_at(&g, 30.0) - 30.0).abs() < 1e-12);
     }
 
     #[test]
@@ -331,13 +312,13 @@ mod tests {
             .into_iter()
             .collect();
         let grants = max_perf_allocate(&gains, &cs);
-        let greedy_total = g0.gain_at(grants[&RackId::new(0)].value())
-            + g1.gain_at(grants[&RackId::new(1)].value());
+        let greedy_total = gain_at(&g0, grants[&RackId::new(0)].value())
+            + gain_at(&g1, grants[&RackId::new(1)].value());
         // Brute-force over integer splits of the 30 W.
         let mut best = 0.0f64;
         for a in 0..=30 {
             let b = 30 - a;
-            let v = g0.gain_at(a as f64) + g1.gain_at(b as f64);
+            let v = gain_at(&g0, a as f64) + gain_at(&g1, b as f64);
             best = best.max(v);
         }
         assert!(

@@ -106,12 +106,6 @@ impl CapOutcome {
     pub fn is_noop(&self) -> bool {
         self.actions.is_empty() && self.trims.is_empty()
     }
-
-    /// Total spot watts shed across levels.
-    #[must_use]
-    pub fn total_shed(&self) -> Watts {
-        self.actions.iter().map(|a| a.shed).sum()
-    }
 }
 
 /// Sheds spot allocations (and, during an active emergency, caps
@@ -128,7 +122,7 @@ impl CapOutcome {
 ///     .rack(TenantId::new(0), Watts::new(40.0), Watts::new(30.0))
 ///     .build()?;
 /// let mut bank = RackPduBank::new(&topo);
-/// bank.grant_spot(Slot::ZERO, RackId::new(0), Watts::new(30.0))?;
+/// bank.grant_spot(RackId::new(0), Watts::new(30.0))?;
 /// let mut cap = CapController::new(&topo, CapConfig { enabled: true, ..CapConfig::paper_default() });
 /// // Base load 90 W on a 100 W PDU: only ~8 W of spot fits under the margin.
 /// let out = cap.enforce(Slot::ZERO, &[Watts::new(90.0)], &mut bank);
@@ -142,7 +136,6 @@ pub struct CapController {
     pdu_caps: Vec<Watts>,
     ups_cap: Watts,
     rack_pdu: Vec<PduId>,
-    guaranteed: Vec<Watts>,
     /// Slot index at which each PDU (and the UPS) entered hold.
     pdu_hold: Vec<Option<u64>>,
     ups_hold: Option<u64>,
@@ -160,7 +153,6 @@ impl CapController {
                 .collect(),
             ups_cap: topology.ups_capacity(),
             rack_pdu: topology.racks().map(|r| r.pdu()).collect(),
-            guaranteed: topology.racks().map(|r| r.guaranteed()).collect(),
             pdu_hold: vec![None; topology.pdu_count()],
             ups_hold: None,
         }
@@ -170,15 +162,6 @@ impl CapController {
     #[must_use]
     pub fn config(&self) -> &CapConfig {
         &self.config
-    }
-
-    /// Whether `level` is currently in emergency hold.
-    #[must_use]
-    pub fn is_held(&self, level: EmergencyLevel) -> bool {
-        match level {
-            EmergencyLevel::Pdu(p) => self.pdu_hold.get(p.index()).copied().flatten().is_some(),
-            EmergencyLevel::Ups => self.ups_hold.is_some(),
-        }
     }
 
     /// The hysteresis hold state: the slot index at which each PDU
@@ -294,7 +277,7 @@ impl CapController {
             pdu_room[p] = (pdu_room[p] - after_ups).clamp_non_negative();
             ups_room = (ups_room - after_ups).clamp_non_negative();
             if after_ups < grant {
-                bank.grant_spot(slot, rack, after_ups)
+                bank.grant_spot(rack, after_ups)
                     .expect("trimmed grant is within the original grant");
                 pdu_shed[p] += grant - after_pdu;
                 ups_shed += after_pdu - after_ups;
@@ -322,7 +305,7 @@ impl CapController {
                     let rack = RackId::new(i);
                     let old = bank.budget(rack);
                     let limit = old * factor;
-                    bank.cap_budget(slot, rack, limit)
+                    bank.cap_budget(rack, limit)
                         .expect("scaled budget is finite and non-negative");
                     *capped += old - bank.budget(rack);
                 }
@@ -334,7 +317,7 @@ impl CapController {
                 let rack = RackId::new(i);
                 let old = bank.budget(rack);
                 let limit = old * factor;
-                bank.cap_budget(slot, rack, limit)
+                bank.cap_budget(rack, limit)
                     .expect("scaled budget is finite and non-negative");
                 ups_capped += old - bank.budget(rack);
             }
@@ -368,7 +351,6 @@ impl CapController {
                 });
             }
         }
-        let _ = &self.guaranteed; // reserved for future per-rack floors
         out
     }
 }
@@ -407,8 +389,7 @@ mod tests {
     #[test]
     fn disabled_controller_is_a_noop() {
         let (mut c, mut bank) = controller(CapConfig::disabled());
-        bank.grant_spot(Slot::ZERO, RackId::new(0), Watts::new(20.0))
-            .unwrap();
+        bank.grant_spot(RackId::new(0), Watts::new(20.0)).unwrap();
         let out = c.enforce(Slot::ZERO, &[Watts::new(99.0), Watts::ZERO], &mut bank);
         assert!(out.is_noop());
         assert_eq!(bank.spot_grant(RackId::new(0)), Watts::new(20.0));
@@ -417,10 +398,8 @@ mod tests {
     #[test]
     fn sheds_spot_before_guaranteed() {
         let (mut c, mut bank) = controller(cfg());
-        bank.grant_spot(Slot::ZERO, RackId::new(0), Watts::new(20.0))
-            .unwrap();
-        bank.grant_spot(Slot::ZERO, RackId::new(1), Watts::new(20.0))
-            .unwrap();
+        bank.grant_spot(RackId::new(0), Watts::new(20.0)).unwrap();
+        bank.grant_spot(RackId::new(1), Watts::new(20.0)).unwrap();
         // Base 70 W on the 100 W PDU: only 30 W of spot fits. Rack 0
         // (earlier index) keeps its grant; rack 1 absorbs the shed.
         let out = c.enforce(Slot::ZERO, &[Watts::new(70.0), Watts::ZERO], &mut bank);
@@ -430,14 +409,14 @@ mod tests {
         assert_eq!(bank.budget(RackId::new(0)), Watts::new(60.0));
         assert!(bank.budget(RackId::new(1)) >= Watts::new(40.0));
         assert_eq!(out.trims.len(), 1);
-        assert_eq!(out.total_shed(), Watts::new(10.0));
+        let shed: Watts = out.actions.iter().map(|a| a.shed).sum();
+        assert_eq!(shed, Watts::new(10.0));
     }
 
     #[test]
     fn ups_room_limits_across_pdus() {
         let (mut c, mut bank) = controller(cfg());
-        bank.grant_spot(Slot::ZERO, RackId::new(2), Watts::new(20.0))
-            .unwrap();
+        bank.grant_spot(RackId::new(2), Watts::new(20.0)).unwrap();
         // PDU 1 alone has room (80 + 20 ≤ 100) but the UPS does not:
         // base 95 + 80 = 175, UPS 190 ⇒ only 15 W of spot fits.
         let out = c.enforce(Slot::ZERO, &[Watts::new(95.0), Watts::new(80.0)], &mut bank);
@@ -457,19 +436,17 @@ mod tests {
             capacity: Watts::new(100.0),
         };
         c.note_emergencies(Slot::new(10), &[event]);
-        assert!(c.is_held(EmergencyLevel::Pdu(spotdc_units::PduId::new(0))));
+        assert_eq!(c.hold_state().0[0], Some(10));
         // Low base load, but the hold has not aged out: no spot.
-        bank.grant_spot(Slot::new(11), RackId::new(0), Watts::new(10.0))
-            .unwrap();
+        bank.grant_spot(RackId::new(0), Watts::new(10.0)).unwrap();
         c.enforce(Slot::new(11), &[Watts::new(50.0), Watts::ZERO], &mut bank);
         assert_eq!(bank.spot_grant(RackId::new(0)), Watts::ZERO);
         // Aged out (10 + 3 = 13) and base below the release line: the
         // hold clears and spot flows again.
-        bank.reset_all(Slot::new(13));
-        bank.grant_spot(Slot::new(13), RackId::new(0), Watts::new(10.0))
-            .unwrap();
+        bank.reset_all();
+        bank.grant_spot(RackId::new(0), Watts::new(10.0)).unwrap();
         c.enforce(Slot::new(13), &[Watts::new(50.0), Watts::ZERO], &mut bank);
-        assert!(!c.is_held(EmergencyLevel::Pdu(spotdc_units::PduId::new(0))));
+        assert_eq!(c.hold_state().0[0], None);
         assert_eq!(bank.spot_grant(RackId::new(0)), Watts::new(10.0));
     }
 

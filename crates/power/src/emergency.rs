@@ -161,17 +161,6 @@ impl EmergencyLog {
         self.slots_observed
     }
 
-    /// Fraction of observed slots that had at least one emergency.
-    #[must_use]
-    pub fn emergency_rate(&self) -> f64 {
-        if self.slots_observed == 0 {
-            return 0.0;
-        }
-        let mut slots: Vec<Slot> = self.events.iter().map(|e| e.slot).collect();
-        slots.dedup();
-        slots.len() as f64 / self.slots_observed as f64
-    }
-
     /// Clears recorded events and the observation counter.
     pub fn clear(&mut self) {
         self.events.clear();
@@ -209,7 +198,7 @@ mod tests {
         let mut l = log();
         let e = l.observe(Slot::ZERO, &[Watts::new(90.0), Watts::new(80.0)]);
         assert!(e.is_empty());
-        assert_eq!(l.emergency_rate(), 0.0);
+        assert!(l.events().is_empty());
     }
 
     #[test]
@@ -237,14 +226,6 @@ mod tests {
         let mut l = log();
         let e = l.observe(Slot::ZERO, &[Watts::new(150.0), Watts::new(60.0)]);
         assert_eq!(e.len(), 2);
-    }
-
-    #[test]
-    fn emergency_rate_counts_slots_not_events() {
-        let mut l = log();
-        l.observe(Slot::new(0), &[Watts::new(150.0), Watts::new(60.0)]); // 2 events
-        l.observe(Slot::new(1), &[Watts::new(10.0), Watts::new(10.0)]); // none
-        assert!((l.emergency_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! metering) and *writes* per-rack power budgets (intelligent rack PDUs
 //! can be re-limited 20+ times per second). This crate provides exactly
 //! that surface, plus the physical context the paper's evaluation needs —
-//! capacity oversubscription, emergency bookkeeping and the cap ladder.
+//! emergency bookkeeping and the cap ladder.
 //! Breakers have no trip curve here: the engine reads their tolerance as
 //! a ±5 % band over [`EmergencyLog`]'s overloads.
 //!
@@ -31,15 +31,13 @@
 #![warn(missing_docs)]
 
 pub mod cap;
-pub mod capacity;
 pub mod emergency;
 pub mod meter;
 pub mod rack_pdu;
 pub mod topology;
 
 pub use cap::{CapAction, CapConfig, CapController, CapOutcome, SpotTrim};
-pub use capacity::{CapacityPlan, Oversubscription};
 pub use emergency::{EmergencyEvent, EmergencyLevel, EmergencyLog};
 pub use meter::{MeterReading, PowerMeter};
-pub use rack_pdu::{BudgetChange, RackPduBank};
+pub use rack_pdu::RackPduBank;
 pub use topology::{PowerTopology, RackSpec, TopologyBuilder, TopologyError};

@@ -105,22 +105,11 @@ impl PowerMeter {
         self.latest(rack).map(|r| r.power).unwrap_or(Watts::ZERO)
     }
 
-    /// How many slots stale `rack`'s latest reading is, relative to
-    /// `asof` (the slot whose reading the caller expected). `Some(0)`
-    /// means fresh; `None` means the rack was never read at all.
-    ///
-    /// A meter keeps answering queries from its last known good value
-    /// when samples are lost — this is how callers learn how much to
-    /// distrust that answer.
-    #[must_use]
-    pub fn reading_age(&self, rack: RackId, asof: Slot) -> Option<u64> {
-        self.latest(rack)
-            .map(|r| asof.index().saturating_sub(r.slot.index()))
-    }
-
     /// The last known good reading for `rack` tagged with its staleness
-    /// in slots relative to `asof`, or `None` if the rack was never
-    /// read.
+    /// in slots relative to `asof` (the slot whose reading the caller
+    /// expected), or `None` if the rack was never read. A meter keeps
+    /// answering from its last known good value when samples are lost;
+    /// the staleness says how much to distrust that answer.
     #[must_use]
     pub fn last_known_good(&self, rack: RackId, asof: Slot) -> Option<(MeterReading, u64)> {
         self.latest(rack)
@@ -178,30 +167,6 @@ impl PowerMeter {
             .get(rack.index())
             .map(|q| q.iter().copied().collect())
             .unwrap_or_default()
-    }
-
-    /// Slot-over-slot change of the latest two readings for `rack`, or
-    /// `None` with fewer than two readings.
-    #[must_use]
-    pub fn rack_delta(&self, rack: RackId) -> Option<Watts> {
-        let q = self.history.get(rack.index())?;
-        if q.len() < 2 {
-            return None;
-        }
-        let last = q[q.len() - 1].power;
-        let prev = q[q.len() - 2].power;
-        Some(last - prev)
-    }
-
-    /// Average of the retained readings for `rack`, zero when empty.
-    #[must_use]
-    pub fn rack_average(&self, rack: RackId) -> Watts {
-        let q = match self.history.get(rack.index()) {
-            Some(q) if !q.is_empty() => q,
-            _ => return Watts::ZERO,
-        };
-        let total: Watts = q.iter().map(|r| r.power).sum();
-        total / q.len() as f64
     }
 
     /// Number of racks this meter covers.
@@ -265,18 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_and_average() {
-        let topo = small_topology();
-        let mut m = PowerMeter::new(&topo, 8).unwrap();
-        assert!(m.rack_delta(RackId::new(0)).is_none());
-        m.record(Slot::new(0), RackId::new(0), Watts::new(40.0));
-        assert!(m.rack_delta(RackId::new(0)).is_none());
-        m.record(Slot::new(1), RackId::new(0), Watts::new(55.0));
-        assert_eq!(m.rack_delta(RackId::new(0)), Some(Watts::new(15.0)));
-        assert_eq!(m.rack_average(RackId::new(0)), Watts::new(47.5));
-    }
-
-    #[test]
     fn negative_readings_are_clamped() {
         let topo = small_topology();
         let mut m = PowerMeter::new(&topo, 4).unwrap();
@@ -297,10 +250,9 @@ mod tests {
         let topo = small_topology();
         let mut m = PowerMeter::new(&topo, 4).unwrap();
         let r = RackId::new(0);
-        assert_eq!(m.reading_age(r, Slot::new(5)), None);
         assert!(m.last_known_good(r, Slot::new(5)).is_none());
         m.record(Slot::new(5), r, Watts::new(42.0));
-        assert_eq!(m.reading_age(r, Slot::new(5)), Some(0));
+        assert_eq!(m.last_known_good(r, Slot::new(5)).unwrap().1, 0);
         // Three slots with no sample: the meter keeps answering from
         // the last known good value, tagged three slots stale.
         let (reading, age) = m.last_known_good(r, Slot::new(8)).unwrap();

@@ -8,28 +8,14 @@
 //! slot. [`RackPduBank`] models the whole fleet of rack PDUs, enforcing
 //! the invariant that a budget never exceeds the rack's physical limit.
 
-use serde::{Deserialize, Serialize};
-use spotdc_units::{RackId, Slot, Watts};
+use spotdc_units::{RackId, Watts};
 
 use crate::topology::{PowerTopology, TopologyError};
-
-/// A record of one budget update applied to a rack PDU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BudgetChange {
-    /// Rack whose budget changed.
-    pub rack: RackId,
-    /// Slot at which the new budget takes effect.
-    pub effective: Slot,
-    /// Budget before the change.
-    pub old: Watts,
-    /// Budget after the change.
-    pub new: Watts,
-}
 
 /// The fleet of per-rack intelligent PDUs and their current budgets.
 ///
 /// Budgets default to each rack's guaranteed capacity. Spot grants raise
-/// the budget for one slot; [`RackPduBank::reset_to_guaranteed`] is the
+/// the budget for one slot; [`RackPduBank::reset_all`] is the
 /// end-of-slot fallback (also the paper's behaviour under communication
 /// loss — "resume to the default case of no spot capacity").
 ///
@@ -37,7 +23,7 @@ pub struct BudgetChange {
 ///
 /// ```
 /// use spotdc_power::{RackPduBank, topology::TopologyBuilder};
-/// use spotdc_units::{RackId, Slot, TenantId, Watts};
+/// use spotdc_units::{RackId, TenantId, Watts};
 ///
 /// let topo = TopologyBuilder::new(Watts::new(500.0))
 ///     .pdu(Watts::new(500.0))
@@ -46,7 +32,7 @@ pub struct BudgetChange {
 /// let mut bank = RackPduBank::new(&topo);
 /// let r = RackId::new(0);
 /// assert_eq!(bank.budget(r), Watts::new(100.0));
-/// bank.grant_spot(Slot::ZERO, r, Watts::new(30.0))?;
+/// bank.grant_spot(r, Watts::new(30.0))?;
 /// assert_eq!(bank.budget(r), Watts::new(130.0));
 /// # Ok::<(), spotdc_power::TopologyError>(())
 /// ```
@@ -55,7 +41,6 @@ pub struct RackPduBank {
     guaranteed: Vec<Watts>,
     physical_limit: Vec<Watts>,
     budget: Vec<Watts>,
-    changes: Vec<BudgetChange>,
 }
 
 impl RackPduBank {
@@ -69,7 +54,6 @@ impl RackPduBank {
             budget: guaranteed.clone(),
             guaranteed,
             physical_limit,
-            changes: Vec::new(),
         }
     }
 
@@ -98,20 +82,15 @@ impl RackPduBank {
         (self.budget(rack) - self.guaranteed(rack)).clamp_non_negative()
     }
 
-    /// Grants `spot` watts of spot capacity to `rack` for the slot
-    /// beginning at `effective`, raising its budget to guaranteed + spot.
+    /// Grants `spot` watts of spot capacity to `rack` for the current
+    /// slot, raising its budget to guaranteed + spot.
     ///
     /// # Errors
     ///
     /// Returns [`TopologyError::UnknownRack`] for an unknown rack, or
     /// [`TopologyError::InvalidCapacity`] if the resulting budget would
     /// exceed the rack's physical limit or `spot` is negative/non-finite.
-    pub fn grant_spot(
-        &mut self,
-        effective: Slot,
-        rack: RackId,
-        spot: Watts,
-    ) -> Result<(), TopologyError> {
+    pub fn grant_spot(&mut self, rack: RackId, spot: Watts) -> Result<(), TopologyError> {
         let i = rack.index();
         if i >= self.budget.len() {
             return Err(TopologyError::UnknownRack(rack));
@@ -130,19 +109,12 @@ impl RackPduBank {
                 ),
             });
         }
-        let old = self.budget[i];
         self.budget[i] = new;
-        self.changes.push(BudgetChange {
-            rack,
-            effective,
-            old,
-            new,
-        });
         Ok(())
     }
 
-    /// Caps `rack`'s budget to at most `limit` for the slot beginning
-    /// at `effective` — the emergency power-capping path. Unlike
+    /// Caps `rack`'s budget to at most `limit` for the current slot —
+    /// the emergency power-capping path. Unlike
     /// [`RackPduBank::grant_spot`], the resulting budget may fall
     /// *below* the guaranteed capacity: during a detected overload the
     /// operator sheds spot first, then trims guarantees if the base
@@ -154,12 +126,7 @@ impl RackPduBank {
     /// Returns [`TopologyError::UnknownRack`] for an unknown rack, or
     /// [`TopologyError::InvalidCapacity`] if `limit` is
     /// negative/non-finite.
-    pub fn cap_budget(
-        &mut self,
-        effective: Slot,
-        rack: RackId,
-        limit: Watts,
-    ) -> Result<(), TopologyError> {
+    pub fn cap_budget(&mut self, rack: RackId, limit: Watts) -> Result<(), TopologyError> {
         let i = rack.index();
         if i >= self.budget.len() {
             return Err(TopologyError::UnknownRack(rack));
@@ -169,73 +136,16 @@ impl RackPduBank {
                 what: format!("{rack} budget cap"),
             });
         }
-        let old = self.budget[i];
-        let new = old.min(limit);
-        if new < old {
-            self.budget[i] = new;
-            self.changes.push(BudgetChange {
-                rack,
-                effective,
-                old,
-                new,
-            });
+        if limit < self.budget[i] {
+            self.budget[i] = limit;
         }
         Ok(())
     }
 
-    /// Resets `rack`'s budget back to its guaranteed capacity (the
+    /// Resets every rack's budget back to its guaranteed capacity (the
     /// no-spot default).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::UnknownRack`] for an unknown rack.
-    pub fn reset_to_guaranteed(
-        &mut self,
-        effective: Slot,
-        rack: RackId,
-    ) -> Result<(), TopologyError> {
-        let i = rack.index();
-        if i >= self.budget.len() {
-            return Err(TopologyError::UnknownRack(rack));
-        }
-        let old = self.budget[i];
-        self.budget[i] = self.guaranteed[i];
-        if old != self.guaranteed[i] {
-            self.changes.push(BudgetChange {
-                rack,
-                effective,
-                old,
-                new: self.guaranteed[i],
-            });
-        }
-        Ok(())
-    }
-
-    /// Resets every rack to its guaranteed capacity.
-    pub fn reset_all(&mut self, effective: Slot) {
-        for i in 0..self.budget.len() {
-            let rack = RackId::new(i);
-            // reset_to_guaranteed cannot fail for an in-range index.
-            let _ = self.reset_to_guaranteed(effective, rack);
-        }
-    }
-
-    /// Whether `power` respects the budget programmed for `rack`, with a
-    /// small tolerance for metering noise.
-    #[must_use]
-    pub fn within_budget(&self, rack: RackId, power: Watts, tolerance: Watts) -> bool {
-        power <= self.budget(rack) + tolerance
-    }
-
-    /// The audit log of every budget change applied, in order.
-    #[must_use]
-    pub fn changes(&self) -> &[BudgetChange] {
-        &self.changes
-    }
-
-    /// Clears the audit log (e.g. between experiments).
-    pub fn clear_changes(&mut self) {
-        self.changes.clear();
+    pub fn reset_all(&mut self) {
+        self.budget.copy_from_slice(&self.guaranteed);
     }
 
     /// Number of racks managed.
@@ -270,35 +180,25 @@ mod tests {
     }
 
     #[test]
-    fn grant_raises_budget_and_logs() {
+    fn grant_raises_budget() {
         let mut b = bank();
-        b.grant_spot(Slot::new(3), RackId::new(0), Watts::new(40.0))
-            .unwrap();
+        b.grant_spot(RackId::new(0), Watts::new(40.0)).unwrap();
         assert_eq!(b.budget(RackId::new(0)), Watts::new(140.0));
         assert_eq!(b.spot_grant(RackId::new(0)), Watts::new(40.0));
-        assert_eq!(b.changes().len(), 1);
-        let c = b.changes()[0];
-        assert_eq!(c.effective, Slot::new(3));
-        assert_eq!(c.old, Watts::new(100.0));
-        assert_eq!(c.new, Watts::new(140.0));
     }
 
     #[test]
     fn grant_is_absolute_not_cumulative() {
         let mut b = bank();
-        b.grant_spot(Slot::ZERO, RackId::new(0), Watts::new(40.0))
-            .unwrap();
-        b.grant_spot(Slot::new(1), RackId::new(0), Watts::new(10.0))
-            .unwrap();
+        b.grant_spot(RackId::new(0), Watts::new(40.0)).unwrap();
+        b.grant_spot(RackId::new(0), Watts::new(10.0)).unwrap();
         assert_eq!(b.budget(RackId::new(0)), Watts::new(110.0));
     }
 
     #[test]
     fn grant_beyond_physical_limit_is_rejected() {
         let mut b = bank();
-        let err = b
-            .grant_spot(Slot::ZERO, RackId::new(0), Watts::new(50.1))
-            .unwrap_err();
+        let err = b.grant_spot(RackId::new(0), Watts::new(50.1)).unwrap_err();
         assert!(matches!(err, TopologyError::InvalidCapacity { .. }));
         // Budget unchanged after the failed grant.
         assert_eq!(b.budget(RackId::new(0)), Watts::new(100.0));
@@ -307,49 +207,31 @@ mod tests {
     #[test]
     fn grant_at_exact_limit_is_accepted() {
         let mut b = bank();
-        b.grant_spot(Slot::ZERO, RackId::new(0), Watts::new(50.0))
-            .unwrap();
+        b.grant_spot(RackId::new(0), Watts::new(50.0)).unwrap();
         assert_eq!(b.budget(RackId::new(0)), Watts::new(150.0));
     }
 
     #[test]
     fn negative_grant_rejected() {
         let mut b = bank();
-        assert!(b
-            .grant_spot(Slot::ZERO, RackId::new(0), Watts::new(-1.0))
-            .is_err());
+        assert!(b.grant_spot(RackId::new(0), Watts::new(-1.0)).is_err());
     }
 
     #[test]
     fn unknown_rack_rejected() {
         let mut b = bank();
         assert_eq!(
-            b.grant_spot(Slot::ZERO, RackId::new(9), Watts::new(1.0)),
+            b.grant_spot(RackId::new(9), Watts::new(1.0)),
             Err(TopologyError::UnknownRack(RackId::new(9)))
         );
     }
 
     #[test]
-    fn reset_returns_to_guaranteed_and_logs_once() {
-        let mut b = bank();
-        b.grant_spot(Slot::ZERO, RackId::new(0), Watts::new(25.0))
-            .unwrap();
-        b.reset_to_guaranteed(Slot::new(1), RackId::new(0)).unwrap();
-        assert_eq!(b.budget(RackId::new(0)), Watts::new(100.0));
-        assert_eq!(b.changes().len(), 2);
-        // Resetting an already-default rack adds no log entry.
-        b.reset_to_guaranteed(Slot::new(2), RackId::new(0)).unwrap();
-        assert_eq!(b.changes().len(), 2);
-    }
-
-    #[test]
     fn reset_all_covers_every_rack() {
         let mut b = bank();
-        b.grant_spot(Slot::ZERO, RackId::new(0), Watts::new(25.0))
-            .unwrap();
-        b.grant_spot(Slot::ZERO, RackId::new(1), Watts::new(15.0))
-            .unwrap();
-        b.reset_all(Slot::new(1));
+        b.grant_spot(RackId::new(0), Watts::new(25.0)).unwrap();
+        b.grant_spot(RackId::new(1), Watts::new(15.0)).unwrap();
+        b.reset_all();
         assert_eq!(b.budget(RackId::new(0)), Watts::new(100.0));
         assert_eq!(b.budget(RackId::new(1)), Watts::new(120.0));
     }
@@ -358,32 +240,21 @@ mod tests {
     fn cap_budget_can_cut_below_guaranteed() {
         let mut b = bank();
         let r = RackId::new(0);
-        b.grant_spot(Slot::ZERO, r, Watts::new(40.0)).unwrap();
-        // Cap above the current budget is a no-op (no log entry).
-        b.cap_budget(Slot::ZERO, r, Watts::new(200.0)).unwrap();
+        b.grant_spot(r, Watts::new(40.0)).unwrap();
+        // Cap above the current budget is a no-op.
+        b.cap_budget(r, Watts::new(200.0)).unwrap();
         assert_eq!(b.budget(r), Watts::new(140.0));
-        assert_eq!(b.changes().len(), 1);
-        // Cap below guaranteed sticks and is logged.
-        b.cap_budget(Slot::ZERO, r, Watts::new(80.0)).unwrap();
+        // Cap below guaranteed sticks.
+        b.cap_budget(r, Watts::new(80.0)).unwrap();
         assert_eq!(b.budget(r), Watts::new(80.0));
         assert_eq!(b.spot_grant(r), Watts::ZERO);
-        assert_eq!(b.changes().len(), 2);
         // reset_all restores the guarantee next slot.
-        b.reset_all(Slot::new(1));
+        b.reset_all();
         assert_eq!(b.budget(r), Watts::new(100.0));
-        assert!(b.cap_budget(Slot::ZERO, r, Watts::new(-1.0)).is_err());
+        assert!(b.cap_budget(r, Watts::new(-1.0)).is_err());
         assert!(matches!(
-            b.cap_budget(Slot::ZERO, RackId::new(9), Watts::new(1.0)),
+            b.cap_budget(RackId::new(9), Watts::new(1.0)),
             Err(TopologyError::UnknownRack(_))
         ));
-    }
-
-    #[test]
-    fn within_budget_uses_tolerance() {
-        let b = bank();
-        let r = RackId::new(0);
-        assert!(b.within_budget(r, Watts::new(100.0), Watts::ZERO));
-        assert!(!b.within_budget(r, Watts::new(100.5), Watts::ZERO));
-        assert!(b.within_budget(r, Watts::new(100.5), Watts::new(1.0)));
     }
 }

@@ -296,15 +296,6 @@ impl PowerTopology {
             .unwrap_or(&[])
     }
 
-    /// The racks owned by `tenant` (empty if the tenant owns none).
-    #[must_use]
-    pub fn racks_of_tenant(&self, tenant: TenantId) -> &[RackId] {
-        self.racks_by_tenant
-            .get(&tenant)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
     /// Iterates over tenants in id order.
     pub fn tenants(&self) -> impl Iterator<Item = TenantId> + '_ {
         self.racks_by_tenant.keys().copied()
@@ -323,13 +314,6 @@ impl PowerTopology {
     #[must_use]
     pub fn total_leased(&self) -> Watts {
         self.racks.iter().map(|r| r.guaranteed).sum()
-    }
-
-    /// Sum of the PDU capacities (the UPS may be sized below this when
-    /// it, too, is oversubscribed).
-    #[must_use]
-    pub fn total_pdu_capacity(&self) -> Watts {
-        self.pdu_capacities.iter().sum()
     }
 
     /// The oversubscription ratio at `pdu`: leased ÷ capacity. Values
@@ -381,8 +365,6 @@ mod tests {
         let t = testbed();
         assert_eq!(t.racks_on_pdu(PduId::new(0)).len(), 5);
         assert_eq!(t.racks_on_pdu(PduId::new(1)).len(), 1);
-        assert_eq!(t.racks_of_tenant(TenantId::new(2)), &[RackId::new(2)]);
-        assert!(t.racks_of_tenant(TenantId::new(99)).is_empty());
         assert_eq!(t.tenant_count(), 6);
     }
 

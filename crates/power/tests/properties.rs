@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use spotdc_power::topology::TopologyBuilder;
-use spotdc_power::{EmergencyLog, Oversubscription, PowerMeter, RackPduBank};
+use spotdc_power::{EmergencyLog, PowerMeter, RackPduBank};
 use spotdc_units::{RackId, Slot, TenantId, Watts};
 
 fn rack_specs() -> impl Strategy<Value = Vec<(f64, f64)>> {
@@ -43,7 +43,7 @@ proptest! {
         for (i, spec) in specs.iter().enumerate() {
             let rack = RackId::new(i);
             let grant = Watts::new(grants[i % grants.len()]);
-            let _ = bank.grant_spot(Slot::ZERO, rack, grant); // may legitimately fail
+            let _ = bank.grant_spot(rack, grant); // may legitimately fail
             let limit = Watts::new(spec.0 + spec.1);
             prop_assert!(bank.budget(rack) <= limit + Watts::new(1e-6));
             prop_assert!(bank.budget(rack) >= Watts::new(spec.0) - Watts::new(1e-6));
@@ -57,17 +57,9 @@ proptest! {
         for (i, spec) in specs.iter().enumerate() {
             let rack = RackId::new(i);
             let grant = Watts::new(spec.1 * 0.999);
-            prop_assert!(bank.grant_spot(Slot::ZERO, rack, grant).is_ok());
+            prop_assert!(bank.grant_spot(rack, grant).is_ok());
             prop_assert!(bank.spot_grant(rack).approx_eq(grant, 1e-9));
         }
-    }
-
-    #[test]
-    fn oversubscription_round_trips(percent in -50.0..100.0f64, sub in 1.0..1e6f64) {
-        let os = Oversubscription::percent(percent);
-        let phys = os.physical_for_subscribed(Watts::new(sub));
-        let back = os.subscribed_for_physical(phys);
-        prop_assert!((back.value() - sub).abs() < 1e-6 * sub.max(1.0));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   amortization is pure extra profit.
 
 use serde::{Deserialize, Serialize};
-use spotdc_units::{Money, Price, Watts};
+use spotdc_units::{Price, Watts};
 
 /// Hours in the 30-day billing month used for colo rates.
 const HOURS_PER_MONTH: f64 = 30.0 * 24.0;
@@ -117,12 +117,6 @@ impl ProfitSummary {
         }
         100.0 * self.extra_rate() / self.baseline_rate
     }
-
-    /// Total profit rate with SpotDC ($/h).
-    #[must_use]
-    pub fn total_rate(&self) -> f64 {
-        self.baseline_rate + self.extra_rate()
-    }
 }
 
 /// One tenant's cumulative bill over a horizon.
@@ -141,12 +135,6 @@ impl TenantBill {
     #[must_use]
     pub fn total(&self) -> f64 {
         self.reservation + self.energy + self.spot
-    }
-
-    /// The bill as [`Money`].
-    #[must_use]
-    pub fn total_money(&self) -> Money {
-        Money::dollars(self.total())
     }
 }
 
@@ -188,7 +176,7 @@ mod tests {
             headroom_cost_rate: 0.0010,
         };
         assert!((p.extra_percent() - 9.7).abs() < 1e-9);
-        assert!((p.total_rate() - 0.1097).abs() < 1e-12);
+        assert!((p.baseline_rate + p.extra_rate() - 0.1097).abs() < 1e-12);
     }
 
     #[test]
@@ -209,7 +197,6 @@ mod tests {
             spot: 0.15,
         };
         assert!((bill.total() - 27.15).abs() < 1e-12);
-        assert_eq!(bill.total_money(), Money::dollars(27.15));
     }
 
     #[test]

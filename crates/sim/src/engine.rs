@@ -452,31 +452,6 @@ impl Simulation {
         Simulation { scenario, config }
     }
 
-    /// Creates a simulation, rejecting invalid configurations.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ConfigError`] in `config`.
-    pub fn try_new(scenario: Scenario, config: EngineConfig) -> Result<Self, ConfigError> {
-        config.validate()?;
-        Ok(Simulation { scenario, config })
-    }
-
-    /// Runs `slots` slots after validating the configuration and the
-    /// horizon.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] for an invalid configuration or a
-    /// zero-length horizon.
-    pub fn try_run(self, slots: u64) -> Result<SimReport, ConfigError> {
-        self.config.validate()?;
-        if slots == 0 {
-            return Err(ConfigError::ZeroHorizon);
-        }
-        Ok(self.run(slots))
-    }
-
     /// Runs `slots` slots and returns the full report.
     ///
     /// The driver owns the clock and nothing else: it builds the
@@ -942,7 +917,7 @@ mod tests {
     }
 
     #[test]
-    fn try_new_and_try_run_reject_bad_inputs() {
+    fn validate_and_run_durable_reject_bad_inputs() {
         let bad = EngineConfig {
             faults: FaultConfig {
                 bid_loss: f64::NAN,
@@ -950,16 +925,21 @@ mod tests {
             },
             ..EngineConfig::new(Mode::SpotDc)
         };
-        assert!(Simulation::try_new(Scenario::testbed(11), bad).is_err());
+        assert!(bad.validate().is_err());
+        assert!(matches!(
+            Simulation::new(Scenario::testbed(11), bad).run_durable(50),
+            Err(DurableError::Config(_))
+        ));
 
-        let sim = Simulation::try_new(Scenario::testbed(11), EngineConfig::new(Mode::SpotDc))
-            .expect("default config is valid");
-        assert_eq!(
-            sim.clone().try_run(0).unwrap_err(),
-            ConfigError::ZeroHorizon
-        );
-        let report = sim.try_run(50).expect("valid run succeeds");
-        assert_eq!(report.records.len(), 50);
+        let good = EngineConfig::new(Mode::SpotDc);
+        good.validate().expect("default config is valid");
+        let sim = Simulation::new(Scenario::testbed(11), good);
+        assert!(matches!(
+            sim.clone().run_durable(0),
+            Err(DurableError::Config(ConfigError::ZeroHorizon))
+        ));
+        let outcome = sim.run_durable(50).expect("valid run succeeds");
+        assert_eq!(outcome.report.records.len(), 50);
     }
 
     #[test]

@@ -186,29 +186,6 @@ impl SimReport {
         }
     }
 
-    /// Tenant `i`'s SLO violation rate over slots where it had load
-    /// (`None` for opportunistic tenants).
-    #[must_use]
-    pub fn tenant_slo_violation_rate(&self, i: usize) -> Option<f64> {
-        let mut violations = 0usize;
-        let mut n = 0usize;
-        for r in &self.records {
-            if let Some(t) = r.tenants.get(i) {
-                if let Some(met) = t.slo_met {
-                    n += 1;
-                    if !met {
-                        violations += 1;
-                    }
-                }
-            }
-        }
-        if n == 0 {
-            None
-        } else {
-            Some(violations as f64 / n as f64)
-        }
-    }
-
     /// Tenant `i`'s maximum and average spot usage as a percentage of
     /// its subscription (Fig. 12c); the average is over slots with a
     /// positive grant. Returns `(max %, avg %)`.
@@ -232,20 +209,6 @@ impl SimReport {
             }
         }
         (max, if n == 0 { 0.0 } else { sum / n as f64 })
-    }
-
-    /// Fraction of slots in which tenant `i` received any spot grant.
-    #[must_use]
-    pub fn tenant_grant_fraction(&self, i: usize) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        let hits = self
-            .records
-            .iter()
-            .filter(|r| r.tenants.get(i).is_some_and(|t| t.grant > 0.0))
-            .count();
-        hits as f64 / self.records.len() as f64
     }
 
     /// Market prices over slots where spot capacity was sold
@@ -384,13 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn slo_violation_rate() {
-        let r = tiny_report();
-        assert_eq!(r.tenant_slo_violation_rate(0), Some(0.5));
-        assert_eq!(r.tenant_slo_violation_rate(1), None);
-    }
-
-    #[test]
     fn spot_usage_stats() {
         let r = tiny_report();
         let (max, avg) = r.tenant_spot_usage_percent(0);
@@ -398,7 +354,9 @@ mod tests {
         assert!((max - expect).abs() < 1e-9);
         assert!((avg - expect).abs() < 1e-9);
         assert_eq!(r.tenant_spot_usage_percent(1), (0.0, 0.0));
-        assert!((r.tenant_grant_fraction(0) - 0.5).abs() < 1e-12);
+        // The average is over the one slot of two with a grant.
+        let granted = r.records.iter().filter(|s| s.tenants[0].grant > 0.0);
+        assert_eq!(granted.count(), 1);
     }
 
     #[test]

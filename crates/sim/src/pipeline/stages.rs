@@ -137,12 +137,12 @@ fn revoke_lost_broadcasts(topology: &PowerTopology, lost: &[TenantId], alloc: &m
 
 /// Programs one cleared market's positive grants into the rack PDUs
 /// and books each winner's payment for the slot.
-fn program_grants(state: &mut SimState, slot: Slot, payments: &mut [f64], alloc: &SpotAllocation) {
+fn program_grants(state: &mut SimState, payments: &mut [f64], alloc: &SpotAllocation) {
     for (rack, grant) in alloc.iter() {
         if grant > Watts::ZERO {
             state
                 .bank
-                .grant_spot(slot, rack, grant)
+                .grant_spot(rack, grant)
                 .expect("cleared grants respect rack headroom");
             payments[rack.index()] = alloc.payment_for(rack, state.slot_len).usd();
         }
@@ -166,7 +166,7 @@ impl SlotStage for Sense {
         for (i, agent) in state.agents.iter_mut().enumerate() {
             agent.observe(state.traces.loads[i][t]);
         }
-        state.bank.reset_all(slot);
+        state.bank.reset_all();
 
         // Delayed prediction input: the operator sees the meter as it
         // stood at the end of the previous slot.
@@ -380,7 +380,7 @@ impl SlotStage for ClearUniform {
                 &mut state.invariant_violations,
             );
         }
-        program_grants(state, slot, &mut ctx.payments, &alloc);
+        program_grants(state, &mut ctx.payments, &alloc);
         ctx.spot_sold = alloc.total().value();
         if ctx.spot_sold > 0.0 {
             ctx.price = Some(alloc.price().per_kw_hour_value());
@@ -442,7 +442,7 @@ impl SlotStage for ClearPerPdu {
                     self.combined.insert(rack, grant);
                 }
             }
-            program_grants(state, slot, &mut ctx.payments, &alloc);
+            program_grants(state, &mut ctx.payments, &alloc);
             let sold = alloc.total().value();
             ctx.spot_sold += sold;
             revenue_weighted_price += alloc.price().per_kw_hour_value() * sold;
@@ -502,7 +502,7 @@ impl SlotStage for ClearMaxPerf {
             if grant > Watts::ZERO {
                 state
                     .bank
-                    .grant_spot(slot, rack, grant)
+                    .grant_spot(rack, grant)
                     .expect("maxperf grants respect rack headroom");
                 ctx.spot_sold += grant.value();
             }

@@ -34,15 +34,10 @@ pub fn record_violations(n: usize) {
 }
 
 /// Total invariant violations recorded by any simulation in this
-/// process since start (or the last [`reset_violations`]).
+/// process since start.
 #[must_use]
 pub fn violations() -> usize {
     VIOLATIONS.load(Ordering::Relaxed)
-}
-
-/// Resets the process-wide violation tally (test isolation).
-pub fn reset_violations() {
-    VIOLATIONS.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -60,14 +55,12 @@ mod tests {
     }
 
     #[test]
-    fn violation_tally_accumulates_and_resets() {
-        reset_violations();
+    fn violation_tally_accumulates() {
+        let before = violations();
         record_violations(0);
-        assert_eq!(violations(), 0);
+        assert_eq!(violations(), before);
         record_violations(2);
         record_violations(1);
-        assert_eq!(violations(), 3);
-        reset_violations();
-        assert_eq!(violations(), 0);
+        assert_eq!(violations(), before + 3);
     }
 }

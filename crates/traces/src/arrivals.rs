@@ -61,30 +61,6 @@ impl ArrivalTrace {
         }
     }
 
-    /// Overrides the diurnal base level (fraction of peak).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `base ∈ [0, 1]`.
-    #[must_use]
-    pub fn with_base(mut self, base: f64) -> Self {
-        assert!((0.0..=1.0).contains(&base), "base must be in [0,1]");
-        self.base = base;
-        self
-    }
-
-    /// Overrides the surge start probability per slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `p ∈ [0, 1]`.
-    #[must_use]
-    pub fn with_surge_probability(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0,1]");
-        self.surge_probability = p;
-        self
-    }
-
     /// Overrides the slots-per-day period.
     ///
     /// # Panics
@@ -123,22 +99,18 @@ impl ArrivalTrace {
         }
         out
     }
-
-    /// The fraction of slots in `trace` with intensity above
-    /// `threshold` — the calibration statistic for "tenant needs spot
-    /// capacity ≈15 % of the time".
-    #[must_use]
-    pub fn busy_fraction(trace: &[f64], threshold: f64) -> f64 {
-        if trace.is_empty() {
-            return 0.0;
-        }
-        trace.iter().filter(|&&x| x > threshold).count() as f64 / trace.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The fraction of slots in `trace` with intensity above
+    /// `threshold` — the calibration statistic for "tenant needs spot
+    /// capacity ≈15 % of the time".
+    fn busy_fraction(trace: &[f64], threshold: f64) -> f64 {
+        trace.iter().filter(|&&x| x > threshold).count() as f64 / trace.len() as f64
+    }
 
     #[test]
     fn values_in_unit_interval() {
@@ -149,7 +121,7 @@ mod tests {
     #[test]
     fn busy_fraction_near_fifteen_percent() {
         let t = ArrivalTrace::google_like(2).generate(100_000);
-        let busy = ArrivalTrace::busy_fraction(&t, 0.8);
+        let busy = busy_fraction(&t, 0.8);
         assert!(
             (0.08..=0.25).contains(&busy),
             "busy fraction {busy} outside calibration window"
@@ -185,10 +157,12 @@ mod tests {
 
     #[test]
     fn surges_create_multi_slot_runs() {
-        let t = ArrivalTrace::google_like(6)
-            .with_base(0.3)
-            .with_surge_probability(0.02)
-            .generate(50_000);
+        let t = ArrivalTrace {
+            base: 0.3,
+            surge_probability: 0.02,
+            ..ArrivalTrace::google_like(6)
+        }
+        .generate(50_000);
         // Find at least one run of >= 3 consecutive high slots at the
         // diurnal trough level (only surges can produce those).
         let mut run = 0;
@@ -205,17 +179,12 @@ mod tests {
     }
 
     #[test]
-    fn busy_fraction_edge_cases() {
-        assert_eq!(ArrivalTrace::busy_fraction(&[], 0.5), 0.0);
-        assert_eq!(ArrivalTrace::busy_fraction(&[1.0, 1.0], 0.5), 1.0);
-        assert_eq!(ArrivalTrace::busy_fraction(&[0.1, 0.9], 0.5), 0.5);
-    }
-
-    #[test]
     fn zero_surges_with_zero_probability() {
-        let t = ArrivalTrace::google_like(7)
-            .with_surge_probability(0.0)
-            .generate(10_000);
+        let t = ArrivalTrace {
+            surge_probability: 0.0,
+            ..ArrivalTrace::google_like(7)
+        }
+        .generate(10_000);
         // Without surges the noisy diurnal rarely saturates fully.
         let saturated = t.iter().filter(|&&x| x >= 1.0).count();
         assert!(saturated < 100, "{saturated} saturated slots");

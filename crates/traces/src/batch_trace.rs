@@ -63,20 +63,6 @@ impl BatchTrace {
         }
     }
 
-    /// Overrides the burst/idle mean durations (slots).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both means are at least 1.
-    #[must_use]
-    pub fn with_duty_cycle(mut self, mean_busy_slots: f64, mean_idle_slots: f64) -> Self {
-        assert!(mean_busy_slots >= 1.0, "mean busy length must be >= 1 slot");
-        assert!(mean_idle_slots >= 1.0, "mean idle length must be >= 1 slot");
-        self.mean_busy_slots = mean_busy_slots;
-        self.mean_idle_slots = mean_idle_slots;
-        self
-    }
-
     /// The long-run expected busy fraction.
     #[must_use]
     pub fn expected_busy_fraction(&self) -> f64 {
@@ -127,7 +113,11 @@ mod tests {
     #[test]
     fn busy_fraction_matches_duty_cycle() {
         for (busy, idle) in [(15.0, 35.0), (10.0, 10.0), (5.0, 45.0)] {
-            let tr = BatchTrace::university_like(1).with_duty_cycle(busy, idle);
+            let tr = BatchTrace {
+                mean_busy_slots: busy,
+                mean_idle_slots: idle,
+                ..BatchTrace::university_like(1)
+            };
             let t = tr.generate(200_000);
             let active = t.iter().filter(|s| s.active).count() as f64 / t.len() as f64;
             let expect = tr.expected_busy_fraction();
@@ -173,11 +163,5 @@ mod tests {
         let a = BatchTrace::university_like(9).generate(1000);
         let b = BatchTrace::university_like(9).generate(1000);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "mean busy length")]
-    fn zero_burst_rejected() {
-        let _ = BatchTrace::university_like(1).with_duty_cycle(0.5, 10.0);
     }
 }

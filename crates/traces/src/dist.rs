@@ -3,9 +3,9 @@
 //! Every trace generator in this crate draws from a [`Sampler`]: a thin
 //! wrapper over a seeded [`rand::rngs::StdRng`] adding the handful of
 //! distributions the traces need (normal via Box–Muller, lognormal,
-//! exponential, Pareto). Implemented here rather than pulling
-//! `rand_distr`, keeping the dependency set to the pre-approved crates
-//! (see DESIGN.md §3).
+//! geometric). Implemented here rather than pulling `rand_distr`,
+//! keeping the dependency set to the pre-approved crates (see DESIGN.md
+//! §3).
 //!
 //! Determinism matters: every experiment in the paper reproduction is
 //! seeded, so two runs of a figure produce identical numbers.
@@ -109,40 +109,6 @@ impl Sampler {
         self.normal(mu, sigma).exp()
     }
 
-    /// An exponential draw with the given rate (mean `1/rate`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `rate` is positive.
-    pub fn exponential(&mut self, rate: f64) -> f64 {
-        assert!(rate > 0.0, "rate must be positive");
-        let u: f64 = loop {
-            let u = self.uniform();
-            if u > 1e-300 {
-                break u;
-            }
-        };
-        -u.ln() / rate
-    }
-
-    /// A Pareto draw with scale `x_min > 0` and shape `alpha > 0`
-    /// (heavy-tailed; mean exists only for `alpha > 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both parameters are positive.
-    pub fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
-        assert!(x_min > 0.0, "scale must be positive");
-        assert!(alpha > 0.0, "shape must be positive");
-        let u: f64 = loop {
-            let u = self.uniform();
-            if u > 1e-300 {
-                break u;
-            }
-        };
-        x_min / u.powf(1.0 / alpha)
-    }
-
     /// A geometric draw: number of Bernoulli(`p`) failures before the
     /// first success. Returns 0 for `p ≥ 1`.
     ///
@@ -188,30 +154,6 @@ mod tests {
         let var = draws.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.03, "mean {mean}");
         assert!((var - 4.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
-    fn exponential_mean_close() {
-        let mut s = Sampler::seeded(2);
-        let n = 200_000;
-        let mean = (0..n).map(|_| s.exponential(4.0)).sum::<f64>() / n as f64;
-        assert!((mean - 0.25).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut s = Sampler::seeded(3);
-        for _ in 0..10_000 {
-            assert!(s.pareto(2.0, 1.5) >= 2.0);
-        }
-    }
-
-    #[test]
-    fn pareto_mean_close_for_alpha_above_one() {
-        let mut s = Sampler::seeded(4);
-        let n = 400_000;
-        let mean = (0..n).map(|_| s.pareto(1.0, 3.0)).sum::<f64>() / n as f64;
-        assert!((mean - 1.5).abs() < 0.03, "mean {mean}"); // α/(α−1)
     }
 
     #[test]

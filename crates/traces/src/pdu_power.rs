@@ -8,10 +8,11 @@
 //! between consecutive minutes ≈99 % of the time.
 //!
 //! [`PduPowerTrace`] reproduces that with a mean-reverting AR(1)
-//! process around a diurnal baseline, plus rare spikes. A `volatility`
-//! knob scales the innovation so experiments can stress prediction
-//! (the 20-minute testbed run of Fig. 10 deliberately uses a *more*
-//! volatile trace than reality).
+//! process around a diurnal baseline, plus rare spikes, in two presets:
+//! [`PduPowerTrace::colo_like`] is calibrated to the paper's statistic,
+//! and [`PduPowerTrace::volatile`] stresses prediction (the 20-minute
+//! testbed run of Fig. 10 deliberately uses a *more* volatile trace
+//! than reality).
 
 use serde::{Deserialize, Serialize};
 use spotdc_units::Watts;
@@ -93,21 +94,6 @@ impl PduPowerTrace {
         }
     }
 
-    /// Overrides the volatility (innovation σ as a fraction of mean).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `volatility` is negative or non-finite.
-    #[must_use]
-    pub fn with_volatility(mut self, volatility: f64) -> Self {
-        assert!(
-            volatility >= 0.0 && volatility.is_finite(),
-            "volatility must be non-negative"
-        );
-        self.volatility = volatility;
-        self
-    }
-
     /// Overrides the clamping range.
     ///
     /// # Panics
@@ -121,21 +107,6 @@ impl PduPowerTrace {
         self
     }
 
-    /// Overrides the per-slot probability of a transient spike.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `probability ∈ [0, 1]`.
-    #[must_use]
-    pub fn with_spike_probability(mut self, probability: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&probability),
-            "probability must be in [0,1]"
-        );
-        self.spike_probability = probability;
-        self
-    }
-
     /// Overrides the fraction of the day at which the diurnal swing
     /// peaks (tenants in a shared facility peak at different hours).
     ///
@@ -146,18 +117,6 @@ impl PduPowerTrace {
     pub fn with_peak_phase(mut self, phase: f64) -> Self {
         assert!((0.0..=1.0).contains(&phase), "phase must be in [0,1]");
         self.peak_phase = phase;
-        self
-    }
-
-    /// Overrides the number of slots per simulated day.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots_per_day` is zero.
-    #[must_use]
-    pub fn with_slots_per_day(mut self, slots_per_day: usize) -> Self {
-        assert!(slots_per_day > 0, "slots per day must be positive");
-        self.slots_per_day = slots_per_day;
         self
     }
 
@@ -253,10 +212,12 @@ mod tests {
 
     #[test]
     fn diurnal_pattern_repeats_daily() {
-        let tr = PduPowerTrace::colo_like(Watts::new(500.0), 9)
-            .with_volatility(0.0)
-            .with_spike_probability(0.0)
-            .with_slots_per_day(100);
+        let tr = PduPowerTrace {
+            volatility: 0.0,
+            spike_probability: 0.0,
+            slots_per_day: 100,
+            ..PduPowerTrace::colo_like(Watts::new(500.0), 9)
+        };
         let series = tr.generate(300);
         // With volatility and spikes zeroed the trace is the pure
         // diurnal baseline.

@@ -169,12 +169,6 @@ impl VariationStats {
             / self.variations.len() as f64
     }
 
-    /// The largest observed relative change (0 when empty).
-    #[must_use]
-    pub fn max_variation(&self) -> f64 {
-        self.variations.iter().cloned().fold(0.0, f64::max)
-    }
-
     /// Histogram of variations over `bin_edges` (which must be
     /// ascending): returns one count per bin `[edge[i], edge[i+1])`,
     /// plus a final overflow bin for values ≥ the last edge.
@@ -253,7 +247,6 @@ mod tests {
     fn variation_basic() {
         let v = VariationStats::from_series(&[100.0, 110.0, 99.0]);
         assert_eq!(v.len(), 2);
-        assert!((v.max_variation() - 0.1).abs() < 1e-12);
         assert_eq!(v.fraction_within(0.05), 0.0);
         assert_eq!(v.fraction_within(0.11), 1.0);
     }
@@ -269,7 +262,6 @@ mod tests {
         let v = VariationStats::from_series(&[]);
         assert!(v.is_empty());
         assert_eq!(v.fraction_within(0.1), 1.0);
-        assert_eq!(v.max_variation(), 0.0);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! SpotDC mixes three families of quantities that are all "just numbers"
 //! underneath and therefore dangerously easy to confuse:
 //!
-//! * **electrical** quantities — [`Watts`] of instantaneous power and
-//!   [`KilowattHours`] of energy;
+//! * **electrical** quantities — [`Watts`] of instantaneous power;
 //! * **economic** quantities — [`Money`] (US dollars) and [`Price`]
 //!   (dollars per kilowatt per hour of spot-capacity tenure);
 //! * **temporal** quantities — [`Slot`] indices and the [`SlotDuration`]
@@ -30,15 +29,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod energy;
-mod error;
 mod ids;
 mod money;
 mod power;
 mod time;
 
-pub use energy::KilowattHours;
-pub use error::UnitError;
 pub use ids::{PduId, RackId, TenantId};
 pub use money::{Money, Price};
 pub use power::Watts;

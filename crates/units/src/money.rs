@@ -6,7 +6,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 use serde::{Deserialize, Serialize};
 
-use crate::{KilowattHours, SlotDuration, Watts};
+use crate::{SlotDuration, Watts};
 
 /// An amount of money in US dollars.
 ///
@@ -228,24 +228,10 @@ impl Price {
         self.0
     }
 
-    /// The value in ¢/kW/h.
-    #[must_use]
-    pub fn cents_per_kw_hour_value(self) -> f64 {
-        self.0 * 100.0
-    }
-
     /// The payment for holding `power` of spot capacity for `duration`.
     #[must_use]
     pub fn cost_of(self, power: Watts, duration: SlotDuration) -> Money {
         Money(self.0 * power.kilowatts() * duration.hours())
-    }
-
-    /// The payment for `energy` at this price interpreted as an energy
-    /// rate ($/kWh). Used for metered-energy billing which shares the
-    /// dollars-per-kW-hour dimension.
-    #[must_use]
-    pub fn cost_of_energy(self, energy: KilowattHours) -> Money {
-        Money(self.0 * energy.value())
     }
 
     /// The larger of two prices.
@@ -360,7 +346,6 @@ mod tests {
     fn price_unit_conversions() {
         let q = Price::cents_per_kw_hour(25.0);
         assert!((q.per_kw_hour_value() - 0.25).abs() < 1e-12);
-        assert!((q.cents_per_kw_hour_value() - 25.0).abs() < 1e-12);
         let monthly = Price::from_monthly_rate(216.0);
         assert!((monthly.per_kw_hour_value() - 0.3).abs() < 1e-12);
     }
@@ -371,13 +356,6 @@ mod tests {
         assert!(Price::per_kw_hour(1.0).is_valid());
         assert!(!Price::per_kw_hour(-0.1).is_valid());
         assert!(!Price::per_kw_hour(f64::NAN).is_valid());
-    }
-
-    #[test]
-    fn price_energy_cost() {
-        let rate = Price::per_kw_hour(0.10);
-        let e = KilowattHours::new(3.0);
-        assert!((rate.cost_of_energy(e).usd() - 0.30).abs() < 1e-12);
     }
 
     #[test]

@@ -118,8 +118,8 @@ impl From<u64> for Slot {
 /// ```
 /// use spotdc_units::SlotDuration;
 ///
-/// let slot = SlotDuration::from_minutes(2.0);
-/// assert_eq!(slot.seconds(), 120.0);
+/// let slot = SlotDuration::from_secs(120);
+/// assert_eq!(slot.hours(), 1.0 / 30.0);
 /// assert_eq!(slot.slots_per_hour(), 30.0);
 /// assert_eq!(SlotDuration::from_secs(60).slots_per_day(), 1440.0);
 /// ```
@@ -140,30 +140,10 @@ impl SlotDuration {
         SlotDuration(secs as f64)
     }
 
-    /// Creates a duration from (possibly fractional) minutes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `minutes` is not a positive finite number.
-    #[must_use]
-    pub fn from_minutes(minutes: f64) -> Self {
-        assert!(
-            minutes.is_finite() && minutes > 0.0,
-            "slot duration must be positive and finite"
-        );
-        SlotDuration(minutes * 60.0)
-    }
-
     /// The duration in seconds.
     #[must_use]
     pub const fn seconds(self) -> f64 {
         self.0
-    }
-
-    /// The duration in minutes.
-    #[must_use]
-    pub fn minutes(self) -> f64 {
-        self.0 / 60.0
     }
 
     /// The duration in hours.
@@ -190,7 +170,7 @@ impl SlotDuration {
     ///
     /// ```
     /// # use spotdc_units::SlotDuration;
-    /// assert_eq!(SlotDuration::from_minutes(2.0).slots_for_days(1.0), 720);
+    /// assert_eq!(SlotDuration::from_secs(120).slots_for_days(1.0), 720);
     /// ```
     #[must_use]
     pub fn slots_for_days(self, days: f64) -> u64 {
@@ -226,7 +206,7 @@ impl fmt::Display for SlotDuration {
 /// let a = MonotonicNanos::now();
 /// let b = MonotonicNanos::now();
 /// assert!(b >= a);
-/// assert_eq!(b.saturating_nanos_since(a), b.as_nanos() - a.as_nanos());
+/// assert_eq!(MonotonicNanos::from_raw(b.as_nanos()), b);
 /// ```
 #[derive(
     Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
@@ -255,18 +235,6 @@ impl MonotonicNanos {
     #[must_use]
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Nanoseconds elapsed since `earlier`, or zero if `earlier` is later.
-    #[must_use]
-    pub const fn saturating_nanos_since(self, earlier: MonotonicNanos) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
-
-    /// Seconds elapsed since `earlier` (zero if `earlier` is later).
-    #[must_use]
-    pub fn secs_since(self, earlier: MonotonicNanos) -> f64 {
-        self.saturating_nanos_since(earlier) as f64 * 1e-9
     }
 }
 
@@ -302,7 +270,7 @@ mod tests {
     #[test]
     fn duration_conversions() {
         let d = SlotDuration::from_secs(300);
-        assert_eq!(d.minutes(), 5.0);
+        assert_eq!(d.seconds(), 300.0);
         assert!((d.hours() - 5.0 / 60.0).abs() < 1e-12);
         assert_eq!(d.slots_per_hour(), 12.0);
         assert_eq!(d.slots_per_day(), 288.0);
@@ -332,12 +300,13 @@ mod tests {
     }
 
     #[test]
-    fn monotonic_difference_saturates() {
+    fn monotonic_raw_round_trips_and_orders() {
         let early = MonotonicNanos::from_raw(10);
         let late = MonotonicNanos::from_raw(250);
-        assert_eq!(late.saturating_nanos_since(early), 240);
-        assert_eq!(early.saturating_nanos_since(late), 0);
-        assert!((late.secs_since(early) - 240e-9).abs() < 1e-18);
+        assert_eq!(late.as_nanos(), 250);
+        assert_eq!(MonotonicNanos::from_raw(late.as_nanos()), late);
+        assert!(early < late);
+        assert_eq!(late.to_string(), "+250ns");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the unit types.
 
 use proptest::prelude::*;
-use spotdc_units::{KilowattHours, Money, Price, Slot, SlotDuration, Watts};
+use spotdc_units::{Money, Price, Slot, SlotDuration, Watts};
 
 fn finite() -> impl Strategy<Value = f64> {
     -1e9..1e9f64
@@ -45,14 +45,6 @@ proptest! {
     fn price_cost_never_negative_for_valid_inputs(q in 0.0..10.0f64, w in 0.0..1e6f64) {
         let pay = Price::per_kw_hour(q).cost_of(Watts::new(w), SlotDuration::default());
         prop_assert!(!pay.is_negative());
-    }
-
-    #[test]
-    fn energy_from_power_matches_manual_integral(w in 0.0..1e6f64, secs in 1u64..86_400) {
-        let slot = SlotDuration::from_secs(secs);
-        let e = KilowattHours::from_power(Watts::new(w), slot);
-        let expect = (w / 1000.0) * (secs as f64 / 3600.0);
-        prop_assert!((e.value() - expect).abs() < 1e-9 * (1.0 + expect));
     }
 
     #[test]

@@ -99,24 +99,6 @@ impl BatchWorkload {
         self.throughput_max * self.dvfs.capacity_at(budget, 1.0)
     }
 
-    /// Time (seconds) to complete `work` units under `budget`, or
-    /// `f64::INFINITY` when the budget affords no throughput.
-    #[must_use]
-    pub fn completion_time(&self, work: f64, budget: Watts) -> f64 {
-        let theta = self.throughput(budget);
-        if theta <= 0.0 {
-            f64::INFINITY
-        } else {
-            work / theta
-        }
-    }
-
-    /// Work completed in `seconds` under `budget`.
-    #[must_use]
-    pub fn work_done(&self, seconds: f64, budget: Watts) -> f64 {
-        self.throughput(budget) * seconds
-    }
-
     /// Actual power drawn when busy under `budget` — the operating
     /// point's draw, never exceeding the budget or the rack's peak.
     #[must_use]
@@ -172,24 +154,6 @@ mod tests {
         let w = BatchWorkload::word_count_tenant();
         let s = w.speedup(Watts::new(187.5), Watts::new(125.0)); // +50% headroom
         assert!(s > 1.2 && s < 2.0, "speedup {s}");
-    }
-
-    #[test]
-    fn completion_time_inverse_of_throughput() {
-        let w = BatchWorkload::graph_tenant();
-        let b = Watts::new(115.0);
-        let t = w.completion_time(1000.0, b);
-        assert!((t * w.throughput(b) - 1000.0).abs() < 1e-6);
-        assert!(w.completion_time(1.0, Watts::ZERO).is_infinite());
-    }
-
-    #[test]
-    fn work_done_scales_linearly_with_time() {
-        let w = BatchWorkload::tera_sort_tenant();
-        let b = Watts::new(150.0);
-        let one = w.work_done(60.0, b);
-        let two = w.work_done(120.0, b);
-        assert!((two - 2.0 * one).abs() < 1e-9);
     }
 
     #[test]

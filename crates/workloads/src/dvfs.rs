@@ -130,13 +130,6 @@ impl DvfsModel {
         self.freq_min
     }
 
-    /// Relative speed `s(φ) = σ + (1 − σ)·φ` of one server at
-    /// normalized frequency `phi`.
-    #[must_use]
-    pub fn speed(&self, phi: f64) -> f64 {
-        self.serial_fraction + (1.0 - self.serial_fraction) * phi
-    }
-
     /// Rack power with all servers active at frequency `phi` and busy a
     /// fraction `utilization` of the time.
     #[must_use]
@@ -150,13 +143,6 @@ impl DvfsModel {
     #[must_use]
     pub fn peak_power(&self) -> Watts {
         self.rack_power(1.0, 1.0)
-    }
-
-    /// Rack power at full utilization and minimum frequency — the knee
-    /// below which servers must be deactivated.
-    #[must_use]
-    pub fn knee_power(&self) -> Watts {
-        self.rack_power(self.freq_min, 1.0)
     }
 
     /// The fastest operating point whose busy-power fits `budget`.
@@ -255,7 +241,7 @@ mod tests {
         let r = rack();
         assert_eq!(r.peak_power(), Watts::new(8.0 * 20.0));
         // knee: 8 * (8 + 12 * 0.5^2) = 8 * 11 = 88
-        assert_eq!(r.knee_power(), Watts::new(88.0));
+        assert_eq!(r.rack_power(r.freq_min(), 1.0), Watts::new(88.0));
     }
 
     #[test]
@@ -342,9 +328,11 @@ mod tests {
 
     #[test]
     fn speed_law_endpoints() {
+        // s(φ) = σ + (1 − σ)·φ with σ = 0.2: 1 at full frequency, 0.6 at
+        // the φ_min = 0.5 knee.
         let r = rack();
-        assert!((r.speed(1.0) - 1.0).abs() < 1e-12);
-        assert!((r.speed(0.0) - 0.2).abs() < 1e-12);
+        assert!((r.capacity_at(r.peak_power(), 1.0) - 1.0).abs() < 1e-12);
+        assert!((r.capacity_at(Watts::new(88.0), 1.0) - 0.6).abs() < 1e-12);
     }
 
     #[test]

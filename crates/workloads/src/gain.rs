@@ -263,12 +263,6 @@ impl GainCurve {
         }
         Watts::new(demand)
     }
-
-    /// Net benefit `gain(spot) − price·spot` in $/hour.
-    #[must_use]
-    pub fn net_benefit(&self, spot: Watts, price: Price) -> f64 {
-        self.gain(spot) - price.per_kw_hour_value() * spot.kilowatts()
-    }
 }
 
 #[cfg(test)]
@@ -393,11 +387,14 @@ mod tests {
         let env = sprint_curve().concave_envelope();
         let price = Price::per_kw_hour(0.3);
         let d = env.demand_at_price(price);
-        let best = env.net_benefit(d, price);
+        // Net benefit `gain(spot) − price·spot` in $/hour.
+        let net_benefit =
+            |spot: Watts| env.gain(spot) - price.per_kw_hour_value() * spot.kilowatts();
+        let best = net_benefit(d);
         for i in 0..=100 {
             let s = env.max_spot() * (i as f64 / 100.0);
             assert!(
-                env.net_benefit(s, price) <= best + 1e-9,
+                net_benefit(s) <= best + 1e-9,
                 "net benefit at {s} beats chosen demand {d}"
             );
         }

@@ -43,15 +43,3 @@ pub use dvfs::DvfsModel;
 pub use gain::GainCurve;
 pub use interactive::InteractiveWorkload;
 pub use queueing::MmK;
-
-/// A workload's dollar-denominated running cost as a function of its
-/// rack power budget, at some fixed load level.
-///
-/// Implemented by [`InteractiveWorkload`] (paired with [`SprintingCost`])
-/// and [`BatchWorkload`] (paired with [`OpportunisticCost`]) through the
-/// concrete `cost_rate` methods; [`GainCurve`] consumes any
-/// `Fn(Watts) -> f64` so custom models can be plugged in too.
-pub trait PowerCost {
-    /// The cost rate in $/hour when running with `budget` watts.
-    fn cost_rate(&self, budget: spotdc_units::Watts) -> f64;
-}

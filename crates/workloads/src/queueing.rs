@@ -118,12 +118,6 @@ impl MmK {
         self.erlang_c(lambda) / (self.capacity() - lambda)
     }
 
-    /// Mean response time (wait + service), seconds.
-    #[must_use]
-    pub fn mean_response(&self, lambda: f64) -> f64 {
-        self.mean_wait(lambda) + 1.0 / self.service_rate
-    }
-
     /// The `p`-percentile response time in seconds (e.g. `p = 0.99`).
     ///
     /// Uses the standard M/M/k tail: waiting time is zero with
@@ -207,8 +201,8 @@ mod tests {
     #[test]
     fn mm1_mean_response_matches_closed_form() {
         let q = MmK::new(1, 10.0);
-        // M/M/1: E[T] = 1/(µ-λ).
-        assert!((q.mean_response(6.0) - 1.0 / 4.0).abs() < 1e-9);
+        // M/M/1: E[T] = E[W] + 1/µ = 1/(µ-λ).
+        assert!((q.mean_wait(6.0) + 1.0 / 10.0 - 1.0 / 4.0).abs() < 1e-9);
     }
 
     #[test]

@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut bank = RackPduBank::new(&topology);
     for (rack, grant) in allocation.iter() {
         if grant > Watts::ZERO {
-            bank.grant_spot(Slot::new(1), rack, grant)?;
+            bank.grant_spot(rack, grant)?;
             println!(
                 "  {rack}: +{grant} spot -> budget {} for one slot",
                 bank.budget(rack)

@@ -91,8 +91,6 @@ pub mod prelude {
         Billing, SimReport,
     };
     pub use spotdc_tenants::{Strategy, TenantAgent, WorkloadModel};
-    pub use spotdc_units::{
-        KilowattHours, Money, PduId, Price, RackId, Slot, SlotDuration, TenantId, Watts,
-    };
+    pub use spotdc_units::{Money, PduId, Price, RackId, Slot, SlotDuration, TenantId, Watts};
     pub use spotdc_workloads::{BatchWorkload, GainCurve, InteractiveWorkload};
 }

@@ -60,8 +60,7 @@ fn manual_market_round_improves_the_needy_tenant() {
     // Actuate and run the slot.
     let mut bank = RackPduBank::new(&topology);
     for (rack, grant) in allocation.iter() {
-        bank.grant_spot(Slot::new(1), rack, grant)
-            .expect("feasible grant");
+        bank.grant_spot(rack, grant).expect("feasible grant");
     }
     let before = search.run_slot(search.reserved());
     let after = search.run_slot(bank.budget(search.rack()));
