@@ -54,7 +54,7 @@ smoke-crash: build
 # Distributed clearing smoke: the {shards} × {transport} grid must be
 # byte-identical to the serial run in every mode, and SIGKILLing one
 # shard agent mid-run must degrade only that shard's sub-markets with
-# zero invariant violations.
+# zero invariant violations, its respawn costing one handshake frame.
 smoke-dist: build
 	scripts/smoke_dist
 

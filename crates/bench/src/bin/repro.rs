@@ -29,13 +29,14 @@
 //! external killer (`scripts/crash_harness`) can SIGKILL at a chosen
 //! slot.
 //!
-//! `--shards N` runs the clearing stage on N shard agents —
+//! `--shards N` runs SpotDC's clearing stage on N shard agents —
 //! `--shard-transport inproc` (threads) or `subprocess` (`spotdc-agent`
 //! children) — with the controller merging serially, so stdout stays
 //! byte-identical to `--shards 1` for every shard count and transport
 //! (`scripts/smoke_dist` enforces this). `--per-pdu` switches SpotDC to
 //! per-PDU sub-market pricing, which is where sharding actually fans
-//! out.
+//! out. PowerCapped and MaxPerf have no market, so `--shards` changes
+//! nothing for them.
 //!
 //! Experiments fan out across `--jobs` worker threads, and the
 //! multi-simulation experiments fan out further internally. Every

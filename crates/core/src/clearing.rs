@@ -47,8 +47,7 @@ use crate::allocation::SpotAllocation;
 use crate::bid::RackBid;
 use crate::constraints::{ConstraintSet, TOLERANCE};
 use crate::demand::{DemandBid, EPS};
-use crate::maxperf::max_perf_allocate;
-use crate::wire::{ClearResult, TaskShip};
+use crate::wire::TaskShip;
 
 /// Most candidate prices one clearing scans. Bid ceilings arrive from
 /// tenants (and, on shard agents, straight off a pipe) with no upper
@@ -751,15 +750,9 @@ impl MarketClearing {
         let tasks: Vec<TaskShip> = self
             .per_pdu_submarket_shares(bids, constraints)
             .into_iter()
-            .map(|(bids, ups_spot)| TaskShip::Market { ups_spot, bids })
+            .map(|(bids, ups_spot)| TaskShip { ups_spot, bids })
             .collect();
         self.clear_tasks(slot, &mut constraints.clone(), &tasks)
-            .into_iter()
-            .map(|result| match result {
-                ClearResult::Market(outcome) => outcome,
-                ClearResult::MaxPerf(_) => unreachable!("market tasks clear to market results"),
-            })
-            .collect()
     }
 
     /// Clears a run of tasks in order against **one** retained
@@ -780,19 +773,13 @@ impl MarketClearing {
         slot: Slot,
         constraints: &mut ConstraintSet,
         tasks: &[TaskShip],
-    ) -> Vec<ClearResult> {
+    ) -> Vec<MarketOutcome> {
         self.with_scratch(|scratch| {
             tasks
                 .iter()
-                .map(|task| match task {
-                    TaskShip::Market { ups_spot, bids } => {
-                        constraints.set_ups_spot(*ups_spot);
-                        ClearResult::Market(self.clear_in(scratch, slot, bids, constraints))
-                    }
-                    TaskShip::MaxPerf { ups_spot, gains } => {
-                        constraints.set_ups_spot(*ups_spot);
-                        ClearResult::MaxPerf(max_perf_allocate(gains, constraints))
-                    }
+                .map(|task| {
+                    constraints.set_ups_spot(task.ups_spot);
+                    self.clear_in(scratch, slot, &task.bids, constraints)
                 })
                 .collect()
         })
@@ -829,9 +816,9 @@ impl MarketClearing {
     /// so `constraints.clone().with_ups_spot(share)` — or a retained
     /// set updated via [`ConstraintSet::set_ups_spot`] — reproduces the
     /// sub-market constraints bit for bit. [`Self::clear_tasks`] walks
-    /// them, one [`TaskShip::Market`] each, against one retained set,
+    /// them, one [`TaskShip`] each, against one retained set,
     /// and the distributed controller ships one share per task instead
-    /// of ~120KB of cloned statics.
+    /// of a cloned constraint set per task.
     #[must_use]
     pub fn per_pdu_submarket_shares(
         &self,
@@ -1056,7 +1043,6 @@ mod tests {
     use super::*;
     use crate::demand::{LinearBid, StepBid};
     use crate::invariant::check_allocation;
-    use crate::maxperf::ConcaveGain;
     use spotdc_power::topology::TopologyBuilder;
     use spotdc_units::{RackId, TenantId};
 
@@ -1427,25 +1413,17 @@ mod tests {
     #[test]
     fn busy_scratch_falls_back_once_per_run() {
         // Hold the scratch (`try_lock` is non-reentrant, so the calls
-        // below cannot acquire it): a clear and a mixed `clear_tasks`
-        // run then work from a stack-local scratch and must produce
-        // exactly what they produce once the lock is released.
+        // below cannot acquire it): a clear and a `clear_tasks` run
+        // then work from a stack-local scratch and must produce exactly
+        // what they produce once the lock is released.
         let engine = MarketClearing::default();
         let cs = constraints(100.0);
         let bids = vec![linear(0, 40.0, 0.05, 10.0, 0.4)];
-        let gain = ConcaveGain::new(vec![(30.0, 2.0)]).unwrap();
-        let market = |share: f64| TaskShip::Market {
+        let market = |share: f64| TaskShip {
             ups_spot: Watts::new(share),
             bids: bids.clone(),
         };
-        let tasks = vec![
-            market(30.0),
-            TaskShip::MaxPerf {
-                ups_spot: Watts::new(25.0),
-                gains: [(RackId::new(1), gain)].into_iter().collect(),
-            },
-            market(20.0),
-        ];
+        let tasks = vec![market(30.0), market(20.0), market(30.0)];
         let guard = engine.scratch.lock().unwrap();
         let busy = engine.clear(Slot::ZERO, &bids, &cs);
         let busy_run = engine.clear_tasks(Slot::ZERO, &mut cs.clone(), &tasks);
@@ -1453,17 +1431,11 @@ mod tests {
         assert_eq!(busy, engine.clear(Slot::ZERO, &bids, &cs));
         let free_run = engine.clear_tasks(Slot::ZERO, &mut cs.clone(), &tasks);
         assert_eq!(busy_run, free_run);
-        assert_eq!(engine.cache_stats().full_sweeps, 6);
+        assert_eq!(engine.cache_stats().full_sweeps, 8);
         // Each task cleared against its own share, not its neighbour's.
-        let sold: Vec<f64> = busy_run
-            .iter()
-            .map(|result| match result {
-                ClearResult::Market(outcome) => outcome.sold().value(),
-                ClearResult::MaxPerf(grants) => grants.values().map(|w| w.value()).sum(),
-            })
-            .collect();
-        assert_eq!(sold[1], 25.0);
-        assert!(sold[2] < sold[0] && sold[0] <= 30.0, "{sold:?}");
+        let sold: Vec<f64> = busy_run.iter().map(|o| o.sold().value()).collect();
+        assert_eq!(sold[0], sold[2]);
+        assert!(sold[1] < sold[0] && sold[0] <= 30.0, "{sold:?}");
     }
 
     #[test]

@@ -180,58 +180,11 @@ impl ConstraintSet {
     }
 
     /// Replaces the UPS-level spot capacity in place, with exactly the
-    /// clamp [`Self::with_ups_spot`] applies. Shard agents use this to
-    /// re-point one long-lived constraint set at each task's UPS share
-    /// instead of cloning the whole set per task.
+    /// clamp [`Self::with_ups_spot`] applies. A task walk uses this to
+    /// re-point one constraint set at each task's UPS share instead of
+    /// cloning the whole set per task.
     pub fn set_ups_spot(&mut self, ups_spot: Watts) {
         self.ups_spot = ups_spot.clamp_non_negative();
-    }
-
-    /// Replaces the per-PDU spot capacities in place, with exactly the
-    /// clamp [`Self::new`] applies (negatives to zero; the vector is
-    /// resized to the stored PDU count, missing entries reading as
-    /// zero). The static layers — headrooms, rack→PDU map, zones,
-    /// phases — are untouched, which is what lets a shard agent refresh
-    /// only the per-slot predictions of a retained constraint set.
-    pub fn set_pdu_spot(&mut self, pdu_spot: &[Watts]) {
-        let count = self.pdu_spot.len();
-        self.pdu_spot.clear();
-        self.pdu_spot
-            .extend(pdu_spot.iter().map(|w| w.clamp_non_negative()));
-        self.pdu_spot.resize(count, Watts::ZERO);
-    }
-
-    /// The per-PDU spot capacities, indexed by PDU id.
-    #[must_use]
-    pub fn pdu_spots(&self) -> &[Watts] {
-        &self.pdu_spot
-    }
-
-    /// Whether `other` shares this set's *static* layers bit for bit:
-    /// rack headrooms, the rack→PDU map, heat zones, and the phase
-    /// plan. The per-slot spot capacities (PDU and UPS) are excluded —
-    /// they are expected to change every slot. Bitwise (`f64::to_bits`)
-    /// comparison, so `-0.0` and `0.0` differ, exactly like the wire
-    /// codec's round-trip contract.
-    #[must_use]
-    pub fn same_statics(&self, other: &ConstraintSet) -> bool {
-        same_watts(&self.rack_headroom, &other.rack_headroom)
-            && self.rack_pdu == other.rack_pdu
-            && self.zones.len() == other.zones.len()
-            && self.zones.iter().zip(&other.zones).all(|(a, b)| {
-                a.name == b.name
-                    && a.racks == b.racks
-                    && a.limit.value().to_bits() == b.limit.value().to_bits()
-            })
-            && match (&self.phases, &other.phases) {
-                (None, None) => true,
-                (Some(a), Some(b)) => {
-                    a.phase_of == b.phase_of
-                        && a.imbalance_limit.value().to_bits()
-                            == b.imbalance_limit.value().to_bits()
-                }
-                _ => false,
-            }
     }
 
     /// The heat-density zones in force.
@@ -431,15 +384,6 @@ impl ConstraintSet {
         }
         Some(total)
     }
-}
-
-/// Bitwise slice equality for watt vectors — `-0.0` and `0.0` differ,
-/// matching the wire codec's exact-bits round-trip contract.
-fn same_watts(a: &[Watts], b: &[Watts]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(x, y)| x.value().to_bits() == y.value().to_bits())
 }
 
 impl spotdc_durable::Persist for ConstraintSet {

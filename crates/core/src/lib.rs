@@ -70,4 +70,4 @@ pub use prediction::{
     DegradedPrediction, MarginPolicy, PredictedSpot, PredictionScratch, SpotPredictor,
     StalenessPolicy,
 };
-pub use wire::{ClearResult, TaskShip, WireError, WireMsg};
+pub use wire::{TaskShip, WireMsg};

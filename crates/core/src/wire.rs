@@ -4,22 +4,17 @@
 //! ([`MarketClearing::per_pdu_submarket_shares`]) become shard-owned tasks,
 //! while the controller keeps everything stateful at the market level —
 //! bid collection, UPS-level constraint construction, the serial
-//! in-order merge, settlement and reporting. Below the market level the
-//! protocol is a *session* that holds exactly one thing: the static
-//! constraint layers (headrooms, rack→PDU map, zones, phases), shipped
-//! once per (re)sync. Bids and gains churn nearly every slot, so every
-//! task travels whole every slot — one shipping granularity, no
-//! per-task state on either side of the wire.
+//! in-order merge, settlement and reporting. A clear is a pure function
+//! of one slot's bids and constraints, so below the market level there
+//! is no session: every frame is self-contained.
 //!
 //! The whole slot travels as **one frame per shard per direction**: a
-//! [`WireMsg::SlotFrame`] down (epoch, optional statics, the slot's
-//! per-PDU spot vector, every task) and a [`WireMsg::ShardCleared`] up
-//! (every result plus the shard's [`ClearingCacheStats`]). An agent
-//! that holds no statics for a statics-less frame — fresh restart,
-//! epoch gap — answers [`WireMsg::ResyncNeeded`] *without mutating
-//! anything*, and the controller re-sends the same frame with the
-//! statics attached. A frame either lands on exactly the statics the
-//! controller built it against or not at all, which is what keeps
+//! [`WireMsg::SlotFrame`] down (the slot's constraint set and every
+//! market task for the shard) and a [`WireMsg::ShardCleared`] up (every
+//! outcome plus the shard's [`ClearingCacheStats`]). An agent answers a
+//! frame from that frame alone, so a restarted agent needs nothing but
+//! its [`WireMsg::AssignShard`] handshake, and a frame clears against
+//! exactly the constraints the controller built — which is what keeps
 //! reports byte-identical across shard counts, transports, and
 //! crash/recovery.
 //!
@@ -28,18 +23,15 @@
 //! same framing the WAL and checkpoints use, not a second
 //! implementation. Every field round-trips exactly (floats as IEEE-754
 //! bit patterns); a torn or corrupt frame surfaces as a clean error at
-//! the framing layer and an undecodable payload as a [`WireError`]
+//! the framing layer and an undecodable payload as a [`DecodeError`]
 //! here, never a panic.
 //!
-//! The sequence (see DESIGN.md §15–§16):
+//! The sequence (see DESIGN.md §15):
 //!
 //! ```text
-//! controller → agent: AssignShard   (setup: shard identity + config)
-//! controller → agent: SlotFrame     (every slot: one coalesced frame)
-//! agent → controller: ShardCleared  (results + clear counts)
-//!               — or: ResyncNeeded  (session can't absorb the frame)
-//! controller → agent: SlotFrame     (same frame + statics, epoch bump)
-//! agent → controller: ShardCleared
+//! controller → agent: AssignShard   (setup: the clearing config)
+//! controller → agent: SlotFrame     (every slot: constraints + tasks)
+//! agent → controller: ShardCleared  (outcomes + clear counts)
 //! controller → agent: Shutdown      (once, at teardown)
 //! ```
 //!
@@ -48,8 +40,6 @@
 //! shard's tasks to empty results at the controller — it never invents
 //! capacity and never crashes the market.
 
-use std::collections::BTreeMap;
-
 use spotdc_durable::{DecodeError, Decoder, Encoder, Persist};
 use spotdc_units::{Price, RackId, Slot, Watts};
 
@@ -57,75 +47,20 @@ use crate::bid::RackBid;
 use crate::clearing::{ClearingCacheStats, ClearingConfig, MarketOutcome};
 use crate::constraints::ConstraintSet;
 use crate::demand::{DemandBid, FullBid, LinearBid, StepBid};
-use crate::maxperf::ConcaveGain;
 
 #[cfg(doc)]
 use crate::clearing::MarketClearing;
 
-/// Why a wire payload failed to decode into a [`WireMsg`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// The payload's leading message tag names no known message.
-    UnknownMessage(u8),
-    /// A field inside the payload failed to decode.
-    Decode(DecodeError),
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::UnknownMessage(tag) => write!(f, "unknown wire message tag {tag:#04x}"),
-            WireError::Decode(e) => write!(f, "wire payload does not decode: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            WireError::UnknownMessage(_) => None,
-            WireError::Decode(e) => Some(e),
-        }
-    }
-}
-
-impl From<DecodeError> for WireError {
-    fn from(e: DecodeError) -> Self {
-        WireError::Decode(e)
-    }
-}
-
-/// One task of a slot: what [`WireMsg::SlotFrame`] carries and what the
-/// controller's `clear_session` takes. No variant carries a constraint
-/// set: the agent rebuilds each task's constraints from its held
-/// statics, the frame's `pdu_spot` vector, and the variant's
-/// `ups_spot` share — bit-identical to the controller-side
-/// `constraints.clone().with_ups_spot(share)`.
+/// One market task of a slot: a (sub-)market of rack bids and its share
+/// of the UPS spot capacity. [`MarketClearing::clear_tasks`] clears it
+/// against the slot's constraint set re-pointed at `ups_spot` —
+/// bit-identical to `constraints.clone().with_ups_spot(ups_spot)`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TaskShip {
-    /// A (sub-)market of rack bids.
-    Market {
-        /// This task's UPS spot share (already clamped to the global).
-        ups_spot: Watts,
-        /// The complete bid list, in controller order.
-        bids: Vec<RackBid>,
-    },
-    /// A MaxPerf water-filling allocation.
-    MaxPerf {
-        /// This task's UPS spot share (already clamped to the global).
-        ups_spot: Watts,
-        /// Concave gain envelope per requesting rack.
-        gains: BTreeMap<RackId, ConcaveGain>,
-    },
-}
-
-/// A shard agent's answer to one task, in task order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ClearResult {
-    /// The cleared (sub-)market outcome.
-    Market(MarketOutcome),
-    /// The MaxPerf grant set.
-    MaxPerf(BTreeMap<RackId, Watts>),
+pub struct TaskShip {
+    /// This task's UPS spot share (already clamped to the global).
+    pub ups_spot: Watts,
+    /// The complete bid list, in controller order.
+    pub bids: Vec<RackBid>,
 }
 
 /// A message of the controller ↔ agent protocol. See the module docs
@@ -133,76 +68,38 @@ pub enum ClearResult {
 /// for the framing contract.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireMsg {
-    /// Controller → agent, once at setup: which shard this agent is, of
-    /// how many, and the clearing configuration to build its market
-    /// engine with. Resets any session state.
+    /// Controller → agent, once at setup: the clearing configuration to
+    /// build the agent's market engine with.
     AssignShard {
-        /// This agent's shard index (`0..shard_count`).
-        shard: u64,
-        /// Total number of shards in the topology.
-        shard_count: u64,
         /// Clearing configuration for the shard's `MarketClearing`.
         clearing: ClearingConfig,
     },
-    /// Controller → agent, every slot: the whole slot in one coalesced
-    /// frame — session epoch, optional static constraint layers (resync
-    /// frames carry them; steady-state frames omit them), the slot's
-    /// per-PDU spot capacities, and every task for this shard.
+    /// Controller → agent, every slot: the whole slot in one
+    /// self-contained frame.
     SlotFrame {
         /// The slot to clear.
         slot: Slot,
-        /// Session epoch. An agent accepts a statics-bearing frame at
-        /// any epoch (adopting it), and a statics-less frame only at
-        /// exactly `held_epoch + 1`.
-        epoch: u64,
-        /// Static constraint layers (headrooms, rack→PDU map, zones,
-        /// phases). Present on resync frames; absent in steady state.
-        statics: Option<ConstraintSet>,
-        /// The slot's per-PDU spot capacities, replacing the held
-        /// vector.
-        pdu_spot: Vec<Watts>,
+        /// The slot's constraint set, exactly as the controller built
+        /// it; each task re-points its UPS spot.
+        constraints: ConstraintSet,
         /// The shard's tasks, in controller order.
         tasks: Vec<TaskShip>,
     },
-    /// Agent → controller, every slot: results for the slot's tasks in
-    /// task order, plus the shard engine's cumulative clear counters.
+    /// Agent → controller, every slot: one outcome per task in task
+    /// order, plus the shard engine's cumulative clear counters.
     ShardCleared {
         /// The slot the results belong to.
         slot: Slot,
-        /// The agent's session epoch after applying the frame.
-        epoch: u64,
-        /// One result per task, in the order the tasks arrived.
-        results: Vec<ClearResult>,
+        /// One outcome per task, in the order the tasks arrived.
+        results: Vec<MarketOutcome>,
         /// The cumulative clear counters of the shard's engine.
         cache: ClearingCacheStats,
-    },
-    /// Agent → controller, instead of `ShardCleared`: the agent holds
-    /// no statics the frame could clear against (restart, epoch gap).
-    /// Nothing was mutated; the controller must re-send the frame with
-    /// the statics attached.
-    ResyncNeeded {
-        /// The slot of the rejected frame.
-        slot: Slot,
-        /// The epoch the agent currently holds (0 if fresh).
-        epoch: u64,
     },
     /// Controller → agent, once at teardown: exit cleanly. No reply.
     Shutdown,
 }
 
 impl WireMsg {
-    /// A short human-readable name for telemetry and diagnostics.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            WireMsg::AssignShard { .. } => "AssignShard",
-            WireMsg::SlotFrame { .. } => "SlotFrame",
-            WireMsg::ShardCleared { .. } => "ShardCleared",
-            WireMsg::ResyncNeeded { .. } => "ResyncNeeded",
-            WireMsg::Shutdown => "Shutdown",
-        }
-    }
-
     /// Encodes this message into a frame-ready payload.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
@@ -225,9 +122,9 @@ impl WireMsg {
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] for an unknown message tag, a field that
-    /// fails to decode, or trailing bytes.
-    pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
+    /// Returns a [`DecodeError`] for an unknown message tag, a field
+    /// that fails to decode, or trailing bytes.
+    pub fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
         let mut dec = Decoder::new(payload);
         let msg = WireMsg::restore(&mut dec)?;
         dec.finish()?;
@@ -238,102 +135,50 @@ impl WireMsg {
 impl Persist for WireMsg {
     fn persist(&self, enc: &mut Encoder) {
         match self {
-            WireMsg::AssignShard {
-                shard,
-                shard_count,
-                clearing,
-            } => {
+            WireMsg::AssignShard { clearing } => {
                 enc.put_u8(0);
-                enc.put_u64(*shard);
-                enc.put_u64(*shard_count);
                 clearing.persist(enc);
             }
             WireMsg::SlotFrame {
                 slot,
-                epoch,
-                statics,
-                pdu_spot,
+                constraints,
                 tasks,
             } => {
                 enc.put_u8(1);
                 enc.put_u64(slot.index());
-                enc.put_u64(*epoch);
-                match statics {
-                    Some(s) => {
-                        enc.put_bool(true);
-                        s.persist(enc);
-                    }
-                    None => enc.put_bool(false),
-                }
-                enc.put_usize(pdu_spot.len());
-                for w in pdu_spot {
-                    enc.put_f64(w.value());
-                }
+                constraints.persist(enc);
                 tasks.persist(enc);
             }
             WireMsg::ShardCleared {
                 slot,
-                epoch,
                 results,
                 cache,
             } => {
                 enc.put_u8(2);
                 enc.put_u64(slot.index());
-                enc.put_u64(*epoch);
                 results.persist(enc);
                 cache.persist(enc);
             }
-            WireMsg::ResyncNeeded { slot, epoch } => {
-                enc.put_u8(3);
-                enc.put_u64(slot.index());
-                enc.put_u64(*epoch);
-            }
-            WireMsg::Shutdown => enc.put_u8(4),
+            WireMsg::Shutdown => enc.put_u8(3),
         }
     }
 
     fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         match dec.get_u8()? {
             0 => Ok(WireMsg::AssignShard {
-                shard: dec.get_u64()?,
-                shard_count: dec.get_u64()?,
                 clearing: ClearingConfig::restore(dec)?,
             }),
-            1 => {
-                let slot = Slot::new(dec.get_u64()?);
-                let epoch = dec.get_u64()?;
-                let statics = if dec.get_bool()? {
-                    Some(ConstraintSet::restore(dec)?)
-                } else {
-                    None
-                };
-                let n = dec.get_usize()?;
-                if n > dec.remaining() {
-                    return Err(DecodeError::BadLength(n as u64));
-                }
-                let mut pdu_spot = Vec::with_capacity(n);
-                for _ in 0..n {
-                    pdu_spot.push(Watts::new(dec.get_f64()?));
-                }
-                Ok(WireMsg::SlotFrame {
-                    slot,
-                    epoch,
-                    statics,
-                    pdu_spot,
-                    tasks: Vec::restore(dec)?,
-                })
-            }
+            1 => Ok(WireMsg::SlotFrame {
+                slot: Slot::new(dec.get_u64()?),
+                constraints: ConstraintSet::restore(dec)?,
+                tasks: Vec::restore(dec)?,
+            }),
             2 => Ok(WireMsg::ShardCleared {
                 slot: Slot::new(dec.get_u64()?),
-                epoch: dec.get_u64()?,
                 results: Vec::restore(dec)?,
                 cache: ClearingCacheStats::restore(dec)?,
             }),
-            3 => Ok(WireMsg::ResyncNeeded {
-                slot: Slot::new(dec.get_u64()?),
-                epoch: dec.get_u64()?,
-            }),
-            4 => Ok(WireMsg::Shutdown),
+            3 => Ok(WireMsg::Shutdown),
             tag => Err(DecodeError::Invalid(format!(
                 "unknown wire message tag {tag:#04x}"
             ))),
@@ -341,51 +186,17 @@ impl Persist for WireMsg {
     }
 }
 
-// Tags 2 and 4 were the per-task delta variants; they stay retired so
-// an old peer's delta frame is a clean decode error, not a misread.
 impl Persist for TaskShip {
     fn persist(&self, enc: &mut Encoder) {
-        match self {
-            TaskShip::Market { ups_spot, bids } => {
-                enc.put_u8(1);
-                enc.put_f64(ups_spot.value());
-                bids.persist(enc);
-            }
-            TaskShip::MaxPerf { ups_spot, gains } => {
-                enc.put_u8(3);
-                enc.put_f64(ups_spot.value());
-                enc.put_usize(gains.len());
-                for (rack, gain) in gains {
-                    enc.put_usize(rack.index());
-                    gain.persist(enc);
-                }
-            }
-        }
+        enc.put_f64(self.ups_spot.value());
+        self.bids.persist(enc);
     }
 
     fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.get_u8()? {
-            1 => Ok(TaskShip::Market {
-                ups_spot: Watts::new(dec.get_f64()?),
-                bids: Vec::restore(dec)?,
-            }),
-            3 => {
-                let ups_spot = Watts::new(dec.get_f64()?);
-                let n = dec.get_usize()?;
-                if n > dec.remaining() {
-                    return Err(DecodeError::BadLength(n as u64));
-                }
-                let mut gains = BTreeMap::new();
-                for _ in 0..n {
-                    let rack = RackId::new(dec.get_usize()?);
-                    gains.insert(rack, ConcaveGain::restore(dec)?);
-                }
-                Ok(TaskShip::MaxPerf { ups_spot, gains })
-            }
-            tag => Err(DecodeError::Invalid(format!(
-                "unknown task-ship tag {tag:#04x}"
-            ))),
-        }
+        Ok(TaskShip {
+            ups_spot: Watts::new(dec.get_f64()?),
+            bids: Vec::restore(dec)?,
+        })
     }
 }
 
@@ -408,46 +219,6 @@ impl Persist for ClearingCacheStats {
             candidates_total: dec.get_u64()?,
             candidates_swept: dec.get_u64()?,
         })
-    }
-}
-
-impl Persist for ClearResult {
-    fn persist(&self, enc: &mut Encoder) {
-        match self {
-            ClearResult::Market(outcome) => {
-                enc.put_u8(0);
-                outcome.persist(enc);
-            }
-            ClearResult::MaxPerf(grants) => {
-                enc.put_u8(1);
-                enc.put_usize(grants.len());
-                for (rack, grant) in grants {
-                    enc.put_usize(rack.index());
-                    enc.put_f64(grant.value());
-                }
-            }
-        }
-    }
-
-    fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.get_u8()? {
-            0 => Ok(ClearResult::Market(MarketOutcome::restore(dec)?)),
-            1 => {
-                let n = dec.get_usize()?;
-                if n > dec.remaining() {
-                    return Err(DecodeError::BadLength(n as u64));
-                }
-                let mut grants = BTreeMap::new();
-                for _ in 0..n {
-                    let rack = RackId::new(dec.get_usize()?);
-                    grants.insert(rack, Watts::new(dec.get_f64()?));
-                }
-                Ok(ClearResult::MaxPerf(grants))
-            }
-            tag => Err(DecodeError::Invalid(format!(
-                "unknown clear-result tag {tag:#04x}"
-            ))),
-        }
     }
 }
 
@@ -545,28 +316,6 @@ impl Persist for DemandBid {
     }
 }
 
-impl Persist for ConcaveGain {
-    fn persist(&self, enc: &mut Encoder) {
-        enc.put_usize(self.segments().len());
-        for &(watts, slope) in self.segments() {
-            enc.put_f64(watts);
-            enc.put_f64(slope);
-        }
-    }
-
-    fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let n = dec.get_usize()?;
-        if n > dec.remaining() {
-            return Err(DecodeError::BadLength(n as u64));
-        }
-        let mut segments = Vec::with_capacity(n);
-        for _ in 0..n {
-            segments.push((dec.get_f64()?, dec.get_f64()?));
-        }
-        ConcaveGain::new(segments).map_err(|e| DecodeError::Invalid(e.to_string()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -627,15 +376,6 @@ mod tests {
         ]
     }
 
-    fn sample_gains() -> BTreeMap<RackId, ConcaveGain> {
-        [(
-            RackId::new(1),
-            ConcaveGain::new(vec![(20.0, 2.0), (15.0, 0.5)]).unwrap(),
-        )]
-        .into_iter()
-        .collect()
-    }
-
     fn sample_messages() -> Vec<WireMsg> {
         let constraints = sample_constraints();
         let outcome = crate::clearing::MarketClearing::new(ClearingConfig::default()).clear(
@@ -645,51 +385,30 @@ mod tests {
         );
         vec![
             WireMsg::AssignShard {
-                shard: 1,
-                shard_count: 4,
                 clearing: ClearingConfig::grid(Price::cents_per_kw_hour(0.5)),
             },
             WireMsg::SlotFrame {
                 slot: Slot::new(7),
-                epoch: 1,
-                statics: Some(constraints),
-                pdu_spot: vec![Watts::new(60.0), Watts::new(30.0)],
+                constraints: constraints.clone(),
                 tasks: vec![
-                    TaskShip::Market {
+                    TaskShip {
                         ups_spot: Watts::new(40.0),
                         bids: sample_bids(),
                     },
-                    TaskShip::MaxPerf {
-                        ups_spot: Watts::new(30.0),
-                        gains: sample_gains(),
-                    },
-                ],
-            },
-            WireMsg::SlotFrame {
-                slot: Slot::new(8),
-                epoch: 2,
-                statics: None,
-                pdu_spot: vec![Watts::new(55.0), Watts::new(35.0)],
-                tasks: vec![
-                    TaskShip::MaxPerf {
-                        ups_spot: Watts::new(28.0),
-                        gains: sample_gains(),
-                    },
-                    TaskShip::Market {
+                    TaskShip {
                         ups_spot: Watts::new(42.0),
                         bids: sample_bids().split_off(1),
                     },
                 ],
             },
+            WireMsg::SlotFrame {
+                slot: Slot::new(8),
+                constraints,
+                tasks: Vec::new(),
+            },
             WireMsg::ShardCleared {
                 slot: Slot::new(7),
-                epoch: 2,
-                results: vec![
-                    ClearResult::Market(outcome),
-                    ClearResult::MaxPerf(
-                        [(RackId::new(1), Watts::new(12.5))].into_iter().collect(),
-                    ),
-                ],
+                results: vec![outcome],
                 cache: ClearingCacheStats {
                     full_sweeps: 3,
                     cache_hits: 11,
@@ -698,10 +417,6 @@ mod tests {
                     candidates_total: 900,
                     candidates_swept: 41,
                 },
-            },
-            WireMsg::ResyncNeeded {
-                slot: Slot::new(9),
-                epoch: 0,
             },
             WireMsg::Shutdown,
         ]
@@ -729,45 +444,19 @@ mod tests {
 
     #[test]
     fn unknown_tags_and_trailing_bytes_are_clean_errors() {
-        assert!(matches!(
-            WireMsg::decode(&[0xfe]),
-            Err(WireError::Decode(DecodeError::Invalid(_)))
-        ));
+        for tag in [4, 0xfe] {
+            assert!(matches!(
+                WireMsg::decode(&[tag]),
+                Err(DecodeError::Invalid(m)) if m.contains("unknown wire message tag")
+            ));
+        }
         let mut bytes = WireMsg::Shutdown.encode();
         bytes.push(0);
-        assert!(matches!(
-            WireMsg::decode(&bytes),
-            Err(WireError::Decode(DecodeError::TrailingBytes(1)))
-        ));
+        assert_eq!(WireMsg::decode(&bytes), Err(DecodeError::TrailingBytes(1)));
         assert!(matches!(
             WireMsg::decode(&[]),
-            Err(WireError::Decode(DecodeError::UnexpectedEnd { .. }))
+            Err(DecodeError::UnexpectedEnd { .. })
         ));
-        // The retired delta task tags (2, 4) and the retired stateless
-        // tag (0) fail the whole frame — no partially built `SlotFrame`.
-        let frame = |tasks| WireMsg::SlotFrame {
-            slot: Slot::new(8),
-            epoch: 2,
-            statics: None,
-            pdu_spot: vec![Watts::new(55.0)],
-            tasks,
-        };
-        let head = frame(Vec::new()).encode().len();
-        let good = frame(vec![TaskShip::MaxPerf {
-            ups_spot: Watts::new(28.0),
-            gains: sample_gains(),
-        }])
-        .encode();
-        assert_eq!(good[head], 3, "the first task's tag follows the count");
-        for tag in [0, 2, 4, 5, 0xff] {
-            let mut bytes = good.clone();
-            bytes[head] = tag;
-            let err = WireMsg::decode(&bytes).unwrap_err();
-            assert!(
-                matches!(&err, WireError::Decode(DecodeError::Invalid(m)) if m.contains("task-ship tag")),
-                "tag {tag}: {err}"
-            );
-        }
     }
 
     #[test]
@@ -800,7 +489,7 @@ mod tests {
                             assert!(read.encode().len() <= damaged.len(), "byte {at} = {value}");
                             decoded += 1;
                         }
-                        Err(WireError::Decode(_) | WireError::UnknownMessage(_)) => refused += 1,
+                        Err(_) => refused += 1,
                     }
                 }
             }
@@ -815,8 +504,7 @@ mod tests {
 
     #[test]
     fn wire_errors_render_their_cause() {
-        let e = WireError::from(DecodeError::BadBool(7));
-        assert!(e.to_string().contains("does not decode"));
-        assert!(WireError::UnknownMessage(0xab).to_string().contains("0xab"));
+        let e = WireMsg::decode(&[0xab]).unwrap_err();
+        assert!(e.to_string().contains("0xab"), "{e}");
     }
 }

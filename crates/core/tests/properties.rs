@@ -7,8 +7,8 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use spotdc_core::demand::{DemandBid, FullBid, LinearBid, StepBid};
 use spotdc_core::{
-    max_perf_allocate, ClearResult, ClearingConfig, ConcaveGain, ConstraintSet, MarketClearing,
-    MarketOutcome, RackBid, TaskShip,
+    max_perf_allocate, ClearingConfig, ConcaveGain, ConstraintSet, MarketClearing, MarketOutcome,
+    RackBid, TaskShip,
 };
 use spotdc_durable::{Decoder, Encoder, Persist};
 use spotdc_power::topology::TopologyBuilder;
@@ -473,15 +473,15 @@ proptest! {
         spot_scale in prop_oneof![Just(0.0), Just(1.0), Just(1.0)],
         ups in 0.0..350.0f64,
         zoned in prop_oneof![Just(false), Just(true)],
-        fills in prop::collection::vec((0.0..350.0f64, 1.0..60.0f64, 0.0001..0.01f64), 0..3),
+        wides in prop::collection::vec(0.0..350.0f64, 0..3),
     ) {
         // `clear_tasks` walks a run of tasks against one retained
         // constraint set and one scratch; the reference gives every
-        // task its own `constraints.clone().with_ups_spot(share)` — a
-        // market task on a cold engine held to the independent oracle,
-        // a MaxPerf task through `max_perf_allocate`. The run is the
-        // per-PDU sub-markets with water-filling tasks in between, in
-        // the shapes the walk could get wrong: PDUs with no bids
+        // task its own `constraints.clone().with_ups_spot(share)` on a
+        // cold engine held to the independent oracle. The run is the
+        // per-PDU sub-markets with whole-facility markets at other UPS
+        // shares in between, in the shapes the walk could get wrong:
+        // PDUs with no bids
         // (`None` slots), bids on racks no PDU feeds (the last
         // `orphans` racks are outside the topology), every share zero
         // (`spot_scale` 0), a single PDU, and a never-binding heat zone
@@ -506,48 +506,34 @@ proptest! {
             .filter_map(|(i, b)| Some(RackBid::new(RackId::new(i), b.clone()?)))
             .collect();
         let engine = MarketClearing::new(ClearingConfig::grid(step()));
-        let markets: Vec<TaskShip> = engine
-            .per_pdu_submarket_shares(&rack_bids, &cs)
-            .into_iter()
-            .map(|(bids, ups_spot)| TaskShip::Market { ups_spot, bids })
+        let fed: Vec<RackBid> = rack_bids
+            .iter()
+            .filter(|b| cs.pdu_of(b.rack()).is_some())
+            .cloned()
             .collect();
-        let mut fills = fills.iter().enumerate().map(|(i, &(share, watts, slope))| {
-            let gain = ConcaveGain::new(vec![(watts, slope)]).expect("valid");
-            TaskShip::MaxPerf {
-                ups_spot: Watts::new(share),
-                gains: [(RackId::new(i % racks), gain)].into_iter().collect(),
-            }
+        let mut wides = wides.iter().map(|&share| TaskShip {
+            ups_spot: Watts::new(share),
+            bids: fed.clone(),
         });
         let mut tasks = Vec::new();
-        for market in &markets {
-            tasks.push(market.clone());
-            tasks.extend(fills.next());
+        let mut submarkets = Vec::new();
+        for sub in engine.per_pdu_submarket_shares(&rack_bids, &cs) {
+            submarkets.push(tasks.len());
+            tasks.push(TaskShip { ups_spot: sub.1, bids: sub.0 });
+            tasks.extend(wides.next());
         }
-        tasks.extend(fills);
+        tasks.extend(wides);
         let walked = engine.clear_tasks(Slot::ZERO, &mut cs.clone(), &tasks);
         prop_assert_eq!(walked.len(), tasks.len());
         for (got, task) in walked.iter().zip(&tasks) {
-            let want = match task {
-                TaskShip::Market { ups_spot, bids } => {
-                    ClearResult::Market(clear_checked(bids, &cs.clone().with_ups_spot(*ups_spot)))
-                }
-                TaskShip::MaxPerf { ups_spot, gains } => {
-                    ClearResult::MaxPerf(max_perf_allocate(gains, &cs.clone().with_ups_spot(*ups_spot)))
-                }
-            };
+            let want = clear_checked(&task.bids, &cs.clone().with_ups_spot(task.ups_spot));
             prop_assert_eq!(got, &want);
         }
-        // `clear_per_pdu` is the same walk over the market tasks alone.
-        let per_pdu: Vec<ClearResult> = engine
-            .clear_per_pdu(Slot::ZERO, &rack_bids, &cs)
-            .into_iter()
-            .map(ClearResult::Market)
-            .collect();
-        let market_results: Vec<ClearResult> = walked
-            .into_iter()
-            .filter(|result| matches!(result, ClearResult::Market(_)))
-            .collect();
-        prop_assert_eq!(per_pdu, market_results);
+        // `clear_per_pdu` is the same walk over the sub-markets alone.
+        let per_pdu = engine.clear_per_pdu(Slot::ZERO, &rack_bids, &cs);
+        let sub_results: Vec<MarketOutcome> =
+            submarkets.iter().map(|&i| walked[i].clone()).collect();
+        prop_assert_eq!(per_pdu, sub_results);
     }
 
     #[test]
@@ -875,13 +861,10 @@ proptest! {
         let tasks: Vec<TaskShip> = engine
             .per_pdu_submarket_shares(&bids, &cs)
             .into_iter()
-            .map(|(bids, ups_spot)| TaskShip::Market { ups_spot, bids })
+            .map(|(bids, ups_spot)| TaskShip { ups_spot, bids })
             .collect();
-        for (result, task) in engine.clear_tasks(Slot::ZERO, &mut cs.clone(), &tasks).iter().zip(&tasks) {
-            let (ClearResult::Market(out), TaskShip::Market { ups_spot, bids }) = (result, task) else {
-                unreachable!("market tasks clear to market results");
-            };
-            assert_grants_at_price(out, bids, &cs.clone().with_ups_spot(*ups_spot));
+        for (out, task) in engine.clear_tasks(Slot::ZERO, &mut cs.clone(), &tasks).iter().zip(&tasks) {
+            assert_grants_at_price(out, &task.bids, &cs.clone().with_ups_spot(task.ups_spot));
         }
     }
 }
@@ -933,8 +916,10 @@ proptest! {
         let mut cs = with_raw_headrooms(&cs, &headrooms);
         let warm = MarketClearing::new(ClearingConfig::grid(step()));
         for _ in 0..2 {
-            let at: Vec<Watts> = (0..pdus).map(|p| spots[p].watts(pdu_reach(&bids, &cs, p))).collect();
-            cs.set_pdu_spot(&at);
+            let at: Vec<f64> =
+                (0..pdus).map(|p| spots[p].watts(pdu_reach(&bids, &cs, p)).value()).collect();
+            let (_, spotted) = wide_market(&picks, pdus, &silent, tall, &placeholder, &at, ups);
+            cs = with_raw_headrooms(&spotted, &headrooms);
             let out = clear_checked(&bids, &cs);
             prop_assert_eq!(&warm.clear(Slot::ZERO, &bids, &cs), &out);
             bids.reverse();

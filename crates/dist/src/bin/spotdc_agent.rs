@@ -2,14 +2,15 @@
 //!
 //! Speaks the framed wire protocol on stdin/stdout — length-prefixed,
 //! CRC-32-checked payloads carrying [`spotdc_core::WireMsg`] — and
-//! clears whatever slot frames the controller sends. The agent holds a
-//! *session* (the static constraint layers and one clearing engine) so
-//! the controller ships the statics once, but all cross-slot market
-//! state — balances, meters, emergencies — lives at the controller;
-//! losing this process loses nothing but a cache.
+//! answers each slot frame from that frame alone: its tasks clear
+//! against its constraint set on the one clearing engine the
+//! `AssignShard` handshake built. All cross-slot market state —
+//! balances, meters, emergencies — lives at the controller; losing this
+//! process loses nothing a respawn's handshake does not restore.
 //!
 //! Exit status: 0 after a clean `Shutdown`, 1 on a damaged stream,
-//! an undecodable payload, or end of input without `Shutdown`.
+//! an undecodable payload, a slot frame before `AssignShard`, or end of
+//! input without `Shutdown`.
 
 use std::io::{self, Read, Write};
 use std::process::ExitCode;
@@ -48,7 +49,7 @@ fn serve(input: &mut impl Read, output: &mut impl Write) -> io::Result<()> {
         if matches!(msg, WireMsg::Shutdown) {
             return Ok(());
         }
-        if let Some(reply) = agent.handle(msg) {
+        if let Some(reply) = agent.handle(msg)? {
             reply_payload = reply.encode_into(reply_payload);
             reply_frame.clear();
             frame::write_frame(&mut reply_frame, &reply_payload)?;

@@ -1,6 +1,5 @@
-//! The controller's side of the split: session bookkeeping,
-//! dispatching slot frames across shard agents and merging replies
-//! deterministically.
+//! The controller's side of the split: dispatching slot frames across
+//! shard agents and merging replies deterministically.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -8,10 +7,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use spotdc_core::{
-    ClearResult, ClearingCacheStats, ClearingConfig, ConstraintSet, TaskShip, WireMsg,
+    ClearingCacheStats, ClearingConfig, ConstraintSet, MarketOutcome, TaskShip, WireMsg,
 };
 use spotdc_telemetry::Event;
-use spotdc_units::{MonotonicNanos, Slot, Watts};
+use spotdc_units::{MonotonicNanos, Slot};
 
 use crate::transport::{agent_binary, InProcTransport, ShardTransport, SubprocessTransport};
 use crate::TransportKind;
@@ -19,7 +18,8 @@ use crate::TransportKind;
 /// How many times a dead shard may be respawned before its tasks
 /// degrade permanently. Respawns happen at the next dispatch, never
 /// mid-slot: the slot that observed the death still degrades (the
-/// paper's comms-loss rule), and the replacement is sent the statics.
+/// paper's comms-loss rule), and the replacement needs only the
+/// `AssignShard` handshake.
 const RESPAWN_BUDGET: u32 = 3;
 
 // Process-wide wire accounting, relaxed-atomic like the PR 1 telemetry
@@ -94,19 +94,16 @@ struct FrameTally {
 /// merge, which is what keeps reports byte-identical regardless of how
 /// many shards run or how fast each one answers.
 ///
-/// [`Self::clear_session`] is the one dispatch path: the runtime ships
-/// the static constraint layers once per (re)sync and every task whole
-/// every slot, and re-sends a frame with statics attached whenever a
-/// shard answers `ResyncNeeded` (fresh restart, epoch gap) — a shard
-/// clears against exactly the statics the controller holds or not at
-/// all, so the merge bytes never depend on which path ran.
+/// [`Self::clear_tasks`] is the one dispatch path: every frame
+/// carries the slot's constraint set and the shard's tasks, so a shard
+/// clears against exactly the constraints the controller built.
 ///
 /// A shard whose transport fails — send error, torn or corrupt frame,
 /// short or mismatched reply, dead process — is marked dead; its tasks
 /// come back as `None` for that slot and the caller degrades those
 /// sub-markets to "no spot capacity" (the paper's comms-loss rule). At
 /// the *next* dispatch the runtime respawns the shard (bounded by a
-/// small budget) and sends it the statics, so a transient agent crash
+/// small budget) and re-sends the handshake, so a transient agent crash
 /// costs exactly the slots it was dead for.
 #[derive(Debug)]
 pub struct ShardRuntime {
@@ -116,29 +113,20 @@ pub struct ShardRuntime {
     /// The agent binary resolved at startup, so respawns use the same
     /// executable even if `SPOTDC_AGENT_BIN` changes mid-run.
     binary: Option<PathBuf>,
-    /// The static constraint layers the current shard sessions were
-    /// synced with; a bitwise mismatch forces a resync everywhere.
-    statics: Option<ConstraintSet>,
 }
 
 #[derive(Debug)]
 struct ShardConn {
     transport: Box<dyn ShardTransport>,
     alive: bool,
-    /// Whether the shard's session holds the current statics — cleared
-    /// on death, respawn, and statics change; set when a
-    /// statics-bearing frame is shipped.
-    synced: bool,
-    /// Epoch of the last frame sent to this shard.
-    epoch: u64,
     respawns_left: u32,
     /// The shard's last reported clear counters.
     cache: ClearingCacheStats,
 }
 
 impl ShardRuntime {
-    /// Starts `count` shard agents over `kind` transports and assigns
-    /// each its shard index and the clearing configuration.
+    /// Starts `count` shard agents over `kind` transports and hands
+    /// each the clearing configuration.
     ///
     /// # Errors
     ///
@@ -167,8 +155,6 @@ impl ShardRuntime {
             shards.push(ShardConn {
                 transport: spawn_transport(kind, binary.as_deref())?,
                 alive: true,
-                synced: false,
-                epoch: 0,
                 respawns_left: RESPAWN_BUDGET,
                 cache: ClearingCacheStats::default(),
             });
@@ -178,26 +164,11 @@ impl ShardRuntime {
             kind,
             clearing,
             binary,
-            statics: None,
         };
         for id in 0..count {
             runtime.assign(Slot::ZERO, id);
         }
         Ok(runtime)
-    }
-
-    /// The number of shards in the topology (dead ones included — the
-    /// task assignment never re-balances, so degradation stays local to
-    /// the failed shard).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The transport the runtime was started with.
-    #[must_use]
-    pub fn kind(&self) -> TransportKind {
-        self.kind
     }
 
     /// How many shards are still serving.
@@ -215,43 +186,30 @@ impl ShardRuntime {
 
     /// The OS pid of each shard's agent process, in shard order (`None`
     /// for in-process shards). The fault-injection harnesses kill
-    /// agents by pid to exercise degradation and resync.
+    /// agents by pid to exercise degradation and respawn.
     #[must_use]
     pub fn agent_pids(&self) -> Vec<Option<u32>> {
         self.shards.iter().map(|s| s.transport.pid()).collect()
     }
 
     /// Dispatches one slot of tasks across the shards and returns one
-    /// entry per task, in task order: `Some(result)` from a healthy
+    /// entry per task, in task order: `Some(outcome)` from a healthy
     /// shard, `None` for every task owned by a dead one.
     ///
-    /// `constraints` is the slot's global constraint set; each task's
-    /// `ups_spot` replaces its UPS capacity shard-side, exactly like
-    /// `constraints.clone().with_ups_spot(share)` locally. The static
-    /// layers travel only when a shard needs a (re)sync, so steady-state
-    /// wire volume is proportional to the slot's bids, not to the
-    /// facility.
-    pub fn clear_session(
+    /// `constraints` is the slot's global constraint set; it travels in
+    /// every shard's frame, and each task's `ups_spot` replaces its UPS
+    /// capacity shard-side, exactly like
+    /// `constraints.clone().with_ups_spot(share)` locally.
+    pub fn clear_tasks(
         &mut self,
         slot: Slot,
         constraints: &ConstraintSet,
         tasks: Vec<TaskShip>,
-    ) -> Vec<Option<ClearResult>> {
+    ) -> Vec<Option<MarketOutcome>> {
         let _span = spotdc_telemetry::span!("dist.clear", slot = slot);
-        let statics_changed = match &self.statics {
-            Some(held) => !held.same_statics(constraints),
-            None => true,
-        };
-        if statics_changed {
-            self.statics = Some(constraints.clone());
-            for conn in &mut self.shards {
-                conn.synced = false;
-            }
-        }
         self.respawn_dead(slot);
         let count = self.shards.len();
         let total = tasks.len();
-        let pdu_spot: Vec<Watts> = constraints.pdu_spots().to_vec();
         let mut per_shard: Vec<Vec<TaskShip>> = (0..count).map(|_| Vec::new()).collect();
         for (i, task) in tasks.into_iter().enumerate() {
             per_shard[i % count].push(task);
@@ -259,20 +217,21 @@ impl ShardRuntime {
         let expected: Vec<usize> = per_shard.iter().map(Vec::len).collect();
         let started = Instant::now();
         let mut tally = FrameTally::default();
-        // Send phase: one coalesced frame per live shard, so the shards
-        // compute concurrently. Each frame is kept until its reply is
-        // in, because a `ResyncNeeded` reply gets the same frame again.
-        let mut frames = Vec::with_capacity(count);
-        for (idx, batch) in per_shard.into_iter().enumerate() {
-            let frame = self.build_frame(idx, slot, &pdu_spot, batch);
+        // Send phase: one self-contained frame per live shard, so the
+        // shards compute concurrently.
+        for (idx, tasks) in per_shard.into_iter().enumerate() {
+            let frame = WireMsg::SlotFrame {
+                slot,
+                constraints: constraints.clone(),
+                tasks,
+            };
             self.send_slot(idx, &frame, &mut tally);
-            frames.push(frame);
         }
         // Receive phase: strictly in shard order, so the merge below is
         // serial and deterministic no matter who finished first.
-        let mut replies: Vec<Option<std::vec::IntoIter<ClearResult>>> = Vec::with_capacity(count);
-        for (idx, (frame, expected)) in frames.into_iter().zip(expected).enumerate() {
-            replies.push(self.recv_cleared(slot, idx, expected, frame, started, &mut tally));
+        let mut replies: Vec<Option<std::vec::IntoIter<MarketOutcome>>> = Vec::with_capacity(count);
+        for (idx, expected) in expected.into_iter().enumerate() {
+            replies.push(self.recv_cleared(slot, idx, expected, started, &mut tally));
         }
         self.finish_slot(slot, tally);
         // Stitch per-shard replies back into task order.
@@ -281,33 +240,6 @@ impl ShardRuntime {
             out.push(replies[i % count].as_mut().and_then(Iterator::next));
         }
         out
-    }
-
-    /// Builds shard `idx`'s frame for the slot: every task whole, plus
-    /// the statics if the shard is not synced (it is considered synced
-    /// once they ship).
-    fn build_frame(
-        &mut self,
-        idx: usize,
-        slot: Slot,
-        pdu_spot: &[Watts],
-        tasks: Vec<TaskShip>,
-    ) -> WireMsg {
-        let conn = &mut self.shards[idx];
-        conn.epoch += 1;
-        let statics = if conn.synced {
-            None
-        } else {
-            self.statics.clone()
-        };
-        conn.synced = true;
-        WireMsg::SlotFrame {
-            slot,
-            epoch: conn.epoch,
-            statics,
-            pdu_spot: pdu_spot.to_vec(),
-            tasks,
-        }
     }
 
     /// Respawns dead shards that still have respawn budget. Called at
@@ -326,8 +258,6 @@ impl ShardRuntime {
             };
             conn.transport = transport;
             conn.alive = true;
-            conn.synced = false;
-            conn.epoch = 0;
             self.assign(slot, idx);
         }
     }
@@ -337,8 +267,6 @@ impl ShardRuntime {
     /// per-slot tallies).
     fn assign(&mut self, slot: Slot, idx: usize) {
         let msg = WireMsg::AssignShard {
-            shard: idx as u64,
-            shard_count: self.shards.len() as u64,
             clearing: self.clearing,
         };
         let conn = &mut self.shards[idx];
@@ -359,19 +287,15 @@ impl ShardRuntime {
                     });
                 }
             }
-            Err(_) => {
-                conn.alive = false;
-                conn.synced = false;
-            }
+            Err(_) => conn.alive = false,
         }
     }
 
     /// Sends a slot frame to shard `idx`, marking it dead on failure.
-    /// Returns whether the send succeeded.
-    fn send_slot(&mut self, idx: usize, msg: &WireMsg, tally: &mut FrameTally) -> bool {
+    fn send_slot(&mut self, idx: usize, msg: &WireMsg, tally: &mut FrameTally) {
         let conn = &mut self.shards[idx];
         if !conn.alive {
-            return false;
+            return;
         }
         match conn.transport.send(msg) {
             Ok(bytes) => {
@@ -382,74 +306,41 @@ impl ShardRuntime {
                 }
                 FRAMES_SENT.fetch_add(1, Ordering::Relaxed);
                 BYTES_SENT.fetch_add(bytes, Ordering::Relaxed);
-                true
             }
-            Err(_) => {
-                conn.alive = false;
-                conn.synced = false;
-                false
-            }
+            Err(_) => conn.alive = false,
         }
     }
 
-    /// Receives one reply from shard `idx`, accounting the bytes.
-    /// Returns `None` (and kills the shard) on transport failure.
-    fn recv_reply(&mut self, idx: usize, tally: &mut FrameTally) -> Option<WireMsg> {
-        match self.shards[idx].transport.recv() {
-            Ok((msg, bytes)) => {
-                tally.frames_recv += 1;
-                tally.bytes_recv += bytes;
-                FRAMES_RECV.fetch_add(1, Ordering::Relaxed);
-                BYTES_RECV.fetch_add(bytes, Ordering::Relaxed);
-                Some(msg)
-            }
-            Err(_) => {
-                self.kill(idx);
-                None
-            }
-        }
-    }
-
-    /// Receives shard `idx`'s reply to `frame`. A `ResyncNeeded` reply
-    /// gets one retry — the same frame with statics attached and the
-    /// epoch bumped; anything else but a well-formed `ShardCleared` for
-    /// the right slot and epoch with one result per task kills the
-    /// shard.
+    /// Receives shard `idx`'s reply to its slot frame, accounting the
+    /// bytes. A transport failure, or anything but a well-formed
+    /// `ShardCleared` for the right slot with one outcome per task,
+    /// kills the shard.
     fn recv_cleared(
         &mut self,
         slot: Slot,
         idx: usize,
         expected: usize,
-        mut frame: WireMsg,
         started: Instant,
         tally: &mut FrameTally,
-    ) -> Option<std::vec::IntoIter<ClearResult>> {
-        if !self.shards[idx].alive {
+    ) -> Option<std::vec::IntoIter<MarketOutcome>> {
+        let conn = &mut self.shards[idx];
+        if !conn.alive {
             return None;
         }
-        let mut reply = self.recv_reply(idx, tally)?;
-        if matches!(reply, WireMsg::ResyncNeeded { .. }) {
-            self.shards[idx].epoch += 1;
-            if let WireMsg::SlotFrame { epoch, statics, .. } = &mut frame {
-                *epoch = self.shards[idx].epoch;
-                statics.clone_from(&self.statics);
-            }
-            if !self.send_slot(idx, &frame, tally) {
-                return None;
-            }
-            reply = self.recv_reply(idx, tally)?;
-        }
+        let reply = conn.transport.recv().ok().map(|(msg, bytes)| {
+            tally.frames_recv += 1;
+            tally.bytes_recv += bytes;
+            FRAMES_RECV.fetch_add(1, Ordering::Relaxed);
+            BYTES_RECV.fetch_add(bytes, Ordering::Relaxed);
+            msg
+        });
         match reply {
-            WireMsg::ShardCleared {
+            Some(WireMsg::ShardCleared {
                 slot: reply_slot,
-                epoch,
                 results,
                 cache,
-            } if reply_slot == slot
-                && epoch == self.shards[idx].epoch
-                && results.len() == expected =>
-            {
-                self.shards[idx].cache = cache;
+            }) if reply_slot == slot && results.len() == expected => {
+                conn.cache = cache;
                 if spotdc_telemetry::is_enabled() {
                     spotdc_telemetry::emit(Event::ShardCleared {
                         slot,
@@ -462,15 +353,10 @@ impl ShardRuntime {
                 Some(results.into_iter())
             }
             _ => {
-                self.kill(idx);
+                conn.alive = false;
                 None
             }
         }
-    }
-
-    fn kill(&mut self, idx: usize) {
-        self.shards[idx].alive = false;
-        self.shards[idx].synced = false;
     }
 
     /// Emits the slot's one aggregated `ShardRpc` event.
@@ -527,7 +413,7 @@ mod tests {
     /// shared [`constraints`].
     fn tasks() -> Vec<TaskShip> {
         vec![
-            TaskShip::Market {
+            TaskShip {
                 bids: vec![RackBid::new(
                     RackId::new(0),
                     LinearBid::new(
@@ -541,7 +427,7 @@ mod tests {
                 )],
                 ups_spot: Watts::new(35.0),
             },
-            TaskShip::Market {
+            TaskShip {
                 bids: vec![RackBid::new(
                     RackId::new(1),
                     StepBid::new(Watts::new(25.0), Price::per_kw_hour(0.2))
@@ -558,23 +444,16 @@ mod tests {
         let slot = Slot::new(11);
         let direct = MarketClearing::new(ClearingConfig::default());
         let shared = constraints();
-        let want: Vec<ClearResult> = tasks()
+        let want: Vec<MarketOutcome> = tasks()
             .iter()
-            .map(|t| {
-                let TaskShip::Market { bids, ups_spot } = t else {
-                    unreachable!()
-                };
-                let local = shared.clone().with_ups_spot(*ups_spot);
-                ClearResult::Market(direct.clear(slot, bids, &local))
-            })
+            .map(|t| direct.clear(slot, &t.bids, &shared.clone().with_ups_spot(t.ups_spot)))
             .collect();
         for width in [1, 2, 3] {
             let mut runtime =
                 ShardRuntime::new(width, TransportKind::InProc, ClearingConfig::default()).unwrap();
-            assert_eq!(runtime.shard_count(), width);
             assert_eq!(runtime.live_shards(), width);
-            let got: Vec<ClearResult> = runtime
-                .clear_session(slot, &shared, tasks())
+            let got: Vec<MarketOutcome> = runtime
+                .clear_tasks(slot, &shared, tasks())
                 .into_iter()
                 .map(|r| r.expect("healthy shards answer every task"))
                 .collect();
@@ -583,11 +462,10 @@ mod tests {
     }
 
     #[test]
-    fn session_clearing_matches_direct_clearing_over_warm_slots() {
-        // Per-PDU sub-markets, cleared as a session across several
-        // slots with varying bids and capacities, must match the serial
-        // engine bit for bit at every width — the statics-bearing
-        // (slot 0) and statics-less (later slots) frames merge alike.
+    fn per_pdu_clearing_matches_direct_clearing_over_slots() {
+        // Per-PDU sub-markets, cleared on the same shards across
+        // several slots with varying bids and capacities, must match
+        // the serial engine bit for bit at every width.
         let topo = TopologyBuilder::new(Watts::new(400.0))
             .pdu(Watts::new(200.0))
             .rack(TenantId::new(0), Watts::new(100.0), Watts::new(50.0))
@@ -609,7 +487,7 @@ mod tests {
                     Watts::new(70.0 - v),
                 );
                 // Rack 0's bid churns every slot; the others hold
-                // still, so one shard engine sees hits and full sweeps.
+                // still.
                 let bids = vec![
                     RackBid::new(
                         RackId::new(0),
@@ -631,25 +509,21 @@ mod tests {
                     ),
                 ];
                 let shares = direct.per_pdu_submarket_shares(&bids, &constraints);
-                let want: Vec<ClearResult> = shares
+                let want: Vec<MarketOutcome> = shares
                     .iter()
                     .map(|(group, share)| {
-                        ClearResult::Market(direct.clear(
-                            slot,
-                            group,
-                            &constraints.clone().with_ups_spot(*share),
-                        ))
+                        direct.clear(slot, group, &constraints.clone().with_ups_spot(*share))
                     })
                     .collect();
-                let session_tasks: Vec<TaskShip> = shares
+                let slot_tasks: Vec<TaskShip> = shares
                     .into_iter()
-                    .map(|(group, share)| TaskShip::Market {
+                    .map(|(group, share)| TaskShip {
                         bids: group,
                         ups_spot: share,
                     })
                     .collect();
-                let got: Vec<ClearResult> = runtime
-                    .clear_session(slot, &constraints, session_tasks)
+                let got: Vec<MarketOutcome> = runtime
+                    .clear_tasks(slot, &constraints, slot_tasks)
                     .into_iter()
                     .map(|r| r.expect("healthy shards answer every task"))
                     .collect();
@@ -665,7 +539,7 @@ mod tests {
             ShardRuntime::new(2, TransportKind::InProc, ClearingConfig::default()).unwrap();
         for s in 0..2 {
             assert!(runtime
-                .clear_session(Slot::new(s), &constraints(), Vec::new())
+                .clear_tasks(Slot::new(s), &constraints(), Vec::new())
                 .is_empty());
         }
         assert_eq!(runtime.live_shards(), 2);

@@ -4,19 +4,18 @@
 //! owning a disjoint set of PDU sub-markets, while the controller (the
 //! simulation pipeline) keeps everything stateful at the market level:
 //! bid collection, UPS-level constraint construction, the serial
-//! in-order merge, settlement and reporting. Below the market level the
-//! wire protocol is a *session* ([`spotdc_core::wire`]): each shard
-//! retains the static constraint layers and one clearing engine across
-//! slots, so the controller ships statics once per (re)sync and every
-//! task whole every slot — the whole slot travels as one coalesced
-//! [`WireMsg::SlotFrame`] per shard per direction. A shard that holds
-//! no statics for a frame (restart, epoch gap) answers `ResyncNeeded`
-//! without mutating and is re-sent the same frame with statics
-//! attached. Because the merge is in shard order and a shard clears
-//! against exactly the controller's statics or not at all, reports stay
+//! in-order merge, settlement and reporting. Below the market level a
+//! clear is a pure function of one slot's bids and constraints, so the
+//! wire protocol ([`spotdc_core::wire`]) holds no session: the whole
+//! slot travels as one self-contained [`WireMsg::SlotFrame`] per shard
+//! per direction — the slot's constraint set plus the shard's market
+//! tasks down, the outcomes up — and an agent answers each frame from
+//! that frame alone. Because the merge is in shard order and a shard
+//! clears against exactly the controller's constraint set, reports stay
 //! byte-identical across shard counts and transports — the same
 //! discipline the golden-report guard enforces for every other axis of
-//! the system.
+//! the system. Only market modes distribute: MaxPerf's water-filling is
+//! one indivisible task and runs in-process.
 //!
 //! Two transports implement the one [`ShardTransport`] trait:
 //!
@@ -31,11 +30,11 @@
 //!
 //! Failure semantics follow the paper's comms-loss rule: a dead agent
 //! or damaged frame degrades that shard's sub-markets to "no spot
-//! capacity" at the controller ([`ShardRuntime::clear_session`] returns
+//! capacity" at the controller ([`ShardRuntime::clear_tasks`] returns
 //! `None` for its tasks) for the slots it is down; at the next dispatch
-//! the controller respawns it (bounded budget) and resyncs it.
-//! The market never invents capacity and never crashes. See DESIGN.md
-//! §15–§16 for the topology, the session protocol and the resync rules.
+//! the controller respawns it (bounded budget) and re-sends the
+//! `AssignShard` handshake. The market never invents capacity and
+//! never crashes. See DESIGN.md §15 for the topology and the protocol.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +47,7 @@ mod transport;
 use spotdc_core::WireMsg;
 
 pub use controller::{wire_totals, ShardRuntime, WireStats};
-pub use shard::{AgentLoop, MarketShard};
+pub use shard::AgentLoop;
 pub use transport::{agent_binary, InProcTransport, ShardTransport, SubprocessTransport};
 
 /// Which transport carries the wire protocol between the controller and

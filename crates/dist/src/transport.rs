@@ -101,7 +101,12 @@ impl InProcTransport {
                     if matches!(msg, WireMsg::Shutdown) {
                         break;
                     }
-                    if let Some(reply) = agent.handle(msg) {
+                    // A protocol error closes the stream, like a damaged
+                    // frame: the controller sees a dead shard.
+                    let Ok(reply) = agent.handle(msg) else {
+                        break;
+                    };
+                    if let Some(reply) = reply {
                         reply_buf = reply.encode_into(reply_buf);
                         let mut framed = Vec::with_capacity(frame::HEADER_LEN + reply_buf.len());
                         if frame::write_frame(&mut framed, &reply_buf).is_err() {
@@ -288,8 +293,6 @@ mod tests {
     fn inproc_transport_round_trips_a_slot() {
         let mut t = InProcTransport::spawn();
         t.send(&WireMsg::AssignShard {
-            shard: 0,
-            shard_count: 1,
             clearing: ClearingConfig::default(),
         })
         .unwrap();
@@ -299,13 +302,11 @@ mod tests {
             .rack(TenantId::new(0), Watts::new(100.0), Watts::new(50.0))
             .build()
             .unwrap();
-        let statics = ConstraintSet::new(&topo, vec![Watts::new(60.0)], Watts::new(60.0));
+        let constraints = ConstraintSet::new(&topo, vec![Watts::new(60.0)], Watts::new(60.0));
         let sent = t
             .send(&WireMsg::SlotFrame {
                 slot: Slot::new(9),
-                epoch: 1,
-                pdu_spot: statics.pdu_spots().to_vec(),
-                statics: Some(statics),
+                constraints,
                 tasks: Vec::new(),
             })
             .unwrap();
@@ -316,7 +317,6 @@ mod tests {
             reply,
             WireMsg::ShardCleared {
                 slot: Slot::new(9),
-                epoch: 1,
                 results: Vec::new(),
                 cache: spotdc_core::ClearingCacheStats::default(),
             }

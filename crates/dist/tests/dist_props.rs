@@ -1,34 +1,34 @@
 //! Property tests for the distributed market layer.
 //!
-//! Three guarantees are exercised: every wire message survives the
+//! Four guarantees are exercised: every wire message survives the
 //! shared length-prefix + CRC-32 frame codec, with damaged frames (torn
 //! tails, flipped bits) failing cleanly instead of panicking or
 //! yielding a bogus message; the controller's serial in-order merge
 //! reproduces the serial clear bit-for-bit for any shard width and any
-//! task arrival order; and a warm session — held statics, epoch
-//! bookkeeping, forced resyncs, agents SIGKILLed mid-sequence — returns
-//! exactly the results of cold clears under arbitrary bid churn,
-//! degrading only the killed shard's tasks. A trio of plain tests then
-//! drives the real `spotdc-agent` subprocess end-to-end: healthy, dead,
-//! and SIGKILLed mid-session.
+//! task arrival order; an agent that has answered any run of frames
+//! answers the next exactly like a fresh one; and shards driven through
+//! bid churn, topology swaps and agents SIGKILLed mid-sequence return
+//! exactly the results of cold clears, degrading only the killed
+//! shard's tasks. A trio of plain tests then drives the real
+//! `spotdc-agent` subprocess end-to-end: healthy, dead, and SIGKILLed
+//! between slots.
 
 /// `spotdc-core`'s independent Eqns. 1–4 reference: [`serial_clear`]
-/// holds itself to it, so "merged equals serial" and "warm equals cold"
+/// holds itself to it, so "merged equals serial" and "warm equals fresh"
 /// never bottom out in the engine agreeing with itself.
 #[path = "../../core/tests/oracle/mod.rs"]
 mod oracle;
 
-use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 use spotdc_core::{
-    frame, max_perf_allocate, ClearResult, ClearingCacheStats, ClearingConfig, ConcaveGain,
-    ConstraintSet, DemandBid, LinearBid, MarketClearing, RackBid, StepBid, TaskShip, WireMsg,
+    frame, ClearingCacheStats, ClearingConfig, ConstraintSet, DemandBid, LinearBid, MarketClearing,
+    MarketOutcome, RackBid, StepBid, TaskShip, WireMsg,
 };
-use spotdc_dist::{ShardRuntime, TransportKind};
+use spotdc_dist::{AgentLoop, ShardRuntime, TransportKind};
 use spotdc_power::topology::TopologyBuilder;
 use spotdc_power::PowerTopology;
 use spotdc_units::{Price, RackId, Slot, TenantId, Watts};
@@ -81,7 +81,7 @@ fn constraints_for(n: usize, p0: f64, p1: f64, ups: f64) -> ConstraintSet {
     )
 }
 
-/// Racks every generated task's bids/gains fit in: tasks of one slot
+/// Racks every generated task's bids fit in: tasks of one slot
 /// clear against one shared [`shared_constraints`] set.
 const TASK_RACKS: usize = 6;
 
@@ -97,7 +97,7 @@ fn market_task() -> impl Strategy<Value = TaskShip> {
         prop::collection::vec(any_bid(), 1..TASK_RACKS),
         0.0..250.0f64,
     )
-        .prop_map(|(bids, ups)| TaskShip::Market {
+        .prop_map(|(bids, ups)| TaskShip {
             bids: positioned(bids),
             ups_spot: Watts::new(ups),
         })
@@ -110,66 +110,27 @@ fn positioned(bids: Vec<DemandBid>) -> Vec<RackBid> {
         .collect()
 }
 
-fn gains_for(segs: &[(f64, f64)]) -> BTreeMap<RackId, ConcaveGain> {
-    segs.iter()
-        .enumerate()
-        .map(|(i, &(w, g))| {
-            let curve = ConcaveGain::new(vec![(w, g), (w / 2.0, g / 2.0)]).expect("descending");
-            (RackId::new(i), curve)
-        })
-        .collect()
-}
-
-/// One water-filling task with strictly concave per-rack gain curves.
-fn maxperf_task() -> impl Strategy<Value = TaskShip> {
-    (
-        prop::collection::vec((5.0..50.0f64, 0.1..3.0f64), 1..TASK_RACKS),
-        0.0..250.0f64,
-    )
-        .prop_map(|(segs, ups)| TaskShip::MaxPerf {
-            gains: gains_for(&segs),
-            ups_spot: Watts::new(ups),
-        })
-}
-
-/// Either task a slot frame can carry.
-fn task_ship() -> impl Strategy<Value = TaskShip> {
-    prop_oneof![market_task(), maxperf_task()]
-}
-
 /// Any message either side of the wire can produce. `ShardCleared`
 /// results come from actually clearing generated tasks, so the heavy
 /// `MarketOutcome` payload is exercised too.
 fn any_message() -> impl Strategy<Value = WireMsg> {
     prop_oneof![
-        (0..16u64, 0..64u64).prop_map(|(count, shard)| WireMsg::AssignShard {
-            shard: shard % (count + 1),
-            shard_count: count + 1,
-            clearing: ClearingConfig::grid(Price::cents_per_kw_hour(0.01)),
+        (1..100u64).prop_map(|cents| WireMsg::AssignShard {
+            clearing: ClearingConfig::grid(Price::cents_per_kw_hour(cents as f64 / 100.0)),
+        }),
+        (0..10_000u64, any_frame()).prop_map(|(s, (constraints, tasks))| WireMsg::SlotFrame {
+            slot: Slot::new(s),
+            constraints,
+            tasks,
         }),
         (
             0..10_000u64,
             0..100u64,
-            prop::option::of((0.0..150.0f64, 0.0..150.0f64, 0.0..250.0f64)),
-            prop::collection::vec(0.0..150.0f64, 0..3),
-            prop::collection::vec(task_ship(), 0..3),
-        )
-            .prop_map(|(s, epoch, statics, pdu_spot, tasks)| WireMsg::SlotFrame {
-                slot: Slot::new(s),
-                epoch,
-                statics: statics.map(|(p0, p1, ups)| constraints_for(4, p0, p1, ups)),
-                pdu_spot: pdu_spot.into_iter().map(Watts::new).collect(),
-                tasks,
-            }),
-        (
-            0..10_000u64,
-            0..100u64,
             shared_constraints(),
-            prop::collection::vec(task_ship(), 0..3)
+            prop::collection::vec(market_task(), 0..3)
         )
-            .prop_map(|(s, epoch, constraints, tasks)| WireMsg::ShardCleared {
+            .prop_map(|(s, n, constraints, tasks)| WireMsg::ShardCleared {
                 slot: Slot::new(s),
-                epoch,
                 results: serial_clear(
                     Slot::new(s),
                     ClearingConfig::default(),
@@ -178,47 +139,126 @@ fn any_message() -> impl Strategy<Value = WireMsg> {
                 ),
                 cache: ClearingCacheStats {
                     full_sweeps: s % 7,
-                    cache_hits: epoch % 5,
+                    cache_hits: n % 5,
                     delta_sweeps: 0,
-                    legacy_scans: epoch % 2,
+                    legacy_scans: n % 2,
                     candidates_total: s,
                     candidates_swept: s / 2,
                 },
             }),
-        (0..10_000u64, 0..100u64).prop_map(|(s, epoch)| WireMsg::ResyncNeeded {
-            slot: Slot::new(s),
-            epoch,
-        }),
         (0..1u64).prop_map(|_| WireMsg::Shutdown),
     ]
 }
 
+/// A bid whose price cap is far past any grid the engine scans: agents
+/// run no admission, so such a bid can arrive off the pipe.
+fn absurd_bid() -> impl Strategy<Value = DemandBid> {
+    (0.0..80.0f64, 100.0..3_000.0f64).prop_map(|(d, q)| {
+        StepBid::new(Watts::new(d), Price::per_kw_hour(q))
+            .expect("valid")
+            .into()
+    })
+}
+
+/// One self-contained slot frame's contents, over the shapes an agent
+/// could carry something across frames by: 2–9 racks over one to three
+/// PDUs, sets with a heat zone, a phase plan, both or neither, empty
+/// task lists and bids with absurd caps.
+fn any_frame() -> impl Strategy<Value = (ConstraintSet, Vec<TaskShip>)> {
+    let task = (
+        prop::collection::vec(
+            prop_oneof![any_bid(), any_bid(), any_bid(), absurd_bid()],
+            0..6,
+        ),
+        0.0..250.0f64,
+    );
+    (
+        2..10usize,
+        1..4usize,
+        prop::collection::vec(0.0..150.0f64, 3),
+        0.0..250.0f64,
+        prop::option::of(0.0..100.0f64),
+        prop::option::of(0.0..60.0f64),
+        prop::collection::vec(task, 0..4),
+    )
+        .prop_map(|(racks, pdus, spots, ups, zone, phases, tasks)| {
+            let mut b = TopologyBuilder::new(Watts::new(1e6));
+            for p in 0..pdus {
+                b = b.pdu(Watts::new(1e5));
+                for i in (0..racks).filter(|i| i * pdus / racks == p) {
+                    b = b.rack(TenantId::new(i), Watts::new(100.0), Watts::new(60.0));
+                }
+            }
+            let topo = b.build().expect("valid topology");
+            let pdu_spot = spots[..pdus].iter().map(|&w| Watts::new(w)).collect();
+            let mut constraints = ConstraintSet::new(&topo, pdu_spot, Watts::new(ups));
+            if let Some(limit) = zone {
+                let aisle = (0..racks / 2).map(RackId::new).collect();
+                constraints = constraints.with_zone("aisle", aisle, Watts::new(limit));
+            }
+            if let Some(limit) = phases {
+                let phase_of = (0..racks).map(|i| (i % 3) as u8).collect();
+                constraints = constraints.with_phases(phase_of, Watts::new(limit));
+            }
+            let tasks = tasks
+                .into_iter()
+                .map(|(mut bids, share)| {
+                    bids.truncate(racks);
+                    TaskShip {
+                        ups_spot: Watts::new(share),
+                        bids: positioned(bids),
+                    }
+                })
+                .collect();
+            (constraints, tasks)
+        })
+}
+
 /// The single-process reference: clear each task directly, in order,
 /// against a clone of the shared set re-pointed at the task's share.
-/// Every market outcome must be the oracle's bit for bit — price,
-/// revenue rate and grants — before anything is compared with it.
+/// Every outcome must be the oracle's bit for bit — price, revenue rate
+/// and grants — before anything is compared with it.
 fn serial_clear(
     slot: Slot,
     clearing: ClearingConfig,
     constraints: &ConstraintSet,
     tasks: &[TaskShip],
-) -> Vec<ClearResult> {
+) -> Vec<MarketOutcome> {
     let engine = MarketClearing::new(clearing);
     tasks
         .iter()
-        .map(|task| match task {
-            TaskShip::Market { bids, ups_spot } => {
-                let local = constraints.clone().with_ups_spot(*ups_spot);
-                let got = engine.clear(slot, bids, &local);
-                oracle::assert_cleared(&got, clearing.price_step, bids, &local);
-                ClearResult::Market(got)
-            }
-            TaskShip::MaxPerf { gains, ups_spot } => ClearResult::MaxPerf(max_perf_allocate(
-                gains,
-                &constraints.clone().with_ups_spot(*ups_spot),
-            )),
+        .map(|task| {
+            let local = constraints.clone().with_ups_spot(task.ups_spot);
+            let got = engine.clear(slot, &task.bids, &local);
+            oracle::assert_cleared(&got, clearing.price_step, &task.bids, &local);
+            got
         })
         .collect()
+}
+
+/// An agent that has taken its `AssignShard` handshake.
+fn assigned_agent(clearing: ClearingConfig) -> AgentLoop {
+    let mut agent = AgentLoop::new();
+    let reply = agent.handle(WireMsg::AssignShard { clearing });
+    assert!(matches!(reply, Ok(None)), "{reply:?}");
+    agent
+}
+
+/// The agent's answer to `frame`, read off the wire and checked to be a
+/// `ShardCleared` for the frame's slot.
+fn answer(agent: &mut AgentLoop, frame: &WireMsg) -> Vec<MarketOutcome> {
+    let WireMsg::SlotFrame { slot, .. } = frame else {
+        panic!("not a slot frame: {frame:?}");
+    };
+    let read = WireMsg::decode(&frame.encode()).expect("a frame round-trips");
+    match agent.handle(read) {
+        Ok(Some(WireMsg::ShardCleared {
+            slot: answered,
+            results,
+            ..
+        })) if answered == *slot => results,
+        other => panic!("expected ShardCleared for {slot:?}, got {other:?}"),
+    }
 }
 
 proptest! {
@@ -273,7 +313,7 @@ proptest! {
     #[test]
     fn controller_merge_matches_the_serial_clear(
         constraints in shared_constraints(),
-        mut tasks in prop::collection::vec(task_ship(), 1..7),
+        mut tasks in prop::collection::vec(market_task(), 1..7),
         width in 1..5usize,
         shuffle_seed in 0..u64::MAX,
     ) {
@@ -287,13 +327,13 @@ proptest! {
         }
         let slot = Slot::new(17);
         let clearing = ClearingConfig::default();
-        let want: Vec<Option<ClearResult>> = serial_clear(slot, clearing, &constraints, &tasks)
+        let want: Vec<Option<MarketOutcome>> = serial_clear(slot, clearing, &constraints, &tasks)
             .into_iter()
             .map(Some)
             .collect();
         let mut runtime = ShardRuntime::new(width, TransportKind::InProc, clearing).unwrap();
         prop_assert_eq!(
-            runtime.clear_session(slot, &constraints, tasks),
+            runtime.clear_tasks(slot, &constraints, tasks),
             want,
             "width {}",
             width
@@ -301,7 +341,38 @@ proptest! {
     }
 }
 
-/// One slot's worth of churn against the running session.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// An agent answers each frame from that frame alone: after any run
+    /// of frames — other topologies, zoned and phased sets, empty task
+    /// lists, absurd caps — its answer to the next one is a fresh
+    /// agent's, and both are the oracle-checked serial clear.
+    #[test]
+    fn a_warm_agent_answers_the_next_frame_like_a_fresh_one(
+        history in prop::collection::vec(any_frame(), 0..5),
+        (constraints, tasks) in any_frame(),
+        s in 0..1_000u64,
+    ) {
+        let clearing = ClearingConfig::default();
+        let mut warm = assigned_agent(clearing);
+        for (i, (constraints, tasks)) in history.into_iter().enumerate() {
+            let frame = WireMsg::SlotFrame {
+                slot: Slot::new(1_000 + i as u64),
+                constraints,
+                tasks,
+            };
+            answer(&mut warm, &frame);
+        }
+        let slot = Slot::new(s);
+        let want = serial_clear(slot, clearing, &constraints, &tasks);
+        let frame = WireMsg::SlotFrame { slot, constraints, tasks };
+        prop_assert_eq!(&answer(&mut warm, &frame), &want);
+        prop_assert_eq!(&answer(&mut assigned_agent(clearing), &frame), &want);
+    }
+}
+
+/// One slot's worth of churn against the running shards.
 #[derive(Debug, Clone)]
 enum Churn {
     /// Replace the demand curve of bid `i % len` (bitwise change).
@@ -310,12 +381,11 @@ enum Churn {
     Remove(usize),
     /// Append a new bid at the tail.
     Add(DemandBid),
-    /// Swap to the alternate topology: different statics, so the
-    /// controller must declare every session stale and resync in full.
-    Restatics,
+    /// Swap to the alternate topology: the next frames carry a
+    /// different constraint set.
+    Retopology,
     /// SIGKILL the agent of shard `i % width` before the slot: its
-    /// tasks degrade for this slot, and the next dispatch respawns and
-    /// resyncs it.
+    /// tasks degrade for this slot, and the next dispatch respawns it.
     Kill(usize),
 }
 
@@ -324,14 +394,14 @@ fn churn_op() -> impl Strategy<Value = Churn> {
         (0..16usize, any_bid()).prop_map(|(i, b)| Churn::Mutate(i, b)),
         (0..16usize).prop_map(Churn::Remove),
         any_bid().prop_map(Churn::Add),
-        (0..1u64).prop_map(|_| Churn::Restatics),
+        (0..1u64).prop_map(|_| Churn::Retopology),
         (0..16usize).prop_map(Churn::Kill),
     ]
 }
 
 /// 12 racks over two PDUs (`alt = false`) or three (`alt = true`); the
-/// rack set is identical, so the same bids clear in both, but the
-/// static layers differ and `same_statics` must say so.
+/// rack set is identical, so the same bids clear in both, against
+/// different constraint sets.
 fn churn_topology(alt: bool) -> PowerTopology {
     let mut b = TopologyBuilder::new(Watts::new(1e6)).pdu(Watts::new(1e5));
     for i in 0..12 {
@@ -346,15 +416,14 @@ fn churn_topology(alt: bool) -> PowerTopology {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The session's correctness bargain: shards that hold the statics
-    /// across slots — through bid churn, statics swaps that force a
-    /// resync everywhere, and agents SIGKILLed mid-sequence — return
-    /// bit-for-bit the results of clearing every slot cold, and a kill
-    /// costs exactly the dead shard's tasks for exactly one slot.
-    /// Exercised across the real wire: framed bytes over pipes to
-    /// `spotdc-agent` children, multiple widths.
+    /// Shards that serve slot after slot — through bid churn, topology
+    /// swaps and agents SIGKILLed mid-sequence — return bit-for-bit the
+    /// results of clearing every slot cold, and a kill costs exactly the
+    /// dead shard's tasks for exactly one slot. Exercised across the
+    /// real wire: framed bytes over pipes to `spotdc-agent` children,
+    /// multiple widths.
     #[test]
-    fn warm_sessions_match_cold_clears_through_churn_resync_and_kills(
+    fn shards_match_cold_clears_through_churn_topology_swaps_and_kills(
         initial in prop::collection::vec(any_bid(), 1..6),
         // At most five slots: a shard is killed at most every other
         // slot, which stays inside the controller's respawn budget.
@@ -371,8 +440,7 @@ proptest! {
         let mut next_rack = bids.len();
         let mut alt = false;
         let mut down = None;
-        let gains = gains_for(&[(30.0, 2.0), (18.0, 1.1)]);
-        for (i, (op, p0, p1, ups, maxperf_ups)) in slots.into_iter().enumerate() {
+        for (i, (op, p0, p1, ups, second_ups)) in slots.into_iter().enumerate() {
             // A shard killed last slot is only respawned by this slot's
             // dispatch: until then its pid names a dead process.
             let respawning = down.take();
@@ -388,7 +456,7 @@ proptest! {
                     bids.push(RackBid::new(RackId::new(next_rack % 12), b));
                     next_rack += 1;
                 }
-                Churn::Restatics => alt = !alt,
+                Churn::Retopology => alt = !alt,
                 Churn::Kill(i) if respawning != Some(i % width) => {
                     sigkill(warm.agent_pids()[i % width].expect("subprocess shards have pids"));
                     down = Some(i % width);
@@ -404,23 +472,23 @@ proptest! {
                 ConstraintSet::new(&churn_topology(alt), pdu_spot, Watts::new(ups));
             let slot = Slot::new(100 + i as u64);
             let tasks = vec![
-                TaskShip::Market {
+                TaskShip {
                     bids: bids.clone(),
                     ups_spot: constraints.ups_spot(),
                 },
-                TaskShip::MaxPerf {
-                    gains: gains.clone(),
-                    ups_spot: Watts::new(maxperf_ups),
+                TaskShip {
+                    bids: bids.iter().rev().cloned().collect(),
+                    ups_spot: Watts::new(second_ups),
                 },
             ];
             // The cold reference rebuilds everything from scratch; task
             // `j` lives on shard `j % width`.
-            let mut want: Vec<Option<ClearResult>> =
+            let mut want: Vec<Option<MarketOutcome>> =
                 serial_clear(slot, clearing, &constraints, &tasks)
                     .into_iter()
                     .map(Some)
                     .collect();
-            let got = warm.clear_session(slot, &constraints, tasks);
+            let got = warm.clear_tasks(slot, &constraints, tasks);
             for (j, result) in want.iter_mut().enumerate() {
                 if down == Some(j % width) {
                     *result = None;
@@ -436,8 +504,8 @@ proptest! {
 /// serialize the tests that point it at different binaries.
 static AGENT_ENV: Mutex<()> = Mutex::new(());
 
-/// SIGKILLs process `pid` — no shutdown handshake, its session state is
-/// simply gone — and returns once the kernel has closed its pipes (the
+/// SIGKILLs process `pid` — no shutdown handshake, its engine is simply
+/// gone — and returns once the kernel has closed its pipes (the
 /// child is a zombie until its transport reaps it), so the next
 /// dispatch finds the agent dead however busy the box is.
 fn sigkill(pid: u32) {
@@ -470,16 +538,15 @@ fn fixed_constraints() -> ConstraintSet {
     constraints_for(3, 60.0, 30.0, 70.0)
 }
 
-fn fixed_session_tasks() -> Vec<TaskShip> {
-    let constraints = fixed_constraints();
+fn fixed_tasks() -> Vec<TaskShip> {
     vec![
-        TaskShip::Market {
+        TaskShip {
             bids: fixed_bids(),
-            ups_spot: constraints.ups_spot(),
+            ups_spot: fixed_constraints().ups_spot(),
         },
-        TaskShip::MaxPerf {
-            gains: fixed_gains(),
-            ups_spot: constraints.ups_spot(),
+        TaskShip {
+            bids: fixed_bids().split_off(1),
+            ups_spot: Watts::new(20.0),
         },
     ]
 }
@@ -506,21 +573,12 @@ fn fixed_bids() -> Vec<RackBid> {
     ]
 }
 
-fn fixed_gains() -> BTreeMap<RackId, ConcaveGain> {
-    [(
-        RackId::new(2),
-        ConcaveGain::new(vec![(20.0, 2.0), (15.0, 0.5)]).unwrap(),
-    )]
-    .into_iter()
-    .collect()
-}
-
-fn fixed_want(slot: Slot) -> Vec<Option<ClearResult>> {
+fn fixed_want(slot: Slot) -> Vec<Option<MarketOutcome>> {
     serial_clear(
         slot,
         ClearingConfig::default(),
         &fixed_constraints(),
-        &fixed_session_tasks(),
+        &fixed_tasks(),
     )
     .into_iter()
     .map(Some)
@@ -533,26 +591,24 @@ fn subprocess_agents_match_the_serial_clear() {
     let mut runtime = subprocess_runtime(env!("CARGO_BIN_EXE_spotdc-agent"), 2)
         .expect("spawn spotdc-agent children");
     assert_eq!(runtime.live_shards(), 2);
-    // Two slots through the same agents: the first ships the statics
-    // (cold sessions), the second rides the warm session.
+    // Two slots through the same agents, each frame self-contained.
     let constraints = fixed_constraints();
     assert_eq!(
-        runtime.clear_session(slot, &constraints, fixed_session_tasks()),
+        runtime.clear_tasks(slot, &constraints, fixed_tasks()),
         fixed_want(slot)
     );
     let next = Slot::new(24);
     assert_eq!(
-        runtime.clear_session(next, &constraints, fixed_session_tasks()),
+        runtime.clear_tasks(next, &constraints, fixed_tasks()),
         fixed_want(next)
     );
     assert_eq!(runtime.live_shards(), 2);
-    // The shard engines' counters are cumulative, so they cover the
-    // one market task of both slots — a respawned agent would have
-    // restarted at the second: the session, not a cold rebuild, served
-    // it.
+    // The shard engines' counters are cumulative, so they cover both
+    // market tasks of both slots — a respawned agent would have
+    // restarted at the second.
     let stats = runtime.shard_cache_stats();
     let swept: u64 = stats.iter().map(|s| s.full_sweeps).sum();
-    assert_eq!(swept, 2, "{stats:?}");
+    assert_eq!(swept, 4, "{stats:?}");
 }
 
 #[test]
@@ -568,18 +624,18 @@ fn dead_agents_degrade_their_tasks_to_none() {
     }
     let mut runtime = subprocess_runtime("/bin/true", 2).expect("/bin/true spawns");
     let constraints = fixed_constraints();
-    let got = runtime.clear_session(Slot::new(5), &constraints, fixed_session_tasks());
+    let got = runtime.clear_tasks(Slot::new(5), &constraints, fixed_tasks());
     assert_eq!(got, vec![None, None]);
     assert_eq!(runtime.live_shards(), 0);
 }
 
 #[test]
-fn sigkilled_agents_respawn_and_resync_in_full() {
+fn sigkilled_agents_respawn_at_the_next_dispatch() {
     let mut runtime = subprocess_runtime(env!("CARGO_BIN_EXE_spotdc-agent"), 2)
         .expect("spawn spotdc-agent children");
     let constraints = fixed_constraints();
     assert_eq!(
-        runtime.clear_session(Slot::new(1), &constraints, fixed_session_tasks()),
+        runtime.clear_tasks(Slot::new(1), &constraints, fixed_tasks()),
         fixed_want(Slot::new(1))
     );
     // SIGKILL one agent between slots.
@@ -587,13 +643,14 @@ fn sigkilled_agents_respawn_and_resync_in_full() {
     sigkill(pid);
     // The slot after the kill degrades the dead shard's tasks (task 0
     // of 2 lands on shard 0) — capacity is never invented.
-    let after = runtime.clear_session(Slot::new(2), &constraints, fixed_session_tasks());
+    let after = runtime.clear_tasks(Slot::new(2), &constraints, fixed_tasks());
     assert_eq!(after[0], None, "killed shard's task must degrade");
     assert_eq!(after[1], fixed_want(Slot::new(2))[1]);
-    // The next dispatch respawns the shard and resyncs it in full; the
-    // replacement must answer bit-identically to the serial reference.
+    // The next dispatch respawns the shard, and its handshake is all the
+    // replacement needs to answer bit-identically to the serial
+    // reference.
     assert_eq!(
-        runtime.clear_session(Slot::new(3), &constraints, fixed_session_tasks()),
+        runtime.clear_tasks(Slot::new(3), &constraints, fixed_tasks()),
         fixed_want(Slot::new(3))
     );
     assert_eq!(runtime.live_shards(), 2);

@@ -1,7 +1,7 @@
 //! Exact-growth check on the process-global wire counters.
 //!
 //! `wire_totals()` is shared by every `ShardRuntime` in the process, so
-//! asserting how much one session adds to it is only sound while no
+//! asserting how much one runtime adds to it is only sound while no
 //! other runtime exists. This lives in its own test binary and holds a
 //! single test for that reason: under the default threaded runner any
 //! sibling test that starts a runtime would land in the count.
@@ -12,7 +12,7 @@ use spotdc_power::topology::TopologyBuilder;
 use spotdc_units::{Price, RackId, Slot, TenantId, Watts};
 
 #[test]
-fn statics_travel_once_and_every_task_ships_whole() {
+fn every_slot_frame_is_self_contained_and_the_same_size() {
     let topo = TopologyBuilder::new(Watts::new(400.0))
         .pdu(Watts::new(200.0))
         .rack(TenantId::new(0), Watts::new(100.0), Watts::new(50.0))
@@ -32,11 +32,11 @@ fn statics_travel_once_and_every_task_ships_whole() {
     let mut sent = Vec::new();
     for s in 0..3_u64 {
         let before = wire_totals();
-        let task = TaskShip::Market {
+        let task = TaskShip {
             ups_spot: Watts::new(50.0),
             bids: bids.clone(),
         };
-        let out = runtime.clear_session(Slot::new(s), &c, vec![task]);
+        let out = runtime.clear_tasks(Slot::new(s), &c, vec![task]);
         assert!(out[0].is_some());
         let after = wire_totals();
         assert_eq!(after.frames_sent - before.frames_sent, 1, "slot {s}");
@@ -49,10 +49,13 @@ fn statics_travel_once_and_every_task_ships_whole() {
     assert_eq!(end.frames_sent - start.frames_sent, 3);
     assert_eq!(end.full_tasks - start.full_tasks, 3);
     assert_eq!(end.delta_tasks - start.delta_tasks, 0);
-    // Only the first slot's frame carries the statics; the two warm
-    // frames are identical to each other and strictly smaller.
-    assert!(sent[0] > sent[1], "bytes sent per slot: {sent:?}");
-    assert_eq!(sent[1], sent[2], "bytes sent per slot: {sent:?}");
+    // Every frame carries its slot's whole constraint set: three
+    // identical slots cost three identical byte counts, the first
+    // included.
+    assert!(
+        sent.iter().all(|&b| b == sent[0]),
+        "bytes sent per slot: {sent:?}"
+    );
     // One engine served all three slots: its counter is cumulative.
     let cache = runtime.shard_cache_stats();
     assert_eq!(cache.len(), 1);

@@ -1,6 +1,6 @@
 //! The three operating modes the paper compares (Section V-B).
 //!
-//! A mode is a name and two predicates; what each one *runs* is the
+//! A mode is a name and one predicate; what each one *runs* is the
 //! stage table in [`crate::pipeline::build`], and the engine's slot
 //! loop never branches on the mode.
 
@@ -28,12 +28,6 @@ impl Mode {
     pub fn has_market(self) -> bool {
         matches!(self, Mode::SpotDc)
     }
-
-    /// Whether this mode allocates spot capacity at all.
-    #[must_use]
-    pub fn allocates_spot(self) -> bool {
-        !matches!(self, Mode::PowerCapped)
-    }
 }
 
 impl std::fmt::Display for Mode {
@@ -52,9 +46,9 @@ mod tests {
 
     #[test]
     fn mode_predicates() {
-        assert!(!Mode::PowerCapped.allocates_spot());
-        assert!(Mode::SpotDc.allocates_spot() && Mode::SpotDc.has_market());
-        assert!(Mode::MaxPerf.allocates_spot() && !Mode::MaxPerf.has_market());
+        assert!(!Mode::PowerCapped.has_market());
+        assert!(Mode::SpotDc.has_market());
+        assert!(!Mode::MaxPerf.has_market());
     }
 
     #[test]

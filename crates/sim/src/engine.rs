@@ -126,12 +126,13 @@ pub struct EngineConfig {
     pub inner_jobs: usize,
     /// Shard agents for the distributed clearing plane. `1` (the
     /// default) keeps clearing in-process on the historical path;
-    /// higher values start a [`spotdc_dist::ShardRuntime`] and route
-    /// every clear stage's tasks through shard agents over
-    /// [`EngineConfig::shard_transport`], with a serial in-order merge
-    /// at the controller so reports stay byte-identical at any shard
-    /// count. Orthogonal to `inner_jobs` (a sharded run never also
-    /// fans clearing out on the inner pool).
+    /// higher values start a [`spotdc_dist::ShardRuntime`] in a market
+    /// mode and route every market clear stage's tasks through shard
+    /// agents over [`EngineConfig::shard_transport`], with a serial
+    /// in-order merge at the controller so reports stay byte-identical
+    /// at any shard count. PowerCapped and MaxPerf have no market to
+    /// distribute and ignore it. Orthogonal to `inner_jobs` (a sharded
+    /// run never also fans clearing out on the inner pool).
     pub shards: usize,
     /// Which transport carries the controller↔agent wire protocol when
     /// [`EngineConfig::shards`] is above one: agent threads in this

@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use spotdc_core::{ClearResult, ConcaveGain, ConstraintSet, Operator, TaskShip};
+use spotdc_core::{ConcaveGain, ConstraintSet, MarketOutcome, Operator, TaskShip};
 use spotdc_faults::FaultPlan;
 use spotdc_power::topology::PowerTopology;
 use spotdc_power::{CapController, EmergencyEvent, EmergencyLog, PowerMeter, RackPduBank};
@@ -98,8 +98,8 @@ pub struct SimState {
     /// at width 1 the pool runs them inline.
     pub inner: spotdc_par::ThreadPool,
     /// The distributed clearing runtime, present when
-    /// [`EngineConfig::shards`] is above one and the mode has a clear
-    /// stage to distribute. [`Self::clear_tasks`] routes the clear
+    /// [`EngineConfig::shards`] is above one and the mode has a market
+    /// to distribute. [`Self::clear_tasks`] routes the market clear
     /// stages' tasks through it; everything else ignores it.
     pub dist: Option<spotdc_dist::ShardRuntime>,
     /// Structure-of-arrays per-PDU draw buffer the settle stage
@@ -177,7 +177,7 @@ impl SimState {
             degraded_slots: 0,
             invariant_violations: 0,
             inner: spotdc_par::ThreadPool::new(config.inner_jobs.max(1)),
-            dist: (config.shards > 1 && config.mode.allocates_spot()).then(|| {
+            dist: (config.shards > 1 && config.mode.has_market()).then(|| {
                 spotdc_dist::ShardRuntime::new(
                     config.shards,
                     config.shard_transport,
@@ -197,25 +197,26 @@ impl SimState {
         self.inner.threads() > 1
     }
 
-    /// Clears one slot's tasks, one entry per task in task order — the
-    /// single place that knows where a clear runs. With shard agents
-    /// ([`Self::dist`]) the tasks go over the wire and a dead shard's
-    /// come back `None`, which the clear stages degrade to "no spot
-    /// capacity" (the paper's comms-loss rule). Without, they are walked
-    /// here by [`spotdc_core::MarketClearing::clear_tasks`] — the very
-    /// function a shard agent runs — on the operator's engine, against
-    /// `constraints` itself (its UPS spot is put back afterwards) or,
-    /// with an inner pool and more than one task, one contiguous run
-    /// per worker on that worker's own copy; `par_map` returns the runs
-    /// in order, so the results are in task order either way.
+    /// Clears one slot's market tasks, one entry per task in task
+    /// order — the single place that knows where a clear runs. With
+    /// shard agents ([`Self::dist`]) the tasks go over the wire and a
+    /// dead shard's come back `None`, which the clear stages degrade to
+    /// "no spot capacity" (the paper's comms-loss rule). Without, they
+    /// are walked here by [`spotdc_core::MarketClearing::clear_tasks`]
+    /// — the very function a shard agent runs — on the operator's
+    /// engine, against `constraints` itself (its UPS spot is put back
+    /// afterwards) or, with an inner pool and more than one task, one
+    /// contiguous run per worker on that worker's own copy; `par_map`
+    /// returns the runs in order, so the results are in task order
+    /// either way.
     pub fn clear_tasks(
         &mut self,
         slot: Slot,
         constraints: &mut ConstraintSet,
         tasks: Vec<TaskShip>,
-    ) -> Vec<Option<ClearResult>> {
+    ) -> Vec<Option<MarketOutcome>> {
         if let Some(dist) = self.dist.as_mut() {
-            return dist.clear_session(slot, constraints, tasks);
+            return dist.clear_tasks(slot, constraints, tasks);
         }
         let engine = self.operator.clearing();
         let results = if self.inner_parallel() && tasks.len() > 1 {

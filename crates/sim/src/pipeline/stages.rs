@@ -12,15 +12,16 @@
 //! through [`SimState::inner`], and the pool, not the stage, decides
 //! whether that fans out.
 //!
-//! The three `Clear*` stages only build their [`TaskShip`]s, hand them
-//! to [`SimState::clear_tasks`] and interpret the results; whether the
-//! tasks clear here or on shard agents is that function's business.
+//! The two market `Clear*` stages only build their [`TaskShip`]s, hand
+//! them to [`SimState::clear_tasks`] and interpret the outcomes; whether
+//! the tasks clear here or on shard agents is that function's business.
+//! [`ClearMaxPerf`] has no market and allocates in-process.
 
 use std::collections::BTreeMap;
 
 use spotdc_core::{
-    check_allocation, check_allocation_indexed, BidIndex, ClearResult, ConcaveGain, ConstraintSet,
-    MarketInvariant, RackBid, SpotAllocation, TaskShip, TenantBid,
+    check_allocation, check_allocation_indexed, max_perf_allocate, BidIndex, ConcaveGain,
+    ConstraintSet, MarketInvariant, RackBid, SpotAllocation, TaskShip, TenantBid,
 };
 use spotdc_faults::{BidFault, FaultPlan, MeterFault};
 use spotdc_power::{PowerMeter, PowerTopology};
@@ -355,12 +356,12 @@ impl SlotStage for ClearUniform {
     fn run(&mut self, state: &mut SimState, ctx: &mut SlotContext) {
         let slot = ctx.slot;
         let mut constraints = ctx.constraints.take().expect("Predict runs before Clear");
-        let task = TaskShip::Market {
+        let task = TaskShip {
             bids: ctx.rack_bids.clone(),
             ups_spot: constraints.ups_spot(),
         };
         let cleared = state.clear_tasks(slot, &mut constraints, vec![task]).pop();
-        let Some(Some(ClearResult::Market(outcome))) = cleared else {
+        let Some(Some(outcome)) = cleared else {
             // Comms loss: no spot capacity this slot.
             ctx.slot_degraded = true;
             return;
@@ -417,7 +418,7 @@ impl SlotStage for ClearPerPdu {
             .clearing()
             .per_pdu_submarket_shares(&ctx.rack_bids, &constraints)
             .into_iter()
-            .map(|(bids, ups_spot)| TaskShip::Market { bids, ups_spot })
+            .map(|(bids, ups_spot)| TaskShip { bids, ups_spot })
             .collect();
         let cleared = state.clear_tasks(slot, &mut constraints, tasks);
         // One rack → bids index for the whole slot: every sub-market's
@@ -425,7 +426,7 @@ impl SlotStage for ClearPerPdu {
         let admitted = state.validate.then(|| BidIndex::new(&ctx.rack_bids));
         let lost = lost_broadcasts(state, slot, &ctx.bids);
         for result in cleared {
-            let Some(ClearResult::Market(outcome)) = result else {
+            let Some(outcome) = result else {
                 // Comms loss: this sub-market sells nothing this slot.
                 ctx.slot_degraded = true;
                 continue;
@@ -476,19 +477,11 @@ impl SlotStage for ClearMaxPerf {
 
     fn run(&mut self, state: &mut SimState, ctx: &mut SlotContext) {
         let slot = ctx.slot;
-        let mut constraints = ctx.constraints.take().expect("Predict runs before Clear");
-        // Water-filling is a single task: the envelopes interact
-        // through the shared constraints.
-        let task = TaskShip::MaxPerf {
-            gains: ctx.gains.clone(),
-            ups_spot: constraints.ups_spot(),
-        };
-        let cleared = state.clear_tasks(slot, &mut constraints, vec![task]).pop();
-        let Some(Some(ClearResult::MaxPerf(grants))) = cleared else {
-            // Comms loss: no spot capacity this slot.
-            ctx.slot_degraded = true;
-            return;
-        };
+        let constraints = ctx.constraints.take().expect("Predict runs before Clear");
+        // Water-filling is one indivisible task (the envelopes interact
+        // through the shared constraints) with no message exchange, so
+        // it always runs here, never on shard agents.
+        let grants = max_perf_allocate(&ctx.gains, &constraints);
         if state.validate {
             if let Err(v) = constraints.check(&grants) {
                 note_violations(
