@@ -20,6 +20,7 @@
 //! repro --mode spotdc --slots 300 --checkpoint-dir ckpt/ --checkpoint-every 25
 //! repro --mode spotdc --slots 300 --checkpoint-dir ckpt/ --resume
 //! repro --mode spotdc --per-pdu --shards 4 --shard-transport subprocess
+//! repro --mode spotdc --per-pdu --tenants 15000 --slots 8
 //! ```
 //!
 //! `--mode` switches from the experiment suite to one simulation whose
@@ -27,7 +28,8 @@
 //! go to stderr only, so a resumed run's stdout is byte-identical to an
 //! uninterrupted one. `--slot-delay-ms` slows the slot loop so an
 //! external killer (`scripts/crash_harness`) can SIGKILL at a chosen
-//! slot.
+//! slot. `--tenants N` swaps the Table I testbed for Fig. 18's
+//! hyper-scale scenario at about N tenants (`Scenario::hyperscale`).
 //!
 //! `--shards N` runs SpotDC's clearing stage on N shard agents —
 //! `--shard-transport inproc` (threads) or `subprocess` (`spotdc-agent`
@@ -120,6 +122,7 @@ fn main() -> ExitCode {
     let mut single_mode: Option<Mode> = None;
     let mut single_slots: u64 = 300;
     let mut single_per_pdu = false;
+    let mut single_tenants: Option<usize> = None;
     let mut shards: usize = 1;
     let mut shard_transport = spotdc_dist::TransportKind::InProc;
     let mut durability = DurabilityConfig::default();
@@ -173,6 +176,10 @@ fn main() -> ExitCode {
                 _ => return usage("--slots needs a positive integer"),
             },
             "--per-pdu" => single_per_pdu = true,
+            "--tenants" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(n) if n >= 1 => single_tenants = Some(n),
+                _ => return usage("--tenants needs a positive integer"),
+            },
             "--shards" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n >= 1 => shards = n,
                 _ => return usage("--shards needs a positive integer"),
@@ -211,14 +218,19 @@ fn main() -> ExitCode {
         return usage("--checkpoint-dir/--resume require --mode (single-run durability)");
     }
     if single_mode.is_none()
-        && (single_per_pdu || shards > 1 || shard_transport != spotdc_dist::TransportKind::InProc)
+        && (single_per_pdu
+            || single_tenants.is_some()
+            || shards > 1
+            || shard_transport != spotdc_dist::TransportKind::InProc)
     {
-        return usage("--per-pdu/--shards/--shard-transport require --mode (single runs)");
+        return usage(
+            "--per-pdu/--tenants/--shards/--shard-transport require --mode (single runs)",
+        );
     }
     if single_mode.is_some() && (!selected.is_empty() || out_dir.is_some()) {
         return usage(
-            "--mode single runs take only --slots/--seed/--telemetry, the checkpoint \
-             flags, and the shard flags",
+            "--mode single runs take only --slots/--seed/--tenants/--telemetry, the \
+             checkpoint flags, and the shard flags",
         );
     }
     // Experiment-level workers come from the pool below; this seeds the
@@ -259,6 +271,7 @@ fn main() -> ExitCode {
                 slots: single_slots,
                 seed: cfg.seed,
                 per_pdu: single_per_pdu,
+                tenants: single_tenants,
                 shards,
                 shard_transport,
                 durability,
@@ -362,6 +375,8 @@ struct SingleRun {
     slots: u64,
     seed: u64,
     per_pdu: bool,
+    /// `Scenario::hyperscale`'s tenant count; `None` is the testbed.
+    tenants: Option<usize>,
     shards: usize,
     shard_transport: spotdc_dist::TransportKind,
     durability: DurabilityConfig,
@@ -379,11 +394,15 @@ fn run_single(run: SingleRun, reporter: &Reporter) -> ExitCode {
         slots,
         seed,
         per_pdu,
+        tenants,
         shards,
         shard_transport,
         durability,
     } = run;
-    let scenario = Scenario::testbed(seed);
+    let scenario = match tenants {
+        Some(n) => Scenario::hyperscale(seed, n),
+        None => Scenario::testbed(seed),
+    };
     let config = EngineConfig {
         durability,
         per_pdu_pricing: per_pdu,
@@ -461,7 +480,8 @@ fn usage(error: &str) -> ExitCode {
          \x20            [--out <dir>] [--telemetry <file>]\n\
          \x20            [--validate] [--quiet]\n\
          \x20      repro --mode <powercapped|spotdc|maxperf> [--slots <n>] [--seed <n>]\n\
-         \x20            [--per-pdu] [--shards <n>] [--shard-transport <inproc|subprocess>]\n\
+         \x20            [--tenants <n>] [--per-pdu] [--shards <n>]\n\
+         \x20            [--shard-transport <inproc|subprocess>]\n\
          \x20            [--checkpoint-dir <dir>] [--checkpoint-every <n>] [--resume]\n\
          \x20            [--slot-delay-ms <n>]\n\
          experiments: {}",

@@ -40,3 +40,39 @@ fn list_into_a_closed_pipe_exits_cleanly() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn tenants_runs_the_hyperscale_scenario_and_needs_a_mode() {
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("run repro")
+    };
+    let out = run(&[
+        "--mode",
+        "spotdc",
+        "--tenants",
+        "16",
+        "--slots",
+        "2",
+        "--quiet",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report = String::from_utf8(out.stdout).expect("report is UTF-8");
+    // One subscription per participating tenant: 16, not the testbed's 8.
+    let subscriptions = report
+        .split("subscriptions: [")
+        .nth(1)
+        .and_then(|rest| rest.split(']').next())
+        .expect("the report lists subscriptions");
+    assert_eq!(subscriptions.matches("Watts(").count(), 16, "{report}");
+
+    let out = run(&["--tenants", "16"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("require --mode"));
+}

@@ -35,10 +35,11 @@ impl AgentLoop {
     ///
     /// # Errors
     ///
-    /// A slot frame that arrives before `AssignShard` is a protocol
-    /// error: the transport closes the stream, and the controller
-    /// treats the shard as dead (and respawns it) like any other
-    /// transport failure.
+    /// A slot frame that arrives before `AssignShard`, or that bids for
+    /// a rack twice in one market or for a rack its constraint set does
+    /// not know, is a protocol error: the transport closes the stream,
+    /// and the controller treats the shard as dead (and respawns it)
+    /// like any other transport failure.
     pub fn handle(&mut self, msg: WireMsg) -> io::Result<Option<WireMsg>> {
         match msg {
             WireMsg::AssignShard { clearing } => {
@@ -50,9 +51,28 @@ impl AgentLoop {
                 mut constraints,
                 tasks,
             } => {
-                let engine = self.engine.as_ref().ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "slot frame before AssignShard")
-                })?;
+                let engine = self
+                    .engine
+                    .as_ref()
+                    .ok_or_else(|| invalid("slot frame before AssignShard"))?;
+                // Clearing prices over every bid in a market but grants
+                // a rack one, so a rack bid twice in one market would
+                // sell watts it never grants.
+                let mut seen = vec![false; constraints.rack_count()];
+                for task in &tasks {
+                    for bid in &task.bids {
+                        let rack = bid.rack();
+                        if constraints.pdu_of(rack).is_none() {
+                            return Err(invalid(format!("slot frame bids for unknown {rack}")));
+                        }
+                        if std::mem::replace(&mut seen[rack.index()], true) {
+                            return Err(invalid(format!("slot frame bids for {rack} twice")));
+                        }
+                    }
+                    for bid in &task.bids {
+                        seen[bid.rack().index()] = false;
+                    }
+                }
                 Ok(Some(WireMsg::ShardCleared {
                     slot,
                     results: engine.clear_tasks(slot, &mut constraints, &tasks),
@@ -62,6 +82,10 @@ impl AgentLoop {
             WireMsg::ShardCleared { .. } | WireMsg::Shutdown => Ok(None),
         }
     }
+}
+
+fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
 #[cfg(test)]
@@ -208,6 +232,34 @@ mod tests {
             check_allocation(&local, outcome.allocation(), &bids, true),
             vec![]
         );
+    }
+
+    #[test]
+    fn a_rack_bid_twice_or_unknown_is_a_protocol_error() {
+        for (tasks, what) in [
+            (vec![market(50.0, vec![bid(0), step_bid(0)])], "twice"),
+            (
+                vec![
+                    market(20.0, vec![bid(1)]),
+                    market(50.0, vec![bid(1), bid(1)]),
+                ],
+                "twice",
+            ),
+            (
+                vec![market(50.0, vec![bid(0)]), market(50.0, vec![bid(2)])],
+                "unknown",
+            ),
+        ] {
+            let err = assigned()
+                .handle(WireMsg::SlotFrame {
+                    slot: Slot::new(1),
+                    constraints: constraints(60.0),
+                    tasks,
+                })
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(what), "{err}");
+        }
     }
 
     #[test]

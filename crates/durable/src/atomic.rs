@@ -9,10 +9,10 @@
 //! partially written checkpoint gets mistaken for a complete one.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
-/// Atomically replaces `path` with `bytes`.
+/// Atomically replaces `path` with the bytes `write` writes to it.
 ///
 /// Writes to a sibling temp file (same directory, so the rename never
 /// crosses a filesystem boundary), fsyncs it, renames it over `path`,
@@ -27,7 +27,10 @@ use std::path::Path;
 /// Returns any I/O error from creating, writing, syncing, or renaming
 /// the temp file. On error the temp file is removed best-effort and
 /// `path` is untouched.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+pub fn write_atomic(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> io::Result<()>,
+) -> io::Result<()> {
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     let file_name = path
         .file_name()
@@ -43,7 +46,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
             .create(true)
             .truncate(true)
             .open(&tmp)?;
-        f.write_all(bytes)?;
+        write(&mut f)?;
         f.sync_all()?;
         drop(f);
         fs::rename(&tmp, path)?;
@@ -63,6 +66,8 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 
 #[cfg(test)]
 mod tests {
+    use std::io::Write;
+
     use super::*;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -79,9 +84,9 @@ mod tests {
     fn creates_and_replaces() {
         let dir = temp_dir("replace");
         let target = dir.join("state.bin");
-        write_atomic(&target, b"one").unwrap();
+        write_atomic(&target, |f| f.write_all(b"one")).unwrap();
         assert_eq!(fs::read(&target).unwrap(), b"one");
-        write_atomic(&target, b"two-longer").unwrap();
+        write_atomic(&target, |f| f.write_all(b"two-longer")).unwrap();
         assert_eq!(fs::read(&target).unwrap(), b"two-longer");
         // No temp residue after success.
         let leftovers: Vec<_> = fs::read_dir(&dir)
@@ -96,11 +101,11 @@ mod tests {
     fn failure_leaves_target_untouched() {
         let dir = temp_dir("fail");
         let target = dir.join("state.bin");
-        write_atomic(&target, b"original").unwrap();
+        write_atomic(&target, |f| f.write_all(b"original")).unwrap();
         // A directory where the temp file should go, but unwritable
         // target: simulate by using a path whose parent is a file.
         let bad = target.join("child.bin");
-        assert!(write_atomic(&bad, b"x").is_err());
+        assert!(write_atomic(&bad, |f| f.write_all(b"x")).is_err());
         assert_eq!(fs::read(&target).unwrap(), b"original");
         let _ = fs::remove_dir_all(&dir);
     }

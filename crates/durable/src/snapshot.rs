@@ -10,7 +10,7 @@
 //! leaves a fallback.
 
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use crate::atomic::write_atomic;
@@ -68,17 +68,18 @@ fn list_checkpoints(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 /// Returns any I/O error from the atomic write. Pruning failures are
 /// ignored — stale files cost disk, not correctness.
 pub fn write_checkpoint(dir: &Path, slots_done: u64, payload: &[u8]) -> io::Result<u64> {
-    let mut bytes = Vec::with_capacity(SNAPSHOT_MAGIC.len() + frame::HEADER_LEN + payload.len());
-    bytes.extend_from_slice(SNAPSHOT_MAGIC);
-    frame::append_frame(&mut bytes, payload);
-    let total = bytes.len() as u64;
-    write_atomic(&checkpoint_path(dir, slots_done), &bytes)?;
+    // Magic, frame header and payload go to the file as they are: no
+    // framed copy of a megabytes-long payload.
+    write_atomic(&checkpoint_path(dir, slots_done), |f| {
+        f.write_all(SNAPSHOT_MAGIC)?;
+        frame::write_frame(f, payload)
+    })?;
     if let Ok(all) = list_checkpoints(dir) {
         for (_, stale) in all.iter().rev().skip(RETAIN) {
             let _ = fs::remove_file(stale);
         }
     }
-    Ok(total)
+    Ok((SNAPSHOT_MAGIC.len() + frame::HEADER_LEN + payload.len()) as u64)
 }
 
 /// Loads the newest valid checkpoint under `dir`, skipping files that
@@ -161,6 +162,20 @@ mod tests {
         let loaded = load_latest(&dir).unwrap().unwrap();
         assert_eq!(loaded.slots_done, 100);
         assert_eq!(loaded.payload, b"at-100");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_bytes_are_the_magic_then_one_frame() {
+        let dir = temp_dir("bytes");
+        let payload: Vec<u8> = (0..=255u8).cycle().take(70_000).collect();
+        let written = write_checkpoint(&dir, 7, &payload).unwrap();
+        let mut framed = SNAPSHOT_MAGIC.to_vec();
+        frame::append_frame(&mut framed, &payload);
+        assert_eq!(fs::read(checkpoint_path(&dir, 7)).unwrap(), framed);
+        assert_eq!(written, framed.len() as u64);
+        let loaded = load_latest(&dir).unwrap().unwrap();
+        assert_eq!((loaded.slots_done, loaded.payload), (7, payload));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -14,6 +14,7 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use spotdc_units::{PduId, RackId, TenantId, Watts};
@@ -208,10 +209,12 @@ impl TopologyBuilder {
         }
         Ok(PowerTopology {
             ups_capacity: self.ups_capacity,
-            pdu_capacities: self.pdu_capacities,
-            racks: self.racks,
-            racks_by_pdu,
-            racks_by_tenant,
+            tables: Arc::new(Tables {
+                pdu_capacities: self.pdu_capacities,
+                racks: self.racks,
+                racks_by_pdu,
+                racks_by_tenant,
+            }),
         })
     }
 }
@@ -220,9 +223,18 @@ impl TopologyBuilder {
 /// feeding racks owned by tenants.
 ///
 /// See the [crate docs](crate) for the role this plays in SpotDC.
+///
+/// Clones share the tables: a simulation's scenario, state and operator
+/// each hold a topology, and at 15 000 racks a copy would be megabytes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PowerTopology {
     ups_capacity: Watts,
+    tables: Arc<Tables>,
+}
+
+/// A topology's PDU and rack tables, immutable once built.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Tables {
     pdu_capacities: Vec<Watts>,
     racks: Vec<RackSpec>,
     racks_by_pdu: Vec<Vec<RackId>>,
@@ -239,19 +251,19 @@ impl PowerTopology {
     /// Number of cluster PDUs.
     #[must_use]
     pub fn pdu_count(&self) -> usize {
-        self.pdu_capacities.len()
+        self.tables.pdu_capacities.len()
     }
 
     /// Number of racks.
     #[must_use]
     pub fn rack_count(&self) -> usize {
-        self.racks.len()
+        self.tables.racks.len()
     }
 
     /// Number of distinct tenants owning at least one rack.
     #[must_use]
     pub fn tenant_count(&self) -> usize {
-        self.racks_by_tenant.len()
+        self.tables.racks_by_tenant.len()
     }
 
     /// Capacity of a PDU.
@@ -260,7 +272,8 @@ impl PowerTopology {
     ///
     /// Returns [`TopologyError::UnknownPdu`] for an out-of-range id.
     pub fn pdu_capacity(&self, pdu: PduId) -> Result<Watts, TopologyError> {
-        self.pdu_capacities
+        self.tables
+            .pdu_capacities
             .get(pdu.index())
             .copied()
             .ok_or(TopologyError::UnknownPdu(pdu))
@@ -272,25 +285,27 @@ impl PowerTopology {
     ///
     /// Returns [`TopologyError::UnknownRack`] for an out-of-range id.
     pub fn rack(&self, rack: RackId) -> Result<&RackSpec, TopologyError> {
-        self.racks
+        self.tables
+            .racks
             .get(rack.index())
             .ok_or(TopologyError::UnknownRack(rack))
     }
 
     /// Iterates over all racks in id order.
     pub fn racks(&self) -> impl Iterator<Item = &RackSpec> {
-        self.racks.iter()
+        self.tables.racks.iter()
     }
 
     /// Iterates over all PDU ids.
     pub fn pdus(&self) -> impl Iterator<Item = PduId> {
-        (0..self.pdu_capacities.len()).map(PduId::new)
+        (0..self.tables.pdu_capacities.len()).map(PduId::new)
     }
 
     /// The racks fed by `pdu` (empty for unknown ids).
     #[must_use]
     pub fn racks_on_pdu(&self, pdu: PduId) -> &[RackId] {
-        self.racks_by_pdu
+        self.tables
+            .racks_by_pdu
             .get(pdu.index())
             .map(Vec::as_slice)
             .unwrap_or(&[])
@@ -298,7 +313,7 @@ impl PowerTopology {
 
     /// Iterates over tenants in id order.
     pub fn tenants(&self) -> impl Iterator<Item = TenantId> + '_ {
-        self.racks_by_tenant.keys().copied()
+        self.tables.racks_by_tenant.keys().copied()
     }
 
     /// Total guaranteed capacity subscribed on `pdu`.
@@ -306,14 +321,14 @@ impl PowerTopology {
     pub fn leased_on_pdu(&self, pdu: PduId) -> Watts {
         self.racks_on_pdu(pdu)
             .iter()
-            .map(|&r| self.racks[r.index()].guaranteed)
+            .map(|&r| self.tables.racks[r.index()].guaranteed)
             .sum()
     }
 
     /// Total guaranteed capacity subscribed across the whole tree.
     #[must_use]
     pub fn total_leased(&self) -> Watts {
-        self.racks.iter().map(|r| r.guaranteed).sum()
+        self.tables.racks.iter().map(|r| r.guaranteed).sum()
     }
 
     /// The oversubscription ratio at `pdu`: leased ÷ capacity. Values
@@ -321,6 +336,7 @@ impl PowerTopology {
     #[must_use]
     pub fn pdu_oversubscription(&self, pdu: PduId) -> f64 {
         let cap = self
+            .tables
             .pdu_capacities
             .get(pdu.index())
             .copied()
@@ -389,6 +405,17 @@ mod tests {
         let t = testbed();
         let r = t.rack(RackId::new(0)).unwrap();
         assert_eq!(r.physical_limit(), Watts::new(217.5));
+    }
+
+    #[test]
+    fn clones_share_the_rack_tables() {
+        let t = testbed();
+        let copy = t.clone();
+        assert_eq!(copy, t);
+        assert!(std::ptr::eq(
+            t.racks().next().unwrap(),
+            copy.racks().next().unwrap()
+        ));
     }
 
     #[test]

@@ -458,10 +458,13 @@ impl Simulation {
     /// The driver owns the clock and nothing else: it builds the
     /// cross-slot [`SimState`] (including the slot-0 meter warm-up) and
     /// the stage table ([`pipeline::build`]), and steps the stages once
-    /// per slot. All market behaviour lives in the stages.
+    /// per slot. All market behaviour lives in the stages. The scenario
+    /// goes once the state is built: the state holds what it reads.
     #[must_use]
     pub fn run(self, slots: u64) -> SimReport {
-        let mut run = Run::start(&self.scenario, &self.config, slots);
+        let Simulation { scenario, config } = self;
+        let mut run = Run::start(&scenario, &config, slots);
+        drop(scenario);
         for t in 0..slots {
             run_one_slot(&mut run, t);
         }
@@ -503,6 +506,7 @@ impl Simulation {
         let Simulation { scenario, config } = self;
         let (mode, seed) = (config.mode, scenario.seed);
         let mut run = Run::start(&scenario, &config, slots);
+        drop(scenario);
         let wal_path = dir.join("journal.wal");
 
         let mut start_slot: u64 = 0;

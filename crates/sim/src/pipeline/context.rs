@@ -58,7 +58,9 @@ pub struct SimState {
     pub emergencies: EmergencyLog,
     /// Graceful-degradation cap controller, when enabled.
     pub cap: Option<CapController>,
-    /// Tenant agents, in rack order.
+    /// Tenant agents, in rack order. Each valuation class shares one
+    /// row cache, fresh for this run
+    /// ([`spotdc_tenants::share_valuation_rows`]).
     pub agents: Vec<TenantAgent>,
     /// Non-participating ("other") rack groups.
     pub others: Vec<OtherGroup>,
@@ -132,6 +134,7 @@ impl SimState {
         let guaranteed: Vec<Watts> = topology.racks().map(|r| r.guaranteed()).collect();
         let rack_pdu: Vec<usize> = topology.racks().map(|r| r.pdu().index()).collect();
         let mut agents = scenario.agents.clone();
+        spotdc_tenants::share_valuation_rows(&mut agents);
 
         let mut true_draw: Vec<Watts> = vec![Watts::ZERO; topology.rack_count()];
         for (i, agent) in agents.iter_mut().enumerate() {

@@ -8,7 +8,7 @@
 //! ended up with; the agent reports the power it drew, the performance
 //! it achieved and the performance cost it incurred.
 
-use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 use spotdc_core::bid::{RackBid, TenantBid};
@@ -22,6 +22,35 @@ use crate::strategy::{BidContext, Strategy};
 /// load rounded to a 1/256 step, and a sprinting agent's valuation rows
 /// are cached per step.
 const INTENSITY_BUCKETS: f64 = 256.0;
+
+/// Rows a sprinting class caches: one per step, `0..=INTENSITY_BUCKETS`.
+const SPRINTING_ROWS: usize = INTENSITY_BUCKETS as usize + 1;
+
+/// Valuation rows keyed by intensity bucket. A row is dozens of
+/// queueing or DVFS inversions, and long simulations revisit the same
+/// load levels constantly. An opportunistic row is load-independent, so
+/// a batch agent's cache holds one.
+///
+/// A row is a pure function of the agent's valuation class (workload,
+/// reservation, headroom) and the bucket, so [`share_valuation_rows`]
+/// points a whole class at one cache: whichever agent needs a row first
+/// builds it for all. Each entry is written once and read without a
+/// lock, so agents mapped in parallel share a cache freely.
+#[derive(Debug, Default)]
+struct RowCache {
+    rows: OnceLock<Box<[OnceLock<Box<ValuationRow>>]>>,
+}
+
+impl RowCache {
+    /// The row under `key`, built by `build` on first use; the cache
+    /// takes its length, `len`, from its first caller.
+    fn row(&self, key: usize, len: usize, build: impl FnOnce() -> ValuationRow) -> &ValuationRow {
+        let rows = self
+            .rows
+            .get_or_init(|| (0..len).map(|_| OnceLock::new()).collect());
+        rows[key].get_or_init(|| Box::new(build()))
+    }
+}
 
 /// The performance a tenant achieved in one slot.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -90,7 +119,7 @@ pub struct SlotOutcome {
 /// let bid = agent.make_bid().expect("busy batch tenant bids");
 /// assert_eq!(bid.tenant(), TenantId::new(2));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TenantAgent {
     tenant: TenantId,
     rack: RackId,
@@ -100,12 +129,50 @@ pub struct TenantAgent {
     strategy: Strategy,
     intensity: f64,
     predicted_price: Option<Price>,
-    /// Valuation rows keyed by intensity bucket — a row is dozens of
-    /// queueing or DVFS inversions, and long simulations revisit the
-    /// same load levels constantly. An opportunistic row is
-    /// load-independent, so a batch agent holds one, under key 0. Each
-    /// valuation applies the agent's cost model to its row afresh.
-    rows: HashMap<u16, ValuationRow>,
+    /// The valuation rows: the agent's own, or its class's once
+    /// [`share_valuation_rows`] ran. Each valuation applies the agent's
+    /// cost model to its row afresh.
+    rows: Arc<RowCache>,
+}
+
+impl Clone for TenantAgent {
+    /// A clone starts with its own cold row cache, as a new agent does:
+    /// only [`share_valuation_rows`] shares one.
+    fn clone(&self) -> Self {
+        TenantAgent {
+            tenant: self.tenant,
+            rack: self.rack,
+            reserved: self.reserved,
+            headroom: self.headroom,
+            model: self.model.clone(),
+            strategy: self.strategy.clone(),
+            intensity: self.intensity,
+            predicted_price: self.predicted_price,
+            rows: Arc::default(),
+        }
+    }
+}
+
+/// Points every agent at one fresh, cold row cache per valuation class
+/// and returns the number of classes. A class is the agents with an
+/// equal workload, reservation and headroom: their rows are equal
+/// whatever their cost models, so a simulation builds each row once per
+/// class instead of once per agent.
+pub fn share_valuation_rows(agents: &mut [TenantAgent]) -> usize {
+    // The first agent of each class; classes are few (one per Table I
+    // kind), so a scan beats hashing floats.
+    let mut firsts: Vec<usize> = Vec::new();
+    for i in 0..agents.len() {
+        let rows = match firsts.iter().find(|&&f| agents[f].same_class(&agents[i])) {
+            Some(&f) => Arc::clone(&agents[f].rows),
+            None => {
+                firsts.push(i);
+                Arc::default()
+            }
+        };
+        agents[i].rows = rows;
+    }
+    firsts.len()
 }
 
 impl TenantAgent {
@@ -140,17 +207,29 @@ impl TenantAgent {
             strategy,
             intensity: 0.0,
             predicted_price: None,
-            rows: HashMap::new(),
+            rows: Arc::default(),
         }
+    }
+
+    /// Whether `other` builds the same valuation rows: an equal
+    /// workload, reservation and headroom.
+    fn same_class(&self, other: &TenantAgent) -> bool {
+        self.reserved == other.reserved
+            && self.headroom == other.headroom
+            && self.model.same_workload(&other.model)
     }
 
     /// The tenant's `(gain curve, needed power)` at the current
     /// (quantized) intensity, from its cached valuation row.
-    fn valuation(&mut self) -> (GainCurve, Watts) {
+    fn valuation(&self) -> (GainCurve, Watts) {
         let bucket = (self.intensity * INTENSITY_BUCKETS).round() as u16;
         let quantized = f64::from(bucket) / INTENSITY_BUCKETS;
-        let key = if self.model.is_sprinting() { bucket } else { 0 };
-        let row = self.rows.entry(key).or_insert_with(|| {
+        let (key, len) = if self.model.is_sprinting() {
+            (usize::from(bucket), SPRINTING_ROWS)
+        } else {
+            (0, 1)
+        };
+        let row = self.rows.row(key, len, || {
             self.model
                 .valuation_row(self.reserved, self.headroom, quantized)
         });
@@ -374,6 +453,53 @@ mod tests {
         for b in [100.0, 125.0, 150.0, 200.0] {
             let out = a.run_slot(Watts::new(b));
             assert!(out.draw <= Watts::new(b) + Watts::new(1e-9));
+        }
+    }
+
+    #[test]
+    fn a_clone_starts_with_its_own_cold_cache() {
+        let mut shared = vec![search_agent(), search_agent()];
+        assert_eq!(share_valuation_rows(&mut shared), 1);
+        shared[0].observe(1.0);
+        assert!(shared[0].make_bid().is_some());
+        assert!(
+            shared[1].rows.rows.get().is_some(),
+            "the class cache is warm"
+        );
+        let copy = shared[1].clone();
+        assert!(!Arc::ptr_eq(&copy.rows, &shared[1].rows));
+        assert!(copy.rows.rows.get().is_none(), "a clone starts cold");
+    }
+
+    #[test]
+    fn classes_split_on_workload_reservation_and_headroom_only() {
+        let with = |reserved: f64, headroom: f64, model: WorkloadModel| {
+            TenantAgent::new(
+                TenantId::new(0),
+                RackId::new(0),
+                Watts::new(reserved),
+                Watts::new(headroom),
+                model,
+                Strategy::simple(Price::per_kw_hour(0.5)),
+            )
+        };
+        let mut agents = vec![
+            search_agent(),
+            // Same class: only the cost model and strategy differ.
+            with(145.0, 72.5, WorkloadModel::search().with_cost_scaled(1.2)),
+            with(150.0, 72.5, WorkloadModel::search()),
+            with(145.0, 70.0, WorkloadModel::search()),
+            with(145.0, 72.5, WorkloadModel::web()),
+            with(125.0, 62.5, WorkloadModel::word_count()),
+            with(125.0, 62.5, WorkloadModel::tera_sort()),
+            batch_agent(),
+        ];
+        assert_eq!(share_valuation_rows(&mut agents), 6);
+        let shares = |i: usize, j: usize| Arc::ptr_eq(&agents[i].rows, &agents[j].rows);
+        assert!(shares(0, 1));
+        assert!(shares(5, 7));
+        for (i, j) in [(0, 2), (0, 3), (0, 4), (5, 6), (2, 3)] {
+            assert!(!shares(i, j), "agents {i} and {j} must not share rows");
         }
     }
 

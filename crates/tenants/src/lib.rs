@@ -46,7 +46,7 @@ pub mod model;
 pub mod multirack;
 pub mod strategy;
 
-pub use agent::{Performance, SlotOutcome, TenantAgent};
+pub use agent::{share_valuation_rows, Performance, SlotOutcome, TenantAgent};
 pub use model::{ValuationRow, WorkloadModel};
 pub use multirack::bundle_bid;
 pub use strategy::{BidContext, Strategy};

@@ -109,6 +109,23 @@ impl WorkloadModel {
         matches!(self, WorkloadModel::Sprinting { .. })
     }
 
+    /// Whether `other` pairs this model's workload with any cost model:
+    /// the two then build equal valuation rows, which depend on the
+    /// workload alone.
+    pub(crate) fn same_workload(&self, other: &WorkloadModel) -> bool {
+        match (self, other) {
+            (
+                WorkloadModel::Sprinting { workload: a, .. },
+                WorkloadModel::Sprinting { workload: b, .. },
+            ) => a == b,
+            (
+                WorkloadModel::Opportunistic { workload: a, .. },
+                WorkloadModel::Opportunistic { workload: b, .. },
+            ) => a == b,
+            _ => false,
+        }
+    }
+
     /// Scales the cost model by `factor` (used by the hyper-scale
     /// scenario's ±20 % tenant-diversity jitter).
     ///
