@@ -44,6 +44,9 @@
 //! multi-simulation experiments fan out further internally. Every
 //! simulation is fully seeded, so the experiment bodies are
 //! byte-identical for any job count — only the wall-clock changes.
+//!
+//! Exit status: 0 on success, 2 on a usage error (a bad flag or value),
+//! 1 on any other failure.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -141,9 +144,9 @@ fn main() -> ExitCode {
                 Some(id) => selected.push(id),
                 None => return usage("--exp needs an experiment id"),
             },
-            "--days" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(days) => cfg.days = days,
-                None => return usage("--days needs a number"),
+            "--days" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
+                Some(days) if days.is_finite() && days > 0.0 => cfg.days = days,
+                _ => return usage("--days needs a finite number of days > 0"),
             },
             "--seed" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(seed) => cfg.seed = seed,
@@ -490,6 +493,6 @@ fn usage(error: &str) -> ExitCode {
     if error.is_empty() {
         ExitCode::SUCCESS
     } else {
-        ExitCode::FAILURE
+        ExitCode::from(2)
     }
 }

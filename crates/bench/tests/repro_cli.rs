@@ -1,5 +1,6 @@
-//! `repro`'s stdout contract: `--list` prints the experiment registry,
-//! and a reader that goes away is not an error.
+//! `repro`'s command-line contract: `--list` prints the experiment
+//! registry, a reader that goes away is not an error, and a bad flag
+//! value is a usage error (exit 2) before anything runs.
 
 use std::process::{Command, Stdio};
 
@@ -75,4 +76,21 @@ fn tenants_runs_the_hyperscale_scenario_and_needs_a_mode() {
     let out = run(&["--tenants", "16"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("require --mode"));
+}
+
+#[test]
+fn days_must_be_a_finite_positive_number() {
+    for days in ["nan", "inf", "0", "-1"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--exp", "fig12", "--days", days, "--quiet"])
+            .output()
+            .expect("run repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--days {days}: {stderr}");
+        assert!(
+            stderr.contains("--days needs a finite number of days > 0"),
+            "--days {days}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "--days {days} ran something");
+    }
 }

@@ -2,7 +2,7 @@
 //! shard agents and merging replies deterministically.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -12,7 +12,7 @@ use spotdc_core::{
 use spotdc_telemetry::Event;
 use spotdc_units::{MonotonicNanos, Slot};
 
-use crate::transport::{agent_binary, InProcTransport, ShardTransport, SubprocessTransport};
+use crate::transport::{agent_binary, Transport};
 use crate::TransportKind;
 
 /// How many times a dead shard may be respawned before its tasks
@@ -99,12 +99,13 @@ struct FrameTally {
 /// clears against exactly the constraints the controller built.
 ///
 /// A shard whose transport fails — send error, torn or corrupt frame,
-/// short or mismatched reply, dead process — is marked dead; its tasks
-/// come back as `None` for that slot and the caller degrades those
-/// sub-markets to "no spot capacity" (the paper's comms-loss rule). At
-/// the *next* dispatch the runtime respawns the shard (bounded by a
-/// small budget) and re-sends the handshake, so a transient agent crash
-/// costs exactly the slots it was dead for.
+/// short or mismatched reply, dead process — is marked dead, with one
+/// `ShardDown` event saying why; its tasks come back as `None` for that
+/// slot and the caller degrades those sub-markets to "no spot
+/// capacity" (the paper's comms-loss rule). At the *next* dispatch the
+/// runtime respawns the shard (bounded by a small budget) and re-sends
+/// the handshake, so a transient agent crash costs exactly the slots it
+/// was dead for.
 #[derive(Debug)]
 pub struct ShardRuntime {
     shards: Vec<ShardConn>,
@@ -117,7 +118,7 @@ pub struct ShardRuntime {
 
 #[derive(Debug)]
 struct ShardConn {
-    transport: Box<dyn ShardTransport>,
+    transport: Transport,
     alive: bool,
     respawns_left: u32,
     /// The shard's last reported clear counters.
@@ -130,9 +131,9 @@ impl ShardRuntime {
     ///
     /// # Errors
     ///
-    /// Subprocess transport only: the `spotdc-agent` binary was not
-    /// found (see [`agent_binary`]) or failed to spawn. In-process
-    /// startup is infallible.
+    /// The `spotdc-agent` binary was not found (see [`agent_binary`])
+    /// or an agent failed to start (no pipe, thread or process to be
+    /// had).
     ///
     /// # Panics
     ///
@@ -153,7 +154,7 @@ impl ShardRuntime {
         let mut shards = Vec::with_capacity(count);
         for _ in 0..count {
             shards.push(ShardConn {
-                transport: spawn_transport(kind, binary.as_deref())?,
+                transport: Transport::spawn(kind, binary.as_deref())?,
                 alive: true,
                 respawns_left: RESPAWN_BUDGET,
                 cache: ClearingCacheStats::default(),
@@ -225,7 +226,7 @@ impl ShardRuntime {
                 constraints: constraints.clone(),
                 tasks,
             };
-            self.send_slot(idx, &frame, &mut tally);
+            self.send_slot(slot, idx, &frame, &mut tally);
         }
         // Receive phase: strictly in shard order, so the merge below is
         // serial and deterministic no matter who finished first.
@@ -253,7 +254,7 @@ impl ShardRuntime {
                 continue;
             }
             conn.respawns_left -= 1;
-            let Ok(transport) = spawn_transport(self.kind, self.binary.as_deref()) else {
+            let Ok(transport) = Transport::spawn(self.kind, self.binary.as_deref()) else {
                 continue;
             };
             conn.transport = transport;
@@ -287,12 +288,12 @@ impl ShardRuntime {
                     });
                 }
             }
-            Err(_) => conn.alive = false,
+            Err(e) => self.mark_dead(slot, idx, format!("handshake send failed: {e}")),
         }
     }
 
     /// Sends a slot frame to shard `idx`, marking it dead on failure.
-    fn send_slot(&mut self, idx: usize, msg: &WireMsg, tally: &mut FrameTally) {
+    fn send_slot(&mut self, slot: Slot, idx: usize, msg: &WireMsg, tally: &mut FrameTally) {
         let conn = &mut self.shards[idx];
         if !conn.alive {
             return;
@@ -307,7 +308,7 @@ impl ShardRuntime {
                 FRAMES_SENT.fetch_add(1, Ordering::Relaxed);
                 BYTES_SENT.fetch_add(bytes, Ordering::Relaxed);
             }
-            Err(_) => conn.alive = false,
+            Err(e) => self.mark_dead(slot, idx, format!("slot frame send failed: {e}")),
         }
     }
 
@@ -327,35 +328,54 @@ impl ShardRuntime {
         if !conn.alive {
             return None;
         }
-        let reply = conn.transport.recv().ok().map(|(msg, bytes)| {
-            tally.frames_recv += 1;
-            tally.bytes_recv += bytes;
-            FRAMES_RECV.fetch_add(1, Ordering::Relaxed);
-            BYTES_RECV.fetch_add(bytes, Ordering::Relaxed);
-            msg
-        });
-        match reply {
-            Some(WireMsg::ShardCleared {
-                slot: reply_slot,
-                results,
-                cache,
-            }) if reply_slot == slot && results.len() == expected => {
-                conn.cache = cache;
-                if spotdc_telemetry::is_enabled() {
-                    spotdc_telemetry::emit(Event::ShardCleared {
-                        slot,
-                        at: MonotonicNanos::now(),
-                        shard: idx as u64,
-                        outcomes: results.len() as u64,
-                        nanos: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    });
+        let reason = match conn.transport.recv() {
+            Err(e) => format!("reply receive failed: {e}"),
+            Ok((msg, bytes)) => {
+                tally.frames_recv += 1;
+                tally.bytes_recv += bytes;
+                FRAMES_RECV.fetch_add(1, Ordering::Relaxed);
+                BYTES_RECV.fetch_add(bytes, Ordering::Relaxed);
+                match msg {
+                    WireMsg::ShardCleared {
+                        slot: reply_slot, ..
+                    } if reply_slot != slot => format!("reply for {reply_slot}, expected {slot}"),
+                    WireMsg::ShardCleared { results, .. } if results.len() != expected => {
+                        format!("{} outcomes for {expected} tasks", results.len())
+                    }
+                    WireMsg::ShardCleared { results, cache, .. } => {
+                        conn.cache = cache;
+                        if spotdc_telemetry::is_enabled() {
+                            spotdc_telemetry::emit(Event::ShardCleared {
+                                slot,
+                                at: MonotonicNanos::now(),
+                                shard: idx as u64,
+                                outcomes: results.len() as u64,
+                                nanos: u64::try_from(started.elapsed().as_nanos())
+                                    .unwrap_or(u64::MAX),
+                            });
+                        }
+                        return Some(results.into_iter());
+                    }
+                    _ => "reply is not ShardCleared".to_owned(),
                 }
-                Some(results.into_iter())
             }
-            _ => {
-                conn.alive = false;
-                None
-            }
+        };
+        self.mark_dead(slot, idx, reason);
+        None
+    }
+
+    /// Marks shard `idx` dead — its tasks degrade to `None` until the
+    /// next dispatch respawns it — and says why in one `ShardDown`
+    /// event.
+    fn mark_dead(&mut self, slot: Slot, idx: usize, reason: String) {
+        self.shards[idx].alive = false;
+        if spotdc_telemetry::is_enabled() {
+            spotdc_telemetry::emit(Event::ShardDown {
+                slot,
+                at: MonotonicNanos::now(),
+                shard: idx as u64,
+                reason,
+            });
         }
     }
 
@@ -375,21 +395,6 @@ impl ShardRuntime {
             });
         }
     }
-}
-
-fn spawn_transport(
-    kind: TransportKind,
-    binary: Option<&Path>,
-) -> io::Result<Box<dyn ShardTransport>> {
-    Ok(match kind {
-        TransportKind::InProc => Box::new(InProcTransport::spawn()),
-        TransportKind::Subprocess => {
-            let binary = binary.ok_or_else(|| {
-                io::Error::new(io::ErrorKind::NotFound, "no agent binary resolved")
-            })?;
-            Box::new(SubprocessTransport::spawn(binary)?)
-        }
-    })
 }
 
 #[cfg(test)]

@@ -17,24 +17,23 @@
 //! the system. Only market modes distribute: MaxPerf's water-filling is
 //! one indivisible task and runs in-process.
 //!
-//! Two transports implement the one [`ShardTransport`] trait:
-//!
-//! * [`InProcTransport`] — the agent loop on a dedicated thread,
-//!   messages as framed byte buffers over channels. The full
-//!   encode→frame→decode path runs even in-process, so both transports
-//!   exercise identical bytes.
-//! * [`SubprocessTransport`] — a `spotdc-agent` child process speaking
-//!   length-prefixed, CRC-framed payloads over stdin/stdout, reusing
-//!   `spotdc-durable`'s frame codec (re-exported as
-//!   [`spotdc_core::frame`]).
+//! Every agent runs one loop, [`serve`], over an ordered byte stream of
+//! length-prefixed, CRC-framed payloads (`spotdc-durable`'s frame codec,
+//! re-exported as [`spotdc_core::frame`]). [`TransportKind`] only picks
+//! where that loop runs: on a thread in the controller's process over a
+//! pipe pair, or in a `spotdc-agent` child process over its
+//! stdin/stdout. Either way the full encode→frame→decode path runs, so
+//! both carry identical bytes.
 //!
 //! Failure semantics follow the paper's comms-loss rule: a dead agent
 //! or damaged frame degrades that shard's sub-markets to "no spot
 //! capacity" at the controller ([`ShardRuntime::clear_tasks`] returns
 //! `None` for its tasks) for the slots it is down; at the next dispatch
 //! the controller respawns it (bounded budget) and re-sends the
-//! `AssignShard` handshake. The market never invents capacity and
-//! never crashes. See DESIGN.md §15 for the topology and the protocol.
+//! `AssignShard` handshake, and each death is logged as one `ShardDown`
+//! event naming what the controller saw. The market never invents
+//! capacity and never crashes. See DESIGN.md §15 for the topology and
+//! the protocol.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,15 +46,15 @@ mod transport;
 use spotdc_core::WireMsg;
 
 pub use controller::{wire_totals, ShardRuntime, WireStats};
-pub use shard::AgentLoop;
-pub use transport::{agent_binary, InProcTransport, ShardTransport, SubprocessTransport};
+pub use shard::{serve, AgentLoop};
+pub use transport::agent_binary;
 
 /// Which transport carries the wire protocol between the controller and
 /// its shard agents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
     /// Shard agents as dedicated threads in the controller process,
-    /// exchanging framed byte buffers over channels.
+    /// exchanging frames over a pipe pair.
     #[default]
     InProc,
     /// Shard agents as `spotdc-agent` child processes, exchanging

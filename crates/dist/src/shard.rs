@@ -1,12 +1,51 @@
-//! The agent side of the split: the message loop every transport runs.
+//! The agent side of the split: [`serve`], the one loop every shard
+//! agent runs, and the [`AgentLoop`] state machine it drives.
 
-use std::io;
+use std::io::{self, BufReader, BufWriter, Read, Write};
 
-use spotdc_core::{MarketClearing, WireMsg};
+use spotdc_core::{frame, MarketClearing, WireMsg};
 
-/// The agent-side message loop, shared verbatim by the `spotdc-agent`
-/// binary and [`InProcTransport`](crate::InProcTransport) threads so the
-/// two transports cannot drift behaviorally.
+/// Serves the wire protocol until `Shutdown`: reads frames from `input`
+/// and writes each reply frame to `output`, flushed. Both transports
+/// run this loop — an in-process agent thread over a pipe pair, the
+/// `spotdc-agent` binary over its stdin/stdout — so an agent behaves
+/// the same wherever it runs.
+///
+/// # Errors
+///
+/// A torn or corrupt frame, a payload that does not decode, a protocol
+/// error from [`AgentLoop::handle`], end of input without `Shutdown`,
+/// or a failed write. The loop stops at the first one, and dropping the
+/// streams is what tells the controller the shard is dead.
+pub fn serve(input: impl Read, output: impl Write) -> io::Result<()> {
+    let mut input = BufReader::new(input);
+    let mut output = BufWriter::new(output);
+    let mut agent = AgentLoop::new();
+    // One recycled buffer per direction: frames arrive and leave every
+    // slot.
+    let mut payload = Vec::new();
+    let mut reply_payload = Vec::new();
+    loop {
+        if !frame::read_frame_into(&mut input, &mut payload)? {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "controller closed the stream without Shutdown",
+            ));
+        }
+        let msg = WireMsg::decode(&payload).map_err(|e| invalid(e.to_string()))?;
+        if matches!(msg, WireMsg::Shutdown) {
+            return Ok(());
+        }
+        if let Some(reply) = agent.handle(msg)? {
+            reply_payload = reply.encode_into(reply_payload);
+            frame::write_frame(&mut output, &reply_payload)?;
+            output.flush()?;
+        }
+    }
+}
+
+/// The agent-side state machine [`serve`] drives, one message at a
+/// time.
 ///
 /// An agent computes nothing but pure task→outcome clears, and it
 /// answers each [`SlotFrame`](WireMsg::SlotFrame) from that frame
@@ -30,16 +69,16 @@ impl AgentLoop {
 
     /// Handles one message, returning the reply to send back when the
     /// message warrants one. [`WireMsg::Shutdown`] is the caller's
-    /// concern (it terminates the transport loop, not this state
-    /// machine), and a stray agent→controller message is ignored.
+    /// concern (it ends [`serve`], not this state machine), and a stray
+    /// agent→controller message is ignored.
     ///
     /// # Errors
     ///
     /// A slot frame that arrives before `AssignShard`, or that bids for
     /// a rack twice in one market or for a rack its constraint set does
-    /// not know, is a protocol error: the transport closes the stream,
-    /// and the controller treats the shard as dead (and respawns it)
-    /// like any other transport failure.
+    /// not know, is a protocol error: [`serve`] returns it and closes
+    /// the stream, and the controller treats the shard as dead (and
+    /// respawns it) like any other transport failure.
     pub fn handle(&mut self, msg: WireMsg) -> io::Result<Option<WireMsg>> {
         match msg {
             WireMsg::AssignShard { clearing } => {
@@ -274,5 +313,84 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("AssignShard"), "{err}");
+    }
+
+    /// `msgs` framed back to back, as a controller writes them.
+    fn stream(msgs: &[WireMsg]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for msg in msgs {
+            frame::write_frame(&mut out, &msg.encode()).unwrap();
+        }
+        out
+    }
+
+    fn assign() -> WireMsg {
+        WireMsg::AssignShard {
+            clearing: ClearingConfig::default(),
+        }
+    }
+
+    fn slot_frame(tasks: Vec<TaskShip>) -> WireMsg {
+        WireMsg::SlotFrame {
+            slot: Slot::new(7),
+            constraints: constraints(60.0),
+            tasks,
+        }
+    }
+
+    #[test]
+    fn serve_stops_cleanly_at_shutdown() {
+        let mut out = Vec::new();
+        serve(&stream(&[WireMsg::Shutdown])[..], &mut out).unwrap();
+        assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn serve_writes_the_agent_loops_reply_as_one_frame() {
+        let frame_msg = slot_frame(vec![market(50.0, vec![bid(0), step_bid(1)])]);
+        let want = assigned()
+            .handle(frame_msg.clone())
+            .unwrap()
+            .expect("a slot frame demands a reply");
+        let mut out = Vec::new();
+        serve(
+            &stream(&[assign(), frame_msg, WireMsg::Shutdown])[..],
+            &mut out,
+        )
+        .unwrap();
+        let mut replies = &out[..];
+        let payload = frame::read_frame(&mut replies)
+            .unwrap()
+            .expect("one reply frame");
+        assert_eq!(WireMsg::decode(&payload), Ok(want));
+        assert!(replies.is_empty(), "more than one reply frame");
+    }
+
+    #[test]
+    fn serve_ends_at_a_protocol_error_without_replying() {
+        for msgs in [
+            vec![slot_frame(vec![market(50.0, vec![bid(0)])])],
+            vec![
+                assign(),
+                slot_frame(vec![market(50.0, vec![bid(0), step_bid(0)])]),
+            ],
+        ] {
+            let mut out = Vec::new();
+            let mut input = stream(&msgs);
+            input.extend(stream(&[WireMsg::Shutdown]));
+            let err = serve(&input[..], &mut out).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(out.is_empty(), "{out:?}");
+        }
+    }
+
+    #[test]
+    fn a_torn_frame_or_a_stream_without_shutdown_is_an_error() {
+        let whole = stream(&[assign(), WireMsg::Shutdown]);
+        let err = serve(&whole[..whole.len() - 1], Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("torn"), "{err}");
+        let err = serve(&stream(&[assign()])[..], Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
     }
 }

@@ -1,260 +1,145 @@
-//! The two transports behind [`ShardTransport`]: an in-process thread
-//! and a `spotdc-agent` subprocess, both carrying the same framed bytes.
+//! The one transport: an ordered byte stream to a shard agent running
+//! [`serve`], on a thread over a pipe pair or in a `spotdc-agent` child
+//! over its stdin/stdout. Which one changes where the bytes go, never
+//! what they are or which loop answers them.
 
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::process::{Child, Command, Stdio};
 use std::thread::JoinHandle;
 
 use spotdc_core::{frame, WireMsg};
 
-use crate::shard::AgentLoop;
+use crate::{serve, TransportKind};
 
-/// A bidirectional, ordered message channel between the controller and
-/// one shard agent.
-///
-/// Both implementations move the *same bytes*: messages are encoded and
-/// wrapped in the shared length-prefix + CRC-32 frame on send, and
-/// unframed + decoded on receive, even in-process. Byte counts returned
-/// by [`send`](ShardTransport::send)/[`recv`](ShardTransport::recv)
-/// feed `ShardRpc` telemetry.
-///
-/// Any [`io::Error`] is terminal for the shard: the controller marks it
-/// dead and degrades its sub-markets for the rest of the run.
-pub trait ShardTransport: Send + std::fmt::Debug {
-    /// Frames and sends one message, returning the bytes put on the
-    /// wire (payload plus the 8-byte frame header).
-    ///
-    /// # Errors
-    ///
-    /// Any transport failure (dead thread, closed pipe).
-    fn send(&mut self, msg: &WireMsg) -> io::Result<u64>;
-
-    /// Receives the next message, blocking until one arrives. Returns
-    /// the message and the bytes taken off the wire.
-    ///
-    /// # Errors
-    ///
-    /// Any transport failure, a torn or corrupt frame, or a payload
-    /// that does not decode to a [`WireMsg`].
-    fn recv(&mut self) -> io::Result<(WireMsg, u64)>;
-
-    /// The OS pid behind this transport, if it is a separate process.
-    fn pid(&self) -> Option<u32> {
-        None
-    }
-}
-
-fn framed(msg: &WireMsg) -> io::Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    frame::write_frame(&mut buf, &msg.encode())?;
-    Ok(buf)
-}
-
-fn decode_frame(payload: &[u8]) -> io::Result<WireMsg> {
-    WireMsg::decode(payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-}
-
-/// A shard agent as a dedicated thread in the controller's process.
-///
-/// The thread runs the same [`AgentLoop`] as the subprocess binary and
-/// the channels carry fully framed byte buffers, so switching
-/// transports changes *where* the bytes go, never what they are.
-#[derive(Debug)]
-pub struct InProcTransport {
-    to_agent: Sender<Vec<u8>>,
-    from_agent: Receiver<Vec<u8>>,
-    thread: Option<JoinHandle<()>>,
-    /// Recycled encode scratch: the framed buffer itself must be a
-    /// fresh allocation (it is moved into the channel), but the payload
-    /// encoding reuses this one across slots.
-    payload_buf: Vec<u8>,
-    /// Recycled unframe scratch for received replies.
-    recv_buf: Vec<u8>,
-}
-
-impl InProcTransport {
-    /// Spawns the agent thread. The current telemetry run tag (if any)
-    /// is re-applied inside the thread so shard-side events stay
-    /// attributable.
-    #[must_use]
-    pub fn spawn() -> Self {
-        let (to_agent, agent_rx) = mpsc::channel::<Vec<u8>>();
-        let (agent_tx, from_agent) = mpsc::channel::<Vec<u8>>();
-        let run = spotdc_telemetry::current_run();
-        let thread = std::thread::Builder::new()
-            .name("spotdc-shard".to_owned())
-            .spawn(move || {
-                let _scope = run.as_deref().map(spotdc_telemetry::run_scope);
-                let mut agent = AgentLoop::new();
-                let mut payload = Vec::new();
-                let mut reply_buf = Vec::new();
-                while let Ok(bytes) = agent_rx.recv() {
-                    match frame::read_frame_into(&mut bytes.as_slice(), &mut payload) {
-                        Ok(true) => {}
-                        _ => break,
-                    }
-                    let Ok(msg) = WireMsg::decode(&payload) else {
-                        break;
-                    };
-                    if matches!(msg, WireMsg::Shutdown) {
-                        break;
-                    }
-                    // A protocol error closes the stream, like a damaged
-                    // frame: the controller sees a dead shard.
-                    let Ok(reply) = agent.handle(msg) else {
-                        break;
-                    };
-                    if let Some(reply) = reply {
-                        reply_buf = reply.encode_into(reply_buf);
-                        let mut framed = Vec::with_capacity(frame::HEADER_LEN + reply_buf.len());
-                        if frame::write_frame(&mut framed, &reply_buf).is_err() {
-                            break;
-                        }
-                        if agent_tx.send(framed).is_err() {
-                            break;
-                        }
-                    }
-                }
-            })
-            .expect("spawn in-process shard agent thread");
-        InProcTransport {
-            to_agent,
-            from_agent,
-            thread: Some(thread),
-            payload_buf: Vec::new(),
-            recv_buf: Vec::new(),
-        }
-    }
-}
-
-impl ShardTransport for InProcTransport {
-    fn send(&mut self, msg: &WireMsg) -> io::Result<u64> {
-        let payload = msg.encode_into(std::mem::take(&mut self.payload_buf));
-        let mut bytes = Vec::with_capacity(frame::HEADER_LEN + payload.len());
-        frame::write_frame(&mut bytes, &payload)?;
-        self.payload_buf = payload;
-        let n = bytes.len() as u64;
-        self.to_agent.send(bytes).map_err(|_| {
-            io::Error::new(io::ErrorKind::BrokenPipe, "shard agent thread has exited")
-        })?;
-        Ok(n)
-    }
-
-    fn recv(&mut self) -> io::Result<(WireMsg, u64)> {
-        let bytes = self.from_agent.recv().map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "shard agent thread has exited",
-            )
-        })?;
-        let n = bytes.len() as u64;
-        if !frame::read_frame_into(&mut bytes.as_slice(), &mut self.recv_buf)? {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "empty frame from shard agent",
-            ));
-        }
-        Ok((decode_frame(&self.recv_buf)?, n))
-    }
-}
-
-impl Drop for InProcTransport {
-    fn drop(&mut self) {
-        // Best effort: a clean Shutdown if the thread is still serving,
-        // otherwise the dropped Sender disconnects the loop anyway.
-        if let Ok(bytes) = framed(&WireMsg::Shutdown) {
-            let _ = self.to_agent.send(bytes);
-        }
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-/// A shard agent as a `spotdc-agent` child process, frames over
-/// stdin/stdout pipes.
-#[derive(Debug)]
-pub struct SubprocessTransport {
-    child: Child,
-    stdin: Option<BufWriter<ChildStdin>>,
-    stdout: BufReader<ChildStdout>,
+/// The controller's end of one shard agent's stream. Any [`io::Error`]
+/// is terminal for the shard: the controller marks it dead and
+/// respawns it at the next dispatch.
+pub(crate) struct Transport {
+    to_agent: BufWriter<Box<dyn Write + Send>>,
+    from_agent: BufReader<Box<dyn Read + Send>>,
+    owner: Owner,
     /// Recycled encode scratch, reused across slots.
-    payload_buf: Vec<u8>,
-    /// Recycled framed-bytes scratch: the whole frame is assembled here
-    /// and written to the pipe with a single `write_all`, so even an
-    /// unbuffered pipe sees one write per message.
-    frame_buf: Vec<u8>,
+    payload: Vec<u8>,
     /// Recycled unframe scratch for received replies.
     recv_buf: Vec<u8>,
 }
 
-impl SubprocessTransport {
-    /// Spawns the agent executable at `binary` with piped stdin/stdout
-    /// (stderr is inherited so agent diagnostics surface).
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`Command::spawn`] reports (missing binary, exhausted
-    /// process table, ...).
-    pub fn spawn(binary: &Path) -> io::Result<Self> {
-        let mut child = Command::new(binary)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .spawn()?;
-        let stdin = child.stdin.take().expect("piped stdin");
-        let stdout = child.stdout.take().expect("piped stdout");
-        Ok(SubprocessTransport {
-            child,
-            stdin: Some(BufWriter::new(stdin)),
-            stdout: BufReader::new(stdout),
-            payload_buf: Vec::new(),
-            frame_buf: Vec::new(),
+/// What runs the agent: reaped when the transport drops.
+enum Owner {
+    Thread(Option<JoinHandle<io::Result<()>>>),
+    Process(Child),
+}
+
+impl Transport {
+    /// Starts one agent. In-process, a thread runs [`serve`] on two
+    /// pipes, with the current telemetry run tag (if any) re-applied
+    /// inside it so shard-side events stay attributable. As a
+    /// subprocess, `binary` is spawned with piped stdin/stdout (stderr
+    /// is inherited so agent diagnostics surface).
+    pub(crate) fn spawn(kind: TransportKind, binary: Option<&Path>) -> io::Result<Self> {
+        let (to_agent, from_agent, owner): (Box<dyn Write + Send>, Box<dyn Read + Send>, _) =
+            match kind {
+                TransportKind::InProc => {
+                    let (agent_in, to_agent) = io::pipe()?;
+                    let (from_agent, agent_out) = io::pipe()?;
+                    let run = spotdc_telemetry::current_run();
+                    let thread = std::thread::Builder::new()
+                        .name("spotdc-shard".to_owned())
+                        .spawn(move || {
+                            let _scope = run.as_deref().map(spotdc_telemetry::run_scope);
+                            serve(agent_in, agent_out)
+                        })?;
+                    (
+                        Box::new(to_agent),
+                        Box::new(from_agent),
+                        Owner::Thread(Some(thread)),
+                    )
+                }
+                TransportKind::Subprocess => {
+                    let binary = binary.ok_or_else(|| {
+                        io::Error::new(io::ErrorKind::NotFound, "no agent binary resolved")
+                    })?;
+                    let mut child = Command::new(binary)
+                        .stdin(Stdio::piped())
+                        .stdout(Stdio::piped())
+                        .spawn()?;
+                    let stdin = child.stdin.take().expect("piped stdin");
+                    let stdout = child.stdout.take().expect("piped stdout");
+                    (Box::new(stdin), Box::new(stdout), Owner::Process(child))
+                }
+            };
+        Ok(Transport {
+            to_agent: BufWriter::new(to_agent),
+            from_agent: BufReader::new(from_agent),
+            owner,
+            payload: Vec::new(),
             recv_buf: Vec::new(),
         })
     }
-}
 
-impl ShardTransport for SubprocessTransport {
-    fn send(&mut self, msg: &WireMsg) -> io::Result<u64> {
-        let stdin = self.stdin.as_mut().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::BrokenPipe, "agent stdin already closed")
-        })?;
-        let payload = msg.encode_into(std::mem::take(&mut self.payload_buf));
-        self.frame_buf.clear();
-        frame::write_frame(&mut self.frame_buf, &payload)?;
-        self.payload_buf = payload;
-        stdin.write_all(&self.frame_buf)?;
-        stdin.flush()?;
-        Ok(self.frame_buf.len() as u64)
+    /// Frames and sends one message, returning the bytes put on the
+    /// wire (payload plus the 8-byte frame header).
+    pub(crate) fn send(&mut self, msg: &WireMsg) -> io::Result<u64> {
+        self.payload = msg.encode_into(std::mem::take(&mut self.payload));
+        frame::write_frame(&mut self.to_agent, &self.payload)?;
+        self.to_agent.flush()?;
+        Ok((frame::HEADER_LEN + self.payload.len()) as u64)
     }
 
-    fn recv(&mut self) -> io::Result<(WireMsg, u64)> {
-        if !frame::read_frame_into(&mut self.stdout, &mut self.recv_buf)? {
+    /// Receives the next message, blocking until one arrives. Returns
+    /// the message and the bytes taken off the wire. A closed stream, a
+    /// torn or corrupt frame, or a payload that does not decode is an
+    /// error.
+    pub(crate) fn recv(&mut self) -> io::Result<(WireMsg, u64)> {
+        if !frame::read_frame_into(&mut self.from_agent, &mut self.recv_buf)? {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
-                "agent process closed its stdout",
+                "shard agent closed its stream",
             ));
         }
-        let n = (frame::HEADER_LEN + self.recv_buf.len()) as u64;
-        Ok((decode_frame(&self.recv_buf)?, n))
+        let msg = WireMsg::decode(&self.recv_buf)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        Ok((msg, (frame::HEADER_LEN + self.recv_buf.len()) as u64))
     }
 
-    fn pid(&self) -> Option<u32> {
-        Some(self.child.id())
+    /// The OS pid of the agent, if it is a separate process.
+    pub(crate) fn pid(&self) -> Option<u32> {
+        match &self.owner {
+            Owner::Thread(_) => None,
+            Owner::Process(child) => Some(child.id()),
+        }
     }
 }
 
-impl Drop for SubprocessTransport {
+impl Drop for Transport {
     fn drop(&mut self) {
-        // Best-effort clean shutdown; closing stdin unblocks an agent
-        // mid-read, and a SIGKILLed child just makes these writes fail.
-        if let Some(mut stdin) = self.stdin.take() {
-            let _ = frame::write_frame(&mut stdin, &WireMsg::Shutdown.encode());
-            let _ = stdin.flush();
+        // Best effort: a clean Shutdown if the agent is still serving; a
+        // dead one just makes the write fail.
+        let _ = frame::write_frame(&mut self.to_agent, &WireMsg::Shutdown.encode());
+        let _ = self.to_agent.flush();
+        // Close both ends before reaping, so an agent blocked writing a
+        // reply nobody will read fails instead of hanging the join.
+        self.to_agent = BufWriter::new(Box::new(io::sink()));
+        self.from_agent = BufReader::new(Box::new(io::empty()));
+        match &mut self.owner {
+            Owner::Thread(thread) => {
+                if let Some(thread) = thread.take() {
+                    let _ = thread.join();
+                }
+            }
+            Owner::Process(child) => {
+                let _ = child.wait();
+            }
         }
-        let _ = self.child.wait();
+    }
+}
+
+impl std::fmt::Debug for Transport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Transport")
+            .field("pid", &self.pid())
+            .finish_non_exhaustive()
     }
 }
 
@@ -285,13 +170,13 @@ pub fn agent_binary() -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spotdc_core::{ClearingConfig, ConstraintSet};
+    use spotdc_core::{ClearingConfig, ConstraintSet, RackBid, StepBid, TaskShip};
     use spotdc_power::topology::TopologyBuilder;
-    use spotdc_units::{Slot, TenantId, Watts};
+    use spotdc_units::{Price, RackId, Slot, TenantId, Watts};
 
     #[test]
     fn inproc_transport_round_trips_a_slot() {
-        let mut t = InProcTransport::spawn();
+        let mut t = Transport::spawn(TransportKind::InProc, None).unwrap();
         t.send(&WireMsg::AssignShard {
             clearing: ClearingConfig::default(),
         })
@@ -325,7 +210,42 @@ mod tests {
 
     #[test]
     fn dropping_the_transport_joins_the_agent_thread() {
-        let t = InProcTransport::spawn();
+        let t = Transport::spawn(TransportKind::InProc, None).unwrap();
         drop(t); // must not hang or panic
+    }
+
+    #[test]
+    fn dropping_with_a_reply_unread_does_not_hang() {
+        // A reply far larger than a pipe holds: the agent blocks writing
+        // it until the transport closes its end.
+        let mut t = Transport::spawn(TransportKind::InProc, None).unwrap();
+        t.send(&WireMsg::AssignShard {
+            clearing: ClearingConfig::default(),
+        })
+        .unwrap();
+        let topo = TopologyBuilder::new(Watts::new(400.0))
+            .pdu(Watts::new(200.0))
+            .rack(TenantId::new(0), Watts::new(100.0), Watts::new(50.0))
+            .build()
+            .unwrap();
+        let bid = RackBid::new(
+            RackId::new(0),
+            StepBid::new(Watts::new(25.0), Price::per_kw_hour(0.2))
+                .unwrap()
+                .into(),
+        );
+        let tasks = (0..5_000)
+            .map(|_| TaskShip {
+                ups_spot: Watts::new(50.0),
+                bids: vec![bid.clone()],
+            })
+            .collect();
+        t.send(&WireMsg::SlotFrame {
+            slot: Slot::new(1),
+            constraints: ConstraintSet::new(&topo, vec![Watts::new(60.0)], Watts::new(60.0)),
+            tasks,
+        })
+        .unwrap();
+        drop(t);
     }
 }

@@ -9,9 +9,10 @@
 //! answers the next exactly like a fresh one; and shards driven through
 //! bid churn, topology swaps and agents SIGKILLed mid-sequence return
 //! exactly the results of cold clears, degrading only the killed
-//! shard's tasks. A trio of plain tests then drives the real
-//! `spotdc-agent` subprocess end-to-end: healthy, dead, and SIGKILLed
-//! between slots.
+//! shard's tasks. Plain tests then drive the real `spotdc-agent`
+//! subprocess end-to-end — healthy, dead, and SIGKILLed between slots —
+//! and a shard of either transport that rejects its frame, dies and is
+//! respawned.
 
 /// `spotdc-core`'s independent Eqns. 1–4 reference: [`serial_clear`]
 /// holds itself to it, so "merged equals serial" and "warm equals fresh"
@@ -656,4 +657,60 @@ fn sigkilled_agents_respawn_at_the_next_dispatch() {
     assert_eq!(runtime.live_shards(), 2);
     let new_pid = runtime.agent_pids()[0].expect("respawned shard has a pid");
     assert_ne!(new_pid, pid, "a fresh agent process took over");
+}
+
+#[test]
+fn a_shard_that_rejects_its_frame_degrades_one_slot_and_respawns() {
+    spotdc_telemetry::install(spotdc_telemetry::TelemetryConfig::in_memory());
+    let constraints = fixed_constraints();
+    // Task 0, shard 0's, bids rack 0 twice: a protocol error that ends
+    // the agent's loop. Task 1, on shard 1, is fine.
+    let doubled = || {
+        let mut tasks = fixed_tasks();
+        let again = tasks[0].bids[0].clone();
+        tasks[0].bids.push(again);
+        tasks
+    };
+    let runtimes = [
+        ShardRuntime::new(2, TransportKind::InProc, ClearingConfig::default())
+            .expect("start in-process agents"),
+        subprocess_runtime(env!("CARGO_BIN_EXE_spotdc-agent"), 2)
+            .expect("spawn spotdc-agent children"),
+    ];
+    for (i, mut runtime) in runtimes.into_iter().enumerate() {
+        // Slots no other test in this binary dispatches, so the shard
+        // deaths below are this runtime's.
+        let slot = Slot::new(300 + 10 * i as u64);
+        let tasks = doubled();
+        let healthy = serial_clear(slot, ClearingConfig::default(), &constraints, &tasks[1..]);
+        let got = runtime.clear_tasks(slot, &constraints, tasks);
+        assert_eq!(got, vec![None, Some(healthy[0].clone())], "runtime {i}");
+        assert_eq!(runtime.live_shards(), 1, "runtime {i}");
+        let down: Vec<(u64, String)> = spotdc_telemetry::memory_sink()
+            .snapshot()
+            .into_iter()
+            .filter_map(|e| match e {
+                spotdc_telemetry::Event::ShardDown {
+                    slot: at,
+                    shard,
+                    reason,
+                    ..
+                } if at == slot => Some((shard, reason)),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            matches!(&down[..], [(0, reason)] if reason.starts_with("reply receive failed")),
+            "runtime {i}: {down:?}"
+        );
+        // The next dispatch respawns shard 0, and both answer like the
+        // serial clear again.
+        let next = slot.next();
+        assert_eq!(
+            runtime.clear_tasks(next, &constraints, fixed_tasks()),
+            fixed_want(next),
+            "runtime {i}"
+        );
+        assert_eq!(runtime.live_shards(), 2, "runtime {i}");
+    }
 }

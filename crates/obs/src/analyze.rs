@@ -190,6 +190,23 @@ pub struct DistributedStats {
     pub tasks: u64,
     /// Per-shard clearing latency, keyed by shard index.
     pub clears: BTreeMap<u64, ShardClearStats>,
+    /// Every shard the controller marked dead, from `ShardDown` events,
+    /// sorted.
+    pub shard_down: Vec<DeadShard>,
+}
+
+/// One shard death: where it happened and what the controller saw.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct DeadShard {
+    /// The run tag the event carried, or `"-"` for untagged logs.
+    pub run: String,
+    /// The slot whose exchange failed.
+    pub slot: u64,
+    /// The shard marked dead.
+    pub shard: u64,
+    /// The controller's reason (send or receive error, wrong slot,
+    /// wrong outcome count).
+    pub reason: String,
 }
 
 impl DistributedStats {
@@ -443,6 +460,14 @@ impl Analysis {
                     shard_clears.entry(*shard).or_default().push(*nanos);
                     a.distributed.clears.entry(*shard).or_default().outcomes += *outcomes;
                 }
+                Event::ShardDown { shard, reason, .. } => {
+                    a.distributed.shard_down.push(DeadShard {
+                        run: run_key,
+                        slot,
+                        shard: *shard,
+                        reason: reason.clone(),
+                    });
+                }
                 Event::ConstraintBound { constraint, .. } => {
                     // "ups" or "pdu-<i>": tally by level, not by PDU.
                     let level = constraint.split('-').next().unwrap_or_default();
@@ -475,6 +500,7 @@ impl Analysis {
             stats.p99_ns = nearest_rank(&samples, 99);
         }
         a.distributed.slots = rpc_slots.len() as u64;
+        a.distributed.shard_down.sort();
         a.binding_slots = bound_slots.len() as u64;
         a.emergency_slots.sort();
         a.emergency_slots.dedup();
@@ -648,6 +674,13 @@ impl Analysis {
                     micros(s.p99_ns)
                 );
             }
+            for dead in &d.shard_down {
+                let _ = writeln!(
+                    out,
+                    "  DOWN shard {} (run {}, slot {}): {}",
+                    dead.shard, dead.run, dead.slot, dead.reason
+                );
+            }
         }
 
         let _ = writeln!(out, "\n-- anomalies --");
@@ -808,7 +841,21 @@ impl Analysis {
                 s.count, s.outcomes, s.p50_ns, s.p99_ns
             );
         }
-        out.push_str("}}");
+        out.push_str("},\"shard_down\":[");
+        for (i, dead) in dist.shard_down.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{{\"run\":{},\"slot\":{},\"shard\":{},\"reason\":{}}}",
+                json_str(&dead.run),
+                dead.slot,
+                dead.shard,
+                json_str(&dead.reason)
+            );
+        }
+        out.push_str("]}");
 
         out.push_str(",\"anomalies\":{");
         let _ = write!(
@@ -1358,6 +1405,15 @@ mod tests {
             line(Some("r"), &cleared(1, 0, 2, 40_000)),
             line(Some("r"), &cleared(2, 0, 2, 60_000)),
             line(Some("r"), &cleared(1, 1, 1, 90_000)),
+            line(
+                Some("r"),
+                &Event::ShardDown {
+                    slot: Slot::new(2),
+                    at: MonotonicNanos::from_raw(2_006),
+                    shard: 1,
+                    reason: "slot frame send failed: broken pipe".to_owned(),
+                },
+            ),
         ]
         .join("\n");
         let a = Analysis::from_jsonl(&body, None);
@@ -1374,6 +1430,15 @@ mod tests {
         assert_eq!(d.clears[&0].p99_ns, 60_000);
         assert_eq!(d.clears[&1].count, 1);
         assert_eq!(d.clears[&1].p50_ns, 90_000);
+        assert_eq!(
+            d.shard_down,
+            vec![DeadShard {
+                run: "r".to_owned(),
+                slot: 2,
+                shard: 1,
+                reason: "slot frame send failed: broken pipe".to_owned(),
+            }]
+        );
         let text = a.render_text();
         assert!(
             text.contains("rpc: 8 frames, 1500 bytes across 2 slots (setup: 4 frames, 450 bytes)"),
@@ -1388,6 +1453,10 @@ mod tests {
             text.contains("shard 0: 2 clears, 4 outcomes, p50 40.0 µs, p99 60.0 µs"),
             "{text}"
         );
+        assert!(
+            text.contains("  DOWN shard 1 (run r, slot 2): slot frame send failed: broken pipe\n"),
+            "{text}"
+        );
         let json = a.render_json();
         assert!(
             json.contains(
@@ -1395,7 +1464,9 @@ mod tests {
                  \"setup_frames\":4,\"setup_bytes\":450,\
                  \"slots\":2,\"tasks\":6,\
                  \"shards\":{\"0\":{\"clears\":2,\"outcomes\":4,\"p50_ns\":40000,\"p99_ns\":60000},\
-                 \"1\":{\"clears\":1,\"outcomes\":1,\"p50_ns\":90000,\"p99_ns\":90000}}}"
+                 \"1\":{\"clears\":1,\"outcomes\":1,\"p50_ns\":90000,\"p99_ns\":90000}},\
+                 \"shard_down\":[{\"run\":\"r\",\"slot\":2,\"shard\":1,\
+                 \"reason\":\"slot frame send failed: broken pipe\"}]}"
             ),
             "{json}"
         );

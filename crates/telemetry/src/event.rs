@@ -329,16 +329,31 @@ event_table! {
         /// nanoseconds (includes wire and queueing time).
         nanos: u64,
     },
+    /// The controller marked a shard agent dead (distributed mode
+    /// only): its sub-markets sell no spot capacity until the next
+    /// dispatch respawns it.
+    ShardDown {
+        /// The slot whose exchange failed.
+        slot: Slot,
+        /// Monotonic timestamp.
+        at: MonotonicNanos,
+        /// The shard marked dead.
+        shard: u64,
+        /// What the controller saw: a send or receive error (a torn or
+        /// corrupt frame included), a reply for the wrong slot, or the
+        /// wrong outcome count.
+        reason: String,
+    },
 }
 
 impl Event {
     /// Whether the event must bypass `sample_every` down-sampling.
     ///
     /// Routine per-slot traffic (clearings, predictions) can be sampled;
-    /// anomalies (emergencies, rejections, binding constraints) and
-    /// one-per-run lifecycle events (recoveries, journal truncations)
-    /// are rare and always recorded. Checkpoint writes are routine
-    /// cadence traffic and may be sampled.
+    /// anomalies (emergencies, rejections, binding constraints, dead
+    /// shards) and one-per-run lifecycle events (recoveries, journal
+    /// truncations) are rare and always recorded. Checkpoint writes are
+    /// routine cadence traffic and may be sampled.
     #[must_use]
     pub fn is_critical(&self) -> bool {
         matches!(
@@ -351,6 +366,7 @@ impl Event {
                 | Event::InvariantViolated { .. }
                 | Event::RecoveryPerformed { .. }
                 | Event::JournalTruncated { .. }
+                | Event::ShardDown { .. }
         )
     }
 
@@ -615,6 +631,7 @@ mod tests {
                 "InvariantViolated",
                 "RecoveryPerformed",
                 "JournalTruncated",
+                "ShardDown",
             ]
         );
     }

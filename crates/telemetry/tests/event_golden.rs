@@ -134,6 +134,13 @@ fn samples() -> Vec<Event> {
             outcomes: 3,
             nanos: 52_000,
         },
+        Event::ShardDown {
+            slot: Slot::new(81),
+            at: at(100_760),
+            shard: 0,
+            reason: "reply receive failed: torn frame: stream ended 3 bytes into the header"
+                .to_owned(),
+        },
     ]
 }
 

@@ -205,6 +205,12 @@ fn event() -> impl Strategy<Value = Event> {
                 nanos,
             }
         ),
+        (base(), any_u64(), text()).prop_map(|((slot, at), shard, reason)| Event::ShardDown {
+            slot,
+            at,
+            shard,
+            reason,
+        }),
     ]
 }
 
