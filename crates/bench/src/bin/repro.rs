@@ -60,6 +60,10 @@ use spotdc_sim::experiments::{all_ids, run_selected, ExpConfig};
 use spotdc_sim::{Mode, Scenario};
 use spotdc_telemetry::{FileSink, SinkKind, TelemetryConfig};
 
+/// The longest horizon `--days` accepts: ten years of 2-minute slots,
+/// a slot count every per-slot buffer of a run can hold.
+const MAX_DAYS: f64 = 3660.0;
+
 /// Routes progress output through one place so `--quiet` silences
 /// everything except errors. A lock serializes whole lines, so
 /// messages from concurrent experiments never interleave mid-line.
@@ -145,8 +149,12 @@ fn main() -> ExitCode {
                 None => return usage("--exp needs an experiment id"),
             },
             "--days" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(days) if days.is_finite() && days > 0.0 => cfg.days = days,
-                _ => return usage("--days needs a finite number of days > 0"),
+                Some(days) if days > 0.0 && days <= MAX_DAYS => cfg.days = days,
+                _ => {
+                    return usage(&format!(
+                        "--days needs a finite number of days > 0, at most {MAX_DAYS}"
+                    ))
+                }
             },
             "--seed" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(seed) => cfg.seed = seed,
@@ -478,8 +486,8 @@ fn usage(error: &str) -> ExitCode {
         eprintln!("error: {error}\n");
     }
     eprintln!(
-        "usage: repro [--exp <id>]... [--days <n>] [--seed <n>] [--quick] [--jobs <n>]\n\
-         \x20            [--inner-jobs <n>] [--list-exps]\n\
+        "usage: repro [--exp <id>]... [--days <n ≤ {MAX_DAYS}>] [--seed <n>] [--quick]\n\
+         \x20            [--jobs <n>] [--inner-jobs <n>] [--list-exps]\n\
          \x20            [--out <dir>] [--telemetry <file>]\n\
          \x20            [--validate] [--quiet]\n\
          \x20      repro --mode <powercapped|spotdc|maxperf> [--slots <n>] [--seed <n>]\n\

@@ -80,7 +80,7 @@ fn tenants_runs_the_hyperscale_scenario_and_needs_a_mode() {
 
 #[test]
 fn days_must_be_a_finite_positive_number() {
-    for days in ["nan", "inf", "0", "-1"] {
+    for days in ["nan", "inf", "0", "-1", "1e300", "3660.5"] {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(["--exp", "fig12", "--days", days, "--quiet"])
             .output()
@@ -88,9 +88,10 @@ fn days_must_be_a_finite_positive_number() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "--days {days}: {stderr}");
         assert!(
-            stderr.contains("--days needs a finite number of days > 0"),
+            stderr.contains("--days needs a finite number of days > 0, at most 3660"),
             "--days {days}: {stderr}"
         );
+        assert!(stderr.contains("[--days <n ≤ 3660>]"), "{stderr}");
         assert!(out.stdout.is_empty(), "--days {days} ran something");
     }
 }

@@ -80,7 +80,8 @@ pub struct SlotRound {
     /// The clearing outcome (price, grants, revenue).
     pub outcome: MarketOutcome,
     /// Rack bids that were dropped at admission (unknown rack, a rack
-    /// not owned by the bidding tenant, or a tenant's second bid).
+    /// not owned by the bidding tenant, a tenant's second bid, or a bid
+    /// for more than the rack's spot headroom).
     pub rejected: Vec<RackId>,
     /// How prediction inputs were degraded this slot, if a
     /// [`StalenessPolicy`] was in force and anything was stale.
@@ -146,11 +147,12 @@ impl Operator {
     }
 
     /// Admission-checks `bids`, appending each rack bid that names a
-    /// known rack owned by the bidding tenant to `rack_bids` and every
-    /// other requested rack to `rejected`. A tenant bids once a slot:
-    /// only its first bid in `bids` is admitted, and every rack of a
-    /// later one is rejected. Buffers are appended to, not cleared, so
-    /// callers can reuse hot-path scratch across slots.
+    /// known rack owned by the bidding tenant, and asks for at most the
+    /// rack's spot headroom, to `rack_bids` and every other requested
+    /// rack to `rejected`. A tenant bids once a slot: only its first bid
+    /// in `bids` is admitted, and every rack of a later one is rejected.
+    /// Buffers are appended to, not cleared, so callers can reuse
+    /// hot-path scratch across slots.
     pub fn admit_bids_into(
         &self,
         slot: Slot,
@@ -168,21 +170,27 @@ impl Operator {
                 .get_mut(tenant)
                 .is_some_and(|seen| std::mem::replace(seen, true));
             let rejected_before = rejected.len();
+            // Why the first dropped rack was dropped.
+            let mut reason = None;
             for rb in tenant_bid.rack_bids() {
-                match self.topology.rack(rb.rack()) {
-                    Ok(spec) if !repeated && spec.tenant() == tenant_bid.tenant() => {
-                        rack_bids.push(rb.clone());
+                let refusal = match self.topology.rack(rb.rack()) {
+                    _ if repeated => Some("admission: tenant already bid this slot"),
+                    Ok(spec) if spec.tenant() == tenant_bid.tenant() => {
+                        let over = rb.demand().max_demand() > spec.spot_headroom();
+                        over.then_some("admission: bid exceeds rack headroom")
                     }
-                    _ => rejected.push(rb.rack()),
+                    _ => Some("admission: rack unknown or not owned by tenant"),
+                };
+                match refusal {
+                    None => rack_bids.push(rb.clone()),
+                    Some(why) => {
+                        reason.get_or_insert(why);
+                        rejected.push(rb.rack());
+                    }
                 }
             }
             let dropped = rejected.len() - rejected_before;
-            if dropped > 0 && spotdc_telemetry::is_enabled() {
-                let reason = if repeated {
-                    "admission: tenant already bid this slot"
-                } else {
-                    "admission: rack unknown or not owned by tenant"
-                };
+            if let Some(reason) = reason.filter(|_| spotdc_telemetry::is_enabled()) {
                 spotdc_telemetry::emit(spotdc_telemetry::Event::BidRejected {
                     slot,
                     at: spotdc_units::MonotonicNanos::now(),
@@ -387,6 +395,21 @@ mod tests {
         assert_eq!(
             round.outcome.allocation().grant(RackId::new(0)),
             Watts::new(40.0)
+        );
+    }
+
+    #[test]
+    fn a_bid_beyond_rack_headroom_is_rejected() {
+        let (op, meter) = operator();
+        // Both racks have 50 W of spot headroom.
+        let over = op.run_slot(Slot::new(1), &[step_bid(0, 0, 51.0, 0.2)], &meter);
+        assert_eq!(over.rejected, vec![RackId::new(0)]);
+        assert!(over.outcome.allocation().is_empty());
+        let exact = op.run_slot(Slot::new(1), &[step_bid(0, 0, 50.0, 0.2)], &meter);
+        assert!(exact.rejected.is_empty());
+        assert_eq!(
+            exact.outcome.allocation().grant(RackId::new(0)),
+            Watts::new(50.0)
         );
     }
 

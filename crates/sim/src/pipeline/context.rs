@@ -112,8 +112,8 @@ pub struct SimState {
 impl SimState {
     /// Builds the cross-slot state for a run of `slots` slots,
     /// including the slot-0 meter warm-up: tenants observe their first
-    /// load sample and run under reserved budgets so the first
-    /// prediction has references to work from. Warm-up is
+    /// load sample and draw what they would under reserved budgets, so
+    /// the first prediction has references to work from. Warm-up is
     /// initialization, not operation: it is never faulted.
     #[must_use]
     pub fn new(scenario: &Scenario, config: &EngineConfig, slots: usize) -> Self {
@@ -139,9 +139,12 @@ impl SimState {
         let mut true_draw: Vec<Watts> = vec![Watts::ZERO; topology.rack_count()];
         for (i, agent) in agents.iter_mut().enumerate() {
             agent.observe(traces.loads[i].first().copied().unwrap_or(0.0));
-            let out = agent.run_slot(agent.reserved());
-            meter.record(Slot::ZERO, agent.rack(), out.draw);
-            true_draw[agent.rack().index()] = out.draw.clamp_non_negative();
+            // Only the draw is metered: no performance, no cost.
+            let draw = agent
+                .model()
+                .power_draw(agent.reserved(), agent.intensity());
+            meter.record(Slot::ZERO, agent.rack(), draw);
+            true_draw[agent.rack().index()] = draw.clamp_non_negative();
         }
         for (j, other) in scenario.others.iter().enumerate() {
             let draw = traces.others[j].first().copied().unwrap_or(Watts::ZERO);

@@ -336,32 +336,33 @@ impl TenantAgent {
     }
 
     /// Runs the slot with the given total budget (reserved + any spot
-    /// grant), reporting draw, performance and cost.
+    /// grant), reporting draw, performance and cost. The performance
+    /// model is evaluated once, and the cost is read off that value.
     #[must_use]
     pub fn run_slot(&self, budget: Watts) -> SlotOutcome {
         let draw = self.model.power_draw(budget, self.intensity);
-        let cost_rate = self.model.cost_rate(budget, self.intensity);
-        let performance = match &self.model {
+        let (performance, value) = match &self.model {
             WorkloadModel::Sprinting { workload, cost } => {
                 let lambda = self.model.arrival_rate(self.intensity);
                 let seconds = workload.latency(lambda, budget);
-                Performance::Latency {
-                    seconds,
-                    slo_met: seconds <= cost.slo(),
-                }
+                let slo_met = seconds <= cost.slo();
+                (Performance::Latency { seconds, slo_met }, seconds)
             }
-            WorkloadModel::Opportunistic { workload, .. } => Performance::Throughput {
-                rate: if self.intensity > 0.0 {
+            WorkloadModel::Opportunistic { workload, .. } => {
+                // No backlog: nothing runs, so skip the DVFS inversion;
+                // `cost_at` charges an idle tenant nothing.
+                let rate = if self.intensity > 0.0 {
                     workload.throughput(budget)
                 } else {
                     0.0
-                },
-            },
+                };
+                (Performance::Throughput { rate }, rate)
+            }
         };
         SlotOutcome {
             draw,
             performance,
-            cost_rate,
+            cost_rate: self.model.cost_at(value, self.intensity),
         }
     }
 }
@@ -444,6 +445,25 @@ mod tests {
         let boosted = a.run_slot(Watts::new(187.5));
         let speedup = boosted.performance.index() / base.performance.index();
         assert!(speedup > 1.2, "speedup {speedup}");
+    }
+
+    #[test]
+    fn cost_rate_decreases_with_budget() {
+        for mut a in [search_agent(), batch_agent()] {
+            a.observe(0.9);
+            let hi = a.run_slot(Watts::new(190.0)).cost_rate;
+            let lo = a.run_slot(Watts::new(130.0)).cost_rate;
+            assert!(hi <= lo, "cost should fall with budget");
+        }
+    }
+
+    #[test]
+    fn idle_opportunistic_costs_nothing() {
+        let mut a = batch_agent();
+        a.observe(0.0);
+        let out = a.run_slot(Watts::new(125.0));
+        assert_eq!(out.cost_rate, 0.0);
+        assert_eq!(out.performance, Performance::Throughput { rate: 0.0 });
     }
 
     #[test]

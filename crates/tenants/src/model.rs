@@ -5,7 +5,7 @@
 //! in Table I) or *opportunistic* (batch workload judged by throughput,
 //! cost linear in completion time — WordCount, TeraSort, Graph).
 //! [`WorkloadModel`] unifies the two behind the queries the agent and
-//! strategies need: cost rate at a budget, gain curve over spot levels,
+//! strategies need: gain curve over spot levels, needed power,
 //! performance reporting, actual power draw.
 
 use serde::{Deserialize, Serialize};
@@ -166,17 +166,6 @@ impl WorkloadModel {
         }
     }
 
-    /// The tenant's cost rate ($/hour) when running with `budget` at
-    /// normalized load `intensity`.
-    #[must_use]
-    pub fn cost_rate(&self, budget: Watts, intensity: f64) -> f64 {
-        if !self.is_sprinting() && intensity <= 0.0 {
-            // No backlog, nothing to cost: skip the DVFS inversion.
-            return 0.0;
-        }
-        self.cost_at(self.performance(budget, intensity), intensity)
-    }
-
     /// What the cost model judges at `budget`: tail latency (seconds)
     /// for sprinting models, throughput (work units/s, independent of
     /// `intensity`) for opportunistic ones.
@@ -191,7 +180,7 @@ impl WorkloadModel {
 
     /// The cost rate ($/hour) of [`performance`](Self::performance)
     /// `perf` at load `intensity`.
-    fn cost_at(&self, perf: f64, intensity: f64) -> f64 {
+    pub(crate) fn cost_at(&self, perf: f64, intensity: f64) -> f64 {
         match self {
             WorkloadModel::Sprinting { cost, .. } => {
                 cost.cost_rate(perf, self.arrival_rate(intensity))
@@ -212,7 +201,7 @@ impl WorkloadModel {
     #[must_use]
     pub fn gain_curve(&self, reserved: Watts, headroom: Watts, intensity: f64) -> GainCurve {
         if !self.is_sprinting() && intensity <= 0.0 {
-            // No backlog: every cost is zero (see `cost_rate`), so skip
+            // No backlog: every cost is zero (see `cost_at`), so skip
             // the DVFS samples an agent's load-independent row needs.
             let zeros = std::iter::repeat_n(0.0, GAIN_SAMPLES + 1);
             return GainCurve::from_costs(headroom, GAIN_SAMPLES, 0.0, zeros);
@@ -386,15 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_rate_decreases_with_budget() {
-        for m in [WorkloadModel::search(), WorkloadModel::word_count()] {
-            let hi = m.cost_rate(Watts::new(190.0), 0.9);
-            let lo = m.cost_rate(Watts::new(130.0), 0.9);
-            assert!(hi <= lo, "cost should fall with budget");
-        }
-    }
-
-    #[test]
     fn gain_curve_positive_under_load() {
         let m = WorkloadModel::web();
         let g = m.gain_curve(Watts::new(115.0), Watts::new(57.5), 1.0);
@@ -403,9 +383,8 @@ mod tests {
     }
 
     #[test]
-    fn idle_opportunistic_costs_nothing() {
+    fn idle_opportunistic_gains_nothing() {
         let m = WorkloadModel::graph();
-        assert_eq!(m.cost_rate(Watts::new(115.0), 0.0), 0.0);
         let g = m.gain_curve(Watts::new(115.0), Watts::new(57.5), 0.0);
         assert_eq!(g.max_gain(), 0.0);
     }

@@ -5,7 +5,10 @@
 //! power) and the tenant's cost model applied to it. The agent caches
 //! rows, and a batch agent keeps a single row for every load level, so
 //! both halves must reproduce the direct computation bit for bit:
-//! `GainCurve::from_cost_rate` over `cost_rate`, and `needed_power`.
+//! `GainCurve::from_cost_rate` over the direct cost rate
+//! ([`oracle::cost_rate`]), and `needed_power`.
+
+mod oracle;
 
 use proptest::prelude::*;
 use spotdc_tenants::WorkloadModel;
@@ -53,7 +56,7 @@ proptest! {
         for bucket in 0..=BUCKETS {
             let q = f64::from(bucket) / f64::from(BUCKETS);
             let row = m.valuation_row(reserved, headroom, q);
-            let direct = GainCurve::from_cost_rate(reserved, headroom, SAMPLES, |b| m.cost_rate(b, q));
+            let direct = GainCurve::from_cost_rate(reserved, headroom, SAMPLES, |b| oracle::cost_rate(&m, b, q));
             prop_assert_eq!(bits(&m.gain_from_row(&row, q)), bits(&direct), "bucket {}", bucket);
             prop_assert_eq!(bits(&m.gain_curve(reserved, headroom, q)), bits(&direct));
             prop_assert_eq!(
