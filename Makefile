@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test bench bench-pairs benchmark-check clippy determinism \
+.PHONY: build test bench-pairs benchmark-check clippy determinism \
 	golden smoke-faults smoke-trace smoke-crash smoke-dist fmt docs-check \
 	api-check verify repro loc
 
@@ -18,7 +18,7 @@ test:
 	$(CARGO) test -q --workspace
 
 # One workspace-wide gate over every target (libs, bins, tests,
-# benches): nothing per-crate to forget, nothing --lib-only misses.
+# examples): nothing per-crate to forget, nothing --lib-only misses.
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
@@ -72,9 +72,6 @@ docs-check:
 # benchmark/): a callerless item fails here until it goes (ROADMAP 7).
 api-check:
 	scripts/pub_callers
-
-bench:
-	$(CARGO) bench -p spotdc-bench
 
 # The A/B behind every performance claim: BENCHMARK.json's command on
 # the working tree against BASE, in alternating pairs, reporting both

@@ -30,6 +30,15 @@
 //! external killer (`scripts/crash_harness`) can SIGKILL at a chosen
 //! slot. `--tenants N` swaps the Table I testbed for Fig. 18's
 //! hyper-scale scenario at about N tenants (`Scenario::hyperscale`).
+//! With `--telemetry`, the run's per-span latency table goes to stderr,
+//! so one command times a layer (`stage.predict`, `stage.clear_maxperf`,
+//! `engine.slot`, ...) at any tenant count, pricing and `--inner-jobs`
+//! width:
+//!
+//! ```text
+//! repro --mode maxperf --tenants 15000 --slots 4 --telemetry t.jsonl
+//! repro --mode spotdc --per-pdu --tenants 304 --slots 30 --inner-jobs 2 --telemetry t.jsonl
+//! ```
 //!
 //! `--shards N` runs SpotDC's clearing stage on N shard agents —
 //! `--shard-transport inproc` (threads) or `subprocess` (`spotdc-agent`
@@ -63,6 +72,10 @@ use spotdc_telemetry::{FileSink, SinkKind, TelemetryConfig};
 /// The longest horizon `--days` accepts: ten years of 2-minute slots,
 /// a slot count every per-slot buffer of a run can hold.
 const MAX_DAYS: f64 = 3660.0;
+
+/// The longest run `--slots` accepts: `--days`' horizon in the
+/// scenarios' 2-minute slots (720 a day).
+const MAX_SLOTS: u64 = MAX_DAYS as u64 * 720;
 
 /// Routes progress output through one place so `--quiet` silences
 /// everything except errors. A lock serializes whole lines, so
@@ -126,6 +139,8 @@ fn main() -> ExitCode {
     let mut telemetry_path: Option<std::path::PathBuf> = None;
     let mut jobs: usize = spotdc_par::available();
     let mut quiet = false;
+    // Set by a flag that only shapes the experiment suite.
+    let mut suite_flag = false;
     let mut single_mode: Option<Mode> = None;
     let mut single_slots: u64 = 300;
     let mut single_per_pdu = false;
@@ -143,13 +158,17 @@ fn main() -> ExitCode {
             "--quick" => {
                 cfg.days = 1.0;
                 cfg.quick = true;
+                suite_flag = true;
             }
             "--exp" => match args.next() {
                 Some(id) => selected.push(id),
                 None => return usage("--exp needs an experiment id"),
             },
             "--days" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(days) if days > 0.0 && days <= MAX_DAYS => cfg.days = days,
+                Some(days) if days > 0.0 && days <= MAX_DAYS => {
+                    cfg.days = days;
+                    suite_flag = true;
+                }
                 _ => {
                     return usage(&format!(
                         "--days needs a finite number of days > 0, at most {MAX_DAYS}"
@@ -161,7 +180,10 @@ fn main() -> ExitCode {
                 None => return usage("--seed needs an integer"),
             },
             "--jobs" | "-j" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => jobs = n,
+                Some(n) if n >= 1 => {
+                    jobs = n;
+                    suite_flag = true;
+                }
                 _ => return usage("--jobs needs a positive integer"),
             },
             "--inner-jobs" => match args.next().and_then(|v| v.parse().ok()) {
@@ -183,8 +205,12 @@ fn main() -> ExitCode {
                 _ => return usage("--mode needs powercapped, spotdc, or maxperf"),
             },
             "--slots" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => single_slots = n,
-                _ => return usage("--slots needs a positive integer"),
+                Some(n) if (1..=MAX_SLOTS).contains(&n) => single_slots = n,
+                _ => {
+                    return usage(&format!(
+                        "--slots needs a positive integer, at most {MAX_SLOTS}"
+                    ))
+                }
             },
             "--per-pdu" => single_per_pdu = true,
             "--tenants" => match args.next().and_then(|v| v.parse().ok()) {
@@ -238,10 +264,11 @@ fn main() -> ExitCode {
             "--per-pdu/--tenants/--shards/--shard-transport require --mode (single runs)",
         );
     }
-    if single_mode.is_some() && (!selected.is_empty() || out_dir.is_some()) {
+    if single_mode.is_some() && (!selected.is_empty() || out_dir.is_some() || suite_flag) {
         return usage(
-            "--mode single runs take only --slots/--seed/--tenants/--telemetry, the \
-             checkpoint flags, and the shard flags",
+            "--exp/--out/--days/--quick/--jobs shape the experiment suite; --mode single \
+             runs take --slots/--seed/--tenants/--inner-jobs/--telemetry, the checkpoint \
+             flags, and the shard flags",
         );
     }
     // Experiment-level workers come from the pool below; this seeds the
@@ -281,6 +308,7 @@ fn main() -> ExitCode {
                 mode,
                 slots: single_slots,
                 seed: cfg.seed,
+                inner_jobs: cfg.inner_jobs,
                 per_pdu: single_per_pdu,
                 tenants: single_tenants,
                 shards,
@@ -385,6 +413,7 @@ struct SingleRun {
     mode: Mode,
     slots: u64,
     seed: u64,
+    inner_jobs: usize,
     per_pdu: bool,
     /// `Scenario::hyperscale`'s tenant count; `None` is the testbed.
     tenants: Option<usize>,
@@ -404,6 +433,7 @@ fn run_single(run: SingleRun, reporter: &Reporter) -> ExitCode {
         mode,
         slots,
         seed,
+        inner_jobs,
         per_pdu,
         tenants,
         shards,
@@ -416,6 +446,7 @@ fn run_single(run: SingleRun, reporter: &Reporter) -> ExitCode {
     };
     let config = EngineConfig {
         durability,
+        inner_jobs,
         per_pdu_pricing: per_pdu,
         shards,
         shard_transport,
@@ -490,8 +521,9 @@ fn usage(error: &str) -> ExitCode {
          \x20            [--jobs <n>] [--inner-jobs <n>] [--list-exps]\n\
          \x20            [--out <dir>] [--telemetry <file>]\n\
          \x20            [--validate] [--quiet]\n\
-         \x20      repro --mode <powercapped|spotdc|maxperf> [--slots <n>] [--seed <n>]\n\
-         \x20            [--tenants <n>] [--per-pdu] [--shards <n>]\n\
+         \x20      repro --mode <powercapped|spotdc|maxperf> [--slots <n ≤ {MAX_SLOTS}>]\n\
+         \x20            [--seed <n>] [--tenants <n>] [--inner-jobs <n>] [--telemetry <file>]\n\
+         \x20            [--per-pdu] [--shards <n>]\n\
          \x20            [--shard-transport <inproc|subprocess>]\n\
          \x20            [--checkpoint-dir <dir>] [--checkpoint-every <n>] [--resume]\n\
          \x20            [--slot-delay-ms <n>]\n\

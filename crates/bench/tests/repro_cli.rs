@@ -1,5 +1,6 @@
 //! `repro`'s command-line contract: `--list` prints the experiment
-//! registry, a reader that goes away is not an error, and a bad flag
+//! registry, a reader that goes away is not an error, a `--mode` run
+//! honours the flags it takes and refuses the suite's, and a bad flag
 //! value is a usage error (exit 2) before anything runs.
 
 use std::process::{Command, Stdio};
@@ -94,4 +95,71 @@ fn days_must_be_a_finite_positive_number() {
         assert!(stderr.contains("[--days <n ≤ 3660>]"), "{stderr}");
         assert!(out.stdout.is_empty(), "--days {days} ran something");
     }
+}
+
+#[test]
+fn slots_must_be_a_positive_count_within_the_horizon() {
+    // 3 660 days of 2-minute slots is the ceiling; u64::MAX used to
+    // reach an allocation and panic with `capacity overflow`.
+    for slots in ["18446744073709551615", "2635201", "0", "-1", "x"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--mode", "spotdc", "--slots", slots, "--quiet"])
+            .output()
+            .expect("run repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--slots {slots}: {stderr}");
+        assert!(
+            stderr.contains("--slots needs a positive integer, at most 2635200"),
+            "--slots {slots}: {stderr}"
+        );
+        assert!(stderr.contains("[--slots <n ≤ 2635200>]"), "{stderr}");
+        assert!(out.stdout.is_empty(), "--slots {slots} ran something");
+    }
+}
+
+#[test]
+fn suite_only_flags_are_usage_errors_with_a_mode() {
+    for flag in [&["--days", "3"][..], &["--quick"], &["--jobs", "2"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--mode", "spotdc", "--slots", "1", "--quiet"])
+            .args(flag)
+            .output()
+            .expect("run repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag:?}: {stderr}");
+        assert!(
+            stderr.contains("--exp/--out/--days/--quick/--jobs shape the experiment suite"),
+            "{flag:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag:?} ran something");
+    }
+}
+
+#[test]
+fn inner_jobs_reaches_a_single_run() {
+    // Only an inner pool wider than one fans per-PDU sub-markets out,
+    // and each fan-out closes one `par.clear_per_pdu` span.
+    let fanned_out = |width: &str| {
+        let log = std::env::temp_dir().join(format!(
+            "repro-cli-inner-{width}-{}.jsonl",
+            std::process::id()
+        ));
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--mode", "spotdc", "--per-pdu", "--tenants", "64"])
+            .args(["--slots", "2", "--inner-jobs", width, "--quiet"])
+            .arg("--telemetry")
+            .arg(&log)
+            .output()
+            .expect("run repro");
+        assert!(
+            out.status.success(),
+            "--inner-jobs {width}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let body = std::fs::read_to_string(&log).expect("read the telemetry log");
+        std::fs::remove_file(&log).expect("remove the telemetry log");
+        body.contains("par.clear_per_pdu")
+    };
+    assert!(!fanned_out("1"));
+    assert!(fanned_out("2"));
 }

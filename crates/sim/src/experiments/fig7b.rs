@@ -3,8 +3,8 @@
 //! The scalability claim: with the paper's grid search, clearing stays
 //! below one second even at 15 000 racks with a 0.1 ¢/kW step, and
 //! below 100 ms with a 1 ¢/kW step. We measure wall-clock clearing time
-//! on synthetic bid populations of increasing size (the Criterion bench
-//! `clearing` in `spotdc-bench` measures the same thing rigorously).
+//! on synthetic bid populations of increasing size, two unrelated books
+//! of each size alternating through one warm engine (`repro --exp fig7b`).
 
 use std::time::Instant;
 
