@@ -51,10 +51,10 @@ smoke-trace: build
 smoke-crash: build
 	scripts/crash_harness
 
-# Distributed clearing smoke: the {shards} × {transport} grid must be
-# byte-identical to the serial run in every mode, and SIGKILLing one
-# shard agent mid-run must degrade only that shard's sub-markets with
-# zero invariant violations, its respawn costing one handshake frame.
+# Distributed clearing smoke: runs at shards {2, 4} must be
+# byte-identical to the serial run in every mode, and a sharded run's
+# trace must show one frame per shard per direction per slot, with the
+# handshakes tallied apart.
 smoke-dist: build
 	scripts/smoke_dist
 

@@ -19,7 +19,7 @@
 //! ```text
 //! repro --mode spotdc --slots 300 --checkpoint-dir ckpt/ --checkpoint-every 25
 //! repro --mode spotdc --slots 300 --checkpoint-dir ckpt/ --resume
-//! repro --mode spotdc --per-pdu --shards 4 --shard-transport subprocess
+//! repro --mode spotdc --per-pdu --shards 4
 //! repro --mode spotdc --per-pdu --tenants 15000 --slots 8
 //! ```
 //!
@@ -40,14 +40,13 @@
 //! repro --mode spotdc --per-pdu --tenants 304 --slots 30 --inner-jobs 2 --telemetry t.jsonl
 //! ```
 //!
-//! `--shards N` runs SpotDC's clearing stage on N shard agents —
-//! `--shard-transport inproc` (threads) or `subprocess` (`spotdc-agent`
-//! children) — with the controller merging serially, so stdout stays
-//! byte-identical to `--shards 1` for every shard count and transport
-//! (`scripts/smoke_dist` enforces this). `--per-pdu` switches SpotDC to
-//! per-PDU sub-market pricing, which is where sharding actually fans
-//! out. PowerCapped and MaxPerf have no market, so `--shards` changes
-//! nothing for them.
+//! `--shards N` runs SpotDC's clearing stage on N shard agent threads,
+//! each behind a framed pipe pair, with the controller merging
+//! serially, so stdout stays byte-identical to `--shards 1` for every
+//! shard count (`scripts/smoke_dist` enforces this). `--per-pdu`
+//! switches SpotDC to per-PDU sub-market pricing, which is where
+//! sharding actually fans out. PowerCapped and MaxPerf have no market,
+//! so `--shards` changes nothing for them.
 //!
 //! Experiments fan out across `--jobs` worker threads, and the
 //! multi-simulation experiments fan out further internally. Every
@@ -57,7 +56,7 @@
 //! Exit status: 0 on success, 2 on a usage error (a bad flag or value),
 //! 1 on any other failure.
 
-use std::io::Write as _;
+use std::io::{BufWriter, Write as _};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
@@ -96,7 +95,7 @@ impl Reporter {
     fn progress(&self, text: &str) {
         if !self.quiet {
             let _held = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-            print_stdout(text);
+            print_stdout(format_args!("{text}"));
         }
     }
 
@@ -113,13 +112,16 @@ impl Reporter {
     }
 }
 
-/// Writes `text` and a newline to stdout through one locked handle —
-/// the only way this binary writes there. A reader that closed the
-/// pipe (`repro --list | head -1`) has what it came for: exit 0
-/// silently where `println!` would panic with a backtrace.
-fn print_stdout(text: &str) {
-    let mut out = std::io::stdout().lock();
-    match writeln!(out, "{text}").and_then(|()| out.flush()) {
+/// Writes `args` and a newline to stdout through one locked handle —
+/// the only way this binary writes there. The text streams through a
+/// buffer as it is formatted, so a report is never held whole in
+/// memory (the locked handle alone would issue one write per line). A
+/// reader that closed the pipe (`repro --list | head -1`) has what it
+/// came for: exit 0 silently where `println!` would panic with a
+/// backtrace.
+fn print_stdout(args: std::fmt::Arguments<'_>) {
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    match writeln!(out, "{args}").and_then(|()| out.flush()) {
         Ok(()) => {}
         Err(e) => {
             spotdc_telemetry::flush();
@@ -146,13 +148,12 @@ fn main() -> ExitCode {
     let mut single_per_pdu = false;
     let mut single_tenants: Option<usize> = None;
     let mut shards: usize = 1;
-    let mut shard_transport = spotdc_dist::TransportKind::InProc;
     let mut durability = DurabilityConfig::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--list" | "--list-exps" => {
-                print_stdout(&all_ids().join("\n"));
+                print_stdout(format_args!("{}", all_ids().join("\n")));
                 return ExitCode::SUCCESS;
             }
             "--quick" => {
@@ -221,16 +222,6 @@ fn main() -> ExitCode {
                 Some(n) if n >= 1 => shards = n,
                 _ => return usage("--shards needs a positive integer"),
             },
-            "--shard-transport" => {
-                match args
-                    .next()
-                    .as_deref()
-                    .and_then(spotdc_dist::TransportKind::parse)
-                {
-                    Some(kind) => shard_transport = kind,
-                    None => return usage("--shard-transport needs inproc or subprocess"),
-                }
-            }
             "--checkpoint-dir" => match args.next() {
                 Some(dir) => durability.dir = Some(dir.into()),
                 None => return usage("--checkpoint-dir needs a directory"),
@@ -254,21 +245,14 @@ fn main() -> ExitCode {
     if single_mode.is_none() && (durability.dir.is_some() || durability.resume) {
         return usage("--checkpoint-dir/--resume require --mode (single-run durability)");
     }
-    if single_mode.is_none()
-        && (single_per_pdu
-            || single_tenants.is_some()
-            || shards > 1
-            || shard_transport != spotdc_dist::TransportKind::InProc)
-    {
-        return usage(
-            "--per-pdu/--tenants/--shards/--shard-transport require --mode (single runs)",
-        );
+    if single_mode.is_none() && (single_per_pdu || single_tenants.is_some() || shards > 1) {
+        return usage("--per-pdu/--tenants/--shards require --mode (single runs)");
     }
     if single_mode.is_some() && (!selected.is_empty() || out_dir.is_some() || suite_flag) {
         return usage(
             "--exp/--out/--days/--quick/--jobs shape the experiment suite; --mode single \
-             runs take --slots/--seed/--tenants/--inner-jobs/--telemetry, the checkpoint \
-             flags, and the shard flags",
+             runs take --slots/--seed/--tenants/--inner-jobs/--telemetry/--per-pdu/--shards \
+             and the checkpoint flags",
         );
     }
     // Experiment-level workers come from the pool below; this seeds the
@@ -312,7 +296,6 @@ fn main() -> ExitCode {
                 per_pdu: single_per_pdu,
                 tenants: single_tenants,
                 shards,
-                shard_transport,
                 durability,
             },
             &reporter,
@@ -418,7 +401,6 @@ struct SingleRun {
     /// `Scenario::hyperscale`'s tenant count; `None` is the testbed.
     tenants: Option<usize>,
     shards: usize,
-    shard_transport: spotdc_dist::TransportKind,
     durability: DurabilityConfig,
 }
 
@@ -427,7 +409,7 @@ struct SingleRun {
 /// durability layer did — recovery, checkpoints — goes to stderr, so
 /// `scripts/crash_harness` can byte-compare stdout against an
 /// uninterrupted golden run, and `scripts/smoke_dist` can byte-compare
-/// shard/transport grid runs against `--shards 1`.
+/// sharded runs against `--shards 1`.
 fn run_single(run: SingleRun, reporter: &Reporter) -> ExitCode {
     let SingleRun {
         mode,
@@ -437,7 +419,6 @@ fn run_single(run: SingleRun, reporter: &Reporter) -> ExitCode {
         per_pdu,
         tenants,
         shards,
-        shard_transport,
         durability,
     } = run;
     let scenario = match tenants {
@@ -449,7 +430,6 @@ fn run_single(run: SingleRun, reporter: &Reporter) -> ExitCode {
         inner_jobs,
         per_pdu_pricing: per_pdu,
         shards,
-        shard_transport,
         ..EngineConfig::new(mode)
     };
     let report = match Simulation::new(scenario, config).run_durable(slots) {
@@ -480,7 +460,7 @@ fn run_single(run: SingleRun, reporter: &Reporter) -> ExitCode {
     // Derived Debug is deterministic field-by-field rendering (floats
     // print shortest-roundtrip), so two equal reports print
     // byte-identically — exactly what the harness diffs.
-    print_stdout(&format!(
+    print_stdout(format_args!(
         "# repro --mode run: seed {seed}, {slots} slots\n{report:#?}"
     ));
     ExitCode::SUCCESS
@@ -524,7 +504,6 @@ fn usage(error: &str) -> ExitCode {
          \x20      repro --mode <powercapped|spotdc|maxperf> [--slots <n ≤ {MAX_SLOTS}>]\n\
          \x20            [--seed <n>] [--tenants <n>] [--inner-jobs <n>] [--telemetry <file>]\n\
          \x20            [--per-pdu] [--shards <n>]\n\
-         \x20            [--shard-transport <inproc|subprocess>]\n\
          \x20            [--checkpoint-dir <dir>] [--checkpoint-every <n>] [--resume]\n\
          \x20            [--slot-delay-ms <n>]\n\
          experiments: {}",

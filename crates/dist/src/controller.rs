@@ -2,7 +2,6 @@
 //! shard agents and merging replies deterministically.
 
 use std::io;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -12,8 +11,7 @@ use spotdc_core::{
 use spotdc_telemetry::Event;
 use spotdc_units::{MonotonicNanos, Slot};
 
-use crate::transport::{agent_binary, Transport};
-use crate::TransportKind;
+use crate::transport::Transport;
 
 /// How many times a dead shard may be respawned before its tasks
 /// degrade permanently. Respawns happen at the next dispatch, never
@@ -99,7 +97,7 @@ struct FrameTally {
 /// clears against exactly the constraints the controller built.
 ///
 /// A shard whose transport fails — send error, torn or corrupt frame,
-/// short or mismatched reply, dead process — is marked dead, with one
+/// short or mismatched reply, dead agent — is marked dead, with one
 /// `ShardDown` event saying why; its tasks come back as `None` for that
 /// slot and the caller degrades those sub-markets to "no spot
 /// capacity" (the paper's comms-loss rule). At the *next* dispatch the
@@ -109,11 +107,7 @@ struct FrameTally {
 #[derive(Debug)]
 pub struct ShardRuntime {
     shards: Vec<ShardConn>,
-    kind: TransportKind,
     clearing: ClearingConfig,
-    /// The agent binary resolved at startup, so respawns use the same
-    /// executable even if `SPOTDC_AGENT_BIN` changes mid-run.
-    binary: Option<PathBuf>,
 }
 
 #[derive(Debug)]
@@ -126,46 +120,29 @@ struct ShardConn {
 }
 
 impl ShardRuntime {
-    /// Starts `count` shard agents over `kind` transports and hands
-    /// each the clearing configuration.
+    /// Starts `count` shard agent threads and hands each the clearing
+    /// configuration.
     ///
     /// # Errors
     ///
-    /// The `spotdc-agent` binary was not found (see [`agent_binary`])
-    /// or an agent failed to start (no pipe, thread or process to be
-    /// had).
+    /// An agent failed to start (no pipe or thread to be had).
     ///
     /// # Panics
     ///
     /// If `count` is zero.
-    pub fn new(count: usize, kind: TransportKind, clearing: ClearingConfig) -> io::Result<Self> {
+    pub fn new(count: usize, clearing: ClearingConfig) -> io::Result<Self> {
         assert!(count > 0, "a shard runtime needs at least one shard");
         let _span = spotdc_telemetry::span!("dist.start");
-        let binary = match kind {
-            TransportKind::InProc => None,
-            TransportKind::Subprocess => Some(agent_binary().ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::NotFound,
-                    "spotdc-agent binary not found: set SPOTDC_AGENT_BIN or \
-                     build it next to the current executable",
-                )
-            })?),
-        };
         let mut shards = Vec::with_capacity(count);
         for _ in 0..count {
             shards.push(ShardConn {
-                transport: Transport::spawn(kind, binary.as_deref())?,
+                transport: Transport::spawn()?,
                 alive: true,
                 respawns_left: RESPAWN_BUDGET,
                 cache: ClearingCacheStats::default(),
             });
         }
-        let mut runtime = ShardRuntime {
-            shards,
-            kind,
-            clearing,
-            binary,
-        };
+        let mut runtime = ShardRuntime { shards, clearing };
         for id in 0..count {
             runtime.assign(Slot::ZERO, id);
         }
@@ -183,14 +160,6 @@ impl ShardRuntime {
     #[must_use]
     pub fn shard_cache_stats(&self) -> Vec<ClearingCacheStats> {
         self.shards.iter().map(|s| s.cache).collect()
-    }
-
-    /// The OS pid of each shard's agent process, in shard order (`None`
-    /// for in-process shards). The fault-injection harnesses kill
-    /// agents by pid to exercise degradation and respawn.
-    #[must_use]
-    pub fn agent_pids(&self) -> Vec<Option<u32>> {
-        self.shards.iter().map(|s| s.transport.pid()).collect()
     }
 
     /// Dispatches one slot of tasks across the shards and returns one
@@ -254,7 +223,7 @@ impl ShardRuntime {
                 continue;
             }
             conn.respawns_left -= 1;
-            let Ok(transport) = Transport::spawn(self.kind, self.binary.as_deref()) else {
+            let Ok(transport) = Transport::spawn() else {
                 continue;
             };
             conn.transport = transport;
@@ -454,8 +423,7 @@ mod tests {
             .map(|t| direct.clear(slot, &t.bids, &shared.clone().with_ups_spot(t.ups_spot)))
             .collect();
         for width in [1, 2, 3] {
-            let mut runtime =
-                ShardRuntime::new(width, TransportKind::InProc, ClearingConfig::default()).unwrap();
+            let mut runtime = ShardRuntime::new(width, ClearingConfig::default()).unwrap();
             assert_eq!(runtime.live_shards(), width);
             let got: Vec<MarketOutcome> = runtime
                 .clear_tasks(slot, &shared, tasks())
@@ -481,8 +449,7 @@ mod tests {
             .unwrap();
         let direct = MarketClearing::new(ClearingConfig::default());
         for width in [1, 2, 3] {
-            let mut runtime =
-                ShardRuntime::new(width, TransportKind::InProc, ClearingConfig::default()).unwrap();
+            let mut runtime = ShardRuntime::new(width, ClearingConfig::default()).unwrap();
             for s in 0..5_u64 {
                 let slot = Slot::new(s);
                 let v = s as f64;
@@ -539,9 +506,66 @@ mod tests {
     }
 
     #[test]
+    fn a_shard_that_rejects_every_frame_stays_dead_once_its_budget_is_spent() {
+        spotdc_telemetry::install(spotdc_telemetry::TelemetryConfig::in_memory());
+        // Task 0, shard 0's, bids for a rack the constraint set does
+        // not know: every frame it gets is a protocol error. Task 1, on
+        // shard 1, is fine.
+        let mut poisoned = tasks();
+        poisoned[0].bids.push(RackBid::new(
+            RackId::new(2),
+            StepBid::new(Watts::new(5.0), Price::per_kw_hour(0.1))
+                .unwrap()
+                .into(),
+        ));
+        let healthy = MarketClearing::new(ClearingConfig::default());
+        let mut runtime = ShardRuntime::new(2, ClearingConfig::default()).unwrap();
+        // Slots no other test in this binary dispatches, so the events
+        // below are this runtime's.
+        let first = 500_u64;
+        let last = first + u64::from(RESPAWN_BUDGET) + 1;
+        for s in first..=last {
+            let slot = Slot::new(s);
+            let task = &poisoned[1];
+            let want = healthy.clear(
+                slot,
+                &task.bids,
+                &constraints().with_ups_spot(task.ups_spot),
+            );
+            let got = runtime.clear_tasks(slot, &constraints(), poisoned.clone());
+            assert_eq!(got, vec![None, Some(want)], "slot {s}");
+            assert_eq!(runtime.live_shards(), 1, "slot {s}");
+        }
+        // Shard 0 died at the first slot and at each of its
+        // RESPAWN_BUDGET respawns; at the last slot it was not
+        // respawned, so no frame reached it and nothing died.
+        let events = spotdc_telemetry::memory_sink().snapshot();
+        let of_this_test = |e: &&Event| match e {
+            Event::ShardDown { slot, .. } | Event::ShardRpc { slot, .. } => {
+                (first..=last).contains(&slot.index())
+            }
+            _ => false,
+        };
+        let downs: Vec<u64> = events
+            .iter()
+            .filter(of_this_test)
+            .filter_map(|e| match e {
+                Event::ShardDown { slot, shard: 0, .. } => Some(slot.index()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(downs, (first..last).collect::<Vec<_>>());
+        let setups = events
+            .iter()
+            .filter(of_this_test)
+            .filter(|e| matches!(e, Event::ShardRpc { phase, .. } if phase == "setup"))
+            .count();
+        assert_eq!(setups, RESPAWN_BUDGET as usize);
+    }
+
+    #[test]
     fn empty_task_lists_are_fine() {
-        let mut runtime =
-            ShardRuntime::new(2, TransportKind::InProc, ClearingConfig::default()).unwrap();
+        let mut runtime = ShardRuntime::new(2, ClearingConfig::default()).unwrap();
         for s in 0..2 {
             assert!(runtime
                 .clear_tasks(Slot::new(s), &constraints(), Vec::new())

@@ -12,18 +12,15 @@
 //! tasks down, the outcomes up — and an agent answers each frame from
 //! that frame alone. Because the merge is in shard order and a shard
 //! clears against exactly the controller's constraint set, reports stay
-//! byte-identical across shard counts and transports — the same
-//! discipline the golden-report guard enforces for every other axis of
-//! the system. Only market modes distribute: MaxPerf's water-filling is
+//! byte-identical across shard counts — the same discipline the
+//! golden-report guard enforces for every other axis of the system. Only market modes distribute: MaxPerf's water-filling is
 //! one indivisible task and runs in-process.
 //!
-//! Every agent runs one loop, [`serve`], over an ordered byte stream of
-//! length-prefixed, CRC-framed payloads (`spotdc-durable`'s frame codec,
-//! re-exported as [`spotdc_core::frame`]). [`TransportKind`] only picks
-//! where that loop runs: on a thread in the controller's process over a
-//! pipe pair, or in a `spotdc-agent` child process over its
-//! stdin/stdout. Either way the full encode→frame→decode path runs, so
-//! both carry identical bytes.
+//! Every agent is a thread in the controller's process running one
+//! loop over a pipe pair: length-prefixed, CRC-framed payloads
+//! (`spotdc-durable`'s frame codec, re-exported as
+//! [`spotdc_core::frame`]). The full encode→frame→decode path runs every
+//! slot, so the bytes are the ones any other link would carry.
 //!
 //! Failure semantics follow the paper's comms-loss rule: a dead agent
 //! or damaged frame degrades that shard's sub-markets to "no spot
@@ -46,53 +43,15 @@ mod transport;
 use spotdc_core::WireMsg;
 
 pub use controller::{wire_totals, ShardRuntime, WireStats};
-pub use shard::{serve, AgentLoop};
-pub use transport::agent_binary;
+pub use shard::AgentLoop;
 
-/// Which transport carries the wire protocol between the controller and
-/// its shard agents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Where shard agents run: always threads in the controller's process,
+/// exchanging frames over a pipe pair. Nothing in the workspace reads
+/// it; `benchmark/` names `InProc` through
+/// `EngineConfig::shard_transport`, which pins the type until ROADMAP
+/// 16(c) retires the sharded workload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportKind {
-    /// Shard agents as dedicated threads in the controller process,
-    /// exchanging frames over a pipe pair.
-    #[default]
+    /// Shard agents as dedicated threads in the controller process.
     InProc,
-    /// Shard agents as `spotdc-agent` child processes, exchanging
-    /// frames over stdin/stdout pipes.
-    Subprocess,
-}
-
-impl TransportKind {
-    /// Parses the CLI spelling (`inproc` or `subprocess`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "inproc" => Some(TransportKind::InProc),
-            "subprocess" => Some(TransportKind::Subprocess),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for TransportKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            TransportKind::InProc => "inproc",
-            TransportKind::Subprocess => "subprocess",
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn transport_kind_parses_its_own_display() {
-        for kind in [TransportKind::InProc, TransportKind::Subprocess] {
-            assert_eq!(TransportKind::parse(&kind.to_string()), Some(kind));
-        }
-        assert_eq!(TransportKind::parse("tcp"), None);
-        assert_eq!(TransportKind::default(), TransportKind::InProc);
-    }
 }

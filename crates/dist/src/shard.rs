@@ -6,10 +6,8 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use spotdc_core::{frame, MarketClearing, WireMsg};
 
 /// Serves the wire protocol until `Shutdown`: reads frames from `input`
-/// and writes each reply frame to `output`, flushed. Both transports
-/// run this loop — an in-process agent thread over a pipe pair, the
-/// `spotdc-agent` binary over its stdin/stdout — so an agent behaves
-/// the same wherever it runs.
+/// and writes each reply frame to `output`, flushed. Every shard agent
+/// thread runs this loop over its pipe pair.
 ///
 /// # Errors
 ///
@@ -17,7 +15,7 @@ use spotdc_core::{frame, MarketClearing, WireMsg};
 /// error from [`AgentLoop::handle`], end of input without `Shutdown`,
 /// or a failed write. The loop stops at the first one, and dropping the
 /// streams is what tells the controller the shard is dead.
-pub fn serve(input: impl Read, output: impl Write) -> io::Result<()> {
+pub(crate) fn serve(input: impl Read, output: impl Write) -> io::Result<()> {
     let mut input = BufReader::new(input);
     let mut output = BufWriter::new(output);
     let mut agent = AgentLoop::new();
@@ -44,8 +42,8 @@ pub fn serve(input: impl Read, output: impl Write) -> io::Result<()> {
     }
 }
 
-/// The agent-side state machine [`serve`] drives, one message at a
-/// time.
+/// The agent-side state machine an agent thread's `serve` loop drives,
+/// one message at a time.
 ///
 /// An agent computes nothing but pure task→outcome clears, and it
 /// answers each [`SlotFrame`](WireMsg::SlotFrame) from that frame
@@ -69,14 +67,14 @@ impl AgentLoop {
 
     /// Handles one message, returning the reply to send back when the
     /// message warrants one. [`WireMsg::Shutdown`] is the caller's
-    /// concern (it ends [`serve`], not this state machine), and a stray
+    /// concern (it ends `serve`, not this state machine), and a stray
     /// agent→controller message is ignored.
     ///
     /// # Errors
     ///
     /// A slot frame that arrives before `AssignShard`, or that bids for
     /// a rack twice in one market or for a rack its constraint set does
-    /// not know, is a protocol error: [`serve`] returns it and closes
+    /// not know, is a protocol error: `serve` returns it and closes
     /// the stream, and the controller treats the shard as dead (and
     /// respawns it) like any other transport failure.
     pub fn handle(&mut self, msg: WireMsg) -> io::Result<Option<WireMsg>> {

@@ -7,20 +7,16 @@
 //! reproduces the serial clear bit-for-bit for any shard width and any
 //! task arrival order; an agent that has answered any run of frames
 //! answers the next exactly like a fresh one; and shards driven through
-//! bid churn, topology swaps and agents SIGKILLed mid-sequence return
-//! exactly the results of cold clears, degrading only the killed
-//! shard's tasks. Plain tests then drive the real `spotdc-agent`
-//! subprocess end-to-end — healthy, dead, and SIGKILLed between slots —
-//! and a shard of either transport that rejects its frame, dies and is
-//! respawned.
+//! bid churn, topology swaps and frames that kill their agent
+//! mid-sequence return exactly the results of cold clears, degrading
+//! only the killed shard's tasks. A plain test then follows one shard
+//! that rejects its frame through its death and respawn.
 
 /// `spotdc-core`'s independent Eqns. 1–4 reference: [`serial_clear`]
 /// holds itself to it, so "merged equals serial" and "warm equals fresh"
 /// never bottom out in the engine agreeing with itself.
 #[path = "../../core/tests/oracle/mod.rs"]
 mod oracle;
-
-use std::sync::Mutex;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -29,7 +25,7 @@ use spotdc_core::{
     frame, ClearingCacheStats, ClearingConfig, ConstraintSet, DemandBid, LinearBid, MarketClearing,
     MarketOutcome, RackBid, StepBid, TaskShip, WireMsg,
 };
-use spotdc_dist::{AgentLoop, ShardRuntime, TransportKind};
+use spotdc_dist::{AgentLoop, ShardRuntime};
 use spotdc_power::topology::TopologyBuilder;
 use spotdc_power::PowerTopology;
 use spotdc_units::{Price, RackId, Slot, TenantId, Watts};
@@ -332,7 +328,7 @@ proptest! {
             .into_iter()
             .map(Some)
             .collect();
-        let mut runtime = ShardRuntime::new(width, TransportKind::InProc, clearing).unwrap();
+        let mut runtime = ShardRuntime::new(width, clearing).unwrap();
         prop_assert_eq!(
             runtime.clear_tasks(slot, &constraints, tasks),
             want,
@@ -385,8 +381,9 @@ enum Churn {
     /// Swap to the alternate topology: the next frames carry a
     /// different constraint set.
     Retopology,
-    /// SIGKILL the agent of shard `i % width` before the slot: its
-    /// tasks degrade for this slot, and the next dispatch respawns it.
+    /// Send shard `i % width` a task it rejects, which ends its agent:
+    /// its tasks degrade for this slot, and the next dispatch respawns
+    /// it.
     Kill(usize),
 }
 
@@ -414,15 +411,30 @@ fn churn_topology(alt: bool) -> PowerTopology {
     b.build().expect("valid topology")
 }
 
+/// A task bidding for rack 12, which neither [`churn_topology`] has:
+/// the agent that gets it rejects the whole frame and ends its loop. It
+/// needs no other bid, so it kills even when churn has emptied the book.
+fn poisoned_task() -> TaskShip {
+    TaskShip {
+        bids: vec![RackBid::new(
+            RackId::new(12),
+            StepBid::new(Watts::new(10.0), Price::per_kw_hour(0.1))
+                .expect("valid")
+                .into(),
+        )],
+        ups_spot: Watts::new(10.0),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Shards that serve slot after slot — through bid churn, topology
-    /// swaps and agents SIGKILLed mid-sequence — return bit-for-bit the
+    /// swaps and agents killed mid-sequence — return bit-for-bit the
     /// results of clearing every slot cold, and a kill costs exactly the
     /// dead shard's tasks for exactly one slot. Exercised across the
-    /// real wire: framed bytes over pipes to `spotdc-agent` children,
-    /// multiple widths.
+    /// real wire: framed bytes over pipes to agent threads, multiple
+    /// widths.
     #[test]
     fn shards_match_cold_clears_through_churn_topology_swaps_and_kills(
         initial in prop::collection::vec(any_bid(), 1..6),
@@ -435,15 +447,14 @@ proptest! {
         width in 1..4usize,
     ) {
         let clearing = ClearingConfig::default();
-        let mut warm = subprocess_runtime(env!("CARGO_BIN_EXE_spotdc-agent"), width)
-            .expect("spawn spotdc-agent children");
+        let mut warm = ShardRuntime::new(width, clearing).expect("start agent threads");
         let mut bids = positioned(initial);
         let mut next_rack = bids.len();
         let mut alt = false;
         let mut down = None;
         for (i, (op, p0, p1, ups, second_ups)) in slots.into_iter().enumerate() {
-            // A shard killed last slot is only respawned by this slot's
-            // dispatch: until then its pid names a dead process.
+            // A shard killed last slot is not killed again this one
+            // (see `slots`), whatever `op` says.
             let respawning = down.take();
             match op {
                 Churn::Mutate(i, b) if !bids.is_empty() => {
@@ -458,10 +469,7 @@ proptest! {
                     next_rack += 1;
                 }
                 Churn::Retopology => alt = !alt,
-                Churn::Kill(i) if respawning != Some(i % width) => {
-                    sigkill(warm.agent_pids()[i % width].expect("subprocess shards have pids"));
-                    down = Some(i % width);
-                }
+                Churn::Kill(i) if respawning != Some(i % width) => down = Some(i % width),
                 _ => {}
             }
             let pdu_spot: Vec<Watts> = if alt {
@@ -472,7 +480,7 @@ proptest! {
             let constraints =
                 ConstraintSet::new(&churn_topology(alt), pdu_spot, Watts::new(ups));
             let slot = Slot::new(100 + i as u64);
-            let tasks = vec![
+            let mut tasks = vec![
                 TaskShip {
                     bids: bids.clone(),
                     ups_spot: constraints.ups_spot(),
@@ -482,57 +490,27 @@ proptest! {
                     ups_spot: Watts::new(second_ups),
                 },
             ];
-            // The cold reference rebuilds everything from scratch; task
-            // `j` lives on shard `j % width`.
-            let mut want: Vec<Option<MarketOutcome>> =
-                serial_clear(slot, clearing, &constraints, &tasks)
-                    .into_iter()
-                    .map(Some)
-                    .collect();
-            let got = warm.clear_tasks(slot, &constraints, tasks);
-            for (j, result) in want.iter_mut().enumerate() {
-                if down == Some(j % width) {
-                    *result = None;
-                }
+            // Task `j` lives on shard `j % width`, so the poisoned task
+            // at index `k < width` lands on shard `k`.
+            if let Some(k) = down {
+                tasks.insert(k, poisoned_task());
             }
+            // The cold reference rebuilds everything from scratch.
+            let want: Vec<Option<MarketOutcome>> = tasks
+                .iter()
+                .enumerate()
+                .map(|(j, task)| {
+                    (down != Some(j % width)).then(|| {
+                        serial_clear(slot, clearing, &constraints, std::slice::from_ref(task))
+                            .remove(0)
+                    })
+                })
+                .collect();
+            let got = warm.clear_tasks(slot, &constraints, tasks);
             prop_assert_eq!(got, want, "slot {} width {} down {:?}", i, width, down);
             prop_assert_eq!(warm.live_shards(), width - usize::from(down.is_some()));
         }
     }
-}
-
-/// `agent_binary()` honors `SPOTDC_AGENT_BIN`, a process-wide setting;
-/// serialize the tests that point it at different binaries.
-static AGENT_ENV: Mutex<()> = Mutex::new(());
-
-/// SIGKILLs process `pid` — no shutdown handshake, its engine is simply
-/// gone — and returns once the kernel has closed its pipes (the
-/// child is a zombie until its transport reaps it), so the next
-/// dispatch finds the agent dead however busy the box is.
-fn sigkill(pid: u32) {
-    let killed = std::process::Command::new("kill")
-        .args(["-9", &pid.to_string()])
-        .status()
-        .expect("spawn kill");
-    assert!(killed.success());
-    for _ in 0..1000 {
-        match std::fs::read_to_string(format!("/proc/{pid}/stat")) {
-            // "pid (comm) state ...": still running until Z(ombie).
-            Ok(stat) if !stat.rsplit(") ").next().is_some_and(|s| s.starts_with('Z')) => {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            _ => return,
-        }
-    }
-    panic!("agent {pid} survived SIGKILL for two seconds");
-}
-
-fn subprocess_runtime(binary: &str, count: usize) -> std::io::Result<ShardRuntime> {
-    let _held = AGENT_ENV.lock().unwrap_or_else(|e| e.into_inner());
-    std::env::set_var("SPOTDC_AGENT_BIN", binary);
-    let runtime = ShardRuntime::new(count, TransportKind::Subprocess, ClearingConfig::default());
-    std::env::remove_var("SPOTDC_AGENT_BIN");
-    runtime
 }
 
 fn fixed_constraints() -> ConstraintSet {
@@ -587,130 +565,55 @@ fn fixed_want(slot: Slot) -> Vec<Option<MarketOutcome>> {
 }
 
 #[test]
-fn subprocess_agents_match_the_serial_clear() {
-    let slot = Slot::new(23);
-    let mut runtime = subprocess_runtime(env!("CARGO_BIN_EXE_spotdc-agent"), 2)
-        .expect("spawn spotdc-agent children");
-    assert_eq!(runtime.live_shards(), 2);
-    // Two slots through the same agents, each frame self-contained.
-    let constraints = fixed_constraints();
-    assert_eq!(
-        runtime.clear_tasks(slot, &constraints, fixed_tasks()),
-        fixed_want(slot)
-    );
-    let next = Slot::new(24);
-    assert_eq!(
-        runtime.clear_tasks(next, &constraints, fixed_tasks()),
-        fixed_want(next)
-    );
-    assert_eq!(runtime.live_shards(), 2);
-    // The shard engines' counters are cumulative, so they cover both
-    // market tasks of both slots — a respawned agent would have
-    // restarted at the second.
-    let stats = runtime.shard_cache_stats();
-    let swept: u64 = stats.iter().map(|s| s.full_sweeps).sum();
-    assert_eq!(swept, 4, "{stats:?}");
-}
-
-#[test]
-fn dead_agents_degrade_their_tasks_to_none() {
-    // An "agent" that exits immediately: every RPC fails, the
-    // controller marks the shard dead, and its tasks come back None —
-    // the paper's comms-loss rule, not an error. Respawning buys
-    // nothing (the replacement dies too), so the budget drains and the
-    // shards stay dead.
-    if !std::path::Path::new("/bin/true").is_file() {
-        eprintln!("skipping: no /bin/true on this system");
-        return;
-    }
-    let mut runtime = subprocess_runtime("/bin/true", 2).expect("/bin/true spawns");
-    let constraints = fixed_constraints();
-    let got = runtime.clear_tasks(Slot::new(5), &constraints, fixed_tasks());
-    assert_eq!(got, vec![None, None]);
-    assert_eq!(runtime.live_shards(), 0);
-}
-
-#[test]
-fn sigkilled_agents_respawn_at_the_next_dispatch() {
-    let mut runtime = subprocess_runtime(env!("CARGO_BIN_EXE_spotdc-agent"), 2)
-        .expect("spawn spotdc-agent children");
-    let constraints = fixed_constraints();
-    assert_eq!(
-        runtime.clear_tasks(Slot::new(1), &constraints, fixed_tasks()),
-        fixed_want(Slot::new(1))
-    );
-    // SIGKILL one agent between slots.
-    let pid = runtime.agent_pids()[0].expect("subprocess shards have pids");
-    sigkill(pid);
-    // The slot after the kill degrades the dead shard's tasks (task 0
-    // of 2 lands on shard 0) — capacity is never invented.
-    let after = runtime.clear_tasks(Slot::new(2), &constraints, fixed_tasks());
-    assert_eq!(after[0], None, "killed shard's task must degrade");
-    assert_eq!(after[1], fixed_want(Slot::new(2))[1]);
-    // The next dispatch respawns the shard, and its handshake is all the
-    // replacement needs to answer bit-identically to the serial
-    // reference.
-    assert_eq!(
-        runtime.clear_tasks(Slot::new(3), &constraints, fixed_tasks()),
-        fixed_want(Slot::new(3))
-    );
-    assert_eq!(runtime.live_shards(), 2);
-    let new_pid = runtime.agent_pids()[0].expect("respawned shard has a pid");
-    assert_ne!(new_pid, pid, "a fresh agent process took over");
-}
-
-#[test]
 fn a_shard_that_rejects_its_frame_degrades_one_slot_and_respawns() {
     spotdc_telemetry::install(spotdc_telemetry::TelemetryConfig::in_memory());
     let constraints = fixed_constraints();
     // Task 0, shard 0's, bids rack 0 twice: a protocol error that ends
     // the agent's loop. Task 1, on shard 1, is fine.
-    let doubled = || {
-        let mut tasks = fixed_tasks();
-        let again = tasks[0].bids[0].clone();
-        tasks[0].bids.push(again);
-        tasks
-    };
-    let runtimes = [
-        ShardRuntime::new(2, TransportKind::InProc, ClearingConfig::default())
-            .expect("start in-process agents"),
-        subprocess_runtime(env!("CARGO_BIN_EXE_spotdc-agent"), 2)
-            .expect("spawn spotdc-agent children"),
-    ];
-    for (i, mut runtime) in runtimes.into_iter().enumerate() {
-        // Slots no other test in this binary dispatches, so the shard
-        // deaths below are this runtime's.
-        let slot = Slot::new(300 + 10 * i as u64);
-        let tasks = doubled();
-        let healthy = serial_clear(slot, ClearingConfig::default(), &constraints, &tasks[1..]);
-        let got = runtime.clear_tasks(slot, &constraints, tasks);
-        assert_eq!(got, vec![None, Some(healthy[0].clone())], "runtime {i}");
-        assert_eq!(runtime.live_shards(), 1, "runtime {i}");
-        let down: Vec<(u64, String)> = spotdc_telemetry::memory_sink()
-            .snapshot()
-            .into_iter()
-            .filter_map(|e| match e {
-                spotdc_telemetry::Event::ShardDown {
-                    slot: at,
-                    shard,
-                    reason,
-                    ..
-                } if at == slot => Some((shard, reason)),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            matches!(&down[..], [(0, reason)] if reason.starts_with("reply receive failed")),
-            "runtime {i}: {down:?}"
-        );
-        // The next dispatch respawns shard 0, and both answer like the
-        // serial clear again.
-        let next = slot.next();
-        assert_eq!(
-            runtime.clear_tasks(next, &constraints, fixed_tasks()),
-            fixed_want(next),
-            "runtime {i}"
-        );
-        assert_eq!(runtime.live_shards(), 2, "runtime {i}");
-    }
+    let mut tasks = fixed_tasks();
+    let again = tasks[0].bids[0].clone();
+    tasks[0].bids.push(again);
+    let mut runtime = ShardRuntime::new(2, ClearingConfig::default()).expect("start agent threads");
+    // Slots no other test in this binary dispatches, so the events
+    // below are this runtime's.
+    let slot = Slot::new(300);
+    let healthy = serial_clear(slot, ClearingConfig::default(), &constraints, &tasks[1..]);
+    let got = runtime.clear_tasks(slot, &constraints, tasks);
+    assert_eq!(got, vec![None, Some(healthy[0].clone())]);
+    assert_eq!(runtime.live_shards(), 1);
+    // The next dispatch respawns shard 0, and both answer like the
+    // serial clear again.
+    let next = slot.next();
+    assert_eq!(
+        runtime.clear_tasks(next, &constraints, fixed_tasks()),
+        fixed_want(next)
+    );
+    assert_eq!(runtime.live_shards(), 2);
+    let events = spotdc_telemetry::memory_sink().snapshot();
+    let down: Vec<(u64, String)> = events
+        .iter()
+        .filter_map(|e| match e {
+            spotdc_telemetry::Event::ShardDown {
+                slot: at,
+                shard,
+                reason,
+                ..
+            } if *at == slot => Some((*shard, reason.clone())),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        matches!(&down[..], [(0, reason)] if reason.starts_with("reply receive failed")),
+        "{down:?}"
+    );
+    // The respawn costs exactly one handshake frame, at the slot that
+    // respawned it.
+    let setups = events
+        .iter()
+        .filter(|e| {
+            matches!(e, spotdc_telemetry::Event::ShardRpc { slot: at, phase, .. }
+                if *at == next && phase == "setup")
+        })
+        .count();
+    assert_eq!(setups, 1);
 }

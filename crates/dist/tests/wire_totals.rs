@@ -7,7 +7,7 @@
 //! sibling test that starts a runtime would land in the count.
 
 use spotdc_core::{ClearingConfig, ConstraintSet, RackBid, StepBid, TaskShip};
-use spotdc_dist::{wire_totals, ShardRuntime, TransportKind};
+use spotdc_dist::{wire_totals, ShardRuntime};
 use spotdc_power::topology::TopologyBuilder;
 use spotdc_units::{Price, RackId, Slot, TenantId, Watts};
 
@@ -27,8 +27,7 @@ fn every_slot_frame_is_self_contained_and_the_same_size() {
     let bids = vec![step(0, 20.0, 0.2), step(1, 15.0, 0.15)];
 
     let start = wire_totals();
-    let mut runtime =
-        ShardRuntime::new(1, TransportKind::InProc, ClearingConfig::default()).unwrap();
+    let mut runtime = ShardRuntime::new(1, ClearingConfig::default()).unwrap();
     let mut sent = Vec::new();
     for s in 0..3_u64 {
         let before = wire_totals();

@@ -125,18 +125,19 @@ pub struct EngineConfig {
     /// in the experiment layer.
     pub inner_jobs: usize,
     /// Shard agents for the distributed clearing plane. `1` (the
-    /// default) keeps clearing in-process on the historical path;
-    /// higher values start a [`spotdc_dist::ShardRuntime`] in a market
-    /// mode and route every market clear stage's tasks through shard
-    /// agents over [`EngineConfig::shard_transport`], with a serial
-    /// in-order merge at the controller so reports stay byte-identical
-    /// at any shard count. PowerCapped and MaxPerf have no market to
-    /// distribute and ignore it. Orthogonal to `inner_jobs` (a sharded
-    /// run never also fans clearing out on the inner pool).
+    /// default) keeps clearing on the serial path; higher values start
+    /// a [`spotdc_dist::ShardRuntime`] in a market mode and route every
+    /// market clear stage's tasks through that many agent threads over
+    /// framed pipes, with a serial in-order merge at the controller so
+    /// reports stay byte-identical at any shard count. PowerCapped and
+    /// MaxPerf have no market to distribute and ignore it. Orthogonal
+    /// to `inner_jobs` (a sharded run never also fans clearing out on
+    /// the inner pool).
     pub shards: usize,
-    /// Which transport carries the controller↔agent wire protocol when
-    /// [`EngineConfig::shards`] is above one: agent threads in this
-    /// process, or `spotdc-agent` subprocesses over framed stdio.
+    /// Read by nothing: shard agents always run as threads in this
+    /// process. `benchmark/` sets it, which pins the field (and
+    /// [`spotdc_dist::TransportKind`]) until ROADMAP 16(c) retires the
+    /// sharded workload.
     pub shard_transport: spotdc_dist::TransportKind,
     /// Crash-safety settings (checkpoints + write-ahead journal).
     /// Disabled by default; see [`Simulation::run_durable`].

@@ -184,12 +184,8 @@ impl SimState {
             invariant_violations: 0,
             inner: spotdc_par::ThreadPool::new(config.inner_jobs.max(1)),
             dist: (config.shards > 1 && config.mode.has_market()).then(|| {
-                spotdc_dist::ShardRuntime::new(
-                    config.shards,
-                    config.shard_transport,
-                    config.operator.clearing,
-                )
-                .expect("start shard agents")
+                spotdc_dist::ShardRuntime::new(config.shards, config.operator.clearing)
+                    .expect("start shard agents")
             }),
             pdu_draw: vec![Watts::ZERO; pdu_count],
         }

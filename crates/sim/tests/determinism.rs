@@ -49,47 +49,33 @@ fn rendered_experiments_are_byte_identical_across_job_counts() {
     assert_eq!(render(4, 4), render(4, 4));
 }
 
-/// The distributed clearing plane sits on the same anchor: a
-/// {shards 2,4} × {transport} grid must reproduce the serial
-/// single-process report byte for byte in every mode that allocates
-/// spot — uniform, per-PDU sub-markets, and max-perf water-filling.
-/// The controller's serial in-order merge is what makes this hold.
+/// The distributed clearing plane sits on the same anchor: shards
+/// {2, 4} must reproduce the serial single-process report byte for
+/// byte in every mode that allocates spot — uniform, per-PDU
+/// sub-markets, and max-perf water-filling. The controller's serial
+/// in-order merge is what makes this hold.
 #[test]
 fn sharded_runs_match_the_serial_report_across_the_grid() {
-    use spotdc_dist::TransportKind;
-    let run = |mode: Mode, per_pdu: bool, shards: usize, transport: TransportKind| {
+    let run = |mode: Mode, per_pdu: bool, shards: usize| {
         let config = EngineConfig {
             per_pdu_pricing: per_pdu,
             shards,
-            shard_transport: transport,
             ..EngineConfig::new(mode)
         };
         Simulation::new(Scenario::testbed(7), config).run(80)
-    };
-    let transports: &[TransportKind] = if spotdc_dist::agent_binary().is_some() {
-        &[TransportKind::InProc, TransportKind::Subprocess]
-    } else {
-        // `cargo test -p spotdc-sim --test determinism` alone does not
-        // build the agent binary; the workspace test run and
-        // scripts/smoke_dist cover the subprocess leg.
-        eprintln!("skipping subprocess legs: spotdc-agent not built");
-        &[TransportKind::InProc]
     };
     for (mode, per_pdu) in [
         (Mode::SpotDc, false),
         (Mode::SpotDc, true),
         (Mode::MaxPerf, false),
     ] {
-        let serial = run(mode, per_pdu, 1, TransportKind::InProc);
-        for &transport in transports {
-            for shards in [2, 4] {
-                assert_eq!(
-                    serial,
-                    run(mode, per_pdu, shards, transport),
-                    "mode {mode} per_pdu={per_pdu} shards={shards} ({transport}) \
-                     diverged from the serial report"
-                );
-            }
+        let serial = run(mode, per_pdu, 1);
+        for shards in [2, 4] {
+            assert_eq!(
+                serial,
+                run(mode, per_pdu, shards),
+                "mode {mode} per_pdu={per_pdu} shards={shards} diverged from the serial report"
+            );
         }
     }
 }

@@ -17,7 +17,6 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use spotdc_dist::TransportKind;
 use spotdc_sim::engine::{EngineConfig, Simulation};
 use spotdc_sim::{Mode, Scenario};
 
@@ -35,19 +34,13 @@ fn golden_path(file: &str) -> PathBuf {
 /// Rust's `Debug` for `f64` is shortest-roundtrip formatting, so equal
 /// bytes ⇔ equal values.
 fn render(mode: Mode, inner_jobs: usize) -> String {
-    render_sharded(mode, inner_jobs, 1, TransportKind::InProc)
+    render_sharded(mode, inner_jobs, 1)
 }
 
-fn render_sharded(
-    mode: Mode,
-    inner_jobs: usize,
-    shards: usize,
-    shard_transport: TransportKind,
-) -> String {
+fn render_sharded(mode: Mode, inner_jobs: usize, shards: usize) -> String {
     let engine = EngineConfig {
         inner_jobs,
         shards,
-        shard_transport,
         ..EngineConfig::new(mode)
     };
     let report = Simulation::new(Scenario::testbed(SEED), engine).run(SLOTS);
@@ -101,27 +94,14 @@ fn sim_reports_match_golden_snapshots() {
             "{mode} report at inner_jobs=4 diverged from the serial render"
         );
         // The distributed clearing plane must too, for every shard
-        // count and transport (the controller merges serially, so the
-        // grid collapses to one report).
+        // count (the controller merges serially, so the grid collapses
+        // to one report).
         for shards in [2, 4] {
             assert_eq!(
                 rendered,
-                render_sharded(mode, 1, shards, TransportKind::InProc),
-                "{mode} report at shards={shards} (inproc) diverged from the serial render"
+                render_sharded(mode, 1, shards),
+                "{mode} report at shards={shards} diverged from the serial render"
             );
-            if spotdc_dist::agent_binary().is_some() {
-                assert_eq!(
-                    rendered,
-                    render_sharded(mode, 1, shards, TransportKind::Subprocess),
-                    "{mode} report at shards={shards} (subprocess) diverged from the \
-                     serial render"
-                );
-            } else {
-                // `cargo test --test golden_report` alone does not build
-                // the agent; the workspace run and scripts/smoke_dist
-                // cover the subprocess leg.
-                eprintln!("skipping subprocess leg: spotdc-agent not built");
-            }
         }
         if std::env::var_os("GOLDEN_REGEN").is_some() {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
