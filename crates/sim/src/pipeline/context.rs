@@ -111,9 +111,9 @@ pub struct SimState {
 
 impl SimState {
     /// Builds the cross-slot state for a run of `slots` slots,
-    /// including the slot-0 meter warm-up: tenants observe their first
-    /// load sample and draw what they would under reserved budgets, so
-    /// the first prediction has references to work from. Warm-up is
+    /// including the slot-0 meter warm-up: each tenant draws what it
+    /// would at its first load sample under its reserved budget, so the
+    /// first prediction has references to work from. Warm-up is
     /// initialization, not operation: it is never faulted.
     #[must_use]
     pub fn new(scenario: &Scenario, config: &EngineConfig, slots: usize) -> Self {
@@ -137,12 +137,13 @@ impl SimState {
         spotdc_tenants::share_valuation_rows(&mut agents);
 
         let mut true_draw: Vec<Watts> = vec![Watts::ZERO; topology.rack_count()];
-        for (i, agent) in agents.iter_mut().enumerate() {
-            agent.observe(traces.loads[i].first().copied().unwrap_or(0.0));
-            // Only the draw is metered: no performance, no cost.
+        for (i, agent) in agents.iter().enumerate() {
+            // Only the draw is metered: no performance, no cost, and no
+            // SLO test — slot 0's `Sense` observes the same load.
+            let load = traces.loads[i].first().copied().unwrap_or(0.0);
             let draw = agent
                 .model()
-                .power_draw(agent.reserved(), agent.intensity());
+                .power_draw(agent.reserved(), load.clamp(0.0, 1.0));
             meter.record(Slot::ZERO, agent.rack(), draw);
             true_draw[agent.rack().index()] = draw.clamp_non_negative();
         }

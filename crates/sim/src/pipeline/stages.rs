@@ -150,7 +150,8 @@ fn program_grants(state: &mut SimState, payments: &mut [f64], alloc: &SpotAlloca
     }
 }
 
-/// Sense: tenants observe their load traces, the rack PDUs reset, and
+/// Sense: tenants observe their load traces (deciding, once a slot,
+/// whether they want spot), the rack PDUs reset, and
 /// the prediction-delay fault (if scheduled) selects which meter
 /// snapshot the market will see. Runs in every composition.
 #[derive(Debug)]
@@ -293,7 +294,7 @@ impl SlotStage for CollectGains {
         // the inner pool; the merge below inserts in agent order at any
         // width.
         let _span = spotdc_telemetry::span!("par.collect_gains", slot = ctx.slot);
-        let produced = state.inner.par_map_mut(&mut state.agents, |agent| {
+        let produced = state.inner.par_map(&state.agents, |agent| {
             if !agent.wants_spot() {
                 return None;
             }

@@ -128,6 +128,9 @@ pub struct TenantAgent {
     model: WorkloadModel,
     strategy: Strategy,
     intensity: f64,
+    /// [`WorkloadModel::wants_spot`] at `intensity`, evaluated once by
+    /// [`Self::observe`]: bidding and the slot's record both read it.
+    wants_spot: bool,
     predicted_price: Option<Price>,
     /// The valuation rows: the agent's own, or its class's once
     /// [`share_valuation_rows`] ran. Each valuation applies the agent's
@@ -147,6 +150,7 @@ impl Clone for TenantAgent {
             model: self.model.clone(),
             strategy: self.strategy.clone(),
             intensity: self.intensity,
+            wants_spot: self.wants_spot,
             predicted_price: self.predicted_price,
             rows: Arc::default(),
         }
@@ -206,6 +210,8 @@ impl TenantAgent {
             model,
             strategy,
             intensity: 0.0,
+            // No load wants no spot, whatever the workload.
+            wants_spot: false,
             predicted_price: None,
             rows: Arc::default(),
         }
@@ -282,9 +288,10 @@ impl TenantAgent {
     }
 
     /// Sets the load intensity for the upcoming slot (`[0, 1]`,
-    /// clamped).
+    /// clamped) and decides, once, whether the tenant wants spot at it.
     pub fn observe(&mut self, intensity: f64) {
         self.intensity = intensity.clamp(0.0, 1.0);
+        self.wants_spot = self.model.wants_spot(self.reserved, self.intensity);
     }
 
     /// The current load intensity.
@@ -305,10 +312,11 @@ impl TenantAgent {
         self.predicted_price
     }
 
-    /// Whether this tenant wants spot capacity at the current load.
+    /// Whether this tenant wants spot capacity at the current load, as
+    /// decided when it last observed that load.
     #[must_use]
     pub fn wants_spot(&self) -> bool {
-        self.model.wants_spot(self.reserved, self.intensity)
+        self.wants_spot
     }
 
     /// Produces this slot's bid, or `None` when the tenant sits out.
@@ -331,7 +339,7 @@ impl TenantAgent {
     /// The gain curve at the current intensity (cached) — used by the
     /// `MaxPerf` baseline, which reads tenants' valuations directly.
     #[must_use]
-    pub fn gain_curve(&mut self) -> GainCurve {
+    pub fn gain_curve(&self) -> GainCurve {
         self.valuation().0
     }
 
