@@ -222,7 +222,9 @@ pub struct AnomalySlot {
     pub run: String,
     /// The slot index.
     pub slot: u64,
-    /// What fired there ("ups", "pdu-2", or the violation text).
+    /// What fired there: the overloaded level with its overload as a
+    /// share of capacity ("ups +0.40 %", "pdu-2 +6.10 %"), or the
+    /// violation text.
     pub what: String,
 }
 
@@ -386,11 +388,22 @@ impl Analysis {
                     entry.count += 1;
                     entry.watts += *watts;
                 }
-                Event::EmergencyTriggered { level, .. } => {
+                Event::EmergencyTriggered {
+                    level,
+                    load_watts,
+                    capacity_watts,
+                    ..
+                } => {
+                    // How far the overload went, from the event itself,
+                    // so an overshoot inside the breaker band reads as one.
+                    let what = match load_watts / capacity_watts - 1.0 {
+                        over if over.is_finite() => format!("{level} {:+.2} %", over * 100.0),
+                        _ => level.clone(),
+                    };
                     a.emergency_slots.push(AnomalySlot {
                         run: run_key,
                         slot,
-                        what: level.clone(),
+                        what,
                     });
                 }
                 Event::InvariantViolated { violation, .. } => {
@@ -1245,7 +1258,7 @@ mod tests {
         assert_eq!(a.cap_events, 1);
         assert!((a.cap_shed_watts - 42.0).abs() < 1e-12);
         let text = a.render_text();
-        assert!(text.contains("EMERGENCY run r slot 7"));
+        assert!(text.contains("EMERGENCY run r slot 7 (pdu-1 +12.50 %)"));
         assert!(text.contains("INVARIANT run r slot 9"));
     }
 

@@ -1,13 +1,16 @@
-//! Power-emergency detection and bookkeeping.
+//! Power-emergency detection.
 //!
-//! An *emergency* is a slot in which aggregate demand exceeds a shared
-//! capacity (PDU or UPS). Oversubscription makes occasional emergencies
+//! An *overload* is a slot in which aggregate demand exceeds a shared
+//! capacity (PDU or UPS). Oversubscription makes occasional overloads
 //! unavoidable; they are handled by power-capping mechanisms outside
 //! SpotDC's scope (the paper cites its companion COOP market [8]). What
 //! SpotDC *does* promise is that selling spot capacity introduces **no
 //! additional emergencies**, because spot capacity is only what's left
-//! under the physical limits. [`EmergencyLog`] records emergencies per
-//! slot so the evaluation can check exactly that claim.
+//! under the physical limits. [`EmergencyLog`] finds one slot's
+//! overloads and keeps none of them: the caller counts them as they
+//! come back (the engine splits them by severity into emergencies and
+//! transient overshoots) so the evaluation can check exactly that
+//! claim.
 
 use std::fmt;
 
@@ -67,7 +70,9 @@ impl EmergencyEvent {
     }
 }
 
-/// Detects and records emergencies across the power tree.
+/// Detects overloads across the power tree, one slot at a time. It
+/// holds only the capacities it checks against, so a run's history is
+/// whatever its caller chooses to count.
 ///
 /// # Examples
 ///
@@ -79,7 +84,7 @@ impl EmergencyEvent {
 ///     .pdu(Watts::new(100.0))
 ///     .rack(TenantId::new(0), Watts::new(100.0), Watts::ZERO)
 ///     .build()?;
-/// let mut log = EmergencyLog::new(&topo);
+/// let log = EmergencyLog::new(&topo);
 /// let events = log.observe(Slot::ZERO, &[Watts::new(120.0)]);
 /// assert_eq!(events.len(), 1); // PDU overloaded, UPS (200 W) fine
 /// # Ok::<(), spotdc_power::TopologyError>(())
@@ -88,12 +93,10 @@ impl EmergencyEvent {
 pub struct EmergencyLog {
     pdu_capacities: Vec<Watts>,
     ups_capacity: Watts,
-    events: Vec<EmergencyEvent>,
-    slots_observed: u64,
 }
 
 impl EmergencyLog {
-    /// Creates a log bound to `topology`'s capacities.
+    /// Creates a detector bound to `topology`'s capacities.
     #[must_use]
     pub fn new(topology: &PowerTopology) -> Self {
         EmergencyLog {
@@ -102,16 +105,15 @@ impl EmergencyLog {
                 .map(|p| topology.pdu_capacity(p).expect("pdu from topology"))
                 .collect(),
             ups_capacity: topology.ups_capacity(),
-            events: Vec::new(),
-            slots_observed: 0,
         }
     }
 
-    /// Checks one slot's per-PDU loads against all capacities, recording
-    /// and returning any emergencies found. `pdu_loads` is indexed by
-    /// PDU id; extra entries are ignored, missing entries read as zero.
-    pub fn observe(&mut self, slot: Slot, pdu_loads: &[Watts]) -> Vec<EmergencyEvent> {
-        self.slots_observed += 1;
+    /// Checks one slot's per-PDU loads against all capacities and
+    /// returns the overloads found, PDUs in id order then the UPS, each
+    /// also emitted as an `EmergencyTriggered` event. `pdu_loads` is
+    /// indexed by PDU id; extra entries are ignored, missing entries
+    /// read as zero. The UPS load is their sum in PDU order.
+    pub fn observe(&self, slot: Slot, pdu_loads: &[Watts]) -> Vec<EmergencyEvent> {
         let mut found = Vec::new();
         let mut total = Watts::ZERO;
         for (i, &cap) in self.pdu_capacities.iter().enumerate() {
@@ -145,34 +147,7 @@ impl EmergencyLog {
                 });
             }
         }
-        self.events.extend_from_slice(&found);
         found
-    }
-
-    /// All recorded emergencies in observation order.
-    #[must_use]
-    pub fn events(&self) -> &[EmergencyEvent] {
-        &self.events
-    }
-
-    /// Number of slots observed so far.
-    #[must_use]
-    pub fn slots_observed(&self) -> u64 {
-        self.slots_observed
-    }
-
-    /// Clears recorded events and the observation counter.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.slots_observed = 0;
-    }
-
-    /// Overwrites the log with previously recorded state, for crash
-    /// recovery: `events` in their original observation order plus the
-    /// observation counter they were recorded under.
-    pub fn restore(&mut self, events: Vec<EmergencyEvent>, slots_observed: u64) {
-        self.events = events;
-        self.slots_observed = slots_observed;
     }
 }
 
@@ -195,15 +170,14 @@ mod tests {
 
     #[test]
     fn no_emergency_under_capacity() {
-        let mut l = log();
+        let l = log();
         let e = l.observe(Slot::ZERO, &[Watts::new(90.0), Watts::new(80.0)]);
         assert!(e.is_empty());
-        assert!(l.events().is_empty());
     }
 
     #[test]
     fn pdu_overload_detected() {
-        let mut l = log();
+        let l = log();
         let e = l.observe(Slot::ZERO, &[Watts::new(110.0), Watts::new(10.0)]);
         assert_eq!(e.len(), 1);
         assert_eq!(e[0].level, EmergencyLevel::Pdu(PduId::new(0)));
@@ -213,7 +187,7 @@ mod tests {
 
     #[test]
     fn ups_overload_detected_even_when_pdus_fit() {
-        let mut l = log();
+        let l = log();
         // 95 + 95 = 190 > 180 UPS capacity, but each PDU is fine.
         let e = l.observe(Slot::ZERO, &[Watts::new(95.0), Watts::new(95.0)]);
         assert_eq!(e.len(), 1);
@@ -223,7 +197,7 @@ mod tests {
 
     #[test]
     fn simultaneous_pdu_and_ups_overloads() {
-        let mut l = log();
+        let l = log();
         let e = l.observe(Slot::ZERO, &[Watts::new(150.0), Watts::new(60.0)]);
         assert_eq!(e.len(), 2);
     }
@@ -243,17 +217,8 @@ mod tests {
 
     #[test]
     fn missing_loads_read_zero() {
-        let mut l = log();
+        let l = log();
         let e = l.observe(Slot::ZERO, &[Watts::new(50.0)]);
         assert!(e.is_empty());
-    }
-
-    #[test]
-    fn clear_resets_state() {
-        let mut l = log();
-        l.observe(Slot::ZERO, &[Watts::new(150.0), Watts::ZERO]);
-        l.clear();
-        assert!(l.events().is_empty());
-        assert_eq!(l.slots_observed(), 0);
     }
 }

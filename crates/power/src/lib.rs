@@ -7,7 +7,7 @@
 //! metering) and *writes* per-rack power budgets (intelligent rack PDUs
 //! can be re-limited 20+ times per second). This crate provides exactly
 //! that surface, plus the physical context the paper's evaluation needs —
-//! emergency bookkeeping and the cap ladder.
+//! emergency detection and the cap ladder.
 //! Breakers have no trip curve here: the engine reads their tolerance as
 //! a ±5 % band over [`EmergencyLog`]'s overloads.
 //!

@@ -71,7 +71,7 @@ proptest! {
             .rack(TenantId::new(1), Watts::new(100.0), Watts::ZERO)
             .build()
             .unwrap();
-        let mut log = EmergencyLog::new(&topo);
+        let log = EmergencyLog::new(&topo);
         let events = log.observe(Slot::ZERO, &[Watts::new(load0), Watts::new(load1)]);
         let expect = usize::from(load0 > 100.0)
             + usize::from(load1 > 100.0)

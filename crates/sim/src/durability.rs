@@ -13,11 +13,12 @@
 //!   snapshot carries no RNG state at all); stage scratch, the agents'
 //!   valuation-row caches and the prediction cache are bit-transparent
 //!   (warm-vs-cold equality is pinned by tests) and clearing keeps no state
-//!   between slots (only buffers it rebuilds); and the rack-PDU
-//!   bank is excluded because the Sense stage unconditionally resets
-//!   every budget at the top of each slot, so nothing the bank holds at
-//!   a slot boundary survives into the next slot (its `changes` audit
-//!   log is never read by the report).
+//!   between slots (only buffers it rebuilds); the emergency detector
+//!   keeps only its capacities, so a run's overloads persist as the
+//!   report's two counters and the cap controller's holds; and the
+//!   rack-PDU bank is excluded because the Sense stage unconditionally
+//!   resets every budget at the top of each slot, so nothing the bank
+//!   holds at a slot boundary survives into the next slot.
 //! * Per-slot WAL records (see [`encode_wal_record`]) — the slot's
 //!   delivered bids and market outcome. Recovery does **not** rebuild
 //!   state from these: it re-simulates the journaled slots (the engine
@@ -31,15 +32,15 @@
 
 use spotdc_core::{RackBid, TenantBid};
 use spotdc_durable::{DecodeError, Decoder, Encoder, Persist};
-use spotdc_power::{EmergencyEvent, EmergencyLevel, PowerMeter};
-use spotdc_units::{PduId, Price, RackId, Slot, TenantId, Watts};
+use spotdc_power::PowerMeter;
+use spotdc_units::{Price, RackId, Slot, TenantId, Watts};
 
 use crate::baselines::Mode;
 use crate::metrics::{SlotRecord, TenantSlotMetrics};
 use crate::pipeline::{SimState, SlotContext, SlotStage};
 
 /// Snapshot format version; bump on any layout change.
-pub const SNAPSHOT_FORMAT: u32 = 3;
+pub const SNAPSHOT_FORMAT: u32 = 4;
 
 /// The stable tag a [`Mode`] serializes as.
 #[must_use]
@@ -48,62 +49,6 @@ pub fn mode_tag(mode: Mode) -> u8 {
         Mode::PowerCapped => 0,
         Mode::SpotDc => 1,
         Mode::MaxPerf => 2,
-    }
-}
-
-/// One emergency event in portable form.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EmergencyRecord {
-    /// Slot of the overload.
-    pub slot: u64,
-    /// Overloaded PDU index, or `None` for the UPS.
-    pub pdu: Option<u64>,
-    /// Observed load, watts.
-    pub load: f64,
-    /// Rated capacity, watts.
-    pub capacity: f64,
-}
-
-impl Persist for EmergencyRecord {
-    fn persist(&self, enc: &mut Encoder) {
-        enc.put_u64(self.slot);
-        self.pdu.persist(enc);
-        enc.put_f64(self.load);
-        enc.put_f64(self.capacity);
-    }
-    fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(EmergencyRecord {
-            slot: dec.get_u64()?,
-            pdu: Option::<u64>::restore(dec)?,
-            load: dec.get_f64()?,
-            capacity: dec.get_f64()?,
-        })
-    }
-}
-
-impl EmergencyRecord {
-    fn from_event(e: &EmergencyEvent) -> Self {
-        EmergencyRecord {
-            slot: e.slot.index(),
-            pdu: match e.level {
-                EmergencyLevel::Pdu(p) => Some(p.index() as u64),
-                EmergencyLevel::Ups => None,
-            },
-            load: e.load.value(),
-            capacity: e.capacity.value(),
-        }
-    }
-
-    fn into_event(self) -> EmergencyEvent {
-        EmergencyEvent {
-            slot: Slot::new(self.slot),
-            level: match self.pdu {
-                Some(p) => EmergencyLevel::Pdu(PduId::new(p as usize)),
-                None => EmergencyLevel::Ups,
-            },
-            load: Watts::new(self.load),
-            capacity: Watts::new(self.capacity),
-        }
     }
 }
 
@@ -213,11 +158,12 @@ pub struct EngineSnapshot {
     /// Last slot's meter snapshot (tracked only under prediction-delay
     /// faults).
     pub prev_meter: Option<MeterHistory>,
-    /// Emergency log contents.
-    pub emergencies: Vec<EmergencyRecord>,
-    /// Emergency log observation counter.
-    pub emergency_slots_observed: u64,
-    /// Cap-controller hysteresis holds, when the controller is enabled.
+    /// Overloads beyond the breaker-tolerance band so far.
+    pub emergencies: u64,
+    /// Overloads within the breaker-tolerance band so far.
+    pub transient_overshoots: u64,
+    /// Cap-controller hysteresis holds, when the controller is enabled,
+    /// including those the last simulated slot's overloads started.
     pub cap_hold: Option<(Vec<Option<u64>>, Option<u64>)>,
     /// Per-agent `(intensity, predicted price)`.
     pub agents: Vec<(f64, Option<f64>)>,
@@ -227,8 +173,6 @@ pub struct EngineSnapshot {
     pub true_draw: Vec<f64>,
     /// Per-PDU base load of the last simulated slot, watts.
     pub prev_base_pdu: Vec<f64>,
-    /// Emergencies observed in the last simulated slot.
-    pub last_emergencies: Vec<EmergencyRecord>,
     /// Total faults injected so far.
     pub faults_injected: u64,
     /// Degraded slots so far.
@@ -251,14 +195,13 @@ impl Persist for EngineSnapshot {
         enc.put_u64(self.slots_done);
         self.meter.persist(enc);
         self.prev_meter.persist(enc);
-        self.emergencies.persist(enc);
-        enc.put_u64(self.emergency_slots_observed);
+        enc.put_u64(self.emergencies);
+        enc.put_u64(self.transient_overshoots);
         self.cap_hold.persist(enc);
         self.agents.persist(enc);
         self.records.persist(enc);
         self.true_draw.persist(enc);
         self.prev_base_pdu.persist(enc);
-        self.last_emergencies.persist(enc);
         enc.put_u64(self.faults_injected);
         enc.put_u64(self.degraded_slots);
         enc.put_u64(self.invariant_violations);
@@ -282,14 +225,13 @@ impl Persist for EngineSnapshot {
             slots_done: dec.get_u64()?,
             meter: MeterHistory::restore(dec)?,
             prev_meter: Option::<MeterHistory>::restore(dec)?,
-            emergencies: Vec::<EmergencyRecord>::restore(dec)?,
-            emergency_slots_observed: dec.get_u64()?,
+            emergencies: dec.get_u64()?,
+            transient_overshoots: dec.get_u64()?,
             cap_hold: Option::<(Vec<Option<u64>>, Option<u64>)>::restore(dec)?,
             agents: Vec::<(f64, Option<f64>)>::restore(dec)?,
             records: Vec::<SlotRecord>::restore(dec)?,
             true_draw: Vec::<f64>::restore(dec)?,
             prev_base_pdu: Vec::<f64>::restore(dec)?,
-            last_emergencies: Vec::<EmergencyRecord>::restore(dec)?,
             faults_injected: dec.get_u64()?,
             degraded_slots: dec.get_u64()?,
             invariant_violations: dec.get_u64()?,
@@ -319,13 +261,8 @@ impl EngineSnapshot {
             slots_done,
             meter: capture_meter(&state.meter),
             prev_meter: state.prev_meter.as_ref().map(capture_meter),
-            emergencies: state
-                .emergencies
-                .events()
-                .iter()
-                .map(EmergencyRecord::from_event)
-                .collect(),
-            emergency_slots_observed: state.emergencies.slots_observed(),
+            emergencies: state.report.emergencies as u64,
+            transient_overshoots: state.report.transient_overshoots as u64,
             cap_hold: state
                 .cap
                 .as_ref()
@@ -340,17 +277,12 @@ impl EngineSnapshot {
                     )
                 })
                 .collect(),
-            records: state.records.clone(),
+            records: state.report.records.clone(),
             true_draw: state.true_draw.iter().map(|w| w.value()).collect(),
             prev_base_pdu: state.prev_base_pdu.iter().map(|w| w.value()).collect(),
-            last_emergencies: state
-                .last_emergencies
-                .iter()
-                .map(EmergencyRecord::from_event)
-                .collect(),
-            faults_injected: state.faults_injected as u64,
-            degraded_slots: state.degraded_slots as u64,
-            invariant_violations: state.invariant_violations as u64,
+            faults_injected: state.report.faults_injected as u64,
+            degraded_slots: state.report.degraded_slots as u64,
+            invariant_violations: state.report.invariant_violations as u64,
             stage_blobs: stages
                 .iter()
                 .map(|s| {
@@ -462,14 +394,6 @@ impl EngineSnapshot {
 
         state.meter = meter;
         state.prev_meter = prev_meter;
-        state.emergencies.restore(
-            self.emergencies
-                .iter()
-                .cloned()
-                .map(EmergencyRecord::into_event)
-                .collect(),
-            self.emergency_slots_observed,
-        );
         if let (Some(cap), Some((pdu_hold, ups_hold))) = (&mut state.cap, &self.cap_hold) {
             cap.restore_hold_state(pdu_hold.clone(), *ups_hold);
         }
@@ -479,18 +403,14 @@ impl EngineSnapshot {
             agent.observe(intensity);
             agent.predict_price(price.map(Price::per_kw_hour));
         }
-        state.records = self.records.clone();
+        state.report.records = self.records.clone();
         state.true_draw = self.true_draw.iter().map(|&w| Watts::new(w)).collect();
         state.prev_base_pdu = self.prev_base_pdu.iter().map(|&w| Watts::new(w)).collect();
-        state.last_emergencies = self
-            .last_emergencies
-            .iter()
-            .cloned()
-            .map(EmergencyRecord::into_event)
-            .collect();
-        state.faults_injected = self.faults_injected as usize;
-        state.degraded_slots = self.degraded_slots as usize;
-        state.invariant_violations = self.invariant_violations as usize;
+        state.report.emergencies = self.emergencies as usize;
+        state.report.transient_overshoots = self.transient_overshoots as usize;
+        state.report.faults_injected = self.faults_injected as usize;
+        state.report.degraded_slots = self.degraded_slots as usize;
+        state.report.invariant_violations = self.invariant_violations as usize;
         Ok(())
     }
 }

@@ -4,9 +4,10 @@
 //!
 //! * [`SimState`] — everything that persists *across* slots: the
 //!   topology, operator, meter, PDU bank, fault plan, degradation
-//!   controllers, accumulated records and counters. Built once from the
+//!   controllers, and the run's [`SimReport`], which `Settle` extends
+//!   by one record (and its counters) per slot. Built once from the
 //!   [`Scenario`] + [`EngineConfig`] (including the slot-0 meter
-//!   warm-up) and consumed into the final [`SimReport`].
+//!   warm-up); the report is what is left at the end.
 //! * [`SlotContext`] — everything scoped to *one* slot: the clearing
 //!   price, spot sold/available, per-rack payments, and the reusable
 //!   bid/gain scratch buffers that keep the steady state free of
@@ -24,12 +25,12 @@ use std::sync::Arc;
 use spotdc_core::{ConcaveGain, ConstraintSet, MarketOutcome, Operator, TaskShip};
 use spotdc_faults::FaultPlan;
 use spotdc_power::topology::PowerTopology;
-use spotdc_power::{CapController, EmergencyEvent, EmergencyLog, PowerMeter, RackPduBank};
+use spotdc_power::{CapController, EmergencyLog, PowerMeter, RackPduBank};
 use spotdc_tenants::TenantAgent;
-use spotdc_units::{RackId, Slot, SlotDuration, Watts};
+use spotdc_units::{RackId, Slot, Watts};
 
 use crate::engine::EngineConfig;
-use crate::metrics::{SimReport, SlotRecord};
+use crate::metrics::SimReport;
 use crate::scenario::{OtherGroup, Scenario, ScenarioTraces};
 
 /// Meter readings retained per rack. Shared with the durability layer:
@@ -54,7 +55,8 @@ pub struct SimState {
     pub prev_meter: Option<PowerMeter>,
     /// The intelligent rack PDUs grants are programmed into.
     pub bank: RackPduBank,
-    /// Observes physical per-PDU power each slot.
+    /// Finds each slot's overloads in the physical per-PDU power; it
+    /// keeps none, `Settle` counts them into [`Self::report`].
     pub emergencies: EmergencyLog,
     /// Graceful-degradation cap controller, when enabled.
     pub cap: Option<CapController>,
@@ -74,8 +76,6 @@ pub struct SimState {
     pub track_prev_meter: bool,
     /// Whether the post-clearing invariant checker runs every slot.
     pub validate: bool,
-    /// Slot duration (payments are billed per slot).
-    pub slot_len: SlotDuration,
     /// Per-rack guaranteed power, indexed by dense rack index.
     pub guaranteed: Vec<Watts>,
     /// Rack index → PDU index.
@@ -85,16 +85,11 @@ pub struct SimState {
     /// Per-PDU non-spot ("base") load of the previous slot — what the
     /// cap controller budgets spot against.
     pub prev_base_pdu: Vec<Watts>,
-    /// Emergencies observed last slot, fed to the cap controller.
-    pub last_emergencies: Vec<EmergencyEvent>,
-    /// Accumulated per-slot records.
-    pub records: Vec<SlotRecord>,
-    /// Total faults injected across the run.
-    pub faults_injected: usize,
-    /// Slots in which any degradation path activated.
-    pub degraded_slots: usize,
-    /// Post-clearing invariant violations observed.
-    pub invariant_violations: usize,
+    /// The run's report so far: its fixed fields are filled in by
+    /// [`Self::new`], and the stages add each slot's record, faults,
+    /// degradation, invariant violations and overloads as they happen.
+    /// Its `slot` is the slot length payments are billed by.
+    pub report: SimReport,
     /// Thread pool for the within-slot data-parallel sections, sized by
     /// [`EngineConfig::inner_jobs`]. The stages always map through it;
     /// at width 1 the pool runs them inline.
@@ -159,6 +154,20 @@ impl SimState {
             prev_base_pdu[rack_pdu[i]] += d.min(guaranteed[i]);
         }
 
+        let report = SimReport {
+            records: Vec::with_capacity(slots),
+            slot: scenario.slot,
+            subscriptions: agents.iter().map(|a| a.reserved()).collect(),
+            headrooms: agents.iter().map(|a| a.headroom()).collect(),
+            total_subscribed: topology.total_leased(),
+            ups_capacity: topology.ups_capacity(),
+            emergencies: 0,
+            transient_overshoots: 0,
+            degraded_slots: 0,
+            invariant_violations: 0,
+            faults_injected: 0,
+        };
+
         SimState {
             topology,
             operator,
@@ -173,16 +182,11 @@ impl SimState {
             plan,
             track_prev_meter,
             validate,
-            slot_len: scenario.slot,
             guaranteed,
             rack_pdu,
             true_draw,
             prev_base_pdu,
-            last_emergencies: Vec::new(),
-            records: Vec::with_capacity(slots),
-            faults_injected: 0,
-            degraded_slots: 0,
-            invariant_violations: 0,
+            report,
             inner: spotdc_par::ThreadPool::new(config.inner_jobs.max(1)),
             dist: (config.shards > 1 && config.mode.has_market()).then(|| {
                 spotdc_dist::ShardRuntime::new(config.shards, config.operator.clearing)
@@ -256,32 +260,7 @@ impl SimState {
     /// Consumes the state into the final report.
     #[must_use]
     pub fn into_report(self) -> SimReport {
-        SimReport {
-            records: self.records,
-            slot: self.slot_len,
-            subscriptions: self.agents.iter().map(|a| a.reserved()).collect(),
-            headrooms: self.agents.iter().map(|a| a.headroom()).collect(),
-            total_subscribed: self.topology.total_leased(),
-            ups_capacity: self.topology.ups_capacity(),
-            // Overloads inside the ±5 % breaker-tolerance band are
-            // transient overshoots the hardware absorbs; only worse
-            // ones count as emergencies (Section III-C).
-            emergencies: self
-                .emergencies
-                .events()
-                .iter()
-                .filter(|e| e.severity() > 0.05)
-                .count(),
-            transient_overshoots: self
-                .emergencies
-                .events()
-                .iter()
-                .filter(|e| e.severity() <= 0.05)
-                .count(),
-            degraded_slots: self.degraded_slots,
-            invariant_violations: self.invariant_violations,
-            faults_injected: self.faults_injected,
-        }
+        self.report
     }
 }
 

@@ -116,7 +116,7 @@ fn lost_broadcasts(state: &mut SimState, slot: Slot, bids: &[TenantBid]) -> Vec<
     let is_lost = |tenant: &TenantId| state.plan.broadcast_lost(slot, *tenant);
     let mut lost: Vec<TenantId> = bids.iter().map(TenantBid::tenant).filter(is_lost).collect();
     for tenant in &lost {
-        state.faults_injected += 1;
+        state.report.faults_injected += 1;
         note_fault_injected(slot, "broadcast-lost", tenant);
     }
     lost.sort_unstable();
@@ -145,7 +145,7 @@ fn program_grants(state: &mut SimState, payments: &mut [f64], alloc: &SpotAlloca
                 .bank
                 .grant_spot(rack, grant)
                 .expect("cleared grants respect rack headroom");
-            payments[rack.index()] = alloc.payment_for(rack, state.slot_len).usd();
+            payments[rack.index()] = alloc.payment_for(rack, state.report.slot).usd();
         }
     }
 }
@@ -174,7 +174,7 @@ impl SlotStage for Sense {
         // stood at the end of the previous slot.
         let delayed = state.plan.prediction_delayed(slot);
         if delayed {
-            state.faults_injected += 1;
+            state.report.faults_injected += 1;
             note_fault_injected(slot, "prediction-delay", &"operator");
         }
         ctx.delayed = delayed;
@@ -256,7 +256,7 @@ impl SlotStage for CollectBids {
             match state.plan.bid_fault(slot, ctx.bids[i].tenant()) {
                 None => i += 1,
                 Some(fault) => {
-                    state.faults_injected += 1;
+                    state.report.faults_injected += 1;
                     note_fault_injected(slot, fault.kind(), &ctx.bids[i].tenant());
                     let bid = ctx.bids.remove(i);
                     if fault == BidFault::Late {
@@ -379,7 +379,7 @@ impl SlotStage for ClearUniform {
             note_violations(
                 slot,
                 &check_allocation(&constraints, &alloc, &ctx.rack_bids, true),
-                &mut state.invariant_violations,
+                &mut state.report.invariant_violations,
             );
         }
         program_grants(state, &mut ctx.payments, &alloc);
@@ -438,7 +438,7 @@ impl SlotStage for ClearPerPdu {
                 note_violations(
                     slot,
                     &check_allocation_indexed(&constraints, &alloc, admitted.as_ref()),
-                    &mut state.invariant_violations,
+                    &mut state.report.invariant_violations,
                 );
                 for (rack, grant) in alloc.iter() {
                     self.combined.insert(rack, grant);
@@ -456,7 +456,7 @@ impl SlotStage for ClearPerPdu {
                 note_violations(
                     slot,
                     &[MarketInvariant::Capacity(v)],
-                    &mut state.invariant_violations,
+                    &mut state.report.invariant_violations,
                 );
             }
         }
@@ -488,7 +488,7 @@ impl SlotStage for ClearMaxPerf {
                 note_violations(
                     slot,
                     &[MarketInvariant::Capacity(v)],
-                    &mut state.invariant_violations,
+                    &mut state.report.invariant_violations,
                 );
             }
         }
@@ -504,11 +504,11 @@ impl SlotStage for ClearMaxPerf {
     }
 }
 
-/// Enforce: graceful degradation — when overloads were observed last
-/// slot, the cap controller sheds spot first (guaranteed capacity is
-/// only capped while a held level's base load alone exceeds its
-/// capacity), with hysteresis on release. A no-op when no controller
-/// is configured.
+/// Enforce: graceful degradation — while a level is held after an
+/// overload (`Settle` notes each one as it is found), the cap
+/// controller sheds spot first (guaranteed capacity is only capped
+/// while a held level's base load alone exceeds its capacity), with
+/// hysteresis on release. A no-op when no controller is configured.
 #[derive(Debug)]
 pub struct Enforce;
 
@@ -521,7 +521,6 @@ impl SlotStage for Enforce {
         let Some(cap) = state.cap.as_mut() else {
             return;
         };
-        cap.note_emergencies(ctx.slot, &state.last_emergencies);
         let outcome = cap.enforce(ctx.slot, &state.prev_base_pdu, &mut state.bank);
         for trim in &outcome.trims {
             ctx.spot_sold -= (trim.old_spot - trim.new_spot).value();
@@ -538,9 +537,9 @@ impl SlotStage for Enforce {
 
 /// Settle: tenants execute under their budgets, the meter records the
 /// *observed* draw (subject to meter faults) while `true_draw` keeps
-/// the physical one; emergencies, accounting, telemetry and the
-/// per-slot record all settle here, and slot state rolls forward for
-/// the next slot's degradation paths.
+/// the physical one; overloads are counted and handed to the cap
+/// controller, and the per-slot record joins the report, here; slot
+/// state rolls forward for the next slot's degradation paths.
 #[derive(Debug)]
 pub struct Settle;
 
@@ -566,7 +565,7 @@ impl SlotStage for Settle {
         };
         for (agent, out) in state.agents.iter().zip(outcomes) {
             if record_observed(&mut state.meter, &state.plan, slot, agent.rack(), out.draw) {
-                state.faults_injected += 1;
+                state.report.faults_injected += 1;
             }
             state.true_draw[agent.rack().index()] = out.draw.clamp_non_negative();
             let (perf_index, slo_met) = match out.performance {
@@ -588,7 +587,7 @@ impl SlotStage for Settle {
         for (j, other) in state.others.iter().enumerate() {
             let draw = state.traces.others[j][t].min(other.subscription);
             if record_observed(&mut state.meter, &state.plan, slot, other.rack, draw) {
-                state.faults_injected += 1;
+                state.report.faults_injected += 1;
             }
             state.true_draw[other.rack.index()] = draw.clamp_non_negative();
         }
@@ -604,10 +603,20 @@ impl SlotStage for Settle {
             ups_power += d;
         }
         let found = state.emergencies.observe(slot, &state.pdu_draw);
-        if ctx.slot_degraded {
-            state.degraded_slots += 1;
+        // Overloads inside the ±5 % breaker-tolerance band are
+        // transient overshoots the hardware absorbs; only worse ones
+        // count as emergencies (Section III-C).
+        for e in &found {
+            if e.severity() > 0.05 {
+                state.report.emergencies += 1;
+            } else {
+                state.report.transient_overshoots += 1;
+            }
         }
-        state.records.push(SlotRecord {
+        if ctx.slot_degraded {
+            state.report.degraded_slots += 1;
+        }
+        state.report.records.push(SlotRecord {
             slot: t as u64,
             price: ctx.price,
             spot_available: ctx.spot_available,
@@ -616,9 +625,11 @@ impl SlotStage for Settle {
             pdu_power: state.pdu_draw.iter().map(|w| w.value()).collect(),
             tenants: tenant_metrics,
         });
-        // Roll slot state forward for next slot's degradation paths.
-        state.last_emergencies = found;
-        if state.cap.is_some() {
+        // Roll slot state forward for next slot's degradation paths:
+        // each overloaded level enters hold as of the next slot, the
+        // first one the controller can act in.
+        if let Some(cap) = state.cap.as_mut() {
+            cap.note_emergencies(slot.next(), &found);
             state
                 .prev_base_pdu
                 .iter_mut()

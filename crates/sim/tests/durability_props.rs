@@ -242,13 +242,14 @@ fn damaged_snapshots_are_errors_not_panics() {
         "{refused} refused, {applied} applied"
     );
 
-    // Format 2 carried two more words before the stage blobs; read as
-    // format 3 they would shift every blob, so the header must decide.
-    assert_eq!(SNAPSHOT_FORMAT, 3);
-    for old in [1u32, 2] {
+    // Format 3 carried two emergency event lists where format 4 carries
+    // two counters; read as format 4 they would shift every later field,
+    // so the header must decide.
+    assert_eq!(SNAPSHOT_FORMAT, 4);
+    for old in [1u32, 2, 3] {
         let mut stale = bytes.clone();
         stale[..4].copy_from_slice(&old.to_le_bytes());
-        let expected = format!("snapshot format {old}, this build reads 3");
+        let expected = format!("snapshot format {old}, this build reads 4");
         match EngineSnapshot::decode(&stale) {
             Err(DecodeError::Invalid(why)) => assert_eq!(why, expected),
             other => panic!("a format-{old} header must be refused by name, got {other:?}"),
@@ -265,7 +266,7 @@ fn a_checkpoint_does_not_depend_on_whether_telemetry_is_on() {
     let checkpoint = |telemetry: TelemetryConfig| {
         spotdc_telemetry::install(telemetry);
         let (state, _, stages, _) = run_to(7, lossy_config(), 12);
-        assert!(state.records.iter().any(|r| r.spot_available > 0.0));
+        assert!(state.report.records.iter().any(|r| r.spot_available > 0.0));
         EngineSnapshot::capture(&state, &stages, Mode::SpotDc, 7, 12).encode()
     };
     let off = checkpoint(TelemetryConfig::default());
