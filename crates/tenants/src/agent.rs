@@ -345,16 +345,18 @@ impl TenantAgent {
 
     /// Runs the slot with the given total budget (reserved + any spot
     /// grant), reporting draw, performance and cost. The performance
-    /// model is evaluated once, and the cost is read off that value.
+    /// model is evaluated once, and the cost is read off that value. A
+    /// sprinting rack finds its DVFS operating point once, for both its
+    /// latency and its draw; a busy batch rack still finds it twice, in
+    /// `throughput` and in `power_draw`.
     #[must_use]
     pub fn run_slot(&self, budget: Watts) -> SlotOutcome {
-        let draw = self.model.power_draw(budget, self.intensity);
-        let (performance, value) = match &self.model {
+        let (draw, performance, value) = match &self.model {
             WorkloadModel::Sprinting { workload, cost } => {
                 let lambda = self.model.arrival_rate(self.intensity);
-                let seconds = workload.latency(lambda, budget);
+                let (seconds, draw) = workload.latency_and_draw(lambda, budget);
                 let slo_met = seconds <= cost.slo();
-                (Performance::Latency { seconds, slo_met }, seconds)
+                (draw, Performance::Latency { seconds, slo_met }, seconds)
             }
             WorkloadModel::Opportunistic { workload, .. } => {
                 // No backlog: nothing runs, so skip the DVFS inversion;
@@ -364,7 +366,8 @@ impl TenantAgent {
                 } else {
                     0.0
                 };
-                (Performance::Throughput { rate }, rate)
+                let draw = self.model.power_draw(budget, self.intensity);
+                (draw, Performance::Throughput { rate }, rate)
             }
         };
         SlotOutcome {

@@ -74,7 +74,9 @@ fn run_slot_is_the_direct_composition_bit_for_bit() {
         };
         let knee = dvfs.rack_power(dvfs.freq_min(), 1.0).value();
         let peak = dvfs.peak_power().value();
-        let budgets = [
+        // The edges of the DVFS model, then 64 budgets strictly inside
+        // its bisection range, where the operating point is searched for.
+        let mut budgets = vec![
             0.0,
             knee * 0.5,
             knee,
@@ -83,6 +85,7 @@ fn run_slot_is_the_direct_composition_bit_for_bit() {
             peak,
             peak + 50.0,
         ];
+        budgets.extend((1..=64).map(|i| knee + (peak - knee) * f64::from(i) / 65.0));
         let mut agent = TenantAgent::new(
             TenantId::new(0),
             RackId::new(0),
@@ -91,9 +94,10 @@ fn run_slot_is_the_direct_composition_bit_for_bit() {
             model.clone(),
             Strategy::simple(Price::per_kw_hour(0.5)),
         );
-        for intensity in [0.0, 1e-9, 0.3, 0.5, 1.0] {
+        let sixteenths = (0..=16).map(|i| f64::from(i) / 16.0);
+        for intensity in [1e-9, 0.3].into_iter().chain(sixteenths) {
             agent.observe(intensity);
-            for budget in budgets.map(Watts::new) {
+            for budget in budgets.iter().copied().map(Watts::new) {
                 let got = agent.run_slot(budget);
                 let want = direct(&model, budget, intensity);
                 assert_eq!(

@@ -199,33 +199,6 @@ impl DvfsModel {
         self.operating_point(budget, utilization)
             .relative_capacity(self.serial_fraction)
     }
-
-    /// The smallest budget achieving at least `capacity` relative
-    /// compute capacity at the given utilization, or `None` if the rack
-    /// cannot reach it even at peak power.
-    ///
-    /// Inverse of [`capacity_at`](Self::capacity_at) (up to bisection
-    /// tolerance).
-    #[must_use]
-    pub fn budget_for_capacity(&self, capacity: f64, utilization: f64) -> Option<Watts> {
-        if capacity <= 0.0 {
-            return Some(Watts::ZERO);
-        }
-        if capacity > self.capacity_at(self.peak_power(), utilization) + 1e-12 {
-            return None;
-        }
-        let mut lo = 0.0;
-        let mut hi = self.peak_power().value();
-        for _ in 0..100 {
-            let mid = 0.5 * (lo + hi);
-            if self.capacity_at(Watts::new(mid), utilization) >= capacity {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        Some(Watts::new(hi))
-    }
 }
 
 #[cfg(test)]
@@ -304,18 +277,6 @@ mod tests {
             last = c;
         }
         assert!((r.capacity_at(r.peak_power(), 1.0) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn budget_for_capacity_inverts() {
-        let r = rack();
-        for target in [0.2, 0.5, 0.8, 0.95] {
-            let b = r.budget_for_capacity(target, 1.0).unwrap();
-            let c = r.capacity_at(b, 1.0);
-            assert!((c - target).abs() < 1e-6, "target {target} got {c}");
-        }
-        assert!(r.budget_for_capacity(1.5, 1.0).is_none());
-        assert_eq!(r.budget_for_capacity(0.0, 1.0), Some(Watts::ZERO));
     }
 
     #[test]

@@ -13,10 +13,19 @@
 use serde::{Deserialize, Serialize};
 use spotdc_units::Watts;
 
-use crate::dvfs::DvfsModel;
+use crate::dvfs::{DvfsModel, OperatingPoint};
 use crate::queueing::MmK;
 
 /// A latency-sensitive workload on one rack.
+///
+/// A budget affords one DVFS operating point, and both the tail
+/// latency and the rack's draw are read off it. [`latency`] and
+/// [`power_draw`] each find that point; [`latency_and_draw`] finds it
+/// once for both, as a slot needs them.
+///
+/// [`latency`]: Self::latency
+/// [`power_draw`]: Self::power_draw
+/// [`latency_and_draw`]: Self::latency_and_draw
 ///
 /// # Examples
 ///
@@ -134,25 +143,41 @@ impl InteractiveWorkload {
         f64::from(self.dvfs.servers()) * self.mu_max
     }
 
-    /// The queue the rack behaves as under power budget `budget`: an
-    /// M/M/k with service rate scaled by the relative compute capacity
-    /// the budget affords.
-    fn queue_at(&self, budget: Watts) -> MmK {
-        // A power budget is a hard cap: the tenant must pick a frequency
-        // whose *worst-case* (fully busy) draw stays under it, so the
-        // budget→frequency mapping is evaluated at utilization 1.
-        let rel = self.dvfs.capacity_at(budget, 1.0);
-        let mu_eff = (self.mu_max * rel).max(1e-9);
-        MmK::new(self.dvfs.servers(), mu_eff)
-    }
-
     /// Tail latency (seconds, at this workload's percentile) when
     /// serving `lambda` req/s under `budget` watts. Saturates at the
     /// latency cap instead of returning infinity.
     #[must_use]
     pub fn latency(&self, lambda: f64, budget: Watts) -> f64 {
+        self.latency_at(lambda, self.operating_point(budget))
+    }
+
+    /// [`latency`](Self::latency) and [`power_draw`](Self::power_draw)
+    /// at once, bit for bit: a slot's budget maps to one operating
+    /// point, so the DVFS inversion runs once for both.
+    #[must_use]
+    pub fn latency_and_draw(&self, lambda: f64, budget: Watts) -> (f64, Watts) {
+        let op = self.operating_point(budget);
+        (
+            self.latency_at(lambda, op),
+            self.draw_at(lambda, budget, op),
+        )
+    }
+
+    /// The operating point `budget` affords. A power budget is a hard
+    /// cap: the tenant must pick a frequency whose *worst-case* (fully
+    /// busy) draw stays under it, so the budget→frequency mapping is
+    /// evaluated at utilization 1.
+    fn operating_point(&self, budget: Watts) -> OperatingPoint {
+        self.dvfs.operating_point(budget, 1.0)
+    }
+
+    /// Tail latency at `op`: the rack behaves as an M/M/k queue with
+    /// service rate scaled by the operating point's relative capacity.
+    fn latency_at(&self, lambda: f64, op: OperatingPoint) -> f64 {
         let lambda = if lambda <= 0.0 { 0.0 } else { lambda };
-        self.queue_at(budget)
+        let rel = op.relative_capacity(self.dvfs.serial_fraction());
+        let mu_eff = (self.mu_max * rel).max(1e-9);
+        MmK::new(self.dvfs.servers(), mu_eff)
             .latency_percentile(lambda, self.percentile)
             .min(self.latency_cap)
     }
@@ -189,7 +214,11 @@ impl InteractiveWorkload {
     /// rack's peak power. Used for metered-energy billing.
     #[must_use]
     pub fn power_draw(&self, lambda: f64, budget: Watts) -> Watts {
-        let op = self.dvfs.operating_point(budget, 1.0);
+        self.draw_at(lambda, budget, self.operating_point(budget))
+    }
+
+    /// The draw at `op`, the operating point `budget` affords.
+    fn draw_at(&self, lambda: f64, budget: Watts, op: OperatingPoint) -> Watts {
         // Actual busy fraction at the operating point's capacity.
         let cap = op.relative_capacity(self.dvfs.serial_fraction()) * self.max_capacity();
         let u = if cap <= 0.0 {

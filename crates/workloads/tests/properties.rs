@@ -42,13 +42,22 @@ proptest! {
     }
 
     #[test]
-    fn dvfs_budget_inversion(target in 0.01..0.99f64, u in 0.1..1.0f64) {
-        let m = DvfsModel::new(4, Watts::new(10.0), Watts::new(30.0), 0.4, 2.0, 0.2);
-        // Capacity at u<1 budgets: max achievable is still 1.0 at peak of that utilization.
-        let max_cap = m.capacity_at(m.peak_power(), u);
-        let goal = target * max_cap;
-        if let Some(b) = m.budget_for_capacity(goal, u) {
-            prop_assert!((m.capacity_at(b, u) - goal).abs() < 1e-4);
+    fn latency_and_draw_is_latency_and_power_draw_bit_for_bit(
+        budget_frac in 0.0..=1.0f64, lam_frac in 0.0..=1.5f64
+    ) {
+        for w in [InteractiveWorkload::search_tenant(), InteractiveWorkload::web_tenant()] {
+            let dvfs = w.dvfs();
+            let knee = dvfs.rack_power(dvfs.freq_min(), 1.0);
+            let peak = dvfs.peak_power();
+            // Budgets over [-10, peak + 50] W; loads up to 1.5x capacity
+            // reach the unstable queue and the latency cap.
+            let drawn = Watts::new(-10.0 + budget_frac * (peak.value() + 60.0));
+            let lam = lam_frac * w.max_capacity();
+            for budget in [drawn, Watts::ZERO, knee, peak] {
+                let (latency, draw) = w.latency_and_draw(lam, budget);
+                prop_assert_eq!(latency.to_bits(), w.latency(lam, budget).to_bits());
+                prop_assert_eq!(draw.value().to_bits(), w.power_draw(lam, budget).value().to_bits());
+            }
         }
     }
 
