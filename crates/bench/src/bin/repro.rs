@@ -149,8 +149,13 @@ fn main() -> ExitCode {
     let mut single_tenants: Option<usize> = None;
     let mut shards: usize = 1;
     let mut durability = DurabilityConfig::default();
+    // Set by a flag that only shapes a run with a checkpoint directory.
+    let mut checkpoint_flag: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if ["--checkpoint-every", "--resume", "--slot-delay-ms"].contains(&arg.as_str()) {
+            checkpoint_flag = Some(arg.clone());
+        }
         match arg.as_str() {
             "--list" | "--list-exps" => {
                 print_stdout(format_args!("{}", all_ids().join("\n")));
@@ -227,8 +232,8 @@ fn main() -> ExitCode {
                 None => return usage("--checkpoint-dir needs a directory"),
             },
             "--checkpoint-every" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => durability.checkpoint_every = n,
-                None => return usage("--checkpoint-every needs an integer"),
+                Some(n) if n >= 1 => durability.checkpoint_every = n,
+                _ => return usage("--checkpoint-every needs a positive integer"),
             },
             "--resume" => durability.resume = true,
             "--slot-delay-ms" => match args.next().and_then(|v| v.parse().ok()) {
@@ -244,6 +249,9 @@ fn main() -> ExitCode {
     let reporter = Reporter::new(quiet);
     if single_mode.is_none() && (durability.dir.is_some() || durability.resume) {
         return usage("--checkpoint-dir/--resume require --mode (single-run durability)");
+    }
+    if let (Some(flag), None) = (checkpoint_flag, &durability.dir) {
+        return usage(&format!("{flag} requires --checkpoint-dir"));
     }
     if single_mode.is_none() && (single_per_pdu || single_tenants.is_some() || shards > 1) {
         return usage("--per-pdu/--tenants/--shards require --mode (single runs)");

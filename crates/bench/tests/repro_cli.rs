@@ -136,6 +136,42 @@ fn suite_only_flags_are_usage_errors_with_a_mode() {
 }
 
 #[test]
+fn durability_flags_are_usage_errors_without_a_checkpoint_dir() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-ckpt-{}", std::process::id()));
+    let dir = dir.to_str().expect("temp dir is UTF-8");
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["--checkpoint-dir", dir, "--checkpoint-every", "0"],
+            "--checkpoint-every needs a positive integer",
+        ),
+        (&["--resume"], "--resume requires --checkpoint-dir"),
+        (
+            &["--checkpoint-every", "5"],
+            "--checkpoint-every requires --checkpoint-dir",
+        ),
+        (
+            &["--slot-delay-ms", "5"],
+            "--slot-delay-ms requires --checkpoint-dir",
+        ),
+    ];
+    for (flags, expected) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--mode", "spotdc", "--slots", "1", "--quiet"])
+            .args(flags)
+            .output()
+            .expect("run repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.contains(expected), "{flags:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?} ran something");
+    }
+    assert!(
+        !std::path::Path::new(dir).exists(),
+        "a refused run created its checkpoint dir"
+    );
+}
+
+#[test]
 fn inner_jobs_reaches_a_single_run() {
     // Only an inner pool wider than one fans per-PDU sub-markets out,
     // and each fan-out closes one `par.clear_per_pdu` span.

@@ -10,7 +10,7 @@
 //!   rebuildable: the topology, operator, traces and fault plan are
 //!   pure functions of the scenario and config (every fault verdict,
 //!   lost messages included, is a hash of `(seed, slot, target)`, so a
-//!   snapshot carries no RNG state at all); stage scratch, the agents'
+//!   snapshot carries no RNG state at all); per-slot scratch, the agents'
 //!   valuation-row caches and the prediction cache are bit-transparent
 //!   (warm-vs-cold equality is pinned by tests) and clearing keeps no state
 //!   between slots (only buffers it rebuilds); the emergency detector
@@ -37,10 +37,10 @@ use spotdc_units::{Price, RackId, Slot, TenantId, Watts};
 
 use crate::baselines::Mode;
 use crate::metrics::{SlotRecord, TenantSlotMetrics};
-use crate::pipeline::{SimState, SlotContext, SlotStage};
+use crate::pipeline::{SimState, SlotContext, Stage};
 
 /// Snapshot format version; bump on any layout change.
-pub const SNAPSHOT_FORMAT: u32 = 4;
+pub const SNAPSHOT_FORMAT: u32 = 5;
 
 /// The stable tag a [`Mode`] serializes as.
 #[must_use]
@@ -179,9 +179,9 @@ pub struct EngineSnapshot {
     pub degraded_slots: u64,
     /// Invariant violations so far.
     pub invariant_violations: u64,
-    /// One opaque blob per pipeline stage, in stage order (from
-    /// `SlotStage::save_durable`).
-    pub stage_blobs: Vec<Vec<u8>>,
+    /// Bids a fault made late in the last simulated slot, which
+    /// `CollectBids` delivers in the next one.
+    pub late_bids: Vec<TenantBid>,
 }
 
 impl Persist for EngineSnapshot {
@@ -205,7 +205,7 @@ impl Persist for EngineSnapshot {
         enc.put_u64(self.faults_injected);
         enc.put_u64(self.degraded_slots);
         enc.put_u64(self.invariant_violations);
-        self.stage_blobs.persist(enc);
+        encode_tenant_bids(enc, &self.late_bids);
     }
 
     fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -235,7 +235,7 @@ impl Persist for EngineSnapshot {
             faults_injected: dec.get_u64()?,
             degraded_slots: dec.get_u64()?,
             invariant_violations: dec.get_u64()?,
-            stage_blobs: Vec::<Vec<u8>>::restore(dec)?,
+            late_bids: decode_tenant_bids(dec)?,
         })
     }
 }
@@ -246,7 +246,7 @@ impl EngineSnapshot {
     #[must_use]
     pub fn capture(
         state: &SimState,
-        stages: &[Box<dyn SlotStage>],
+        stages: &[Stage],
         mode: Mode,
         seed: u64,
         slots_done: u64,
@@ -283,14 +283,13 @@ impl EngineSnapshot {
             faults_injected: state.report.faults_injected as u64,
             degraded_slots: state.report.degraded_slots as u64,
             invariant_violations: state.report.invariant_violations as u64,
-            stage_blobs: stages
+            late_bids: stages
                 .iter()
-                .map(|s| {
-                    let mut enc = Encoder::new();
-                    s.save_durable(&mut enc);
-                    enc.into_bytes()
+                .find_map(|stage| match stage {
+                    Stage::CollectBids { late_bids, .. } => Some(late_bids.clone()),
+                    _ => None,
                 })
-                .collect(),
+                .unwrap_or_default(),
         }
     }
 
@@ -319,18 +318,18 @@ impl EngineSnapshot {
     /// sequence, leaving them exactly as they were when the snapshot
     /// was cut. Validate, then apply: a checksum only proves the bytes
     /// are the ones written, so every length the engine will index by
-    /// is checked against this run's shape — and every stage blob
-    /// decoded — before the first assignment to `state`.
+    /// is checked against this run's shape before the first assignment
+    /// to `state`.
     ///
     /// # Errors
     ///
     /// Returns a [`DecodeError`] when the snapshot does not belong to
-    /// this run (mode/seed/shape mismatch), is inconsistent with its
-    /// own header, or a stage blob fails to decode.
+    /// this run (mode/seed/shape mismatch) or is inconsistent with its
+    /// own header.
     pub fn apply(
         &self,
         state: &mut SimState,
-        stages: &mut [Box<dyn SlotStage>],
+        stages: &mut [Stage],
         mode: Mode,
         seed: u64,
     ) -> Result<(), DecodeError> {
@@ -368,11 +367,6 @@ impl EngineSnapshot {
                 u64::from(state.cap.is_some()),
             ),
             ("records length", self.records.len() as u64, self.slots_done),
-            (
-                "stage_blobs length",
-                self.stage_blobs.len() as u64,
-                stages.len() as u64,
-            ),
         ];
         for (what, snap, run) in expected {
             if snap != run {
@@ -386,12 +380,12 @@ impl EngineSnapshot {
             Some(h) => Some(rebuild_meter(h, &state.topology)?),
             None => None,
         };
-        for (stage, blob) in stages.iter_mut().zip(&self.stage_blobs) {
-            let mut dec = Decoder::new(blob);
-            stage.load_durable(&mut dec)?;
-            dec.finish()?;
-        }
 
+        for stage in stages {
+            if let Stage::CollectBids { late_bids, .. } = stage {
+                late_bids.clone_from(&self.late_bids);
+            }
+        }
         state.meter = meter;
         state.prev_meter = prev_meter;
         if let (Some(cap), Some((pdu_hold, ups_hold))) = (&mut state.cap, &self.cap_hold) {
@@ -442,10 +436,10 @@ pub fn wal_record_slot(record: &[u8]) -> Result<u64, DecodeError> {
     Decoder::new(record).get_u64()
 }
 
-/// Serializes tenant bids (used by the WAL and the late-bid stage
-/// blob). Each rack bid goes through `spotdc-core`'s one binary shape
-/// for a demand function, the same bytes it has on the wire.
-pub(crate) fn encode_tenant_bids(enc: &mut Encoder, bids: &[TenantBid]) {
+/// Serializes tenant bids (a journal record's delivered bids, a
+/// snapshot's late bids). Each rack bid goes through `spotdc-core`'s
+/// one binary shape for a demand function, its bytes on the wire.
+fn encode_tenant_bids(enc: &mut Encoder, bids: &[TenantBid]) {
     enc.put_usize(bids.len());
     for bid in bids {
         enc.put_usize(bid.tenant().index());
@@ -457,9 +451,9 @@ pub(crate) fn encode_tenant_bids(enc: &mut Encoder, bids: &[TenantBid]) {
 }
 
 /// Deserializes tenant bids written by [`encode_tenant_bids`]. The bid
-/// constructors re-validate every invariant, so a damaged blob fails
+/// constructors re-validate every invariant, so damaged bytes fail
 /// here rather than corrupting the market.
-pub(crate) fn decode_tenant_bids(dec: &mut Decoder<'_>) -> Result<Vec<TenantBid>, DecodeError> {
+fn decode_tenant_bids(dec: &mut Decoder<'_>) -> Result<Vec<TenantBid>, DecodeError> {
     let n = dec.get_usize()?;
     let mut bids = Vec::with_capacity(n.min(1024));
     for _ in 0..n {

@@ -43,7 +43,7 @@ use spotdc_units::{MonotonicNanos, Slot};
 use crate::baselines::Mode;
 use crate::durability::EngineSnapshot;
 use crate::metrics::SimReport;
-use crate::pipeline::{self, SimState, SlotContext, SlotStage};
+use crate::pipeline::{self, SimState, SlotContext, Stage};
 use crate::scenario::Scenario;
 use spotdc_core::OperatorConfig;
 
@@ -664,7 +664,7 @@ impl Simulation {
 struct Run {
     state: SimState,
     ctx: SlotContext,
-    stages: Vec<Box<dyn SlotStage>>,
+    stages: Vec<Stage>,
 }
 
 impl Run {

@@ -2,7 +2,8 @@
 //!
 //! Two lifetimes of state exist in a run:
 //!
-//! * [`SimState`] — everything that persists *across* slots: the
+//! * [`SimState`] — everything that persists *across* slots (but the
+//!   late bids `Stage::CollectBids` holds for the next slot): the
 //!   topology, operator, meter, PDU bank, fault plan, degradation
 //!   controllers, and the run's [`SimReport`], which `Settle` extends
 //!   by one record (and its counters) per slot. Built once from the
@@ -14,10 +15,11 @@
 //!   per-slot allocations. [`SlotContext::begin`] resets it at the top
 //!   of each slot.
 //!
-//! Stages receive `(&mut SimState, &mut SlotContext)` and communicate
-//! exclusively through them — there is no hidden channel between
-//! stages, which is what makes alternative stage compositions (the
-//! modes, and future clearing schemes) safe to assemble.
+//! Every stage runs over `(&mut SimState, &mut SlotContext)` and the
+//! stages communicate exclusively through them — there is no hidden
+//! channel between stages, which is what makes alternative stage
+//! compositions (the modes, and future clearing schemes) safe to
+//! assemble.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -40,8 +42,8 @@ pub const METER_HISTORY_LEN: usize = 4;
 
 /// Cross-slot simulation state: the world the pipeline stages act on.
 ///
-/// Fields are public within the crate so each stage can borrow exactly
-/// the disjoint subset it needs.
+/// Fields are public so each stage function can borrow exactly the
+/// disjoint subset it needs.
 #[derive(Debug)]
 pub struct SimState {
     /// The power topology under simulation.
@@ -196,14 +198,6 @@ impl SimState {
         }
     }
 
-    /// Whether the inner pool is wider than one worker — asked only by
-    /// [`Self::clear_tasks`], whose wide arm pays a constraint-set
-    /// clone per worker; everywhere else the pool decides.
-    #[must_use]
-    pub fn inner_parallel(&self) -> bool {
-        self.inner.threads() > 1
-    }
-
     /// Clears one slot's market tasks, one entry per task in task
     /// order — the single place that knows where a clear runs. With
     /// shard agents ([`Self::dist`]) the tasks go over the wire and a
@@ -226,7 +220,10 @@ impl SimState {
             return dist.clear_tasks(slot, constraints, tasks);
         }
         let engine = self.operator.clearing();
-        let results = if self.inner_parallel() && tasks.len() > 1 {
+        // Only here is the pool's width asked: the wide arm pays a
+        // constraint-set clone per worker. Everywhere else the pool
+        // decides.
+        let results = if self.inner.threads() > 1 && tasks.len() > 1 {
             let _span = spotdc_telemetry::span!("par.clear_per_pdu", slot = slot);
             let runs: Vec<&[TaskShip]> = tasks
                 .chunks(tasks.len().div_ceil(self.inner.threads()))

@@ -1,9 +1,9 @@
 //! The staged slot pipeline: Algorithm 1 as explicit, composable
 //! stages.
 //!
-//! Each slot is one pass through a sequence of [`SlotStage`]s
-//! operating on shared typed state ([`SimState`] across slots,
-//! [`SlotContext`] within one):
+//! Each slot is one pass through a sequence of [`Stage`]s operating on
+//! shared typed state ([`SimState`] across slots, [`SlotContext`]
+//! within one):
 //!
 //! ```text
 //! Sense ─→ CollectBids ─→ Predict ─→ Clear ─→ Enforce ─→ Settle
@@ -18,7 +18,7 @@
 //! else. Whoever collects leaves the requesting set, so admission and
 //! prediction are one path whatever clears the slot. A new scheme —
 //! an operator-side capacity cut, another clearing mechanism — is a
-//! new stage and a row in the table.
+//! new [`Stage`] variant and a row in the table.
 //!
 //! Bids are collected *before* prediction, as in the paper's
 //! Algorithm 1: the predictor counts each requesting rack at its full
@@ -32,46 +32,81 @@ mod context;
 mod stages;
 
 pub use context::{SimState, SlotContext, METER_HISTORY_LEN};
-pub use stages::{
-    ClearMaxPerf, ClearPerPdu, ClearUniform, CollectBids, CollectGains, Enforce, Predict, Sense,
-    Settle,
-};
+
+use spotdc_core::TenantBid;
 
 use crate::baselines::Mode;
 use crate::engine::EngineConfig;
 
-/// One step of the per-slot pipeline.
-///
-/// Stages communicate only through the shared state; `run` takes
-/// `&mut self` so a stage can keep scratch that survives across slots
-/// (late bids, validation maps) without per-slot allocation.
-pub trait SlotStage {
+/// One step of the per-slot pipeline. Stages communicate only through
+/// the shared state; the one thing a stage carries from slot to slot
+/// is `CollectBids`' late bids, which no other stage may observe and
+/// a checkpoint captures (`EngineSnapshot::late_bids`).
+#[derive(Debug)]
+pub enum Stage {
+    /// Tenants observe their load, the rack PDUs reset, and a
+    /// prediction-delay fault picks the market's meter view.
+    Sense,
+    /// Tenants bid, bid faults fire, and the operator admits the
+    /// delivered bids: the slot's requesting set.
+    CollectBids {
+        /// Runs the Fig. 16 pre-clearing price pass.
+        price_oracle: bool,
+        /// Bids delayed by a fault, delivered next slot.
+        late_bids: Vec<TenantBid>,
+    },
+    /// MaxPerf's bidding: each tenant wanting spot sends its concave
+    /// gain envelope.
+    CollectGains,
+    /// Forecasts the slot's spot capacity (Eqns. 1–4) into the
+    /// constraint set clearing runs against.
+    Predict,
+    /// The paper's single uniform-price clearing.
+    ClearUniform,
+    /// The localized-price ablation: one sub-market per PDU.
+    ClearPerPdu,
+    /// The omniscient water-filling allocator.
+    ClearMaxPerf,
+    /// The cap controller sheds spot while an overloaded level is held.
+    Enforce,
+    /// Tenants run under their budgets and the slot's record joins the
+    /// report.
+    Settle,
+}
+
+impl Stage {
     /// Telemetry span name for this stage (`stage.*`).
-    fn name(&self) -> &'static str;
-    /// Executes the stage for the slot in `ctx`.
-    fn run(&mut self, state: &mut SimState, ctx: &mut SlotContext);
-    /// Serializes any *cross-slot* stage state into `enc` for a
-    /// checkpoint. The default writes nothing: most stages keep only
-    /// per-slot scratch (buffers whose contents are rebuilt before
-    /// being read), which does not affect the slots simulated after a
-    /// restore. Stages with real carried state (the late-bid rollover
-    /// in [`CollectBids`]) override both hooks.
-    fn save_durable(&self, enc: &mut spotdc_durable::Encoder) {
-        let _ = enc;
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
+            Stage::Sense => "stage.sense",
+            Stage::CollectBids { .. } => "stage.collect_bids",
+            Stage::CollectGains => "stage.collect_gains",
+            Stage::Predict => "stage.predict",
+            Stage::ClearUniform => "stage.clear_market",
+            Stage::ClearPerPdu => "stage.clear_per_pdu",
+            Stage::ClearMaxPerf => "stage.clear_maxperf",
+            Stage::Enforce => "stage.enforce",
+            Stage::Settle => "stage.settle",
+        }
     }
-    /// Restores the state written by [`SlotStage::save_durable`], in
-    /// the same stage order.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`spotdc_durable::DecodeError`] when the blob does not
-    /// decode to this stage's state.
-    fn load_durable(
-        &mut self,
-        dec: &mut spotdc_durable::Decoder<'_>,
-    ) -> Result<(), spotdc_durable::DecodeError> {
-        let _ = dec;
-        Ok(())
+
+    /// Executes the stage for the slot in `ctx`.
+    pub fn run(&mut self, state: &mut SimState, ctx: &mut SlotContext) {
+        match self {
+            Stage::Sense => stages::sense(state, ctx),
+            Stage::CollectBids {
+                price_oracle,
+                late_bids,
+            } => stages::collect_bids(state, ctx, *price_oracle, late_bids),
+            Stage::CollectGains => stages::collect_gains(state, ctx),
+            Stage::Predict => stages::predict(state, ctx),
+            Stage::ClearUniform => stages::clear_uniform(state, ctx),
+            Stage::ClearPerPdu => stages::clear_per_pdu(state, ctx),
+            Stage::ClearMaxPerf => stages::clear_max_perf(state, ctx),
+            Stage::Enforce => stages::enforce(state, ctx),
+            Stage::Settle => stages::settle(state, ctx),
+        }
     }
 }
 
@@ -80,26 +115,29 @@ pub trait SlotStage {
 /// enforce, settle, and differs only in who asks (bids or gain
 /// envelopes) and how the slot clears.
 #[must_use]
-pub fn build(config: &EngineConfig) -> Vec<Box<dyn SlotStage>> {
-    let (collect, clear): (Box<dyn SlotStage>, Box<dyn SlotStage>) = match config.mode {
-        Mode::PowerCapped => return vec![Box::new(Sense), Box::new(Enforce), Box::new(Settle)],
+pub fn build(config: &EngineConfig) -> Vec<Stage> {
+    let (collect, clear) = match config.mode {
+        Mode::PowerCapped => return vec![Stage::Sense, Stage::Enforce, Stage::Settle],
         Mode::SpotDc => (
-            Box::new(CollectBids::new(config.price_oracle)),
+            Stage::CollectBids {
+                price_oracle: config.price_oracle,
+                late_bids: Vec::new(),
+            },
             if config.per_pdu_pricing {
-                Box::new(ClearPerPdu::default())
+                Stage::ClearPerPdu
             } else {
-                Box::new(ClearUniform)
+                Stage::ClearUniform
             },
         ),
-        Mode::MaxPerf => (Box::new(CollectGains), Box::new(ClearMaxPerf)),
+        Mode::MaxPerf => (Stage::CollectGains, Stage::ClearMaxPerf),
     };
     vec![
-        Box::new(Sense),
+        Stage::Sense,
         collect,
-        Box::new(Predict),
+        Stage::Predict,
         clear,
-        Box::new(Enforce),
-        Box::new(Settle),
+        Stage::Enforce,
+        Stage::Settle,
     ]
 }
 

@@ -15,7 +15,7 @@ use spotdc_faults::FaultConfig;
 use spotdc_power::CapConfig;
 use spotdc_sim::durability::{EngineSnapshot, SNAPSHOT_FORMAT};
 use spotdc_sim::engine::{DurabilityConfig, DurableError, EngineConfig, Simulation};
-use spotdc_sim::pipeline::{self, SimState, SlotContext, SlotStage};
+use spotdc_sim::pipeline::{self, SimState, SlotContext, Stage};
 use spotdc_sim::{Mode, Scenario};
 use spotdc_telemetry::TelemetryConfig;
 use spotdc_units::Slot;
@@ -28,7 +28,7 @@ fn run_to(
     seed: u64,
     config: EngineConfig,
     slots: usize,
-) -> (SimState, SlotContext, Vec<Box<dyn SlotStage>>, EngineConfig) {
+) -> (SimState, SlotContext, Vec<Stage>, EngineConfig) {
     let scenario = Scenario::testbed(seed);
     let mut state = SimState::new(&scenario, &config, slots);
     let mut ctx = SlotContext::new(state.topology.rack_count(), state.agents.len());
@@ -152,11 +152,10 @@ proptest! {
 /// A real snapshot cut where everything optional is present: a late
 /// bid waiting in `CollectBids`, the delayed-prediction meter copy, cap
 /// holds (one forced, so the encoding holds a `Some`).
-fn rich_snapshot() -> (EngineSnapshot, SimState, Vec<Box<dyn SlotStage>>) {
+fn rich_snapshot() -> (EngineSnapshot, SimState, Vec<Stage>) {
     let (state, _, stages, config) = run_to(7, lossy_config(), 2);
     let mut snap = EngineSnapshot::capture(&state, &stages, Mode::SpotDc, 7, 2);
-    // An empty bid list is its eight-byte count and nothing else.
-    assert!(snap.stage_blobs.iter().any(|blob| blob.len() > 8));
+    assert!(!snap.late_bids.is_empty());
     assert!(snap.prev_meter.is_some());
     snap.cap_hold.as_mut().expect("cap controller enabled").0[0] = Some(1);
 
@@ -173,7 +172,7 @@ fn rich_snapshot() -> (EngineSnapshot, SimState, Vec<Box<dyn SlotStage>>) {
 #[test]
 fn forged_snapshots_are_refused_before_anything_is_applied() {
     type Forge = fn(&mut EngineSnapshot);
-    let forgeries: [(&str, Forge); 14] = [
+    let forgeries: [(&str, Forge); 13] = [
         ("mode", |s| s.mode = 0),
         ("seed", |s| s.seed += 1),
         ("rack count", |s| s.rack_count += 1),
@@ -187,7 +186,6 @@ fn forged_snapshots_are_refused_before_anything_is_applied() {
         ("records", |s| s.records.truncate(1)),
         ("cap_hold", |s| s.cap_hold.as_mut().unwrap().0.push(None)),
         ("cap_hold", |s| s.cap_hold = None),
-        ("stage_blobs", |s| s.stage_blobs.truncate(1)),
     ];
     let (snap, mut state, mut stages) = rich_snapshot();
     let untouched = EngineSnapshot::capture(&state, &stages, Mode::SpotDc, 7, 0);
@@ -208,6 +206,11 @@ fn forged_snapshots_are_refused_before_anything_is_applied() {
     }
     snap.apply(&mut state, &mut stages, Mode::SpotDc, 7)
         .expect("the unforged snapshot applies");
+    // Everything it holds arrived, the pending late bid included.
+    assert_eq!(
+        EngineSnapshot::capture(&state, &stages, Mode::SpotDc, 7, 2),
+        snap
+    );
 }
 
 /// Decoders facing bytes from a disk never panic: every prefix of an
@@ -243,13 +246,14 @@ fn damaged_snapshots_are_errors_not_panics() {
     );
 
     // Format 3 carried two emergency event lists where format 4 carries
-    // two counters; read as format 4 they would shift every later field,
-    // so the header must decide.
-    assert_eq!(SNAPSHOT_FORMAT, 4);
-    for old in [1u32, 2, 3] {
+    // two counters, and format 4 ended in one opaque blob per stage where
+    // format 5 carries the late bids; read as format 5 either would
+    // misread its fields, so the header must decide.
+    assert_eq!(SNAPSHOT_FORMAT, 5);
+    for old in [1u32, 2, 3, 4] {
         let mut stale = bytes.clone();
         stale[..4].copy_from_slice(&old.to_le_bytes());
-        let expected = format!("snapshot format {old}, this build reads 4");
+        let expected = format!("snapshot format {old}, this build reads 5");
         match EngineSnapshot::decode(&stale) {
             Err(DecodeError::Invalid(why)) => assert_eq!(why, expected),
             other => panic!("a format-{old} header must be refused by name, got {other:?}"),
