@@ -21,14 +21,18 @@
 //!   (bits changed under a valid length). Torn and corrupt tails are
 //!   both truncated on recovery, but they are reported distinctly
 //!   because a torn tail is expected operation while corruption means
-//!   the storage lied.
+//!   the storage lied. The CRC runs slice-by-16 (sixteen const-built
+//!   tables, safe Rust), since every checkpoint, journal frame and
+//!   shard frame pays it per byte.
 //! * [`atomic`] — the fsync-then-rename protocol: a replacement file is
 //!   written to a temp path, fsynced, renamed over the target, and the
 //!   directory fsynced, so readers see either the old bytes or the new
 //!   bytes and never a prefix.
-//! * [`wal`] / [`snapshot`] — a write-ahead journal (append + flush per
-//!   record, recreated at every checkpoint) and checkpoint files
-//!   (atomic, self-validating, the two most recent retained).
+//! * [`wal`] / [`snapshot`] — append-only logs of frames (append +
+//!   flush per record; the journal is recreated at every checkpoint,
+//!   the record log only ever cut back to a checkpoint's frame count)
+//!   and checkpoint files (atomic, self-validating, the two most recent
+//!   retained).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,5 +46,5 @@ pub mod wal;
 pub use atomic::write_atomic;
 pub use codec::{DecodeError, Decoder, Encoder, Persist};
 pub use frame::{crc32, Tail};
-pub use snapshot::{clear_dir, load_latest, write_checkpoint, LoadedSnapshot};
+pub use snapshot::{clear_dir, load_latest, load_latest_at_most, write_checkpoint, LoadedSnapshot};
 pub use wal::{read_wal, WalContents, WalWriter};

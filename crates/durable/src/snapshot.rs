@@ -93,12 +93,27 @@ pub fn write_checkpoint(dir: &Path, slots_done: u64, payload: &[u8]) -> io::Resu
 /// Returns any I/O error from listing the directory; unreadable or
 /// invalid individual files are skipped, not fatal.
 pub fn load_latest(dir: &Path) -> io::Result<Option<LoadedSnapshot>> {
+    load_latest_at_most(dir, u64::MAX)
+}
+
+/// [`load_latest`] among the checkpoints that capture at most
+/// `max_slots` completed slots: a newer one counts as missing. Recovery
+/// passes the frames its record log holds, so it never loads a snapshot
+/// whose records it cannot back.
+///
+/// # Errors
+///
+/// As [`load_latest`].
+pub fn load_latest_at_most(dir: &Path, max_slots: u64) -> io::Result<Option<LoadedSnapshot>> {
     let all = match list_checkpoints(dir) {
         Ok(all) => all,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
     for (slots_done, path) in all.into_iter().rev() {
+        if slots_done > max_slots {
+            continue;
+        }
         let Ok(bytes) = fs::read(&path) else { continue };
         if bytes.len() < SNAPSHOT_MAGIC.len() || &bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
             continue;
@@ -116,7 +131,7 @@ pub fn load_latest(dir: &Path) -> io::Result<Option<LoadedSnapshot>> {
     Ok(None)
 }
 
-/// Removes all checkpoint and journal files under `dir`, for a fresh
+/// Removes all checkpoint and `.wal` log files under `dir`, for a fresh
 /// (non-resuming) run over a previously used directory.
 ///
 /// # Errors
@@ -204,6 +219,21 @@ mod tests {
         let loaded = load_latest(&dir).unwrap().unwrap();
         assert_eq!(loaded.slots_done, 50);
         assert_eq!(loaded.payload, b"good-old");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_bound_skips_newer_checkpoints() {
+        let dir = temp_dir("bound");
+        write_checkpoint(&dir, 50, b"at-50").unwrap();
+        write_checkpoint(&dir, 100, b"at-100").unwrap();
+        let loaded = load_latest_at_most(&dir, 99).unwrap().unwrap();
+        assert_eq!((loaded.slots_done, loaded.payload), (50, b"at-50".to_vec()));
+        assert_eq!(
+            load_latest_at_most(&dir, 100).unwrap().unwrap().slots_done,
+            100
+        );
+        assert_eq!(load_latest_at_most(&dir, 49).unwrap(), None);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,10 +1,13 @@
-//! The write-ahead journal: an append-only stream of framed records.
+//! Append-only logs of framed records: the write-ahead journal and the
+//! record log.
 //!
-//! The WAL holds per-slot records written *between* checkpoints. It is
-//! recreated from scratch at every checkpoint (the snapshot subsumes
+//! The journal holds per-slot records written *between* checkpoints. It
+//! is recreated from scratch at every checkpoint (the snapshot subsumes
 //! everything before it), appended and flushed once per slot, and read
 //! back in full on recovery with the three-way tail verdict from
-//! [`crate::frame`].
+//! [`crate::frame`]. The record log has the same format but is never
+//! recreated: recovery cuts it back to a checkpoint's frame count with
+//! [`WalWriter::open_truncated`] and appends from there.
 //!
 //! Durability policy: each append is `write_all` + `flush`, which moves
 //! the bytes into the kernel; `sync` (fsync) is called only when a
@@ -14,7 +17,7 @@
 //! replay re-derives them deterministically.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::frame::{self, Tail};
@@ -46,15 +49,34 @@ impl WalWriter {
         Ok(WalWriter { file })
     }
 
-    /// Appends one framed record and flushes it to the kernel.
+    /// Reopens the log at `path` for appending after its first `len`
+    /// bytes, cutting off everything past them in place: the bytes kept
+    /// are not rewritten. `len` is a [`WalContents::prefix_len`] of what
+    /// [`read_wal`] returned for this file; a `len` that keeps no frame
+    /// is [`WalWriter::create`], which also replaces a damaged magic.
+    ///
+    /// # Errors
+    ///
+    /// Returns any I/O error from opening, truncating or seeking.
+    pub fn open_truncated(path: &Path, len: u64) -> io::Result<Self> {
+        if len <= WAL_MAGIC.len() as u64 {
+            return Self::create(path);
+        }
+        let mut file = OpenOptions::new().write(true).open(path)?;
+        file.set_len(len)?;
+        file.seek(SeekFrom::Start(len))?;
+        Ok(WalWriter { file })
+    }
+
+    /// Appends one framed record and flushes it to the kernel. The
+    /// frame goes to the file as it is, with no framed copy of a
+    /// payload that can be hundreds of kilobytes (a record-log frame).
     ///
     /// # Errors
     ///
     /// Returns any I/O error from the write.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        let mut framed = Vec::with_capacity(frame::HEADER_LEN + payload.len());
-        frame::append_frame(&mut framed, payload);
-        self.file.write_all(&framed)?;
+        frame::write_frame(&mut self.file, payload)?;
         self.file.flush()
     }
 
@@ -75,6 +97,23 @@ pub struct WalContents {
     pub records: Vec<Vec<u8>>,
     /// How the stream ended.
     pub tail: Tail,
+}
+
+impl WalContents {
+    /// Bytes of the file that hold its magic and its first `frames`
+    /// records: the offset at which frame `frames` starts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frames` exceeds the records read.
+    #[must_use]
+    pub fn prefix_len(&self, frames: usize) -> u64 {
+        let framed: usize = self.records[..frames]
+            .iter()
+            .map(|r| frame::HEADER_LEN + r.len())
+            .sum();
+        (WAL_MAGIC.len() + framed) as u64
+    }
 }
 
 impl Default for WalContents {
@@ -165,6 +204,39 @@ mod tests {
         let contents = read_wal(&path).unwrap().unwrap();
         assert!(contents.records.is_empty());
         assert_eq!(contents.tail, Tail::Clean);
+    }
+
+    #[test]
+    fn open_truncated_keeps_a_prefix_and_appends_after_it() {
+        let path = temp_path("reopen");
+        let mut w = WalWriter::create(&path).unwrap();
+        for record in [&b"slot-0"[..], b"slot-1", b"slot-2"] {
+            w.append(record).unwrap();
+        }
+        drop(w);
+        let full = fs::read(&path).unwrap();
+        fs::write(&path, &full[..full.len() - 2]).unwrap();
+        let contents = read_wal(&path).unwrap().unwrap();
+        assert_eq!(contents.records.len(), 2);
+        assert!(matches!(contents.tail, Tail::Torn { .. }));
+        let kept = contents.prefix_len(1);
+        let mut w = WalWriter::open_truncated(&path, kept).unwrap();
+        w.append(b"slot-1-again").unwrap();
+        drop(w);
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!(bytes[..kept as usize], full[..kept as usize]);
+        let contents = read_wal(&path).unwrap().unwrap();
+        assert_eq!(
+            contents.records,
+            vec![b"slot-0".to_vec(), b"slot-1-again".to_vec()]
+        );
+        assert_eq!(contents.tail, Tail::Clean);
+
+        // Keeping no frame starts the log over, a damaged magic included.
+        fs::write(&path, b"NOTAWAL!junk").unwrap();
+        let w = WalWriter::open_truncated(&path, 0).unwrap();
+        drop(w);
+        assert_eq!(fs::read(&path).unwrap(), WAL_MAGIC);
     }
 
     #[test]

@@ -1,24 +1,33 @@
-//! Checkpoint and journal *policy*: what engine state persists, and
-//! how it comes back.
+//! Checkpoint, record-log and journal *policy*: what engine state
+//! persists, and how it comes back.
 //!
 //! The mechanism layer (CRC framing, atomic replacement, the WAL file
 //! format) lives in `spotdc-durable`; this module decides the contents.
-//! Two artifacts exist:
+//! Three artifacts exist:
 //!
-//! * [`EngineSnapshot`] — the complete cross-slot market state at a
-//!   slot boundary. Everything *not* captured here is provably
-//!   rebuildable: the topology, operator, traces and fault plan are
-//!   pure functions of the scenario and config (every fault verdict,
-//!   lost messages included, is a hash of `(seed, slot, target)`, so a
-//!   snapshot carries no RNG state at all); per-slot scratch, the agents'
-//!   valuation-row caches and the prediction cache are bit-transparent
-//!   (warm-vs-cold equality is pinned by tests) and clearing keeps no state
-//!   between slots (only buffers it rebuilds); the emergency detector
-//!   keeps only its capacities, so a run's overloads persist as the
-//!   report's two counters and the cap controller's holds; and the
-//!   rack-PDU bank is excluded because the Sense stage unconditionally
-//!   resets every budget at the top of each slot, so nothing the bank
-//!   holds at a slot boundary survives into the next slot.
+//! * [`EngineSnapshot`] — the cross-slot market state at a slot
+//!   boundary, O(racks + tenants) whatever the horizon. Everything *not*
+//!   captured here is provably rebuildable: the topology, operator,
+//!   traces and fault plan are pure functions of the scenario and config
+//!   (every fault verdict, lost messages included, is a hash of `(seed,
+//!   slot, target)`, so a snapshot carries no RNG state at all); per-slot
+//!   scratch, the agents' valuation-row caches and the prediction cache
+//!   are bit-transparent (warm-vs-cold equality is pinned by tests) and
+//!   clearing keeps no state between slots (only buffers it rebuilds);
+//!   the agents' load intensities are dead at a slot boundary (`Sense`,
+//!   the first stage of every composition, observes every agent before
+//!   any stage reads one); the emergency detector keeps only its
+//!   capacities, so a run's overloads persist as the report's two
+//!   counters and the cap controller's holds; and the rack-PDU bank is
+//!   excluded because the Sense stage unconditionally resets every
+//!   budget at the top of each slot, so nothing the bank holds at a slot
+//!   boundary survives into the next slot.
+//! * The record log (`records.wal`, see `encode_slot_record`) — each
+//!   finished slot's [`SlotRecord`], one frame per slot, appended and
+//!   never rewritten. It is synced before every checkpoint, so a
+//!   snapshot's `slots_done` names frames that are on media; recovery
+//!   cuts the log back to that count and the report's records are its
+//!   frames.
 //! * Per-slot WAL records (see [`encode_wal_record`]) — the slot's
 //!   delivered bids and market outcome. Recovery does **not** rebuild
 //!   state from these: it re-simulates the journaled slots (the engine
@@ -40,7 +49,7 @@ use crate::metrics::{SlotRecord, TenantSlotMetrics};
 use crate::pipeline::{SimState, SlotContext, Stage};
 
 /// Snapshot format version; bump on any layout change.
-pub const SNAPSHOT_FORMAT: u32 = 5;
+pub const SNAPSHOT_FORMAT: u32 = 6;
 
 /// The stable tag a [`Mode`] serializes as.
 #[must_use]
@@ -165,10 +174,10 @@ pub struct EngineSnapshot {
     /// Cap-controller hysteresis holds, when the controller is enabled,
     /// including those the last simulated slot's overloads started.
     pub cap_hold: Option<(Vec<Option<u64>>, Option<u64>)>,
-    /// Per-agent `(intensity, predicted price)`.
-    pub agents: Vec<(f64, Option<f64>)>,
-    /// Accumulated per-slot records.
-    pub records: Vec<SlotRecord>,
+    /// Per-agent predicted price. (No intensity: `Sense`, the first
+    /// stage of every slot, observes every agent's load before anything
+    /// reads it.)
+    pub agents: Vec<Option<f64>>,
     /// Physical rack draws of the last simulated slot, watts.
     pub true_draw: Vec<f64>,
     /// Per-PDU base load of the last simulated slot, watts.
@@ -199,7 +208,6 @@ impl Persist for EngineSnapshot {
         enc.put_u64(self.transient_overshoots);
         self.cap_hold.persist(enc);
         self.agents.persist(enc);
-        self.records.persist(enc);
         self.true_draw.persist(enc);
         self.prev_base_pdu.persist(enc);
         enc.put_u64(self.faults_injected);
@@ -228,8 +236,7 @@ impl Persist for EngineSnapshot {
             emergencies: dec.get_u64()?,
             transient_overshoots: dec.get_u64()?,
             cap_hold: Option::<(Vec<Option<u64>>, Option<u64>)>::restore(dec)?,
-            agents: Vec::<(f64, Option<f64>)>::restore(dec)?,
-            records: Vec::<SlotRecord>::restore(dec)?,
+            agents: Vec::<Option<f64>>::restore(dec)?,
             true_draw: Vec::<f64>::restore(dec)?,
             prev_base_pdu: Vec::<f64>::restore(dec)?,
             faults_injected: dec.get_u64()?,
@@ -270,14 +277,8 @@ impl EngineSnapshot {
             agents: state
                 .agents
                 .iter()
-                .map(|a| {
-                    (
-                        a.intensity(),
-                        a.predicted_price().map(Price::per_kw_hour_value),
-                    )
-                })
+                .map(|a| a.predicted_price().map(Price::per_kw_hour_value))
                 .collect(),
-            records: state.report.records.clone(),
             true_draw: state.true_draw.iter().map(|w| w.value()).collect(),
             prev_base_pdu: state.prev_base_pdu.iter().map(|w| w.value()).collect(),
             faults_injected: state.report.faults_injected as u64,
@@ -316,7 +317,10 @@ impl EngineSnapshot {
 
     /// Applies the snapshot onto a freshly built `SimState` + stage
     /// sequence, leaving them exactly as they were when the snapshot
-    /// was cut. Validate, then apply: a checksum only proves the bytes
+    /// was cut, but for the report's records (the record log's first
+    /// `slots_done` frames, `decode_slot_records`) and the agents'
+    /// load intensities (`Sense` sets those before any stage reads
+    /// them). Validate, then apply: a checksum only proves the bytes
     /// are the ones written, so every length the engine will index by
     /// is checked against this run's shape before the first assignment
     /// to `state`.
@@ -366,7 +370,6 @@ impl EngineSnapshot {
                 u64::from(self.cap_hold.is_some()),
                 u64::from(state.cap.is_some()),
             ),
-            ("records length", self.records.len() as u64, self.slots_done),
         ];
         for (what, snap, run) in expected {
             if snap != run {
@@ -391,13 +394,9 @@ impl EngineSnapshot {
         if let (Some(cap), Some((pdu_hold, ups_hold))) = (&mut state.cap, &self.cap_hold) {
             cap.restore_hold_state(pdu_hold.clone(), *ups_hold);
         }
-        for (agent, &(intensity, price)) in state.agents.iter_mut().zip(&self.agents) {
-            // Stored intensities already sit in [0, 1], so the
-            // setter's clamp is exact on replay.
-            agent.observe(intensity);
+        for (agent, &price) in state.agents.iter_mut().zip(&self.agents) {
             agent.predict_price(price.map(Price::per_kw_hour));
         }
-        state.report.records = self.records.clone();
         state.true_draw = self.true_draw.iter().map(|&w| Watts::new(w)).collect();
         state.prev_base_pdu = self.prev_base_pdu.iter().map(|&w| Watts::new(w)).collect();
         state.report.emergencies = self.emergencies as usize;
@@ -407,6 +406,46 @@ impl EngineSnapshot {
         state.report.invariant_violations = self.invariant_violations as usize;
         Ok(())
     }
+}
+
+/// Encodes one finished slot's [`SlotRecord`] as its record-log frame.
+#[must_use]
+pub(crate) fn encode_slot_record(record: &SlotRecord) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    record.persist(&mut enc);
+    enc.into_bytes()
+}
+
+/// Decodes the record log's first frames back into a report's records.
+/// Frame `i` must hold slot `i`'s record, with one entry per tenant and
+/// per PDU of this run, and nothing more: a CRC proves only that the
+/// bytes are the ones written, and the report indexes those vectors.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] for a frame that does not decode to the
+/// next slot's record of this run's shape.
+pub(crate) fn decode_slot_records(
+    frames: &[Vec<u8>],
+    tenants: usize,
+    pdus: usize,
+) -> Result<Vec<SlotRecord>, DecodeError> {
+    let mut records = Vec::with_capacity(frames.len());
+    for (i, frame) in frames.iter().enumerate() {
+        let mut dec = Decoder::new(frame);
+        let record = SlotRecord::restore(&mut dec)?;
+        dec.finish()?;
+        let shape = (record.slot, record.tenants.len(), record.pdu_power.len());
+        if shape != (i as u64, tenants, pdus) {
+            return Err(DecodeError::Invalid(format!(
+                "record-log frame {i} holds (slot, tenants, pdus) {shape:?}, \
+                 this run expects {:?}",
+                (i, tenants, pdus)
+            )));
+        }
+        records.push(record);
+    }
+    Ok(records)
 }
 
 /// Encodes one slot's journal record from the post-settle context: the

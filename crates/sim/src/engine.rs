@@ -41,17 +41,20 @@ use spotdc_power::CapConfig;
 use spotdc_units::{MonotonicNanos, Slot};
 
 use crate::baselines::Mode;
-use crate::durability::EngineSnapshot;
+use crate::durability::{
+    decode_slot_records, encode_slot_record, encode_wal_record, EngineSnapshot,
+};
 use crate::metrics::SimReport;
 use crate::pipeline::{self, SimState, SlotContext, Stage};
 use crate::scenario::Scenario;
 use spotdc_core::OperatorConfig;
 
-/// Crash-safety settings: where checkpoints and the write-ahead
-/// journal live, and how often checkpoints are cut.
+/// Crash-safety settings: where checkpoints, the write-ahead journal
+/// and the record log live, and how often checkpoints are cut.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DurabilityConfig {
-    /// Directory for checkpoint files and the journal. `None` (the
+    /// Directory for checkpoint files, the journal and the record log
+    /// (`ckpt-*.bin`, `journal.wal`, `records.wal`). `None` (the
     /// default) disables durability: [`Simulation::run_durable`] is
     /// then [`Simulation::run`].
     pub dir: Option<PathBuf>,
@@ -473,11 +476,12 @@ impl Simulation {
     }
 
     /// Runs `slots` slots with crash-consistent durability: a bid
-    /// journal between checkpoints, slot-boundary snapshots every
+    /// journal between checkpoints, an append-only log of every slot's
+    /// record, slot-boundary snapshots every
     /// [`DurabilityConfig::checkpoint_every`] slots, and (when
     /// [`DurabilityConfig::resume`] is set) recovery by loading the
-    /// latest valid checkpoint and deterministically replaying the
-    /// journaled slots.
+    /// latest valid checkpoint the record log backs, cutting the log
+    /// back to it and deterministically replaying the journaled slots.
     ///
     /// Reports from durable runs are byte-identical to [`Simulation::run`]
     /// with the same scenario and configuration — `tests/recovery.rs`
@@ -509,12 +513,20 @@ impl Simulation {
         let mut run = Run::start(&scenario, &config, slots);
         drop(scenario);
         let wal_path = dir.join("journal.wal");
+        let log_path = dir.join("records.wal");
 
         let mut start_slot: u64 = 0;
         let mut recovery = None;
         let mut wal;
+        let mut log;
         if config.durability.resume {
-            let snapshot_slot = match spotdc_durable::load_latest(&dir)? {
+            // The record log's valid prefix bounds the snapshot: one
+            // that covers more slots than the log holds frames cannot
+            // get its records back, so it counts as damaged and an
+            // older checkpoint (or a cold start) is loaded instead.
+            let logged = spotdc_durable::read_wal(&log_path)?.unwrap_or_default();
+            let covered = logged.records.len() as u64;
+            let snapshot_slot = match spotdc_durable::load_latest_at_most(&dir, covered)? {
                 Some(loaded) => {
                     let snap = EngineSnapshot::decode(&loaded.payload).map_err(|e| {
                         DurableError::Corrupt(format!(
@@ -534,6 +546,14 @@ impl Simulation {
                 }
                 None => None,
             };
+            // Frames past the snapshot re-derive as their slots replay:
+            // the log is cut back to the snapshot in place.
+            let kept = usize::try_from(start_slot).expect("frames read fit in memory");
+            let (tenants, pdus) = (run.state.agents.len(), run.state.topology.pdu_count());
+            run.state.report.records = decode_slot_records(&logged.records[..kept], tenants, pdus)
+                .map_err(|e| DurableError::Corrupt(format!("record log does not decode: {e}")))?;
+            log = WalWriter::open_truncated(&log_path, logged.prefix_len(kept))?;
+            drop(logged);
 
             let contents = spotdc_durable::read_wal(&wal_path)?.unwrap_or_default();
             let truncated = match contents.tail {
@@ -573,16 +593,18 @@ impl Simulation {
                 // journal again spans everything since the snapshot.
                 while start_slot < slot {
                     run_one_slot(&mut run, start_slot);
-                    wal.append(&crate::durability::encode_wal_record(&run.ctx))?;
+                    wal.append(&encode_wal_record(&run.ctx))?;
+                    append_record(&mut log, &run)?;
                     start_slot += 1;
                     replayed += 1;
                 }
                 run_one_slot(&mut run, slot);
-                let replay = crate::durability::encode_wal_record(&run.ctx);
+                let replay = encode_wal_record(&run.ctx);
                 if replay != *record {
                     return Err(DurableError::Diverged { slot });
                 }
                 wal.append(&replay)?;
+                append_record(&mut log, &run)?;
                 start_slot = slot + 1;
                 replayed += 1;
             }
@@ -614,15 +636,20 @@ impl Simulation {
             // history.
             spotdc_durable::clear_dir(&dir)?;
             wal = WalWriter::create(&wal_path)?;
+            log = WalWriter::create(&log_path)?;
         }
 
         let mut checkpoints_written = 0u64;
         let mut stopped_after = None;
         for t in start_slot..slots {
             run_one_slot(&mut run, t);
-            wal.append(&crate::durability::encode_wal_record(&run.ctx))?;
+            wal.append(&encode_wal_record(&run.ctx))?;
+            append_record(&mut log, &run)?;
             if (t + 1) % config.durability.checkpoint_every == 0 {
                 let started = std::time::Instant::now();
+                // The snapshot names `t + 1` record-log frames: they
+                // reach media before it does.
+                log.sync()?;
                 let snap = EngineSnapshot::capture(&run.state, &run.stages, mode, seed, t + 1);
                 let bytes = spotdc_durable::write_checkpoint(&dir, t + 1, &snap.encode())?;
                 // The checkpoint covers every journaled slot, so the
@@ -681,6 +708,13 @@ impl Run {
             stages: pipeline::build(config),
         }
     }
+}
+
+/// Appends the slot `run` just finished to the record log.
+fn append_record(log: &mut WalWriter, run: &Run) -> std::io::Result<()> {
+    let records = &run.state.report.records;
+    let record = records.last().expect("Settle records every slot");
+    log.append(&encode_slot_record(record))
 }
 
 /// Steps every stage once for slot `t`: the single slot body shared by

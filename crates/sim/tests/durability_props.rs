@@ -3,20 +3,21 @@
 //! The states fed through the round-trip are *real* engine states —
 //! `Scenario::testbed` runs under randomized (seed, mode, horizon)
 //! triples — so the properties cover exactly the value distributions a
-//! checkpoint will ever see: clamped meter histories, in-range
-//! intensities, live bid books, mid-flight accounting totals.
+//! checkpoint will ever see: clamped meter histories, price
+//! predictions, live bid books, mid-flight accounting totals.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
 
-use spotdc_durable::{DecodeError, WalWriter};
+use spotdc_durable::{DecodeError, Decoder, Encoder, Persist, WalWriter};
 use spotdc_faults::FaultConfig;
 use spotdc_power::CapConfig;
 use spotdc_sim::durability::{EngineSnapshot, SNAPSHOT_FORMAT};
 use spotdc_sim::engine::{DurabilityConfig, DurableError, EngineConfig, Simulation};
+use spotdc_sim::metrics::SlotRecord;
 use spotdc_sim::pipeline::{self, SimState, SlotContext, Stage};
-use spotdc_sim::{Mode, Scenario};
+use spotdc_sim::{Mode, Scenario, SimReport};
 use spotdc_telemetry::TelemetryConfig;
 use spotdc_units::Slot;
 
@@ -172,7 +173,7 @@ fn rich_snapshot() -> (EngineSnapshot, SimState, Vec<Stage>) {
 #[test]
 fn forged_snapshots_are_refused_before_anything_is_applied() {
     type Forge = fn(&mut EngineSnapshot);
-    let forgeries: [(&str, Forge); 13] = [
+    let forgeries: [(&str, Forge); 12] = [
         ("mode", |s| s.mode = 0),
         ("seed", |s| s.seed += 1),
         ("rack count", |s| s.rack_count += 1),
@@ -183,7 +184,6 @@ fn forged_snapshots_are_refused_before_anything_is_applied() {
         ("true_draw", |s| s.true_draw.truncate(1)),
         ("agents", |s| s.agents.truncate(1)),
         ("prev_base_pdu", |s| s.prev_base_pdu.push(0.0)),
-        ("records", |s| s.records.truncate(1)),
         ("cap_hold", |s| s.cap_hold.as_mut().unwrap().0.push(None)),
         ("cap_hold", |s| s.cap_hold = None),
     ];
@@ -246,14 +246,16 @@ fn damaged_snapshots_are_errors_not_panics() {
     );
 
     // Format 3 carried two emergency event lists where format 4 carries
-    // two counters, and format 4 ended in one opaque blob per stage where
-    // format 5 carries the late bids; read as format 5 either would
+    // two counters, format 4 ended in one opaque blob per stage where
+    // format 5 carries the late bids, and format 5 carried every slot's
+    // record and each agent's intensity, which format 6 leaves to the
+    // record log and to `Sense`; read as format 6 any of them would
     // misread its fields, so the header must decide.
-    assert_eq!(SNAPSHOT_FORMAT, 5);
-    for old in [1u32, 2, 3, 4] {
+    assert_eq!(SNAPSHOT_FORMAT, 6);
+    for old in [1u32, 2, 3, 4, 5] {
         let mut stale = bytes.clone();
         stale[..4].copy_from_slice(&old.to_le_bytes());
-        let expected = format!("snapshot format {old}, this build reads 5");
+        let expected = format!("snapshot format {old}, this build reads 6");
         match EngineSnapshot::decode(&stale) {
             Err(DecodeError::Invalid(why)) => assert_eq!(why, expected),
             other => panic!("a format-{old} header must be refused by name, got {other:?}"),
@@ -338,5 +340,193 @@ fn damaged_journal_records_are_errors_not_panics() {
         reproduced > 0 && stopped > 0,
         "{reproduced} reproduced, {stopped} stopped"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Checkpoints after slots 5 and 10 and a stop after slot 13: the
+/// record log holds 13 frames and the journal slots 10, 11 and 12.
+const LOG_SLOTS: u64 = 24;
+const LOG_STOP: u64 = 13;
+
+/// Stops a lossy durable run at [`LOG_STOP`] under `tag`'s directory
+/// and returns the directory and the uninterrupted report.
+fn stopped_for_log_damage(tag: &str) -> (PathBuf, EngineConfig, SimReport) {
+    let cold = Simulation::new(Scenario::testbed(7), lossy_config()).run(LOG_SLOTS);
+    let dir = temp_dir(tag);
+    let mut config = durable(lossy_config(), &dir, 5);
+    config.durability.stop_after = Some(LOG_STOP);
+    Simulation::new(Scenario::testbed(7), config.clone())
+        .run_durable(LOG_SLOTS)
+        .expect("stopped run");
+    config.durability.stop_after = None;
+    config.durability.resume = true;
+    (dir, config, cold)
+}
+
+/// The record log's frames, decoded.
+fn logged_records(dir: &std::path::Path) -> Vec<SlotRecord> {
+    let log = spotdc_durable::read_wal(&dir.join("records.wal"))
+        .expect("readable")
+        .expect("present");
+    assert_eq!(log.tail, spotdc_durable::Tail::Clean);
+    log.records
+        .iter()
+        .map(|frame| {
+            let mut dec = Decoder::new(frame);
+            let record = SlotRecord::restore(&mut dec).expect("a record");
+            dec.finish().expect("nothing after it");
+            record
+        })
+        .collect()
+}
+
+/// Byte offsets at which each of the record log's frames starts, and
+/// its length.
+fn frame_starts(log: &[u8]) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut at = 8;
+    while at < log.len() {
+        starts.push(at);
+        let len = u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
+        at += 8 + len;
+    }
+    starts
+}
+
+/// A torn record-log tail past the snapshot is cut off like any frame
+/// past it, and its slots re-simulate: the resume loads the newest
+/// checkpoint, and afterwards the log holds exactly the report's
+/// records.
+#[test]
+fn a_torn_record_log_tail_past_the_snapshot_re_simulates() {
+    let (dir, config, cold) = stopped_for_log_damage("log-torn");
+    let path = dir.join("records.wal");
+    let bytes = std::fs::read(&path).expect("record log");
+    assert_eq!(frame_starts(&bytes).len() as u64, LOG_STOP);
+    std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+
+    let resumed = Simulation::new(Scenario::testbed(7), config)
+        .run_durable(LOG_SLOTS)
+        .expect("resumed run");
+    let recovery = resumed.recovery.as_ref().expect("recovery info");
+    assert_eq!(recovery.snapshot_slot, Some(10));
+    assert_eq!(resumed.report, cold);
+    assert_eq!(logged_records(&dir), cold.records);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Damage inside the frames a snapshot covers — a flipped bit or a cut
+/// in any one of them — leaves a valid prefix too short for that
+/// snapshot, so recovery falls back to the newest checkpoint the prefix
+/// backs, or to a cold start, and still reproduces the uninterrupted
+/// report. A log cut cleanly short of a snapshot is refused the same
+/// way, and a log that is gone means a cold start.
+#[test]
+fn record_log_damage_inside_a_snapshot_falls_back() {
+    let (dir, config, cold) = stopped_for_log_damage("log-inside");
+    let path = dir.join("records.wal");
+    let pristine = std::fs::read(&path).expect("record log");
+    let starts = frame_starts(&pristine);
+    let backed = |frames: usize| [10, 5].into_iter().find(|&s| s <= frames as u64);
+
+    let mut cases: Vec<(String, Option<Vec<u8>>, usize)> = Vec::new();
+    for (j, &start) in starts.iter().enumerate() {
+        let mut flipped = pristine.clone();
+        flipped[start + 8] ^= 0x10;
+        cases.push((format!("flip in frame {j}"), Some(flipped), j));
+        let mid = start + 4;
+        cases.push((
+            format!("cut in frame {j}"),
+            Some(pristine[..mid].to_vec()),
+            j,
+        ));
+    }
+    cases.push((
+        "clean cut at 7".into(),
+        Some(pristine[..starts[7]].to_vec()),
+        7,
+    ));
+    cases.push(("magic only".into(), Some(pristine[..8].to_vec()), 0));
+    cases.push(("no log".into(), None, 0));
+
+    let snapshots = |dir: &std::path::Path| {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.starts_with("ckpt-"))
+            .collect();
+        names.sort();
+        names
+            .into_iter()
+            .map(|n| (n.clone(), std::fs::read(dir.join(n)).unwrap()))
+            .collect::<Vec<_>>()
+    };
+    let kept = snapshots(&dir);
+    let journal = std::fs::read(dir.join("journal.wal")).unwrap();
+    for (what, log, frames) in cases {
+        // Every case starts from the stopped run's files.
+        spotdc_durable::clear_dir(&dir).unwrap();
+        for (name, bytes) in &kept {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        std::fs::write(dir.join("journal.wal"), &journal).unwrap();
+        if let Some(log) = log {
+            std::fs::write(&path, log).unwrap();
+        }
+        let resumed = Simulation::new(Scenario::testbed(7), config.clone())
+            .run_durable(LOG_SLOTS)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let recovery = resumed.recovery.as_ref().expect("recovery info");
+        assert_eq!(recovery.snapshot_slot, backed(frames), "{what}");
+        assert_eq!(resumed.report, cold, "{what}");
+        assert_eq!(logged_records(&dir), cold.records, "{what}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A record-log frame that passes its CRC but holds the wrong slot's
+/// record, or a record of another shape (one tenant or PDU short, which
+/// the report would index past), is refused as corrupt, never spliced
+/// into the report.
+#[test]
+fn a_crc_valid_record_that_does_not_fit_is_refused() {
+    let (dir, config, _) = stopped_for_log_damage("log-misfit");
+    let path = dir.join("records.wal");
+    let pristine = spotdc_durable::read_wal(&path).unwrap().unwrap().records;
+    let reshaped = |reshape: fn(&mut SlotRecord)| {
+        let mut frames = pristine.clone();
+        let mut record = SlotRecord::restore(&mut Decoder::new(&frames[1])).unwrap();
+        reshape(&mut record);
+        let mut enc = Encoder::new();
+        record.persist(&mut enc);
+        frames[1] = enc.into_bytes();
+        frames
+    };
+    let mut swapped = pristine.clone();
+    swapped.swap(1, 2);
+    let cases = [
+        ("swapped", swapped),
+        (
+            "tenant short",
+            reshaped(|r| r.tenants.truncate(r.tenants.len() - 1)),
+        ),
+        (
+            "pdu short",
+            reshaped(|r| r.pdu_power.truncate(r.pdu_power.len() - 1)),
+        ),
+    ];
+    for (what, frames) in cases {
+        let mut w = WalWriter::create(&path).unwrap();
+        for frame in &frames {
+            w.append(frame).unwrap();
+        }
+        drop(w);
+        match Simulation::new(Scenario::testbed(7), config.clone()).run_durable(LOG_SLOTS) {
+            Err(DurableError::Corrupt(why)) => {
+                assert!(why.contains("record-log frame 1"), "{what}: {why}")
+            }
+            other => panic!("{what}: expected Corrupt, got {other:?}"),
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -200,3 +200,73 @@ fn double_interruption_still_recovers() {
     assert_eq!(resumed.report, golden);
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// A checkpoint holds state, not history: on a 104-tenant run cut every
+/// 10 slots, each checkpoint, less its late bids (the one term that
+/// varies from slot to slot), is exactly as long as the first, however
+/// many slots it covers. The history is the record log's: after six
+/// legs, each stopped right after its checkpoint and resumed, it holds
+/// one frame per slot, and they decode to the report's records.
+#[test]
+fn checkpoint_size_stays_flat_in_the_horizon() {
+    use spotdc_durable::{Decoder, Persist};
+    use spotdc_sim::durability::EngineSnapshot;
+    use spotdc_sim::metrics::SlotRecord;
+
+    const HORIZON: u64 = 60;
+    const EVERY: u64 = 10;
+    let scenario = || Scenario::hyperscale(42, 104);
+    let dir = temp_dir("flat");
+    let mut config = EngineConfig {
+        durability: DurabilityConfig {
+            dir: Some(dir.clone()),
+            checkpoint_every: EVERY,
+            stop_after: Some(EVERY),
+            ..DurabilityConfig::default()
+        },
+        ..EngineConfig::new(Mode::SpotDc)
+    };
+    let mut sizes = Vec::new();
+    let report = loop {
+        let outcome = Simulation::new(scenario(), config.clone())
+            .run_durable(HORIZON)
+            .expect("durable leg");
+        let slots_done = outcome.stopped_after.unwrap_or(HORIZON);
+        let bytes = fs::read(dir.join(format!("ckpt-{slots_done:010}.bin"))).expect("checkpoint");
+        // Magic and frame header, then the payload.
+        let mut snap = EngineSnapshot::decode(&bytes[16..]).expect("decodes");
+        snap.late_bids.clear();
+        sizes.push((slots_done, bytes.len(), snap.encode().len()));
+        if outcome.stopped_after.is_none() {
+            break outcome.report;
+        }
+        config.durability.resume = true;
+    };
+    assert_eq!(sizes.len() as u64, HORIZON / EVERY);
+    let (_, _, first) = sizes[0];
+    for &(slots_done, file, state) in &sizes {
+        assert_eq!(state, first, "checkpoint at {slots_done} ({file} B) grew");
+    }
+
+    let log = spotdc_durable::read_wal(&dir.join("records.wal"))
+        .expect("readable")
+        .expect("present");
+    assert_eq!(log.tail, spotdc_durable::Tail::Clean);
+    assert_eq!(log.records.len() as u64, HORIZON);
+    let logged: Vec<SlotRecord> = log
+        .records
+        .iter()
+        .map(|frame| {
+            let mut dec = Decoder::new(frame);
+            let record = SlotRecord::restore(&mut dec).expect("a record");
+            dec.finish().expect("nothing after it");
+            record
+        })
+        .collect();
+    assert_eq!(logged, report.records);
+    assert_eq!(
+        report,
+        Simulation::new(scenario(), EngineConfig::new(Mode::SpotDc)).run(HORIZON)
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
