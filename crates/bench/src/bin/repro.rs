@@ -63,7 +63,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use spotdc_obs::Analysis;
-use spotdc_sim::engine::{DurabilityConfig, EngineConfig, Simulation};
+use spotdc_sim::engine::{DurabilityConfig, EngineConfig, JournalDamage, Simulation};
 use spotdc_sim::experiments::{all_ids, run_selected, ExpConfig};
 use spotdc_sim::{Mode, Scenario};
 use spotdc_telemetry::{FileSink, SinkKind, TelemetryConfig};
@@ -443,15 +443,21 @@ fn run_single(run: SingleRun, reporter: &Reporter) -> ExitCode {
     let report = match Simulation::new(scenario, config).run_durable(slots) {
         Ok(outcome) => {
             if let Some(r) = &outcome.recovery {
+                let damage = |what: &str, d: &Option<JournalDamage>| {
+                    d.as_ref().map_or_else(String::new, |d| {
+                        format!(
+                            ", {what} tail {} ({} bytes dropped)",
+                            d.reason, d.dropped_bytes
+                        )
+                    })
+                };
                 reporter.status(&format!(
-                    "# recovered: snapshot {}, {} slot(s) replayed{}",
+                    "# recovered: snapshot {}, {} slot(s) replayed{}{}",
                     r.snapshot_slot
                         .map_or_else(|| "none".to_owned(), |s| s.to_string()),
                     r.replayed_slots,
-                    r.truncated.as_ref().map_or_else(String::new, |d| format!(
-                        ", journal tail {} ({} bytes dropped)",
-                        d.reason, d.dropped_bytes
-                    ))
+                    damage("journal", &r.truncated),
+                    damage("record log", &r.log_truncated),
                 ));
             }
             reporter.status(&format!(

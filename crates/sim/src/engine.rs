@@ -336,6 +336,11 @@ impl EngineConfig {
     }
 }
 
+/// The bid journal's file name in a checkpoint directory.
+const JOURNAL_FILE: &str = "journal.wal";
+/// The record log's file name in a checkpoint directory.
+const RECORD_LOG_FILE: &str = "records.wal";
+
 /// Verifies `dir` can be created and written by creating it and
 /// round-tripping a probe file.
 fn probe_checkpoint_dir(dir: &Path) -> std::io::Result<()> {
@@ -357,17 +362,39 @@ pub struct RecoveryInfo {
     pub replayed_slots: u64,
     /// Journal-tail damage found (and truncated) during recovery.
     pub truncated: Option<JournalDamage>,
+    /// Record-log (`records.wal`) damage found during recovery. Its
+    /// frames from the damage on are cut off, so recovery loads a
+    /// checkpoint the valid prefix covers: an older one, or none.
+    pub log_truncated: Option<JournalDamage>,
 }
 
-/// A damaged journal tail discovered during recovery.
+/// A damaged tail of the journal or the record log, discovered during
+/// recovery.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalDamage {
     /// `"torn"` (partial record from the crash — expected) or
     /// `"corrupt"` (CRC mismatch under a complete record — the storage
     /// lied).
     pub reason: &'static str,
-    /// Bytes discarded from the journal tail.
+    /// Bytes discarded from the file's tail.
     pub dropped_bytes: u64,
+}
+
+impl JournalDamage {
+    /// The damage a file's [`Tail`] verdict reports, `None` when clean.
+    fn of(tail: Tail) -> Option<Self> {
+        match tail {
+            Tail::Clean => None,
+            Tail::Torn { dropped } => Some(JournalDamage {
+                reason: "torn",
+                dropped_bytes: dropped,
+            }),
+            Tail::Corrupt { dropped } => Some(JournalDamage {
+                reason: "corrupt",
+                dropped_bytes: dropped,
+            }),
+        }
+    }
 }
 
 /// The result of a durable run: the report plus what the durability
@@ -512,8 +539,8 @@ impl Simulation {
         let (mode, seed) = (config.mode, scenario.seed);
         let mut run = Run::start(&scenario, &config, slots);
         drop(scenario);
-        let wal_path = dir.join("journal.wal");
-        let log_path = dir.join("records.wal");
+        let wal_path = dir.join(JOURNAL_FILE);
+        let log_path = dir.join(RECORD_LOG_FILE);
 
         let mut start_slot: u64 = 0;
         let mut recovery = None;
@@ -525,6 +552,7 @@ impl Simulation {
             // get its records back, so it counts as damaged and an
             // older checkpoint (or a cold start) is loaded instead.
             let logged = spotdc_durable::read_wal(&log_path)?.unwrap_or_default();
+            let log_truncated = JournalDamage::of(logged.tail);
             let covered = logged.records.len() as u64;
             let snapshot_slot = match spotdc_durable::load_latest_at_most(&dir, covered)? {
                 Some(loaded) => {
@@ -556,17 +584,7 @@ impl Simulation {
             drop(logged);
 
             let contents = spotdc_durable::read_wal(&wal_path)?.unwrap_or_default();
-            let truncated = match contents.tail {
-                Tail::Clean => None,
-                Tail::Torn { dropped } => Some(JournalDamage {
-                    reason: "torn",
-                    dropped_bytes: dropped,
-                }),
-                Tail::Corrupt { dropped } => Some(JournalDamage {
-                    reason: "corrupt",
-                    dropped_bytes: dropped,
-                }),
-            };
+            let truncated = JournalDamage::of(contents.tail);
 
             // The journal is replaced, not patched: recreate it and
             // re-append each record as its slot replays, so the on-disk
@@ -611,13 +629,19 @@ impl Simulation {
             wal.sync()?;
 
             let at = MonotonicNanos::now();
-            if let Some(damage) = &truncated {
-                spotdc_telemetry::emit(spotdc_telemetry::Event::JournalTruncated {
-                    slot: Slot::new(start_slot),
-                    at,
-                    reason: damage.reason.to_owned(),
-                    dropped_bytes: damage.dropped_bytes,
-                });
+            for (file, damage) in [
+                (JOURNAL_FILE, &truncated),
+                (RECORD_LOG_FILE, &log_truncated),
+            ] {
+                if let Some(damage) = damage {
+                    spotdc_telemetry::emit(spotdc_telemetry::Event::JournalTruncated {
+                        slot: Slot::new(start_slot),
+                        at,
+                        file: file.to_owned(),
+                        reason: damage.reason.to_owned(),
+                        dropped_bytes: damage.dropped_bytes,
+                    });
+                }
             }
             spotdc_telemetry::emit(spotdc_telemetry::Event::RecoveryPerformed {
                 slot: Slot::new(start_slot),
@@ -629,6 +653,7 @@ impl Simulation {
                 snapshot_slot,
                 replayed_slots: replayed,
                 truncated,
+                log_truncated,
             });
         } else {
             // A fresh durable run owns the directory: stale checkpoints

@@ -275,17 +275,20 @@ event_table! {
         /// Journaled slots deterministically re-simulated.
         replayed_slots: u64,
     },
-    /// Recovery found a damaged journal tail and truncated it: either a
-    /// partial record from the crash ("torn") or a CRC mismatch under a
-    /// complete record ("corrupt").
+    /// Recovery found a damaged tail in one of its logs and truncated
+    /// it: either a partial record from the crash ("torn") or a CRC
+    /// mismatch under a complete record ("corrupt").
     JournalTruncated {
         /// The slot recovery resumed from after truncation.
         slot: Slot,
         /// Monotonic timestamp.
         at: MonotonicNanos,
+        /// The damaged file: "journal.wal" (the bid journal) or
+        /// "records.wal" (the record log).
+        file: String,
         /// Damage class: "torn" or "corrupt".
         reason: String,
-        /// Bytes discarded from the journal tail.
+        /// Bytes discarded from the file's tail.
         dropped_bytes: u64,
     },
     /// Aggregated wire traffic for one controller↔agents exchange

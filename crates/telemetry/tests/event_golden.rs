@@ -114,6 +114,7 @@ fn samples() -> Vec<Event> {
         Event::JournalTruncated {
             slot: Slot::new(73),
             at: at(100_600),
+            file: "records.wal".to_owned(),
             reason: "torn".to_owned(),
             dropped_bytes: 41,
         },

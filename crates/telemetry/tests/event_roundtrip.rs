@@ -165,14 +165,15 @@ fn event() -> impl Strategy<Value = Event> {
                 replayed_slots,
             }
         }),
-        (base(), text(), any_u64()).prop_map(|((slot, at), reason, dropped_bytes)| {
-            Event::JournalTruncated {
+        (base(), text(), text(), any_u64()).prop_map(
+            |((slot, at), file, reason, dropped_bytes)| Event::JournalTruncated {
                 slot,
                 at,
+                file,
                 reason,
                 dropped_bytes,
             }
-        }),
+        ),
         (
             base(),
             text(),

@@ -346,9 +346,9 @@ impl TenantAgent {
     /// Runs the slot with the given total budget (reserved + any spot
     /// grant), reporting draw, performance and cost. The performance
     /// model is evaluated once, and the cost is read off that value. A
-    /// sprinting rack finds its DVFS operating point once, for both its
-    /// latency and its draw; a busy batch rack still finds it twice, in
-    /// `throughput` and in `power_draw`.
+    /// rack finds its DVFS operating point once per slot: a sprinting
+    /// rack for its latency and its draw, a busy batch rack for its
+    /// rate and its draw.
     #[must_use]
     pub fn run_slot(&self, budget: Watts) -> SlotOutcome {
         let (draw, performance, value) = match &self.model {
@@ -359,14 +359,14 @@ impl TenantAgent {
                 (draw, Performance::Latency { seconds, slo_met }, seconds)
             }
             WorkloadModel::Opportunistic { workload, .. } => {
-                // No backlog: nothing runs, so skip the DVFS inversion;
-                // `cost_at` charges an idle tenant nothing.
-                let rate = if self.intensity > 0.0 {
-                    workload.throughput(budget)
+                // No backlog: nothing runs, so the rate is 0 without a
+                // DVFS inversion; `cost_at` charges an idle tenant
+                // nothing.
+                let (rate, draw) = if self.intensity > 0.0 {
+                    workload.throughput_and_draw(budget)
                 } else {
-                    0.0
+                    (0.0, self.model.power_draw(budget, self.intensity))
                 };
-                let draw = self.model.power_draw(budget, self.intensity);
                 (draw, Performance::Throughput { rate }, rate)
             }
         };

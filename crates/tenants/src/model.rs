@@ -332,7 +332,8 @@ impl WorkloadModel {
             }
             WorkloadModel::Opportunistic { workload, .. } => {
                 if intensity <= 0.0 {
-                    // Idle rack: idle power only.
+                    // Idle rack: a zero budget deactivates every
+                    // server, so it is metered at 0 W (DESIGN §2).
                     workload.power_draw(Watts::ZERO)
                 } else {
                     workload.power_draw(budget)

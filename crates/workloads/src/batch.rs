@@ -11,13 +11,22 @@
 use serde::{Deserialize, Serialize};
 use spotdc_units::Watts;
 
-use crate::dvfs::DvfsModel;
+use crate::dvfs::{DvfsModel, OperatingPoint};
 
 /// A throughput-oriented workload on one rack.
 ///
 /// Throughput is expressed in abstract work units per second;
 /// `throughput_max` fixes the scale (e.g. MB/s for WordCount, nodes/s
 /// for graph analytics).
+///
+/// A budget affords one DVFS operating point, and both the rate and
+/// the rack's draw are read off it. [`throughput`] and [`power_draw`]
+/// each find that point; [`throughput_and_draw`] finds it once for
+/// both, as a slot needs them.
+///
+/// [`throughput`]: Self::throughput
+/// [`power_draw`]: Self::power_draw
+/// [`throughput_and_draw`]: Self::throughput_and_draw
 ///
 /// # Examples
 ///
@@ -91,19 +100,43 @@ impl BatchWorkload {
         self.throughput_max
     }
 
-    /// Throughput under `budget` watts, work units/s. A batch rack with
-    /// backlog is always fully busy, so power is evaluated at
-    /// utilization 1.
+    /// Throughput under `budget` watts, work units/s.
     #[must_use]
     pub fn throughput(&self, budget: Watts) -> f64 {
-        self.throughput_max * self.dvfs.capacity_at(budget, 1.0)
+        self.throughput_at(self.operating_point(budget))
     }
 
     /// Actual power drawn when busy under `budget` — the operating
     /// point's draw, never exceeding the budget or the rack's peak.
     #[must_use]
     pub fn power_draw(&self, budget: Watts) -> Watts {
-        let op = self.dvfs.operating_point(budget, 1.0);
+        self.draw_at(budget, self.operating_point(budget))
+    }
+
+    /// [`throughput`](Self::throughput) and
+    /// [`power_draw`](Self::power_draw) at once, bit for bit: a slot's
+    /// budget maps to one operating point, so the DVFS inversion runs
+    /// once for both.
+    #[must_use]
+    pub fn throughput_and_draw(&self, budget: Watts) -> (f64, Watts) {
+        let op = self.operating_point(budget);
+        (self.throughput_at(op), self.draw_at(budget, op))
+    }
+
+    /// The operating point `budget` affords. A batch rack with backlog
+    /// is always fully busy, so power is evaluated at utilization 1.
+    fn operating_point(&self, budget: Watts) -> OperatingPoint {
+        self.dvfs.operating_point(budget, 1.0)
+    }
+
+    /// The rate at `op`: full-power throughput scaled by the operating
+    /// point's relative capacity.
+    fn throughput_at(&self, op: OperatingPoint) -> f64 {
+        self.throughput_max * op.relative_capacity(self.dvfs.serial_fraction())
+    }
+
+    /// The busy draw at `op`, the operating point `budget` affords.
+    fn draw_at(&self, budget: Watts, op: OperatingPoint) -> Watts {
         let draw = self.dvfs.rack_power(op.frequency, 1.0) * op.active_fraction;
         draw.min(budget.clamp_non_negative())
             .min(self.dvfs.peak_power())

@@ -191,14 +191,6 @@ impl DvfsModel {
             frequency: lo,
         }
     }
-
-    /// The relative compute capacity (`1` = full rack at full speed)
-    /// that `budget` affords at the given anticipated utilization.
-    #[must_use]
-    pub fn capacity_at(&self, budget: Watts, utilization: f64) -> f64 {
-        self.operating_point(budget, utilization)
-            .relative_capacity(self.serial_fraction)
-    }
 }
 
 #[cfg(test)]
@@ -207,6 +199,12 @@ mod tests {
 
     fn rack() -> DvfsModel {
         DvfsModel::new(8, Watts::new(8.0), Watts::new(20.0), 0.5, 2.0, 0.2)
+    }
+
+    /// The relative capacity `budget` affords a fully busy rack.
+    fn capacity(r: &DvfsModel, budget: Watts) -> f64 {
+        r.operating_point(budget, 1.0)
+            .relative_capacity(r.serial_fraction())
     }
 
     #[test]
@@ -263,8 +261,8 @@ mod tests {
     #[test]
     fn zero_budget_zero_capacity() {
         let r = rack();
-        assert_eq!(r.capacity_at(Watts::ZERO, 1.0), 0.0);
-        assert_eq!(r.capacity_at(Watts::new(-5.0), 1.0), 0.0);
+        assert_eq!(capacity(&r, Watts::ZERO), 0.0);
+        assert_eq!(capacity(&r, Watts::new(-5.0)), 0.0);
     }
 
     #[test]
@@ -272,11 +270,11 @@ mod tests {
         let r = rack();
         let mut last = -1.0;
         for b in (0..=32).map(|i| f64::from(i) * 5.0) {
-            let c = r.capacity_at(Watts::new(b), 1.0);
+            let c = capacity(&r, Watts::new(b));
             assert!(c >= last - 1e-12, "capacity dropped at budget {b}");
             last = c;
         }
-        assert!((r.capacity_at(r.peak_power(), 1.0) - 1.0).abs() < 1e-9);
+        assert!((capacity(&r, r.peak_power()) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -292,8 +290,8 @@ mod tests {
         // s(φ) = σ + (1 − σ)·φ with σ = 0.2: 1 at full frequency, 0.6 at
         // the φ_min = 0.5 knee.
         let r = rack();
-        assert!((r.capacity_at(r.peak_power(), 1.0) - 1.0).abs() < 1e-12);
-        assert!((r.capacity_at(Watts::new(88.0), 1.0) - 0.6).abs() < 1e-12);
+        assert!((capacity(&r, r.peak_power()) - 1.0).abs() < 1e-12);
+        assert!((capacity(&r, Watts::new(88.0)) - 0.6).abs() < 1e-12);
     }
 
     #[test]

@@ -38,7 +38,8 @@ proptest! {
     fn dvfs_capacity_monotone(budget1 in 0.0..400.0f64, budget2 in 0.0..400.0f64, u in 0.0..1.0f64) {
         let m = DvfsModel::new(4, Watts::new(10.0), Watts::new(30.0), 0.4, 2.0, 0.2);
         let (lo, hi) = if budget1 <= budget2 { (budget1, budget2) } else { (budget2, budget1) };
-        prop_assert!(m.capacity_at(Watts::new(lo), u) <= m.capacity_at(Watts::new(hi), u) + 1e-9);
+        let capacity = |b: f64| m.operating_point(Watts::new(b), u).relative_capacity(m.serial_fraction());
+        prop_assert!(capacity(lo) <= capacity(hi) + 1e-9);
     }
 
     #[test]
@@ -57,6 +58,26 @@ proptest! {
                 let (latency, draw) = w.latency_and_draw(lam, budget);
                 prop_assert_eq!(latency.to_bits(), w.latency(lam, budget).to_bits());
                 prop_assert_eq!(draw.value().to_bits(), w.power_draw(lam, budget).value().to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn throughput_and_draw_is_throughput_and_power_draw_bit_for_bit(budget_frac in 0.0..=1.0f64) {
+        for w in [
+            BatchWorkload::word_count_tenant(),
+            BatchWorkload::tera_sort_tenant(),
+            BatchWorkload::graph_tenant(),
+        ] {
+            let dvfs = w.dvfs();
+            let knee = dvfs.rack_power(dvfs.freq_min(), 1.0);
+            let peak = dvfs.peak_power();
+            // Budgets over [-10, peak + 50] W.
+            let drawn = Watts::new(-10.0 + budget_frac * (peak.value() + 60.0));
+            for budget in [drawn, Watts::ZERO, knee, peak] {
+                let (rate, draw) = w.throughput_and_draw(budget);
+                prop_assert_eq!(rate.to_bits(), w.throughput(budget).to_bits());
+                prop_assert_eq!(draw.value().to_bits(), w.power_draw(budget).value().to_bits());
             }
         }
     }

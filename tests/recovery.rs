@@ -95,6 +95,7 @@ fn torn_journal_tail_recovers_byte_identically() {
 
     let resumed = resume(Mode::SpotDc, &dir);
     let recovery = resumed.recovery.expect("recovery info");
+    assert_eq!(recovery.log_truncated, None);
     let damage = recovery.truncated.expect("tail damage reported");
     assert_eq!(damage.reason, "torn");
     assert!(damage.dropped_bytes > 0);
@@ -122,10 +123,78 @@ fn corrupt_journal_record_recovers_byte_identically() {
 
     let resumed = resume(Mode::SpotDc, &dir);
     let recovery = resumed.recovery.expect("recovery info");
+    assert_eq!(recovery.log_truncated, None);
     let damage = recovery.truncated.expect("tail damage reported");
     assert_eq!(damage.reason, "corrupt");
     assert!(damage.dropped_bytes > 0);
     assert_eq!(recovery.replayed_slots, 2);
+    assert_eq!(resumed.report, golden);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The record log, read back as recovery reads it.
+fn record_log(dir: &Path) -> spotdc_durable::WalContents {
+    spotdc_durable::read_wal(&dir.join("records.wal"))
+        .expect("readable")
+        .expect("record log exists")
+}
+
+/// A torn record-log tail is reported as the record log's damage, not
+/// the journal's: the valid prefix still backs the checkpoint at 5, so
+/// the journaled slots replay on top of it.
+#[test]
+fn torn_record_log_tail_is_reported() {
+    let golden = cold(Mode::SpotDc);
+    let dir = temp_dir("log-torn");
+    // Stop at 8: the record log holds slots 0..8, the snapshot covers 5.
+    stop_at(Mode::SpotDc, &dir, 8);
+    let log = dir.join("records.wal");
+    let bytes = fs::read(&log).expect("record log exists");
+    fs::write(&log, &bytes[..bytes.len() - 3]).unwrap();
+    let seven = record_log(&dir).prefix_len(7);
+
+    let resumed = resume(Mode::SpotDc, &dir);
+    let recovery = resumed.recovery.expect("recovery info");
+    assert_eq!(recovery.truncated, None);
+    let damage = recovery.log_truncated.expect("record-log damage reported");
+    assert_eq!(damage.reason, "torn");
+    assert_eq!(damage.dropped_bytes, bytes.len() as u64 - 3 - seven);
+    assert_eq!(recovery.snapshot_slot, Some(5));
+    assert_eq!(recovery.replayed_slots, 3);
+    assert_eq!(resumed.report, golden);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A bit flip in the middle of the record log, under a frame the
+/// checkpoint at 5 counts on, is reported as corrupt record-log damage;
+/// no checkpoint is backed by the three frames before it, so recovery
+/// starts cold and still lands on the golden report.
+#[test]
+fn corrupt_record_log_middle_is_reported() {
+    let golden = cold(Mode::SpotDc);
+    let dir = temp_dir("log-flip");
+    stop_at(Mode::SpotDc, &dir, 8);
+    let log = dir.join("records.wal");
+    let (three, four) = {
+        let contents = record_log(&dir);
+        (contents.prefix_len(3), contents.prefix_len(4))
+    };
+    let mut bytes = fs::read(&log).expect("record log exists");
+    // The last payload byte of frame 3 of 8.
+    let at = usize::try_from(four).unwrap() - 1;
+    bytes[at] ^= 0x40;
+    fs::write(&log, &bytes).unwrap();
+
+    let resumed = resume(Mode::SpotDc, &dir);
+    let recovery = resumed.recovery.expect("recovery info");
+    assert_eq!(recovery.truncated, None);
+    let damage = recovery.log_truncated.expect("record-log damage reported");
+    assert_eq!(damage.reason, "corrupt");
+    assert_eq!(damage.dropped_bytes, bytes.len() as u64 - three);
+    assert_eq!(recovery.snapshot_slot, None);
+    // Slots 0..5 re-simulate the gap, 5..8 replay under journal
+    // verification.
+    assert_eq!(recovery.replayed_slots, 8);
     assert_eq!(resumed.report, golden);
     let _ = fs::remove_dir_all(&dir);
 }
