@@ -24,8 +24,10 @@
 //! ```
 //!
 //! `--mode` switches from the experiment suite to one simulation whose
-//! full report is rendered to stdout deterministically; recovery notes
-//! go to stderr only, so a resumed run's stdout is byte-identical to an
+//! full report streams to stdout in its one text form
+//! (`SimReport::write_text`, which `tests/golden/` pins): a record line
+//! as each slot ends, then the summary. Recovery notes go to stderr
+//! only, so a resumed run's stdout is byte-identical to an
 //! uninterrupted one. `--slot-delay-ms` slows the slot loop so an
 //! external killer (`scripts/crash_harness`) can SIGKILL at a chosen
 //! slot. `--tenants N` swaps the Table I testbed for Fig. 18's
@@ -56,14 +58,14 @@
 //! Exit status: 0 on success, 2 on a usage error (a bad flag or value),
 //! 1 on any other failure.
 
-use std::io::{BufWriter, Write as _};
+use std::io::{BufWriter, ErrorKind, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use spotdc_obs::Analysis;
-use spotdc_sim::engine::{DurabilityConfig, EngineConfig, JournalDamage, Simulation};
+use spotdc_sim::engine::{DurabilityConfig, DurableError, EngineConfig, JournalDamage, Simulation};
 use spotdc_sim::experiments::{all_ids, run_selected, ExpConfig};
 use spotdc_sim::{Mode, Scenario};
 use spotdc_telemetry::{FileSink, SinkKind, TelemetryConfig};
@@ -75,6 +77,10 @@ const MAX_DAYS: f64 = 3660.0;
 /// The longest run `--slots` accepts: `--days`' horizon in the
 /// scenarios' 2-minute slots (720 a day).
 const MAX_SLOTS: u64 = MAX_DAYS as u64 * 720;
+
+/// The most threads `--jobs`, `--inner-jobs` or `--shards` may ask for:
+/// a value from outside must not reach thousands of thread spawns.
+const MAX_THREADS: usize = 256;
 
 /// Routes progress output through one place so `--quiet` silences
 /// everything except errors. A lock serializes whole lines, so
@@ -112,26 +118,37 @@ impl Reporter {
     }
 }
 
-/// Writes `args` and a newline to stdout through one locked handle —
-/// the only way this binary writes there. The text streams through a
-/// buffer as it is formatted, so a report is never held whole in
-/// memory (the locked handle alone would issue one write per line). A
-/// reader that closed the pipe (`repro --list | head -1`) has what it
-/// came for: exit 0 silently where `println!` would panic with a
-/// backtrace.
+/// Writes `args` and a newline to stdout ([`with_stdout`]); any failure
+/// but a closed pipe ends the run with exit 1.
 fn print_stdout(args: std::fmt::Arguments<'_>) {
-    let mut out = BufWriter::new(std::io::stdout().lock());
-    match writeln!(out, "{args}").and_then(|()| out.flush()) {
-        Ok(()) => {}
-        Err(e) => {
-            spotdc_telemetry::flush();
-            if e.kind() == std::io::ErrorKind::BrokenPipe {
-                std::process::exit(0);
-            }
-            eprintln!("error: cannot write to stdout: {e}");
-            std::process::exit(1);
-        }
+    if let Err(e) = with_stdout(|out| Ok(writeln!(out, "{args}")?)) {
+        spotdc_telemetry::flush();
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
     }
+}
+
+/// Hands `write` stdout through one locked, buffered handle — the only
+/// way this binary writes there. The text streams through the buffer
+/// as it is formatted, so a report is never held whole in memory (the
+/// locked handle alone would issue one write per line). A reader that
+/// closed the pipe (`repro --list | head -1`) has what it came for:
+/// exit 0 silently where `println!` would panic with a backtrace. Any
+/// other error is the caller's.
+fn with_stdout(
+    write: impl FnOnce(&mut dyn Write) -> Result<(), DurableError>,
+) -> Result<(), DurableError> {
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    let written = write(&mut out).and_then(|()| Ok(out.flush()?));
+    if matches!(&written, Err(DurableError::Io(e)) if e.kind() == ErrorKind::BrokenPipe) {
+        spotdc_telemetry::flush();
+        std::process::exit(0);
+    }
+    if written.is_err() {
+        // Unflushed output goes unprinted: a run refused up front prints nothing.
+        drop(out.into_parts());
+    }
+    written
 }
 
 fn main() -> ExitCode {
@@ -186,15 +203,15 @@ fn main() -> ExitCode {
                 None => return usage("--seed needs an integer"),
             },
             "--jobs" | "-j" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => {
+                Some(n) if (1..=MAX_THREADS).contains(&n) => {
                     jobs = n;
                     suite_flag = true;
                 }
-                _ => return usage("--jobs needs a positive integer"),
+                _ => return usage(&threads_needed("--jobs")),
             },
             "--inner-jobs" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => cfg.inner_jobs = n,
-                _ => return usage("--inner-jobs needs a positive integer"),
+                Some(n) if (1..=MAX_THREADS).contains(&n) => cfg.inner_jobs = n,
+                _ => return usage(&threads_needed("--inner-jobs")),
             },
             "--out" => match args.next() {
                 Some(dir) => out_dir = Some(dir.into()),
@@ -224,8 +241,8 @@ fn main() -> ExitCode {
                 _ => return usage("--tenants needs a positive integer"),
             },
             "--shards" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => shards = n,
-                _ => return usage("--shards needs a positive integer"),
+                Some(n) if (1..=MAX_THREADS).contains(&n) => shards = n,
+                _ => return usage(&threads_needed("--shards")),
             },
             "--checkpoint-dir" => match args.next() {
                 Some(dir) => durability.dir = Some(dir.into()),
@@ -440,43 +457,37 @@ fn run_single(run: SingleRun, reporter: &Reporter) -> ExitCode {
         shards,
         ..EngineConfig::new(mode)
     };
-    let report = match Simulation::new(scenario, config).run_durable(slots) {
-        Ok(outcome) => {
-            if let Some(r) = &outcome.recovery {
-                let damage = |what: &str, d: &Option<JournalDamage>| {
-                    d.as_ref().map_or_else(String::new, |d| {
-                        format!(
-                            ", {what} tail {} ({} bytes dropped)",
-                            d.reason, d.dropped_bytes
-                        )
-                    })
-                };
-                reporter.status(&format!(
-                    "# recovered: snapshot {}, {} slot(s) replayed{}{}",
-                    r.snapshot_slot
-                        .map_or_else(|| "none".to_owned(), |s| s.to_string()),
-                    r.replayed_slots,
-                    damage("journal", &r.truncated),
-                    damage("record log", &r.log_truncated),
-                ));
-            }
+    let written = with_stdout(|out| {
+        writeln!(out, "# repro --mode run: seed {seed}, {slots} slots")?;
+        let outcome = Simulation::new(scenario, config).run_durable_to(slots, Some(out))?;
+        if let Some(r) = &outcome.recovery {
+            let damage = |what: &str, d: &Option<JournalDamage>| {
+                d.as_ref().map_or_else(String::new, |d| {
+                    format!(
+                        ", {what} tail {} ({} bytes dropped)",
+                        d.reason, d.dropped_bytes
+                    )
+                })
+            };
             reporter.status(&format!(
-                "# {} checkpoint(s) written",
-                outcome.checkpoints_written
+                "# recovered: snapshot {}, {} slot(s) replayed{}{}",
+                r.snapshot_slot
+                    .map_or_else(|| "none".to_owned(), |s| s.to_string()),
+                r.replayed_slots,
+                damage("journal", &r.truncated),
+                damage("record log", &r.log_truncated),
             ));
-            outcome.report
         }
-        Err(e) => {
-            reporter.error(&format!("error: {e}"));
-            return ExitCode::FAILURE;
-        }
-    };
-    // Derived Debug is deterministic field-by-field rendering (floats
-    // print shortest-roundtrip), so two equal reports print
-    // byte-identically — exactly what the harness diffs.
-    print_stdout(format_args!(
-        "# repro --mode run: seed {seed}, {slots} slots\n{report:#?}"
-    ));
+        reporter.status(&format!(
+            "# {} checkpoint(s) written",
+            outcome.checkpoints_written
+        ));
+        Ok(outcome.report.write_summary(out)?)
+    });
+    if let Err(e) = written {
+        reporter.error(&format!("error: {e}"));
+        return ExitCode::FAILURE;
+    }
     ExitCode::SUCCESS
 }
 
@@ -506,18 +517,23 @@ fn telemetry_log_truncated(sink: Option<&FileSink>, reporter: &Reporter) -> bool
     true
 }
 
+/// The usage error of a thread-count flag.
+fn threads_needed(flag: &str) -> String {
+    format!("{flag} needs a positive integer, at most {MAX_THREADS}")
+}
+
 fn usage(error: &str) -> ExitCode {
     if !error.is_empty() {
         eprintln!("error: {error}\n");
     }
     eprintln!(
         "usage: repro [--exp <id>]... [--days <n ≤ {MAX_DAYS}>] [--seed <n>] [--quick]\n\
-         \x20            [--jobs <n>] [--inner-jobs <n>] [--list-exps]\n\
+         \x20            [--jobs <n ≤ {MAX_THREADS}>] [--inner-jobs <n ≤ {MAX_THREADS}>] [--list-exps]\n\
          \x20            [--out <dir>] [--telemetry <file>]\n\
          \x20            [--validate] [--quiet]\n\
          \x20      repro --mode <powercapped|spotdc|maxperf> [--slots <n ≤ {MAX_SLOTS}>]\n\
-         \x20            [--seed <n>] [--tenants <n>] [--inner-jobs <n>] [--telemetry <file>]\n\
-         \x20            [--per-pdu] [--shards <n>]\n\
+         \x20            [--seed <n>] [--tenants <n>] [--inner-jobs <n ≤ {MAX_THREADS}>]\n\
+         \x20            [--telemetry <file>] [--per-pdu] [--shards <n ≤ {MAX_THREADS}>]\n\
          \x20            [--checkpoint-dir <dir>] [--checkpoint-every <n>] [--resume]\n\
          \x20            [--slot-delay-ms <n>]\n\
          experiments: {}",

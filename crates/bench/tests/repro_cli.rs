@@ -1,7 +1,8 @@
 //! `repro`'s command-line contract: `--list` prints the experiment
 //! registry, a reader that goes away is not an error, a `--mode` run
-//! honours the flags it takes and refuses the suite's, and a bad flag
-//! value is a usage error (exit 2) before anything runs.
+//! prints the goldens' text form, honours the flags it takes and
+//! refuses the suite's, and a bad flag value is a usage error (exit 2)
+//! before anything runs.
 
 use std::process::{Command, Stdio};
 
@@ -44,6 +45,87 @@ fn list_into_a_closed_pipe_exits_cleanly() {
 }
 
 #[test]
+fn mode_prints_the_golden_body_after_its_header() {
+    // The goldens pin the report's one text form; `--mode` streams it.
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    for mode in ["powercapped", "spotdc", "maxperf"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--mode", mode, "--slots", "120", "--seed", "42", "--quiet"])
+            .output()
+            .expect("run repro");
+        assert!(
+            out.status.success(),
+            "{mode}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8(out.stdout).expect("report is UTF-8");
+        let expected =
+            std::fs::read_to_string(golden.join(format!("{mode}.txt"))).expect("read the golden");
+        let body = |text: &str| text.split_once('\n').map(|(_, body)| body.to_owned());
+        assert_eq!(
+            stdout.lines().next(),
+            Some("# repro --mode run: seed 42, 120 slots")
+        );
+        assert!(
+            body(&stdout) == body(&expected),
+            "{mode}: body differs from the golden"
+        );
+    }
+}
+
+#[test]
+fn mode_into_a_closed_pipe_exits_cleanly() {
+    let (reader, writer) = std::io::pipe().expect("create pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--mode", "spotdc", "--slots", "30", "--quiet"])
+        .stdout(Stdio::from(writer))
+        .stderr(Stdio::piped())
+        .output()
+        .expect("run repro");
+    assert!(
+        out.status.success(),
+        "exit {:?}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        out.stderr.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+fn a_mode_run_refused_before_its_first_slot_prints_nothing() {
+    // A checkpoint dir under a regular file fails the engine's
+    // up-front validation, after the header was already buffered.
+    let file = std::env::temp_dir().join(format!("repro-cli-file-{}", std::process::id()));
+    std::fs::write(&file, b"").expect("create the file");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args([
+            "--mode",
+            "spotdc",
+            "--slots",
+            "2",
+            "--quiet",
+            "--checkpoint-dir",
+        ])
+        .arg(file.join("ckpt"))
+        .output()
+        .expect("run repro");
+    std::fs::remove_file(&file).expect("remove the file");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("is not writable"), "{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+#[test]
 fn tenants_runs_the_hyperscale_scenario_and_needs_a_mode() {
     let run = |args: &[&str]| {
         Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -68,7 +150,7 @@ fn tenants_runs_the_hyperscale_scenario_and_needs_a_mode() {
     let report = String::from_utf8(out.stdout).expect("report is UTF-8");
     // One subscription per participating tenant: 16, not the testbed's 8.
     let subscriptions = report
-        .split("subscriptions: [")
+        .split("subscriptions=[")
         .nth(1)
         .and_then(|rest| rest.split(']').next())
         .expect("the report lists subscriptions");
@@ -114,6 +196,29 @@ fn slots_must_be_a_positive_count_within_the_horizon() {
         );
         assert!(stderr.contains("[--slots <n ≤ 2635200>]"), "{stderr}");
         assert!(out.stdout.is_empty(), "--slots {slots} ran something");
+    }
+}
+
+#[test]
+fn thread_counts_are_bounded() {
+    // Each value is followed by an unknown argument, so a parser that
+    // took it would still stop with a usage error before any thread
+    // starts, and the message check below would catch it.
+    for flag in ["--shards", "--inner-jobs", "--jobs"] {
+        for n in ["257", "100000", "18446744073709551615", "0"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+                .args(["--mode", "spotdc", "--slots", "1", "--quiet"])
+                .args([flag, n, "--not-a-flag"])
+                .output()
+                .expect("run repro");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{flag} {n}: {stderr}");
+            assert!(
+                stderr.contains(&format!("{flag} needs a positive integer, at most 256")),
+                "{flag} {n}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{flag} {n} ran something");
+        }
     }
 }
 

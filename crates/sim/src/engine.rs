@@ -33,6 +33,7 @@
 //! [`StalenessPolicy`]: spotdc_core::StalenessPolicy
 //! [`CapController`]: spotdc_power::CapController
 
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use spotdc_durable::{Tail, WalWriter};
@@ -402,7 +403,8 @@ impl JournalDamage {
 #[derive(Debug)]
 pub struct DurableOutcome {
     /// The simulation report. When [`DurableOutcome::stopped_after`] is
-    /// set, it covers only the slots simulated before the stop.
+    /// set, it covers only the slots simulated before the stop. A
+    /// streamed run's ([`Simulation::run_durable_to`]) has no records.
     pub report: SimReport,
     /// Present when the run resumed from durable state.
     pub recovery: Option<RecoveryInfo>,
@@ -418,7 +420,7 @@ pub struct DurableOutcome {
 pub enum DurableError {
     /// The configuration or horizon was invalid.
     Config(ConfigError),
-    /// The durability layer hit an I/O error.
+    /// The durability layer, or the records' writer, hit an I/O error.
     Io(std::io::Error),
     /// A checkpoint or journal record was damaged beyond what recovery
     /// tolerates (the valid-prefix protocol handles torn and corrupt
@@ -438,7 +440,7 @@ impl std::fmt::Display for DurableError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DurableError::Config(e) => write!(f, "invalid configuration: {e}"),
-            DurableError::Io(e) => write!(f, "durability I/O error: {e}"),
+            DurableError::Io(e) => write!(f, "I/O error: {e}"),
             DurableError::Corrupt(msg) => write!(f, "durable state corrupt: {msg}"),
             DurableError::Diverged { slot } => write!(
                 f,
@@ -493,13 +495,19 @@ impl Simulation {
     /// goes once the state is built: the state holds what it reads.
     #[must_use]
     pub fn run(self, slots: u64) -> SimReport {
+        self.run_plain(slots, None).expect("no writer, no I/O")
+    }
+
+    /// The plain slot loop, draining each record into `out` if given.
+    fn run_plain(self, slots: u64, mut out: Option<&mut dyn Write>) -> io::Result<SimReport> {
         let Simulation { scenario, config } = self;
         let mut run = Run::start(&scenario, &config, slots);
         drop(scenario);
         for t in 0..slots {
             run_one_slot(&mut run, t);
+            drain_records(&mut run, out.as_deref_mut())?;
         }
-        run.state.into_report()
+        Ok(run.state.into_report())
     }
 
     /// Runs `slots` slots with crash-consistent durability: a bid
@@ -522,6 +530,24 @@ impl Simulation {
     /// durable state, and `Diverged` when journal replay disagrees with
     /// the recorded history.
     pub fn run_durable(self, slots: u64) -> Result<DurableOutcome, DurableError> {
+        self.run_durable_to(slots, None)
+    }
+
+    /// [`Simulation::run_durable`], streaming to `out` if given: after
+    /// each slot's record-log append, its record goes out as a
+    /// [`SimReport::write_record`] line and is not kept, so the report
+    /// holds only the summary. A resume first writes the logged records.
+    /// The lines and [`SimReport::write_summary`] make a cold run's
+    /// [`SimReport::write_text`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Simulation::run_durable`]; a failed write is `Io`.
+    pub fn run_durable_to(
+        self,
+        slots: u64,
+        mut out: Option<&mut dyn Write>,
+    ) -> Result<DurableOutcome, DurableError> {
         self.config.validate()?;
         if slots == 0 {
             return Err(DurableError::Config(ConfigError::ZeroHorizon));
@@ -529,7 +555,7 @@ impl Simulation {
         let Some(dir) = self.config.durability.dir.clone() else {
             // No directory disables durability: the plain loop.
             return Ok(DurableOutcome {
-                report: self.run(slots),
+                report: self.run_plain(slots, out)?,
                 recovery: None,
                 checkpoints_written: 0,
                 stopped_after: None,
@@ -582,6 +608,7 @@ impl Simulation {
                 .map_err(|e| DurableError::Corrupt(format!("record log does not decode: {e}")))?;
             log = WalWriter::open_truncated(&log_path, logged.prefix_len(kept))?;
             drop(logged);
+            drain_records(&mut run, out.as_deref_mut())?;
 
             let contents = spotdc_durable::read_wal(&wal_path)?.unwrap_or_default();
             let truncated = JournalDamage::of(contents.tail);
@@ -613,6 +640,7 @@ impl Simulation {
                     run_one_slot(&mut run, start_slot);
                     wal.append(&encode_wal_record(&run.ctx))?;
                     append_record(&mut log, &run)?;
+                    drain_records(&mut run, out.as_deref_mut())?;
                     start_slot += 1;
                     replayed += 1;
                 }
@@ -623,6 +651,7 @@ impl Simulation {
                 }
                 wal.append(&replay)?;
                 append_record(&mut log, &run)?;
+                drain_records(&mut run, out.as_deref_mut())?;
                 start_slot = slot + 1;
                 replayed += 1;
             }
@@ -670,6 +699,7 @@ impl Simulation {
             run_one_slot(&mut run, t);
             wal.append(&encode_wal_record(&run.ctx))?;
             append_record(&mut log, &run)?;
+            drain_records(&mut run, out.as_deref_mut())?;
             if (t + 1) % config.durability.checkpoint_every == 0 {
                 let started = std::time::Instant::now();
                 // The snapshot names `t + 1` record-log frames: they
@@ -740,6 +770,17 @@ fn append_record(log: &mut WalWriter, run: &Run) -> std::io::Result<()> {
     let records = &run.state.report.records;
     let record = records.last().expect("Settle records every slot");
     log.append(&encode_slot_record(record))
+}
+
+/// Writes the records `Settle` left in the report to `out`, if given,
+/// one line each, and keeps none.
+fn drain_records(run: &mut Run, out: Option<&mut (dyn Write + '_)>) -> io::Result<()> {
+    if let Some(out) = out {
+        for record in run.state.report.records.drain(..) {
+            SimReport::write_record(out, &record)?;
+        }
+    }
+    Ok(())
 }
 
 /// Steps every stage once for slot `t`: the single slot body shared by

@@ -1,4 +1,6 @@
-//! Per-slot records and the aggregations the paper's figures plot.
+//! Per-slot records, their text form, and the figures' aggregations.
+
+use std::io::{self, Write};
 
 use serde::{Deserialize, Serialize};
 use spotdc_traces::Cdf;
@@ -250,6 +252,46 @@ impl SimReport {
     #[must_use]
     pub fn tenant_count(&self) -> usize {
         self.subscriptions.len()
+    }
+
+    /// Writes `record` as one line of the report's text form, its
+    /// derived `Debug`: `f64` prints shortest-roundtrip, so equal bytes
+    /// ⇔ equal values. Fails only as `out` does.
+    pub fn write_record(out: &mut dyn Write, record: &SlotRecord) -> io::Result<()> {
+        writeln!(out, "{record:?}")
+    }
+
+    /// Writes the five lines that close the text form: every field but
+    /// the records. Fails only as `out` does.
+    pub fn write_summary(&self, out: &mut dyn Write) -> io::Result<()> {
+        writeln!(out, "slot={:?}", self.slot)?;
+        writeln!(out, "subscriptions={:?}", self.subscriptions)?;
+        writeln!(out, "headrooms={:?}", self.headrooms)?;
+        writeln!(
+            out,
+            "total_subscribed={:?} ups_capacity={:?}",
+            self.total_subscribed, self.ups_capacity
+        )?;
+        writeln!(
+            out,
+            "emergencies={} transient_overshoots={} degraded_slots={} \
+             invariant_violations={} faults_injected={}",
+            self.emergencies,
+            self.transient_overshoots,
+            self.degraded_slots,
+            self.invariant_violations,
+            self.faults_injected
+        )
+    }
+
+    /// Writes the report's one text form, which `tests/golden/` pins and
+    /// `repro --mode` prints: a [`Self::write_record`] line per record,
+    /// then [`Self::write_summary`]. Fails only as `out` does.
+    pub fn write_text(&self, out: &mut dyn Write) -> io::Result<()> {
+        for record in &self.records {
+            Self::write_record(out, record)?;
+        }
+        self.write_summary(out)
     }
 }
 

@@ -145,7 +145,15 @@ proptest! {
         let resumed = Simulation::new(Scenario::testbed(seed), config)
             .run_durable(45)
             .expect("resumed run");
-        prop_assert_eq!(format!("{:?}", resumed.report), format!("{cold:?}"));
+        let text = |report: &SimReport| {
+            let mut bytes = Vec::new();
+            report.write_text(&mut bytes).expect("write to memory");
+            bytes
+        };
+        prop_assert!(
+            text(&resumed.report) == text(&cold),
+            "seed {seed}, stop {stop}: resumed text differs from the cold run's"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

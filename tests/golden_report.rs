@@ -14,7 +14,6 @@
 //! GOLDEN_REGEN=1 cargo test --test golden_report
 //! ```
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use spotdc_sim::engine::{EngineConfig, Simulation};
@@ -29,10 +28,8 @@ fn golden_path(file: &str) -> PathBuf {
         .join(file)
 }
 
-/// Renders every field of the report in a stable line-oriented form:
-/// one `Debug` line per slot record, then the scalar summary fields.
-/// Rust's `Debug` for `f64` is shortest-roundtrip formatting, so equal
-/// bytes ⇔ equal values.
+/// The report's one text form (`SimReport::write_text`, which
+/// `repro --mode` prints too) under a header line naming the run.
 fn render(mode: Mode, inner_jobs: usize) -> String {
     render_sharded(mode, inner_jobs, 1)
 }
@@ -44,36 +41,10 @@ fn render_sharded(mode: Mode, inner_jobs: usize, shards: usize) -> String {
         ..EngineConfig::new(mode)
     };
     let report = Simulation::new(Scenario::testbed(SEED), engine).run(SLOTS);
-    let mut s = String::new();
-    writeln!(
-        s,
-        "# SimReport golden — mode {mode}, seed {SEED}, {SLOTS} slots"
-    )
-    .unwrap();
-    for r in &report.records {
-        writeln!(s, "{r:?}").unwrap();
-    }
-    writeln!(s, "slot={:?}", report.slot).unwrap();
-    writeln!(s, "subscriptions={:?}", report.subscriptions).unwrap();
-    writeln!(s, "headrooms={:?}", report.headrooms).unwrap();
-    writeln!(
-        s,
-        "total_subscribed={:?} ups_capacity={:?}",
-        report.total_subscribed, report.ups_capacity
-    )
-    .unwrap();
-    writeln!(
-        s,
-        "emergencies={} transient_overshoots={} degraded_slots={} \
-         invariant_violations={} faults_injected={}",
-        report.emergencies,
-        report.transient_overshoots,
-        report.degraded_slots,
-        report.invariant_violations,
-        report.faults_injected
-    )
-    .unwrap();
-    s
+    let mut s =
+        format!("# SimReport golden — mode {mode}, seed {SEED}, {SLOTS} slots\n").into_bytes();
+    report.write_text(&mut s).unwrap();
+    String::from_utf8(s).unwrap()
 }
 
 #[test]

@@ -81,6 +81,61 @@ fn resume_at_every_slot_matches_cold_run() {
     }
 }
 
+/// A run that streams its records (`Simulation::run_durable_to`)
+/// writes `Simulation::run`'s text form but the summary, and keeps no
+/// records — plain, fresh durable, and stopped then resumed, where the
+/// resume first writes the records the log holds (none before the first
+/// checkpoint, ten at its boundary and mid-interval), then replays.
+#[test]
+fn a_streamed_run_writes_the_cold_text_and_keeps_no_records() {
+    let mut golden = Vec::new();
+    cold(Mode::SpotDc).write_text(&mut golden).unwrap();
+    let streamed = |config: EngineConfig| {
+        let mut out = Vec::new();
+        let outcome = Simulation::new(Scenario::testbed(SEED), config)
+            .run_durable_to(SLOTS, Some(&mut out))
+            .expect("streamed run");
+        assert!(
+            outcome.report.records.is_empty(),
+            "a streamed run kept records"
+        );
+        outcome.report.write_summary(&mut out).unwrap();
+        (out, outcome)
+    };
+    let (text, _) = streamed(EngineConfig::new(Mode::SpotDc));
+    assert!(
+        text == golden,
+        "plain streamed run differs from the cold text"
+    );
+    let dir = temp_dir("stream");
+    let (text, _) = streamed(durable_config(Mode::SpotDc, &dir));
+    assert!(
+        text == golden,
+        "durable streamed run differs from the cold text"
+    );
+    for k in [3, 2 * EVERY, 2 * EVERY + 3] {
+        let mut config = durable_config(Mode::SpotDc, &dir);
+        config.durability.stop_after = Some(k);
+        let (head, stopped) = streamed(config.clone());
+        assert_eq!(stopped.stopped_after, Some(k));
+        let lines = head.split_inclusive(|&b| b == b'\n');
+        assert!(
+            lines
+                .take(k as usize)
+                .eq(golden.split_inclusive(|&b| b == b'\n').take(k as usize)),
+            "the run stopped at {k} streamed other lines than the cold run's first {k}"
+        );
+        config.durability.stop_after = None;
+        config.durability.resume = true;
+        let (text, _) = streamed(config);
+        assert!(
+            text == golden,
+            "stopped at {k} and resumed: differs from the cold text"
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// A torn journal tail — the partial record a SIGKILL mid-append
 /// leaves — is truncated, reported, and recovered around.
 #[test]
