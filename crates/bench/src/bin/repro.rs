@@ -65,7 +65,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use spotdc_obs::Analysis;
-use spotdc_sim::engine::{DurabilityConfig, DurableError, EngineConfig, JournalDamage, Simulation};
+use spotdc_sim::engine::{DurabilityConfig, DurableError, EngineConfig, Simulation};
 use spotdc_sim::experiments::{all_ids, run_selected, ExpConfig};
 use spotdc_sim::{Mode, Scenario};
 use spotdc_telemetry::{FileSink, SinkKind, TelemetryConfig};
@@ -81,6 +81,10 @@ const MAX_SLOTS: u64 = MAX_DAYS as u64 * 720;
 /// The most threads `--jobs`, `--inner-jobs` or `--shards` may ask for:
 /// a value from outside must not reach thousands of thread spawns.
 const MAX_THREADS: usize = 256;
+
+/// The most tenants `--tenants` accepts: Fig. 7(b)'s largest size. A
+/// value from outside must not size the scenario's allocations.
+const MAX_TENANTS: usize = 100_000;
 
 /// Routes progress output through one place so `--quiet` silences
 /// everything except errors. A lock serializes whole lines, so
@@ -237,8 +241,12 @@ fn main() -> ExitCode {
             },
             "--per-pdu" => single_per_pdu = true,
             "--tenants" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => single_tenants = Some(n),
-                _ => return usage("--tenants needs a positive integer"),
+                Some(n) if (1..=MAX_TENANTS).contains(&n) => single_tenants = Some(n),
+                _ => {
+                    return usage(&format!(
+                        "--tenants needs a positive integer, at most {MAX_TENANTS}"
+                    ))
+                }
             },
             "--shards" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) if (1..=MAX_THREADS).contains(&n) => shards = n,
@@ -461,21 +469,17 @@ fn run_single(run: SingleRun, reporter: &Reporter) -> ExitCode {
         writeln!(out, "# repro --mode run: seed {seed}, {slots} slots")?;
         let outcome = Simulation::new(scenario, config).run_durable_to(slots, Some(out))?;
         if let Some(r) = &outcome.recovery {
-            let damage = |what: &str, d: &Option<JournalDamage>| {
-                d.as_ref().map_or_else(String::new, |d| {
-                    format!(
-                        ", {what} tail {} ({} bytes dropped)",
-                        d.reason, d.dropped_bytes
-                    )
-                })
-            };
+            let damage = r.truncated.as_ref().map_or_else(String::new, |d| {
+                format!(
+                    ", record log tail {} ({} bytes dropped)",
+                    d.reason, d.dropped_bytes
+                )
+            });
             reporter.status(&format!(
-                "# recovered: snapshot {}, {} slot(s) replayed{}{}",
+                "# recovered: snapshot {}, {} slot(s) replayed{damage}",
                 r.snapshot_slot
                     .map_or_else(|| "none".to_owned(), |s| s.to_string()),
                 r.replayed_slots,
-                damage("journal", &r.truncated),
-                damage("record log", &r.log_truncated),
             ));
         }
         reporter.status(&format!(
@@ -532,7 +536,7 @@ fn usage(error: &str) -> ExitCode {
          \x20            [--out <dir>] [--telemetry <file>]\n\
          \x20            [--validate] [--quiet]\n\
          \x20      repro --mode <powercapped|spotdc|maxperf> [--slots <n ≤ {MAX_SLOTS}>]\n\
-         \x20            [--seed <n>] [--tenants <n>] [--inner-jobs <n ≤ {MAX_THREADS}>]\n\
+         \x20            [--seed <n>] [--tenants <n ≤ {MAX_TENANTS}>] [--inner-jobs <n ≤ {MAX_THREADS}>]\n\
          \x20            [--telemetry <file>] [--per-pdu] [--shards <n ≤ {MAX_THREADS}>]\n\
          \x20            [--checkpoint-dir <dir>] [--checkpoint-every <n>] [--resume]\n\
          \x20            [--slot-delay-ms <n>]\n\

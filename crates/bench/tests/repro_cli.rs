@@ -223,6 +223,27 @@ fn thread_counts_are_bounded() {
 }
 
 #[test]
+fn tenant_counts_are_bounded() {
+    // As above: the unknown argument after each value stops a parser
+    // that took it before any scenario is built.
+    for n in ["100001", "4611686018427387904", "18446744073709551615", "0"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--mode", "spotdc", "--slots", "1", "--quiet"])
+            .args(["--tenants", n, "--not-a-flag"])
+            .output()
+            .expect("run repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--tenants {n}: {stderr}");
+        assert!(
+            stderr.contains("--tenants needs a positive integer, at most 100000"),
+            "--tenants {n}: {stderr}"
+        );
+        assert!(stderr.contains("usage: repro"), "--tenants {n}: {stderr}");
+        assert!(out.stdout.is_empty(), "--tenants {n} ran something");
+    }
+}
+
+#[test]
 fn suite_only_flags_are_usage_errors_with_a_mode() {
     for flag in [&["--days", "3"][..], &["--quick"], &["--jobs", "2"]] {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))

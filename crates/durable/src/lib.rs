@@ -6,7 +6,7 @@
 //! recovered run has to reproduce the same prices, grants and
 //! settlement it would have produced uninterrupted. This crate supplies
 //! the mechanism layer that makes that possible; the policy (what state
-//! goes in a checkpoint, how journaled slots replay) lives in
+//! goes in a checkpoint, how logged slots replay) lives in
 //! `spotdc-sim`'s durability module.
 //!
 //! Four building blocks, each honest about partial writes:
@@ -22,17 +22,16 @@
 //!   both truncated on recovery, but they are reported distinctly
 //!   because a torn tail is expected operation while corruption means
 //!   the storage lied. The CRC runs slice-by-16 (sixteen const-built
-//!   tables, safe Rust), since every checkpoint, journal frame and
-//!   shard frame pays it per byte.
+//!   tables, safe Rust), since every checkpoint, log frame and shard
+//!   frame pays it per byte.
 //! * [`atomic`] — the fsync-then-rename protocol: a replacement file is
 //!   written to a temp path, fsynced, renamed over the target, and the
 //!   directory fsynced, so readers see either the old bytes or the new
 //!   bytes and never a prefix.
 //! * [`wal`] / [`snapshot`] — append-only logs of frames (append +
-//!   flush per record; the journal is recreated at every checkpoint,
-//!   the record log only ever cut back to a checkpoint's frame count)
-//!   and checkpoint files (atomic, self-validating, the two most recent
-//!   retained).
+//!   flush per record, only ever cut back to the frame a recovery
+//!   resumes from, read back as slices of one buffer) and checkpoint
+//!   files (atomic, self-validating, the two most recent retained).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

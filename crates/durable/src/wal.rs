@@ -1,23 +1,21 @@
-//! Append-only logs of framed records: the write-ahead journal and the
-//! record log.
+//! Append-only logs of framed records.
 //!
-//! The journal holds per-slot records written *between* checkpoints. It
-//! is recreated from scratch at every checkpoint (the snapshot subsumes
-//! everything before it), appended and flushed once per slot, and read
-//! back in full on recovery with the three-way tail verdict from
-//! [`crate::frame`]. The record log has the same format but is never
-//! recreated: recovery cuts it back to a checkpoint's frame count with
-//! [`WalWriter::open_truncated`] and appends from there.
+//! A log holds one frame per record, appended and flushed one at a time
+//! and never rewritten: recovery reads it back in full with the
+//! three-way tail verdict from [`crate::frame`], then reopens it with
+//! [`WalWriter::open_truncated`] at the frame it resumes from and
+//! appends after it.
 //!
 //! Durability policy: each append is `write_all` + `flush`, which moves
 //! the bytes into the kernel; `sync` (fsync) is called only when a
 //! checkpoint is cut. A SIGKILL cannot lose kernel-buffered writes —
-//! only a power loss or kernel panic could — and the recovery protocol
-//! tolerates any suffix of journaled slots going missing anyway, since
-//! replay re-derives them deterministically.
+//! only a power loss or kernel panic could — and recovery tolerates any
+//! suffix of logged records going missing anyway, since replay
+//! re-derives them deterministically.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::Path;
 
 use crate::frame::{self, Tail};
@@ -25,15 +23,15 @@ use crate::frame::{self, Tail};
 /// Magic prefix identifying a SpotDC WAL file (versioned).
 pub const WAL_MAGIC: &[u8; 8] = b"SDCWAL01";
 
-/// An open journal accepting framed appends.
+/// An open log accepting framed appends.
 #[derive(Debug)]
 pub struct WalWriter {
     file: File,
 }
 
 impl WalWriter {
-    /// Creates (truncating any predecessor) a fresh journal at `path`
-    /// and durably writes the magic header.
+    /// Creates (truncating any predecessor) a fresh log at `path` and
+    /// writes the magic header.
     ///
     /// # Errors
     ///
@@ -70,7 +68,7 @@ impl WalWriter {
 
     /// Appends one framed record and flushes it to the kernel. The
     /// frame goes to the file as it is, with no framed copy of a
-    /// payload that can be hundreds of kilobytes (a record-log frame).
+    /// payload that can be hundreds of kilobytes (a slot-log frame).
     ///
     /// # Errors
     ///
@@ -90,48 +88,77 @@ impl WalWriter {
     }
 }
 
-/// What a journal file held when read back.
+/// What a log file held when read back: the file's bytes, once, and
+/// where each frame's payload sits in them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalContents {
-    /// Complete, CRC-valid record payloads in append order.
-    pub records: Vec<Vec<u8>>,
+    bytes: Vec<u8>,
+    frames: Vec<Range<usize>>,
     /// How the stream ended.
     pub tail: Tail,
 }
 
 impl WalContents {
-    /// Bytes of the file that hold its magic and its first `frames`
-    /// records: the offset at which frame `frames` starts.
+    /// Complete, CRC-valid frames read.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// Whether no complete frame was read.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
+
+    /// Frame `i`'s payload.
     ///
     /// # Panics
     ///
-    /// Panics if `frames` exceeds the records read.
+    /// Panics if `i` is not below [`WalContents::len`].
+    #[must_use]
+    pub fn frame(&self, i: usize) -> &[u8] {
+        &self.bytes[self.frames[i].clone()]
+    }
+
+    /// Every frame's payload, in append order.
+    pub fn frames(&self) -> impl Iterator<Item = &[u8]> {
+        self.frames.iter().map(|r| &self.bytes[r.clone()])
+    }
+
+    /// Bytes of the file that hold its magic and its first `frames`
+    /// frames: the offset at which frame `frames` starts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frames` exceeds [`WalContents::len`].
     #[must_use]
     pub fn prefix_len(&self, frames: usize) -> u64 {
-        let framed: usize = self.records[..frames]
-            .iter()
-            .map(|r| frame::HEADER_LEN + r.len())
-            .sum();
-        (WAL_MAGIC.len() + framed) as u64
+        match frames.checked_sub(1) {
+            Some(last) => self.frames[last].end as u64,
+            None => WAL_MAGIC.len() as u64,
+        }
     }
 }
 
 impl Default for WalContents {
-    /// An absent journal: no records, clean tail.
+    /// An absent log: no frames, clean tail.
     fn default() -> Self {
         WalContents {
-            records: Vec::new(),
+            bytes: Vec::new(),
+            frames: Vec::new(),
             tail: Tail::Clean,
         }
     }
 }
 
-/// Reads the journal at `path`, if one exists.
+/// Reads the log at `path`, if one exists. Its bytes are held once:
+/// the frames are handed out as slices of them.
 ///
 /// Returns `Ok(None)` when the file is absent (a fresh start). A file
 /// too short to hold the magic header, or holding the wrong magic, is
 /// reported as all-corrupt contents rather than an error: recovery
-/// treats it like any other damaged tail and starts the journal over.
+/// treats it like any other damaged tail and starts the log over.
 ///
 /// # Errors
 ///
@@ -142,19 +169,31 @@ pub fn read_wal(path: &Path) -> io::Result<Option<WalContents>> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    let mut buf = Vec::new();
-    file.read_to_end(&mut buf)?;
-    if buf.len() < WAL_MAGIC.len() || &buf[..WAL_MAGIC.len()] != WAL_MAGIC {
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
         return Ok(Some(WalContents {
-            records: Vec::new(),
             tail: Tail::Corrupt {
-                dropped: buf.len() as u64,
+                dropped: bytes.len() as u64,
             },
+            ..WalContents::default()
         }));
     }
-    let (records, tail) = frame::split_frames(&buf[WAL_MAGIC.len()..]);
+    let (payloads, tail) = frame::split_frames(&bytes[WAL_MAGIC.len()..]);
+    // Frames are contiguous: each payload follows its header, which
+    // follows the previous payload.
+    let mut at = WAL_MAGIC.len();
+    let frames = payloads
+        .iter()
+        .map(|payload| {
+            let start = at + frame::HEADER_LEN;
+            at = start + payload.len();
+            start..at
+        })
+        .collect();
     Ok(Some(WalContents {
-        records: records.into_iter().map(<[u8]>::to_vec).collect(),
+        bytes,
+        frames,
         tail,
     }))
 }
@@ -169,7 +208,7 @@ mod tests {
             std::env::temp_dir().join(format!("spotdc-durable-wal-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        dir.join("journal.wal")
+        dir.join("records.wal")
     }
 
     #[test]
@@ -186,10 +225,7 @@ mod tests {
         w.append(b"slot-1").unwrap();
         w.sync().unwrap();
         let contents = read_wal(&path).unwrap().unwrap();
-        assert_eq!(
-            contents.records,
-            vec![b"slot-0".to_vec(), b"slot-1".to_vec()]
-        );
+        assert!(contents.frames().eq([&b"slot-0"[..], b"slot-1"]));
         assert_eq!(contents.tail, Tail::Clean);
     }
 
@@ -202,7 +238,7 @@ mod tests {
         let w = WalWriter::create(&path).unwrap();
         drop(w);
         let contents = read_wal(&path).unwrap().unwrap();
-        assert!(contents.records.is_empty());
+        assert!(contents.is_empty());
         assert_eq!(contents.tail, Tail::Clean);
     }
 
@@ -217,19 +253,19 @@ mod tests {
         let full = fs::read(&path).unwrap();
         fs::write(&path, &full[..full.len() - 2]).unwrap();
         let contents = read_wal(&path).unwrap().unwrap();
-        assert_eq!(contents.records.len(), 2);
+        assert_eq!(contents.len(), 2);
         assert!(matches!(contents.tail, Tail::Torn { .. }));
+        assert_eq!(contents.prefix_len(0), WAL_MAGIC.len() as u64);
         let kept = contents.prefix_len(1);
+        assert_eq!(kept, (WAL_MAGIC.len() + frame::HEADER_LEN + 6) as u64);
         let mut w = WalWriter::open_truncated(&path, kept).unwrap();
         w.append(b"slot-1-again").unwrap();
         drop(w);
         let bytes = fs::read(&path).unwrap();
         assert_eq!(bytes[..kept as usize], full[..kept as usize]);
         let contents = read_wal(&path).unwrap().unwrap();
-        assert_eq!(
-            contents.records,
-            vec![b"slot-0".to_vec(), b"slot-1-again".to_vec()]
-        );
+        assert!(contents.frames().eq([&b"slot-0"[..], b"slot-1-again"]));
+        assert_eq!(contents.frame(1), b"slot-1-again");
         assert_eq!(contents.tail, Tail::Clean);
 
         // Keeping no frame starts the log over, a damaged magic included.
@@ -249,7 +285,7 @@ mod tests {
         let full = fs::read(&path).unwrap();
         fs::write(&path, &full[..full.len() - 5]).unwrap();
         let contents = read_wal(&path).unwrap().unwrap();
-        assert_eq!(contents.records, vec![b"complete-record".to_vec()]);
+        assert!(contents.frames().eq([&b"complete-record"[..]]));
         assert!(matches!(contents.tail, Tail::Torn { dropped } if dropped > 0));
     }
 
@@ -258,7 +294,7 @@ mod tests {
         let path = temp_path("magic");
         fs::write(&path, b"NOTAWAL!whatever").unwrap();
         let contents = read_wal(&path).unwrap().unwrap();
-        assert!(contents.records.is_empty());
+        assert!(contents.is_empty());
         assert_eq!(contents.tail, Tail::Corrupt { dropped: 16 });
     }
 }

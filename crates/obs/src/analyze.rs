@@ -124,12 +124,12 @@ pub struct DegradationStats {
     pub watts: f64,
 }
 
-/// Tail damage of one file and one reason ("torn" or "corrupt").
+/// Slot-log tail damage of one reason ("torn" or "corrupt").
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TruncationStats {
-    /// Number of truncations of this file with this reason.
+    /// Number of truncations with this reason.
     pub count: u64,
-    /// Total bytes of the file dropped across them.
+    /// Total bytes of the log dropped across them.
     pub dropped_bytes: u64,
 }
 
@@ -145,11 +145,10 @@ pub struct DurabilityStats {
     pub checkpoint_nanos: u64,
     /// Recoveries performed (resumed runs).
     pub recoveries: u64,
-    /// Journaled slots deterministically replayed across recoveries.
+    /// Logged slots deterministically replayed across recoveries.
     pub replayed_slots: u64,
-    /// Tail truncations by damaged file ("journal.wal", "records.wal"),
-    /// then by reason ("torn", "corrupt").
-    pub truncations: BTreeMap<String, BTreeMap<String, TruncationStats>>,
+    /// Slot-log tail truncations by reason ("torn", "corrupt").
+    pub truncations: BTreeMap<String, TruncationStats>,
 }
 
 impl DurabilityStats {
@@ -289,7 +288,7 @@ pub struct Analysis {
     pub bid_rejections: u64,
     /// Consecutive-slot fault-injection clusters.
     pub fault_clusters: Vec<FaultCluster>,
-    /// Checkpoint/recovery/journal-truncation activity.
+    /// Checkpoint/recovery/slot-log-truncation activity.
     pub durability: DurabilityStats,
     /// Controller/agent shard traffic and per-shard clear latency.
     pub distributed: DistributedStats,
@@ -437,13 +436,11 @@ impl Analysis {
                     a.durability.replayed_slots += *replayed_slots;
                 }
                 Event::JournalTruncated {
-                    file,
                     reason,
                     dropped_bytes,
                     ..
                 } => {
-                    let by_reason = a.durability.truncations.entry(file.clone()).or_default();
-                    let entry = by_reason.entry(reason.clone()).or_default();
+                    let entry = a.durability.truncations.entry(reason.clone()).or_default();
                     entry.count += 1;
                     entry.dropped_bytes += *dropped_bytes;
                 }
@@ -650,14 +647,12 @@ impl Analysis {
                 "recoveries:  {} ({} slots replayed)",
                 d.recoveries, d.replayed_slots
             );
-            for (file, by_reason) in &d.truncations {
-                for (reason, t) in by_reason {
-                    let _ = writeln!(
-                        out,
-                        "  TRUNCATED {file} ({reason}): {} times, {} bytes dropped",
-                        t.count, t.dropped_bytes
-                    );
-                }
+            for (reason, t) in &d.truncations {
+                let _ = writeln!(
+                    out,
+                    "  TRUNCATED slot log ({reason}): {} times, {} bytes dropped",
+                    t.count, t.dropped_bytes
+                );
             }
         }
 
@@ -826,24 +821,17 @@ impl Analysis {
             d.checkpoints, d.checkpoint_bytes, d.checkpoint_nanos, d.recoveries, d.replayed_slots
         );
         out.push_str(",\"truncations\":{");
-        for (i, (file, by_reason)) in d.truncations.iter().enumerate() {
+        for (i, (reason, t)) in d.truncations.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:{{", json_str(file));
-            for (j, (reason, t)) in by_reason.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{}:{{\"count\":{},\"dropped_bytes\":{}}}",
-                    json_str(reason),
-                    t.count,
-                    t.dropped_bytes
-                );
-            }
-            out.push('}');
+            let _ = write!(
+                out,
+                "{}:{{\"count\":{},\"dropped_bytes\":{}}}",
+                json_str(reason),
+                t.count,
+                t.dropped_bytes
+            );
         }
         out.push_str("}}");
 
@@ -1319,7 +1307,6 @@ mod tests {
                 &Event::JournalTruncated {
                     slot: Slot::new(73),
                     at: MonotonicNanos::from_raw(73_000),
-                    file: "journal.wal".to_owned(),
                     reason: "torn".to_owned(),
                     dropped_bytes: 41,
                 },
@@ -1340,10 +1327,7 @@ mod tests {
         assert_eq!(a.durability.checkpoint_bytes, 22_000);
         assert_eq!(a.durability.recoveries, 1);
         assert_eq!(a.durability.replayed_slots, 23);
-        assert_eq!(
-            a.durability.truncations["journal.wal"]["torn"].dropped_bytes,
-            41
-        );
+        assert_eq!(a.durability.truncations["torn"].dropped_bytes, 41);
         let text = a.render_text();
         assert!(
             text.contains("checkpoints: 2 (22000 bytes, 5 ms total)"),
@@ -1354,7 +1338,7 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("TRUNCATED journal.wal (torn): 1 times, 41 bytes dropped"),
+            text.contains("TRUNCATED slot log (torn): 1 times, 41 bytes dropped"),
             "{text}"
         );
         let json = a.render_json();
@@ -1362,7 +1346,7 @@ mod tests {
             json.contains(
                 "\"durability\":{\"checkpoints\":2,\"checkpoint_bytes\":22000,\
                  \"checkpoint_nanos\":5000000,\"recoveries\":1,\"replayed_slots\":23,\
-                 \"truncations\":{\"journal.wal\":{\"torn\":{\"count\":1,\"dropped_bytes\":41}}}}"
+                 \"truncations\":{\"torn\":{\"count\":1,\"dropped_bytes\":41}}}"
             ),
             "{json}"
         );

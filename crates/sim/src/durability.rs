@@ -1,9 +1,9 @@
-//! Checkpoint, record-log and journal *policy*: what engine state
-//! persists, and how it comes back.
+//! Checkpoint and slot-log *policy*: what engine state persists, and
+//! how it comes back.
 //!
 //! The mechanism layer (CRC framing, atomic replacement, the WAL file
 //! format) lives in `spotdc-durable`; this module decides the contents.
-//! Three artifacts exist:
+//! Two artifacts exist:
 //!
 //! * [`EngineSnapshot`] — the cross-slot market state at a slot
 //!   boundary, O(racks + tenants) whatever the horizon. Everything *not*
@@ -22,18 +22,17 @@
 //!   excluded because the Sense stage unconditionally resets every
 //!   budget at the top of each slot, so nothing the bank holds at a slot
 //!   boundary survives into the next slot.
-//! * The record log (`records.wal`, see `encode_slot_record`) — each
-//!   finished slot's [`SlotRecord`], one frame per slot, appended and
-//!   never rewritten. It is synced before every checkpoint, so a
-//!   snapshot's `slots_done` names frames that are on media; recovery
-//!   cuts the log back to that count and the report's records are its
-//!   frames.
-//! * Per-slot WAL records (see [`encode_wal_record`]) — the slot's
-//!   delivered bids and market outcome. Recovery does **not** rebuild
-//!   state from these: it re-simulates the journaled slots (the engine
-//!   is deterministic) and uses the journal as a byte-equality
-//!   cross-check, so any divergence between the persisted history and
-//!   the replay is detected instead of silently accepted.
+//! * The slot log (`records.wal`, see `encode_slot_frame`) — one frame
+//!   per finished slot, appended and never rewritten: the slot's
+//!   delivered bids and market outcome ([`encode_wal_record`]'s bytes,
+//!   length-prefixed and never decoded), then its [`SlotRecord`]. It is
+//!   synced before every checkpoint, so a snapshot's `slots_done` names
+//!   frames that are on media. Recovery does **not** rebuild state from
+//!   the frames past the snapshot: it re-simulates those slots (the
+//!   engine is deterministic) and requires each re-encoded frame to
+//!   equal the logged one byte for byte, so any divergence between the
+//!   persisted history and the replay is detected instead of silently
+//!   accepted. The frames the snapshot covers are the report's records.
 //!
 //! Float fields travel as IEEE-754 bit patterns end to end, which is
 //! what makes "resumed report == uninterrupted report" an equality of
@@ -48,8 +47,9 @@ use crate::baselines::Mode;
 use crate::metrics::{SlotRecord, TenantSlotMetrics};
 use crate::pipeline::{SimState, SlotContext, Stage};
 
-/// Snapshot format version; bump on any layout change.
-pub const SNAPSHOT_FORMAT: u32 = 6;
+/// Snapshot format version; bump on any layout change, of the snapshot
+/// or of the slot log beside it.
+pub const SNAPSHOT_FORMAT: u32 = 7;
 
 /// The stable tag a [`Mode`] serializes as.
 #[must_use]
@@ -317,8 +317,8 @@ impl EngineSnapshot {
 
     /// Applies the snapshot onto a freshly built `SimState` + stage
     /// sequence, leaving them exactly as they were when the snapshot
-    /// was cut, but for the report's records (the record log's first
-    /// `slots_done` frames, `decode_slot_records`) and the agents'
+    /// was cut, but for the report's records (the slot log's first
+    /// `slots_done` frames, `decode_slot_record`) and the agents'
     /// load intensities (`Sense` sets those before any stage reads
     /// them). Validate, then apply: a checksum only proves the bytes
     /// are the ones written, so every length the engine will index by
@@ -408,51 +408,55 @@ impl EngineSnapshot {
     }
 }
 
-/// Encodes one finished slot's [`SlotRecord`] as its record-log frame.
+/// Encodes one finished slot's slot-log frame: its journal bytes
+/// ([`encode_wal_record`] of the post-settle context), length-prefixed,
+/// then its [`SlotRecord`]. A replayed slot's frame is compared with
+/// the logged one byte for byte, so both parts are checked.
 #[must_use]
-pub(crate) fn encode_slot_record(record: &SlotRecord) -> Vec<u8> {
+pub(crate) fn encode_slot_frame(ctx: &SlotContext, record: &SlotRecord) -> Vec<u8> {
     let mut enc = Encoder::new();
+    enc.put_bytes(&encode_wal_record(ctx));
     record.persist(&mut enc);
     enc.into_bytes()
 }
 
-/// Decodes the record log's first frames back into a report's records.
-/// Frame `i` must hold slot `i`'s record, with one entry per tenant and
-/// per PDU of this run, and nothing more: a CRC proves only that the
-/// bytes are the ones written, and the report indexes those vectors.
+/// Decodes the record of slot-log frame `slot`. The frame must hold
+/// that slot's record, with one entry per tenant and per PDU of this
+/// run, and nothing after it: a CRC proves only that the bytes are the
+/// ones written, and the report indexes those vectors. The journal
+/// bytes before it are skipped.
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] for a frame that does not decode to the
-/// next slot's record of this run's shape.
-pub(crate) fn decode_slot_records(
-    frames: &[Vec<u8>],
+/// Returns a [`DecodeError`] for a frame that does not decode to slot
+/// `slot`'s record of this run's shape.
+pub(crate) fn decode_slot_record(
+    frame: &[u8],
+    slot: u64,
     tenants: usize,
     pdus: usize,
-) -> Result<Vec<SlotRecord>, DecodeError> {
-    let mut records = Vec::with_capacity(frames.len());
-    for (i, frame) in frames.iter().enumerate() {
-        let mut dec = Decoder::new(frame);
-        let record = SlotRecord::restore(&mut dec)?;
-        dec.finish()?;
-        let shape = (record.slot, record.tenants.len(), record.pdu_power.len());
-        if shape != (i as u64, tenants, pdus) {
-            return Err(DecodeError::Invalid(format!(
-                "record-log frame {i} holds (slot, tenants, pdus) {shape:?}, \
-                 this run expects {:?}",
-                (i, tenants, pdus)
-            )));
-        }
-        records.push(record);
+) -> Result<SlotRecord, DecodeError> {
+    let mut dec = Decoder::new(frame);
+    dec.get_bytes()?;
+    let record = SlotRecord::restore(&mut dec)?;
+    dec.finish()?;
+    let shape = (record.slot, record.tenants.len(), record.pdu_power.len());
+    if shape != (slot, tenants, pdus) {
+        return Err(DecodeError::Invalid(format!(
+            "record-log frame {slot} holds (slot, tenants, pdus) {shape:?}, \
+             this run expects {:?}",
+            (slot, tenants, pdus)
+        )));
     }
-    Ok(records)
+    Ok(record)
 }
 
 /// Encodes one slot's journal record from the post-settle context: the
 /// slot number, the degradation verdict, the market outcome, and the
 /// bids exactly as they were delivered (`ctx.bids` is
 /// stable after CollectBids; `ctx.rack_bids` is not — the validating
-/// clear pass overwrites it).
+/// clear pass overwrites it). It opens the slot's slot-log frame
+/// (`encode_slot_frame`).
 #[must_use]
 pub fn encode_wal_record(ctx: &SlotContext) -> Vec<u8> {
     let mut enc = Encoder::new();
@@ -462,17 +466,6 @@ pub fn encode_wal_record(ctx: &SlotContext) -> Vec<u8> {
     enc.put_f64(ctx.spot_sold);
     encode_tenant_bids(&mut enc, &ctx.bids);
     enc.into_bytes()
-}
-
-/// Reads the slot number a journal record belongs to without decoding
-/// the rest.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] when the record is shorter than the slot
-/// field.
-pub fn wal_record_slot(record: &[u8]) -> Result<u64, DecodeError> {
-    Decoder::new(record).get_u64()
 }
 
 /// Serializes tenant bids (a journal record's delivered bids, a
@@ -536,7 +529,7 @@ mod tests {
     }
 
     /// What the hand-rolled per-variant encoder this module had before
-    /// it called `RackBid::persist` wrote for [`sample_bids`]: journals
+    /// it called `RackBid::persist` wrote for [`sample_bids`]: slot logs
     /// and checkpoints on disk hold these bytes.
     const SAMPLE_HEX: &str = "\
         0200000000000000010000000000000002000000000000000300000000000000\

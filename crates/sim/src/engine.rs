@@ -42,20 +42,18 @@ use spotdc_power::CapConfig;
 use spotdc_units::{MonotonicNanos, Slot};
 
 use crate::baselines::Mode;
-use crate::durability::{
-    decode_slot_records, encode_slot_record, encode_wal_record, EngineSnapshot,
-};
+use crate::durability::{decode_slot_record, encode_slot_frame, EngineSnapshot};
 use crate::metrics::SimReport;
 use crate::pipeline::{self, SimState, SlotContext, Stage};
 use crate::scenario::Scenario;
 use spotdc_core::OperatorConfig;
 
-/// Crash-safety settings: where checkpoints, the write-ahead journal
-/// and the record log live, and how often checkpoints are cut.
+/// Crash-safety settings: where checkpoints and the slot log live, and
+/// how often checkpoints are cut.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DurabilityConfig {
-    /// Directory for checkpoint files, the journal and the record log
-    /// (`ckpt-*.bin`, `journal.wal`, `records.wal`). `None` (the
+    /// Directory for checkpoint files and the slot log (`ckpt-*.bin`,
+    /// `records.wal`). `None` (the
     /// default) disables durability: [`Simulation::run_durable`] is
     /// then [`Simulation::run`].
     pub dir: Option<PathBuf>,
@@ -143,7 +141,7 @@ pub struct EngineConfig {
     /// [`spotdc_dist::TransportKind`]) until ROADMAP 16(c) retires the
     /// sharded workload.
     pub shard_transport: spotdc_dist::TransportKind,
-    /// Crash-safety settings (checkpoints + write-ahead journal).
+    /// Crash-safety settings (checkpoints + the slot log).
     /// Disabled by default; see [`Simulation::run_durable`].
     pub durability: DurabilityConfig,
 }
@@ -180,7 +178,7 @@ pub enum ConfigError {
     /// least one (one means the in-process serial path).
     ZeroShards,
     /// Durability was enabled with a zero checkpoint interval: a run
-    /// that never checkpoints journals forever and recovers nothing.
+    /// that never checkpoints logs forever and recovers nothing.
     ZeroCheckpointEvery,
     /// Resume was requested without a checkpoint directory to resume
     /// from.
@@ -337,10 +335,8 @@ impl EngineConfig {
     }
 }
 
-/// The bid journal's file name in a checkpoint directory.
-const JOURNAL_FILE: &str = "journal.wal";
-/// The record log's file name in a checkpoint directory.
-const RECORD_LOG_FILE: &str = "records.wal";
+/// The slot log's file name in a checkpoint directory.
+const SLOT_LOG_FILE: &str = "records.wal";
 
 /// Verifies `dir` can be created and written by creating it and
 /// round-tripping a probe file.
@@ -358,19 +354,16 @@ pub struct RecoveryInfo {
     /// Slots covered by the checkpoint recovery loaded, or `None` when
     /// no valid checkpoint existed and replay started from slot 0.
     pub snapshot_slot: Option<u64>,
-    /// Journaled slots deterministically re-simulated to reach the
-    /// crash point.
+    /// Logged slots past the snapshot deterministically re-simulated,
+    /// each checked against its logged frame, to reach the crash point.
     pub replayed_slots: u64,
-    /// Journal-tail damage found (and truncated) during recovery.
-    pub truncated: Option<JournalDamage>,
-    /// Record-log (`records.wal`) damage found during recovery. Its
+    /// Slot-log (`records.wal`) damage found during recovery. Its
     /// frames from the damage on are cut off, so recovery loads a
     /// checkpoint the valid prefix covers: an older one, or none.
-    pub log_truncated: Option<JournalDamage>,
+    pub truncated: Option<JournalDamage>,
 }
 
-/// A damaged tail of the journal or the record log, discovered during
-/// recovery.
+/// A damaged tail of the slot log, discovered during recovery.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalDamage {
     /// `"torn"` (partial record from the crash — expected) or
@@ -422,16 +415,17 @@ pub enum DurableError {
     Config(ConfigError),
     /// The durability layer, or the records' writer, hit an I/O error.
     Io(std::io::Error),
-    /// A checkpoint or journal record was damaged beyond what recovery
+    /// A checkpoint or slot-log frame was damaged beyond what recovery
     /// tolerates (the valid-prefix protocol handles torn and corrupt
     /// *tails*; this is structural damage like an undecodable snapshot
     /// from a mismatched run).
     Corrupt(String),
-    /// Replaying the journal produced a different slot than the journal
-    /// recorded — the determinism contract recovery rests on is broken,
-    /// so the run aborts instead of silently rewriting history.
+    /// Replaying a logged slot produced a different frame than the slot
+    /// log holds for it — the determinism contract recovery rests on is
+    /// broken (or the log lies under a valid CRC), so the run aborts
+    /// instead of silently rewriting history.
     Diverged {
-        /// The slot whose replay disagreed with the journal.
+        /// The slot whose replay disagreed with the slot log.
         slot: u64,
     },
 }
@@ -444,7 +438,7 @@ impl std::fmt::Display for DurableError {
             DurableError::Corrupt(msg) => write!(f, "durable state corrupt: {msg}"),
             DurableError::Diverged { slot } => write!(
                 f,
-                "replay of slot {slot} diverged from the journal; refusing to rewrite history"
+                "replay of slot {slot} diverged from the slot log; refusing to rewrite history"
             ),
         }
     }
@@ -510,13 +504,13 @@ impl Simulation {
         Ok(run.state.into_report())
     }
 
-    /// Runs `slots` slots with crash-consistent durability: a bid
-    /// journal between checkpoints, an append-only log of every slot's
-    /// record, slot-boundary snapshots every
+    /// Runs `slots` slots with crash-consistent durability: an
+    /// append-only log of every slot's bids, outcome and record,
+    /// slot-boundary snapshots every
     /// [`DurabilityConfig::checkpoint_every`] slots, and (when
     /// [`DurabilityConfig::resume`] is set) recovery by loading the
-    /// latest valid checkpoint the record log backs, cutting the log
-    /// back to it and deterministically replaying the journaled slots.
+    /// latest valid checkpoint the log backs and deterministically
+    /// replaying the logged slots past it, each against its frame.
     ///
     /// Reports from durable runs are byte-identical to [`Simulation::run`]
     /// with the same scenario and configuration — `tests/recovery.rs`
@@ -527,16 +521,17 @@ impl Simulation {
     ///
     /// Returns [`DurableError::Config`] for an invalid configuration,
     /// `Io` for filesystem failures, `Corrupt` for structurally damaged
-    /// durable state, and `Diverged` when journal replay disagrees with
-    /// the recorded history.
+    /// durable state, and `Diverged` when a replayed slot disagrees with
+    /// the logged history.
     pub fn run_durable(self, slots: u64) -> Result<DurableOutcome, DurableError> {
         self.run_durable_to(slots, None)
     }
 
     /// [`Simulation::run_durable`], streaming to `out` if given: after
-    /// each slot's record-log append, its record goes out as a
+    /// each slot's slot-log append, its record goes out as a
     /// [`SimReport::write_record`] line and is not kept, so the report
-    /// holds only the summary. A resume first writes the logged records.
+    /// holds only the summary. A resume first writes the logged records
+    /// the snapshot covers, decoding each in turn.
     /// The lines and [`SimReport::write_summary`] make a cold run's
     /// [`SimReport::write_text`].
     ///
@@ -565,21 +560,19 @@ impl Simulation {
         let (mode, seed) = (config.mode, scenario.seed);
         let mut run = Run::start(&scenario, &config, slots);
         drop(scenario);
-        let wal_path = dir.join(JOURNAL_FILE);
-        let log_path = dir.join(RECORD_LOG_FILE);
+        let log_path = dir.join(SLOT_LOG_FILE);
 
         let mut start_slot: u64 = 0;
         let mut recovery = None;
-        let mut wal;
         let mut log;
         if config.durability.resume {
-            // The record log's valid prefix bounds the snapshot: one
-            // that covers more slots than the log holds frames cannot
-            // get its records back, so it counts as damaged and an
-            // older checkpoint (or a cold start) is loaded instead.
+            // The log's valid prefix bounds the snapshot: one that
+            // covers more slots than the log holds frames cannot get its
+            // records back, so it counts as damaged and an older
+            // checkpoint (or a cold start) is loaded instead.
             let logged = spotdc_durable::read_wal(&log_path)?.unwrap_or_default();
-            let log_truncated = JournalDamage::of(logged.tail);
-            let covered = logged.records.len() as u64;
+            let truncated = JournalDamage::of(logged.tail);
+            let covered = logged.len() as u64;
             let snapshot_slot = match spotdc_durable::load_latest_at_most(&dir, covered)? {
                 Some(loaded) => {
                     let snap = EngineSnapshot::decode(&loaded.payload).map_err(|e| {
@@ -600,77 +593,43 @@ impl Simulation {
                 }
                 None => None,
             };
-            // Frames past the snapshot re-derive as their slots replay:
-            // the log is cut back to the snapshot in place.
-            let kept = usize::try_from(start_slot).expect("frames read fit in memory");
+            // The frames the snapshot covers are the report's records,
+            // each decoded (and, streamed, written and dropped) in turn.
             let (tenants, pdus) = (run.state.agents.len(), run.state.topology.pdu_count());
-            run.state.report.records = decode_slot_records(&logged.records[..kept], tenants, pdus)
-                .map_err(|e| DurableError::Corrupt(format!("record log does not decode: {e}")))?;
-            log = WalWriter::open_truncated(&log_path, logged.prefix_len(kept))?;
-            drop(logged);
-            drain_records(&mut run, out.as_deref_mut())?;
-
-            let contents = spotdc_durable::read_wal(&wal_path)?.unwrap_or_default();
-            let truncated = JournalDamage::of(contents.tail);
-
-            // The journal is replaced, not patched: recreate it and
-            // re-append each record as its slot replays, so the on-disk
-            // journal always matches the in-memory history exactly.
-            wal = WalWriter::create(&wal_path)?;
-            let mut replayed = 0u64;
-            for record in &contents.records {
-                let slot = crate::durability::wal_record_slot(record).map_err(|e| {
-                    DurableError::Corrupt(format!("journal record does not decode: {e}"))
+            for (slot, frame) in (0..start_slot).zip(logged.frames()) {
+                let record = decode_slot_record(frame, slot, tenants, pdus).map_err(|e| {
+                    DurableError::Corrupt(format!("record log does not decode: {e}"))
                 })?;
-                if slot < start_slot {
-                    // Leftover from before the checkpoint the journal
-                    // outlived; the snapshot already covers it.
-                    continue;
-                }
-                if slot >= slots {
-                    break;
-                }
-                // A journal starting *ahead* of the snapshot means a
-                // newer checkpoint was lost (its journal reset survived
-                // but the snapshot did not) and recovery fell back to a
-                // predecessor. Determinism covers the gap: re-simulate
-                // the missing slots, re-journaling them so the new
-                // journal again spans everything since the snapshot.
-                while start_slot < slot {
-                    run_one_slot(&mut run, start_slot);
-                    wal.append(&encode_wal_record(&run.ctx))?;
-                    append_record(&mut log, &run)?;
-                    drain_records(&mut run, out.as_deref_mut())?;
-                    start_slot += 1;
-                    replayed += 1;
-                }
+                run.state.report.records.push(record);
+                drain_records(&mut run, out.as_deref_mut())?;
+            }
+            // The frames past it replay: each slot re-simulates, and its
+            // frame must come out byte for byte as logged.
+            let end = covered.min(slots);
+            for slot in start_slot..end {
                 run_one_slot(&mut run, slot);
-                let replay = encode_wal_record(&run.ctx);
-                if replay != *record {
+                let i = usize::try_from(slot).expect("frames read fit in memory");
+                if slot_frame(&run) != logged.frame(i) {
                     return Err(DurableError::Diverged { slot });
                 }
-                wal.append(&replay)?;
-                append_record(&mut log, &run)?;
                 drain_records(&mut run, out.as_deref_mut())?;
-                start_slot = slot + 1;
-                replayed += 1;
             }
-            wal.sync()?;
+            let replayed = end - start_slot;
+            start_slot = end;
+            // Every frame kept is the one the run would write; the rest
+            // (a damaged tail, frames past the horizon) is cut off.
+            let kept = usize::try_from(end).expect("frames read fit in memory");
+            log = WalWriter::open_truncated(&log_path, logged.prefix_len(kept))?;
+            drop(logged);
 
             let at = MonotonicNanos::now();
-            for (file, damage) in [
-                (JOURNAL_FILE, &truncated),
-                (RECORD_LOG_FILE, &log_truncated),
-            ] {
-                if let Some(damage) = damage {
-                    spotdc_telemetry::emit(spotdc_telemetry::Event::JournalTruncated {
-                        slot: Slot::new(start_slot),
-                        at,
-                        file: file.to_owned(),
-                        reason: damage.reason.to_owned(),
-                        dropped_bytes: damage.dropped_bytes,
-                    });
-                }
+            if let Some(damage) = &truncated {
+                spotdc_telemetry::emit(spotdc_telemetry::Event::JournalTruncated {
+                    slot: Slot::new(start_slot),
+                    at,
+                    reason: damage.reason.to_owned(),
+                    dropped_bytes: damage.dropped_bytes,
+                });
             }
             spotdc_telemetry::emit(spotdc_telemetry::Event::RecoveryPerformed {
                 slot: Slot::new(start_slot),
@@ -682,14 +641,12 @@ impl Simulation {
                 snapshot_slot,
                 replayed_slots: replayed,
                 truncated,
-                log_truncated,
             });
         } else {
             // A fresh durable run owns the directory: stale checkpoints
-            // or journals from a previous run must not leak into this
+            // or logs from a previous run must not leak into this
             // history.
             spotdc_durable::clear_dir(&dir)?;
-            wal = WalWriter::create(&wal_path)?;
             log = WalWriter::create(&log_path)?;
         }
 
@@ -697,20 +654,15 @@ impl Simulation {
         let mut stopped_after = None;
         for t in start_slot..slots {
             run_one_slot(&mut run, t);
-            wal.append(&encode_wal_record(&run.ctx))?;
-            append_record(&mut log, &run)?;
+            log.append(&slot_frame(&run))?;
             drain_records(&mut run, out.as_deref_mut())?;
             if (t + 1) % config.durability.checkpoint_every == 0 {
                 let started = std::time::Instant::now();
-                // The snapshot names `t + 1` record-log frames: they
+                // The snapshot names `t + 1` slot-log frames: they
                 // reach media before it does.
                 log.sync()?;
                 let snap = EngineSnapshot::capture(&run.state, &run.stages, mode, seed, t + 1);
                 let bytes = spotdc_durable::write_checkpoint(&dir, t + 1, &snap.encode())?;
-                // The checkpoint covers every journaled slot, so the
-                // journal restarts empty; its predecessor needs no
-                // fsync — the synced checkpoint supersedes it.
-                wal = WalWriter::create(&wal_path)?;
                 checkpoints_written += 1;
                 spotdc_telemetry::emit(spotdc_telemetry::Event::CheckpointWritten {
                     slot: Slot::new(t),
@@ -731,7 +683,6 @@ impl Simulation {
                 ));
             }
         }
-        wal.sync()?;
         Ok(DurableOutcome {
             report: run.state.into_report(),
             recovery,
@@ -765,11 +716,11 @@ impl Run {
     }
 }
 
-/// Appends the slot `run` just finished to the record log.
-fn append_record(log: &mut WalWriter, run: &Run) -> std::io::Result<()> {
+/// The slot-log frame of the slot `run` just finished.
+fn slot_frame(run: &Run) -> Vec<u8> {
     let records = &run.state.report.records;
     let record = records.last().expect("Settle records every slot");
-    log.append(&encode_slot_record(record))
+    encode_slot_frame(&run.ctx, record)
 }
 
 /// Writes the records `Settle` left in the report to `out`, if given,
@@ -784,7 +735,7 @@ fn drain_records(run: &mut Run, out: Option<&mut (dyn Write + '_)>) -> io::Resul
 }
 
 /// Steps every stage once for slot `t`: the single slot body shared by
-/// [`Simulation::run`], the durable main loop, and journal replay —
+/// [`Simulation::run`], the durable main loop, and slot-log replay —
 /// sharing it is what makes replay bit-identical to the original
 /// execution.
 fn run_one_slot(run: &mut Run, t: u64) {
@@ -1281,7 +1232,7 @@ mod tests {
             .run_durable(45)
             .unwrap();
         let recovery = resumed.recovery.expect("resume must report recovery");
-        // Stop at slot 23: snapshot at 20, slots 20..23 journaled.
+        // Stop at slot 23: snapshot at 20, slots 20..23 logged past it.
         assert_eq!(recovery.snapshot_slot, Some(20));
         assert_eq!(recovery.replayed_slots, 3);
         assert_eq!(recovery.truncated, None);

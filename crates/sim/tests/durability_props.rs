@@ -257,13 +257,16 @@ fn damaged_snapshots_are_errors_not_panics() {
     // two counters, format 4 ended in one opaque blob per stage where
     // format 5 carries the late bids, and format 5 carried every slot's
     // record and each agent's intensity, which format 6 leaves to the
-    // record log and to `Sense`; read as format 6 any of them would
-    // misread its fields, so the header must decide.
-    assert_eq!(SNAPSHOT_FORMAT, 6);
-    for old in [1u32, 2, 3, 4, 5] {
+    // record log and to `Sense`; read as format 7 any of them would
+    // misread its fields, so the header must decide. Format 6 has this
+    // layout, but beside it sat a bid journal and a log of bare records,
+    // where format 7's one slot log frames each slot's bids, outcome
+    // and record together: refused too, so that log is never misread.
+    assert_eq!(SNAPSHOT_FORMAT, 7);
+    for old in [1u32, 2, 3, 4, 5, 6] {
         let mut stale = bytes.clone();
         stale[..4].copy_from_slice(&old.to_le_bytes());
-        let expected = format!("snapshot format {old}, this build reads 6");
+        let expected = format!("snapshot format {old}, this build reads 7");
         match EngineSnapshot::decode(&stale) {
             Err(DecodeError::Invalid(why)) => assert_eq!(why, expected),
             other => panic!("a format-{old} header must be refused by name, got {other:?}"),
@@ -290,69 +293,64 @@ fn a_checkpoint_does_not_depend_on_whether_telemetry_is_on() {
     assert!(off == on, "checkpoint bytes differ with telemetry on");
 }
 
-/// The same for a journal record that passes its CRC: damaged anywhere,
-/// a resume either reproduces the uninterrupted report (the record's
-/// slot word now points outside the replay window, so the slot is
-/// simply re-simulated) or stops with `Corrupt` / `Diverged`. It never
-/// panics and never rewrites history.
+/// The same for a slot-log frame past the snapshot that passes its CRC:
+/// cut anywhere or flipped at any byte, and framed again, it stops the
+/// resume with `Corrupt` or `Diverged`, since its slot replays and must
+/// come out byte for byte as logged. It never panics and never rewrites
+/// history.
 #[test]
-fn damaged_journal_records_are_errors_not_panics() {
+fn damaged_slot_log_frames_are_errors_not_panics() {
     // Checkpoint after slot 4, killed after slot 5, one more slot to
-    // run: the journal holds exactly slot 5's record, and a resume cuts
-    // no further checkpoint.
+    // run: the log holds slots 0..6, and frame 5 is the one past the
+    // snapshot; a resume cuts no further checkpoint.
     const SLOTS: u64 = 7;
-    let cold = Simulation::new(Scenario::testbed(7), lossy_config()).run(SLOTS);
-    let dir = temp_dir("journal");
+    let dir = temp_dir("frame");
     let mut config = durable(lossy_config(), &dir, 5);
     config.durability.stop_after = Some(6);
     Simulation::new(Scenario::testbed(7), config.clone())
         .run_durable(SLOTS)
         .expect("stopped run");
-    let journal = dir.join("journal.wal");
-    let records = spotdc_durable::read_wal(&journal)
+    let path = dir.join("records.wal");
+    let frames: Vec<Vec<u8>> = spotdc_durable::read_wal(&path)
         .expect("readable")
         .expect("present")
-        .records;
-    let [record] = records.as_slice() else {
-        panic!("expected one journaled slot, got {}", records.len());
+        .frames()
+        .map(<[u8]>::to_vec)
+        .collect();
+    let [kept @ .., frame] = frames.as_slice() else {
+        panic!("an empty slot log");
     };
-    // Slot, verdict, price, sold and an empty bid list are 34 bytes at
-    // most; this record carries a bid.
-    assert!(record.len() > 34);
+    assert_eq!(kept.len(), 5);
+    // The frame's journal part carries a bid: slot, verdict, price,
+    // sold and an empty bid list are 34 bytes at most.
+    let journal = Decoder::new(frame).get_bytes().expect("journal part");
+    assert!(journal.len() > 34);
 
     config.durability.stop_after = None;
     config.durability.resume = true;
-    let mut damaged: Vec<Vec<u8>> = (0..record.len())
-        .map(|cut| record[..cut].to_vec())
-        .collect();
-    for at in 0..record.len() {
-        let mut flipped = record.clone();
+    let mut damaged: Vec<Vec<u8>> = (0..frame.len()).map(|cut| frame[..cut].to_vec()).collect();
+    for at in 0..frame.len() {
+        let mut flipped = frame.clone();
         flipped[at] ^= 0x01;
         damaged.push(flipped);
     }
-    let (mut reproduced, mut stopped) = (0usize, 0usize);
-    for bad in damaged {
-        let mut wal = WalWriter::create(&journal).expect("journal");
-        wal.append(&bad).expect("append");
-        wal.sync().expect("sync");
+    for bad in &damaged {
+        let mut log = WalWriter::create(&path).expect("slot log");
+        for frame in kept.iter().chain([bad]) {
+            log.append(frame).expect("append");
+        }
+        drop(log);
         match Simulation::new(Scenario::testbed(7), config.clone()).run_durable(SLOTS) {
-            Ok(outcome) => {
-                assert_eq!(outcome.report, cold, "a damaged record rewrote history");
-                reproduced += 1;
-            }
-            Err(DurableError::Corrupt(_) | DurableError::Diverged { .. }) => stopped += 1,
+            Err(DurableError::Corrupt(_) | DurableError::Diverged { .. }) => {}
+            Ok(_) => panic!("a damaged frame of {} bytes was accepted", bad.len()),
             Err(other) => panic!("unexpected failure: {other}"),
         }
     }
-    assert!(
-        reproduced > 0 && stopped > 0,
-        "{reproduced} reproduced, {stopped} stopped"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Checkpoints after slots 5 and 10 and a stop after slot 13: the
-/// record log holds 13 frames and the journal slots 10, 11 and 12.
+/// slot log holds 13 frames, three of them past the newest snapshot.
 const LOG_SLOTS: u64 = 24;
 const LOG_STOP: u64 = 13;
 
@@ -371,16 +369,16 @@ fn stopped_for_log_damage(tag: &str) -> (PathBuf, EngineConfig, SimReport) {
     (dir, config, cold)
 }
 
-/// The record log's frames, decoded.
+/// The slot log's frames' records, decoded.
 fn logged_records(dir: &std::path::Path) -> Vec<SlotRecord> {
     let log = spotdc_durable::read_wal(&dir.join("records.wal"))
         .expect("readable")
         .expect("present");
     assert_eq!(log.tail, spotdc_durable::Tail::Clean);
-    log.records
-        .iter()
+    log.frames()
         .map(|frame| {
             let mut dec = Decoder::new(frame);
+            dec.get_bytes().expect("the slot's bids and outcome");
             let record = SlotRecord::restore(&mut dec).expect("a record");
             dec.finish().expect("nothing after it");
             record
@@ -388,8 +386,7 @@ fn logged_records(dir: &std::path::Path) -> Vec<SlotRecord> {
         .collect()
 }
 
-/// Byte offsets at which each of the record log's frames starts, and
-/// its length.
+/// Byte offsets at which each of the slot log's frames starts.
 fn frame_starts(log: &[u8]) -> Vec<usize> {
     let mut starts = Vec::new();
     let mut at = 8;
@@ -401,10 +398,10 @@ fn frame_starts(log: &[u8]) -> Vec<usize> {
     starts
 }
 
-/// A torn record-log tail past the snapshot is cut off like any frame
-/// past it, and its slots re-simulate: the resume loads the newest
-/// checkpoint, and afterwards the log holds exactly the report's
-/// records.
+/// A torn slot-log tail past the snapshot is cut off, and its slot
+/// re-simulates live: the resume loads the newest checkpoint, replays
+/// the two whole frames past it, and afterwards the log holds exactly
+/// the report's records.
 #[test]
 fn a_torn_record_log_tail_past_the_snapshot_re_simulates() {
     let (dir, config, cold) = stopped_for_log_damage("log-torn");
@@ -418,6 +415,7 @@ fn a_torn_record_log_tail_past_the_snapshot_re_simulates() {
         .expect("resumed run");
     let recovery = resumed.recovery.as_ref().expect("recovery info");
     assert_eq!(recovery.snapshot_slot, Some(10));
+    assert_eq!(recovery.replayed_slots, 2);
     assert_eq!(resumed.report, cold);
     assert_eq!(logged_records(&dir), cold.records);
     let _ = std::fs::remove_dir_all(&dir);
@@ -470,14 +468,12 @@ fn record_log_damage_inside_a_snapshot_falls_back() {
             .collect::<Vec<_>>()
     };
     let kept = snapshots(&dir);
-    let journal = std::fs::read(dir.join("journal.wal")).unwrap();
     for (what, log, frames) in cases {
         // Every case starts from the stopped run's files.
         spotdc_durable::clear_dir(&dir).unwrap();
         for (name, bytes) in &kept {
             std::fs::write(dir.join(name), bytes).unwrap();
         }
-        std::fs::write(dir.join("journal.wal"), &journal).unwrap();
         if let Some(log) = log {
             std::fs::write(&path, log).unwrap();
         }
@@ -492,20 +488,28 @@ fn record_log_damage_inside_a_snapshot_falls_back() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A record-log frame that passes its CRC but holds the wrong slot's
-/// record, or a record of another shape (one tenant or PDU short, which
-/// the report would index past), is refused as corrupt, never spliced
-/// into the report.
+/// A slot-log frame under the snapshot that passes its CRC but holds
+/// the wrong slot's record, or a record of another shape (one tenant or
+/// PDU short, which the report would index past), is refused as
+/// corrupt, never spliced into the report.
 #[test]
 fn a_crc_valid_record_that_does_not_fit_is_refused() {
     let (dir, config, _) = stopped_for_log_damage("log-misfit");
     let path = dir.join("records.wal");
-    let pristine = spotdc_durable::read_wal(&path).unwrap().unwrap().records;
+    let pristine: Vec<Vec<u8>> = spotdc_durable::read_wal(&path)
+        .unwrap()
+        .unwrap()
+        .frames()
+        .map(<[u8]>::to_vec)
+        .collect();
     let reshaped = |reshape: fn(&mut SlotRecord)| {
         let mut frames = pristine.clone();
-        let mut record = SlotRecord::restore(&mut Decoder::new(&frames[1])).unwrap();
+        let mut dec = Decoder::new(&frames[1]);
+        let journal = dec.get_bytes().unwrap();
+        let mut record = SlotRecord::restore(&mut dec).unwrap();
         reshape(&mut record);
         let mut enc = Encoder::new();
+        enc.put_bytes(journal);
         record.persist(&mut enc);
         frames[1] = enc.into_bytes();
         frames

@@ -78,7 +78,7 @@ fn wanted_survives_a_durable_stop_and_resume() {
             dir: Some(dir.clone()),
             checkpoint_every: 10,
             // Between checkpoints, so the resume restores one and
-            // replays the journal after it.
+            // replays the logged slots after it.
             stop_after: Some(47),
             ..DurabilityConfig::default()
         },

@@ -248,9 +248,8 @@ event_table! {
         /// Measured duration, nanoseconds.
         nanos: u64,
     },
-    /// The durable engine cut a checkpoint: the full cross-slot market
-    /// state was atomically persisted and the write-ahead journal was
-    /// restarted.
+    /// The durable engine cut a checkpoint: the slot log was synced and
+    /// the full cross-slot market state was atomically persisted.
     CheckpointWritten {
         /// The first slot *not* covered by the checkpoint (i.e. the
         /// checkpoint captures slots `0..slot`).
@@ -262,8 +261,9 @@ event_table! {
         /// Wall time spent serializing and persisting, nanoseconds.
         nanos: u64,
     },
-    /// A resumed run recovered from durable state: the latest valid
-    /// checkpoint was loaded and the journaled slots were replayed.
+    /// A resumed run recovered from durable state: the newest checkpoint
+    /// the slot log backs was loaded and the logged slots past it were
+    /// replayed, each against its logged frame.
     RecoveryPerformed {
         /// The first slot simulated live after recovery.
         slot: Slot,
@@ -272,20 +272,17 @@ event_table! {
         /// Slots covered by the checkpoint the recovery started from
         /// (0 when no checkpoint existed and replay started cold).
         snapshot_slot: u64,
-        /// Journaled slots deterministically re-simulated.
+        /// Logged slots deterministically re-simulated and checked.
         replayed_slots: u64,
     },
-    /// Recovery found a damaged tail in one of its logs and truncated
-    /// it: either a partial record from the crash ("torn") or a CRC
+    /// Recovery found a damaged tail in the slot log and truncated it:
+    /// either a partial record from the crash ("torn") or a CRC
     /// mismatch under a complete record ("corrupt").
     JournalTruncated {
         /// The slot recovery resumed from after truncation.
         slot: Slot,
         /// Monotonic timestamp.
         at: MonotonicNanos,
-        /// The damaged file: "journal.wal" (the bid journal) or
-        /// "records.wal" (the record log).
-        file: String,
         /// Damage class: "torn" or "corrupt".
         reason: String,
         /// Bytes discarded from the file's tail.

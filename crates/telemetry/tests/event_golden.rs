@@ -114,7 +114,6 @@ fn samples() -> Vec<Event> {
         Event::JournalTruncated {
             slot: Slot::new(73),
             at: at(100_600),
-            file: "records.wal".to_owned(),
             reason: "torn".to_owned(),
             dropped_bytes: 41,
         },
@@ -285,4 +284,21 @@ fn reader_handles_a_megabyte_string_value() {
         let err = Event::from_jsonl(&line[..cut]).unwrap_err();
         assert!(matches!(err, EventParseError::Malformed(_)), "{err}");
     }
+}
+
+/// A `JournalTruncated` line written while recovery kept two logs names
+/// the damaged file; the reader skips that member and reads the rest.
+#[test]
+fn a_journal_truncated_line_naming_its_file_still_parses() {
+    let line = "{\"event\":\"JournalTruncated\",\"slot\":73,\"t_ns\":100600,\
+                \"file\":\"journal.wal\",\"reason\":\"torn\",\"dropped_bytes\":41}";
+    assert_eq!(
+        Event::from_jsonl(line),
+        Ok(Event::JournalTruncated {
+            slot: Slot::new(73),
+            at: MonotonicNanos::from_raw(100_600),
+            reason: "torn".to_owned(),
+            dropped_bytes: 41,
+        })
+    );
 }

@@ -165,15 +165,14 @@ fn event() -> impl Strategy<Value = Event> {
                 replayed_slots,
             }
         }),
-        (base(), text(), text(), any_u64()).prop_map(
-            |((slot, at), file, reason, dropped_bytes)| Event::JournalTruncated {
+        (base(), text(), any_u64()).prop_map(|((slot, at), reason, dropped_bytes)| {
+            Event::JournalTruncated {
                 slot,
                 at,
-                file,
                 reason,
                 dropped_bytes,
             }
-        ),
+        }),
         (
             base(),
             text(),

@@ -3,7 +3,7 @@
 //! `scripts/crash_harness` SIGKILLs a real child process; these tests
 //! cover the same protocol deterministically and portably: stop a
 //! durable run at an arbitrary slot (the `stop_after` hook — equivalent
-//! to a kill at a slot boundary, since the journal is flushed per
+//! to a kill at a slot boundary, since the slot log is flushed per
 //! slot), damage the on-disk state the way a crash or bad storage
 //! would, resume, and require the final report to be **equal** to an
 //! uninterrupted cold run — the invariant the whole durability layer
@@ -12,7 +12,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use spotdc_sim::engine::{DurabilityConfig, EngineConfig, Simulation};
+use spotdc_sim::engine::{DurabilityConfig, DurableError, EngineConfig, JournalDamage, Simulation};
 use spotdc_sim::{Mode, Scenario, SimReport};
 
 const SEED: u64 = 7;
@@ -60,7 +60,7 @@ fn resume(mode: Mode, dir: &Path) -> spotdc_sim::DurableOutcome {
 /// The satellite sweep: for every mode and every interruption slot
 /// `k` in `1..SLOTS`, stop-then-resume must reproduce the cold report
 /// exactly — whether `k` lands on a checkpoint boundary, one past it,
-/// or deep into a journal interval.
+/// or deep into a checkpoint interval.
 #[test]
 fn resume_at_every_slot_matches_cold_run() {
     for mode in [Mode::PowerCapped, Mode::SpotDc, Mode::MaxPerf] {
@@ -136,93 +136,117 @@ fn a_streamed_run_writes_the_cold_text_and_keeps_no_records() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A torn journal tail — the partial record a SIGKILL mid-append
-/// leaves — is truncated, reported, and recovered around.
-#[test]
-fn torn_journal_tail_recovers_byte_identically() {
-    let golden = cold(Mode::SpotDc);
-    let dir = temp_dir("torn");
-    // Stop at 8: snapshot at 5, journal holds slots 5, 6, 7.
-    stop_at(Mode::SpotDc, &dir, 8);
-    let wal = dir.join("journal.wal");
-    let bytes = fs::read(&wal).expect("journal exists");
-    fs::write(&wal, &bytes[..bytes.len() - 3]).unwrap();
-
-    let resumed = resume(Mode::SpotDc, &dir);
-    let recovery = resumed.recovery.expect("recovery info");
-    assert_eq!(recovery.log_truncated, None);
-    let damage = recovery.truncated.expect("tail damage reported");
-    assert_eq!(damage.reason, "torn");
-    assert!(damage.dropped_bytes > 0);
-    assert_eq!(recovery.snapshot_slot, Some(5));
-    // Slot 7's record was torn off; only 5 and 6 replay from the
-    // journal, 7 re-simulates in the main loop.
-    assert_eq!(recovery.replayed_slots, 2);
-    assert_eq!(resumed.report, golden);
-    let _ = fs::remove_dir_all(&dir);
-}
-
-/// A bit flip inside a complete journal record — storage corruption,
-/// not a crash artifact — is caught by the CRC, classified as
-/// "corrupt", and recovered around identically.
-#[test]
-fn corrupt_journal_record_recovers_byte_identically() {
-    let golden = cold(Mode::SpotDc);
-    let dir = temp_dir("flip");
-    stop_at(Mode::SpotDc, &dir, 8);
-    let wal = dir.join("journal.wal");
-    let mut bytes = fs::read(&wal).expect("journal exists");
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0x40;
-    fs::write(&wal, &bytes).unwrap();
-
-    let resumed = resume(Mode::SpotDc, &dir);
-    let recovery = resumed.recovery.expect("recovery info");
-    assert_eq!(recovery.log_truncated, None);
-    let damage = recovery.truncated.expect("tail damage reported");
-    assert_eq!(damage.reason, "corrupt");
-    assert!(damage.dropped_bytes > 0);
-    assert_eq!(recovery.replayed_slots, 2);
-    assert_eq!(resumed.report, golden);
-    let _ = fs::remove_dir_all(&dir);
-}
-
-/// The record log, read back as recovery reads it.
-fn record_log(dir: &Path) -> spotdc_durable::WalContents {
+/// The slot log, read back as recovery reads it.
+fn slot_log(dir: &Path) -> spotdc_durable::WalContents {
     spotdc_durable::read_wal(&dir.join("records.wal"))
         .expect("readable")
-        .expect("record log exists")
+        .expect("slot log exists")
 }
 
-/// A torn record-log tail is reported as the record log's damage, not
-/// the journal's: the valid prefix still backs the checkpoint at 5, so
-/// the journaled slots replay on top of it.
+/// A torn slot-log tail — the partial frame a SIGKILL mid-append
+/// leaves — is cut off and reported; the valid prefix still backs the
+/// checkpoint at 5, so the logged slots past it replay on top of it.
 #[test]
 fn torn_record_log_tail_is_reported() {
     let golden = cold(Mode::SpotDc);
     let dir = temp_dir("log-torn");
-    // Stop at 8: the record log holds slots 0..8, the snapshot covers 5.
+    // Stop at 8: the log holds slots 0..8, the snapshot covers 5.
     stop_at(Mode::SpotDc, &dir, 8);
     let log = dir.join("records.wal");
-    let bytes = fs::read(&log).expect("record log exists");
+    let bytes = fs::read(&log).expect("slot log exists");
     fs::write(&log, &bytes[..bytes.len() - 3]).unwrap();
-    let seven = record_log(&dir).prefix_len(7);
+    let seven = slot_log(&dir).prefix_len(7);
 
     let resumed = resume(Mode::SpotDc, &dir);
     let recovery = resumed.recovery.expect("recovery info");
-    assert_eq!(recovery.truncated, None);
-    let damage = recovery.log_truncated.expect("record-log damage reported");
-    assert_eq!(damage.reason, "torn");
-    assert_eq!(damage.dropped_bytes, bytes.len() as u64 - 3 - seven);
+    assert_eq!(
+        recovery.truncated,
+        Some(JournalDamage {
+            reason: "torn",
+            dropped_bytes: bytes.len() as u64 - 3 - seven,
+        })
+    );
     assert_eq!(recovery.snapshot_slot, Some(5));
-    assert_eq!(recovery.replayed_slots, 3);
+    // Slot 7's frame was torn off: 5 and 6 replay, 7 runs live.
+    assert_eq!(recovery.replayed_slots, 2);
     assert_eq!(resumed.report, golden);
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A bit flip in the middle of the record log, under a frame the
-/// checkpoint at 5 counts on, is reported as corrupt record-log damage;
-/// no checkpoint is backed by the three frames before it, so recovery
+/// The slot log's frames past the newest checkpoint are the journal a
+/// resume replays. Torn anywhere inside its last frame — one byte of the
+/// header kept, half the frame, all but its last byte — it is cut back
+/// to the frame before, exactly the kept bytes are reported dropped, and
+/// the resume replays 5 and 6, runs 7 live and lands on the golden
+/// report.
+#[test]
+fn torn_journal_tail_recovers_byte_identically() {
+    let golden = cold(Mode::SpotDc);
+    let dir = temp_dir("torn");
+    stop_at(Mode::SpotDc, &dir, 8);
+    let (seven, eight) = {
+        let contents = slot_log(&dir);
+        (contents.prefix_len(7), contents.prefix_len(8))
+    };
+    let frame = eight - seven;
+    let bytes = fs::read(dir.join("records.wal")).expect("slot log exists");
+    for kept in [1, frame / 2, frame - 1] {
+        let _ = fs::remove_dir_all(&dir);
+        stop_at(Mode::SpotDc, &dir, 8);
+        let log = dir.join("records.wal");
+        assert_eq!(fs::read(&log).expect("slot log exists"), bytes);
+        fs::write(&log, &bytes[..usize::try_from(seven + kept).unwrap()]).unwrap();
+
+        let resumed = resume(Mode::SpotDc, &dir);
+        let recovery = resumed.recovery.expect("recovery info");
+        assert_eq!(
+            recovery.truncated,
+            Some(JournalDamage {
+                reason: "torn",
+                dropped_bytes: kept,
+            }),
+            "{kept} of frame 7's {frame} bytes kept"
+        );
+        assert_eq!(recovery.snapshot_slot, Some(5), "{kept} bytes kept");
+        assert_eq!(recovery.replayed_slots, 2, "{kept} bytes kept");
+        assert_eq!(resumed.report, golden, "{kept} bytes kept");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A bit flip inside the last complete frame — storage corruption, not
+/// a crash artifact — is caught by the CRC, classified as "corrupt",
+/// and recovered around identically.
+#[test]
+fn corrupt_record_log_tail_recovers_byte_identically() {
+    let golden = cold(Mode::SpotDc);
+    let dir = temp_dir("flip");
+    stop_at(Mode::SpotDc, &dir, 8);
+    let log = dir.join("records.wal");
+    let mut bytes = fs::read(&log).expect("slot log exists");
+    let seven = slot_log(&dir).prefix_len(7);
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x40;
+    fs::write(&log, &bytes).unwrap();
+
+    let resumed = resume(Mode::SpotDc, &dir);
+    let recovery = resumed.recovery.expect("recovery info");
+    assert_eq!(
+        recovery.truncated,
+        Some(JournalDamage {
+            reason: "corrupt",
+            dropped_bytes: bytes.len() as u64 - seven,
+        })
+    );
+    assert_eq!(recovery.snapshot_slot, Some(5));
+    assert_eq!(recovery.replayed_slots, 2);
+    assert_eq!(resumed.report, golden);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A bit flip in the middle of the slot log, under a frame the
+/// checkpoint at 5 counts on, is reported as corrupt damage; no
+/// checkpoint is backed by the three frames before it, so recovery
 /// starts cold and still lands on the golden report.
 #[test]
 fn corrupt_record_log_middle_is_reported() {
@@ -231,10 +255,10 @@ fn corrupt_record_log_middle_is_reported() {
     stop_at(Mode::SpotDc, &dir, 8);
     let log = dir.join("records.wal");
     let (three, four) = {
-        let contents = record_log(&dir);
+        let contents = slot_log(&dir);
         (contents.prefix_len(3), contents.prefix_len(4))
     };
-    let mut bytes = fs::read(&log).expect("record log exists");
+    let mut bytes = fs::read(&log).expect("slot log exists");
     // The last payload byte of frame 3 of 8.
     let at = usize::try_from(four).unwrap() - 1;
     bytes[at] ^= 0x40;
@@ -242,58 +266,83 @@ fn corrupt_record_log_middle_is_reported() {
 
     let resumed = resume(Mode::SpotDc, &dir);
     let recovery = resumed.recovery.expect("recovery info");
-    assert_eq!(recovery.truncated, None);
-    let damage = recovery.log_truncated.expect("record-log damage reported");
+    let damage = recovery.truncated.expect("slot-log damage reported");
     assert_eq!(damage.reason, "corrupt");
     assert_eq!(damage.dropped_bytes, bytes.len() as u64 - three);
     assert_eq!(recovery.snapshot_slot, None);
-    // Slots 0..5 re-simulate the gap, 5..8 replay under journal
-    // verification.
-    assert_eq!(recovery.replayed_slots, 8);
+    // Slots 0..3 replay against their frames; 3..8 run live.
+    assert_eq!(recovery.replayed_slots, 3);
     assert_eq!(resumed.report, golden);
     let _ = fs::remove_dir_all(&dir);
 }
 
 /// A corrupt newest checkpoint falls back to its retained predecessor;
-/// the journal (which restarted at the newest checkpoint) then starts
-/// ahead of the snapshot, and determinism re-simulates the gap.
+/// every logged slot past it replays against its frame.
 #[test]
 fn corrupt_newest_checkpoint_falls_back_to_predecessor() {
     let golden = cold(Mode::SpotDc);
     let dir = temp_dir("ckpt-fallback");
-    // Stop at 13: checkpoints at 5 and 10 both retained, journal holds
-    // slots 10, 11, 12.
+    // Stop at 13: checkpoints at 5 and 10 both retained, the log holds
+    // slots 0..13.
     stop_at(Mode::SpotDc, &dir, 13);
-    let newest = dir.join("ckpt-0000000010.bin");
-    let mut bytes = fs::read(&newest).expect("newest checkpoint exists");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x01;
-    fs::write(&newest, &bytes).unwrap();
+    corrupt_checkpoint(&dir, "ckpt-0000000010.bin");
 
     let resumed = resume(Mode::SpotDc, &dir);
     let recovery = resumed.recovery.expect("recovery info");
     assert_eq!(recovery.snapshot_slot, Some(5));
-    // Slots 5..10 re-simulate the gap, 10..13 replay under journal
-    // verification.
+    // Slots 5..13 replay against their frames.
     assert_eq!(recovery.replayed_slots, 8);
     assert_eq!(resumed.report, golden);
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Flips a bit halfway through checkpoint `name` in `dir`.
+fn corrupt_checkpoint(dir: &Path, name: &str) {
+    let path = dir.join(name);
+    let mut bytes = fs::read(&path).expect("checkpoint exists");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    fs::write(&path, &bytes).unwrap();
+}
+
+/// A fallback leaves no slot unchecked: with the checkpoint at 10 lost,
+/// slots 5..10 replay too, so a frame among them rewritten under a
+/// valid CRC stops the resume at its slot instead of being re-simulated
+/// over.
+#[test]
+fn a_rewritten_frame_behind_a_lost_checkpoint_diverges() {
+    let dir = temp_dir("gap-diverged");
+    stop_at(Mode::SpotDc, &dir, 13);
+    corrupt_checkpoint(&dir, "ckpt-0000000010.bin");
+    let mut frames: Vec<Vec<u8>> = slot_log(&dir).frames().map(<[u8]>::to_vec).collect();
+    assert_eq!(frames.len(), 13);
+    let last = frames[7].len() - 1;
+    frames[7][last] ^= 0x01;
+    let mut log = spotdc_durable::WalWriter::create(&dir.join("records.wal")).unwrap();
+    for frame in &frames {
+        log.append(frame).unwrap();
+    }
+    drop(log);
+
+    let mut config = durable_config(Mode::SpotDc, &dir);
+    config.durability.resume = true;
+    match Simulation::new(Scenario::testbed(SEED), config).run_durable(SLOTS) {
+        Err(DurableError::Diverged { slot }) => assert_eq!(slot, 7),
+        other => panic!("expected slot 7 to diverge, got {other:?}"),
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Every retained checkpoint corrupt: recovery degrades all the way to
-/// a cold start plus journal-gap re-simulation, and still reproduces
-/// the golden report.
+/// a cold start, every logged slot replayed against its frame, and
+/// still reproduces the golden report.
 #[test]
 fn all_checkpoints_corrupt_degrades_to_cold_replay() {
     let golden = cold(Mode::SpotDc);
     let dir = temp_dir("ckpt-all-bad");
     stop_at(Mode::SpotDc, &dir, 13);
     for name in ["ckpt-0000000005.bin", "ckpt-0000000010.bin"] {
-        let path = dir.join(name);
-        let mut bytes = fs::read(&path).expect("checkpoint exists");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        fs::write(&path, &bytes).unwrap();
+        corrupt_checkpoint(&dir, name);
     }
 
     let resumed = resume(Mode::SpotDc, &dir);
@@ -328,9 +377,9 @@ fn double_interruption_still_recovers() {
 /// A checkpoint holds state, not history: on a 104-tenant run cut every
 /// 10 slots, each checkpoint, less its late bids (the one term that
 /// varies from slot to slot), is exactly as long as the first, however
-/// many slots it covers. The history is the record log's: after six
+/// many slots it covers. The history is the slot log's: after six
 /// legs, each stopped right after its checkpoint and resumed, it holds
-/// one frame per slot, and they decode to the report's records.
+/// one frame per slot, and their records are the report's.
 #[test]
 fn checkpoint_size_stays_flat_in_the_horizon() {
     use spotdc_durable::{Decoder, Persist};
@@ -372,16 +421,14 @@ fn checkpoint_size_stays_flat_in_the_horizon() {
         assert_eq!(state, first, "checkpoint at {slots_done} ({file} B) grew");
     }
 
-    let log = spotdc_durable::read_wal(&dir.join("records.wal"))
-        .expect("readable")
-        .expect("present");
+    let log = slot_log(&dir);
     assert_eq!(log.tail, spotdc_durable::Tail::Clean);
-    assert_eq!(log.records.len() as u64, HORIZON);
+    assert_eq!(log.len() as u64, HORIZON);
     let logged: Vec<SlotRecord> = log
-        .records
-        .iter()
+        .frames()
         .map(|frame| {
             let mut dec = Decoder::new(frame);
+            dec.get_bytes().expect("the slot's bids and outcome");
             let record = SlotRecord::restore(&mut dec).expect("a record");
             dec.finish().expect("nothing after it");
             record
