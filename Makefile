@@ -28,9 +28,10 @@ determinism:
 	$(CARGO) test -p spotdc-sim --test determinism
 
 # Refactor guard: SimReport for all three modes at seed 42 must match
-# the checked-in snapshots byte for byte (tests/golden/).
+# the checked-in snapshots byte for byte, and the hyperscale, per-PDU
+# and armed paths their pinned digests (tests/golden/).
 golden:
-	$(CARGO) test -p spotdc --test golden_report
+	$(CARGO) test -p spotdc --test golden_report --test golden_paths
 
 # Fault-injection smoke run: the full robustness sweep with the release
 # invariant checker forced on. Any Eq. 1–4 violation fails the run.
