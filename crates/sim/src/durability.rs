@@ -8,9 +8,9 @@
 //! * [`EngineSnapshot`] — the cross-slot market state at a slot
 //!   boundary, O(racks + tenants) whatever the horizon. Everything *not*
 //!   captured here is provably rebuildable: the topology, operator,
-//!   traces and fault plan are pure functions of the scenario and config
-//!   (every fault verdict, lost messages included, is a hash of `(seed,
-//!   slot, target)`, so a snapshot carries no RNG state at all); per-slot
+//!   fault plan and trace cursors (re-stepped to `slots_done`) are pure
+//!   functions of the scenario and config (every fault verdict is a hash
+//!   of `(seed, slot, target)`, so a snapshot carries no RNG state); per-slot
 //!   scratch, the agents' valuation-row caches and the prediction cache
 //!   are bit-transparent (warm-vs-cold equality is pinned by tests) and
 //!   clearing keeps no state between slots (only buffers it rebuilds);
@@ -315,27 +315,29 @@ impl EngineSnapshot {
         Ok(snap)
     }
 
-    /// Applies the snapshot onto a freshly built `SimState` + stage
-    /// sequence, leaving them exactly as they were when the snapshot
-    /// was cut, but for the report's records (the slot log's first
-    /// `slots_done` frames, `decode_slot_record`) and the agents'
-    /// load intensities (`Sense` sets those before any stage reads
-    /// them). Validate, then apply: a checksum only proves the bytes
-    /// are the ones written, so every length the engine will index by
-    /// is checked against this run's shape before the first assignment
-    /// to `state`.
+    /// Applies the checkpoint covering `slots_done` slots onto a fresh
+    /// `SimState` + stage sequence, leaving them as they were when it was
+    /// cut, but for the report's records (the slot log's first
+    /// `slots_done` frames, `decode_slot_record`), the agents' load
+    /// intensities (`Sense` sets those before any stage reads them) and
+    /// the trace cursors, re-stepped to slot `slots_done` (their samplers
+    /// would put the RNG's state in the format). Validate, then apply: a
+    /// checksum only proves the bytes are the ones written, so its slot
+    /// count and every length the engine will index by are checked
+    /// against this run before the first assignment to `state`.
     ///
     /// # Errors
     ///
     /// Returns a [`DecodeError`] when the snapshot does not belong to
-    /// this run (mode/seed/shape mismatch) or is inconsistent with its
-    /// own header.
+    /// this run (mode/seed/shape mismatch), covers another slot count
+    /// than `slots_done`, or is inconsistent with its own header.
     pub fn apply(
         &self,
         state: &mut SimState,
         stages: &mut [Stage],
         mode: Mode,
         seed: u64,
+        slots_done: u64,
     ) -> Result<(), DecodeError> {
         let racks = state.topology.rack_count() as u64;
         let agents = state.agents.len() as u64;
@@ -344,6 +346,7 @@ impl EngineSnapshot {
         let expected = [
             ("mode", u64::from(self.mode), u64::from(mode_tag(mode))),
             ("seed", self.seed, seed),
+            ("slots_done", self.slots_done, slots_done),
             ("rack count", self.rack_count, racks),
             ("agent count", self.agent_count, agents),
             ("pdu count", self.pdu_count, pdus),
@@ -404,6 +407,7 @@ impl EngineSnapshot {
         state.report.faults_injected = self.faults_injected as usize;
         state.report.degraded_slots = self.degraded_slots as usize;
         state.report.invariant_violations = self.invariant_violations as usize;
+        state.cursors.seek(slots_done as usize);
         Ok(())
     }
 }

@@ -581,15 +581,15 @@ impl Simulation {
                             loaded.path.display()
                         ))
                     })?;
-                    snap.apply(&mut run.state, &mut run.stages, mode, seed)
+                    start_slot = loaded.slots_done;
+                    snap.apply(&mut run.state, &mut run.stages, mode, seed, start_slot)
                         .map_err(|e| {
                             DurableError::Corrupt(format!(
                                 "checkpoint {} does not apply: {e}",
                                 loaded.path.display()
                             ))
                         })?;
-                    start_slot = loaded.slots_done;
-                    Some(loaded.slots_done)
+                    Some(start_slot)
                 }
                 None => None,
             };

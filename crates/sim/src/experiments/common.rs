@@ -144,10 +144,8 @@ fn sub_run_scope(run: Option<&str>, i: usize) -> Option<spotdc_telemetry::RunSco
     run.map(|run| spotdc_telemetry::run_scope(&format!("{run}/{i}")))
 }
 
-/// Runs `scenario` under every engine configuration concurrently.
-///
-/// All runs clone the same scenario, so they share one memoized trace
-/// set (see [`Scenario::traces`]) instead of regenerating it per mode.
+/// Runs `scenario` under every engine configuration concurrently, each
+/// on its own clone, stepping its own trace cursors.
 #[must_use]
 pub fn run_engines(
     cfg: &ExpConfig,

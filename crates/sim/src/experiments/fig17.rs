@@ -38,7 +38,7 @@ pub fn compute(cfg: &ExpConfig) -> Vec<Fig17Point> {
     };
     let scenario = Scenario::testbed(cfg.seed);
     // The capped reference and every under-prediction level run
-    // concurrently over one shared scenario (and trace cache).
+    // concurrently over one shared scenario.
     let mut engines = vec![EngineConfig::new(Mode::PowerCapped)];
     engines.extend(levels.iter().map(|&pct| EngineConfig {
         operator: OperatorConfig {

@@ -48,8 +48,8 @@ pub fn compute(cfg: &ExpConfig) -> Vec<ShadingPoint> {
         .filter(|(_, s)| !s.kind.is_sprinting())
         .map(|(i, _)| i)
         .collect();
-    // Shading only rewrites bid strategies — the load traces are
-    // untouched, so every level's clone shares the base trace cache.
+    // Shading only rewrites bid strategies: every level's clone runs
+    // the base scenario's load traces.
     fan_out(levels, |&shading| {
         let mut scenario = base.clone();
         for &i in &shader_idx {

@@ -22,7 +22,6 @@
 //! assemble.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use spotdc_core::{ConcaveGain, ConstraintSet, MarketOutcome, Operator, TaskShip};
 use spotdc_faults::FaultPlan;
@@ -33,7 +32,7 @@ use spotdc_units::{RackId, Slot, Watts};
 
 use crate::engine::EngineConfig;
 use crate::metrics::SimReport;
-use crate::scenario::{OtherGroup, Scenario, ScenarioTraces};
+use crate::scenario::{OtherGroup, Scenario, TraceCursors};
 
 /// Meter readings retained per rack. Shared with the durability layer:
 /// a restored meter must use the same window length or replayed
@@ -68,8 +67,9 @@ pub struct SimState {
     pub agents: Vec<TenantAgent>,
     /// Non-participating ("other") rack groups.
     pub others: Vec<OtherGroup>,
-    /// Memoized load traces shared across runs of the same scenario.
-    pub traces: Arc<ScenarioTraces>,
+    /// The scenario's traces as cursors, at the slot `Sense` last
+    /// stepped them to (slot 0 for [`Self::new`]'s warm-up).
+    pub cursors: TraceCursors,
     /// Deterministic fault schedule. The stages query it
     /// unconditionally: with a channel's rates at zero its query answers
     /// `None` / `false` without hashing.
@@ -114,7 +114,8 @@ impl SimState {
     /// initialization, not operation: it is never faulted.
     #[must_use]
     pub fn new(scenario: &Scenario, config: &EngineConfig, slots: usize) -> Self {
-        let traces = scenario.traces(slots);
+        let mut cursors = scenario.cursors();
+        cursors.seek(0);
         let topology = scenario.topology.clone();
         let operator = Operator::new(topology.clone(), config.operator);
         let mut meter = PowerMeter::new(&topology, METER_HISTORY_LEN)
@@ -137,7 +138,7 @@ impl SimState {
         for (i, agent) in agents.iter().enumerate() {
             // Only the draw is metered: no performance, no cost, and no
             // SLO test — slot 0's `Sense` observes the same load.
-            let load = traces.loads[i].first().copied().unwrap_or(0.0);
+            let load = cursors.load[i];
             let draw = agent
                 .model()
                 .power_draw(agent.reserved(), load.clamp(0.0, 1.0));
@@ -145,8 +146,7 @@ impl SimState {
             true_draw[agent.rack().index()] = draw.clamp_non_negative();
         }
         for (j, other) in scenario.others.iter().enumerate() {
-            let draw = traces.others[j].first().copied().unwrap_or(Watts::ZERO);
-            let draw = draw.min(other.subscription);
+            let draw = cursors.other[j].min(other.subscription);
             meter.record(Slot::ZERO, other.rack, draw);
             true_draw[other.rack.index()] = draw.clamp_non_negative();
         }
@@ -180,7 +180,7 @@ impl SimState {
             cap,
             agents,
             others: scenario.others.clone(),
-            traces,
+            cursors,
             plan,
             track_prev_meter,
             validate,

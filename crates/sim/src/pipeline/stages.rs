@@ -151,15 +151,15 @@ fn program_grants(state: &mut SimState, payments: &mut [f64], alloc: &SpotAlloca
     }
 }
 
-/// Sense: tenants observe their load traces (deciding, once a slot,
-/// whether they want spot), the rack PDUs reset, and
-/// the prediction-delay fault (if scheduled) selects which meter
-/// snapshot the market will see. Runs in every composition.
+/// Sense: the trace cursors step to this slot, tenants observe their
+/// loads (deciding, once a slot, whether they want spot), the rack PDUs
+/// reset, and the prediction-delay fault (if scheduled) selects which
+/// meter snapshot the market will see. Runs in every composition.
 pub(super) fn sense(state: &mut SimState, ctx: &mut SlotContext) {
     let slot = ctx.slot;
-    let t = ctx.t;
-    for (i, agent) in state.agents.iter_mut().enumerate() {
-        agent.observe(state.traces.loads[i][t]);
+    state.cursors.seek(ctx.t);
+    for (agent, &load) in state.agents.iter_mut().zip(&state.cursors.load) {
+        agent.observe(load);
     }
     state.bank.reset_all();
 
@@ -478,7 +478,7 @@ pub(super) fn settle(state: &mut SimState, ctx: &mut SlotContext) {
         });
     }
     for (j, other) in state.others.iter().enumerate() {
-        let draw = state.traces.others[j][t].min(other.subscription);
+        let draw = state.cursors.other[j].min(other.subscription);
         if record_observed(&mut state.meter, &state.plan, slot, other.rack, draw) {
             state.report.faults_injected += 1;
         }

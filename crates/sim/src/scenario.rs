@@ -21,9 +21,6 @@
 //! 1 370 W = (715+724)/1.05. Participating racks carry 50 % spot
 //! headroom; "Other" racks are non-participating trace-driven tenants.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
-
 use serde::{Deserialize, Serialize};
 use spotdc_power::topology::{PowerTopology, TopologyBuilder};
 use spotdc_tenants::{Strategy, TenantAgent, WorkloadModel};
@@ -104,28 +101,8 @@ pub struct OtherGroup {
     pub rack: RackId,
     /// The group's subscribed capacity.
     pub subscription: Watts,
-    /// Mean draw as a fraction of the subscription.
-    pub mean_fraction: f64,
-    /// Whether to use the deliberately volatile trace (Fig. 10).
-    pub volatile: bool,
-    /// Trace seed.
-    pub seed: u64,
-}
-
-impl OtherGroup {
-    /// Generates this group's power trace for `slots` slots, clamped
-    /// to the subscription.
-    #[must_use]
-    pub fn generate(&self, slots: usize) -> Vec<Watts> {
-        let mean = self.subscription * self.mean_fraction;
-        let trace = if self.volatile {
-            PduPowerTrace::volatile(mean, self.seed)
-        } else {
-            PduPowerTrace::colo_like(mean, self.seed)
-        }
-        .with_bounds(mean * 0.4, self.subscription);
-        trace.generate(slots)
-    }
+    /// The group's power trace, clamped to the subscription.
+    pub trace: PduPowerTrace,
 }
 
 /// A complete simulation scenario: topology, agents, traces, billing.
@@ -150,26 +127,58 @@ pub struct Scenario {
     /// stages sprinting participation at specific slots). Missing slots
     /// repeat the last scripted value.
     pub scripted_loads: Option<Vec<Vec<f64>>>,
-    /// Memoized [`Scenario::traces`] results keyed by slot count.
-    /// `Clone` shares the cache, so all modes of one scenario (SpotDC /
-    /// PowerCapped / MaxPerf running concurrently) generate each trace
-    /// set once. Trace generation is a pure function of `seed`, `slot`,
-    /// `specs`, `others`, and `scripted_loads` — constructors create a
-    /// fresh cache and [`Scenario::with_scripted_loads`] resets it, so
-    /// cached entries never go stale.
-    trace_cache: Arc<Mutex<BTreeMap<usize, Arc<ScenarioTraces>>>>,
 }
 
-/// The generated input traces for one slot count: what every
-/// [`Simulation::run`](crate::engine::Simulation::run) needs, computed
-/// once per scenario and shared (`Arc`) across concurrent modes.
+/// The input traces of a number of slots ([`Scenario::traces`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioTraces {
-    /// Per-participant load-intensity traces, spec order (see
-    /// [`Scenario::load_traces`]).
+    /// Per-participant load-intensity traces, spec order.
     pub loads: Vec<Vec<f64>>,
-    /// Per-other-group power traces (see [`Scenario::other_traces`]).
+    /// Per-other-group power traces.
     pub others: Vec<Vec<Watts>>,
+}
+
+/// One trace, stepped one slot at a time.
+type Cursor<T> = Box<dyn Iterator<Item = T> + Send>;
+
+/// A scenario's input traces as cursors ([`Scenario::cursors`]), one
+/// per participant and per other group, holding one slot's values.
+pub struct TraceCursors {
+    loads: Vec<Cursor<f64>>,
+    others: Vec<Cursor<Watts>>,
+    /// Slots stepped: [`Self::load`] and [`Self::other`] hold the last.
+    stepped: usize,
+    /// Each participant's load intensity this slot, spec order.
+    pub load: Vec<f64>,
+    /// Each other group's power draw this slot.
+    pub other: Vec<Watts>,
+}
+
+impl std::fmt::Debug for TraceCursors {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TraceCursors").finish_non_exhaustive()
+    }
+}
+
+impl TraceCursors {
+    /// Steps every cursor until [`Self::load`] and [`Self::other`] hold
+    /// slot `t`'s values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if they hold a later slot: cursors only step forward.
+    pub fn seek(&mut self, t: usize) {
+        assert!(t + 1 >= self.stepped, "trace cursors only step forward");
+        while self.stepped <= t {
+            for (value, cursor) in self.load.iter_mut().zip(&mut self.loads) {
+                *value = cursor.next().expect("trace cursors are endless");
+            }
+            for (value, cursor) in self.other.iter_mut().zip(&mut self.others) {
+                *value = cursor.next().expect("trace cursors are endless");
+            }
+            self.stepped += 1;
+        }
+    }
 }
 
 /// Spot headroom as a fraction of a participating rack's subscription.
@@ -302,12 +311,17 @@ impl Scenario {
             for &(p, sub) in other_subscriptions.iter().filter(|&&(p, _)| p == pdu) {
                 let tenant = TenantId::new(specs.len() + others.len());
                 builder = builder.rack(tenant, sub, Watts::ZERO);
+                let mean = sub * tuning.other_mean_fraction;
+                let trace_seed = seed ^ (0x07e5 + p as u64 * 7919);
+                let trace = if tuning.volatile_others {
+                    PduPowerTrace::volatile(mean, trace_seed)
+                } else {
+                    PduPowerTrace::colo_like(mean, trace_seed)
+                };
                 others.push(OtherGroup {
                     rack: RackId::new(rack_index),
                     subscription: sub,
-                    mean_fraction: tuning.other_mean_fraction,
-                    volatile: tuning.volatile_others,
-                    seed: seed ^ (0x07e5 + p as u64 * 7919),
+                    trace: trace.with_bounds(mean * 0.4, sub),
                 });
                 rack_index += 1;
             }
@@ -323,14 +337,7 @@ impl Scenario {
             billing,
             seed,
             scripted_loads: None,
-            trace_cache: Arc::new(Mutex::new(BTreeMap::new())),
         }
-    }
-
-    /// Number of participating tenants.
-    #[must_use]
-    pub fn participant_count(&self) -> usize {
-        self.agents.len()
     }
 
     /// Total subscribed capacity (participants + other groups).
@@ -354,77 +361,59 @@ impl Scenario {
             "one load script per participating tenant"
         );
         self.scripted_loads = Some(scripts);
-        // The scripts change the load traces; a clone must not keep
-        // serving the original's cached (unscripted) entries.
-        self.trace_cache = Arc::new(Mutex::new(BTreeMap::new()));
         self
     }
 
-    /// The scenario's input traces for `slots` slots, memoized.
-    ///
-    /// The first caller per slot count generates the traces (inside the
-    /// cache lock, so concurrent modes of the same scenario never
-    /// duplicate the work); everyone else gets the shared `Arc`. The
-    /// result is identical to calling [`Scenario::load_traces`] and
-    /// [`Scenario::other_traces`] directly — generation is seeded and
-    /// pure.
+    /// The scenario's input traces for `slots` slots: the first
+    /// `slots` values of each of [`Self::cursors`]' cursors.
     #[must_use]
-    pub fn traces(&self, slots: usize) -> Arc<ScenarioTraces> {
-        let mut cache = self.trace_cache.lock().unwrap_or_else(|e| e.into_inner());
-        cache
-            .entry(slots)
-            .or_insert_with(|| {
-                Arc::new(ScenarioTraces {
-                    loads: self.load_traces(slots),
-                    others: self.other_traces(slots),
-                })
-            })
-            .clone()
+    pub fn traces(&self, slots: usize) -> ScenarioTraces {
+        let loads = self.load_cursors().map(|c| c.take(slots).collect());
+        let others = self.others.iter().map(|o| o.trace.generate(slots));
+        ScenarioTraces {
+            loads: loads.collect(),
+            others: others.collect(),
+        }
     }
 
-    /// Generates each participating tenant's load-intensity trace for
-    /// `slots` slots: a Google-like arrival trace for sprinting
-    /// tenants, a university-like batch trace for opportunistic ones.
-    /// Seeds derive deterministically from the scenario seed. Scripted
-    /// loads, when present, take precedence.
+    /// The scenario's input traces as cursors, before slot 0's values
+    /// are read ([`TraceCursors::seek`]).
     #[must_use]
-    pub fn load_traces(&self, slots: usize) -> Vec<Vec<f64>> {
-        if let Some(scripts) = &self.scripted_loads {
-            return scripts
-                .iter()
-                .map(|s| {
-                    let last = s.last().copied().unwrap_or(0.0);
-                    (0..slots)
-                        .map(|t| s.get(t).copied().unwrap_or(last))
-                        .collect()
-                })
-                .collect();
+    pub fn cursors(&self) -> TraceCursors {
+        let others = self
+            .others
+            .iter()
+            .map(|o| Box::new(o.trace.cursor()) as Cursor<Watts>);
+        TraceCursors {
+            loads: self.load_cursors().collect(),
+            others: others.collect(),
+            stepped: 0,
+            load: vec![0.0; self.specs.len()],
+            other: vec![Watts::ZERO; self.others.len()],
         }
+    }
+
+    /// Each participant's load cursor, spec order: a Google-like arrival
+    /// trace if sprinting, a university-like batch trace if not, or its
+    /// script's values and then its last (`0.0` for an empty script).
+    fn load_cursors(&self) -> impl Iterator<Item = Cursor<f64>> + '_ {
         let spd = self.slot.slots_per_day().round() as usize;
         self.specs
             .iter()
             .enumerate()
-            .map(|(i, s)| {
+            .map(move |(i, s)| -> Cursor<f64> {
+                if let Some(script) = self.scripted_loads.as_ref().map(|s| &s[i]) {
+                    let last = script.last().copied().unwrap_or(0.0);
+                    return Box::new(script.clone().into_iter().chain(std::iter::repeat(last)));
+                }
                 let seed = self.seed ^ (0x10ad + i as u64 * 65537);
                 if s.kind.is_sprinting() {
-                    ArrivalTrace::google_like(seed)
-                        .with_slots_per_day(spd.max(1))
-                        .generate(slots)
+                    let trace = ArrivalTrace::google_like(seed).with_slots_per_day(spd.max(1));
+                    Box::new(trace.cursor())
                 } else {
-                    BatchTrace::university_like(seed)
-                        .generate(slots)
-                        .into_iter()
-                        .map(|b| b.intensity)
-                        .collect()
+                    Box::new(BatchTrace::university_like(seed).cursor())
                 }
             })
-            .collect()
-    }
-
-    /// Generates each other-group's power trace for `slots` slots.
-    #[must_use]
-    pub fn other_traces(&self, slots: usize) -> Vec<Vec<Watts>> {
-        self.others.iter().map(|o| o.generate(slots)).collect()
     }
 
     /// Renders Table I for this scenario.
@@ -502,7 +491,7 @@ mod tests {
     #[test]
     fn testbed_matches_table_one() {
         let s = Scenario::testbed(1);
-        assert_eq!(s.participant_count(), 8);
+        assert_eq!(s.agents.len(), 8);
         assert_eq!(s.topology.pdu_count(), 2);
         assert_eq!(s.topology.rack_count(), 10); // 8 participants + 2 others
                                                  // Subscriptions: 750 + 760 = 1510 W.
@@ -530,48 +519,43 @@ mod tests {
     #[test]
     fn traces_are_deterministic_and_sized() {
         let s = Scenario::testbed(7);
-        let a = s.load_traces(500);
-        let b = s.load_traces(500);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 8);
-        assert!(a.iter().all(|t| t.len() == 500));
-        let o = s.other_traces(500);
-        assert_eq!(o.len(), 2);
+        let t = s.traces(500);
+        assert_eq!(t, s.traces(500));
+        assert_eq!(t.loads.len(), 8);
+        assert!(t.loads.iter().all(|l| l.len() == 500));
+        assert_eq!(t.others.len(), 2);
         // Other draws never exceed their subscription.
-        for trace in &o {
+        for trace in &t.others {
             assert!(trace.iter().all(|&w| w <= Watts::new(250.0)));
         }
     }
 
+    /// Stepping the cursors a slot at a time reads the traces slot by
+    /// slot, scripts included: a script's values, then its last one.
     #[test]
-    fn trace_cache_matches_direct_generation_and_is_shared() {
-        let s = Scenario::testbed(7);
-        let t = s.traces(300);
-        assert_eq!(t.loads, s.load_traces(300));
-        assert_eq!(t.others, s.other_traces(300));
-        // The cache is shared across clones (one generation per
-        // scenario, however many modes run) and hit on repeat calls.
-        assert!(Arc::ptr_eq(&s.traces(300), &t));
-        assert!(Arc::ptr_eq(&s.clone().traces(300), &t));
-        // A different slot count is its own entry.
-        assert!(!Arc::ptr_eq(&s.traces(100), &t));
-        assert_eq!(s.traces(100).loads, s.load_traces(100));
-    }
-
-    #[test]
-    fn scripting_resets_the_trace_cache() {
-        let s = Scenario::testbed(7);
-        let unscripted = s.traces(50);
-        let scripted = s.clone().with_scripted_loads(vec![vec![1.0]; 8]);
-        let t = scripted.traces(50);
-        assert!(
-            !Arc::ptr_eq(&t, &unscripted),
-            "scripted clone must not share the unscripted cache"
-        );
-        assert_eq!(t.loads, scripted.load_traces(50));
-        assert!(t.loads.iter().all(|l| l.iter().all(|&x| x == 1.0)));
-        // The original keeps serving its own (unscripted) entry.
-        assert!(Arc::ptr_eq(&s.traces(50), &unscripted));
+    fn cursors_step_through_the_traces() {
+        let scripts = (0..8).map(|i| vec![0.1 * i as f64; i % 3]).collect();
+        for s in [
+            Scenario::testbed(7),
+            Scenario::testbed(7).with_scripted_loads(scripts),
+        ] {
+            let t = s.traces(40);
+            let mut c = s.cursors();
+            for slot in 0..40 {
+                c.seek(slot);
+                c.seek(slot); // already there: no step
+                assert!(c.load.iter().zip(&t.loads).all(|(&v, l)| v == l[slot]));
+                assert!(c.other.iter().zip(&t.others).all(|(&v, o)| v == o[slot]));
+            }
+        }
+        let scripted = Scenario::testbed(7).with_scripted_loads(vec![vec![0.5, 0.25]; 8]);
+        assert!(scripted
+            .traces(5)
+            .loads
+            .iter()
+            .all(|l| l == &[0.5, 0.25, 0.25, 0.25, 0.25]));
+        let empty = Scenario::testbed(7).with_scripted_loads(vec![Vec::new(); 8]);
+        assert!(empty.traces(3).loads.iter().all(|l| l == &[0.0; 3]));
     }
 
     #[test]
@@ -579,7 +563,7 @@ mod tests {
         // The calibration target from Section V-B: ≈15% of the total
         // guaranteed capacity available as spot capacity on average.
         let s = Scenario::testbed(3);
-        let others = s.other_traces(10_000);
+        let others = s.traces(10_000).others;
         // Average spot at PDU 0 with no participants bidding:
         // capacity − participant subscriptions… approximate with the
         // idle references: participants draw below subscription, so use
@@ -604,7 +588,7 @@ mod tests {
     #[test]
     fn hyperscale_replicates_composition() {
         let s = Scenario::hyperscale(1, 100);
-        assert_eq!(s.participant_count(), 100);
+        assert_eq!(s.agents.len(), 100);
         assert!(s.topology.pdu_count() >= 25);
         // Same per-tenant mix: subscriptions are Table I values.
         for spec in &s.specs {

@@ -2,9 +2,9 @@
 //! byte-identical regardless of the worker count — both the
 //! experiment-level fan-out (`--jobs`) and the within-slot width
 //! (`--inner-jobs`). Runs a cheap subset of the registry (covering the
-//! mode fan-out, the join helper, the engine-grid fan-out, the shared
-//! trace cache, and the fault-injected robustness sweep with its
-//! invariant checker) over the {jobs} × {inner_jobs} grid {1, 4}²,
+//! mode fan-out, the join helper, the engine-grid fan-out, and the
+//! fault-injected robustness sweep with its invariant checker) over
+//! the {jobs} × {inner_jobs} grid {1, 4}²,
 //! and compares the rendered bodies byte for byte — exactly what
 //! `repro --jobs N --inner-jobs M` prints.
 
@@ -139,6 +139,47 @@ fn message_loss_is_identical_across_inner_jobs_and_shards() {
             );
         }
     }
+}
+
+/// The state a run holds does not depend on its horizon: its trace
+/// cursors and everything else stand at slot `t` the same whatever slot
+/// the run will stop at. So with per-PDU pricing, message loss and
+/// meter faults armed on the hyperscale scenario, a 12-slot run's
+/// record lines are the first 12 of a 30-slot run's.
+#[test]
+fn a_shorter_horizon_writes_a_prefix_of_a_longer_one() {
+    let config = EngineConfig {
+        faults: FaultConfig {
+            seed: 5,
+            bid_loss: 0.1,
+            bid_delay: 0.1,
+            broadcast_loss: 0.1,
+            meter_dropout: 0.05,
+            meter_freeze: 0.05,
+            meter_noise: 0.05,
+            noise_magnitude: 0.3,
+            ..FaultConfig::disabled()
+        },
+        per_pdu_pricing: true,
+        ..EngineConfig::new(Mode::SpotDc)
+    };
+    let record_lines = |slots: u64| {
+        let report = Simulation::new(Scenario::hyperscale(42, 304), config.clone()).run(slots);
+        assert!(report.faults_injected > 0 && report.avg_spot_sold() > 0.0);
+        let mut text = Vec::new();
+        report.write_text(&mut text).expect("write to memory");
+        let text = String::from_utf8(text).expect("the text form is UTF-8");
+        let lines: Vec<String> = text
+            .lines()
+            .take(slots as usize)
+            .map(str::to_owned)
+            .collect();
+        assert!(lines.iter().all(|l| l.starts_with("SlotRecord")));
+        lines
+    };
+    let short = record_lines(12);
+    assert_eq!(short.len(), 12);
+    assert_eq!(short, record_lines(30)[..12]);
 }
 
 fn faulted_engine(fault_seed: u64) -> EngineConfig {

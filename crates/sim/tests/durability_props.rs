@@ -75,7 +75,7 @@ proptest! {
         let scenario = Scenario::testbed(seed);
         let mut fresh = SimState::new(&scenario, &config, slots);
         let mut fresh_stages = pipeline::build(&config);
-        snap.apply(&mut fresh, &mut fresh_stages, mode, seed).expect("apply");
+        snap.apply(&mut fresh, &mut fresh_stages, mode, seed, slots as u64).expect("apply");
         let recaptured =
             EngineSnapshot::capture(&fresh, &fresh_stages, mode, seed, slots as u64);
         prop_assert_eq!(snap, recaptured);
@@ -174,16 +174,19 @@ fn rich_snapshot() -> (EngineSnapshot, SimState, Vec<Stage>) {
 
 /// A checksum proves a snapshot's bytes are the ones written, not that
 /// they fit this run. A header that names another run (a stale
-/// checkpoint must not seed a resumed one) and every length the engine
-/// indexes by are checked up front, and a refused snapshot leaves the
-/// state untouched. (Applied unchecked, a truncated `true_draw` or
-/// `agents` is an out-of-bounds panic in the next `Settle`.)
+/// checkpoint must not seed a resumed one) or another slot count than
+/// the checkpoint it was loaded as, and every length the engine
+/// indexes by, are checked up front, and a refused snapshot leaves the
+/// state untouched, its trace cursors included. (Applied unchecked, a
+/// truncated `true_draw` or `agents` is an out-of-bounds panic in the
+/// next `Settle`.)
 #[test]
 fn forged_snapshots_are_refused_before_anything_is_applied() {
     type Forge = fn(&mut EngineSnapshot);
-    let forgeries: [(&str, Forge); 12] = [
+    let forgeries: [(&str, Forge); 13] = [
         ("mode", |s| s.mode = 0),
         ("seed", |s| s.seed += 1),
+        ("slots_done", |s| s.slots_done += 1),
         ("rack count", |s| s.rack_count += 1),
         ("agent count", |s| s.agent_count += 1),
         ("pdu count", |s| s.pdu_count += 1),
@@ -197,12 +200,15 @@ fn forged_snapshots_are_refused_before_anything_is_applied() {
     ];
     let (snap, mut state, mut stages) = rich_snapshot();
     let untouched = EngineSnapshot::capture(&state, &stages, Mode::SpotDc, 7, 0);
+    let loads = Scenario::testbed(7).traces(3).loads;
+    let at = |slot: usize| -> Vec<f64> { loads.iter().map(|l| l[slot]).collect() };
+    assert_eq!(state.cursors.load, at(0));
     for (field, forge) in forgeries {
         let mut forged = snap.clone();
         forge(&mut forged);
         // Still a well-formed encoding: nothing short of `apply` objects.
         let forged = EngineSnapshot::decode(&forged.encode()).expect("decodes");
-        match forged.apply(&mut state, &mut stages, Mode::SpotDc, 7) {
+        match forged.apply(&mut state, &mut stages, Mode::SpotDc, 7, 2) {
             Err(DecodeError::Invalid(why)) => assert!(why.contains(field), "{field}: {why}"),
             other => panic!("{field}: expected DecodeError::Invalid, got {other:?}"),
         }
@@ -211,14 +217,17 @@ fn forged_snapshots_are_refused_before_anything_is_applied() {
             untouched,
             "{field}: a refused snapshot was partly applied"
         );
+        assert_eq!(state.cursors.load, at(0), "{field}: cursors stepped");
     }
-    snap.apply(&mut state, &mut stages, Mode::SpotDc, 7)
+    snap.apply(&mut state, &mut stages, Mode::SpotDc, 7, 2)
         .expect("the unforged snapshot applies");
-    // Everything it holds arrived, the pending late bid included.
+    // Everything it holds arrived, the pending late bid included, and
+    // the cursors hold slot 2, the next to run.
     assert_eq!(
         EngineSnapshot::capture(&state, &stages, Mode::SpotDc, 7, 2),
         snap
     );
+    assert_eq!(state.cursors.load, at(2));
 }
 
 /// Decoders facing bytes from a disk never panic: every prefix of an
@@ -239,7 +248,7 @@ fn damaged_snapshots_are_errors_not_panics() {
             let mut damaged = bytes.clone();
             damaged[at] ^= mask;
             let outcome = EngineSnapshot::decode(&damaged)
-                .and_then(|s| s.apply(&mut state, &mut stages, Mode::SpotDc, 7));
+                .and_then(|s| s.apply(&mut state, &mut stages, Mode::SpotDc, 7, 2));
             match outcome {
                 Ok(()) => applied += 1,
                 Err(_) => refused += 1,

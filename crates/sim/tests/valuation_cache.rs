@@ -25,7 +25,7 @@ fn class_shared_rows_answer_as_a_fresh_private_agent_does() {
         // Group 1 (indices 8..16) carries the ±20 % cost jitter; group
         // 0's agent of the same kind shares its rows at unjittered cost.
         let scenario = Scenario::hyperscale(seed, 16);
-        let loads = scenario.load_traces(SLOTS);
+        let loads = scenario.traces(SLOTS).loads;
         let mut state = SimState::new(&scenario, &EngineConfig::new(Mode::SpotDc), SLOTS);
         let picks: Vec<(TenantKind, usize)> = [
             TenantKind::Search,

@@ -73,31 +73,36 @@ impl ArrivalTrace {
         self
     }
 
-    /// Generates `slots` normalized intensities in `[0, 1]`.
+    /// Generates `slots` intensities: the first steps of [`Self::cursor`].
     #[must_use]
     pub fn generate(&self, slots: usize) -> Vec<f64> {
+        self.cursor().take(slots).collect()
+    }
+
+    /// The trace stepped one slot at a time: an endless iterator of
+    /// normalized intensities in `[0, 1]`.
+    pub fn cursor(&self) -> impl Iterator<Item = f64> + Send {
+        let tr = self.clone();
         let mut s = Sampler::seeded(self.seed);
-        let mut out = Vec::with_capacity(slots);
         let mut surge_left = 0u64;
-        for t in 0..slots {
-            let phase = 2.0 * std::f64::consts::PI * (t % self.slots_per_day) as f64
-                / self.slots_per_day as f64;
+        (0usize..).map(move |t| {
+            let phase = 2.0 * std::f64::consts::PI * (t % tr.slots_per_day) as f64
+                / tr.slots_per_day as f64;
             let diurnal =
-                self.base + self.amplitude * (phase - 0.75 * 2.0 * std::f64::consts::PI).cos();
-            if surge_left == 0 && s.flip(self.surge_probability) {
+                tr.base + tr.amplitude * (phase - 0.75 * 2.0 * std::f64::consts::PI).cos();
+            if surge_left == 0 && s.flip(tr.surge_probability) {
                 // Geometric duration with the requested mean.
-                surge_left = 1 + s.geometric(1.0 / self.surge_mean_slots.max(1.0));
+                surge_left = 1 + s.geometric(1.0 / tr.surge_mean_slots.max(1.0));
             }
             let surge = if surge_left > 0 {
                 surge_left -= 1;
-                self.surge_boost
+                tr.surge_boost
             } else {
                 0.0
             };
-            let noise = s.lognormal(0.0, self.noise_sigma);
-            out.push((diurnal * noise + surge).clamp(0.0, 1.0));
-        }
-        out
+            let noise = s.lognormal(0.0, tr.noise_sigma);
+            (diurnal * noise + surge).clamp(0.0, 1.0)
+        })
     }
 }
 

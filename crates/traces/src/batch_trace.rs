@@ -4,22 +4,12 @@
 //! capacity* when there is a backlog worth accelerating — ≈30 % of
 //! slots in the paper's setup (scaled from a university data-center
 //! batch trace). [`BatchTrace`] generates an on/off activity process
-//! with geometric burst and idle durations plus a per-slot backlog
-//! intensity while active.
+//! with geometric burst and idle durations: a per-slot backlog
+//! intensity in `[0.05, 1]` while active, `0.0` while idle.
 
 use serde::{Deserialize, Serialize};
 
 use crate::dist::Sampler;
-
-/// One slot of batch activity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BatchSlot {
-    /// Whether a backlog exists this slot (the tenant would bid).
-    pub active: bool,
-    /// Backlog pressure in `[0, 1]` (0 when inactive); scales how much
-    /// spot capacity the tenant wants.
-    pub intensity: f64,
-}
 
 /// Generator of per-slot batch backlog activity.
 ///
@@ -33,7 +23,7 @@ pub struct BatchSlot {
 /// use spotdc_traces::BatchTrace;
 ///
 /// let t = BatchTrace::university_like(3).generate(10_000);
-/// let active = t.iter().filter(|s| s.active).count() as f64 / t.len() as f64;
+/// let active = t.iter().filter(|&&x| x > 0.0).count() as f64 / t.len() as f64;
 /// assert!((0.2..0.4).contains(&active), "active fraction {active}");
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -69,31 +59,32 @@ impl BatchTrace {
         self.mean_busy_slots / (self.mean_busy_slots + self.mean_idle_slots)
     }
 
-    /// Generates `slots` of activity.
+    /// Generates `slots` intensities: the first steps of [`Self::cursor`].
     #[must_use]
-    pub fn generate(&self, slots: usize) -> Vec<BatchSlot> {
+    pub fn generate(&self, slots: usize) -> Vec<f64> {
+        self.cursor().take(slots).collect()
+    }
+
+    /// The trace stepped one slot at a time: an endless iterator of
+    /// backlog intensities, `0.0` exactly when idle (no bid).
+    pub fn cursor(&self) -> impl Iterator<Item = f64> + Send {
+        let tr = self.clone();
         let mut s = Sampler::seeded(self.seed);
-        let mut out = Vec::with_capacity(slots);
         // Start in a random phase weighted by the duty cycle.
         let mut busy = s.flip(self.expected_busy_fraction());
         let mut left = self.draw_duration(&mut s, busy);
-        for _ in 0..slots {
+        std::iter::repeat_with(move || {
             if left == 0 {
                 busy = !busy;
-                left = self.draw_duration(&mut s, busy);
+                left = tr.draw_duration(&mut s, busy);
             }
             left -= 1;
-            let intensity = if busy {
-                (self.intensity_median * s.lognormal(0.0, self.intensity_sigma)).clamp(0.05, 1.0)
+            if busy {
+                (tr.intensity_median * s.lognormal(0.0, tr.intensity_sigma)).clamp(0.05, 1.0)
             } else {
                 0.0
-            };
-            out.push(BatchSlot {
-                active: busy,
-                intensity,
-            });
-        }
-        out
+            }
+        })
     }
 
     fn draw_duration(&self, s: &mut Sampler, busy: bool) -> u64 {
@@ -119,7 +110,7 @@ mod tests {
                 ..BatchTrace::university_like(1)
             };
             let t = tr.generate(200_000);
-            let active = t.iter().filter(|s| s.active).count() as f64 / t.len() as f64;
+            let active = t.iter().filter(|&&x| x > 0.0).count() as f64 / t.len() as f64;
             let expect = tr.expected_busy_fraction();
             assert!(
                 (active - expect).abs() < 0.03,
@@ -129,15 +120,9 @@ mod tests {
     }
 
     #[test]
-    fn intensity_zero_iff_inactive() {
+    fn busy_intensity_stays_in_range() {
         let t = BatchTrace::university_like(2).generate(20_000);
-        for slot in t {
-            if slot.active {
-                assert!(slot.intensity > 0.0 && slot.intensity <= 1.0);
-            } else {
-                assert_eq!(slot.intensity, 0.0);
-            }
-        }
+        assert!(t.iter().all(|&x| x == 0.0 || (0.05..=1.0).contains(&x)));
     }
 
     #[test]
@@ -146,8 +131,8 @@ mod tests {
         // Mean run length of busy slots should be near mean_busy_slots.
         let mut runs = Vec::new();
         let mut run = 0u64;
-        for slot in &t {
-            if slot.active {
+        for &x in &t {
+            if x > 0.0 {
                 run += 1;
             } else if run > 0 {
                 runs.push(run);

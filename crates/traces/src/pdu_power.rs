@@ -126,30 +126,35 @@ impl PduPowerTrace {
         self.mean
     }
 
-    /// Generates `slots` consecutive power readings.
+    /// Generates `slots` power readings: the first steps of [`Self::cursor`].
     #[must_use]
     pub fn generate(&self, slots: usize) -> Vec<Watts> {
+        self.cursor().take(slots).collect()
+    }
+
+    /// The trace stepped one slot at a time: an endless iterator of
+    /// power readings.
+    pub fn cursor(&self) -> impl Iterator<Item = Watts> + Send {
+        let tr = self.clone();
         let mut s = Sampler::seeded(self.seed);
-        let mut out = Vec::with_capacity(slots);
         let mut deviation = 0.0f64; // AR(1) state around the baseline
         let sigma = self.mean.value() * self.volatility;
-        for t in 0..slots {
-            let phase = 2.0 * std::f64::consts::PI * (t % self.slots_per_day) as f64
-                / self.slots_per_day as f64;
+        (0usize..).map(move |t| {
+            let phase = 2.0 * std::f64::consts::PI * (t % tr.slots_per_day) as f64
+                / tr.slots_per_day as f64;
             // Evening peak shape: maximum at 3/4 of the day.
-            let baseline = self.mean.value()
+            let baseline = tr.mean.value()
                 * (1.0
-                    + self.diurnal_amplitude
-                        * (phase - self.peak_phase * 2.0 * std::f64::consts::PI).cos());
-            deviation = self.persistence * deviation + s.normal(0.0, sigma);
+                    + tr.diurnal_amplitude
+                        * (phase - tr.peak_phase * 2.0 * std::f64::consts::PI).cos());
+            deviation = tr.persistence * deviation + s.normal(0.0, sigma);
             let mut level = baseline + deviation;
-            if s.flip(self.spike_probability) {
+            if s.flip(tr.spike_probability) {
                 let sign = if s.flip(0.5) { 1.0 } else { -1.0 };
-                level += sign * self.mean.value() * self.spike_magnitude * s.uniform();
+                level += sign * tr.mean.value() * tr.spike_magnitude * s.uniform();
             }
-            out.push(Watts::new(level).clamp(self.floor, self.ceiling));
-        }
-        out
+            Watts::new(level).clamp(tr.floor, tr.ceiling)
+        })
     }
 }
 

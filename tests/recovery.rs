@@ -37,46 +37,77 @@ fn durable_config(mode: Mode, dir: &Path) -> EngineConfig {
 }
 
 fn cold(mode: Mode) -> SimReport {
-    Simulation::new(Scenario::testbed(SEED), EngineConfig::new(mode)).run(SLOTS)
+    cold_on(&Scenario::testbed(SEED), mode)
+}
+
+fn cold_on(scenario: &Scenario, mode: Mode) -> SimReport {
+    Simulation::new(scenario.clone(), EngineConfig::new(mode)).run(SLOTS)
 }
 
 fn stop_at(mode: Mode, dir: &Path, k: u64) {
+    stop_at_on(&Scenario::testbed(SEED), mode, dir, k);
+}
+
+fn stop_at_on(scenario: &Scenario, mode: Mode, dir: &Path, k: u64) {
     let mut config = durable_config(mode, dir);
     config.durability.stop_after = Some(k);
-    let outcome = Simulation::new(Scenario::testbed(SEED), config)
+    let outcome = Simulation::new(scenario.clone(), config)
         .run_durable(SLOTS)
         .expect("stopped run");
     assert_eq!(outcome.stopped_after, Some(k));
 }
 
 fn resume(mode: Mode, dir: &Path) -> spotdc_sim::DurableOutcome {
+    resume_on(&Scenario::testbed(SEED), mode, dir)
+}
+
+fn resume_on(scenario: &Scenario, mode: Mode, dir: &Path) -> spotdc_sim::DurableOutcome {
     let mut config = durable_config(mode, dir);
     config.durability.resume = true;
-    Simulation::new(Scenario::testbed(SEED), config)
+    Simulation::new(scenario.clone(), config)
         .run_durable(SLOTS)
         .expect("resumed run")
+}
+
+/// Fig. 10-style load scripts, one per tenant, all shorter than the
+/// horizon (the first empty, so `0.0` throughout): a resume lands
+/// inside some scripts and in the repeated last value of others.
+fn scripts() -> Vec<Vec<f64>> {
+    let levels = [0.2, 0.9, 0.95, 0.4, 1.0, 0.6, 0.3];
+    (0..8)
+        .map(|i| (0..2 * i).map(|t| levels[(i + t) % levels.len()]).collect())
+        .collect()
 }
 
 /// The satellite sweep: for every mode and every interruption slot
 /// `k` in `1..SLOTS`, stop-then-resume must reproduce the cold report
 /// exactly — whether `k` lands on a checkpoint boundary, one past it,
-/// or deep into a checkpoint interval.
+/// or deep into a checkpoint interval — on the testbed's traces and on
+/// scripted loads.
 #[test]
 fn resume_at_every_slot_matches_cold_run() {
+    let traced = Scenario::testbed(SEED);
+    let scripted = Scenario::testbed(SEED).with_scripted_loads(scripts());
     for mode in [Mode::PowerCapped, Mode::SpotDc, Mode::MaxPerf] {
-        let golden = cold(mode);
-        for k in 1..SLOTS {
-            let dir = temp_dir(&format!("sweep-{mode:?}-{k}"));
-            stop_at(mode, &dir, k);
-            let resumed = resume(mode, &dir);
-            let recovery = resumed.recovery.as_ref().expect("recovery info");
-            assert_eq!(
-                recovery.snapshot_slot,
-                (k >= EVERY).then_some((k / EVERY) * EVERY),
-                "mode {mode:?} k {k}"
-            );
-            assert_eq!(resumed.report, golden, "mode {mode:?} resumed at slot {k}");
-            let _ = fs::remove_dir_all(&dir);
+        assert_ne!(cold_on(&traced, mode), cold_on(&scripted, mode));
+        for (leg, scenario) in [("traced", &traced), ("scripted", &scripted)] {
+            let golden = cold_on(scenario, mode);
+            for k in 1..SLOTS {
+                let dir = temp_dir(&format!("sweep-{leg}-{mode:?}-{k}"));
+                stop_at_on(scenario, mode, &dir, k);
+                let resumed = resume_on(scenario, mode, &dir);
+                let recovery = resumed.recovery.as_ref().expect("recovery info");
+                assert_eq!(
+                    recovery.snapshot_slot,
+                    (k >= EVERY).then_some((k / EVERY) * EVERY),
+                    "{leg} mode {mode:?} k {k}"
+                );
+                assert_eq!(
+                    resumed.report, golden,
+                    "{leg} mode {mode:?} resumed at slot {k}"
+                );
+                let _ = fs::remove_dir_all(&dir);
+            }
         }
     }
 }
