@@ -28,10 +28,13 @@ determinism:
 	$(CARGO) test -p spotdc-sim --test determinism
 
 # Refactor guard: SimReport for all three modes at seed 42 must match
-# the checked-in snapshots byte for byte, and the hyperscale, per-PDU
-# and armed paths their pinned digests (tests/golden/).
-golden:
+# the checked-in snapshots byte for byte, the hyperscale, per-PDU and
+# armed paths their pinned digests, and the release `repro --quick`
+# stdout every figure's numbers (tests/golden/; GOLDEN_REGEN=1
+# rewrites all three).
+golden: build
 	$(CARGO) test -p spotdc --test golden_report --test golden_paths
+	scripts/golden_repro
 
 # Fault-injection smoke run: the full robustness sweep with the release
 # invariant checker forced on. Any Eq. 1–4 violation fails the run.
