@@ -11,9 +11,10 @@
 //!   fault plan and trace cursors (re-stepped to `slots_done`) are pure
 //!   functions of the scenario and config (every fault verdict is a hash
 //!   of `(seed, slot, target)`, so a snapshot carries no RNG state); per-slot
-//!   scratch, the agents' valuation-row caches and the prediction cache
-//!   are bit-transparent (warm-vs-cold equality is pinned by tests) and
-//!   clearing keeps no state between slots (only buffers it rebuilds);
+//!   scratch, the scenario's valuation-row caches (as warm as its other
+//!   runs left them) and the prediction cache are bit-transparent
+//!   (warm-vs-cold equality is pinned by tests) and clearing keeps no
+//!   state between slots (only buffers it rebuilds);
 //!   the agents' load intensities are dead at a slot boundary (`Sense`,
 //!   the first stage of every composition, observes every agent before
 //!   any stage reads one); the emergency detector keeps only its

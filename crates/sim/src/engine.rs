@@ -487,8 +487,16 @@ impl Simulation {
     /// the stage table ([`pipeline::build`]), and steps the stages once
     /// per slot. All market behaviour lives in the stages. The scenario
     /// goes once the state is built: the state holds what it reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ConfigError`] text if [`EngineConfig::validate`]
+    /// fails ([`Simulation::run_durable`] returns it instead).
     #[must_use]
     pub fn run(self, slots: u64) -> SimReport {
+        if let Err(e) = self.config.validate() {
+            panic!("invalid engine configuration: {e}");
+        }
         self.run_plain(slots, None).expect("no writer, no I/O")
     }
 
@@ -887,6 +895,16 @@ mod tests {
         }
         .validate()
         .unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "per_pdu_pricing requires a market mode, but mode is")]
+    fn run_refuses_what_validate_rejects() {
+        let priced_cap = EngineConfig {
+            per_pdu_pricing: true,
+            ..EngineConfig::new(Mode::PowerCapped)
+        };
+        let _ = Simulation::new(Scenario::testbed(42), priced_cap).run(1);
     }
 
     #[test]

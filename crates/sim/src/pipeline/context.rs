@@ -61,8 +61,8 @@ pub struct SimState {
     pub emergencies: EmergencyLog,
     /// Graceful-degradation cap controller, when enabled.
     pub cap: Option<CapController>,
-    /// Tenant agents, in rack order. Each valuation class shares one
-    /// row cache, fresh for this run
+    /// Tenant agents, in rack order: clones of the scenario's, so each
+    /// valuation class reads the scenario's one row cache
     /// ([`spotdc_tenants::share_valuation_rows`]).
     pub agents: Vec<TenantAgent>,
     /// Non-participating ("other") rack groups.
@@ -131,8 +131,7 @@ impl SimState {
         let validate = config.validate || crate::validate::forced();
         let guaranteed: Vec<Watts> = topology.racks().map(|r| r.guaranteed()).collect();
         let rack_pdu: Vec<usize> = topology.racks().map(|r| r.pdu().index()).collect();
-        let mut agents = scenario.agents.clone();
-        spotdc_tenants::share_valuation_rows(&mut agents);
+        let agents = scenario.agents.clone();
 
         let mut true_draw: Vec<Watts> = vec![Watts::ZERO; topology.rack_count()];
         for (i, agent) in agents.iter().enumerate() {

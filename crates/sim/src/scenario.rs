@@ -23,7 +23,7 @@
 
 use serde::{Deserialize, Serialize};
 use spotdc_power::topology::{PowerTopology, TopologyBuilder};
-use spotdc_tenants::{Strategy, TenantAgent, WorkloadModel};
+use spotdc_tenants::{share_valuation_rows, Strategy, TenantAgent, WorkloadModel};
 use spotdc_traces::{ArrivalTrace, BatchTrace, PduPowerTrace, Sampler};
 use spotdc_units::{Price, RackId, SlotDuration, TenantId, Watts};
 
@@ -110,7 +110,8 @@ pub struct OtherGroup {
 pub struct Scenario {
     /// The power topology.
     pub topology: PowerTopology,
-    /// Participating tenant agents (index-aligned with `specs`).
+    /// Participating tenant agents (index-aligned with `specs`); each
+    /// valuation class, clones included, shares one row cache.
     pub agents: Vec<TenantAgent>,
     /// Static descriptions of the participating tenants.
     pub specs: Vec<TenantSpec>,
@@ -327,7 +328,8 @@ impl Scenario {
             }
         }
         agents.sort_by_key(|(i, _)| *i);
-        let agents = agents.into_iter().map(|(_, a)| a).collect();
+        let mut agents: Vec<TenantAgent> = agents.into_iter().map(|(_, a)| a).collect();
+        share_valuation_rows(&mut agents);
         Scenario {
             topology: builder.build().expect("scenario topology is valid"),
             agents,

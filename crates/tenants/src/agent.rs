@@ -34,8 +34,9 @@ const SPRINTING_ROWS: usize = INTENSITY_BUCKETS as usize + 1;
 /// A row is a pure function of the agent's valuation class (workload,
 /// reservation, headroom) and the bucket, so [`share_valuation_rows`]
 /// points a whole class at one cache: whichever agent needs a row first
-/// builds it for all. Each entry is written once and read without a
-/// lock, so agents mapped in parallel share a cache freely.
+/// builds it for all, and a clone keeps its original's cache. Each entry
+/// is written once and read without a lock, so agents and simulations on
+/// any thread share a cache freely.
 #[derive(Debug, Default)]
 struct RowCache {
     rows: OnceLock<Box<[OnceLock<Box<ValuationRow>>]>>,
@@ -119,7 +120,7 @@ pub struct SlotOutcome {
 /// let bid = agent.make_bid().expect("busy batch tenant bids");
 /// assert_eq!(bid.tenant(), TenantId::new(2));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TenantAgent {
     tenant: TenantId,
     rack: RackId,
@@ -133,35 +134,17 @@ pub struct TenantAgent {
     wants_spot: bool,
     predicted_price: Option<Price>,
     /// The valuation rows: the agent's own, or its class's once
-    /// [`share_valuation_rows`] ran. Each valuation applies the agent's
-    /// cost model to its row afresh.
+    /// [`share_valuation_rows`] ran; a clone shares its original's.
+    /// Each valuation applies the agent's cost model to its row afresh.
     rows: Arc<RowCache>,
-}
-
-impl Clone for TenantAgent {
-    /// A clone starts with its own cold row cache, as a new agent does:
-    /// only [`share_valuation_rows`] shares one.
-    fn clone(&self) -> Self {
-        TenantAgent {
-            tenant: self.tenant,
-            rack: self.rack,
-            reserved: self.reserved,
-            headroom: self.headroom,
-            model: self.model.clone(),
-            strategy: self.strategy.clone(),
-            intensity: self.intensity,
-            wants_spot: self.wants_spot,
-            predicted_price: self.predicted_price,
-            rows: Arc::default(),
-        }
-    }
 }
 
 /// Points every agent at one fresh, cold row cache per valuation class
 /// and returns the number of classes. A class is the agents with an
 /// equal workload, reservation and headroom: their rows are equal
-/// whatever their cost models, so a simulation builds each row once per
-/// class instead of once per agent.
+/// whatever their cost models, so each row is built once per class
+/// instead of once per agent: once per scenario, whose assembly calls
+/// this and whose simulations run clones of its agents.
 pub fn share_valuation_rows(agents: &mut [TenantAgent]) -> usize {
     // The first agent of each class; classes are few (one per Table I
     // kind), so a scan beats hashing floats.
@@ -488,7 +471,7 @@ mod tests {
     }
 
     #[test]
-    fn a_clone_starts_with_its_own_cold_cache() {
+    fn a_clone_shares_its_class_cache() {
         let mut shared = vec![search_agent(), search_agent()];
         assert_eq!(share_valuation_rows(&mut shared), 1);
         shared[0].observe(1.0);
@@ -498,8 +481,10 @@ mod tests {
             "the class cache is warm"
         );
         let copy = shared[1].clone();
-        assert!(!Arc::ptr_eq(&copy.rows, &shared[1].rows));
-        assert!(copy.rows.rows.get().is_none(), "a clone starts cold");
+        assert!(Arc::ptr_eq(&copy.rows, &shared[1].rows), "a clone shares");
+        let fresh = search_agent();
+        assert!(!Arc::ptr_eq(&fresh.rows, &shared[1].rows));
+        assert!(fresh.rows.rows.get().is_none(), "a new agent starts cold");
     }
 
     #[test]
