@@ -29,11 +29,12 @@ determinism:
 
 # Refactor guard: SimReport for all three modes at seed 42 must match
 # the checked-in snapshots byte for byte, the hyperscale, per-PDU and
-# armed paths their pinned digests, and the release `repro --quick`
-# stdout every figure's numbers (tests/golden/; GOLDEN_REGEN=1
-# rewrites all three).
+# armed paths their pinned digests, every valuation row the testbed's
+# and the hyperscale scenario's classes build its class's digest, and
+# the release `repro --quick` stdout every figure's numbers
+# (tests/golden/; GOLDEN_REGEN=1 rewrites all four).
 golden: build
-	$(CARGO) test -p spotdc --test golden_report --test golden_paths
+	$(CARGO) test -p spotdc --test golden_report --test golden_paths --test golden_rows
 	scripts/golden_repro
 
 # Fault-injection smoke run: the full robustness sweep with the release
