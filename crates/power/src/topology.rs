@@ -185,20 +185,22 @@ impl TopologyBuilder {
                 TopologyError::RackWithoutPdu
             });
         }
-        let check = |w: Watts, what: &str| -> Result<(), TopologyError> {
+        /// `w` if valid, else the error naming it; the name is only
+        /// written out for an invalid quantity.
+        fn check(w: Watts, what: impl FnOnce() -> String) -> Result<(), TopologyError> {
             if !w.is_finite() || w.is_negative() {
-                Err(TopologyError::InvalidCapacity { what: what.into() })
+                Err(TopologyError::InvalidCapacity { what: what() })
             } else {
                 Ok(())
             }
-        };
-        check(self.ups_capacity, "ups capacity")?;
+        }
+        check(self.ups_capacity, || "ups capacity".into())?;
         for (i, &c) in self.pdu_capacities.iter().enumerate() {
-            check(c, &format!("pdu-{i} capacity"))?;
+            check(c, || format!("pdu-{i} capacity"))?;
         }
         for r in &self.racks {
-            check(r.guaranteed, &format!("{} guaranteed capacity", r.id))?;
-            check(r.spot_headroom, &format!("{} spot headroom", r.id))?;
+            check(r.guaranteed, || format!("{} guaranteed capacity", r.id))?;
+            check(r.spot_headroom, || format!("{} spot headroom", r.id))?;
         }
 
         let mut racks_by_pdu = vec![Vec::new(); self.pdu_capacities.len()];
@@ -440,6 +442,25 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, TopologyError::InvalidCapacity { .. }));
+    }
+
+    #[test]
+    fn an_invalid_rack_capacity_is_named() {
+        let build = |guaranteed: f64, headroom: f64| {
+            TopologyBuilder::new(Watts::new(1000.0))
+                .pdu(Watts::new(500.0))
+                .rack(TenantId::new(0), Watts::new(100.0), Watts::new(50.0))
+                .rack(
+                    TenantId::new(1),
+                    Watts::new(guaranteed),
+                    Watts::new(headroom),
+                )
+                .build()
+                .unwrap_err()
+        };
+        let named = |what: &str| TopologyError::InvalidCapacity { what: what.into() };
+        assert_eq!(build(-1.0, 50.0), named("rack-1 guaranteed capacity"));
+        assert_eq!(build(100.0, f64::NAN), named("rack-1 spot headroom"));
     }
 
     #[test]
