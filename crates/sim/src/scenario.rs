@@ -280,15 +280,26 @@ impl Scenario {
         let ups = pdu_caps.iter().copied().sum::<Watts>() / tuning.ups_oversubscription;
         let mut builder = TopologyBuilder::new(ups);
 
-        // Racks are laid out PDU by PDU: participants first, then the
-        // PDU's other-group rack.
+        // Racks are laid out PDU by PDU in one pass: the PDU's
+        // participants in spec order, then its other groups. Both
+        // constructors list specs and other groups PDU by PDU, so the
+        // layout walks each list once, and agent `i` is spec `i`'s.
+        assert!(
+            specs.is_sorted_by_key(|s| s.pdu),
+            "participants are listed PDU by PDU"
+        );
+        assert!(
+            other_subscriptions.is_sorted_by_key(|&(pdu, _)| pdu),
+            "other groups are listed PDU by PDU"
+        );
         let mut agents = Vec::with_capacity(specs.len());
-        let mut others = Vec::new();
+        let mut others = Vec::with_capacity(other_subscriptions.len());
         let mut jitter = Sampler::seeded(seed ^ 0x6a17);
-        let mut rack_index = 0usize;
-        for (pdu, &pdu_cap) in pdu_caps.iter().enumerate().take(pdus) {
+        let mut next_spec = specs.iter().enumerate().peekable();
+        let mut next_other = other_subscriptions.iter().peekable();
+        for (pdu, &pdu_cap) in pdu_caps.iter().enumerate() {
             builder = builder.pdu(pdu_cap);
-            for (i, s) in specs.iter().enumerate().filter(|(_, s)| s.pdu == pdu) {
+            while let Some((i, s)) = next_spec.next_if(|(_, s)| s.pdu == pdu) {
                 let headroom = s.subscription * HEADROOM_FRACTION;
                 builder = builder.rack(TenantId::new(i), s.subscription, headroom);
                 let factor = if cost_jitter > 0.0 && i >= 8 {
@@ -296,20 +307,16 @@ impl Scenario {
                 } else {
                     1.0
                 };
-                agents.push((
-                    i,
-                    TenantAgent::new(
-                        TenantId::new(i),
-                        RackId::new(rack_index),
-                        s.subscription,
-                        headroom,
-                        s.kind.model().with_cost_scaled(factor),
-                        s.kind.default_strategy(&billing),
-                    ),
+                agents.push(TenantAgent::new(
+                    TenantId::new(i),
+                    RackId::new(agents.len() + others.len()),
+                    s.subscription,
+                    headroom,
+                    s.kind.model().with_cost_scaled(factor),
+                    s.kind.default_strategy(&billing),
                 ));
-                rack_index += 1;
             }
-            for &(p, sub) in other_subscriptions.iter().filter(|&&(p, _)| p == pdu) {
+            while let Some(&(p, sub)) = next_other.next_if(|&&(p, _)| p == pdu) {
                 let tenant = TenantId::new(specs.len() + others.len());
                 builder = builder.rack(tenant, sub, Watts::ZERO);
                 let mean = sub * tuning.other_mean_fraction;
@@ -320,15 +327,12 @@ impl Scenario {
                     PduPowerTrace::colo_like(mean, trace_seed)
                 };
                 others.push(OtherGroup {
-                    rack: RackId::new(rack_index),
+                    rack: RackId::new(agents.len() + others.len()),
                     subscription: sub,
                     trace: trace.with_bounds(mean * 0.4, sub),
                 });
-                rack_index += 1;
             }
         }
-        agents.sort_by_key(|(i, _)| *i);
-        let mut agents: Vec<TenantAgent> = agents.into_iter().map(|(_, a)| a).collect();
         share_valuation_rows(&mut agents);
         Scenario {
             topology: builder.build().expect("scenario topology is valid"),
@@ -595,6 +599,42 @@ mod tests {
         // Same per-tenant mix: subscriptions are Table I values.
         for spec in &s.specs {
             assert!([145.0, 125.0, 115.0].contains(&spec.subscription.value()));
+        }
+    }
+
+    /// Each PDU's racks are its participants in spec order, then its
+    /// other group; rack ids ascend through the layout; agent `i` holds
+    /// spec `i`'s rack. At 1 tenant the second PDU holds only an other
+    /// group.
+    #[test]
+    fn hyperscale_lays_racks_out_pdu_by_pdu() {
+        for tenants in [1, 7, 9, 301, 100_000] {
+            let s = Scenario::hyperscale(42, tenants);
+            assert_eq!(s.agents.len(), tenants);
+            let racks: Vec<_> = s.topology.racks().collect();
+            assert!(racks.iter().enumerate().all(|(k, r)| r.id().index() == k));
+            assert!(racks.windows(2).all(|w| w[0].pdu() <= w[1].pdu()));
+            for (i, (agent, spec)) in s.agents.iter().zip(&s.specs).enumerate() {
+                let rack = s.topology.rack(agent.rack()).unwrap();
+                assert_eq!(agent.tenant(), TenantId::new(i));
+                assert_eq!(rack.tenant(), TenantId::new(i));
+                assert_eq!(rack.pdu().index(), spec.pdu);
+                assert_eq!(rack.guaranteed(), spec.subscription);
+            }
+            assert!(s.agents.windows(2).all(|w| w[0].rack() < w[1].rack()));
+            assert_eq!(s.others.len(), s.topology.pdu_count());
+            for other in &s.others {
+                let pdu = s.topology.rack(other.rack).unwrap().pdu();
+                let on_pdu = s.topology.racks_on_pdu(pdu);
+                assert_eq!(on_pdu.last(), Some(&other.rack), "{tenants} tenants, {pdu}");
+                assert!(on_pdu[..on_pdu.len() - 1].iter().all(|&r| s
+                    .topology
+                    .rack(r)
+                    .unwrap()
+                    .tenant()
+                    .index()
+                    < s.specs.len()));
+            }
         }
     }
 
