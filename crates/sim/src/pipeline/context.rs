@@ -62,7 +62,8 @@ pub struct SimState {
     /// Graceful-degradation cap controller, when enabled.
     pub cap: Option<CapController>,
     /// Tenant agents, in rack order: clones of the scenario's, so each
-    /// valuation class reads the scenario's one row cache
+    /// valuation class reads the scenario's one class cache of rows and
+    /// reservation operating point
     /// ([`spotdc_tenants::share_valuation_rows`]).
     pub agents: Vec<TenantAgent>,
     /// Non-participating ("other") rack groups.
@@ -110,7 +111,10 @@ impl SimState {
     /// Builds the cross-slot state for a run of `slots` slots,
     /// including the slot-0 meter warm-up: each tenant draws what it
     /// would at its first load sample under its reserved budget, so the
-    /// first prediction has references to work from. Warm-up is
+    /// first prediction has references to work from. That draw reads
+    /// the operating point the reservation affords off the agent's
+    /// valuation class ([`TenantAgent::reserved_draw`]), so the warm-up
+    /// finds one per class, not one per agent. Warm-up is
     /// initialization, not operation: it is never faulted.
     #[must_use]
     pub fn new(scenario: &Scenario, config: &EngineConfig, slots: usize) -> Self {
@@ -137,10 +141,7 @@ impl SimState {
         for (i, agent) in agents.iter().enumerate() {
             // Only the draw is metered: no performance, no cost, and no
             // SLO test — slot 0's `Sense` observes the same load.
-            let load = cursors.load[i];
-            let draw = agent
-                .model()
-                .power_draw(agent.reserved(), load.clamp(0.0, 1.0));
+            let draw = agent.reserved_draw(cursors.load[i].clamp(0.0, 1.0));
             meter.record(Slot::ZERO, agent.rack(), draw);
             true_draw[agent.rack().index()] = draw.clamp_non_negative();
         }

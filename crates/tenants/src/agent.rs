@@ -13,7 +13,7 @@ use std::sync::{Arc, OnceLock};
 use serde::{Deserialize, Serialize};
 use spotdc_core::bid::{RackBid, TenantBid};
 use spotdc_units::{Price, RackId, TenantId, Watts};
-use spotdc_workloads::GainCurve;
+use spotdc_workloads::{GainCurve, OperatingPoint};
 
 use crate::model::{ValuationRow, WorkloadModel};
 use crate::strategy::{BidContext, Strategy};
@@ -26,23 +26,35 @@ const INTENSITY_BUCKETS: f64 = 256.0;
 /// Rows a sprinting class caches: one per step, `0..=INTENSITY_BUCKETS`.
 const SPRINTING_ROWS: usize = INTENSITY_BUCKETS as usize + 1;
 
-/// Valuation rows keyed by intensity bucket. A row is dozens of
-/// queueing or DVFS inversions, and long simulations revisit the same
-/// load levels constantly. An opportunistic row is load-independent, so
-/// a batch agent's cache holds one.
+/// A valuation class's write-once answers: its valuation rows keyed by
+/// intensity bucket, and the DVFS operating point its reservation
+/// affords. A row is dozens of queueing or DVFS inversions, and long
+/// simulations revisit the same load levels constantly. An
+/// opportunistic row is load-independent, so a batch agent's cache
+/// holds one.
 ///
 /// A row is a pure function of the agent's valuation class (workload,
-/// reservation, headroom) and the bucket, so [`share_valuation_rows`]
-/// points a whole class at one cache: whichever agent needs a row first
-/// builds it for all, and a clone keeps its original's cache. Each entry
-/// is written once and read without a lock, so agents and simulations on
-/// any thread share a cache freely.
+/// reservation, headroom) and the bucket, and the reservation's
+/// operating point one of the class's DVFS model and reservation, so
+/// [`share_valuation_rows`] points a whole class at one cache:
+/// whichever agent needs an answer first computes it for all, and a
+/// clone keeps its original's cache. Each entry is written once and
+/// read without a lock, so agents and simulations on any thread share a
+/// cache freely.
+///
+/// Only the slot-0 warm-up draw ([`TenantAgent::reserved_draw`]) reads
+/// the operating point. `Sense`'s SLO test and `Settle`'s
+/// [`TenantAgent::run_slot`] could read it too, every slot, and run
+/// ~2.2x faster bit for bit, but they do not yet: the benchmark keeps
+/// every repetition's reports, so the faster repetitions would cost
+/// more memory than its bound allows (ROADMAP 1(a)).
 #[derive(Debug, Default)]
-struct RowCache {
+struct ClassCache {
     rows: OnceLock<Box<[OnceLock<Box<ValuationRow>>]>>,
+    reserved_op: OnceLock<OperatingPoint>,
 }
 
-impl RowCache {
+impl ClassCache {
     /// The row under `key`, built by `build` on first use; the cache
     /// takes its length, `len`, from its first caller.
     fn row(&self, key: usize, len: usize, build: impl FnOnce() -> ValuationRow) -> &ValuationRow {
@@ -133,31 +145,33 @@ pub struct TenantAgent {
     /// [`Self::observe`]: bidding and the slot's record both read it.
     wants_spot: bool,
     predicted_price: Option<Price>,
-    /// The valuation rows: the agent's own, or its class's once
-    /// [`share_valuation_rows`] ran; a clone shares its original's.
-    /// Each valuation applies the agent's cost model to its row afresh.
-    rows: Arc<RowCache>,
+    /// The valuation rows and the reservation's operating point: the
+    /// agent's own, or its class's once [`share_valuation_rows`] ran; a
+    /// clone shares its original's. Each valuation applies the agent's
+    /// cost model to its row afresh.
+    class: Arc<ClassCache>,
 }
 
-/// Points every agent at one fresh, cold row cache per valuation class
-/// and returns the number of classes. A class is the agents with an
-/// equal workload, reservation and headroom: their rows are equal
-/// whatever their cost models, so each row is built once per class
-/// instead of once per agent: once per scenario, whose assembly calls
-/// this and whose simulations run clones of its agents.
+/// Points every agent at one fresh, cold class cache per valuation
+/// class and returns the number of classes. A class is the agents with
+/// an equal workload, reservation and headroom: their rows, and the
+/// operating point their reservation affords, are equal whatever their
+/// cost models, so each is computed once per class instead of once per
+/// agent: once per scenario, whose assembly calls this and whose
+/// simulations run clones of its agents.
 pub fn share_valuation_rows(agents: &mut [TenantAgent]) -> usize {
     // The first agent of each class; classes are few (one per Table I
     // kind), so a scan beats hashing floats.
     let mut firsts: Vec<usize> = Vec::new();
     for i in 0..agents.len() {
-        let rows = match firsts.iter().find(|&&f| agents[f].same_class(&agents[i])) {
-            Some(&f) => Arc::clone(&agents[f].rows),
+        let class = match firsts.iter().find(|&&f| agents[f].same_class(&agents[i])) {
+            Some(&f) => Arc::clone(&agents[f].class),
             None => {
                 firsts.push(i);
                 Arc::default()
             }
         };
-        agents[i].rows = rows;
+        agents[i].class = class;
     }
     firsts.len()
 }
@@ -196,11 +210,11 @@ impl TenantAgent {
             // No load wants no spot, whatever the workload.
             wants_spot: false,
             predicted_price: None,
-            rows: Arc::default(),
+            class: Arc::default(),
         }
     }
 
-    /// Whether `other` builds the same valuation rows: an equal
+    /// Whether `other` is in the same valuation class: an equal
     /// workload, reservation and headroom.
     fn same_class(&self, other: &TenantAgent) -> bool {
         self.reserved == other.reserved
@@ -218,7 +232,7 @@ impl TenantAgent {
         } else {
             (0, 1)
         };
-        let row = self.rows.row(key, len, || {
+        let row = self.class.row(key, len, || {
             self.model
                 .valuation_row(self.reserved, self.headroom, quantized)
         });
@@ -324,6 +338,20 @@ impl TenantAgent {
     #[must_use]
     pub fn gain_curve(&self) -> GainCurve {
         self.valuation().0
+    }
+
+    /// The power the rack draws under its reservation at load
+    /// `intensity`: `model().power_draw(reserved(), intensity)` bit for
+    /// bit, read off the class's reservation operating point, which is
+    /// found once per class. An idle batch rack draws at a zero budget
+    /// all the same. The slot-0 meter warm-up is its one caller.
+    #[must_use]
+    pub fn reserved_draw(&self, intensity: f64) -> Watts {
+        let op = self
+            .class
+            .reserved_op
+            .get_or_init(|| self.model.operating_point(self.reserved));
+        self.model.power_draw_at(self.reserved, intensity, *op)
     }
 
     /// Runs the slot with the given total budget (reserved + any spot
@@ -477,14 +505,59 @@ mod tests {
         shared[0].observe(1.0);
         assert!(shared[0].make_bid().is_some());
         assert!(
-            shared[1].rows.rows.get().is_some(),
+            shared[1].class.rows.get().is_some(),
             "the class cache is warm"
         );
         let copy = shared[1].clone();
-        assert!(Arc::ptr_eq(&copy.rows, &shared[1].rows), "a clone shares");
+        assert!(Arc::ptr_eq(&copy.class, &shared[1].class), "a clone shares");
         let fresh = search_agent();
-        assert!(!Arc::ptr_eq(&fresh.rows, &shared[1].rows));
-        assert!(fresh.rows.rows.get().is_none(), "a new agent starts cold");
+        assert!(!Arc::ptr_eq(&fresh.class, &shared[1].class));
+        assert!(fresh.class.rows.get().is_none(), "a new agent starts cold");
+    }
+
+    #[test]
+    fn reserved_draw_is_power_draw_at_the_reservation_bit_for_bit() {
+        let table_one = [
+            (WorkloadModel::search(), 145.0),
+            (WorkloadModel::web(), 115.0),
+            (WorkloadModel::word_count(), 125.0),
+            (WorkloadModel::tera_sort(), 125.0),
+            (WorkloadModel::graph(), 115.0),
+        ];
+        let agent = |model: WorkloadModel, reserved: f64| {
+            TenantAgent::new(
+                TenantId::new(0),
+                RackId::new(0),
+                Watts::new(reserved),
+                Watts::new(reserved / 2.0),
+                model,
+                Strategy::simple(Price::per_kw_hour(0.5)),
+            )
+        };
+        for (model, reserved) in table_one {
+            // A class of two, the second with another cost model, and a
+            // lone agent with its own cache.
+            let mut class = vec![
+                agent(model.clone(), reserved),
+                agent(model.clone().with_cost_scaled(1.2), reserved),
+            ];
+            assert_eq!(share_valuation_rows(&mut class), 1);
+            let lone = agent(model.clone(), reserved);
+            for a in class.iter().chain([&lone]) {
+                for load in [0.0, 1e-9, 0.5, 1.0] {
+                    let want = model.power_draw(Watts::new(reserved), load);
+                    assert_eq!(
+                        a.reserved_draw(load).value().to_bits(),
+                        want.value().to_bits(),
+                        "{model:?} at load {load}"
+                    );
+                }
+            }
+            assert!(
+                class[1].class.reserved_op.get().is_some(),
+                "the class holds its point"
+            );
+        }
     }
 
     #[test]
@@ -511,7 +584,7 @@ mod tests {
             batch_agent(),
         ];
         assert_eq!(share_valuation_rows(&mut agents), 6);
-        let shares = |i: usize, j: usize| Arc::ptr_eq(&agents[i].rows, &agents[j].rows);
+        let shares = |i: usize, j: usize| Arc::ptr_eq(&agents[i].class, &agents[j].class);
         assert!(shares(0, 1));
         assert!(shares(5, 7));
         for (i, j) in [(0, 2), (0, 3), (0, 4), (5, 6), (2, 3)] {

@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 use spotdc_units::Watts;
 use spotdc_workloads::{
-    BatchWorkload, GainCurve, InteractiveWorkload, OpportunisticCost, SprintingCost,
+    BatchWorkload, GainCurve, InteractiveWorkload, OperatingPoint, OpportunisticCost, SprintingCost,
 };
 
 /// How many samples gain curves are tabulated with.
@@ -320,6 +320,33 @@ impl WorkloadModel {
                 lambda > 0.0 && !workload.meets_slo(lambda, reserved)
             }
             WorkloadModel::Opportunistic { .. } => intensity > 0.0,
+        }
+    }
+
+    /// The DVFS operating point `budget` affords this model's rack: a
+    /// pure function of the workload and the budget.
+    pub(crate) fn operating_point(&self, budget: Watts) -> OperatingPoint {
+        match self {
+            WorkloadModel::Sprinting { workload, .. } => workload.operating_point(budget),
+            WorkloadModel::Opportunistic { workload, .. } => workload.operating_point(budget),
+        }
+    }
+
+    /// [`power_draw`](Self::power_draw) bit for bit, given `op`, the
+    /// [operating point](Self::operating_point) `budget` affords. An
+    /// idle batch rack ignores it, as `power_draw` does its budget.
+    pub(crate) fn power_draw_at(&self, budget: Watts, intensity: f64, op: OperatingPoint) -> Watts {
+        match self {
+            WorkloadModel::Sprinting { workload, .. } => {
+                workload.draw_at(self.arrival_rate(intensity), budget, op)
+            }
+            WorkloadModel::Opportunistic { workload, .. } => {
+                if intensity <= 0.0 {
+                    workload.power_draw(Watts::ZERO)
+                } else {
+                    workload.draw_at(budget, op)
+                }
+            }
         }
     }
 

@@ -22,11 +22,13 @@ use crate::dvfs::{DvfsModel, OperatingPoint};
 /// A budget affords one DVFS operating point, and both the rate and
 /// the rack's draw are read off it. [`throughput`] and [`power_draw`]
 /// each find that point; [`throughput_and_draw`] finds it once for
-/// both, as a slot needs them.
+/// both, as a slot needs them; [`draw_at`] reads a point found
+/// beforehand.
 ///
 /// [`throughput`]: Self::throughput
 /// [`power_draw`]: Self::power_draw
 /// [`throughput_and_draw`]: Self::throughput_and_draw
+/// [`draw_at`]: Self::draw_at
 ///
 /// # Examples
 ///
@@ -125,7 +127,8 @@ impl BatchWorkload {
 
     /// The operating point `budget` affords. A batch rack with backlog
     /// is always fully busy, so power is evaluated at utilization 1.
-    fn operating_point(&self, budget: Watts) -> OperatingPoint {
+    #[must_use]
+    pub fn operating_point(&self, budget: Watts) -> OperatingPoint {
         self.dvfs.operating_point(budget, 1.0)
     }
 
@@ -135,8 +138,11 @@ impl BatchWorkload {
         self.throughput_max * op.relative_capacity(self.dvfs.serial_fraction())
     }
 
-    /// The busy draw at `op`, the operating point `budget` affords.
-    fn draw_at(&self, budget: Watts, op: OperatingPoint) -> Watts {
+    /// The busy draw at `op`, the operating point `budget` affords
+    /// ([`operating_point`](Self::operating_point)): with that point,
+    /// [`power_draw`](Self::power_draw) bit for bit.
+    #[must_use]
+    pub fn draw_at(&self, budget: Watts, op: OperatingPoint) -> Watts {
         let draw = self.dvfs.rack_power(op.frequency, 1.0) * op.active_fraction;
         draw.min(budget.clamp_non_negative())
             .min(self.dvfs.peak_power())

@@ -21,11 +21,13 @@ use crate::queueing::MmK;
 /// A budget affords one DVFS operating point, and both the tail
 /// latency and the rack's draw are read off it. [`latency`] and
 /// [`power_draw`] each find that point; [`latency_and_draw`] finds it
-/// once for both, as a slot needs them.
+/// once for both, as a slot needs them; [`draw_at`] reads a point
+/// found beforehand.
 ///
 /// [`latency`]: Self::latency
 /// [`power_draw`]: Self::power_draw
 /// [`latency_and_draw`]: Self::latency_and_draw
+/// [`draw_at`]: Self::draw_at
 ///
 /// # Examples
 ///
@@ -167,7 +169,8 @@ impl InteractiveWorkload {
     /// cap: the tenant must pick a frequency whose *worst-case* (fully
     /// busy) draw stays under it, so the budget→frequency mapping is
     /// evaluated at utilization 1.
-    fn operating_point(&self, budget: Watts) -> OperatingPoint {
+    #[must_use]
+    pub fn operating_point(&self, budget: Watts) -> OperatingPoint {
         self.dvfs.operating_point(budget, 1.0)
     }
 
@@ -190,6 +193,11 @@ impl InteractiveWorkload {
 
     /// The smallest budget meeting the SLO at `lambda` req/s, or `None`
     /// if the SLO is infeasible even at peak power.
+    ///
+    /// A bisection of at most 100 steps that stops at its fixed point:
+    /// once the midpoint rounds to `lo` or `hi`, no later step can move
+    /// either bound (`hi` meets the SLO; `lo` is 0, which never does, or
+    /// a midpoint that failed), so the answer is the 100-step one.
     #[must_use]
     pub fn power_for_slo(&self, lambda: f64) -> Option<Watts> {
         let peak = self.dvfs.peak_power();
@@ -200,6 +208,9 @@ impl InteractiveWorkload {
         let mut hi = peak.value();
         for _ in 0..100 {
             let mid = 0.5 * (lo + hi);
+            if mid == lo || mid == hi {
+                break;
+            }
             if self.meets_slo(lambda, Watts::new(mid)) {
                 hi = mid;
             } else {
@@ -217,8 +228,11 @@ impl InteractiveWorkload {
         self.draw_at(lambda, budget, self.operating_point(budget))
     }
 
-    /// The draw at `op`, the operating point `budget` affords.
-    fn draw_at(&self, lambda: f64, budget: Watts, op: OperatingPoint) -> Watts {
+    /// The draw at `op`, the operating point `budget` affords
+    /// ([`operating_point`](Self::operating_point)): with that point,
+    /// [`power_draw`](Self::power_draw) bit for bit.
+    #[must_use]
+    pub fn draw_at(&self, lambda: f64, budget: Watts, op: OperatingPoint) -> Watts {
         // Actual busy fraction at the operating point's capacity.
         let cap = op.relative_capacity(self.dvfs.serial_fraction()) * self.max_capacity();
         let u = if cap <= 0.0 {

@@ -39,7 +39,7 @@ pub mod queueing;
 
 pub use batch::BatchWorkload;
 pub use cost::{OpportunisticCost, SprintingCost};
-pub use dvfs::DvfsModel;
+pub use dvfs::{DvfsModel, OperatingPoint};
 pub use gain::GainCurve;
 pub use interactive::InteractiveWorkload;
 pub use queueing::MmK;

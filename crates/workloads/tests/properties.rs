@@ -145,3 +145,40 @@ proptest! {
         prop_assert!(curve.gain(Watts::new(spot)) >= 0.0);
     }
 }
+
+/// `InteractiveWorkload::power_for_slo` as a plain 100-step bisection,
+/// with no fixed-point exit.
+fn power_for_slo_100_steps(w: &InteractiveWorkload, lambda: f64) -> Option<Watts> {
+    let peak = w.dvfs().peak_power();
+    if !w.meets_slo(lambda, peak) {
+        return None;
+    }
+    let (mut lo, mut hi) = (0.0, peak.value());
+    for _ in 0..100 {
+        let mid = 0.5 * (lo + hi);
+        if w.meets_slo(lambda, Watts::new(mid)) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    Some(Watts::new(hi))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn power_for_slo_exits_at_the_100_step_answer(lam_frac in 0.0..=1.0f64) {
+        let search = InteractiveWorkload::search_tenant();
+        // Search's rack with a 1 ms SLO, below the service time at full
+        // speed: infeasible at peak power whatever the load.
+        let strict = InteractiveWorkload::new(*search.dvfs(), 110.0, 0.99, 0.001, 1.0, 145.0);
+        prop_assert!(strict.power_for_slo(0.0).is_none());
+        for w in [search, InteractiveWorkload::web_tenant(), strict] {
+            for lam in [lam_frac * w.peak_load(), 0.0, w.peak_load()] {
+                let bits = |p: Option<Watts>| p.map(|p| p.value().to_bits());
+                prop_assert_eq!(bits(w.power_for_slo(lam)), bits(power_for_slo_100_steps(&w, lam)));
+            }
+        }
+    }
+}
