@@ -623,17 +623,12 @@ mod tests {
             }
             assert!(s.agents.windows(2).all(|w| w[0].rack() < w[1].rack()));
             assert_eq!(s.others.len(), s.topology.pdu_count());
+            let participant = |r: &RackId| s.topology.rack(*r).unwrap().tenant().index() < tenants;
             for other in &s.others {
                 let pdu = s.topology.rack(other.rack).unwrap().pdu();
-                let on_pdu = s.topology.racks_on_pdu(pdu);
-                assert_eq!(on_pdu.last(), Some(&other.rack), "{tenants} tenants, {pdu}");
-                assert!(on_pdu[..on_pdu.len() - 1].iter().all(|&r| s
-                    .topology
-                    .rack(r)
-                    .unwrap()
-                    .tenant()
-                    .index()
-                    < s.specs.len()));
+                let (last, first) = s.topology.racks_on_pdu(pdu).split_last().unwrap();
+                assert_eq!(*last, other.rack, "{tenants} tenants, {pdu}");
+                assert!(first.iter().all(participant), "{tenants} tenants, {pdu}");
             }
         }
     }
