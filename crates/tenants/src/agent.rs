@@ -344,14 +344,15 @@ impl TenantAgent {
     /// `intensity`: `model().power_draw(reserved(), intensity)` bit for
     /// bit, read off the class's reservation operating point, which is
     /// found once per class. An idle batch rack draws at a zero budget
-    /// all the same. The slot-0 meter warm-up is its one caller.
+    /// and needs no point. The slot-0 meter warm-up is its one caller.
     #[must_use]
     pub fn reserved_draw(&self, intensity: f64) -> Watts {
-        let op = self
-            .class
-            .reserved_op
-            .get_or_init(|| self.model.operating_point(self.reserved));
-        self.model.power_draw_at(self.reserved, intensity, *op)
+        self.model.power_draw_at(self.reserved, intensity, || {
+            *self
+                .class
+                .reserved_op
+                .get_or_init(|| self.model.operating_point(self.reserved))
+        })
     }
 
     /// Runs the slot with the given total budget (reserved + any spot

@@ -332,30 +332,24 @@ impl WorkloadModel {
         }
     }
 
-    /// [`power_draw`](Self::power_draw) bit for bit, given `op`, the
-    /// [operating point](Self::operating_point) `budget` affords. An
-    /// idle batch rack ignores it, as `power_draw` does its budget.
-    pub(crate) fn power_draw_at(&self, budget: Watts, intensity: f64, op: OperatingPoint) -> Watts {
-        match self {
-            WorkloadModel::Sprinting { workload, .. } => {
-                workload.draw_at(self.arrival_rate(intensity), budget, op)
-            }
-            WorkloadModel::Opportunistic { workload, .. } => {
-                if intensity <= 0.0 {
-                    workload.power_draw(Watts::ZERO)
-                } else {
-                    workload.draw_at(budget, op)
-                }
-            }
-        }
-    }
-
     /// The power actually drawn running under `budget` at `intensity`.
     #[must_use]
     pub fn power_draw(&self, budget: Watts, intensity: f64) -> Watts {
+        self.power_draw_at(budget, intensity, || self.operating_point(budget))
+    }
+
+    /// [`power_draw`](Self::power_draw), with `op` giving the
+    /// [operating point](Self::operating_point) `budget` affords, so a
+    /// caller holding that point passes it instead of finding it again.
+    pub(crate) fn power_draw_at(
+        &self,
+        budget: Watts,
+        intensity: f64,
+        op: impl FnOnce() -> OperatingPoint,
+    ) -> Watts {
         match self {
             WorkloadModel::Sprinting { workload, .. } => {
-                workload.power_draw(self.arrival_rate(intensity), budget)
+                workload.draw_at(self.arrival_rate(intensity), budget, op())
             }
             WorkloadModel::Opportunistic { workload, .. } => {
                 if intensity <= 0.0 {
@@ -363,7 +357,7 @@ impl WorkloadModel {
                     // server, so it is metered at 0 W (DESIGN §2).
                     workload.power_draw(Watts::ZERO)
                 } else {
-                    workload.power_draw(budget)
+                    workload.draw_at(budget, op())
                 }
             }
         }
