@@ -40,8 +40,10 @@ pub struct FaultConfig {
     /// Probability a tenant's bid misses the clearing deadline and
     /// rolls over to the next slot.
     pub bid_delay: f64,
-    /// Probability the predictor's meter snapshot for a slot is one
-    /// slot staler than it should be.
+    /// Probability a slot's prediction reads the meter a slot late: the
+    /// previous slot's readings are withheld (slot 1 reads the warm-up,
+    /// slot 0 reads live). From slot 2 on, a staleness policy ages the
+    /// newest readings by 1, so a delayed slot counts as degraded.
     pub prediction_delay: f64,
     /// Probability the price broadcast back to a bidding tenant is
     /// lost: it cannot know its grant, so the operator revokes it.
@@ -227,7 +229,7 @@ impl FaultPlan {
         }
     }
 
-    /// Whether the predictor's meter snapshot is delayed at `slot`.
+    /// Whether the prediction at `slot` reads the meter a slot late.
     #[must_use]
     pub fn prediction_delayed(&self, slot: Slot) -> bool {
         self.config.prediction_delay > 0.0

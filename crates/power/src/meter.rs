@@ -3,9 +3,9 @@
 //! Operators continuously monitor rack power (per-outlet metered rack
 //! PDUs are routine equipment for billing and reliability). The
 //! [`PowerMeter`] ingests one reading per rack per slot, keeps a bounded
-//! history, and answers the aggregate queries the spot-capacity
-//! predictor needs: instantaneous rack power, PDU and UPS aggregates,
-//! and slot-over-slot deltas.
+//! history, and answers the queries the spot-capacity predictor needs:
+//! instantaneous rack power and its staleness, PDU aggregates, and
+//! slot-over-slot deltas.
 
 use std::collections::VecDeque;
 
@@ -23,7 +23,11 @@ pub struct MeterReading {
     pub power: Watts,
 }
 
-/// Rolling per-rack power history with PDU/UPS aggregation.
+/// Rolling per-rack power history with PDU aggregation.
+///
+/// A meter keeps one reading per rack beyond its history length, so it
+/// can also answer as it stood a slot ago ([`Self::lagged`]); every
+/// other query reads only the newest `history_len` readings.
 ///
 /// # Examples
 ///
@@ -39,20 +43,23 @@ pub struct MeterReading {
 /// let mut meter = PowerMeter::new(&topo, 16)?;
 /// meter.record(Slot::ZERO, RackId::new(0), Watts::new(80.0));
 /// meter.record(Slot::ZERO, RackId::new(1), Watts::new(60.0));
-/// assert_eq!(meter.ups_power(), Watts::new(140.0));
+/// let mut per_pdu = Vec::new();
+/// meter.pdu_powers_into(&mut per_pdu);
+/// assert_eq!(per_pdu, vec![Watts::new(140.0)]);
 /// # Ok::<(), spotdc_power::TopologyError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct PowerMeter {
-    history: Vec<VecDeque<MeterReading>>,
+    /// Up to `history_len + 1` readings per rack, oldest first.
+    readings: Vec<VecDeque<MeterReading>>,
     rack_to_pdu: Vec<PduId>,
     pdu_count: usize,
-    capacity: usize,
+    history_len: usize,
 }
 
 impl PowerMeter {
-    /// Creates a meter for every rack in `topology`, retaining up to
-    /// `history_len` readings per rack.
+    /// Creates a meter for every rack in `topology` whose history
+    /// answers with up to `history_len` readings per rack.
     ///
     /// # Errors
     ///
@@ -65,23 +72,23 @@ impl PowerMeter {
             });
         }
         Ok(PowerMeter {
-            history: vec![VecDeque::with_capacity(history_len); topology.rack_count()],
+            readings: vec![VecDeque::with_capacity(history_len + 1); topology.rack_count()],
             rack_to_pdu: topology.racks().map(|r| r.pdu()).collect(),
             pdu_count: topology.pdu_count(),
-            capacity: history_len,
+            history_len,
         })
     }
 
     /// Records a reading for `rack` at `slot`, evicting the oldest
-    /// reading if the history is full. Readings are clamped to zero from
+    /// beyond `history_len + 1`. Readings are clamped to zero from
     /// below — a meter never reports negative power.
     ///
     /// # Panics
     ///
     /// Panics if `rack` is not part of the metered topology.
     pub fn record(&mut self, slot: Slot, rack: RackId, power: Watts) {
-        let q = &mut self.history[rack.index()];
-        if q.len() == self.capacity {
+        let q = &mut self.readings[rack.index()];
+        if q.len() > self.history_len {
             q.pop_front();
         }
         q.push_back(MeterReading {
@@ -90,10 +97,25 @@ impl PowerMeter {
         });
     }
 
+    /// The meter as it stood before `slot`'s readings were recorded:
+    /// each rack whose newest reading is tagged `slot` loses it. A
+    /// rack's only reading stays: it is a warm-up taken before `slot`
+    /// under its tag (the simulator's slot-0 warm-up shares slot 0's).
+    #[must_use]
+    pub fn lagged(&self, slot: Slot) -> PowerMeter {
+        let mut lagged = self.clone();
+        for q in &mut lagged.readings {
+            if q.len() > 1 && q.back().is_some_and(|r| r.slot == slot) {
+                q.pop_back();
+            }
+        }
+        lagged
+    }
+
     /// The most recent reading for `rack`, if any.
     #[must_use]
     pub fn latest(&self, rack: RackId) -> Option<MeterReading> {
-        self.history
+        self.readings
             .get(rack.index())
             .and_then(|q| q.back())
             .copied()
@@ -116,63 +138,40 @@ impl PowerMeter {
             .map(|r| (r, asof.index().saturating_sub(r.slot.index())))
     }
 
-    /// Sum of latest readings across the racks of `pdu`.
-    #[must_use]
-    pub fn pdu_power(&self, pdu: PduId) -> Watts {
-        self.history
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.rack_to_pdu[*i] == pdu)
-            .filter_map(|(_, q)| q.back())
-            .map(|r| r.power)
-            .sum()
-    }
-
-    /// Sum of latest readings across all racks.
-    #[must_use]
-    pub fn ups_power(&self) -> Watts {
-        self.history
-            .iter()
-            .filter_map(|q| q.back())
-            .map(|r| r.power)
-            .sum()
-    }
-
-    /// Latest power per PDU, indexed by PDU id.
-    #[must_use]
-    pub fn pdu_powers(&self) -> Vec<Watts> {
-        let mut per_pdu = vec![Watts::ZERO; self.pdu_count];
-        self.pdu_powers_into(&mut per_pdu);
-        per_pdu
-    }
-
-    /// Allocation-free [`Self::pdu_powers`]: resizes `out` to the PDU
-    /// count, zeroes it, and accumulates latest readings in rack order
-    /// (bit-identical to the allocating variant). For hot per-slot
-    /// callers that recycle one buffer across the whole run.
+    /// Latest power per PDU: resizes `out` to the PDU count, zeroes it,
+    /// and accumulates each rack's latest reading in rack order. For
+    /// per-slot callers that recycle one buffer across the whole run.
     pub fn pdu_powers_into(&self, out: &mut Vec<Watts>) {
         out.clear();
         out.resize(self.pdu_count, Watts::ZERO);
-        for (i, q) in self.history.iter().enumerate() {
+        for (i, q) in self.readings.iter().enumerate() {
             if let Some(r) = q.back() {
                 out[self.rack_to_pdu[i].index()] += r.power;
             }
         }
     }
 
-    /// The full retained history for `rack`, oldest first.
+    /// The newest `history_len` readings for `rack`, oldest first.
     #[must_use]
     pub fn history(&self, rack: RackId) -> Vec<MeterReading> {
-        self.history
-            .get(rack.index())
-            .map(|q| q.iter().copied().collect())
-            .unwrap_or_default()
+        let retained = self.retained(rack);
+        let skip = retained.len().saturating_sub(self.history_len);
+        retained.skip(skip).collect()
+    }
+
+    /// Every reading retained for `rack`, oldest first: its history and,
+    /// once that is full, the one before it. Replayed through
+    /// [`Self::record`] into a fresh meter, they rebuild this one.
+    pub fn retained(&self, rack: RackId) -> impl ExactSizeIterator<Item = MeterReading> + '_ {
+        static UNMETERED: VecDeque<MeterReading> = VecDeque::new();
+        let q = self.readings.get(rack.index()).unwrap_or(&UNMETERED);
+        q.iter().copied()
     }
 
     /// Number of racks this meter covers.
     #[must_use]
     pub fn rack_count(&self) -> usize {
-        self.history.len()
+        self.readings.len()
     }
 }
 
@@ -193,6 +192,15 @@ mod tests {
             .unwrap()
     }
 
+    /// Each PDU's total is the sum of its racks' `rack_power`.
+    fn pdu_sums(m: &PowerMeter, topo: &PowerTopology) -> Vec<Watts> {
+        let mut sums = vec![Watts::ZERO; topo.pdu_count()];
+        for rack in topo.racks() {
+            sums[rack.pdu().index()] += m.rack_power(rack.id());
+        }
+        sums
+    }
+
     #[test]
     fn aggregates_split_by_pdu() {
         let topo = small_topology();
@@ -200,10 +208,10 @@ mod tests {
         m.record(Slot::ZERO, RackId::new(0), Watts::new(50.0));
         m.record(Slot::ZERO, RackId::new(1), Watts::new(70.0));
         m.record(Slot::ZERO, RackId::new(2), Watts::new(30.0));
-        assert_eq!(m.pdu_power(PduId::new(0)), Watts::new(120.0));
-        assert_eq!(m.pdu_power(PduId::new(1)), Watts::new(30.0));
-        assert_eq!(m.ups_power(), Watts::new(150.0));
-        assert_eq!(m.pdu_powers(), vec![Watts::new(120.0), Watts::new(30.0)]);
+        let mut per_pdu = vec![Watts::new(9.0); 5];
+        m.pdu_powers_into(&mut per_pdu);
+        assert_eq!(per_pdu, vec![Watts::new(120.0), Watts::new(30.0)]);
+        assert_eq!(per_pdu, pdu_sums(&m, &topo));
     }
 
     #[test]
@@ -211,8 +219,11 @@ mod tests {
         let topo = small_topology();
         let m = PowerMeter::new(&topo, 8).unwrap();
         assert_eq!(m.rack_power(RackId::new(0)), Watts::ZERO);
-        assert_eq!(m.ups_power(), Watts::ZERO);
+        let mut per_pdu = Vec::new();
+        m.pdu_powers_into(&mut per_pdu);
+        assert_eq!(per_pdu, vec![Watts::ZERO; 2]);
         assert!(m.latest(RackId::new(0)).is_none());
+        assert!(m.history(RackId::new(7)).is_empty());
     }
 
     #[test]
@@ -227,6 +238,45 @@ mod tests {
         assert_eq!(h[0].slot, Slot::new(2));
         assert_eq!(h[2].slot, Slot::new(4));
         assert_eq!(m.rack_power(RackId::new(0)), Watts::new(4.0));
+        // One reading more is retained, for the lag view.
+        let retained: Vec<Slot> = m.retained(RackId::new(0)).map(|r| r.slot).collect();
+        assert_eq!(retained, [1, 2, 3, 4].map(Slot::new));
+    }
+
+    #[test]
+    fn the_lagged_view_answers_as_the_meter_stood_a_slot_ago() {
+        let topo = small_topology();
+        let mut m = PowerMeter::new(&topo, 3).unwrap();
+        let (r0, r1, r2) = (RackId::new(0), RackId::new(1), RackId::new(2));
+        // A warm-up and slot 0 share slot 0's tag; rack 1 misses slot
+        // 0, so its warm-up is its only reading.
+        for rack in [r0, r1, r2] {
+            m.record(Slot::ZERO, rack, Watts::new(10.0));
+        }
+        m.record(Slot::ZERO, r0, Watts::new(11.0));
+        m.record(Slot::ZERO, r2, Watts::new(12.0));
+        let warm = m.lagged(Slot::ZERO);
+        let warm_up = MeterReading {
+            slot: Slot::ZERO,
+            power: Watts::new(10.0),
+        };
+        for rack in [r0, r1, r2] {
+            assert_eq!(warm.history(rack), [warm_up]);
+        }
+        let mut stood = Vec::new();
+        for t in 1..8 {
+            stood.push(m.clone());
+            m.record(Slot::new(t), r0, Watts::new(20.0 + t as f64));
+            if t % 2 == 0 {
+                m.record(Slot::new(t), r1, Watts::new(30.0 + t as f64));
+            }
+            let lagged = m.lagged(Slot::new(t));
+            let before = &stood[stood.len() - 1];
+            for rack in [r0, r1, r2] {
+                assert_eq!(lagged.history(rack), before.history(rack), "slot {t}");
+                assert_eq!(lagged.latest(rack), before.latest(rack), "slot {t}");
+            }
+        }
     }
 
     #[test]

@@ -26,14 +26,19 @@ proptest! {
     }
 
     #[test]
-    fn meter_ups_equals_sum_of_pdus(specs in rack_specs(), loads in prop::collection::vec(0.0..400.0f64, 30)) {
+    fn meter_pdu_powers_are_sums_of_rack_power(specs in rack_specs(), loads in prop::collection::vec(0.0..400.0f64, 30)) {
         let topo = build_topology(&specs);
         let mut meter = PowerMeter::new(&topo, 4).expect("positive history length");
         for (i, _) in specs.iter().enumerate() {
             meter.record(Slot::ZERO, RackId::new(i), Watts::new(loads[i % loads.len()]));
         }
-        let pdu_sum: Watts = meter.pdu_powers().into_iter().sum();
-        prop_assert!(meter.ups_power().approx_eq(pdu_sum, 1e-6));
+        let mut rack_sums = vec![Watts::ZERO; topo.pdu_count()];
+        for rack in topo.racks() {
+            rack_sums[rack.pdu().index()] += meter.rack_power(rack.id());
+        }
+        let mut per_pdu = Vec::new();
+        meter.pdu_powers_into(&mut per_pdu);
+        prop_assert_eq!(per_pdu, rack_sums);
     }
 
     #[test]

@@ -46,11 +46,11 @@ use spotdc_units::{Price, RackId, Slot, TenantId, Watts};
 
 use crate::baselines::Mode;
 use crate::metrics::{SlotRecord, TenantSlotMetrics};
-use crate::pipeline::{SimState, SlotContext, Stage};
+use crate::pipeline::{SimState, SlotContext, Stage, METER_HISTORY_LEN};
 
 /// Snapshot format version; bump on any layout change, of the snapshot
 /// or of the slot log beside it.
-pub const SNAPSHOT_FORMAT: u32 = 7;
+pub const SNAPSHOT_FORMAT: u32 = 8;
 
 /// The stable tag a [`Mode`] serializes as.
 #[must_use]
@@ -108,31 +108,39 @@ impl Persist for SlotRecord {
     }
 }
 
-/// Per-rack meter history in portable `(slot, watts)` form, oldest
-/// first — exactly the replay argument order for `PowerMeter::record`.
+/// Every reading the meter retains per rack (its lag view needs the one
+/// before a full history) in portable `(slot, watts)` form, oldest first
+/// — exactly the replay argument order for `PowerMeter::record`.
 type MeterHistory = Vec<Vec<(u64, f64)>>;
 
 fn capture_meter(meter: &PowerMeter) -> MeterHistory {
     (0..meter.rack_count())
         .map(|i| {
             meter
-                .history(RackId::new(i))
-                .into_iter()
+                .retained(RackId::new(i))
                 .map(|r| (r.slot.index(), r.power.value()))
                 .collect()
         })
         .collect()
 }
 
-/// Replays `history` into a fresh meter. The caller has checked it
-/// holds one row per rack of `topology`.
+/// Replays `history` into a fresh meter, refusing a row longer than a
+/// meter retains (replayed, it would evict silently). The caller has
+/// checked it holds one row per rack of `topology`.
 fn rebuild_meter(
     history: &MeterHistory,
     topology: &spotdc_power::topology::PowerTopology,
 ) -> Result<PowerMeter, DecodeError> {
-    let mut meter = PowerMeter::new(topology, crate::pipeline::METER_HISTORY_LEN)
+    let mut meter = PowerMeter::new(topology, METER_HISTORY_LEN)
         .map_err(|e| DecodeError::Invalid(format!("meter rebuild: {e}")))?;
     for (i, readings) in history.iter().enumerate() {
+        if readings.len() > METER_HISTORY_LEN + 1 {
+            return Err(DecodeError::Invalid(format!(
+                "snapshot meter row {i} holds {} readings, at most {} fit",
+                readings.len(),
+                METER_HISTORY_LEN + 1
+            )));
+        }
         for &(slot, power) in readings {
             // Recorded values already passed the meter's non-negative
             // clamp once, so replaying them is exact.
@@ -163,11 +171,8 @@ pub struct EngineSnapshot {
     pub pdu_count: u64,
     /// Slots fully simulated when the snapshot was cut.
     pub slots_done: u64,
-    /// Observed meter histories, per rack, oldest first.
+    /// Every retained observed meter reading, per rack, oldest first.
     pub meter: MeterHistory,
-    /// Last slot's meter snapshot (tracked only under prediction-delay
-    /// faults).
-    pub prev_meter: Option<MeterHistory>,
     /// Overloads beyond the breaker-tolerance band so far.
     pub emergencies: u64,
     /// Overloads within the breaker-tolerance band so far.
@@ -204,7 +209,6 @@ impl Persist for EngineSnapshot {
         enc.put_u64(self.pdu_count);
         enc.put_u64(self.slots_done);
         self.meter.persist(enc);
-        self.prev_meter.persist(enc);
         enc.put_u64(self.emergencies);
         enc.put_u64(self.transient_overshoots);
         self.cap_hold.persist(enc);
@@ -233,7 +237,6 @@ impl Persist for EngineSnapshot {
             pdu_count: dec.get_u64()?,
             slots_done: dec.get_u64()?,
             meter: MeterHistory::restore(dec)?,
-            prev_meter: Option::<MeterHistory>::restore(dec)?,
             emergencies: dec.get_u64()?,
             transient_overshoots: dec.get_u64()?,
             cap_hold: Option::<(Vec<Option<u64>>, Option<u64>)>::restore(dec)?,
@@ -268,7 +271,6 @@ impl EngineSnapshot {
             pdu_count: state.topology.pdu_count() as u64,
             slots_done,
             meter: capture_meter(&state.meter),
-            prev_meter: state.prev_meter.as_ref().map(capture_meter),
             emergencies: state.report.emergencies as u64,
             transient_overshoots: state.report.transient_overshoots as u64,
             cap_hold: state
@@ -352,11 +354,6 @@ impl EngineSnapshot {
             ("agent count", self.agent_count, agents),
             ("pdu count", self.pdu_count, pdus),
             ("meter rows", self.meter.len() as u64, racks),
-            (
-                "prev_meter rows",
-                self.prev_meter.as_ref().map_or(racks, |h| h.len() as u64),
-                racks,
-            ),
             ("true_draw length", self.true_draw.len() as u64, racks),
             ("agents length", self.agents.len() as u64, agents),
             (
@@ -383,10 +380,6 @@ impl EngineSnapshot {
             }
         }
         let meter = rebuild_meter(&self.meter, &state.topology)?;
-        let prev_meter = match &self.prev_meter {
-            Some(h) => Some(rebuild_meter(h, &state.topology)?),
-            None => None,
-        };
 
         for stage in stages {
             if let Stage::CollectBids { late_bids, .. } = stage {
@@ -394,7 +387,6 @@ impl EngineSnapshot {
             }
         }
         state.meter = meter;
-        state.prev_meter = prev_meter;
         if let (Some(cap), Some((pdu_hold, ups_hold))) = (&mut state.cap, &self.cap_hold) {
             cap.restore_hold_state(pdu_hold.clone(), *ups_hold);
         }

@@ -34,9 +34,9 @@ use crate::engine::EngineConfig;
 use crate::metrics::SimReport;
 use crate::scenario::{OtherGroup, Scenario, TraceCursors};
 
-/// Meter readings retained per rack. Shared with the durability layer:
-/// a restored meter must use the same window length or replayed
-/// histories would evict differently.
+/// Meter history length per rack (it retains one reading more, for
+/// [`PowerMeter::lagged`]). Shared with the durability layer: a restored
+/// meter must use the same window length or replays evict differently.
 pub const METER_HISTORY_LEN: usize = 4;
 
 /// Cross-slot simulation state: the world the pipeline stages act on.
@@ -51,9 +51,11 @@ pub struct SimState {
     pub operator: Operator,
     /// The *observed* power meter (subject to meter faults).
     pub meter: PowerMeter,
-    /// Last slot's meter snapshot, kept only when prediction-delay
-    /// faults are armed.
-    pub prev_meter: Option<PowerMeter>,
+    /// The meter as it stood a slot ago ([`PowerMeter::lagged`]):
+    /// `Predict` builds it on a slot the prediction-delay fault delays
+    /// (but slot 0, which has no earlier slot) and drops it on every
+    /// other, so it lives only for the slot that reads it.
+    pub lagged_meter: Option<PowerMeter>,
     /// The intelligent rack PDUs grants are programmed into.
     pub bank: RackPduBank,
     /// Finds each slot's overloads in the physical per-PDU power; it
@@ -75,8 +77,6 @@ pub struct SimState {
     /// unconditionally: with a channel's rates at zero its query answers
     /// `None` / `false` without hashing.
     pub plan: FaultPlan,
-    /// Whether to snapshot the meter each slot for delayed predictions.
-    pub track_prev_meter: bool,
     /// Whether the post-clearing invariant checker runs every slot.
     pub validate: bool,
     /// Per-rack guaranteed power, indexed by dense rack index.
@@ -127,7 +127,6 @@ impl SimState {
         let bank = RackPduBank::new(&topology);
         let emergencies = EmergencyLog::new(&topology);
         let plan = FaultPlan::new(config.faults);
-        let track_prev_meter = config.faults.prediction_delay > 0.0;
         let cap = config
             .cap
             .enabled
@@ -174,7 +173,7 @@ impl SimState {
             topology,
             operator,
             meter,
-            prev_meter: None,
+            lagged_meter: None,
             bank,
             emergencies,
             cap,
@@ -182,7 +181,6 @@ impl SimState {
             others: scenario.others.clone(),
             cursors,
             plan,
-            track_prev_meter,
             validate,
             guaranteed,
             rack_pdu,
@@ -244,14 +242,14 @@ impl SimState {
         results.into_iter().map(Some).collect()
     }
 
-    /// The meter the market should see this slot: last slot's snapshot
-    /// when a prediction-delay fault fired, the live meter otherwise.
+    /// The meter the market sees this slot: the lagged view when a
+    /// prediction-delay fault fired, the live meter otherwise.
     #[must_use]
     pub fn market_meter(&self, delayed: bool) -> &PowerMeter {
-        match (&self.prev_meter, delayed) {
-            (Some(prev), true) => prev,
-            _ => &self.meter,
-        }
+        self.lagged_meter
+            .as_ref()
+            .filter(|_| delayed)
+            .unwrap_or(&self.meter)
     }
 
     /// Consumes the state into the final report.

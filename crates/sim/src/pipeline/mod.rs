@@ -45,7 +45,7 @@ use crate::engine::EngineConfig;
 #[derive(Debug)]
 pub enum Stage {
     /// Tenants observe their load, the rack PDUs reset, and a
-    /// prediction-delay fault picks the market's meter view.
+    /// prediction-delay fault marks the slot delayed.
     Sense,
     /// Tenants bid, bid faults fire, and the operator admits the
     /// delivered bids: the slot's requesting set.

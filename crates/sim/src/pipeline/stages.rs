@@ -153,8 +153,8 @@ fn program_grants(state: &mut SimState, payments: &mut [f64], alloc: &SpotAlloca
 
 /// Sense: the trace cursors step to this slot, tenants observe their
 /// loads (deciding, once a slot, whether they want spot), the rack PDUs
-/// reset, and the prediction-delay fault (if scheduled) selects which
-/// meter snapshot the market will see. Runs in every composition.
+/// reset, and the prediction-delay fault (if scheduled) marks the slot
+/// delayed. Runs in every composition.
 pub(super) fn sense(state: &mut SimState, ctx: &mut SlotContext) {
     let slot = ctx.slot;
     state.cursors.seek(ctx.t);
@@ -164,7 +164,7 @@ pub(super) fn sense(state: &mut SimState, ctx: &mut SlotContext) {
     state.bank.reset_all();
 
     // Delayed prediction input: the operator sees the meter as it
-    // stood at the end of the previous slot.
+    // stood before the previous slot's readings.
     let delayed = state.plan.prediction_delayed(slot);
     if delayed {
         state.report.faults_injected += 1;
@@ -259,11 +259,15 @@ pub(super) fn collect_gains(state: &mut SimState, ctx: &mut SlotContext) {
 
 /// Predict: forecast this slot's spot capacity (paper Eqns. 1–4) from
 /// the market's meter view for the requesting set the collect stage
-/// left, and build the constraint set clearing will run against. One
-/// body for every composition: the operator applies its configured
-/// staleness policy and emits the prediction / degradation telemetry
-/// whatever clears the slot.
+/// left (a delayed slot's lacks the previous slot's readings), and build
+/// the constraint set clearing will run against. One body for every
+/// composition: the operator applies its configured staleness policy
+/// and emits the prediction / degradation telemetry whatever clears the
+/// slot.
 pub(super) fn predict(state: &mut SimState, ctx: &mut SlotContext) {
+    // Slot 0 has no earlier slot, so even a delayed one reads live.
+    let lag = ctx.slot.prev().filter(|_| ctx.delayed);
+    state.lagged_meter = lag.map(|prev| state.meter.lagged(prev));
     let meter = state.market_meter(ctx.delayed);
     let (predicted, degraded) = state
         .operator
@@ -530,9 +534,6 @@ pub(super) fn settle(state: &mut SimState, ctx: &mut SlotContext) {
         for i in 0..state.true_draw.len() {
             state.prev_base_pdu[state.rack_pdu[i]] += state.true_draw[i].min(state.guaranteed[i]);
         }
-    }
-    if state.track_prev_meter {
-        state.prev_meter = Some(state.meter.clone());
     }
 }
 

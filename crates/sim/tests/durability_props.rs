@@ -10,8 +10,9 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 
+use spotdc_core::{OperatorConfig, SpotPredictor};
 use spotdc_durable::{DecodeError, Decoder, Encoder, Persist, WalWriter};
-use spotdc_faults::FaultConfig;
+use spotdc_faults::{FaultConfig, FaultPlan};
 use spotdc_power::CapConfig;
 use spotdc_sim::durability::{EngineSnapshot, SNAPSHOT_FORMAT};
 use spotdc_sim::engine::{DurabilityConfig, DurableError, EngineConfig, Simulation};
@@ -82,9 +83,9 @@ proptest! {
     }
 }
 
-/// Every message fault armed — lost, late and broadcast-lost — plus the
-/// state that only exists under faults: the delayed-prediction meter
-/// copy and the cap controller's holds.
+/// Every message fault armed — lost, late and broadcast-lost — plus
+/// delayed predictions and the state that only exists under faults: the
+/// cap controller's holds.
 fn lossy_config() -> EngineConfig {
     EngineConfig {
         faults: FaultConfig {
@@ -159,13 +160,12 @@ proptest! {
 }
 
 /// A real snapshot cut where everything optional is present: a late
-/// bid waiting in `CollectBids`, the delayed-prediction meter copy, cap
-/// holds (one forced, so the encoding holds a `Some`).
+/// bid waiting in `CollectBids`, cap holds (one forced, so the encoding
+/// holds a `Some`).
 fn rich_snapshot() -> (EngineSnapshot, SimState, Vec<Stage>) {
     let (state, _, stages, config) = run_to(7, lossy_config(), 2);
     let mut snap = EngineSnapshot::capture(&state, &stages, Mode::SpotDc, 7, 2);
     assert!(!snap.late_bids.is_empty());
-    assert!(snap.prev_meter.is_some());
     snap.cap_hold.as_mut().expect("cap controller enabled").0[0] = Some(1);
 
     let fresh = SimState::new(&Scenario::testbed(7), &config, 2);
@@ -191,7 +191,9 @@ fn forged_snapshots_are_refused_before_anything_is_applied() {
         ("agent count", |s| s.agent_count += 1),
         ("pdu count", |s| s.pdu_count += 1),
         ("meter", |s| s.meter.truncate(1)),
-        ("prev_meter", |s| s.prev_meter.as_mut().unwrap().truncate(1)),
+        ("meter row 0", |s| {
+            s.meter[0] = vec![(0, 1.0); pipeline::METER_HISTORY_LEN + 2];
+        }),
         ("true_draw", |s| s.true_draw.truncate(1)),
         ("agents", |s| s.agents.truncate(1)),
         ("prev_base_pdu", |s| s.prev_base_pdu.push(0.0)),
@@ -266,21 +268,116 @@ fn damaged_snapshots_are_errors_not_panics() {
     // two counters, format 4 ended in one opaque blob per stage where
     // format 5 carries the late bids, and format 5 carried every slot's
     // record and each agent's intensity, which format 6 leaves to the
-    // record log and to `Sense`; read as format 7 any of them would
-    // misread its fields, so the header must decide. Format 6 has this
-    // layout, but beside it sat a bid journal and a log of bare records,
-    // where format 7's one slot log frames each slot's bids, outcome
-    // and record together: refused too, so that log is never misread.
-    assert_eq!(SNAPSHOT_FORMAT, 7);
-    for old in [1u32, 2, 3, 4, 5, 6] {
+    // record log and to `Sense`; format 7 carried a second meter history
+    // for delayed predictions after the meter; read as format 8 any of
+    // them would misread its fields, so the header must decide. Format
+    // 6 sat beside a bid journal and a log of bare records, where one
+    // slot log frames each slot's bids, outcome and record together:
+    // refused too, so that log is never misread.
+    assert_eq!(SNAPSHOT_FORMAT, 8);
+    for old in 1u32..=7 {
         let mut stale = bytes.clone();
         stale[..4].copy_from_slice(&old.to_le_bytes());
-        let expected = format!("snapshot format {old}, this build reads 7");
+        let expected = format!("snapshot format {old}, this build reads 8");
         match EngineSnapshot::decode(&stale) {
             Err(DecodeError::Invalid(why)) => assert_eq!(why, expected),
             other => panic!("a format-{old} header must be refused by name, got {other:?}"),
         }
     }
+}
+
+/// A checkpoint directory a format-7 build left is refused on resume,
+/// and the refusal names the format: format 7 carried a second meter
+/// history after the meter, which this build would misread.
+#[test]
+fn a_format_7_checkpoint_directory_is_refused_by_name() {
+    let dir = temp_dir("format7");
+    let mut config = durable(lossy_config(), &dir, 5);
+    config.durability.stop_after = Some(7);
+    Simulation::new(Scenario::testbed(7), config.clone())
+        .run_durable(12)
+        .expect("stopped run");
+    let newest = spotdc_durable::load_latest(&dir)
+        .expect("readable")
+        .expect("a checkpoint");
+    let mut payload = newest.payload;
+    payload[..4].copy_from_slice(&7u32.to_le_bytes());
+    spotdc_durable::write_checkpoint(&dir, newest.slots_done, &payload).expect("rewritten");
+    config.durability.stop_after = None;
+    config.durability.resume = true;
+    match Simulation::new(Scenario::testbed(7), config).run_durable(12) {
+        Err(DurableError::Corrupt(why)) => {
+            assert!(
+                why.contains("snapshot format 7, this build reads 8"),
+                "{why}"
+            );
+        }
+        Ok(_) => panic!("a format-7 checkpoint was resumed from"),
+        Err(other) => panic!("unexpected failure: {other}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Delayed predictions alone, under the adaptive margin, which reads
+/// each rack's whole history.
+fn delayed_config() -> EngineConfig {
+    EngineConfig {
+        faults: FaultConfig {
+            seed: 3,
+            prediction_delay: 0.5,
+            ..FaultConfig::disabled()
+        },
+        operator: OperatorConfig {
+            predictor: SpotPredictor::adaptive(1.0),
+            ..OperatorConfig::default()
+        },
+        ..EngineConfig::new(Mode::SpotDc)
+    }
+}
+
+/// A run stopped after each of slots 1 to 12, checkpointed after every
+/// slot, resumes to the cold report. The window resumes at slot 1,
+/// whose lag view is the warm-up, and at a delayed slot whose meter
+/// rows are full: its lag view is rebuilt from the snapshot's meter, so
+/// the snapshot must carry the reading before the history, which a
+/// capture through `PowerMeter::history` would lose.
+#[test]
+fn resume_across_a_delayed_slot_matches_the_cold_report() {
+    const SLOTS: u64 = 20;
+    let config = delayed_config();
+    let cold = Simulation::new(Scenario::testbed(7), config.clone()).run(SLOTS);
+    let disarmed = EngineConfig {
+        faults: FaultConfig::disabled(),
+        ..config.clone()
+    };
+    let disarmed = Simulation::new(Scenario::testbed(7), disarmed).run(SLOTS);
+    assert_ne!(cold.records, disarmed.records, "the delay moved no record");
+    let plan = FaultPlan::new(config.faults);
+    let stops = 1..=12u64;
+    assert!(stops
+        .clone()
+        .any(|k| k >= pipeline::METER_HISTORY_LEN as u64 && plan.prediction_delayed(Slot::new(k))));
+
+    let dir = temp_dir("delayed");
+    for stop in stops {
+        let mut config = durable(config.clone(), &dir, 1);
+        config.durability.stop_after = Some(stop);
+        Simulation::new(Scenario::testbed(7), config.clone())
+            .run_durable(SLOTS)
+            .expect("stopped run");
+        config.durability.stop_after = None;
+        config.durability.resume = true;
+        let resumed = Simulation::new(Scenario::testbed(7), config)
+            .run_durable(SLOTS)
+            .expect("resumed run");
+        let recovery = resumed.recovery.expect("a resume");
+        assert_eq!(recovery.snapshot_slot, Some(stop));
+        assert!(
+            resumed.report == cold,
+            "stop {stop}: resumed report differs from the cold run's"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A checkpoint holds market state and nothing about who is watching:
